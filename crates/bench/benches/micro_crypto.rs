@@ -46,6 +46,26 @@ fn bench_schnorr(c: &mut Criterion) {
     c.bench_function("schnorr/verify", |b| {
         b.iter(|| kp.public().verify(black_box(&msg), black_box(&sig)));
     });
+    // What every signature of every inbound frame pays on the replica
+    // thread: range checks, no curve arithmetic.
+    let bytes = sig.to_bytes();
+    c.bench_function("schnorr/signature_decode", |b| {
+        b.iter(|| astro_crypto::Signature::from_bytes(black_box(&bytes)));
+    });
+}
+
+fn bench_field(c: &mut Criterion) {
+    // The two Fermat exponentiations (fixed addition chains): `sqrt` is
+    // the lift of a compressed point onto the curve (one per signature in
+    // a real batch check), `invert` the Jacobian→affine normalization
+    // (one per `sign`, one per `verify`).
+    let x = Affine::generator().x().square(); // a full-width residue
+    c.bench_function("field/sqrt", |b| {
+        b.iter(|| black_box(&x).sqrt());
+    });
+    c.bench_function("field/invert", |b| {
+        b.iter(|| black_box(&x).invert());
+    });
 }
 
 fn bench_batch_verify(c: &mut Criterion) {
@@ -160,6 +180,7 @@ fn main() {
     bench_hash(&mut c);
     bench_mac(&mut c);
     bench_schnorr(&mut c);
+    bench_field(&mut c);
     bench_batch_verify(&mut c);
     bench_scalar_mul(&mut c);
     bench_msm(&mut c);

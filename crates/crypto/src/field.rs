@@ -167,45 +167,67 @@ impl Fe {
         self.mul(&Fe::from_u64(k))
     }
 
-    /// Multiplicative inverse via Fermat's little theorem (`self^(p−2)`).
+    /// Multiplicative inverse via Fermat's little theorem (`self^(p−2)`),
+    /// evaluated with a fixed addition chain: 255 squarings and 15
+    /// multiplications.
     ///
     /// # Panics
     ///
     /// Panics if `self` is zero (zero has no inverse).
     pub fn invert(&self) -> Fe {
         assert!(!self.is_zero(), "inverse of zero field element");
-        let (p_minus_2, _) = u256::sub(&P.m, &[2, 0, 0, 0]);
-        self.pow(&p_minus_2)
-    }
-
-    /// `self^exp` over the specialized multiplication/squaring (the
-    /// generic `Modulus::pow_mod` stays as the cross-checked reference).
-    fn pow(&self, exp: &Limbs) -> Fe {
-        u256::pow_ladder(self, exp, Fe::ONE, Fe::square, Fe::mul)
+        // p − 2 = [223 ones] 0 [22 ones] 00001 011 01.
+        let (x2, x22, x223) = self.pow_ones();
+        let t = x223.sqr_n(23).mul(&x22);
+        let t = t.sqr_n(5).mul(self);
+        let t = t.sqr_n(3).mul(&x2);
+        t.sqr_n(2).mul(self)
     }
 
     /// Square root, if one exists. Since p ≡ 3 (mod 4) this is
-    /// `self^((p+1)/4)`; returns `None` when `self` is a non-residue.
+    /// `self^((p+1)/4)` — 253 squarings and 13 multiplications on the
+    /// same chain as [`Fe::invert`]; returns `None` when `self` is a
+    /// non-residue.
     pub fn sqrt(&self) -> Option<Fe> {
-        // (p+1)/4: add 1 then shift right by 2.
-        let (p_plus_1, carry) = u256::add(&P.m, &[1, 0, 0, 0]);
-        debug_assert!(!carry);
-        let mut exp = p_plus_1;
-        // Right shift by 2 bits across limbs.
-        for _ in 0..2 {
-            let mut prev = 0u64;
-            for i in (0..4).rev() {
-                let cur = exp[i];
-                exp[i] = (cur >> 1) | (prev << 63);
-                prev = cur & 1;
-            }
-        }
-        let root = self.pow(&exp);
+        // (p + 1)/4 = [223 ones] 0 [22 ones] 000011 00.
+        let (x2, x22, x223) = self.pow_ones();
+        let t = x223.sqr_n(23).mul(&x22);
+        let root = t.sqr_n(6).mul(&x2).sqr_n(2);
         if root.square() == *self {
             Some(root)
         } else {
             None
         }
+    }
+
+    /// `self^(2^n)`: `n` successive squarings.
+    fn sqr_n(&self, n: u32) -> Fe {
+        let mut r = *self;
+        for _ in 0..n {
+            r = r.square();
+        }
+        r
+    }
+
+    /// The shared prefix of the standard secp256k1 addition chains:
+    /// `self^(2^k − 1)` for `k` = 2, 22 and 223 — the lengths of the runs
+    /// of one bits in `p = 2^256 − 2^32 − 977`, whose top 223 bits are all
+    /// set. Every exponent derived from p (`p − 2`, `(p + 1)/4`) is these
+    /// runs followed by ten low bits, so a run costs one multiplication
+    /// where a bit-at-a-time ladder pays one per bit.
+    fn pow_ones(&self) -> (Fe, Fe, Fe) {
+        let x2 = self.square().mul(self);
+        let x3 = x2.square().mul(self);
+        let x6 = x3.sqr_n(3).mul(&x3);
+        let x9 = x6.sqr_n(3).mul(&x3);
+        let x11 = x9.sqr_n(2).mul(&x2);
+        let x22 = x11.sqr_n(11).mul(&x11);
+        let x44 = x22.sqr_n(22).mul(&x22);
+        let x88 = x44.sqr_n(44).mul(&x44);
+        let x176 = x88.sqr_n(88).mul(&x88);
+        let x220 = x176.sqr_n(44).mul(&x44);
+        let x223 = x220.sqr_n(3).mul(&x3);
+        (x2, x22, x223)
     }
 }
 
@@ -242,19 +264,19 @@ mod tests {
     }
 
     #[test]
-    fn non_residue_has_no_sqrt() {
-        // If a is a residue, -a is a non-residue when p ≡ 3 mod 4 (and a != 0).
-        let a = Fe::from_u64(4);
-        assert!(a.sqrt().is_some());
-        // Find a non-residue by scanning small values.
-        let mut found = false;
-        for v in 2..40u64 {
-            if Fe::from_u64(v).sqrt().is_none() {
-                found = true;
-                break;
-            }
-        }
-        assert!(found, "some small non-residue must exist");
+    fn non_residues_have_no_sqrt() {
+        // p ≡ 3 (mod 4) makes −1 a non-residue; 3 is one by reciprocity
+        // (p ≡ 1 mod 3).
+        assert_eq!(Fe::ONE.neg().sqrt(), None);
+        assert_eq!(Fe::from_u64(3).sqrt(), None);
+        assert_eq!(Fe::from_u64(4).sqrt().map(|r| r.square()), Some(Fe::from_u64(4)));
+        assert_eq!(Fe::ZERO.sqrt(), Some(Fe::ZERO));
+    }
+
+    #[test]
+    #[should_panic(expected = "inverse of zero field element")]
+    fn invert_zero_panics() {
+        let _ = Fe::ZERO.invert();
     }
 
     #[test]

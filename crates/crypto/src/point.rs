@@ -456,6 +456,13 @@ fn generator_wnaf_table() -> &'static [Affine] {
 /// makes Schnorr batch verification several times cheaper per signature
 /// than one-by-one verification.
 pub fn multi_scalar_mul(terms: &[(Scalar, Affine)]) -> Affine {
+    multi_scalar_mul_jacobian(terms).to_affine()
+}
+
+/// [`multi_scalar_mul`] without the final normalization — for callers that
+/// only ask whether the sum is the identity ([`Jacobian::is_infinity`] is
+/// a zero test on Z, where `to_affine` costs a field inversion).
+pub fn multi_scalar_mul_jacobian(terms: &[(Scalar, Affine)]) -> Jacobian {
     let generator = Affine::generator();
     // Generator terms ride the cached wide table; the rest get per-call
     // tables, all normalized to affine with ONE shared inversion.
@@ -494,7 +501,7 @@ pub fn multi_scalar_mul(terms: &[(Scalar, Affine)]) -> Affine {
             }
         }
     }
-    acc.to_affine()
+    acc
 }
 
 /// Fixed-base comb table for the generator: `TABLE[w][d] = d · 2^(4w) · G`

@@ -4,7 +4,8 @@
 use astro_crypto::field::Fe;
 use astro_crypto::point::{mul_generator, Affine};
 use astro_crypto::scalar::Scalar;
-use astro_crypto::Keypair;
+use astro_crypto::schnorr::{batch_verify, find_invalid, SIGNATURE_LEN};
+use astro_crypto::{Keypair, Signature};
 use proptest::prelude::*;
 
 fn arb_fe() -> impl Strategy<Value = Fe> {
@@ -18,8 +19,54 @@ fn arb_scalar() -> impl Strategy<Value = Scalar> {
     proptest::array::uniform32(any::<u8>()).prop_map(|b| Scalar::from_be_bytes_reduced(&b))
 }
 
+const SIGNED: &[u8] = b"the message every arbitrary signature claims to cover";
+
+/// 65 bytes that reach every branch of decode and verification: raw noise
+/// (nearly always a bad prefix), noise behind a forced `02`/`03` prefix
+/// (decodes; R is on the curve for about half of all x), and a genuine
+/// signature over [`SIGNED`], intact or with one bit flipped.
+fn arb_signature_bytes() -> impl Strategy<Value = [u8; SIGNATURE_LEN]> {
+    (any::<[u8; SIGNATURE_LEN]>(), 0u8..4, 0usize..SIGNATURE_LEN * 8).prop_map(
+        |(mut noise, shape, flip)| match shape {
+            0 => noise,
+            1 => {
+                noise[0] = 0x02 | (noise[0] & 1);
+                noise
+            }
+            _ => {
+                let mut bytes = Keypair::from_seed(b"arbitrary").sign(SIGNED).to_bytes();
+                if shape == 2 {
+                    bytes[flip / 8] ^= 1 << (flip % 8);
+                }
+                bytes
+            }
+        },
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Decode is total, canonical, and whatever it lets through gets ONE
+    /// verdict: single verification never lifts R, batch verification
+    /// does, and bisection is built on the latter — an R off the curve
+    /// must not make them disagree.
+    #[test]
+    fn decoded_signatures_get_one_verdict_from_every_path(bytes in arb_signature_bytes()) {
+        let decoded = Signature::from_bytes(&bytes);
+        prop_assume!(decoded.is_ok());
+        let sig = decoded.unwrap();
+        prop_assert_eq!(sig.to_bytes(), bytes);
+        let kp = Keypair::from_seed(b"arbitrary");
+        let verdict = kp.public().verify(SIGNED, &sig);
+        prop_assert_eq!(verdict, bytes == kp.sign(SIGNED).to_bytes());
+        prop_assert_eq!(batch_verify(&[(SIGNED, *kp.public(), sig)]), verdict);
+        // Beside a valid signature the real batch path runs.
+        let other = (b"other".as_slice(), *kp.public(), kp.sign(b"other"));
+        let items = [other, (SIGNED, *kp.public(), sig)];
+        prop_assert_eq!(batch_verify(&items), verdict);
+        prop_assert_eq!(find_invalid(&items), if verdict { vec![] } else { vec![1] });
+    }
 
     #[test]
     fn field_addition_commutes_and_associates(a in arb_fe(), b in arb_fe(), c in arb_fe()) {

@@ -31,6 +31,33 @@ fn edge_values() -> Vec<Limbs> {
     vec![[0; 4], [1, 0, 0, 0], p_minus_1, n_minus_1, P.m, N.m, max]
 }
 
+/// `a^(p−2)`, and the square roots of `a` and `a²` as `v^((p+1)/4)` where
+/// that squares back to `v` — all through the generic `pow_mod` ladder,
+/// the reference the field's addition chains are held to. (Half of all
+/// elements are non-residues; `a²` makes the `Some` arm certain.)
+fn field_pows_by_generic_ladder(a: &Fe) -> (Fe, [Option<Fe>; 2]) {
+    let (p_minus_2, _) = u256::sub(&P.m, &[2, 0, 0, 0]);
+    let quarter_p_plus_1 = [0xFFFFFFFFBFFFFF0C, u64::MAX, u64::MAX, 0x3FFFFFFFFFFFFFFF];
+    let sqrt = |v: Fe| {
+        let root = Fe::from_limbs(P.pow_mod(v.limbs(), &quarter_p_plus_1));
+        (root.square() == v).then_some(root)
+    };
+    (Fe::from_limbs(P.pow_mod(a.limbs(), &p_minus_2)), [sqrt(*a), sqrt(a.square())])
+}
+
+#[test]
+fn addition_chains_agree_with_the_generic_ladder_on_edge_values() {
+    // 0, 1, p−1, n−1 and the reductions of n, 2²⁵⁶−1.
+    for limbs in edge_values() {
+        let a = Fe::from_limbs(limbs);
+        let (inv, roots) = field_pows_by_generic_ladder(&a);
+        if !a.is_zero() {
+            assert_eq!(a.invert(), inv, "invert {a}");
+        }
+        assert_eq!([a.sqrt(), a.square().sqrt()], roots, "sqrt {a}");
+    }
+}
+
 #[test]
 fn specialized_reduction_agrees_on_edge_products() {
     // Every pairwise product of the edge values, through both reductions.
@@ -100,15 +127,17 @@ proptest! {
     }
 
     #[test]
-    fn fermat_inversions_match_generic_pow(a in arb_limbs()) {
-        // Inversion runs a full square-and-multiply chain over the
-        // specialized multiplication — compare against the generic
-        // exponentiation end to end.
+    fn fermat_exponentiations_match_generic_pow(a in arb_limbs()) {
+        // Inversion and square root run fixed addition chains (field) or
+        // a square-and-multiply ladder (scalar) over the specialized
+        // multiplication — compare against the generic exponentiation
+        // end to end.
         let fa = Fe::from_limbs(a);
+        let (inv, roots) = field_pows_by_generic_ladder(&fa);
         if !fa.is_zero() {
-            let (p_minus_2, _) = u256::sub(&P.m, &[2, 0, 0, 0]);
-            prop_assert_eq!(fa.invert().limbs(), &P.pow_mod(fa.limbs(), &p_minus_2));
+            prop_assert_eq!(fa.invert(), inv);
         }
+        prop_assert_eq!([fa.sqrt(), fa.square().sqrt()], roots);
         let sa = Scalar::from_be_bytes_reduced(&u256::to_be_bytes(&a));
         if !sa.is_zero() {
             let (n_minus_2, _) = u256::sub(&N.m, &[2, 0, 0, 0]);

@@ -235,18 +235,34 @@ struct InstallDone {
 
 /// A long-lived install worker: spawning a thread per install costs
 /// ~100 µs on the settle path, so the first install spawns one worker
-/// that serves every subsequent snapshot cycle. The thread exits when
-/// the job sender drops with [`Storage`].
+/// that serves every subsequent snapshot cycle. Dropping it (with
+/// [`Storage`]) closes the job channel and joins the thread.
 struct InstallWorker {
     jobs: std::sync::mpsc::Sender<InstallJob>,
     results: std::sync::mpsc::Receiver<InstallDone>,
+    thread: Option<std::thread::JoinHandle<()>>,
+}
+
+impl Drop for InstallWorker {
+    /// Waits out the install in flight, if any. A dropped `Storage` is
+    /// how a crash is simulated, and the next thing that happens to the
+    /// directory is a reopen: its recovery merges and reads the very files
+    /// a still-running worker would be renaming under it.
+    fn drop(&mut self) {
+        let (closed, _) = std::sync::mpsc::channel();
+        drop(std::mem::replace(&mut self.jobs, closed));
+        if let Some(thread) = self.thread.take() {
+            // A panicked worker already surfaced as a failed install.
+            let _ = thread.join();
+        }
+    }
 }
 
 impl InstallWorker {
     fn spawn() -> InstallWorker {
         let (jobs, job_rx) = std::sync::mpsc::channel::<InstallJob>();
         let (result_tx, results) = std::sync::mpsc::channel();
-        std::thread::Builder::new()
+        let thread = std::thread::Builder::new()
             .name("astro-store-install".into())
             .spawn(move || {
                 while let Ok(job) = job_rx.recv() {
@@ -274,7 +290,7 @@ impl InstallWorker {
                 }
             })
             .expect("spawn install worker");
-        InstallWorker { jobs, results }
+        InstallWorker { jobs, results, thread: Some(thread) }
     }
 }
 
@@ -1190,6 +1206,28 @@ mod tests {
         drop(s);
         let (_s, rec) = Storage::open(&dir, StoreConfig::default()).unwrap();
         assert_eq!(rec.snapshot.unwrap(), b"second");
+    }
+
+    #[test]
+    fn dropping_mid_install_leaves_the_directory_quiet_for_the_reopen() {
+        // The simulated crash: drop the store with an install queued or
+        // running, reopen at once. The drop joins the worker, so recovery
+        // never races its renames (it used to fail with NotFound) and
+        // always finds the install complete.
+        let dir = tmp_dir("drop-mid-install");
+        for i in 0..200u64 {
+            let (mut s, rec) = Storage::open(&dir, StoreConfig::default())
+                .unwrap_or_else(|e| panic!("reopen {i}: {e}"));
+            if i > 0 {
+                assert_eq!(rec.snapshot.as_deref(), Some(&(i - 1).to_be_bytes()[..]), "reopen {i}");
+                assert_eq!(rec.records, vec![settle(2 * i - 1)], "reopen {i}");
+            }
+            s.append(&settle(2 * i));
+            s.sync();
+            assert!(s.begin_install(None, i.to_be_bytes().to_vec()));
+            s.append(&settle(2 * i + 1));
+            s.sync();
+        }
     }
 
     #[test]

@@ -276,6 +276,9 @@ pub fn take_frame<'a>(buf: &mut &'a [u8]) -> Result<&'a [u8], WireError> {
 
 // --- crypto types ---
 
+// Decoding a signature checks ranges only (`Signature::from_bytes`): the
+// thread that parses a frame does no curve arithmetic, and an R that is on
+// no curve point fails verification later instead of the frame here.
 impl Wire for astro_crypto::Signature {
     fn encode(&self, buf: &mut Vec<u8>) {
         buf.put_slice(&self.to_bytes());

@@ -68,6 +68,31 @@ proptest! {
         let _ = astro_crypto::PublicKey::decode(&mut slice);
     }
 
+    /// A signature decodes on range checks alone — prefix `02`/`03`,
+    /// `x < p`, `0 < s < n` — never on curve membership (about half of
+    /// all `x` have no point; those fail verification, not the frame).
+    /// Whatever decodes re-encodes to the same 65 bytes, alone and inside
+    /// a certificate's proof list.
+    #[test]
+    fn signature_decode_is_total_and_canonical(noise in any::<[u8; 65]>(), raw in any::<bool>()) {
+        let mut bytes = noise;
+        if !raw {
+            bytes[0] = 0x02 | (bytes[0] & 1);
+        }
+        let decoded = decode_exact::<astro_crypto::Signature>(&bytes);
+        let in_range = matches!(bytes[0], 0x02 | 0x03)
+            && astro_crypto::field::Fe::from_be_bytes(bytes[1..33].try_into().unwrap()).is_some()
+            && astro_crypto::scalar::Scalar::from_be_bytes_checked(bytes[33..].try_into().unwrap())
+                .is_some_and(|s| !s.is_zero());
+        prop_assert_eq!(decoded.is_ok(), in_range);
+        if let Ok(sig) = decoded {
+            prop_assert_eq!(sig.to_wire_bytes(), bytes.to_vec());
+            let proofs = vec![(ReplicaId(3), sig)];
+            type Proofs = Vec<(ReplicaId, astro_crypto::Signature)>;
+            prop_assert_eq!(decode_exact::<Proofs>(&proofs.to_wire_bytes()).unwrap(), proofs);
+        }
+    }
+
     /// Digests are injective over the encoding (no trivial collisions on
     /// distinct payments).
     #[test]

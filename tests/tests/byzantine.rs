@@ -183,6 +183,63 @@ fn forged_certificate_is_rejected_and_never_cached() {
     }
 }
 
+#[test]
+fn off_curve_proof_costs_its_certificate_not_the_frame() {
+    // A signature decodes on range checks alone; an R with no point on
+    // the curve is a *verification* failure. So a PREPARE carrying one
+    // such proof still decodes (the whole batch used to die at decode),
+    // the certificate it sits in falls below f+1 and is skipped, and the
+    // same payment's sound certificate still materialises.
+    use astro_core::batch::DependencyCertificate;
+    use astro_types::wire::{decode_exact, Wire};
+
+    let (mut cluster, layout) = schnorr_cluster(4, cfg());
+    let chains = Keychain::deterministic_system(b"byz-integration", 4);
+    let certify = |payment: Payment| {
+        let bundle = vec![payment];
+        let ctx = credit_context(&bundle);
+        let proofs = (0..2u32)
+            .map(|i| {
+                (ReplicaId(i), SchnorrAuthenticator::new(chains[i as usize].clone()).sign(&ctx))
+            })
+            .collect();
+        DependencyCertificate { bundle, proofs }
+    };
+    let sound = certify(Payment::new(7u64, 0u64, 5u64, 300u64));
+    let mut broken = certify(Payment::new(8u64, 0u64, 5u64, 400u64));
+    // x = 5: in range, and 5³ + 7 is not a square mod p.
+    let mut bytes = broken.proofs[1].1.to_bytes();
+    bytes[1..33].fill(0);
+    bytes[32] = 5;
+    broken.proofs[1].1 = astro_crypto::Signature::from_bytes(&bytes).expect("decode checks range");
+
+    // 100 genesis + 300 certified covers 350; the 400 behind the broken
+    // certificate must not.
+    let rep5 = layout.representative_of(ClientId(5));
+    let step = cluster.node_mut(rep5.0 as usize).debug_submit_with_deps(
+        Payment::new(5u64, 0u64, 2u64, 350u64),
+        vec![broken.clone(), sound.clone()],
+    );
+    let prepare = step
+        .outbound
+        .iter()
+        .map(|env| &env.msg)
+        .find(|m| matches!(m, Astro2Msg::Brb(SignedMsg::Prepare { .. })))
+        .expect("the batch is broadcast")
+        .clone();
+    let decoded: Astro2Msg<astro_crypto::Signature> =
+        decode_exact(&prepare.to_wire_bytes()).expect("the frame survives decode");
+    assert_eq!(decoded, prepare);
+
+    cluster.submit_step(rep5, step);
+    cluster.run_to_quiescence();
+    for i in 0..4 {
+        assert_eq!(cluster.settled(i).len(), 1, "replica {i}: the sound certificate funds it");
+        assert_eq!(cluster.node(i).balance(ClientId(5)), Amount(50), "replica {i}");
+        assert_eq!(cluster.node(i).cert_cache().len(), 1, "replica {i}: only `sound` is cached");
+    }
+}
+
 /// Polls replica `i` until `client`'s available balance (ledger +
 /// certified credits) reaches `want`.
 fn wait_available(
