@@ -19,7 +19,9 @@ const GENESIS: Amount = Amount(u64::MAX / 2);
 /// Throughput-optimal batch flush delay per system size (the authors tune
 /// batching per configuration, §VI-A). Bracha floods 2N messages per batch
 /// at every replica, so its delay must grow ~N² for batches to amortize;
-/// the signed broadcast only needs ~N·0.5 ms.
+/// the signed broadcast only needs ~N·0.5 ms. (The Astro I constant was
+/// tuned when ECHO and READY carried the whole batch and has not been
+/// re-tuned for 49-byte digest votes: it is now longer than it need be.)
 fn astro1_delay(n: usize) -> u64 {
     (2 * (n as u64) * (n as u64) * 27_000).max(5_000_000)
 }

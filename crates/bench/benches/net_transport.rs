@@ -3,8 +3,8 @@
 //! HMAC-authenticated sessions, plus the raw link-layer message rate.
 //!
 //! The gap between the two series is the price of real sockets + MACs;
-//! the protocol work (Bracha O(N²) echo traffic, ledger settlement) is
-//! identical on both sides.
+//! the protocol work (Bracha's O(N²) 49-byte votes around N copies of
+//! the batch, ledger settlement) is identical on both sides.
 
 use astro_bench::json::Metric;
 use astro_core::astro1::Astro1Config;

@@ -1,20 +1,35 @@
 //! Bracha's echo-based Byzantine reliable broadcast — the Astro I protocol
-//! (paper §IV-A and Listing 5).
-//!
-//! Three phases over authenticated links:
+//! (paper §IV-A, Listing 5) — with ECHO and READY carrying a digest, as in
+//! the reliable broadcast of Cachin, Kursawe, Petzold and Shoup (CRYPTO
+//! 2001). Over authenticated links:
 //!
 //! 1. **PREPARE** — the broadcaster sends the payload to all replicas.
-//! 2. **ECHO** — the first time a replica sees a payload for an instance,
-//!    it echoes that payload to everyone. A replica echoes at most once per
-//!    instance, which is what blocks equivocation.
-//! 3. **READY** — on a Byzantine quorum (`2f+1`) of matching ECHOes, or on
-//!    `f+1` matching READYs (amplification), a replica sends READY to all.
-//!    It delivers after `2f+1` matching READYs, FIFO within each source.
+//! 2. **ECHO** — on the first PREPARE it sees for an instance a replica
+//!    keeps that payload and echoes its digest to everyone, at most once
+//!    per instance, which is what blocks equivocation.
+//! 3. **READY** — on `2f+1` ECHOes for one digest, or `f+1` READYs for it
+//!    (amplification), a replica sends READY for that digest to all.
+//!    `2f+1` READYs complete the instance; it delivers, FIFO within each
+//!    source, once the replica holds the payload behind the digest.
+//! 4. **REQUEST / ANSWER** — a replica that completes without that payload
+//!    (PREPARE lost, withheld, or conflicting with the one it echoed) asks
+//!    the replicas whose ECHO or READY vouched for the digest and takes the
+//!    first ANSWER that hashes to it. A READY quorum always contains a
+//!    correct replica that echoed the digest (`quorum + (quorum − f) > n`),
+//!    and a correct echoer holds the payload.
 //!
-//! Message complexity is O(N²) with the full payload in every phase; the
-//! protocol needs no signatures (MACs authenticate links) and provides
-//! *totality*: the READY amplification rule guarantees that if one correct
-//! replica delivers, every correct replica eventually does.
+//! This changes Listing 5's wire format, not its properties: a digest binds
+//! instance and payload, so validity, consistency, totality and integrity
+//! are argued as for the original. The payload crosses each link once —
+//! O(N·|m| + N²·32) bytes per broadcast, not O(N²·|m|) — and a fault-free
+//! run sends the same messages as before and, unless relayed votes outrun
+//! a PREPARE's own link, never a REQUEST.
+//!
+//! An instance keeps one payload (the first PREPARE's, or a fetched one)
+//! and each member's first ECHO and first READY. Unanswered requests are
+//! re-sent by [`BrachaBrb::retry_pulls`] on the caller's timer; after
+//! [`PULL_ROUNDS`] silent rounds every holder has pruned the instance and
+//! the caller falls back to state transfer (Astro I: peer catch-up).
 
 use crate::{
     payload_digest, BrbConfig, Delivery, Dest, Envelope, FifoDelivery, InstanceId, Payload, Source,
@@ -22,13 +37,20 @@ use crate::{
 };
 use astro_types::wire::{Wire, WireError};
 use astro_types::{Group, ReplicaId};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap};
 
-/// Protocol messages of the echo-based BRB.
-///
-/// ECHO and READY carry the full payload (as in Bracha's original protocol
-/// and the paper's Listing 5), which is why Astro I consumes O(N²·|batch|)
-/// bandwidth per broadcast.
+type PayloadDigest = [u8; 32];
+
+/// Request rounds (the first included) a pull may go unanswered before
+/// [`BrachaBrb::retry_pulls`] reports it exhausted, and the ANSWERs a holder
+/// sends one requester per instance: every round of a correct requester can
+/// be answered, and a Byzantine one gets a bounded number of payloads for
+/// its 49-byte REQUESTs.
+pub const PULL_ROUNDS: u8 = 4;
+
+/// Protocol messages of the echo-based BRB. Only `Prepare` and `Answer`
+/// carry the payload; the votes carry its instance-bound
+/// [`payload_digest`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BrachaMsg<P> {
     /// Phase 1: broadcaster disseminates the payload.
@@ -38,80 +60,117 @@ pub enum BrachaMsg<P> {
         /// The broadcast payload.
         payload: P,
     },
-    /// Phase 2: first-seen payload is echoed to everyone.
+    /// Phase 2: the digest of the first-seen payload is echoed to everyone.
     Echo {
         /// Instance identifier.
         id: InstanceId,
-        /// The echoed payload.
-        payload: P,
+        /// Digest of the echoed payload.
+        digest: [u8; 32],
     },
-    /// Phase 3: quorum confirmation; `2f+1` of these trigger delivery.
+    /// Phase 3: quorum confirmation; `2f+1` of these complete the instance.
     Ready {
         /// Instance identifier.
         id: InstanceId,
-        /// The confirmed payload.
+        /// Digest of the confirmed payload.
+        digest: [u8; 32],
+    },
+    /// Asks a replica that vouched for `digest` for the payload behind it.
+    Request {
+        /// Instance identifier.
+        id: InstanceId,
+        /// Digest of the wanted payload.
+        digest: [u8; 32],
+    },
+    /// Reply to a `Request`; the requester checks it against the digest.
+    Answer {
+        /// Instance identifier.
+        id: InstanceId,
+        /// The requested payload.
         payload: P,
     },
+}
+
+/// `tag ‖ id ‖ body`: the layout of every Bracha message.
+fn put(buf: &mut Vec<u8>, tag: u8, id: &InstanceId, body: &impl Wire) {
+    buf.push(tag);
+    id.encode(buf);
+    body.encode(buf);
 }
 
 impl<P: Wire> Wire for BrachaMsg<P> {
     fn encode(&self, buf: &mut Vec<u8>) {
         match self {
-            BrachaMsg::Prepare { id, payload } => {
-                buf.push(0);
-                id.encode(buf);
-                payload.encode(buf);
-            }
-            BrachaMsg::Echo { id, payload } => {
-                buf.push(1);
-                id.encode(buf);
-                payload.encode(buf);
-            }
-            BrachaMsg::Ready { id, payload } => {
-                buf.push(2);
-                id.encode(buf);
-                payload.encode(buf);
-            }
+            BrachaMsg::Prepare { id, payload } => put(buf, 0, id, payload),
+            BrachaMsg::Echo { id, digest } => put(buf, 1, id, digest),
+            BrachaMsg::Ready { id, digest } => put(buf, 2, id, digest),
+            BrachaMsg::Request { id, digest } => put(buf, 3, id, digest),
+            BrachaMsg::Answer { id, payload } => put(buf, 4, id, payload),
         }
     }
 
     fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
         let tag = u8::decode(buf)?;
         let id = InstanceId::decode(buf)?;
-        let payload = P::decode(buf)?;
         match tag {
-            0 => Ok(BrachaMsg::Prepare { id, payload }),
-            1 => Ok(BrachaMsg::Echo { id, payload }),
-            2 => Ok(BrachaMsg::Ready { id, payload }),
+            0 => Ok(BrachaMsg::Prepare { id, payload: P::decode(buf)? }),
+            1 => Ok(BrachaMsg::Echo { id, digest: Wire::decode(buf)? }),
+            2 => Ok(BrachaMsg::Ready { id, digest: Wire::decode(buf)? }),
+            3 => Ok(BrachaMsg::Request { id, digest: Wire::decode(buf)? }),
+            4 => Ok(BrachaMsg::Answer { id, payload: P::decode(buf)? }),
             _ => Err(WireError::InvalidValue("bracha message tag")),
         }
     }
 
     fn encoded_len(&self) -> usize {
-        let (id, payload) = match self {
-            BrachaMsg::Prepare { id, payload }
-            | BrachaMsg::Echo { id, payload }
-            | BrachaMsg::Ready { id, payload } => (id, payload),
+        let body = match self {
+            BrachaMsg::Prepare { payload, .. } | BrachaMsg::Answer { payload, .. } => {
+                payload.encoded_len()
+            }
+            BrachaMsg::Echo { .. } | BrachaMsg::Ready { .. } | BrachaMsg::Request { .. } => 32,
         };
-        1 + id.encoded_len() + payload.encoded_len()
+        1 + 16 + body
     }
 }
 
-type PayloadDigest = [u8; 32];
+/// Vote kinds, indexing [`Tally::votes`].
+const ECHO: usize = 0;
+const READY: usize = 1;
 
-/// Per-instance protocol state.
+/// The members whose first ECHO / first READY named one digest, as
+/// bitmasks over the group index.
+#[derive(Debug)]
+struct Tally {
+    digest: PayloadDigest,
+    votes: [u128; 2],
+}
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Phase {
+    /// Collecting votes; no digest has `2f+1` READYs yet.
+    Voting,
+    /// `2f+1` READYs named `digest` and the payload behind it is not held:
+    /// a pull is outstanding, `rounds` request rounds sent so far.
+    Awaiting { digest: PayloadDigest, rounds: u8 },
+    /// Handed to the delivery layer; blocks double delivery. The payload
+    /// stays until the instance is pruned, to answer peers' requests.
+    Done,
+}
+
+/// Per-instance protocol state: at most one ECHO and one READY digest per
+/// member plus one payload, whatever a Byzantine member sends.
 #[derive(Debug)]
 struct Instance<P> {
     echo_sent: bool,
     ready_sent: bool,
-    /// ECHO senders per payload digest.
-    echoes: HashMap<PayloadDigest, HashSet<ReplicaId>>,
-    /// READY senders per payload digest.
-    readys: HashMap<PayloadDigest, HashSet<ReplicaId>>,
-    /// The payload behind each digest (from whichever message carried it).
-    payloads: HashMap<PayloadDigest, P>,
-    /// Set once `2f+1` READYs were gathered; blocks double delivery.
-    complete: bool,
+    /// One entry per distinct digest some member's first ECHO or first
+    /// READY named (one entry unless the broadcaster equivocates).
+    tallies: Vec<Tally>,
+    /// The one payload kept: the first PREPARE's, or the fetched one if
+    /// the READY quorum settled on a different digest.
+    held: Option<(PayloadDigest, P)>,
+    phase: Phase,
+    /// `answered[k]`: the members already sent more than `k` ANSWERs.
+    answered: [u128; PULL_ROUNDS as usize],
 }
 
 impl<P> Default for Instance<P> {
@@ -119,10 +178,10 @@ impl<P> Default for Instance<P> {
         Instance {
             echo_sent: false,
             ready_sent: false,
-            echoes: HashMap::new(),
-            readys: HashMap::new(),
-            payloads: HashMap::new(),
-            complete: false,
+            tallies: Vec::new(),
+            held: None,
+            phase: Phase::Voting,
+            answered: [0; PULL_ROUNDS as usize],
         }
     }
 }
@@ -138,17 +197,27 @@ pub struct BrachaBrb<P> {
     cfg: Group,
     bind_source: bool,
     instances: HashMap<InstanceId, Instance<P>>,
+    /// Instances in [`Phase::Awaiting`] that [`Self::retry_pulls`] still
+    /// drives (usually empty).
+    pulls: BTreeSet<InstanceId>,
     fifo: FifoDelivery<P>,
 }
 
 impl<P: Payload> BrachaBrb<P> {
     /// Creates the state machine for replica `me` in group `cfg`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the group has more than 128 members, the voter masks' width
+    /// (the paper's largest deployment is 100).
     pub fn new(me: ReplicaId, cfg: Group, brb: BrbConfig) -> Self {
+        assert!(cfg.n() <= 128, "Bracha voter masks hold 128 members, group has {}", cfg.n());
         BrachaBrb {
             me,
             cfg,
             bind_source: brb.bind_source,
             instances: HashMap::new(),
+            pulls: BTreeSet::new(),
             fifo: FifoDelivery::new(brb.order),
         }
     }
@@ -161,6 +230,12 @@ impl<P: Payload> BrachaBrb<P> {
     /// Number of instances currently tracked (for memory accounting).
     pub fn tracked_instances(&self) -> usize {
         self.instances.len()
+    }
+
+    /// Completed instances still waiting for their payload; while there
+    /// are any, the caller keeps calling [`Self::retry_pulls`] on a timer.
+    pub fn pulls_outstanding(&self) -> usize {
+        self.pulls.len()
     }
 
     /// Initiates a broadcast of `payload` for `id`.
@@ -177,9 +252,9 @@ impl<P: Payload> BrachaBrb<P> {
 
     /// Processes one authenticated inbound message.
     pub fn handle(&mut self, from: ReplicaId, msg: BrachaMsg<P>) -> Step<P, BrachaMsg<P>> {
-        if !self.cfg.contains(from) {
+        let Ok(sender) = self.cfg.members().binary_search(&from) else {
             return Step::empty();
-        }
+        };
         match msg {
             BrachaMsg::Prepare { id, payload } => {
                 if self.bind_source && u64::from(from.0) != id.source {
@@ -187,86 +262,153 @@ impl<P: Payload> BrachaBrb<P> {
                 }
                 self.on_prepare(id, payload)
             }
-            BrachaMsg::Echo { id, payload } => self.on_echo(from, id, payload),
-            BrachaMsg::Ready { id, payload } => self.on_ready(from, id, payload),
+            BrachaMsg::Echo { id, digest } => self.on_vote(sender, id, digest, ECHO),
+            BrachaMsg::Ready { id, digest } => self.on_vote(sender, id, digest, READY),
+            BrachaMsg::Request { id, digest } => self.on_request(sender, from, id, digest),
+            BrachaMsg::Answer { id, payload } => {
+                Step { outbound: Vec::new(), delivered: self.offer(id, payload) }
+            }
         }
     }
 
     fn on_prepare(&mut self, id: InstanceId, payload: P) -> Step<P, BrachaMsg<P>> {
         let instance = self.instances.entry(id).or_default();
-        if instance.echo_sent {
-            // Echo at most once per instance: this is the consistency check
-            // that stops a spender announcing two conflicting payments for
-            // one sequence number (paper §I).
-            return Step::empty();
+        let mut outbound = Vec::new();
+        // Echo at most once per instance: this is the consistency check
+        // that stops a spender announcing two conflicting payments for one
+        // sequence number (paper §I).
+        if !instance.echo_sent && instance.phase != Phase::Done {
+            instance.echo_sent = true;
+            let digest = payload_digest(id, &payload);
+            outbound.push(Envelope { to: Dest::All, msg: BrachaMsg::Echo { id, digest } });
+            if instance.phase == Phase::Voting {
+                instance.held = Some((digest, payload));
+                return Step { outbound, delivered: Vec::new() };
+            }
         }
-        instance.echo_sent = true;
-        let digest = payload_digest(id, &payload);
-        instance.payloads.entry(digest).or_insert_with(|| payload.clone());
-        Step {
-            outbound: vec![Envelope { to: Dest::All, msg: BrachaMsg::Echo { id, payload } }],
-            delivered: Vec::new(),
-        }
+        // A late or repeated PREPARE can still be the payload an
+        // outstanding pull is waiting for.
+        Step { outbound, delivered: self.offer(id, payload) }
     }
 
-    fn on_echo(&mut self, from: ReplicaId, id: InstanceId, payload: P) -> Step<P, BrachaMsg<P>> {
-        let quorum = self.cfg.quorum();
-        let digest = payload_digest(id, &payload);
+    /// Counts `sender`'s vote of `kind` ([`ECHO`] or [`READY`]) for `digest`.
+    fn on_vote(
+        &mut self,
+        sender: usize,
+        id: InstanceId,
+        digest: PayloadDigest,
+        kind: usize,
+    ) -> Step<P, BrachaMsg<P>> {
+        let (quorum, amplify) = (self.cfg.quorum(), self.cfg.small_quorum());
         let instance = self.instances.entry(id).or_default();
-        if instance.complete {
+        let bit = 1u128 << sender;
+        // A correct replica sends one ECHO and one READY per instance:
+        // only a member's first of each counts, so no member can grow the
+        // instance's state beyond its own two votes.
+        if instance.phase == Phase::Done
+            || instance.tallies.iter().any(|t| t.votes[kind] & bit != 0)
+        {
             return Step::empty();
         }
-        instance.payloads.entry(digest).or_insert_with(|| payload.clone());
-        let echoes = instance.echoes.entry(digest).or_default();
-        echoes.insert(from);
-        if echoes.len() >= quorum && !instance.ready_sent {
-            instance.ready_sent = true;
-            return Step {
-                outbound: vec![Envelope { to: Dest::All, msg: BrachaMsg::Ready { id, payload } }],
-                delivered: Vec::new(),
-            };
-        }
-        Step::empty()
-    }
-
-    fn on_ready(&mut self, from: ReplicaId, id: InstanceId, payload: P) -> Step<P, BrachaMsg<P>> {
-        let quorum = self.cfg.quorum();
-        let amplify = self.cfg.small_quorum();
-        let digest = payload_digest(id, &payload);
-
-        let instance = self.instances.entry(id).or_default();
-        if instance.complete {
-            return Step::empty();
-        }
-        instance.payloads.entry(digest).or_insert_with(|| payload.clone());
-        let readys = instance.readys.entry(digest).or_default();
-        readys.insert(from);
-        let ready_count = readys.len();
+        let at = instance.tallies.iter().position(|t| t.digest == digest).unwrap_or_else(|| {
+            instance.tallies.push(Tally { digest, votes: [0; 2] });
+            instance.tallies.len() - 1
+        });
+        let tally = &mut instance.tallies[at];
+        tally.votes[kind] |= bit;
+        let [echoes, readys] = tally.votes.map(|v| v.count_ones() as usize);
 
         let mut step = Step::empty();
-        if ready_count >= amplify && !instance.ready_sent {
-            // READY amplification — together with delivery at 2f+1 this
-            // yields totality: a delivering replica has 2f+1 READYs, at
+        if !instance.ready_sent && (echoes >= quorum || readys >= amplify) {
+            // READY amplification — together with completion at 2f+1 this
+            // yields totality: a completing replica has 2f+1 READYs, at
             // least f+1 from correct replicas, which every correct replica
             // eventually receives and amplifies.
             instance.ready_sent = true;
-            step.outbound.push(Envelope {
-                to: Dest::All,
-                msg: BrachaMsg::Ready { id, payload: payload.clone() },
-            });
+            step.outbound.push(Envelope { to: Dest::All, msg: BrachaMsg::Ready { id, digest } });
         }
-        if ready_count >= quorum {
-            instance.complete = true;
-            let payload =
-                instance.payloads.get(&digest).expect("payload recorded with first READY").clone();
-            step.delivered = self.enqueue_delivery(id, payload);
+        if readys >= quorum && instance.phase == Phase::Voting {
+            match &instance.held {
+                Some((held, payload)) if *held == digest => {
+                    instance.phase = Phase::Done;
+                    step.delivered = self.fifo.enqueue(id, payload.clone());
+                }
+                _ => {
+                    // The quorum settled on a payload this replica does not
+                    // hold (a conflicting one it echoed is dead weight now).
+                    instance.held = None;
+                    instance.phase = Phase::Awaiting { digest, rounds: 1 };
+                    self.pulls.insert(id);
+                    step.outbound.extend(requests(&self.cfg, self.me, id, &instance.tallies[at]));
+                }
+            }
         }
         step
     }
 
-    /// Applies the delivery-order discipline to a completed instance.
-    fn enqueue_delivery(&mut self, id: InstanceId, payload: P) -> Vec<Delivery<P>> {
+    /// Serves a REQUEST from the held payload. An unknown or pruned
+    /// instance creates no state, and one requester gets at most
+    /// [`PULL_ROUNDS`] answers per instance.
+    fn on_request(
+        &mut self,
+        sender: usize,
+        from: ReplicaId,
+        id: InstanceId,
+        digest: PayloadDigest,
+    ) -> Step<P, BrachaMsg<P>> {
+        let Some(instance) = self.instances.get_mut(&id) else { return Step::empty() };
+        let bit = 1u128 << sender;
+        match (&instance.held, instance.answered.iter_mut().find(|sent| **sent & bit == 0)) {
+            (Some((held, payload)), Some(unsent)) if *held == digest => {
+                *unsent |= bit;
+                let msg = BrachaMsg::Answer { id, payload: payload.clone() };
+                Step {
+                    outbound: vec![Envelope { to: Dest::One(from), msg }],
+                    delivered: Vec::new(),
+                }
+            }
+            _ => Step::empty(),
+        }
+    }
+
+    /// Accepts `payload` if `id` is awaiting exactly it (an ANSWER, or a
+    /// late or repeated PREPARE); anything else — unsolicited, wrong
+    /// payload, unknown instance — changes nothing.
+    fn offer(&mut self, id: InstanceId, payload: P) -> Vec<Delivery<P>> {
+        let Some(instance) = self.instances.get_mut(&id) else { return Vec::new() };
+        let Phase::Awaiting { digest, .. } = instance.phase else { return Vec::new() };
+        if payload_digest(id, &payload) != digest {
+            return Vec::new();
+        }
+        self.pulls.remove(&id);
+        instance.phase = Phase::Done;
+        instance.held = Some((digest, payload.clone()));
         self.fifo.enqueue(id, payload)
+    }
+
+    /// One retry round (call on a timer while [`Self::pulls_outstanding`]
+    /// is non-zero): re-sends every outstanding pull's REQUESTs to whoever
+    /// has vouched for its digest by now. The flag is `true` if some pull
+    /// had already gone [`PULL_ROUNDS`] rounds unanswered — the caller
+    /// should fetch the instance's *effects* by state transfer; the pull's
+    /// rounds restart in case that transfer does not cover it.
+    pub fn retry_pulls(&mut self) -> (Vec<Envelope<BrachaMsg<P>>>, bool) {
+        let mut out = Vec::new();
+        let mut exhausted = false;
+        for id in &self.pulls {
+            let instance = self.instances.get_mut(id).expect("pulls index tracked instances");
+            let Phase::Awaiting { digest, rounds } = &mut instance.phase else { continue };
+            if *rounds >= PULL_ROUNDS {
+                exhausted = true;
+                *rounds = 0;
+                continue;
+            }
+            *rounds += 1;
+            if let Some(tally) = instance.tallies.iter().find(|t| t.digest == *digest) {
+                out.extend(requests(&self.cfg, self.me, *id, tally));
+            }
+        }
+        (out, exhausted)
     }
 
     /// The FIFO delivery cursors (durable-state export); see
@@ -283,9 +425,14 @@ impl<P: Payload> BrachaBrb<P> {
 
     /// Advances the FIFO cursor of `source` on a *live* replica (peer
     /// catch-up) and returns the completed-but-buffered deliveries the
-    /// advance released; see [`FifoDelivery::advance_releasing`].
+    /// advance released; see [`FifoDelivery::advance_releasing`]. Pulls
+    /// for instances the cursor moved past are cancelled: the transferred
+    /// state holds their effects.
     pub fn advance_cursor_releasing(&mut self, source: Source, next: Tag) -> Vec<Delivery<P>> {
-        self.fifo.advance_releasing(source, next)
+        let released = self.fifo.advance_releasing(source, next);
+        let cursor = self.fifo.cursor(source);
+        self.pulls.retain(|id| id.source != source || id.tag >= cursor);
+        released
     }
 
     /// One past the highest tag this replica has any evidence of for
@@ -303,20 +450,22 @@ impl<P: Payload> BrachaBrb<P> {
         tracked.max(self.fifo.cursor(source))
     }
 
-    /// Drops state for all instances of `source` with `tag < up_to`.
+    /// Drops state for all instances of `source` with `tag < up_to`,
+    /// outstanding pulls included.
     ///
     /// Callers may garbage-collect instances that the application has
     /// durably applied; later duplicates of pruned instances are treated as
     /// fresh instances but can no longer be delivered in FIFO mode (their
-    /// tag is below `next_tag`).
+    /// tag is below `next_tag`), and a REQUEST for one goes unanswered.
     pub fn gc_source(&mut self, source: Source, up_to: Tag) {
         self.instances.retain(|id, _| id.source != source || id.tag >= up_to);
+        self.pulls.retain(|id| id.source != source || id.tag >= up_to);
     }
 
     /// Prunes every instance below its source's FIFO delivery cursor —
     /// those instances were delivered (the cursor only advances past
     /// deliveries), and FIFO gating already drops any replayed duplicate
-    /// of them, so their echo/ready bookkeeping is dead weight. Called
+    /// of them, so their votes and payload are dead weight. Called
     /// from the durable runtime's snapshot-install point to keep BRB
     /// memory bounded by the in-flight window. Returns the number of
     /// instances pruned.
@@ -327,6 +476,19 @@ impl<P: Payload> BrachaBrb<P> {
         }
         before - self.instances.len()
     }
+}
+
+/// One REQUEST for `id` to every member but `me` whose ECHO or READY
+/// vouched for `tally`'s digest.
+fn requests<'a, P>(
+    cfg: &'a Group,
+    me: ReplicaId,
+    id: InstanceId,
+    tally: &Tally,
+) -> impl Iterator<Item = Envelope<BrachaMsg<P>>> + 'a {
+    let (digest, vouchers) = (tally.digest, tally.votes[ECHO] | tally.votes[READY]);
+    let asked = cfg.iter().enumerate().filter(move |(i, to)| vouchers >> i & 1 == 1 && *to != me);
+    asked.map(move |(_, to)| Envelope { to: Dest::One(to), msg: BrachaMsg::Request { id, digest } })
 }
 
 #[cfg(test)]
@@ -432,8 +594,9 @@ mod tests {
 
     #[test]
     fn totality_via_ready_amplification() {
-        // Drop the broadcaster's PREPARE to replica 3; it still delivers
-        // thanks to ECHO/READY amplification from the others.
+        // Drop the broadcaster's PREPARE to replica 3; it still completes
+        // thanks to ECHO/READY amplification from the others, and fetches
+        // the payload from those that vouched for it.
         let mut c = cluster(4);
         c.set_filter(|from, to, msg| {
             !(from == ReplicaId(0)
@@ -444,8 +607,9 @@ mod tests {
         c.submit(ReplicaId(0), step);
         c.run_to_quiescence();
         for i in 0..4 {
-            assert_eq!(c.deliveries(i).len(), 1, "replica {i}");
+            assert_eq!(c.deliveries(i), &[Delivery { id: iid(2, 0), payload: 42 }], "replica {i}");
         }
+        assert_eq!(c.node(3).pulls_outstanding(), 0);
     }
 
     #[test]
@@ -520,8 +684,10 @@ mod tests {
         c.inject(ReplicaId(0), ReplicaId(3), BrachaMsg::Prepare { id, payload: 2 });
         // Byzantine replica 0 echoes both payloads to everyone.
         for r in 1..4u32 {
-            c.inject(ReplicaId(0), ReplicaId(r), BrachaMsg::Echo { id, payload: 1 });
-            c.inject(ReplicaId(0), ReplicaId(r), BrachaMsg::Echo { id, payload: 2 });
+            for payload in [1u64, 2] {
+                let digest = payload_digest(id, &payload);
+                c.inject(ReplicaId(0), ReplicaId(r), BrachaMsg::Echo { id, digest });
+            }
         }
         c.run_to_quiescence();
         let mut payloads = std::collections::HashSet::new();
@@ -548,13 +714,119 @@ mod tests {
     }
 
     #[test]
+    fn vote_flood_from_one_member_is_bounded() {
+        // One Byzantine member sends 10 000 ECHOs and READYs, each for a
+        // different digest: only its first of each counts, and no payload
+        // is held on a vote's say-so.
+        let cfg = Group::of_size(4).unwrap();
+        let mut node = BrachaBrb::<u64>::new(ReplicaId(0), cfg, BrbConfig::default());
+        let id = iid(3, 0);
+        for i in 0..10_000u64 {
+            let digest = payload_digest(id, &i);
+            assert!(node.handle(ReplicaId(3), BrachaMsg::Echo { id, digest }).is_empty());
+            assert!(node.handle(ReplicaId(3), BrachaMsg::Ready { id, digest }).is_empty());
+        }
+        assert_eq!(node.tracked_instances(), 1);
+        let instance = &node.instances[&id];
+        assert!(instance.tallies.len() <= 4, "{} vote entries", instance.tallies.len());
+        assert!(instance.held.is_none());
+    }
+
+    #[test]
+    fn unsolicited_payloads_and_stale_requests_change_nothing() {
+        let mut c = cluster(4);
+        for tag in 0..2 {
+            let step = c.node_mut(0).broadcast(iid(0, tag), 10 + tag);
+            c.submit(ReplicaId(0), step);
+        }
+        c.run_to_quiescence();
+        let node = c.node_mut(1);
+        node.gc_source(0, 1); // tag 0 is pruned, tag 1 delivered and held
+        let held = |n: &BrachaBrb<u64>| n.instances[&iid(0, 1)].held;
+        let (tracked, payload) = (node.tracked_instances(), held(node));
+        assert_eq!(payload, Some((payload_digest(iid(0, 1), &11u64), 11)));
+        for msg in [
+            // Nobody asked: neither for a delivered instance ...
+            BrachaMsg::Answer { id: iid(0, 1), payload: 99 },
+            // ... nor for one never heard of.
+            BrachaMsg::Answer { id: iid(2, 7), payload: 99 },
+            // Below the FIFO cursor and pruned: no state to serve from.
+            BrachaMsg::Request { id: iid(0, 0), digest: payload_digest(iid(0, 0), &10u64) },
+            // Held, but not the payload asked for.
+            BrachaMsg::Request { id: iid(0, 1), digest: payload_digest(iid(0, 1), &99u64) },
+        ] {
+            assert!(node.handle(ReplicaId(2), msg).is_empty());
+            assert_eq!((node.tracked_instances(), held(node)), (tracked, payload));
+        }
+    }
+
+    #[test]
+    fn wrong_answer_is_refused_and_answers_are_rationed() {
+        // Replica 3 never sees the PREPARE and every ANSWER to it is lost:
+        // it ends up awaiting the quorum's digest.
+        let mut c = cluster(4);
+        c.set_filter(|_, to, msg| {
+            to != ReplicaId(3)
+                || !matches!(msg, BrachaMsg::Prepare { .. } | BrachaMsg::Answer { .. })
+        });
+        let id = iid(0, 0);
+        let step = c.node_mut(0).broadcast(id, 42);
+        c.submit(ReplicaId(0), step);
+        c.run_to_quiescence();
+        assert!(c.deliveries(3).is_empty());
+        assert_eq!(c.node(3).pulls_outstanding(), 1);
+
+        // A payload that does not hash to the awaited digest is refused.
+        let step = c.node_mut(3).handle(ReplicaId(1), BrachaMsg::Answer { id, payload: 41 });
+        assert!(step.is_empty());
+        assert!(c.node(3).instances[&id].held.is_none());
+
+        // A holder answers one requester PULL_ROUNDS times (the first was
+        // lost above), then stops.
+        let request = BrachaMsg::Request { id, digest: payload_digest(id, &42u64) };
+        for round in 1..2 * PULL_ROUNDS {
+            let step = c.node_mut(1).handle(ReplicaId(3), request.clone());
+            assert_eq!(step.outbound.len(), usize::from(round < PULL_ROUNDS), "round {round}");
+        }
+
+        // Retries go to the vouchers until the rounds run out ...
+        for _ in 1..PULL_ROUNDS {
+            let (requests, exhausted) = c.node_mut(3).retry_pulls();
+            assert_eq!((requests.len(), exhausted), (3, false));
+        }
+        assert_eq!(c.node_mut(3).retry_pulls(), (Vec::new(), true));
+        // ... and the right payload still completes the instance.
+        let step = c.node_mut(3).handle(ReplicaId(2), BrachaMsg::Answer { id, payload: 42 });
+        assert_eq!(step.delivered, vec![Delivery { id, payload: 42 }]);
+        assert_eq!(c.node(3).pulls_outstanding(), 0);
+    }
+
+    #[test]
+    fn cursor_advance_cancels_the_pull_it_passes() {
+        let mut c = cluster(4);
+        c.set_filter(|_, to, msg| {
+            to != ReplicaId(3)
+                || !matches!(msg, BrachaMsg::Prepare { .. } | BrachaMsg::Answer { .. })
+        });
+        let step = c.node_mut(0).broadcast(iid(0, 0), 42);
+        c.submit(ReplicaId(0), step);
+        c.run_to_quiescence();
+        assert_eq!(c.node(3).pulls_outstanding(), 1);
+        assert!(c.node_mut(3).advance_cursor_releasing(0, 1).is_empty());
+        assert_eq!(c.node(3).pulls_outstanding(), 0);
+        assert_eq!(c.node_mut(3).retry_pulls(), (Vec::new(), false));
+    }
+
+    #[test]
     fn wire_round_trip_all_variants() {
         use astro_types::wire::decode_exact;
         let id = iid(3, 4);
         for msg in [
             BrachaMsg::Prepare { id, payload: 7u64 },
-            BrachaMsg::Echo { id, payload: 8u64 },
-            BrachaMsg::Ready { id, payload: 9u64 },
+            BrachaMsg::Echo { id, digest: [8; 32] },
+            BrachaMsg::Ready { id, digest: [9; 32] },
+            BrachaMsg::Request { id, digest: [10; 32] },
+            BrachaMsg::Answer { id, payload: 11u64 },
         ] {
             let bytes = msg.to_wire_bytes();
             assert_eq!(bytes.len(), msg.encoded_len());

@@ -5,8 +5,10 @@
 //! the two BRB protocols the paper implements and evaluates (§IV-A):
 //!
 //! - [`bracha`]: Bracha's echo-based protocol (Astro I). Three phases
-//!   (PREPARE / ECHO / READY), O(N²) messages per broadcast,
-//!   MAC-authenticated links, and the *totality* property.
+//!   (PREPARE / ECHO / READY), O(N²) messages per broadcast of which only
+//!   the N PREPAREs carry the payload (the votes carry its digest; a
+//!   replica that missed the payload fetches it), MAC-authenticated
+//!   links, and the *totality* property.
 //! - [`signed`]: a signature-based protocol in the style of Malkhi & Reiter
 //!   (Astro II). Three phases (PREPARE / ACK / COMMIT), O(N) messages,
 //!   digital signatures, **no totality** — which the payment layer
@@ -19,16 +21,21 @@
 //!
 //! # Properties (paper §IV)
 //!
-//! With identifiers `(source, tag)`:
+//! With identifiers `(source, tag)`, in the terms of Cachin, Kursawe,
+//! Petzold and Shoup's reliable broadcast:
 //!
-//! - **Agreement** — no two correct replicas deliver different payloads for
-//!   the same identifier.
+//! - **Consistency** (agreement) — no two correct replicas deliver
+//!   different payloads for the same identifier.
 //! - **Integrity** — a correct replica delivers at most once per
 //!   identifier, and only if some replica broadcast the payload.
-//! - **Reliability** — if the broadcaster is correct, all correct replicas
-//!   eventually deliver.
+//! - **Validity** (reliability) — if the broadcaster is correct, all
+//!   correct replicas eventually deliver.
 //! - **Totality** (Bracha only) — if any correct replica delivers, every
 //!   correct replica eventually delivers.
+//!
+//! `tests/properties.rs` checks them under shuffled schedules. Votes name
+//! a digest that binds identifier and payload ([`payload_digest`]), so the
+//! quorum arguments are those of the full-payload protocols.
 //!
 //! # Examples
 //!
@@ -299,7 +306,7 @@ pub trait Payload: Clone + Eq + core::fmt::Debug + Wire + Send + 'static {}
 impl<T: Clone + Eq + core::fmt::Debug + Wire + Send + 'static> Payload for T {}
 
 /// Domain-separated digest of a payload within an instance; what ECHOes
-/// count and ACKs sign.
+/// and READYs carry and ACKs sign.
 pub fn payload_digest<P: Payload>(id: InstanceId, payload: &P) -> [u8; 32] {
     let bytes = payload.to_wire_bytes();
     astro_crypto::sha256::sha256_concat(&[

@@ -6,6 +6,10 @@
 //! CREDIT mechanism is needed. Insufficiently funded payments are queued
 //! until funds arrive (paper §IV: "Astro I does not reject insufficiently
 //! funded transactions, instead it queues them").
+//! A replica that missed a batch fetches it ([`astro_brb::bracha`]), its
+//! flush timer pacing the re-requests; once every holder has pruned the
+//! batch it falls back to peer catch-up, whose certified state holds the
+//! batch's effects — delivered-instance GC never costs totality.
 
 use crate::batch::Batch;
 use crate::journal::{
@@ -48,7 +52,8 @@ impl Default for Astro1Config {
 /// reconfiguration messages are instantiated with the unit signature.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Astro1Msg {
-    /// Broadcast-layer traffic (Bracha's three phases).
+    /// Broadcast-layer traffic (Bracha's three phases plus the payload
+    /// request/answer leg).
     Brb(BrachaMsg<Batch>),
     /// Reconfiguration / catch-up traffic (Appendix A).
     Sync(ReconfigMsg<()>),
@@ -160,6 +165,28 @@ impl<M> SyncSession<M> {
     }
 }
 
+/// Size-triggered GC of delivered BRB instances (both replicas), cheap
+/// enough to call after every message: runs `prune`, which returns how many
+/// instances it freed, once `tracked` reaches `high_water` — and after a
+/// pass that freed nothing (a FIFO gap, say an outstanding pull, holds
+/// everything back) not before another `high_water` have piled up.
+pub(crate) fn prune_at_high_water(
+    rearm: &mut usize,
+    tracked: usize,
+    high_water: usize,
+    obs: Option<&CoreObs>,
+    prune: impl FnOnce() -> usize,
+) {
+    if tracked < high_water.max(*rearm) {
+        return;
+    }
+    let pruned = prune();
+    *rearm = if pruned == 0 { tracked + high_water } else { 0 };
+    if let (0, Some(obs)) = (pruned, obs) {
+        obs.flight.event("core.brb.gc_stalled", tracked as u64, 0);
+    }
+}
+
 /// One Astro I replica: the Bracha BRB layer plus the payment state machine
 /// of Listings 2–4.
 #[derive(Debug)]
@@ -183,6 +210,10 @@ pub struct AstroOneReplica {
     /// journal replay can reproduce; the durable runtime consumes it and
     /// snapshots immediately.
     snapshot_requested: bool,
+    /// Flush ticks since outstanding payload pulls were last requested.
+    pull_ticks: u32,
+    /// See [`prune_at_high_water`].
+    gc_rearm: usize,
 }
 
 impl AstroOneReplica {
@@ -216,6 +247,8 @@ impl AstroOneReplica {
             syncing: None,
             obs: None,
             snapshot_requested: false,
+            pull_ticks: 0,
+            gc_rearm: 0,
         }
     }
 
@@ -345,6 +378,10 @@ impl AstroOneReplica {
     /// and the flush timer instead paces the periodic re-send of the
     /// [`ReconfigMsg::SyncRequest`] — or, once a fallback budget runs
     /// out, abandons the catch-up and resumes from the local state.
+    ///
+    /// The same timer, at the same [`SYNC_RETRY_TICKS`] pacing, re-sends
+    /// the broadcast layer's unanswered payload requests, and starts a
+    /// catch-up once one has gone unanswered for all its rounds.
     pub fn flush(&mut self) -> ReplicaStep<Astro1Msg> {
         if let Some(sync) = &mut self.syncing {
             if sync.ticks == 0 {
@@ -380,8 +417,23 @@ impl AstroOneReplica {
             sync.ticks -= 1;
             return ReplicaStep::empty();
         }
+        let mut out = ReplicaStep::empty();
+        self.pull_ticks = if self.brb.pulls_outstanding() == 0 { 0 } else { self.pull_ticks + 1 };
+        if self.pull_ticks == SYNC_RETRY_TICKS {
+            self.pull_ticks = 0;
+            let (requests, exhausted) = self.brb.retry_pulls();
+            out.outbound = wrap_brb(requests);
+            if exhausted {
+                // Everyone that vouched for a batch stayed silent for all
+                // its rounds: they delivered and pruned it, so its effects
+                // are in their settled state — fetch that. The local state
+                // is sound, hence the fallback variant.
+                self.begin_catchup_with_fallback();
+                return out;
+            }
+        }
         if self.batch.is_empty() {
-            return ReplicaStep::empty();
+            return out;
         }
         let payments = std::mem::take(&mut self.batch);
         if let Some(obs) = &self.obs {
@@ -398,7 +450,8 @@ impl AstroOneReplica {
         self.journal.rec(&WalRecord::OwnTag { tag: id.tag });
         let step = self.brb.broadcast(id, Batch { payments });
         debug_assert!(step.delivered.is_empty());
-        ReplicaStep { outbound: wrap_brb(step.outbound), settled: Vec::new() }
+        out.outbound.extend(wrap_brb(step.outbound));
+        out
     }
 
     /// Number of payments waiting in the unflushed batch.
@@ -665,10 +718,24 @@ impl AstroOneReplica {
         self.brb.gc_delivered()
     }
 
+    /// [`Self::prune_delivered`] once `high_water` instances are tracked;
+    /// for calling after every message (see [`prune_at_high_water`]).
+    pub fn prune_delivered_at(&mut self, high_water: usize) {
+        let (tracked, brb, obs) = (self.brb.tracked_instances(), &mut self.brb, self.obs.as_ref());
+        prune_at_high_water(&mut self.gc_rearm, tracked, high_water, obs, || brb.gc_delivered());
+    }
+
     /// Number of receiver-side BRB instances currently tracked
     /// (observability for the GC tests).
     pub fn tracked_instances(&self) -> usize {
         self.brb.tracked_instances()
+    }
+
+    /// True while a payload pull or a catch-up is outstanding: only the
+    /// flush timer moves those, so drivers that arm it on demand (the
+    /// simulator) keep it armed while this holds.
+    pub fn needs_tick(&self) -> bool {
+        self.syncing.is_some() || self.brb.pulls_outstanding() > 0
     }
 
     /// Number of payments queued awaiting approval.
@@ -1229,6 +1296,73 @@ mod tests {
             assert!(c.settled(i).is_empty(), "forged payment must not settle");
             assert_eq!(c.node(i).balance(victim), Amount(100));
         }
+    }
+
+    /// A cluster in which replica 3's PREPAREs never reach replica 2 (and,
+    /// with `answers_lost`, neither does any ANSWER), after a payment storm
+    /// in which every replica broadcast several batches.
+    fn cluster_with_a_broken_link(answers_lost: bool) -> PaymentCluster<AstroOneReplica> {
+        let mut c = cluster(4, 2);
+        c.set_filter(move |from, to, msg| match msg {
+            Astro1Msg::Brb(BrachaMsg::Prepare { .. }) => (from.0, to.0) != (3, 2),
+            Astro1Msg::Brb(BrachaMsg::Answer { .. }) => !(answers_lost && to.0 == 2),
+            _ => true,
+        });
+        let mut seqs = [0u64; 8];
+        for i in 0..40u64 {
+            let s = (i % 8) as usize;
+            pay(&mut c, Payment::new(s as u64, seqs[s], (i + 3) % 8, 2u64));
+            seqs[s] += 1;
+        }
+        for r in 0..4 {
+            let step = c.node_mut(r).flush();
+            c.submit_step(ReplicaId(r as u32), step);
+        }
+        c.run_to_quiescence();
+        c
+    }
+
+    fn assert_converged(c: &PaymentCluster<AstroOneReplica>) {
+        let reference = c.node(0).export_state();
+        let mut settled = c.settled(0).to_vec();
+        settled.sort_unstable_by_key(Payment::id);
+        assert_eq!(settled.len(), 40);
+        for i in 1..4 {
+            let state = c.node(i).export_state();
+            assert_eq!(state.ledger.to_wire_bytes(), reference.ledger.to_wire_bytes(), "{i}");
+            assert_eq!((&state.pending, &state.cursors), (&reference.pending, &reference.cursors));
+            let mut theirs = c.settled(i).to_vec();
+            theirs.sort_unstable_by_key(Payment::id);
+            assert_eq!(theirs, settled, "replica {i} settled a different set");
+            assert!(!c.node(i).needs_tick(), "replica {i} still waiting");
+        }
+    }
+
+    #[test]
+    fn batches_lost_on_a_link_are_fetched_from_those_that_vouched() {
+        let c = cluster_with_a_broken_link(false);
+        assert_converged(&c);
+    }
+
+    #[test]
+    fn unanswered_fetches_fall_back_to_catchup() {
+        use astro_brb::bracha::PULL_ROUNDS;
+        let mut c = cluster_with_a_broken_link(true);
+        assert!(c.settled(2).len() < 40 && c.node(2).needs_tick());
+        // Every request round goes unanswered; then the replica gives up
+        // on the payloads and asks for the settled state instead.
+        for _ in 0..u32::from(PULL_ROUNDS) * SYNC_RETRY_TICKS {
+            assert!(!c.node(2).is_syncing());
+            let step = c.node_mut(2).flush();
+            c.submit_step(ReplicaId(2), step);
+            c.run_to_quiescence();
+        }
+        assert!(c.node(2).is_syncing());
+        let step = c.node_mut(2).flush();
+        c.submit_step(ReplicaId(2), step);
+        c.run_to_quiescence();
+        assert!(!c.node(2).is_syncing(), "f+1 matching donors certify at once");
+        assert_converged(&c);
     }
 
     /// A settlement state with `entries` payments on client 7's xlog —

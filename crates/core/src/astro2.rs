@@ -13,7 +13,7 @@
 //! same single message step implements cross-shard payments (§V): no 2PC,
 //! no coordination on the critical path.
 
-use crate::astro1::SyncSession;
+use crate::astro1::{prune_at_high_water, SyncSession};
 use crate::batch::{
     credit_ack_context, credit_context, verify_certificate, CreditBundle, DepBatch, DepPayment,
     DependencyCertificate,
@@ -456,6 +456,8 @@ pub struct AstroTwoReplica<A: Authenticator> {
     /// journal replay can reproduce; the durable runtime consumes it and
     /// snapshots immediately.
     snapshot_requested: bool,
+    /// See [`prune_at_high_water`].
+    gc_rearm: usize,
 }
 
 impl<A: Authenticator> AstroTwoReplica<A> {
@@ -504,6 +506,7 @@ impl<A: Authenticator> AstroTwoReplica<A> {
             syncing: None,
             obs: None,
             snapshot_requested: false,
+            gc_rearm: 0,
         }
     }
 
@@ -1434,6 +1437,13 @@ impl<A: Authenticator> AstroTwoReplica<A> {
     /// in-flight window. Returns the number of instances pruned.
     pub fn prune_delivered(&mut self) -> usize {
         self.brb.gc_delivered()
+    }
+
+    /// [`Self::prune_delivered`] once `high_water` instances are tracked;
+    /// for calling after every message (see [`prune_at_high_water`]).
+    pub fn prune_delivered_at(&mut self, high_water: usize) {
+        let (tracked, brb, obs) = (self.brb.tracked_instances(), &mut self.brb, self.obs.as_ref());
+        prune_at_high_water(&mut self.gc_rearm, tracked, high_water, obs, || brb.gc_delivered());
     }
 
     /// Number of receiver-side BRB instances currently tracked

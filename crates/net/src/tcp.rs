@@ -448,6 +448,8 @@ fn acceptor_main(shared: Arc<Shared>, listener: TcpListener) {
 pub struct TcpEndpoint {
     shared: Arc<Shared>,
     inbox: Receiver<Packet>,
+    /// This endpoint's own handle on its inbox, for self-addressed sends.
+    loopback: Sender<Packet>,
     listen_addr: SocketAddr,
     /// Reusable frame buffer for immediate (uncorked) sends — one
     /// allocation per link lifetime instead of one per frame.
@@ -564,7 +566,16 @@ impl TcpEndpoint {
         }
 
         let pending = (0..n).map(|_| PendingBuf { buf: Vec::new(), generation: 0 }).collect();
-        Ok(TcpEndpoint { shared, inbox, listen_addr, scratch: Vec::new(), corked: false, pending })
+        let loopback = shared.inbox_tx.lock().clone();
+        Ok(TcpEndpoint {
+            shared,
+            inbox,
+            loopback,
+            listen_addr,
+            scratch: Vec::new(),
+            corked: false,
+            pending,
+        })
     }
 
     /// The address the endpoint's listener is bound to.
@@ -696,8 +707,7 @@ impl Endpoint for TcpEndpoint {
         }
         if to == self.shared.me() {
             // Self-delivery short-circuits the socket layer.
-            let tx = self.shared.inbox_tx.lock().clone();
-            let _ = tx.send((to, Payload::from(payload)));
+            let _ = self.loopback.send((to, Payload::from(payload)));
             return Ok(());
         }
         if self.try_send(to, payload)? {

@@ -93,7 +93,10 @@ const PENDING_HIGH_WATER: usize = 8 * BURST;
 /// at every snapshot install; this size-based trigger is what bounds
 /// broadcast-layer memory on clusters that never snapshot (ROADMAP's
 /// non-durable GC follow-up). 256 comfortably exceeds any in-flight
-/// window the drivers produce, so the prune only ever removes history.
+/// window the drivers produce, so the prune only ever removes history;
+/// while a FIFO gap keeps more than that undeliverable the replicas'
+/// `prune_delivered_at` spaces its scans a further 256 instances apart
+/// instead of rescanning on every message.
 const BRB_GC_HIGH_WATER: usize = 256;
 
 /// The cross-thread settlement board: per-replica settled logs plus a
@@ -306,9 +309,7 @@ impl RuntimeNode for AstroOneReplica {
 
     fn handle(&mut self, from: ReplicaId, msg: Self::Msg) -> ReplicaStep<Self::Msg> {
         let step = AstroOneReplica::handle(self, from, msg);
-        if self.tracked_instances() >= BRB_GC_HIGH_WATER {
-            self.prune_delivered();
-        }
+        self.prune_delivered_at(BRB_GC_HIGH_WATER);
         step
     }
 
@@ -343,9 +344,7 @@ impl RuntimeNode for AstroTwoReplica<SchnorrAuthenticator> {
 
     fn handle(&mut self, from: ReplicaId, msg: Self::Msg) -> ReplicaStep<Self::Msg> {
         let step = AstroTwoReplica::handle(self, from, msg);
-        if self.tracked_instances() >= BRB_GC_HIGH_WATER {
-            self.prune_delivered();
-        }
+        self.prune_delivered_at(BRB_GC_HIGH_WATER);
         step
     }
 
@@ -1617,51 +1616,60 @@ mod tests {
         }
     }
 
+    /// Four raw Astro I replicas (batch size 1) for a manual pump.
+    fn raw_astro1_nodes() -> (ShardLayout, Vec<AstroOneReplica>) {
+        let layout = ShardLayout::single(4).unwrap();
+        let cfg = Astro1Config { batch_size: 1, initial_balance: Amount(10_000) };
+        let nodes = (0..4)
+            .map(|i| AstroOneReplica::new(ReplicaId(i as u32), layout.clone(), cfg.clone()))
+            .collect();
+        (layout, nodes)
+    }
+
+    /// Submits `payment` at its representative and pumps the resulting
+    /// messages over the `RuntimeNode` impl (the exact path `replica_main`
+    /// drives) until none is left; `keep` is the links' drop filter.
+    /// Returns how many messages each replica handled.
+    fn pump(
+        layout: &ShardLayout,
+        nodes: &mut [AstroOneReplica],
+        payment: Payment,
+        keep: impl Fn(ReplicaId, ReplicaId, &astro_core::astro1::Astro1Msg) -> bool,
+    ) -> [u64; 4] {
+        use astro_brb::Dest;
+        let rep = layout.representative_of(payment.spender);
+        let mut handled = [0; 4];
+        let mut queue = std::collections::VecDeque::new();
+        let mut steps =
+            vec![(rep, RuntimeNode::submit(&mut nodes[rep.0 as usize], payment).unwrap())];
+        loop {
+            for (from, step) in steps.drain(..) {
+                for env in step.outbound {
+                    let to = match env.to {
+                        Dest::All => (0..4).map(ReplicaId).collect(),
+                        Dest::One(to) => vec![to],
+                    };
+                    queue.extend(to.into_iter().map(|to| (from, to, env.msg.clone())));
+                }
+            }
+            let Some((from, to, msg)) = queue.pop_front() else { return handled };
+            if keep(from, to, &msg) {
+                handled[to.0 as usize] += 1;
+                steps.push((to, RuntimeNode::handle(&mut nodes[to.0 as usize], from, msg)));
+            }
+        }
+    }
+
     #[test]
     fn non_durable_nodes_gc_brb_instances_by_size() {
         // The size-based trigger (satellite of the catch-up PR): clusters
-        // that never snapshot must still bound broadcast-layer memory. A
-        // manual pump over the RuntimeNode impl (the exact path
-        // `replica_main` drives) settles far more instances than
-        // BRB_GC_HIGH_WATER; tracked state must stay at the threshold,
-        // not grow with history.
-        use astro_brb::Dest;
-        use astro_core::astro1::Astro1Msg;
-        use std::collections::VecDeque;
-
-        let layout = ShardLayout::single(4).unwrap();
-        let cfg = Astro1Config { batch_size: 1, initial_balance: Amount(10_000) };
-        let mut nodes: Vec<AstroOneReplica> = (0..4)
-            .map(|i| AstroOneReplica::new(ReplicaId(i as u32), layout.clone(), cfg.clone()))
-            .collect();
-        let mut queue: VecDeque<(ReplicaId, ReplicaId, Astro1Msg)> = VecDeque::new();
-        let route = |queue: &mut VecDeque<(ReplicaId, ReplicaId, Astro1Msg)>,
-                     from: ReplicaId,
-                     step: astro_core::ReplicaStep<Astro1Msg>| {
-            for env in step.outbound {
-                match env.to {
-                    Dest::All => {
-                        for i in 0..4u32 {
-                            queue.push_back((from, ReplicaId(i), env.msg.clone()));
-                        }
-                    }
-                    Dest::One(to) => queue.push_back((from, to, env.msg)),
-                }
-            }
-        };
+        // that never snapshot must still bound broadcast-layer memory.
+        // Settling far more instances than BRB_GC_HIGH_WATER, tracked
+        // state must stay at the threshold, not grow with history.
+        let (layout, mut nodes) = raw_astro1_nodes();
         let settles = 2 * BRB_GC_HIGH_WATER as u64;
-        let rep = layout.representative_of(ClientId(1));
         for seq in 0..settles {
-            let step = RuntimeNode::submit(
-                &mut nodes[rep.0 as usize],
-                Payment::new(1u64, seq, 2u64, 1u64),
-            )
-            .unwrap();
-            route(&mut queue, rep, step);
-            while let Some((from, to, msg)) = queue.pop_front() {
-                let step = RuntimeNode::handle(&mut nodes[to.0 as usize], from, msg);
-                route(&mut queue, to, step);
-            }
+            pump(&layout, &mut nodes, Payment::new(1u64, seq, 2u64, 1u64), |_, _, _| true);
         }
         for (i, node) in nodes.iter().enumerate() {
             assert_eq!(node.ledger().total_settled(), settles as usize, "replica {i}");
@@ -1671,6 +1679,47 @@ mod tests {
                 "replica {i}: size-based GC must bound tracked instances, still tracks {tracked}"
             );
         }
+    }
+
+    #[test]
+    fn gc_trigger_backs_off_behind_a_stuck_instance() {
+        // Replica 2 misses the first batch of one stream and every ANSWER:
+        // the instance stays awaiting and the FIFO gap it leaves holds all
+        // later batches of that stream back, so nothing is prunable. The
+        // trigger must not answer that with one full scan per message.
+        use astro_brb::bracha::BrachaMsg;
+        use astro_core::astro1::Astro1Msg;
+        let (layout, mut nodes) = raw_astro1_nodes();
+        let registry = Registry::new();
+        RuntimeNode::attach_registry(&mut nodes[2], &registry);
+        let keep = |_, to: ReplicaId, msg: &Astro1Msg| match msg {
+            Astro1Msg::Brb(BrachaMsg::Prepare { id, .. }) => to.0 != 2 || id.tag != 0,
+            Astro1Msg::Brb(BrachaMsg::Answer { .. }) => to.0 != 2,
+            _ => true,
+        };
+        let stalled_passes = || {
+            let flight = registry.flight(2);
+            assert_eq!(flight.dropped(), 0);
+            flight.events().iter().filter(|e| e.what == "core.brb.gc_stalled").count()
+        };
+        let mut seq = 0u64;
+        let mut step = |nodes: &mut [AstroOneReplica]| {
+            seq += 1;
+            pump(&layout, nodes, Payment::new(1u64, seq - 1, 2u64, 1u64), keep)[2]
+        };
+        while nodes[2].tracked_instances() <= BRB_GC_HIGH_WATER {
+            step(&mut nodes);
+        }
+        assert_eq!(nodes[2].ledger().total_settled(), 0, "everything waits behind the gap");
+        let before = stalled_passes();
+        assert!((1..=2).contains(&before), "{before} passes up to the high water");
+        let mut messages = 0;
+        while messages < 2_000 {
+            messages += step(&mut nodes);
+        }
+        // ~9 messages per instance: not even one more high water's worth.
+        let passes = stalled_passes() - before;
+        assert!(passes <= 1, "{passes} scans in {messages} messages");
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //!
 //! 1. **NIC serialization** at the sender: `size / bandwidth`, queued FIFO
 //!    behind earlier sends (this is what makes a leader that sends N copies
-//!    of every batch the bottleneck, and what makes O(N²) protocols decay
-//!    with N);
+//!    of every batch the bottleneck; Bracha's O(N²) votes are 49-byte
+//!    digest frames, so what decays with N there is per-message CPU, not
+//!    the NIC);
 //! 2. **propagation latency** from a region-pair matrix plus jitter;
 //! 3. optional **fault state**: crashed nodes send/receive nothing;
 //!    "tc-delayed" nodes (paper §VI-D) add a constant extra delay to every

@@ -420,6 +420,13 @@ impl Astro1System {
         })
     }
 
+    /// (Re-)arms the flush timer while payments await broadcast or a
+    /// payload pull or catch-up, which have no other clock, is outstanding.
+    fn arm_flush(&mut self, replica: ReplicaId, now: Nanos) {
+        let r = &self.replicas[replica.0 as usize];
+        self.flush.note_batched(replica, r.batched() + usize::from(r.needs_tick()), now);
+    }
+
     fn observe(&mut self, replica: ReplicaId, step: &ReplicaStep<Astro1Msg>) {
         let Some(audit) = &mut self.audit else { return };
         audit.observe_settled(replica, &step.settled);
@@ -457,7 +464,7 @@ impl SimSystem for Astro1System {
         let step = self.replicas[replica.0 as usize]
             .submit(payment)
             .unwrap_or_else(|_| ReplicaStep::empty());
-        self.flush.note_batched(replica, self.replicas[replica.0 as usize].batched(), now);
+        self.arm_flush(replica, now);
         self.observe(replica, &step);
         step
     }
@@ -467,9 +474,11 @@ impl SimSystem for Astro1System {
         to: ReplicaId,
         from: ReplicaId,
         msg: Self::Msg,
-        _now: Nanos,
+        now: Nanos,
     ) -> ReplicaStep<Self::Msg> {
         let step = self.replicas[to.0 as usize].handle(from, msg);
+        // May start or finish a pull; an armed batch deadline stays put.
+        self.arm_flush(to, now);
         self.observe(to, &step);
         step
     }
@@ -477,6 +486,7 @@ impl SimSystem for Astro1System {
     fn tick(&mut self, replica: ReplicaId, now: Nanos) -> ReplicaStep<Self::Msg> {
         if self.flush.due(replica, now) {
             let step = self.replicas[replica.0 as usize].flush();
+            self.arm_flush(replica, now);
             self.observe(replica, &step);
             step
         } else {
@@ -493,24 +503,24 @@ impl SimSystem for Astro1System {
     }
 
     fn deliver_cost(&self, msg: &Self::Msg, cpu: &CpuModel) -> DeliverCost {
-        // MAC-authenticated link + digest of the carried payload (the
-        // protocol hashes every payload to track echoes/readies). On first
-        // reception (PREPARE) every replica additionally validates the
+        // MAC-authenticated link + hashing what the frame carries. A
+        // payload (PREPARE, or the ANSWER that replaces a missed one) is
+        // digested once and every replica additionally validates the
         // per-payment client authentication data that requests carry
-        // (~100 B per payment, §VI-B); ECHO/READY copies pay per-payment
-        // quorum-bookkeeping costs. No Schnorr signatures anywhere —
-        // nothing for a verify pool to take.
+        // (~100 B per payment, §VI-B). ECHO / READY / REQUEST are 49-byte
+        // digest frames: one quorum-bookkeeping step each, whatever the
+        // batch size. No Schnorr signatures anywhere — nothing for a
+        // verify pool to take.
         const CLIENT_AUTH_NS: Nanos = 12_000;
         const BOOKKEEPING_NS: Nanos = 1_500;
         let size = msg.encoded_len();
         DeliverCost::inline(match msg {
-            Astro1Msg::Brb(BrachaMsg::Prepare { payload, .. }) => {
-                cpu.mac_ns + cpu.hash(size) + payload.payments.len() as Nanos * CLIENT_AUTH_NS
-            }
-            Astro1Msg::Brb(BrachaMsg::Echo { payload, .. })
-            | Astro1Msg::Brb(BrachaMsg::Ready { payload, .. }) => {
-                cpu.mac_ns + cpu.hash(size) + payload.payments.len() as Nanos * BOOKKEEPING_NS
-            }
+            Astro1Msg::Brb(
+                BrachaMsg::Prepare { payload, .. } | BrachaMsg::Answer { payload, .. },
+            ) => cpu.mac_ns + cpu.hash(size) + payload.payments.len() as Nanos * CLIENT_AUTH_NS,
+            Astro1Msg::Brb(
+                BrachaMsg::Echo { .. } | BrachaMsg::Ready { .. } | BrachaMsg::Request { .. },
+            ) => cpu.mac_ns + cpu.hash(size) + BOOKKEEPING_NS,
             // Catch-up traffic: MAC check plus hashing the served state.
             Astro1Msg::Sync(_) => cpu.mac_ns + cpu.hash(size),
         })

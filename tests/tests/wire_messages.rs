@@ -54,12 +54,59 @@ fn dep_batch() -> DepBatch<SimSig> {
     }
 }
 
+/// One of each Bracha message: the payload rides PREPARE and ANSWER only.
+fn bracha_messages() -> [BrachaMsg<Batch>; 5] {
+    let id = InstanceId { source: 3, tag: 9 };
+    [
+        BrachaMsg::Prepare { id, payload: batch() },
+        BrachaMsg::Echo { id, digest: [0xe0; 32] },
+        BrachaMsg::Ready { id, digest: [0xd1; 32] },
+        BrachaMsg::Request { id, digest: [0xc2; 32] },
+        BrachaMsg::Answer { id, payload: batch() },
+    ]
+}
+
 #[test]
 fn bracha_messages_round_trip() {
-    let id = InstanceId { source: 3, tag: 9 };
-    round_trip(&BrachaMsg::Prepare { id, payload: batch() });
-    round_trip(&BrachaMsg::Echo { id, payload: batch() });
-    round_trip(&BrachaMsg::Ready { id, payload: batch() });
+    for msg in bracha_messages() {
+        round_trip(&msg);
+        let bytes = msg.to_wire_bytes();
+        // Every strict prefix is an error, never a panic or a shorter
+        // message; so is a trailing byte, and so is an unknown tag.
+        for cut in 0..bytes.len() {
+            assert!(decode_exact::<BrachaMsg<Batch>>(&bytes[..cut]).is_err(), "prefix {cut}");
+        }
+        let mut padded = bytes.clone();
+        padded.push(0);
+        assert!(decode_exact::<BrachaMsg<Batch>>(&padded).is_err());
+        let mut unknown = bytes;
+        unknown[0] = 5;
+        assert!(matches!(
+            decode_exact::<BrachaMsg<Batch>>(&unknown),
+            Err(WireError::InvalidValue(_))
+        ));
+    }
+    // A vote is 49 bytes whatever the batch behind it.
+    assert_eq!(bracha_messages()[1].encoded_len(), 1 + 16 + 32);
+}
+
+proptest::proptest! {
+    /// Whatever a Byzantine peer puts in a frame decodes to a message or
+    /// an error.
+    #[test]
+    fn arbitrary_bytes_never_panic_the_bracha_decoder(
+        tag in 0u8..8,
+        bytes in proptest::collection::vec(proptest::any::<u8>(), 0..256),
+    ) {
+        // Half the inputs start with a plausible tag, so that decoding
+        // gets past it.
+        let tagged = [vec![tag], bytes.clone()].concat();
+        for input in [bytes, tagged] {
+            if let Ok(msg) = decode_exact::<BrachaMsg<Batch>>(&input) {
+                proptest::prop_assert_eq!(msg.to_wire_bytes(), input);
+            }
+        }
+    }
 }
 
 #[test]
@@ -253,7 +300,7 @@ fn unknown_tags_are_rejected() {
 
 #[test]
 fn framed_messages_round_trip_through_the_transport_framing() {
-    let msg = BrachaMsg::Echo { id: InstanceId { source: 1, tag: 2 }, payload: batch() };
+    let msg = BrachaMsg::Answer { id: InstanceId { source: 1, tag: 2 }, payload: batch() };
     let payload = msg.to_wire_bytes();
     let mut framed = Vec::new();
     put_frame(&mut framed, &payload);
