@@ -68,28 +68,52 @@ fn bench_field(c: &mut Criterion) {
     });
 }
 
+type Signed = (Vec<u8>, astro_crypto::PublicKey, astro_crypto::Signature);
+
+/// `k` signatures over distinct messages, signed round-robin by `signers`
+/// keys.
+fn signed_batch(k: usize, signers: usize) -> Vec<Signed> {
+    let keys: Vec<Keypair> =
+        (0..signers).map(|i| Keypair::from_seed(&(i as u64).to_be_bytes())).collect();
+    (0..k)
+        .map(|i| {
+            let kp = &keys[i % signers];
+            let msg = format!("payment batch {i}").into_bytes();
+            let sig = kp.sign(&msg);
+            (msg, *kp.public(), sig)
+        })
+        .collect()
+}
+
+fn borrow(items: &[Signed]) -> Vec<(&[u8], astro_crypto::PublicKey, astro_crypto::Signature)> {
+    items.iter().map(|(m, p, s)| (m.as_slice(), *p, *s)).collect()
+}
+
 fn bench_batch_verify(c: &mut Criterion) {
     // Calibrates CpuModel::verify_batch_marginal_ns: the per-signature cost
     // inside a shared-doubling batch verification vs one-by-one. Size 32 is
     // the acceptance gate (batch ≥ 3× cheaper per signature than serial).
     let mut g = c.benchmark_group("schnorr_batch_verify");
-    for k in [4usize, 16, 32, 64] {
-        let items: Vec<(Vec<u8>, astro_crypto::PublicKey, astro_crypto::Signature)> = (0..k)
-            .map(|i| {
-                let kp = Keypair::from_seed(&(i as u64).to_be_bytes());
-                let msg = format!("payment batch {i}").into_bytes();
-                let sig = kp.sign(&msg);
-                (msg, *kp.public(), sig)
-            })
-            .collect();
-        let borrowed: Vec<(&[u8], astro_crypto::PublicKey, astro_crypto::Signature)> =
-            items.iter().map(|(m, p, s)| (m.as_slice(), *p, *s)).collect();
+    for k in [4usize, 8, 16, 32, 64] {
+        let items = signed_batch(k, k);
+        let borrowed = borrow(&items);
         g.throughput(Throughput::Elements(k as u64));
         g.bench_function(format!("batched_{k}"), |b| {
             b.iter(|| batch_verify(black_box(&borrowed)));
         });
         g.bench_function(format!("one_by_one_{k}"), |b| {
             b.iter(|| borrowed.iter().all(|(m, p, s)| p.verify(m, s)));
+        });
+    }
+    // The shape of a verify-pool job: every signature is one of the n = 4
+    // replicas', so the batch has 4 key terms however long it is. The
+    // all-distinct `batched_*` rows above are the other extreme.
+    for k in [8usize, 32] {
+        let items = signed_batch(k, 4);
+        let borrowed = borrow(&items);
+        g.throughput(Throughput::Elements(k as u64));
+        g.bench_function(format!("few_signers_{k}"), |b| {
+            b.iter(|| batch_verify(black_box(&borrowed)));
         });
     }
     g.finish();
@@ -203,7 +227,7 @@ fn main() {
         })
         .collect();
     let median = |id: &str| reports.iter().find(|r| r.id == id).map(|r| r.median_ns as f64);
-    for k in [4u64, 16, 32, 64] {
+    for k in [4u64, 8, 16, 32, 64] {
         if let (Some(batched), Some(serial)) = (
             median(&format!("schnorr_batch_verify/batched_{k}")),
             median(&format!("schnorr_batch_verify/one_by_one_{k}")),
@@ -214,6 +238,20 @@ fn main() {
                     ("batch_over_serial", serial / batched),
                     ("per_sig_batched_ns", batched / k as f64),
                 ],
+            ));
+        }
+    }
+    // What grouping by key buys at the verify pool's batch shape, as a
+    // within-run ratio of per-signature costs (the gate's floor is 1.25,
+    // i.e. few-signer cost ≤ 0.8 × all-distinct cost).
+    for k in [8u64, 32] {
+        if let (Some(distinct), Some(few)) = (
+            median(&format!("schnorr_batch_verify/batched_{k}")),
+            median(&format!("schnorr_batch_verify/few_signers_{k}")),
+        ) {
+            metrics.push(Metric::new(
+                format!("schnorr_batch_verify/few_signers_gain_{k}"),
+                [("distinct_over_few", distinct / few), ("per_sig_few_ns", few / k as f64)],
             ));
         }
     }

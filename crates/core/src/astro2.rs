@@ -12,6 +12,13 @@
 //! certificate is verifiable against the settling shard's keys, the exact
 //! same single message step implements cross-shard payments (§V): no 2PC,
 //! no coordination on the critical path.
+//!
+//! Certificates a representative has formed and not yet attached live in
+//! one place, `HeldCerts`: each held once and shared by the
+//! beneficiaries of its sub-batch, with hash indexes so that an incoming
+//! CREDIT costs the same however many certificates have piled up — the
+//! paper's evaluation condition is funded clients, whose certificates are
+//! never spent.
 
 use crate::astro1::{prune_at_high_water, SyncSession};
 use crate::batch::{
@@ -36,6 +43,7 @@ use astro_types::{
     ShardLayout,
 };
 use std::collections::{BTreeMap, HashMap, HashSet};
+use std::sync::Arc;
 
 /// How beneficiaries receive funds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -391,6 +399,141 @@ fn cert_digest<S: Wire>(cert: &DependencyCertificate<S>) -> [u8; 32] {
     h.finalize()
 }
 
+/// The [`credit_context`] digest of a sub-batch as a map key: what CREDIT
+/// proofs accumulate under, what acks name, and what identifies a held
+/// bundle.
+fn credit_key(bundle: &[Payment]) -> [u8; 32] {
+    credit_context(bundle).as_slice().try_into().expect("sha256 digest")
+}
+
+/// What a representative holds for one beneficiary.
+#[derive(Debug)]
+struct Held<S> {
+    /// The certificates, oldest first: the order [`HeldCerts::take`]
+    /// attaches them in and `export_state` writes them in.
+    certs: Vec<Arc<DependencyCertificate<S>>>,
+    /// [`credit_key`] of every held bundle → its position in `certs`.
+    bundles: HashMap<[u8; 32], usize>,
+    /// Every payment crediting this client that a held certificate
+    /// vouches for.
+    vouched: HashSet<Payment>,
+}
+
+/// The representative's held-certificate store (Listing 7's `deps`):
+/// certificates awaiting their beneficiaries' next outgoing payments, and
+/// the only code that touches them.
+///
+/// A certificate over a sub-batch credits every beneficiary in it, so it is
+/// held once behind an `Arc` that all of them share — at most one
+/// certificate per bundle, whichever `f+1` proofs it was first formed
+/// with. Per beneficiary the store keeps the certificates in arrival order
+/// plus two hash indexes that make the CREDIT path cost the same after a
+/// million certificates as after one:
+///
+/// - the bundle digests ([`credit_key`]) held — "is a certificate over
+///   this bundle already here", the dedup every insertion goes through
+///   (live certification, `Cert` replay, snapshot restore alike);
+/// - the *whole* [`Payment`]s vouched for — "is this credit already
+///   covered". Whole payments, not ids: a CREDIT naming a held payment's
+///   `(spender, seq)` with another amount is a different claim, must still
+///   be checked on its own, and was never equal under the list scan this
+///   index replaces.
+///
+/// Nothing here is journaled in its own right: `restore` /
+/// `restore_from_checkpoints` rebuild the store from the snapshot's
+/// certificate section, `WalRecord::Cert` replay re-inserts and
+/// `WalRecord::CertsTaken` replay removes by content digest.
+#[derive(Debug)]
+struct HeldCerts<S> {
+    clients: HashMap<ClientId, Held<S>>,
+}
+
+impl<S> Default for HeldCerts<S> {
+    fn default() -> Self {
+        HeldCerts { clients: HashMap::new() }
+    }
+}
+
+impl<S> HeldCerts<S> {
+    /// True if a certificate held for `p`'s beneficiary vouches for
+    /// exactly `p`.
+    fn vouches_for(&self, p: &Payment) -> bool {
+        self.clients.get(&p.beneficiary).is_some_and(|held| held.vouched.contains(p))
+    }
+
+    /// The certificates held for `client`, oldest first.
+    fn certs(&self, client: ClientId) -> &[Arc<DependencyCertificate<S>>] {
+        self.clients.get(&client).map_or(&[], |held| &held.certs)
+    }
+
+    /// The payments crediting `client` that held certificates vouch for,
+    /// each once, in no particular order.
+    fn vouched(&self, client: ClientId) -> impl Iterator<Item = &Payment> {
+        self.clients.get(&client).into_iter().flat_map(|held| &held.vouched)
+    }
+
+    /// Every beneficiary with its held certificates, in no particular
+    /// order.
+    fn iter(&self) -> impl Iterator<Item = (ClientId, &[Arc<DependencyCertificate<S>>])> {
+        self.clients.iter().map(|(client, held)| (*client, held.certs.as_slice()))
+    }
+
+    /// Holds `cert`, whose bundle has digest `key`, for each of `clients`
+    /// that holds no certificate over that bundle yet. If another
+    /// beneficiary of the bundle already holds one, that allocation is
+    /// shared and `cert` (the same bundle, perhaps under other proofs) is
+    /// dropped.
+    fn insert(
+        &mut self,
+        key: [u8; 32],
+        cert: Arc<DependencyCertificate<S>>,
+        clients: impl IntoIterator<Item = ClientId>,
+    ) {
+        let held_elsewhere = cert.bundle.iter().find_map(|p| {
+            let held = self.clients.get(&p.beneficiary)?;
+            held.bundles.get(&key).map(|at| Arc::clone(&held.certs[*at]))
+        });
+        let cert = held_elsewhere.unwrap_or(cert);
+        for client in clients {
+            let held = self.clients.entry(client).or_insert_with(|| Held {
+                certs: Vec::new(),
+                bundles: HashMap::new(),
+                vouched: HashSet::new(),
+            });
+            if let std::collections::hash_map::Entry::Vacant(slot) = held.bundles.entry(key) {
+                slot.insert(held.certs.len());
+                held.vouched.extend(cert.credits_for(client));
+                held.certs.push(Arc::clone(&cert));
+            }
+        }
+    }
+
+    /// Removes and returns everything held for `client`, oldest first, as
+    /// the owned certificates an outgoing payment carries (the last holder
+    /// of a shared certificate gets the allocation, earlier ones a copy).
+    fn take(&mut self, client: ClientId) -> Vec<DependencyCertificate<S>>
+    where
+        S: Clone,
+    {
+        let Some(held) = self.clients.remove(&client) else { return Vec::new() };
+        held.certs.into_iter().map(Arc::unwrap_or_clone).collect()
+    }
+
+    /// Drops the certificates of `client` whose [`cert_digest`] is in
+    /// `taken` (absent ones are no-ops) and re-indexes what is left.
+    fn remove(&mut self, client: ClientId, taken: &[[u8; 32]])
+    where
+        S: Wire,
+    {
+        let Some(held) = self.clients.remove(&client) else { return };
+        for cert in held.certs {
+            if !taken.contains(&cert_digest(&cert)) {
+                self.insert(credit_key(&cert.bundle), cert, [client]);
+            }
+        }
+    }
+}
+
 /// One Astro II replica.
 #[derive(Debug)]
 pub struct AstroTwoReplica<A: Authenticator> {
@@ -415,7 +558,7 @@ pub struct AstroTwoReplica<A: Authenticator> {
     stuck: HashSet<ClientId>,
     /// Representative state: certificates awaiting the client's next
     /// outgoing payment (Listing 7's `deps`).
-    rep_deps: HashMap<ClientId, Vec<DependencyCertificate<A::Sig>>>,
+    held: HeldCerts<A::Sig>,
     /// Representative state: proofs gathered per sub-batch digest.
     partial: HashMap<[u8; 32], PartialBundle<A::Sig>>,
     /// Settling-replica state: CREDIT sub-batches awaiting their
@@ -490,7 +633,7 @@ impl<A: Authenticator> AstroTwoReplica<A> {
             used_deps: HashSet::new(),
             cert_cache: CertCache::new(CERT_CACHE_CAP),
             stuck: HashSet::new(),
-            rep_deps: HashMap::new(),
+            held: HeldCerts::default(),
             partial: HashMap::new(),
             outbox: BTreeMap::new(),
             pending_acks: BTreeMap::new(),
@@ -582,7 +725,7 @@ impl<A: Authenticator> AstroTwoReplica<A> {
         };
         *reserved = need;
         let deps = if attach {
-            let taken = self.rep_deps.remove(&payment.spender).unwrap_or_default();
+            let taken = self.held.take(payment.spender);
             if !taken.is_empty() {
                 // Consumption is journaled at the *flush* that broadcasts
                 // the carrying payment, not here: a crash before the
@@ -957,9 +1100,7 @@ impl<A: Authenticator> AstroTwoReplica<A> {
                 }
             }
             for bundle in regenerated {
-                let key: [u8; 32] =
-                    credit_context(&bundle).as_slice().try_into().expect("sha256 digest");
-                if self.outbox.contains_key(&key) {
+                if self.outbox.contains_key(&credit_key(&bundle)) {
                     continue; // already queued (and just retransmitted above)
                 }
                 replays += 1;
@@ -1285,14 +1426,7 @@ impl<A: Authenticator> AstroTwoReplica<A> {
         // (`usedDeps`) or vouched for by a held certificate — adds
         // nothing; ack so the sender stops retransmitting. This also
         // drains replayed singletons that can never reach a fresh quorum.
-        let covered = cb.bundle.iter().all(|p| {
-            self.used_deps.contains(&p.id())
-                || self
-                    .rep_deps
-                    .get(&p.beneficiary)
-                    .is_some_and(|certs| certs.iter().any(|c| c.bundle.contains(p)))
-        });
-        if covered {
+        if cb.bundle.iter().all(|p| self.covered(p)) {
             self.note_ack(from, key);
             return empty;
         }
@@ -1324,20 +1458,7 @@ impl<A: Authenticator> AstroTwoReplica<A> {
         let senders: Vec<ReplicaId> = proofs.iter().map(|(r, _)| *r).collect();
         let cert = DependencyCertificate { bundle: partial.bundle.clone(), proofs };
         self.journal.rec(&WalRecord::Cert { bytes: cert.to_wire_bytes() });
-        // Store the certificate for every beneficiary we represent.
-        let mut beneficiaries: Vec<ClientId> = cert.bundle.iter().map(|p| p.beneficiary).collect();
-        beneficiaries.sort_unstable();
-        beneficiaries.dedup();
-        for b in beneficiaries {
-            if self.layout.is_representative(self.me, b) {
-                let held = self.rep_deps.entry(b).or_default();
-                // A re-formed certificate over a bundle already held (the
-                // proof subset may differ) must not double-count.
-                if !held.iter().any(|c| c.bundle == cert.bundle) {
-                    held.push(cert.clone());
-                }
-            }
-        }
+        self.hold(key, cert);
         // The certificate is durable (journaled above; group commit makes
         // it disk-durable before outbound leaves a durable runtime): owe
         // every contributing settler an ack so their outboxes discharge
@@ -1346,6 +1467,27 @@ impl<A: Authenticator> AstroTwoReplica<A> {
             self.note_ack(sender, key);
         }
         empty
+    }
+
+    /// True if crediting `p` again would add nothing: it is materialized
+    /// (`usedDeps`) or a certificate held for its beneficiary vouches for
+    /// it.
+    fn covered(&self, p: &Payment) -> bool {
+        self.used_deps.contains(&p.id()) || self.held.vouches_for(p)
+    }
+
+    /// Holds `cert` (bundle digest `key`) for every beneficiary of its
+    /// bundle this replica represents. A certificate over a bundle
+    /// already held — re-formed, perhaps from another proof subset, or
+    /// replayed — is not held twice.
+    fn hold(&mut self, key: [u8; 32], cert: DependencyCertificate<A::Sig>) {
+        let mine: Vec<ClientId> = cert
+            .bundle
+            .iter()
+            .map(|p| p.beneficiary)
+            .filter(|b| self.layout.is_representative(self.me, *b))
+            .collect();
+        self.held.insert(key, Arc::new(cert), mine);
     }
 
     /// Notes an acknowledgment owed to settling replica `to` for the
@@ -1387,21 +1529,13 @@ impl<A: Authenticator> AstroTwoReplica<A> {
     /// The balance a representative reports to its client: settled balance
     /// plus certified-but-unspent incoming credits.
     pub fn available_balance(&self, client: ClientId) -> Amount {
-        let mut total = self.ledger.balance(client);
         // A credit may be vouched for by several held certificates (a
-        // replayed singleton alongside the original sub-batch): count
-        // each payment once.
-        let mut counted: HashSet<PaymentId> = HashSet::new();
-        if let Some(certs) = self.rep_deps.get(&client) {
-            for cert in certs {
-                for p in cert.credits_for(client) {
-                    if !self.used_deps.contains(&p.id()) && counted.insert(p.id()) {
-                        total = total.saturating_add(p.amount);
-                    }
-                }
-            }
-        }
-        total
+        // replayed singleton alongside the original sub-batch); the store
+        // yields each payment once.
+        self.held
+            .vouched(client)
+            .filter(|p| !self.used_deps.contains(&p.id()))
+            .fold(self.ledger.balance(client), |total, p| total.saturating_add(p.amount))
     }
 
     /// Read access to the ledger.
@@ -1422,7 +1556,7 @@ impl<A: Authenticator> AstroTwoReplica<A> {
 
     /// Certificates currently held for `client` (representative state).
     pub fn held_certificates(&self, client: ClientId) -> usize {
-        self.rep_deps.get(&client).map_or(0, Vec::len)
+        self.held.certs(client).len()
     }
 
     /// The verified-certificate cache (observability and tests).
@@ -1477,8 +1611,8 @@ impl<A: Authenticator> AstroTwoReplica<A> {
                     .extend(entry.deps.iter().map(Wire::to_wire_bytes));
             }
         }
-        for (client, held) in &self.rep_deps {
-            certs_map.entry(*client).or_default().extend(held.iter().map(Wire::to_wire_bytes));
+        for (client, held) in self.held.iter() {
+            certs_map.entry(client).or_default().extend(held.iter().map(|c| c.to_wire_bytes()));
         }
         let mut certs: Vec<(ClientId, Vec<Vec<u8>>)> = certs_map.into_iter().collect();
         certs.sort_unstable_by_key(|(c, _)| *c);
@@ -1535,13 +1669,7 @@ impl<A: Authenticator> AstroTwoReplica<A> {
         }
         replica.used_deps = state.used_deps.iter().copied().collect();
         replica.stuck = state.stuck.iter().copied().collect();
-        for (client, certs) in &state.certs {
-            let decoded: Vec<DependencyCertificate<A::Sig>> =
-                certs.iter().filter_map(|bytes| decode_exact(bytes).ok()).collect();
-            if !decoded.is_empty() {
-                replica.rep_deps.insert(*client, decoded);
-            }
-        }
+        replica.restore_held(&state.certs);
         for (dest, bundle) in &state.outbox {
             replica.restore_outbox_entry(*dest, bundle.clone());
         }
@@ -1550,6 +1678,19 @@ impl<A: Authenticator> AstroTwoReplica<A> {
             replica.brb.advance_cursor(*source, *next);
         }
         Ok(replica)
+    }
+
+    /// Rebuilds the held-certificate store from a snapshot's certificate
+    /// section. Each client's list is inserted as written; certificates
+    /// listed under several beneficiaries come back as one allocation.
+    fn restore_held(&mut self, certs: &[(ClientId, Vec<Vec<u8>>)]) {
+        for (client, certs) in certs {
+            for bytes in certs {
+                if let Ok(cert) = decode_exact::<DependencyCertificate<A::Sig>>(bytes) {
+                    self.held.insert(credit_key(&cert.bundle), Arc::new(cert), [*client]);
+                }
+            }
+        }
     }
 
     /// Re-creates one retry-outbox entry from recovered `(dest, bundle)`
@@ -1595,30 +1736,15 @@ impl<A: Authenticator> AstroTwoReplica<A> {
                 // Consumption by content digest: removal of an absent
                 // certificate is a no-op, so any replay interleaving with
                 // Cert records (the snapshot-overlap window) converges.
-                if let Some(held) = self.rep_deps.get_mut(client) {
-                    held.retain(|cert| !digests.contains(&cert_digest(cert)));
-                    if held.is_empty() {
-                        self.rep_deps.remove(client);
-                    }
-                }
+                self.held.remove(*client, digests);
             }
             WalRecord::Cert { bytes } => {
                 let Ok(cert) = decode_exact::<DependencyCertificate<A::Sig>>(bytes) else {
                     return;
                 };
-                let mut beneficiaries: Vec<ClientId> =
-                    cert.bundle.iter().map(|p| p.beneficiary).collect();
-                beneficiaries.sort_unstable();
-                beneficiaries.dedup();
-                for b in beneficiaries {
-                    if self.layout.is_representative(self.me, b) {
-                        let held = self.rep_deps.entry(b).or_default();
-                        // Idempotent over the snapshot-overlap window.
-                        if !held.contains(&cert) {
-                            held.push(cert.clone());
-                        }
-                    }
-                }
+                // Idempotent over the snapshot-overlap window, by the
+                // same bundle dedup as live certification.
+                self.hold(credit_key(&cert.bundle), cert);
             }
             WalRecord::CreditOut { dest, bundle } => {
                 self.restore_outbox_entry(*dest, bundle.clone());
@@ -1783,13 +1909,7 @@ impl<A: Authenticator> AstroTwoReplica<A> {
         }
         replica.used_deps = residual.used_deps.iter().copied().collect();
         replica.stuck = residual.stuck.iter().copied().collect();
-        for (client, certs) in &residual.certs {
-            let decoded: Vec<DependencyCertificate<A::Sig>> =
-                certs.iter().filter_map(|bytes| decode_exact(bytes).ok()).collect();
-            if !decoded.is_empty() {
-                replica.rep_deps.insert(*client, decoded);
-            }
-        }
+        replica.restore_held(&residual.certs);
         for (dest, bundle) in &residual.outbox {
             replica.restore_outbox_entry(*dest, bundle.clone());
         }
@@ -1958,10 +2078,20 @@ fn attempt_settle_inner<A: Authenticator>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::journal::Journal;
     use crate::testkit::PaymentCluster;
     use astro_types::MacAuthenticator;
 
     type Replica = AstroTwoReplica<MacAuthenticator>;
+
+    /// A journal that keeps its records in memory.
+    #[derive(Clone, Default)]
+    struct Sink(Arc<std::sync::Mutex<Vec<WalRecord>>>);
+    impl Journal for Sink {
+        fn record(&mut self, r: &WalRecord) {
+            self.0.lock().unwrap().push(r.clone());
+        }
+    }
 
     fn cluster(shards: usize, per_shard: usize, cfg: Astro2Config) -> PaymentCluster<Replica> {
         let layout = ShardLayout::uniform(shards, per_shard).unwrap();
@@ -1982,6 +2112,15 @@ mod tests {
             credit_mode: mode,
             dep_policy: DepPolicy::WhenNeeded,
         }
+    }
+
+    /// The oldest certificate `rep` holds for `client`.
+    fn held_cert(
+        c: &PaymentCluster<Replica>,
+        rep: ReplicaId,
+        client: ClientId,
+    ) -> DependencyCertificate<astro_types::auth::SimSig> {
+        DependencyCertificate::clone(&c.node(rep.0 as usize).held.certs(client)[0])
     }
 
     /// Submits a payment at its representative.
@@ -2090,7 +2229,7 @@ mod tests {
         // Steal the certificate from client 1's representative and attach
         // it to TWO consecutive payments (double-deposit attempt).
         let rep1 = layout.representative_of(ClientId(1));
-        let cert = c.node(rep1.0 as usize).rep_deps.get(&ClientId(1)).unwrap()[0].clone();
+        let cert = held_cert(&c, rep1, ClientId(1));
         let node = c.node_mut(rep1.0 as usize);
         node.batch.push(DepPayment {
             payment: Payment::new(1u64, 0u64, 2u64, 10u64),
@@ -2244,7 +2383,7 @@ mod tests {
         // Steal the genuine certificate and inflate the bundled amount:
         // the signatures no longer cover the bundle.
         let rep1 = layout.representative_of(ClientId(1));
-        let mut cert = c.node(rep1.0 as usize).rep_deps.get(&ClientId(1)).unwrap()[0].clone();
+        let mut cert = held_cert(&c, rep1, ClientId(1));
         cert.bundle[0].amount = Amount(1_000_000);
         let node = c.node_mut(rep1.0 as usize);
         node.batch
@@ -2293,20 +2432,9 @@ mod tests {
 
     #[test]
     fn journal_replay_reproduces_state() {
-        use crate::journal::{Journal, WalRecord};
-        use std::sync::{Arc, Mutex};
-
-        #[derive(Clone)]
-        struct Sink(Arc<Mutex<Vec<WalRecord>>>);
-        impl Journal for Sink {
-            fn record(&mut self, r: &WalRecord) {
-                self.0.lock().unwrap().push(r.clone());
-            }
-        }
-
         let layout = ShardLayout::single(4).unwrap();
         let mut c = cluster(1, 4, cfg(CreditMode::Certificates));
-        let sink = Sink(Arc::new(Mutex::new(Vec::new())));
+        let sink = Sink::default();
         c.node_mut(1).set_journal(Box::new(sink.clone()));
         pay(&mut c, &layout, Payment::new(0u64, 0u64, 1u64, 30u64));
         c.run_to_quiescence();
@@ -2330,28 +2458,17 @@ mod tests {
 
     #[test]
     fn queued_payment_keeps_its_certificates_across_recovery() {
-        use crate::journal::{Journal, WalRecord};
-        use std::sync::{Arc, Mutex};
-
-        #[derive(Clone)]
-        struct Sink(Arc<Mutex<Vec<WalRecord>>>);
-        impl Journal for Sink {
-            fn record(&mut self, r: &WalRecord) {
-                self.0.lock().unwrap().push(r.clone());
-            }
-        }
-
         // Client 0 pays client 1; client 1's *second* payment (future
         // seq) arrives carrying the certificate before her first — it
         // queues with the certificate attached and unmaterialized.
         let layout = ShardLayout::single(4).unwrap();
         let mut c = cluster(1, 4, cfg(CreditMode::Certificates));
-        let sink = Sink(Arc::new(Mutex::new(Vec::new())));
+        let sink = Sink::default();
         c.node_mut(2).set_journal(Box::new(sink.clone()));
         pay(&mut c, &layout, Payment::new(0u64, 0u64, 1u64, 30u64));
         c.run_to_quiescence();
         let rep1 = layout.representative_of(ClientId(1));
-        let cert = c.node(rep1.0 as usize).rep_deps.get(&ClientId(1)).unwrap()[0].clone();
+        let cert = held_cert(&c, rep1, ClientId(1));
         // Future-sequence payment (seq 1 before seq 0) with the cert: it
         // must queue, deps unconsumed, at every replica.
         let node = c.node_mut(rep1.0 as usize);
@@ -2515,7 +2632,7 @@ mod tests {
         // (acks ride the flush tick), so no outbox entry survives — only
         // settled history can replay it.
         tick_flushes(&mut c, 1);
-        c.node_mut(idx).rep_deps.clear();
+        c.node_mut(idx).held = HeldCerts::default();
         c.node_mut(idx).partial.clear();
         for i in 0..4 {
             assert_eq!(c.node(i).outbox_depth(), 0);
@@ -2564,5 +2681,263 @@ mod tests {
         // The state served to catching-up peers clears the (donor-local)
         // outbox, like the certificate store.
         assert!(restored.sync_state(rep1).outbox.is_empty());
+    }
+    fn mac(r: ReplicaId) -> MacAuthenticator {
+        MacAuthenticator::new(r, b"astro2".to_vec())
+    }
+
+    /// `r`'s CREDIT for `bundle`.
+    fn credit(r: ReplicaId, bundle: &[Payment]) -> Astro2Msg<astro_types::auth::SimSig> {
+        let sig = mac(r).sign(&credit_context(bundle));
+        Astro2Msg::Credit(CreditBundle { bundle: bundle.to_vec(), sig })
+    }
+
+    #[test]
+    fn cert_replay_over_a_held_bundle_with_other_proofs_is_not_held_twice() {
+        let layout = ShardLayout::single(4).unwrap();
+        let mut c = cluster(1, 4, cfg(CreditMode::Certificates));
+        pay(&mut c, &layout, Payment::new(0u64, 0u64, 1u64, 30u64));
+        c.run_to_quiescence();
+        let rep1 = layout.representative_of(ClientId(1));
+        let held = held_cert(&c, rep1, ClientId(1));
+        // The same bundle certified by the two replicas whose CREDITs
+        // arrived after the quorum: what the live path refuses to hold a
+        // second time.
+        let context = credit_context(&held.bundle);
+        let reformed = DependencyCertificate {
+            bundle: held.bundle.clone(),
+            proofs: (0..4)
+                .map(ReplicaId)
+                .filter(|r| held.proofs.iter().all(|(signer, _)| signer != r))
+                .map(|r| (r, mac(r).sign(&context)))
+                .collect(),
+        };
+        assert_eq!(reformed.proofs.len(), 2);
+        assert_ne!(reformed, held);
+        // Crash; the snapshot holds the certificate and the log's overlap
+        // window holds a `Cert` record for the re-formed one.
+        let state = c.node(rep1.0 as usize).export_state();
+        let mut recovered = AstroTwoReplica::restore(
+            mac(rep1),
+            layout.clone(),
+            cfg(CreditMode::Certificates),
+            &state,
+        )
+        .unwrap();
+        assert_eq!(recovered.available_balance(ClientId(1)), Amount(130));
+        recovered.replay(&WalRecord::Cert { bytes: reformed.to_wire_bytes() });
+        assert_eq!(recovered.held_certificates(ClientId(1)), 1);
+        assert_eq!(recovered.available_balance(ClientId(1)), Amount(130));
+        assert_eq!(recovered.export_state(), state);
+    }
+
+    #[test]
+    fn a_credit_naming_a_held_payments_id_with_another_amount_is_not_covered() {
+        let layout = ShardLayout::single(4).unwrap();
+        let mut c = cluster(1, 4, cfg(CreditMode::Certificates));
+        pay(&mut c, &layout, Payment::new(0u64, 0u64, 1u64, 30u64));
+        c.run_to_quiescence();
+        tick_flushes(&mut c, 1);
+        let rep1 = layout.representative_of(ClientId(1));
+        let genuine = held_cert(&c, rep1, ClientId(1)).bundle[0];
+        let inflated = Payment { amount: Amount(31), ..genuine };
+        assert_eq!(inflated.id(), genuine.id());
+        let sender = (0..4).map(ReplicaId).find(|r| *r != rep1).unwrap();
+        let node = c.node_mut(rep1.0 as usize);
+        assert!(node.covered(&genuine));
+        assert!(!node.covered(&inflated));
+        // A replayed singleton of the held payment is acked unexamined …
+        node.handle(sender, credit(sender, &[genuine]));
+        assert_eq!(node.pending_acks(), 1);
+        // … the same id at another amount is a claim of its own: checked,
+        // counted as one proof, and owed no ack.
+        node.flush();
+        node.handle(sender, credit(sender, &[inflated]));
+        assert_eq!(node.pending_acks(), 0);
+        assert_eq!(node.partial[&credit_key(&[inflated])].proofs.len(), 1);
+        assert_eq!(node.available_balance(ClientId(1)), Amount(130));
+    }
+
+    #[test]
+    fn certs_taken_replay_removes_exactly_the_named_certificates() {
+        let layout = ShardLayout::single(4).unwrap();
+        let mut c = cluster(1, 4, cfg(CreditMode::Certificates));
+        pay(&mut c, &layout, Payment::new(0u64, 0u64, 1u64, 30u64));
+        pay(&mut c, &layout, Payment::new(2u64, 0u64, 1u64, 7u64));
+        c.run_to_quiescence();
+        let rep1 = layout.representative_of(ClientId(1));
+        let node = c.node_mut(rep1.0 as usize);
+        assert_eq!(node.held_certificates(ClientId(1)), 2);
+        let (first, second) =
+            (node.held.certs(ClientId(1))[0].clone(), node.held.certs(ClientId(1))[1].clone());
+        let taken =
+            WalRecord::CertsTaken { client: ClientId(1), digests: vec![cert_digest(&first)] };
+        node.replay(&taken);
+        assert_eq!(node.held.certs(ClientId(1)), std::slice::from_ref(&second));
+        assert!(!node.covered(&first.bundle[0]) && node.covered(&second.bundle[0]));
+        assert_eq!(node.available_balance(ClientId(1)).0, 100 + second.bundle[0].amount.0);
+        // Absent digests are no-ops; naming the rest empties the client.
+        node.replay(&taken);
+        assert_eq!(node.held_certificates(ClientId(1)), 1);
+        node.replay(&WalRecord::CertsTaken {
+            client: ClientId(1),
+            digests: vec![cert_digest(&second)],
+        });
+        assert_eq!(node.held_certificates(ClientId(1)), 0);
+        assert_eq!(node.available_balance(ClientId(1)), Amount(100));
+    }
+
+    /// `covered` as the list scan the index replaced computed it.
+    fn scan_covered(node: &Replica, p: &Payment) -> bool {
+        node.used_deps.contains(&p.id())
+            || node.held.certs(p.beneficiary).iter().any(|c| c.bundle.contains(p))
+    }
+
+    /// `available_balance` as the list scan the index replaced computed it.
+    fn scan_available_balance(node: &Replica, client: ClientId) -> Amount {
+        let mut total = node.ledger.balance(client);
+        let mut counted: HashSet<PaymentId> = HashSet::new();
+        for cert in node.held.certs(client) {
+            for p in cert.credits_for(client) {
+                if !node.used_deps.contains(&p.id()) && counted.insert(p.id()) {
+                    total = total.saturating_add(p.amount);
+                }
+            }
+        }
+        total
+    }
+
+    /// The store's indexes against the lists they index, for everything
+    /// the interleaving test can have put there.
+    fn assert_index_matches_scan(node: &Replica, clients: &[ClientId], bundles: &[Vec<Payment>]) {
+        for bundle in bundles {
+            for p in bundle {
+                let inflated = Payment { amount: Amount(p.amount.0 + 1000), ..*p };
+                for q in [*p, inflated] {
+                    assert_eq!(node.covered(&q), scan_covered(node, &q), "covered({q})");
+                }
+            }
+            let key = credit_key(bundle);
+            let mut holders = clients.iter().filter_map(|c| {
+                let held = node.held.clients.get(c)?;
+                let listed = held.certs.iter().filter(|cert| cert.bundle == *bundle).count();
+                assert_eq!(listed, usize::from(held.bundles.contains_key(&key)), "{c} {key:?}");
+                held.bundles.get(&key).map(|at| &held.certs[*at])
+            });
+            if let Some(first) = holders.next() {
+                assert_eq!(first.bundle, *bundle);
+                assert!(
+                    holders.all(|other| Arc::ptr_eq(first, other)),
+                    "one allocation per bundle"
+                );
+            }
+        }
+        for c in clients {
+            assert_eq!(node.available_balance(*c), scan_available_balance(node, *c), "{c}");
+            assert_eq!(
+                node.held_certificates(*c),
+                node.held.clients.get(c).map_or(0, |h| h.bundles.len())
+            );
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(96))]
+
+        /// Random interleavings of everything that touches held
+        /// certificates at one representative — CREDITs from 1–4 settlers
+        /// (sub-batches, replayed singletons, overlapping bundles, and one
+        /// settler inflating amounts), spends that take
+        /// (`DepPolicy::Always`), flushes, materialization, crash +
+        /// `restore`, and replay of journaled `Cert` / `CertsTaken`
+        /// records: after every step the hash indexes answer exactly what
+        /// a scan of the lists answers, and the beneficiaries of a bundle
+        /// share one allocation.
+        #[test]
+        fn held_certificate_index_matches_the_list_scan(
+            ops in proptest::collection::vec(
+                (0u8..8, proptest::any::<u8>(), proptest::any::<u8>()),
+                1..80,
+            ),
+        ) {
+            use proptest::{prop_assert, prop_assert_eq};
+            let layout = ShardLayout::single(4).unwrap();
+            let me = ReplicaId(1);
+            let config = Astro2Config {
+                batch_size: 3,
+                initial_balance: Amount(1_000),
+                credit_mode: CreditMode::Certificates,
+                dep_policy: DepPolicy::Always,
+            };
+            let clients: Vec<ClientId> =
+                (0..).map(ClientId).filter(|c| layout.is_representative(me, *c)).take(3).collect();
+            // Payment i credits client i mod 3; settled by the one shard.
+            let p = |i: usize| Payment::new(100 + i as u64, 0u64, clients[i % 3].0, 10 + i as u64);
+            let bundles: Vec<Vec<Payment>> = vec![
+                vec![p(0), p(1), p(2)],
+                vec![p(3), p(4)],
+                vec![p(5)],
+                vec![p(0)],       // a donor's replayed singleton
+                vec![p(1)],
+                vec![p(6), p(0)], // overlaps the first sub-batch
+                vec![p(7), p(3), p(6)],
+            ];
+            let sink = Sink::default();
+            let mut node = AstroTwoReplica::new(mac(me), layout.clone(), config.clone());
+            node.set_journal(Box::new(sink.clone()));
+            let mut next_seq: HashMap<ClientId, u64> = HashMap::new();
+            for (kind, a, b) in ops {
+                let (a, b) = (a as usize, b as usize);
+                match kind {
+                    0..=2 => {
+                        let settler = ReplicaId((b % 4) as u32);
+                        node.handle(settler, credit(settler, &bundles[a % bundles.len()]));
+                    }
+                    3 => {
+                        // One Byzantine settler (≤ f, so never certified)
+                        // vouches for the same ids at other amounts.
+                        let mut bundle = bundles[a % bundles.len()].clone();
+                        let at = b % bundle.len();
+                        bundle[at].amount = Amount(bundle[at].amount.0 + 1000);
+                        node.handle(ReplicaId(3), credit(ReplicaId(3), &bundle));
+                    }
+                    4 => {
+                        let spender = clients[a % 3];
+                        let seq = next_seq.entry(spender).or_insert(0);
+                        let step = node.submit(Payment::new(spender.0, *seq, 77u64, 1u64));
+                        prop_assert!(step.is_ok());
+                        *seq += 1;
+                        prop_assert_eq!(node.held_certificates(spender), 0);
+                    }
+                    5 => {
+                        node.flush();
+                    }
+                    6 => {
+                        if a % 2 == 0 {
+                            // Materialization, as settlement journals it.
+                            let bundle = &bundles[a / 2 % bundles.len()];
+                            node.replay(&WalRecord::DepUsed { dep: bundle[b % bundle.len()] });
+                        } else {
+                            let state = node.export_state();
+                            let (layout, config) = (layout.clone(), config.clone());
+                            node = Replica::restore(mac(me), layout, config, &state).unwrap();
+                            node.set_journal(Box::new(sink.clone()));
+                            next_seq.clear();
+                        }
+                    }
+                    _ => {
+                        let held_records = |r: &&WalRecord| {
+                            matches!(r, WalRecord::Cert { .. } | WalRecord::CertsTaken { .. })
+                        };
+                        let journaled: Vec<WalRecord> =
+                            sink.0.lock().unwrap().iter().filter(held_records).cloned().collect();
+                        if !journaled.is_empty() {
+                            node.replay(&journaled[a % journaled.len()]);
+                        }
+                    }
+                }
+                assert_index_matches_scan(&node, &clients, &bundles);
+            }
+        }
     }
 }

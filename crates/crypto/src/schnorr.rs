@@ -285,12 +285,19 @@ impl Keypair {
 
 /// Batch verification of many (message, key, signature) triples.
 ///
-/// Uses the standard random-linear-combination check: with weights `zᵢ`,
-/// `(Σ zᵢ·sᵢ)·G == Σ zᵢ·Rᵢ + Σ (zᵢ·eᵢ)·Pᵢ`, evaluated as one
-/// multi-scalar multiplication with shared doublings. Measured
-/// (`BENCH_micro_crypto.json`, `schnorr_batch_verify/speedup_*`): ≈32 µs
-/// per batched signature, 2.0× cheaper than one-by-one verification at
-/// batch size 4 and 3.1× at 32. Weights are derived by hashing the whole
+/// Uses the standard random-linear-combination check with weights `zᵢ`,
+/// grouped by public key: with `K` the distinct keys of the batch,
+/// `(Σᵢ zᵢ·sᵢ)·G == Σᵢ zᵢ·Rᵢ + Σ_{P∈K} (Σ_{i: Pᵢ=P} zᵢ·eᵢ)·P`, evaluated
+/// as one multi-scalar multiplication with shared doublings. Summing a
+/// key's `zᵢ·eᵢ` before multiplying is distributivity, not a weaker check:
+/// the weights stay per signature, so it is the same equation as one
+/// `(zᵢ·eᵢ)·Pᵢ` term each. A signature in a batch of `B` therefore costs
+/// one half-width `zᵢ·Rᵢ` term (plus the square root that lifts Rᵢ) and
+/// `1/B` of the full-width terms — one per distinct key and one for G. In
+/// Astro II every signature is a replica's, so a verify-pool batch of 8–32
+/// checks names at most n keys; `BENCH_micro_crypto.json` has both shapes
+/// (`schnorr_batch_verify/few_signers_*` beside the all-distinct
+/// `batched_*` / `speedup_*` rows). Weights are derived by hashing the whole
 /// batch (deterministic, so tests and simulations reproduce; a production
 /// verifier facing adaptive attackers should use fresh randomness).
 ///
@@ -319,9 +326,7 @@ pub fn batch_verify(items: &[(&[u8], PublicKey, Signature)]) -> bool {
     }
     let seed = h.finalize();
 
-    // (Σ zᵢ sᵢ)·G − Σ zᵢ·Rᵢ − Σ zᵢeᵢ·Pᵢ == ∞
-    let mut s_combined = Scalar::ZERO;
-    let mut terms = Vec::with_capacity(2 * items.len() + 1);
+    let mut weighted = Vec::with_capacity(items.len());
     for (i, (msg, pk, sig)) in items.iter().enumerate() {
         let Some(r) = Affine::from_compressed(&sig.r) else { return false };
         // 128-bit weights suffice (forgery survives the random linear
@@ -333,10 +338,43 @@ pub fn batch_verify(items: &[(&[u8], PublicKey, Signature)]) -> bool {
         );
         let z = Scalar::from_be_bytes_reduced(&z_bytes);
         let z = if z.is_zero() { Scalar::ONE } else { z };
-        let e = challenge(&sig.r, pk, msg);
-        s_combined = s_combined.add(&z.mul(&sig.s));
-        terms.push((z, r.neg()));
-        terms.push((z.mul(&e), pk.point().neg()));
+        weighted.push(Weighted { z, e: challenge(&sig.r, pk, msg), r, pk: *pk, s: sig.s });
+    }
+    combined_check(&weighted)
+}
+
+/// One signature as the combined check sees it: weight, challenge, R
+/// lifted onto the curve, key, and `s`.
+struct Weighted {
+    z: Scalar,
+    e: Scalar,
+    r: Affine,
+    pk: PublicKey,
+    s: Scalar,
+}
+
+/// `(Σ zᵢsᵢ)·G − Σ zᵢ·Rᵢ − Σ_P (Σ_{Pᵢ=P} zᵢeᵢ)·P == ∞`: one term per
+/// signature for R, one per distinct key, one for G.
+fn combined_check(weighted: &[Weighted]) -> bool {
+    let mut s_combined = Scalar::ZERO;
+    let mut terms: Vec<(Scalar, Affine)> = Vec::with_capacity(2 * weighted.len() + 1);
+    // Each distinct key and where its term sits in `terms`. Found by
+    // scanning: a batch names at most the n replicas, and comparing two
+    // keys is comparing a few words.
+    let mut by_key: Vec<(PublicKey, usize)> = Vec::new();
+    for w in weighted {
+        s_combined = s_combined.add(&w.z.mul(&w.s));
+        terms.push((w.z, w.r.neg()));
+        let ze = w.z.mul(&w.e);
+        match by_key.iter().find(|(pk, _)| *pk == w.pk) {
+            // A sum that comes to zero contributes ∞, which is what the
+            // multiplication makes of a zero scalar: it skips the term.
+            Some((_, at)) => terms[*at].0 = terms[*at].0.add(&ze),
+            None => {
+                by_key.push((w.pk, terms.len()));
+                terms.push((ze, w.pk.point().neg()));
+            }
+        }
     }
     terms.push((s_combined, Affine::generator()));
     // Z = 0 answers the question; normalizing would cost an inversion.
@@ -628,6 +666,56 @@ mod tests {
         let items = batch_of(6, 79);
         assert!(find_invalid(&borrow(&items)).is_empty());
         assert!(find_invalid(&[]).is_empty());
+    }
+
+    #[test]
+    fn same_signer_errors_that_cancel_unweighted_still_fail() {
+        // s₁+δ and s₂−δ: the two errors cancel in Σ sᵢ, and both fall on
+        // one key's term. The per-signature weights keep them apart.
+        let kp = Keypair::from_seed(b"one signer");
+        let delta = Scalar::from_u64(7);
+        let (a, b) = (kp.sign(b"first"), kp.sign(b"second"));
+        let a_bad = Signature { r: a.r, s: a.s.add(&delta) };
+        let b_bad = Signature { r: b.r, s: b.s.sub(&delta) };
+        let pk = *kp.public();
+        let third = kp.sign(b"third");
+        assert!(batch_verify(&[(b"first", pk, a), (b"second", pk, b), (b"third", pk, third)]));
+        let items: [(&[u8], _, _); 3] =
+            [(b"first", pk, a_bad), (b"third", pk, third), (b"second", pk, b_bad)];
+        assert!(!batch_verify(&items));
+        assert_eq!(find_invalid(&items), vec![0, 2]);
+    }
+
+    #[test]
+    fn a_key_whose_weighted_challenges_sum_to_zero_drops_out_of_the_check() {
+        // No honest hash output makes Σ zᵢeᵢ vanish, so the equation is
+        // driven directly: pick e₂ = −z₁e₁/z₂ and "signatures" sᵢ = kᵢ +
+        // eᵢ·sk that satisfy sᵢ·G = Rᵢ + eᵢ·P for those challenges.
+        let sk = Scalar::from_u64(0x5eed);
+        let pk = PublicKey { point: crate::point::mul_generator(&sk) };
+        let (z1, z2, e1) = (Scalar::from_u64(3), Scalar::from_u64(5), Scalar::from_u64(11));
+        let e2 = z1.mul(&e1).mul(&z2.invert()).neg();
+        assert!(z1.mul(&e1).add(&z2.mul(&e2)).is_zero());
+        let item = |z: Scalar, e: Scalar, k: u64| {
+            let k = Scalar::from_u64(k);
+            Weighted { z, e, r: crate::point::mul_generator(&k), pk, s: k.add(&e.mul(&sk)) }
+        };
+        // Beside a second key whose term does not vanish.
+        let other = Keypair::from_seed(b"other key");
+        let sig = other.sign(b"m");
+        let honest = Weighted {
+            z: Scalar::from_u64(9),
+            e: challenge(&sig.r, other.public(), b"m"),
+            r: Affine::from_compressed(&sig.r).unwrap(),
+            pk: *other.public(),
+            s: sig.s,
+        };
+        let mut batch = vec![item(z1, e1, 101), item(z2, e2, 202), honest];
+        assert!(combined_check(&batch));
+        // The R and G terms still bind s: a wrong s fails although the
+        // key's own term is gone.
+        batch[1].s = batch[1].s.add(&Scalar::ONE);
+        assert!(!combined_check(&batch));
     }
 
     #[test]

@@ -21,27 +21,35 @@ fn arb_scalar() -> impl Strategy<Value = Scalar> {
 
 const SIGNED: &[u8] = b"the message every arbitrary signature claims to cover";
 
-/// 65 bytes that reach every branch of decode and verification: raw noise
-/// (nearly always a bad prefix), noise behind a forced `02`/`03` prefix
-/// (decodes; R is on the curve for about half of all x), and a genuine
-/// signature over [`SIGNED`], intact or with one bit flipped.
-fn arb_signature_bytes() -> impl Strategy<Value = [u8; SIGNATURE_LEN]> {
-    (any::<[u8; SIGNATURE_LEN]>(), 0u8..4, 0usize..SIGNATURE_LEN * 8).prop_map(
-        |(mut noise, shape, flip)| match shape {
-            0 => noise,
-            1 => {
-                noise[0] = 0x02 | (noise[0] & 1);
-                noise
+/// The recipe for 65 bytes that reach every branch of decode and
+/// verification (see [`signature_bytes`]), and who is to have signed them.
+fn arb_signature_recipe() -> impl Strategy<Value = ([u8; SIGNATURE_LEN], u8, usize, usize)> {
+    (any::<[u8; SIGNATURE_LEN]>(), 0u8..6, 0usize..SIGNATURE_LEN * 8, any::<usize>())
+}
+
+/// Raw noise (nearly always a bad prefix), noise behind a forced `02`/`03`
+/// prefix (decodes; R is on the curve for about half of all x), or `kp`'s
+/// genuine signature over [`SIGNED`], intact or with one bit flipped.
+fn signature_bytes(
+    kp: &Keypair,
+    mut noise: [u8; SIGNATURE_LEN],
+    shape: u8,
+    flip: usize,
+) -> [u8; SIGNATURE_LEN] {
+    match shape {
+        0 => noise,
+        1 => {
+            noise[0] = 0x02 | (noise[0] & 1);
+            noise
+        }
+        _ => {
+            let mut bytes = kp.sign(SIGNED).to_bytes();
+            if shape == 2 {
+                bytes[flip / 8] ^= 1 << (flip % 8);
             }
-            _ => {
-                let mut bytes = Keypair::from_seed(b"arbitrary").sign(SIGNED).to_bytes();
-                if shape == 2 {
-                    bytes[flip / 8] ^= 1 << (flip % 8);
-                }
-                bytes
-            }
-        },
-    )
+            bytes
+        }
+    }
 }
 
 proptest! {
@@ -49,23 +57,37 @@ proptest! {
 
     /// Decode is total, canonical, and whatever it lets through gets ONE
     /// verdict: single verification never lifts R, batch verification
-    /// does, and bisection is built on the latter — an R off the curve
-    /// must not make them disagree.
+    /// does — and sums the challenges of signatures that share a key —
+    /// and bisection is built on the latter. Neither an R off the curve
+    /// nor a repeated signer may make them disagree. Signers come from a
+    /// pool of 1–4 keys, the way a verify-pool job names n replicas.
     #[test]
-    fn decoded_signatures_get_one_verdict_from_every_path(bytes in arb_signature_bytes()) {
-        let decoded = Signature::from_bytes(&bytes);
-        prop_assume!(decoded.is_ok());
-        let sig = decoded.unwrap();
-        prop_assert_eq!(sig.to_bytes(), bytes);
-        let kp = Keypair::from_seed(b"arbitrary");
-        let verdict = kp.public().verify(SIGNED, &sig);
-        prop_assert_eq!(verdict, bytes == kp.sign(SIGNED).to_bytes());
-        prop_assert_eq!(batch_verify(&[(SIGNED, *kp.public(), sig)]), verdict);
-        // Beside a valid signature the real batch path runs.
-        let other = (b"other".as_slice(), *kp.public(), kp.sign(b"other"));
-        let items = [other, (SIGNED, *kp.public(), sig)];
-        prop_assert_eq!(batch_verify(&items), verdict);
-        prop_assert_eq!(find_invalid(&items), if verdict { vec![] } else { vec![1] });
+    fn decoded_signatures_get_one_verdict_from_every_path(
+        pool in 1usize..=4,
+        recipes in proptest::collection::vec(arb_signature_recipe(), 1..8),
+    ) {
+        let keys: Vec<Keypair> =
+            (0..pool).map(|i| Keypair::from_seed(&[b'a', b'r', b'b', i as u8])).collect();
+        let mut items = Vec::new();
+        let mut verdicts = Vec::new();
+        for (noise, shape, flip, who) in recipes {
+            let kp = &keys[who % pool];
+            let bytes = signature_bytes(kp, noise, shape, flip);
+            let Ok(sig) = Signature::from_bytes(&bytes) else { continue };
+            prop_assert_eq!(sig.to_bytes(), bytes);
+            let verdict = kp.public().verify(SIGNED, &sig);
+            prop_assert_eq!(verdict, bytes == kp.sign(SIGNED).to_bytes());
+            prop_assert_eq!(batch_verify(&[(SIGNED, *kp.public(), sig)]), verdict);
+            items.push((SIGNED, *kp.public(), sig));
+            verdicts.push(verdict);
+        }
+        // Beside a valid signature by the pool's first key the real batch
+        // path runs, whatever survived decoding.
+        items.push((b"other".as_slice(), *keys[0].public(), keys[0].sign(b"other")));
+        verdicts.push(true);
+        prop_assert_eq!(batch_verify(&items), verdicts.iter().all(|v| *v));
+        let invalid: Vec<usize> = (0..items.len()).filter(|i| !verdicts[*i]).collect();
+        prop_assert_eq!(find_invalid(&items), invalid);
     }
 
     #[test]
