@@ -1,4 +1,4 @@
-//! **Ablation**: the design choices DESIGN.md §6 calls out.
+//! **Ablation**: the batching and crediting design choices.
 //!
 //! 1. Batch size (paper §VI-A): throughput with batch 1 / 16 / 64 / 256.
 //!    The paper reports that one signature per batch of 256 payments makes

@@ -6,8 +6,7 @@
 //! only removes the affected replica's own share of client traffic.
 //!
 //! (Our PBFT's view change completes faster than BFT-SMaRt's Java
-//! implementation at N = 100 — the stall is visible but shorter; see
-//! EXPERIMENTS.md.)
+//! implementation at N = 100 — the stall is visible but shorter.)
 
 use astro_consensus::pbft::PbftConfig;
 use astro_core::astro1::Astro1Config;

@@ -9,7 +9,7 @@
 //! Astro's side runs the real `astro_core::reconfig` state machines over
 //! the modelled WAN. The consensus side is composed from a measured
 //! consensus ordering round plus state transfer plus the view-manager
-//! synchronization barrier (see EXPERIMENTS.md for the decomposition).
+//! synchronization barrier (composed in `main`).
 
 use astro_consensus::pbft::PbftConfig;
 use astro_core::ledger::Ledger;
@@ -29,8 +29,7 @@ use std::collections::BinaryHeap;
 type HeapEntry = Reverse<(u64, u64, u32, u32, usize)>;
 
 /// BFT-SMaRt's view manager synchronizes the replica set on an epoch
-/// boundary before admitting the joiner (calibration constant; see
-/// EXPERIMENTS.md).
+/// boundary before admitting the joiner (calibration constant).
 const VIEW_MANAGER_BARRIER: u64 = 1_000_000_000;
 
 fn main() {

@@ -1,10 +1,9 @@
 //! Microbenchmarks of the from-scratch cryptography.
 //!
 //! These numbers calibrate `astro_sim::CpuModel` (sign/verify/MAC/hash
-//! costs) and back the DESIGN.md substitution argument (Schnorr/secp256k1
-//! here vs ECDSA-P256 in the paper: same order of per-op cost). The wNAF
-//! vs naive scalar-multiplication comparison is the ablation called out in
-//! DESIGN.md §6.
+//! costs) and back the substitution argument (Schnorr/secp256k1 here vs
+//! ECDSA-P256 in the paper: same order of per-op cost). The wNAF vs naive
+//! scalar-multiplication comparison is an ablation of that implementation.
 
 use astro_bench::json::Metric;
 use astro_crypto::hmac::MacKey;

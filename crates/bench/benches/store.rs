@@ -10,7 +10,8 @@
 use astro_bench::json::Metric;
 use astro_core::astro1::{Astro1Config, AstroOneReplica};
 use astro_core::journal::{merge_history_blocks, Astro1State, WalRecord};
-use astro_runtime::{demo_keychains, AstroOneCluster};
+use astro_core::Replica;
+use astro_runtime::AstroOneCluster;
 use astro_store::{Storage, StoreConfig};
 use astro_types::wire::{decode_exact, Wire, MAX_FRAME_LEN};
 use astro_types::{Amount, Payment, ReplicaId, ShardLayout};
@@ -109,14 +110,11 @@ fn measure_install_overhead() -> Vec<Metric> {
     let (n, trials) = if astro_bench::smoke() { (16_384, 3) } else { (20_480, 9) };
     let run = |store: &StoreConfig| -> f64 {
         let dir = scratch_dir();
-        let cluster = AstroOneCluster::start_tcp_durable_with_keychains(
-            demo_keychains(4),
-            &dir,
-            cfg(),
-            Duration::from_millis(1),
-            store.clone(),
-        )
-        .unwrap();
+        let cluster = AstroOneCluster::builder(4, cfg(), Duration::from_millis(1))
+            .tcp()
+            .durable(&dir, store.clone())
+            .start()
+            .unwrap();
         let started = std::time::Instant::now();
         settle_workload(&cluster, n);
         let secs = started.elapsed().as_secs_f64();

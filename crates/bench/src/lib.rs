@@ -1,8 +1,8 @@
 //! Shared helpers for the figure/table reproduction benches.
 //!
 //! Every bench target in `benches/` regenerates one table or figure of the
-//! paper (see DESIGN.md §5 for the index and EXPERIMENTS.md for recorded
-//! results). Durations and sweep densities are scaled for a small machine;
+//! paper (README's *Benches* section lists them; recorded results live in
+//! the `BENCH_*.json` files and CHANGES.md). Durations and sweep densities are scaled for a small machine;
 //! override with environment variables:
 //!
 //! - `ASTRO_BENCH_DURATION_SECS` — simulated seconds per run (default 3).

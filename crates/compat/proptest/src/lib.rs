@@ -252,7 +252,7 @@ pub mod collection {
     use super::{Strategy, TestRng};
     use std::ops::Range;
 
-    /// Element-count specification for [`vec`]: a fixed size or a range.
+    /// Element-count specification for [`vec()`]: a fixed size or a range.
     #[derive(Debug, Clone, Copy)]
     pub struct SizeRange {
         lo: usize,

@@ -12,28 +12,25 @@
 //! batch's effects — delivered-instance GC never costs totality.
 
 use crate::batch::Batch;
-use crate::journal::{
-    block_counts, merge_history_blocks, split_history_blocks, Astro1Snapshot, Astro1State, Journal,
-    JournalSlot, RecoverError, SyncBlock, SyncHead, WalRecord, SYNC_HEAD_MAX_BYTES,
-};
+use crate::journal::{Astro1Snapshot, Astro1State, LedgerState, WalRecord};
 use crate::ledger::{Ledger, SettleOutcome};
-use crate::obs::CoreObs;
 use crate::pending::PendingQueue;
-use crate::reconfig::{BlockVotes, CatchUp, ReconfigMsg, SyncError, SyncServeError};
+use crate::reconfig::{ReconfigMsg, SyncError};
+use crate::replica::{self, Replica, Shell, SYNC_FALLBACK_ROUNDS, SYNC_RETRY_TICKS};
 use crate::xlog::XLogError;
 use crate::{ReplicaStep, SubmitError};
 use astro_brb::bracha::{BrachaBrb, BrachaMsg};
-use astro_brb::{BrbConfig, DeliveryOrder, Dest, Envelope, InstanceId};
-use astro_types::wire::{decode_exact, Wire, WireError};
+use astro_brb::{BrbConfig, DeliveryOrder, Envelope, InstanceId};
+use astro_types::wire::{Wire, WireError};
 use astro_types::{Amount, ClientId, Group, Payment, ReplicaId, ShardLayout};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 
 /// Configuration of an Astro I replica.
 #[derive(Debug, Clone)]
 pub struct Astro1Config {
     /// Payments per broadcast batch; the batch is flushed automatically
     /// when full (callers may also flush on a timer via
-    /// [`AstroOneReplica::flush`]). Batch size 1 disables batching.
+    /// [`Replica::flush`]). Batch size 1 disables batching.
     pub batch_size: usize,
     /// Genesis balance of every client.
     pub initial_balance: Amount,
@@ -87,133 +84,20 @@ impl Wire for Astro1Msg {
     }
 }
 
-/// Broadcast messages a catching-up replica may park before the
-/// transferred cursor is installed. Overflow drops the *oldest* message:
-/// old messages belong to instances the certified state (which keeps
-/// advancing at the donors while we retry) will cover, while the newest
-/// are exactly the ones replay needs after the install — dropping those
-/// would leave an unfillable FIFO gap, since BRB never retransmits.
-pub(crate) const SYNC_BUFFER_CAP: usize = 8192;
-
-/// Flush ticks between catch-up request retries (the driver flushes on
-/// its batch timer, so a retry goes out roughly every
-/// `SYNC_RETRY_TICKS × flush_every`).
-pub(crate) const SYNC_RETRY_TICKS: u32 = 16;
-
-/// Retry rounds after which a catch-up started with a local-state
-/// fallback gives up and resumes from what it recovered on its own
-/// (see [`AstroOneReplica::begin_catchup_with_fallback`]). With the
-/// runtime's millisecond flush timers this is a few seconds.
-pub(crate) const SYNC_FALLBACK_ROUNDS: u32 = 256;
-
-/// An in-progress catch-up: the response collector plus the broadcast
-/// traffic paused until the transferred state is installed. Shared with
-/// the Astro II replica.
-#[derive(Debug)]
-pub(crate) struct SyncSession<M> {
-    pub(crate) votes: CatchUp,
-    /// Chunked-transfer block collector. Certified blocks persist across
-    /// head retries: history certification is monotonic even while the
-    /// donors keep settling.
-    pub(crate) blocks: BlockVotes,
-    /// A certified head whose referenced blocks are not all certified
-    /// yet (install completes as the last block lands).
-    pub(crate) certified_head: Option<Vec<u8>>,
-    pub(crate) buffered: VecDeque<(ReplicaId, M)>,
-    /// Flush ticks until the next request retry (0 = send now).
-    pub(crate) ticks: u32,
-    /// Requests sent so far this session (`requests - 1` = retries).
-    pub(crate) requests: u32,
-    /// Remaining request rounds before giving up, when the replica has a
-    /// locally recovered state to fall back to. `None` = no fallback:
-    /// the replica must certify before it may participate (a replica
-    /// with no local state cannot safely pick a broadcast tag floor).
-    pub(crate) rounds_left: Option<u32>,
-}
-
-impl<M> SyncSession<M> {
-    pub(crate) fn new(votes: CatchUp, blocks: BlockVotes, rounds_left: Option<u32>) -> Self {
-        SyncSession {
-            votes,
-            blocks,
-            certified_head: None,
-            buffered: VecDeque::new(),
-            ticks: 0,
-            requests: 0,
-            rounds_left,
-        }
-    }
-
-    pub(crate) fn park(&mut self, from: ReplicaId, msg: M) {
-        if self.buffered.len() >= SYNC_BUFFER_CAP {
-            self.buffered.pop_front();
-        }
-        self.buffered.push_back((from, msg));
-    }
-
-    /// Accounts one request round; true when the fallback budget is
-    /// exhausted and the replica should resume from its local state.
-    pub(crate) fn exhausted(&mut self) -> bool {
-        match &mut self.rounds_left {
-            None => false,
-            Some(0) => true,
-            Some(rounds) => {
-                *rounds -= 1;
-                false
-            }
-        }
-    }
-}
-
-/// Size-triggered GC of delivered BRB instances (both replicas), cheap
-/// enough to call after every message: runs `prune`, which returns how many
-/// instances it freed, once `tracked` reaches `high_water` — and after a
-/// pass that freed nothing (a FIFO gap, say an outstanding pull, holds
-/// everything back) not before another `high_water` have piled up.
-pub(crate) fn prune_at_high_water(
-    rearm: &mut usize,
-    tracked: usize,
-    high_water: usize,
-    obs: Option<&CoreObs>,
-    prune: impl FnOnce() -> usize,
-) {
-    if tracked < high_water.max(*rearm) {
-        return;
-    }
-    let pruned = prune();
-    *rearm = if pruned == 0 { tracked + high_water } else { 0 };
-    if let (0, Some(obs)) = (pruned, obs) {
-        obs.flight.event("core.brb.gc_stalled", tracked as u64, 0);
-    }
-}
-
 /// One Astro I replica: the Bracha BRB layer plus the payment state machine
 /// of Listings 2–4.
 #[derive(Debug)]
 pub struct AstroOneReplica {
-    me: ReplicaId,
+    shell: Shell<Astro1Msg>,
     layout: ShardLayout,
     group: Group,
     brb: BrachaBrb<Batch>,
-    ledger: Ledger,
     pending: PendingQueue<()>,
     batch: Vec<Payment>,
     batch_size: usize,
     next_tag: u64,
-    journal: JournalSlot,
-    /// Catch-up in progress: broadcast delivery is paused (messages park)
-    /// until a certified peer state is installed.
-    syncing: Option<SyncSession<BrachaMsg<Batch>>>,
-    /// Metric handles, when a registry is attached (None = unobserved).
-    obs: Option<CoreObs>,
-    /// Set when a sync install made the in-memory state newer than any
-    /// journal replay can reproduce; the durable runtime consumes it and
-    /// snapshots immediately.
-    snapshot_requested: bool,
     /// Flush ticks since outstanding payload pulls were last requested.
     pull_ticks: u32,
-    /// See [`prune_at_high_water`].
-    gc_rearm: usize,
 }
 
 impl AstroOneReplica {
@@ -234,21 +118,15 @@ impl AstroOneReplica {
             BrbConfig { order: DeliveryOrder::FifoPerSource, bind_source: true },
         );
         AstroOneReplica {
-            me,
+            shell: Shell::new(me, cfg.initial_balance),
             layout,
             group,
             brb,
-            ledger: Ledger::new(cfg.initial_balance),
             pending: PendingQueue::new(),
             batch: Vec::new(),
             batch_size: cfg.batch_size.max(1),
             next_tag: 0,
-            journal: JournalSlot::none(),
-            syncing: None,
-            obs: None,
-            snapshot_requested: false,
             pull_ticks: 0,
-            gc_rearm: 0,
         }
     }
 
@@ -273,26 +151,291 @@ impl AstroOneReplica {
         state: &Astro1State,
     ) -> Result<Self, XLogError> {
         let mut replica = AstroOneReplica::new(me, layout, cfg);
-        replica.ledger = Ledger::import(&state.ledger)?;
-        for payment in &state.pending {
-            replica.pending.push(*payment, ());
-        }
-        replica.next_tag = state.next_tag;
-        for (source, next) in &state.cursors {
-            replica.brb.advance_cursor(*source, *next);
-        }
+        replica.shell.ledger = Ledger::import(&state.ledger)?;
+        replica.restore_residual(&Astro1Snapshot {
+            sealed_segments: 0,
+            pending: state.pending.clone(),
+            next_tag: state.next_tag,
+            cursors: state.cursors.clone(),
+        });
         Ok(replica)
     }
 
-    /// Re-applies one WAL record on top of a restored snapshot. Records
-    /// must be fed in log order; records already reflected in the
-    /// snapshot re-apply as no-ops. Call [`Self::finish_recovery`] after
-    /// the last record.
-    pub fn replay(&mut self, record: &WalRecord) {
+    // `submit` / `handle` / `flush` stay callable without the trait in
+    // scope: `benchmark/src/layers/protocol.rs` names them by path.
+
+    /// [`Replica::submit`].
+    ///
+    /// # Errors
+    ///
+    /// As [`Replica::submit`].
+    pub fn submit(&mut self, payment: Payment) -> Result<ReplicaStep<Astro1Msg>, SubmitError> {
+        Replica::submit(self, payment)
+    }
+
+    /// [`Replica::handle`].
+    pub fn handle(&mut self, from: ReplicaId, msg: Astro1Msg) -> ReplicaStep<Astro1Msg> {
+        Replica::handle(self, from, msg)
+    }
+
+    /// [`Replica::flush`].
+    pub fn flush(&mut self) -> ReplicaStep<Astro1Msg> {
+        Replica::flush(self)
+    }
+
+    /// Number of payments waiting in the unflushed batch.
+    pub fn batched(&self) -> usize {
+        self.batch.len()
+    }
+
+    /// True while a payload pull or a catch-up is outstanding: only the
+    /// flush timer moves those, so drivers that arm it on demand (the
+    /// simulator) keep it armed while this holds.
+    pub fn needs_tick(&self) -> bool {
+        self.is_syncing() || self.brb.pulls_outstanding() > 0
+    }
+
+    /// Number of payments queued awaiting approval.
+    pub fn pending_len(&self) -> usize {
+        self.pending.len()
+    }
+
+    /// Applies a BRB-delivered batch: approve (queue if blocked) and settle
+    /// each payment, then cascade the approval queue.
+    fn apply_batch(&mut self, id: InstanceId, batch: &Batch, out: &mut ReplicaStep<Astro1Msg>) {
+        let broadcaster = ReplicaId(id.source as u32);
+        let settled_before = out.settled.len();
+        let me = self.shell.me;
+        if let Some(obs) = &self.shell.obs {
+            // Bracha delivery *is* the quorum event: 2f+1 READYs arrived.
+            // Only the broadcaster stamps its own delivery: every correct
+            // replica delivers the batch at roughly the same instant, and
+            // one stamp per payment keeps the other replicas' settle loops
+            // off the tracer's shard locks entirely.
+            if broadcaster == me {
+                obs.stage_batch(&batch.payments, astro_obs::Stage::AckQuorum);
+            }
+        }
+        let mut touched: Vec<ClientId> = Vec::new();
+        for payment in &batch.payments {
+            // Only a client's designated representative may broker her
+            // payments (paper §II); the BRB layer bound `source` to the
+            // transport-authenticated broadcaster.
+            if self.layout.representative_of(payment.spender) != broadcaster {
+                continue;
+            }
+            match self.shell.ledger.settle(payment, true) {
+                SettleOutcome::Applied => {
+                    self.shell
+                        .journal
+                        .rec(&WalRecord::Settle { payment: *payment, credit_beneficiary: true });
+                    out.settled.push(*payment);
+                    touched.push(payment.spender);
+                    touched.push(payment.beneficiary);
+                }
+                SettleOutcome::FutureSeq | SettleOutcome::InsufficientFunds => {
+                    self.shell
+                        .journal
+                        .rec(&WalRecord::Queued { payment: *payment, deps: Vec::new() });
+                    self.pending.push(*payment, ());
+                    touched.push(payment.spender);
+                }
+                SettleOutcome::StaleSeq => {}
+            }
+        }
+        let settled = self
+            .pending
+            .drain_cascade(touched, &mut self.shell.ledger, |l, p, ()| l.settle(p, true));
+        for entry in &settled {
+            self.shell
+                .journal
+                .rec(&WalRecord::Settle { payment: entry.payment, credit_beneficiary: true });
+        }
+        // The delivery record *terminates* the batch's effects in the log:
+        // a torn tail that cuts before it replays a (harmless, idempotent)
+        // effect prefix with the cursor still behind — never a cursor that
+        // has advanced past effects that were lost.
+        self.shell.journal.rec(&WalRecord::Delivered { source: id.source, tag: id.tag });
+        out.settled.extend(settled.into_iter().map(|e| e.payment));
+        if let Some(obs) = &self.shell.obs {
+            let settled = &out.settled[settled_before..];
+            obs.settles.add(settled.len() as u64);
+            // One settle stamp per payment, by the spender's
+            // representative: the lifecycle timeline reads as one
+            // replica's view, and the other replicas never contend on the
+            // payment's tracer slot.
+            obs.stage_batch(
+                settled.iter().filter(|p| self.layout.representative_of(p.spender) == me),
+                astro_obs::Stage::Settle,
+            );
+        }
+    }
+}
+
+impl Replica for AstroOneReplica {
+    type Msg = Astro1Msg;
+    type Sig = ();
+    type Config = Astro1Config;
+    type State = Astro1State;
+    type Snapshot = Astro1Snapshot;
+
+    fn shell(&self) -> &Shell<Astro1Msg> {
+        &self.shell
+    }
+
+    fn shell_mut(&mut self) -> &mut Shell<Astro1Msg> {
+        &mut self.shell
+    }
+
+    fn sync_msg(msg: ReconfigMsg<()>) -> Astro1Msg {
+        Astro1Msg::Sync(msg)
+    }
+
+    fn state_ledger(state: &mut Astro1State) -> &mut LedgerState {
+        &mut state.ledger
+    }
+
+    fn sealed_segments(residual: &Astro1Snapshot) -> u64 {
+        residual.sealed_segments
+    }
+
+    fn group(&self) -> &Group {
+        &self.group
+    }
+
+    /// Rejects payments from clients this replica does not represent —
+    /// the mapping is public (paper §III), so honest clients never hit
+    /// this.
+    fn submit(&mut self, payment: Payment) -> Result<ReplicaStep<Astro1Msg>, SubmitError> {
+        if !self.layout.is_representative(self.shell.me, payment.spender) {
+            return Err(SubmitError::NotRepresentative {
+                client: payment.spender,
+                representative: self.layout.representative_of(payment.spender),
+            });
+        }
+        self.batch.push(payment);
+        // While catching up the batch only accumulates: auto-flush would
+        // burn the sync retry pacing (flush doubles as its timer), and
+        // broadcasting must wait for the certified tag floor anyway.
+        if !self.is_syncing() && self.batch.len() >= self.batch_size {
+            Ok(self.flush())
+        } else {
+            Ok(ReplicaStep::empty())
+        }
+    }
+
+    fn handle(&mut self, from: ReplicaId, msg: Astro1Msg) -> ReplicaStep<Astro1Msg> {
+        match msg {
+            Astro1Msg::Brb(m) => {
+                if self.is_syncing() {
+                    replica::park(self, from, Astro1Msg::Brb(m));
+                    return ReplicaStep::empty();
+                }
+                let step = self.brb.handle(from, m);
+                let mut out =
+                    ReplicaStep { outbound: wrap_brb(step.outbound), settled: Vec::new() };
+                for delivery in step.delivered {
+                    self.apply_batch(delivery.id, &delivery.payload, &mut out);
+                }
+                out
+            }
+            Astro1Msg::Sync(m) => replica::handle_sync(self, from, m),
+        }
+    }
+
+    /// Broadcasts the accumulated batch, if any (called on a timer by the
+    /// driver, and automatically when a batch fills). The same timer, at
+    /// the catch-up retry pacing, re-sends the broadcast layer's
+    /// unanswered payload requests, and starts a catch-up once one has
+    /// gone unanswered for all its rounds.
+    fn flush(&mut self) -> ReplicaStep<Astro1Msg> {
+        if let Some(step) = replica::catchup_tick(self) {
+            return step;
+        }
+        let mut out = ReplicaStep::empty();
+        self.pull_ticks = if self.brb.pulls_outstanding() == 0 { 0 } else { self.pull_ticks + 1 };
+        if self.pull_ticks == SYNC_RETRY_TICKS {
+            self.pull_ticks = 0;
+            let (requests, exhausted) = self.brb.retry_pulls();
+            out.outbound = wrap_brb(requests);
+            if exhausted {
+                // Everyone that vouched for a batch stayed silent for all
+                // its rounds: they delivered and pruned it, so its effects
+                // are in their settled state — fetch that. The local state
+                // is sound, hence the fallback budget.
+                self.begin_catchup(Some(SYNC_FALLBACK_ROUNDS));
+                return out;
+            }
+        }
+        if self.batch.is_empty() {
+            return out;
+        }
+        let payments = std::mem::take(&mut self.batch);
+        if let Some(obs) = &self.shell.obs {
+            obs.stage_batch(&payments, astro_obs::Stage::Prepare);
+            obs.pending_depth.set(self.pending.len() as u64);
+        }
+        let id = InstanceId { source: u64::from(self.shell.me.0), tag: self.next_tag };
+        self.next_tag += 1;
+        // Journaled before the PREPARE leaves: a restarted replica must
+        // never reuse a tag it already broadcast under (peers echo at most
+        // once per instance, so a reused tag wedges the stream). Against
+        // *power loss* the window is bounded by group commit unless the
+        // store's `sync_on_broadcast` policy is set.
+        self.shell.journal.rec(&WalRecord::OwnTag { tag: id.tag });
+        let step = self.brb.broadcast(id, Batch { payments });
+        debug_assert!(step.delivered.is_empty());
+        out.outbound.extend(wrap_brb(step.outbound));
+        out
+    }
+
+    fn tracked_instances(&self) -> usize {
+        self.brb.tracked_instances()
+    }
+
+    /// See [`BrachaBrb::gc_delivered`]: everything below the per-source
+    /// FIFO cursors.
+    fn prune_delivered(&mut self) -> usize {
+        self.brb.gc_delivered()
+    }
+
+    /// Settlement state, approval queue, broadcast tag counter, and BRB
+    /// delivery cursors.
+    fn export_state(&self) -> Astro1State {
+        Astro1State {
+            ledger: self.shell.ledger.export(),
+            pending: self.pending.payments(),
+            next_tag: self.next_tag,
+            cursors: self.brb.delivery_cursors(),
+        }
+    }
+
+    /// The approval queue, the broadcast tag counter, and delivery
+    /// cursors.
+    fn residual_state(&self, sealed_segments: u64) -> Astro1Snapshot {
+        Astro1Snapshot {
+            sealed_segments,
+            pending: self.pending.payments(),
+            next_tag: self.next_tag,
+            cursors: self.brb.delivery_cursors(),
+        }
+    }
+
+    fn restore_residual(&mut self, residual: &Astro1Snapshot) {
+        for payment in &residual.pending {
+            self.pending.push(*payment, ());
+        }
+        self.next_tag = residual.next_tag;
+        for (source, next) in &residual.cursors {
+            self.brb.advance_cursor(*source, *next);
+        }
+    }
+
+    fn replay(&mut self, record: &WalRecord) {
         match record {
             WalRecord::Delivered { source, tag } => self.brb.advance_cursor(*source, tag + 1),
             WalRecord::Settle { payment, credit_beneficiary } => {
-                let _ = self.ledger.settle(payment, *credit_beneficiary);
+                let _ = self.shell.ledger.settle(payment, *credit_beneficiary);
             }
             WalRecord::Queued { payment, .. } => self.pending.push(*payment, ()),
             WalRecord::OwnTag { tag } => self.next_tag = self.next_tag.max(tag + 1),
@@ -306,640 +449,30 @@ impl AstroOneReplica {
         }
     }
 
-    /// Completes recovery: queue entries superseded by replayed settles
-    /// are pruned.
-    pub fn finish_recovery(&mut self) {
-        self.pending.prune_stale(&self.ledger);
+    fn finish_recovery(&mut self) {
+        self.pending.prune_stale(&self.shell.ledger);
     }
 
-    /// Exports the durable state (snapshot): settlement state, approval
-    /// queue, broadcast tag counter, and BRB delivery cursors. Canonical:
-    /// replicas holding identical state export identical bytes.
-    pub fn export_state(&self) -> Astro1State {
-        Astro1State {
-            ledger: self.ledger.export(),
-            pending: self.pending.payments(),
-            next_tag: self.next_tag,
-            cursors: self.brb.delivery_cursors(),
-        }
-    }
-
-    /// Attaches a journal: every subsequent state-machine effect is
-    /// recorded (see [`crate::journal::WalRecord`]).
-    pub fn set_journal(&mut self, journal: Box<dyn Journal>) {
-        self.journal.set(journal);
-    }
-
-    /// Attaches metric handles: settles, catch-up progress, and payment
-    /// lifecycle stamps report into them from here on.
-    pub fn set_obs(&mut self, obs: CoreObs) {
-        self.obs = Some(obs);
-    }
-
-    /// This replica's id.
-    pub fn id(&self) -> ReplicaId {
-        self.me
-    }
-
-    /// The replica group this replica participates in.
-    pub fn group(&self) -> &Group {
-        &self.group
-    }
-
-    /// A client submits a payment (Listing 1's `Send` arrives here).
-    ///
-    /// # Errors
-    ///
-    /// Rejects payments from clients this replica does not represent — the
-    /// mapping is public (paper §III), so honest clients never hit this.
-    pub fn submit(&mut self, payment: Payment) -> Result<ReplicaStep<Astro1Msg>, SubmitError> {
-        if !self.layout.is_representative(self.me, payment.spender) {
-            return Err(SubmitError::NotRepresentative {
-                client: payment.spender,
-                representative: self.layout.representative_of(payment.spender),
-            });
-        }
-        self.batch.push(payment);
-        // While catching up the batch only accumulates: auto-flush would
-        // burn the sync retry pacing (flush doubles as its timer), and
-        // broadcasting must wait for the certified tag floor anyway.
-        if self.syncing.is_none() && self.batch.len() >= self.batch_size {
-            Ok(self.flush())
-        } else {
-            Ok(ReplicaStep::empty())
-        }
-    }
-
-    /// Broadcasts the accumulated batch, if any (called on a timer by the
-    /// driver, and automatically when a batch fills).
-    ///
-    /// While a catch-up is in progress the batch stays parked (the
-    /// replica must not broadcast before it knows a certified tag floor)
-    /// and the flush timer instead paces the periodic re-send of the
-    /// [`ReconfigMsg::SyncRequest`] — or, once a fallback budget runs
-    /// out, abandons the catch-up and resumes from the local state.
-    ///
-    /// The same timer, at the same [`SYNC_RETRY_TICKS`] pacing, re-sends
-    /// the broadcast layer's unanswered payload requests, and starts a
-    /// catch-up once one has gone unanswered for all its rounds.
-    pub fn flush(&mut self) -> ReplicaStep<Astro1Msg> {
-        if let Some(sync) = &mut self.syncing {
-            if sync.ticks == 0 {
-                if sync.exhausted() {
-                    // No f+1 matching donors in time (the rest of the
-                    // cluster may be restarting too). This replica has a
-                    // locally recovered state — resume from it, exactly
-                    // as a pre-catch-up restart did, replaying whatever
-                    // parked meanwhile.
-                    let sync = self.syncing.take().expect("syncing");
-                    let mut out = ReplicaStep::empty();
-                    for (from, m) in sync.buffered {
-                        let step = self.handle(from, Astro1Msg::Brb(m));
-                        out.outbound.extend(step.outbound);
-                        out.settled.extend(step.settled);
-                    }
-                    return out;
-                }
-                sync.ticks = SYNC_RETRY_TICKS;
-                sync.requests += 1;
-                if let Some(obs) = &self.obs {
-                    if sync.requests > 1 {
-                        obs.sync_retries.inc();
-                    }
-                    obs.flight.event("core.sync.request", u64::from(sync.requests), 0);
-                }
-                let request = sync.votes.request();
-                return ReplicaStep {
-                    outbound: vec![Envelope { to: Dest::All, msg: Astro1Msg::Sync(request) }],
-                    settled: Vec::new(),
-                };
-            }
-            sync.ticks -= 1;
-            return ReplicaStep::empty();
-        }
-        let mut out = ReplicaStep::empty();
-        self.pull_ticks = if self.brb.pulls_outstanding() == 0 { 0 } else { self.pull_ticks + 1 };
-        if self.pull_ticks == SYNC_RETRY_TICKS {
-            self.pull_ticks = 0;
-            let (requests, exhausted) = self.brb.retry_pulls();
-            out.outbound = wrap_brb(requests);
-            if exhausted {
-                // Everyone that vouched for a batch stayed silent for all
-                // its rounds: they delivered and pruned it, so its effects
-                // are in their settled state — fetch that. The local state
-                // is sound, hence the fallback variant.
-                self.begin_catchup_with_fallback();
-                return out;
-            }
-        }
-        if self.batch.is_empty() {
-            return out;
-        }
-        let payments = std::mem::take(&mut self.batch);
-        if let Some(obs) = &self.obs {
-            obs.stage_batch(&payments, astro_obs::Stage::Prepare);
-            obs.pending_depth.set(self.pending.len() as u64);
-        }
-        let id = InstanceId { source: u64::from(self.me.0), tag: self.next_tag };
-        self.next_tag += 1;
-        // Journaled before the PREPARE leaves: a restarted replica must
-        // never reuse a tag it already broadcast under (peers echo at most
-        // once per instance, so a reused tag wedges the stream). Against
-        // *power loss* the window is bounded by group commit unless the
-        // store's `sync_on_broadcast` policy is set.
-        self.journal.rec(&WalRecord::OwnTag { tag: id.tag });
-        let step = self.brb.broadcast(id, Batch { payments });
-        debug_assert!(step.delivered.is_empty());
-        out.outbound.extend(wrap_brb(step.outbound));
-        out
-    }
-
-    /// Number of payments waiting in the unflushed batch.
-    pub fn batched(&self) -> usize {
-        self.batch.len()
-    }
-
-    /// Processes one replica-to-replica message.
-    pub fn handle(&mut self, from: ReplicaId, msg: Astro1Msg) -> ReplicaStep<Astro1Msg> {
-        match msg {
-            Astro1Msg::Brb(m) => {
-                if let Some(sync) = &mut self.syncing {
-                    // FIFO delivery is paused until the transferred cursor
-                    // is installed; park the message for replay.
-                    if self.group.contains(from) {
-                        sync.park(from, m);
-                        if let Some(obs) = &self.obs {
-                            obs.parked.inc();
-                            obs.parked_depth.set(sync.buffered.len() as u64);
-                        }
-                    }
-                    return ReplicaStep::empty();
-                }
-                let step = self.brb.handle(from, m);
-                let mut out =
-                    ReplicaStep { outbound: wrap_brb(step.outbound), settled: Vec::new() };
-                for delivery in step.delivered {
-                    self.apply_batch(delivery.id, &delivery.payload, &mut out);
-                }
-                out
-            }
-            Astro1Msg::Sync(m) => self.on_sync(from, m),
-        }
-    }
-
-    /// Handles reconfiguration traffic: serves catch-up requests from
-    /// group members and, while catching up, folds peer responses into
-    /// the collector until one certifies and installs.
-    fn on_sync(&mut self, from: ReplicaId, msg: ReconfigMsg<()>) -> ReplicaStep<Astro1Msg> {
-        if from == self.me || !self.group.contains(from) {
-            return ReplicaStep::empty();
-        }
-        match msg {
-            ReconfigMsg::SyncRequest { settled } => {
-                // A replica that is itself catching up serves nothing: its
-                // state is behind, and a cluster of simultaneously
-                // restarted replicas must not certify each other's gaps.
-                // A replica behind the requester's own floor stays silent
-                // too — the requester would reject the response anyway,
-                // so serializing a full state for it is pure waste.
-                if self.syncing.is_some() || (self.ledger.total_settled() as u64) < settled {
-                    return ReplicaStep::empty();
-                }
-                match self.sync_chunks(from) {
-                    Ok((head, blocks)) => {
-                        let mut outbound = Vec::with_capacity(blocks.len() + 1);
-                        let reply = ReconfigMsg::SyncState {
-                            settled: self.ledger.total_settled() as u64,
-                            state: head.to_wire_bytes(),
-                        };
-                        outbound
-                            .push(Envelope { to: Dest::One(from), msg: Astro1Msg::Sync(reply) });
-                        for (client, block, data) in blocks {
-                            outbound.push(Envelope {
-                                to: Dest::One(from),
-                                msg: Astro1Msg::Sync(ReconfigMsg::SyncBlock {
-                                    client,
-                                    block,
-                                    data,
-                                }),
-                            });
-                        }
-                        ReplicaStep { outbound, settled: Vec::new() }
-                    }
-                    Err(SyncServeError::HeadTooLarge { bytes }) => {
-                        // Typed refusal instead of the framing layer's
-                        // oversized-payload panic.
-                        if let Some(obs) = &self.obs {
-                            obs.sync_refused_oversize.inc();
-                            obs.flight.event("core.sync.head_oversize", bytes as u64, 0);
-                        }
-                        ReplicaStep::empty()
-                    }
-                }
-            }
-            ReconfigMsg::SyncState { settled, state } => {
-                let Some(sync) = &mut self.syncing else { return ReplicaStep::empty() };
-                if let Some(head) = sync.votes.offer(from, settled, state) {
-                    sync.certified_head = Some(head);
-                }
-                self.note_sync_progress();
-                self.try_complete_sync()
-            }
-            ReconfigMsg::SyncBlock { client, block, data } => {
-                let Some(sync) = &mut self.syncing else { return ReplicaStep::empty() };
-                sync.blocks.offer(from, client, block, data);
-                self.note_sync_progress();
-                self.try_complete_sync()
-            }
-            // The join protocol (Join / ViewProposal / StateTransfer) is
-            // driven by `ReconfigReplica` deployments, not by the payment
-            // replica itself.
-            _ => ReplicaStep::empty(),
-        }
-    }
-
-    /// Publishes the catch-up collectors' reject/progress counters.
-    fn note_sync_progress(&mut self) {
-        let (Some(obs), Some(sync)) = (&self.obs, &self.syncing) else { return };
-        obs.sync_rejected.set((sync.votes.rejected() + sync.blocks.rejected()) as u64);
-        obs.sync_blocks_certified.set(sync.blocks.certified_len() as u64);
-    }
-
-    /// Attempts to finish the catch-up: once the head is certified and
-    /// every history block it references is certified, reassemble the
-    /// full state and install it. Anything structurally invalid discards
-    /// the collected votes and re-collects; a merely *stale* head (the
-    /// donors lag) discards only the head — certified blocks are
-    /// content-stable and stay.
-    fn try_complete_sync(&mut self) -> ReplicaStep<Astro1Msg> {
-        let Some(sync) = &mut self.syncing else { return ReplicaStep::empty() };
-        let Some(head_bytes) = &sync.certified_head else { return ReplicaStep::empty() };
-        let assembled = match decode_exact::<SyncHead>(head_bytes) {
-            Ok(head) => {
-                if !sync.blocks.has_all(&head.blocks) {
-                    return ReplicaStep::empty(); // blocks still certifying
-                }
-                let blocks = &sync.blocks;
-                decode_exact::<Astro1State>(&head.state_tail).ok().and_then(|mut state| {
-                    merge_history_blocks(&mut state.ledger, &head.blocks, |c, b| {
-                        blocks.certified(c, b).cloned()
-                    })
-                    .ok()
-                    .map(|()| state)
-                })
-            }
-            Err(_) => None,
-        };
-        let Some(state) = assembled else {
-            // f+1 matching copies of an undecodable or unmergeable
-            // transfer cannot come from an honest majority; drop
-            // everything and re-collect.
-            sync.certified_head = None;
-            sync.votes.clear();
-            sync.blocks.clear();
-            return ReplicaStep::empty();
-        };
-        match self.install_sync(&state) {
-            Ok(mut out) => {
-                // Caught up: replay the parked broadcast traffic through
-                // the normal path (messages at or below the installed
-                // cursor are dropped by FIFO gating, later ones proceed).
-                let sync = self.syncing.take().expect("syncing");
-                for (from, m) in sync.buffered {
-                    let step = self.handle(from, Astro1Msg::Brb(m));
-                    out.outbound.extend(step.outbound);
-                    out.settled.extend(step.settled);
-                }
-                out
-            }
-            Err(SyncError::Stale) => {
-                // The certified head is behind this replica (the donors
-                // lag) — discard it and retry; certified blocks stay.
-                if let Some(sync) = &mut self.syncing {
-                    sync.certified_head = None;
-                    sync.votes.clear();
-                }
-                ReplicaStep::empty()
-            }
-            Err(SyncError::Invalid) => {
-                if let Some(sync) = &mut self.syncing {
-                    sync.certified_head = None;
-                    sync.votes.clear();
-                    sync.blocks.clear();
-                }
-                ReplicaStep::empty()
-            }
-        }
-    }
-
-    /// Applies a BRB-delivered batch: approve (queue if blocked) and settle
-    /// each payment, then cascade the approval queue.
-    fn apply_batch(&mut self, id: InstanceId, batch: &Batch, out: &mut ReplicaStep<Astro1Msg>) {
-        let broadcaster = ReplicaId(id.source as u32);
-        let settled_before = out.settled.len();
-        if let Some(obs) = &self.obs {
-            // Bracha delivery *is* the quorum event: 2f+1 READYs arrived.
-            // Only the broadcaster stamps its own delivery: every correct
-            // replica delivers the batch at roughly the same instant, and
-            // one stamp per payment keeps the other replicas' settle loops
-            // off the tracer's shard locks entirely.
-            if broadcaster == self.me {
-                obs.stage_batch(&batch.payments, astro_obs::Stage::AckQuorum);
-            }
-        }
-        let mut touched: Vec<ClientId> = Vec::new();
-        for payment in &batch.payments {
-            // Only a client's designated representative may broker her
-            // payments (paper §II); the BRB layer bound `source` to the
-            // transport-authenticated broadcaster.
-            if self.layout.representative_of(payment.spender) != broadcaster {
-                continue;
-            }
-            match self.ledger.settle(payment, true) {
-                SettleOutcome::Applied => {
-                    self.journal
-                        .rec(&WalRecord::Settle { payment: *payment, credit_beneficiary: true });
-                    out.settled.push(*payment);
-                    touched.push(payment.spender);
-                    touched.push(payment.beneficiary);
-                }
-                SettleOutcome::FutureSeq | SettleOutcome::InsufficientFunds => {
-                    self.journal.rec(&WalRecord::Queued { payment: *payment, deps: Vec::new() });
-                    self.pending.push(*payment, ());
-                    touched.push(payment.spender);
-                }
-                SettleOutcome::StaleSeq => {}
-            }
-        }
-        let settled =
-            self.pending.drain_cascade(touched, &mut self.ledger, |l, p, ()| l.settle(p, true));
-        for entry in &settled {
-            self.journal
-                .rec(&WalRecord::Settle { payment: entry.payment, credit_beneficiary: true });
-        }
-        // The delivery record *terminates* the batch's effects in the log:
-        // a torn tail that cuts before it replays a (harmless, idempotent)
-        // effect prefix with the cursor still behind — never a cursor that
-        // has advanced past effects that were lost.
-        self.journal.rec(&WalRecord::Delivered { source: id.source, tag: id.tag });
-        out.settled.extend(settled.into_iter().map(|e| e.payment));
-        if let Some(obs) = &self.obs {
-            let settled = &out.settled[settled_before..];
-            obs.settles.add(settled.len() as u64);
-            // One settle stamp per payment, by the spender's
-            // representative: the lifecycle timeline reads as one
-            // replica's view, and the other replicas never contend on the
-            // payment's tracer slot.
-            obs.stage_batch(
-                settled.iter().filter(|p| self.layout.representative_of(p.spender) == self.me),
-                astro_obs::Stage::Settle,
-            );
-        }
-    }
-
-    /// The settled balance of a client (Listing 2's `bal`); any replica can
-    /// answer (full replication).
-    pub fn balance(&self, client: ClientId) -> Amount {
-        self.ledger.balance(client)
-    }
-
-    /// Read access to the full ledger (audit, state transfer).
-    pub fn ledger(&self) -> &Ledger {
-        &self.ledger
-    }
-
-    /// Prunes BRB state for delivered broadcast instances (everything
-    /// below the per-source FIFO cursors) — see
-    /// [`BrachaBrb::gc_delivered`]. The durable runtime calls this at its
-    /// snapshot-install point: once a snapshot holds the deliveries'
-    /// effects, their echo/ready bookkeeping only costs memory. Returns
-    /// the number of instances pruned.
-    pub fn prune_delivered(&mut self) -> usize {
-        self.brb.gc_delivered()
-    }
-
-    /// [`Self::prune_delivered`] once `high_water` instances are tracked;
-    /// for calling after every message (see [`prune_at_high_water`]).
-    pub fn prune_delivered_at(&mut self, high_water: usize) {
-        let (tracked, brb, obs) = (self.brb.tracked_instances(), &mut self.brb, self.obs.as_ref());
-        prune_at_high_water(&mut self.gc_rearm, tracked, high_water, obs, || brb.gc_delivered());
-    }
-
-    /// Number of receiver-side BRB instances currently tracked
-    /// (observability for the GC tests).
-    pub fn tracked_instances(&self) -> usize {
-        self.brb.tracked_instances()
-    }
-
-    /// True while a payload pull or a catch-up is outstanding: only the
-    /// flush timer moves those, so drivers that arm it on demand (the
-    /// simulator) keep it armed while this holds.
-    pub fn needs_tick(&self) -> bool {
-        self.syncing.is_some() || self.brb.pulls_outstanding() > 0
-    }
-
-    /// Number of payments queued awaiting approval.
-    pub fn pending_len(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Starts peer catch-up (the restart path): broadcast delivery pauses
-    /// and the next [`Self::flush`] tick broadcasts a
-    /// [`ReconfigMsg::SyncRequest`]; peers answer with their canonical
-    /// settlement state and `f+1` byte-identical copies install. Until
-    /// then the client batch stays parked (no broadcast may leave before
-    /// the certified tag floor is known) and inbound BRB messages buffer
-    /// for replay.
-    ///
-    /// This variant retries **forever**: a replica with no locally
-    /// recovered state must not participate (or pick a broadcast tag)
-    /// until a certified state tells it where the quorum stands. Durable
-    /// restarts use [`Self::begin_catchup_with_fallback`].
-    pub fn begin_catchup(&mut self) {
-        let floor = self.ledger.total_settled() as u64;
-        self.syncing = Some(SyncSession::new(
-            CatchUp::new(&self.group, self.me, floor),
-            BlockVotes::new(&self.group, self.me),
-            None,
-        ));
-    }
-
-    /// Like [`Self::begin_catchup`], but gives up after a bounded number
-    /// of request rounds and resumes from the locally recovered state —
-    /// for replicas restored from durable storage, whose local state is
-    /// safe to run on (it merely lacks the downtime delta). This keeps a
-    /// cluster whose replicas restart *concurrently* live: with fewer
-    /// than `f+1` serving donors nothing can certify, and without the
-    /// fallback every restarted replica would pause forever.
-    pub fn begin_catchup_with_fallback(&mut self) {
-        let floor = self.ledger.total_settled() as u64;
-        self.syncing = Some(SyncSession::new(
-            CatchUp::new(&self.group, self.me, floor),
-            BlockVotes::new(&self.group, self.me),
-            Some(SYNC_FALLBACK_ROUNDS),
-        ));
-    }
-
-    /// True while peer catch-up is in progress.
-    pub fn is_syncing(&self) -> bool {
-        self.syncing.is_some()
-    }
-
-    /// True once after a sync install: the in-memory state is newer than
-    /// any journal replay can reproduce, so a durable deployment must
-    /// snapshot now. Consuming resets the flag.
-    pub fn take_snapshot_request(&mut self) -> bool {
-        std::mem::take(&mut self.snapshot_requested)
-    }
-
-    /// The canonical state served to a catching-up peer. Identical to
-    /// [`Self::export_state`] except for the replica-local broadcast tag
-    /// counter: `next_tag` is reinterpreted as *the requester's* stream
-    /// high-water mark, so the certified copy tells the restarted replica
-    /// the first tag that is safe to broadcast under.
-    pub fn sync_state(&self, requester: ReplicaId) -> Astro1State {
+    /// [`Replica::export_state`] with `next_tag` reinterpreted as the
+    /// requester's stream high-water mark.
+    fn sync_state(&self, requester: ReplicaId) -> Astro1State {
         let mut state = self.export_state();
         state.next_tag = self.brb.source_high_water(u64::from(requester.0));
         state
     }
 
-    /// The chunked form of [`Self::sync_state`]: settled history splits
-    /// into content-stable [`crate::journal::SYNC_BLOCK_ENTRIES`]-entry
-    /// xlog blocks (certified per-block at the requester), and the
-    /// volatile remainder — ledger tails, balances, approval queue,
-    /// cursors — rides in a small [`SyncHead`]. Every piece stays far
-    /// below the wire frame cap regardless of total settled history.
-    ///
-    /// # Errors
-    ///
-    /// [`SyncServeError::HeadTooLarge`] if the volatile head alone
-    /// exceeds [`SYNC_HEAD_MAX_BYTES`] — a pathological state (an
-    /// enormous approval queue) that must be refused rather than
-    /// panicking the framing layer.
-    pub fn sync_chunks(
-        &self,
-        requester: ReplicaId,
-    ) -> Result<(SyncHead, Vec<SyncBlock>), SyncServeError> {
-        let mut state = self.sync_state(requester);
-        let blocks = split_history_blocks(&mut state.ledger);
-        let head = SyncHead { blocks: block_counts(&blocks), state_tail: state.to_wire_bytes() };
-        let bytes = head.state_tail.len();
-        if bytes > SYNC_HEAD_MAX_BYTES {
-            return Err(SyncServeError::HeadTooLarge { bytes });
-        }
-        Ok((head, blocks))
-    }
-
-    /// Seals the settle delta since the last checkpoint: one
-    /// [`crate::journal::CheckpointRecord`] per dirty account (encoded),
-    /// in canonical client order, and advances the per-account
-    /// watermarks. Empty when nothing settled since the last seal. The
-    /// durable runtime writes the returned records as one immutable
-    /// checkpoint segment; the next [`Self::residual_state`] then only
-    /// carries state *above* the watermarks.
-    pub fn seal_checkpoint(&mut self) -> Vec<Vec<u8>> {
-        self.ledger
-            .seal_delta()
-            .iter()
-            .map(super::journal::CheckpointRecord::to_wire_bytes)
-            .collect()
-    }
-
-    /// The residual snapshot: the volatile protocol state **not** covered
-    /// by checkpoint segments — the approval queue, the broadcast tag
-    /// counter, and delivery cursors. Captured at the same instant as
-    /// [`Self::seal_checkpoint`], the sealed segments reconstruct the
-    /// entire ledger, so the residual needs none of it; its size is
-    /// O(working set), not O(total settled).
-    pub fn residual_state(&self, sealed_segments: u64) -> Astro1Snapshot {
-        Astro1Snapshot {
-            sealed_segments,
-            pending: self.pending.payments(),
-            next_tag: self.next_tag,
-            cursors: self.brb.delivery_cursors(),
-        }
-    }
-
-    /// Forgets the checkpoint watermarks: every account becomes dirty
-    /// again and the next [`Self::seal_checkpoint`] re-exports full
-    /// history. The durable runtime calls this when a checkpoint segment
-    /// fails to persist — the on-disk segment sequence stops being a
-    /// prefix of what the watermarks assume, so the only safe move is to
-    /// restart checkpointing from scratch.
-    pub fn rebaseline(&mut self) {
-        self.ledger.rebaseline();
-    }
-
-    /// Reconstructs a replica from recovered checkpoint segments plus the
-    /// residual snapshot — the segmented counterpart of
-    /// [`Self::restore`]. `segments` are the decoded record payloads of
-    /// the sealed segments, in index order; the residual's
-    /// `sealed_segments` says how many of them it builds on (extra
-    /// trailing segments — sealed after the residual was written but
-    /// before its WAL truncation — are ignored; *missing* ones are
-    /// unrecoverable).
-    ///
-    /// # Errors
-    ///
-    /// [`RecoverError::MissingSegments`] if fewer segments were recovered
-    /// than the residual references, [`RecoverError::Discontinuity`] /
-    /// [`RecoverError::Decode`] on segment content that does not chain,
-    /// [`RecoverError::Log`] if the reassembled xlogs violate invariants.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `me` is not a member of the layout (as [`Self::new`]).
-    pub fn restore_from_checkpoints(
-        me: ReplicaId,
-        layout: ShardLayout,
-        cfg: Astro1Config,
-        segments: &[Vec<Vec<u8>>],
-        residual: &Astro1Snapshot,
-    ) -> Result<Self, RecoverError> {
-        if (segments.len() as u64) < residual.sealed_segments {
-            return Err(RecoverError::MissingSegments {
-                referenced: residual.sealed_segments,
-                recovered: segments.len() as u64,
-            });
-        }
-        let sealed = &segments[..residual.sealed_segments as usize];
-        let initial_balance = cfg.initial_balance;
-        let mut replica = AstroOneReplica::new(me, layout, cfg);
-        replica.ledger = Ledger::from_checkpoints(initial_balance, sealed)?;
-        for payment in &residual.pending {
-            replica.pending.push(*payment, ());
-        }
-        replica.next_tag = residual.next_tag;
-        for (source, next) in &residual.cursors {
-            replica.brb.advance_cursor(*source, *next);
-        }
-        Ok(replica)
-    }
-
-    /// Installs a certified peer state over the locally recovered one:
-    /// the settled delta (xlogs, balances, approval queue) replaces local
+    /// The settled delta (xlogs, balances, approval queue) replaces local
     /// settlement state, delivery cursors advance (releasing any
     /// completed instances the gap was holding back), and the broadcast
-    /// tag counter rises to the certified floor. Returns the step whose
-    /// `settled` is exactly the payments this replica learned through the
-    /// transfer.
-    ///
-    /// # Errors
-    ///
-    /// [`SyncError::Stale`] if the transferred state is behind this
-    /// replica in any xlog or delivery cursor (installing it would lose
-    /// settled effects — the donors lag; retry), [`SyncError::Invalid`]
-    /// if it fails structural validation.
-    pub fn install_sync(
-        &mut self,
-        state: &Astro1State,
-    ) -> Result<ReplicaStep<Astro1Msg>, SyncError> {
+    /// tag counter rises to the certified floor. Stale if any xlog or
+    /// delivery cursor is behind the local one.
+    fn install_sync(&mut self, state: &Astro1State) -> Result<ReplicaStep<Astro1Msg>, SyncError> {
         let certified = Ledger::import(&state.ledger).map_err(|_| SyncError::Invalid)?;
         // Never regress: every local xlog must be a prefix of (or equal
         // to) its certified counterpart, and no certified cursor may sit
         // below a local one — otherwise effects this replica already
         // applied would vanish with no re-delivery to restore them.
-        for xlog in self.ledger.xlogs() {
+        for xlog in self.shell.ledger.xlogs() {
             if certified.next_seq(xlog.owner()) < xlog.next_seq() {
                 return Err(SyncError::Stale);
             }
@@ -954,10 +487,10 @@ impl AstroOneReplica {
         // replica was down — reported exactly once, in xlog order.
         let mut installed: Vec<Payment> = Vec::new();
         for xlog in certified.xlogs() {
-            let have = self.ledger.xlog(xlog.owner()).map_or(0, crate::xlog::XLog::len);
+            let have = self.shell.ledger.xlog(xlog.owner()).map_or(0, crate::xlog::XLog::len);
             installed.extend(xlog.iter().skip(have).copied());
         }
-        self.ledger = certified;
+        self.shell.ledger = certified;
         self.pending = PendingQueue::new();
         for payment in &state.pending {
             self.pending.push(*payment, ());
@@ -965,7 +498,7 @@ impl AstroOneReplica {
         if state.next_tag > self.next_tag {
             // Journaled even though a snapshot follows: tag reuse is the
             // one recovery error a later catch-up cannot repair.
-            self.journal.rec(&WalRecord::OwnTag { tag: state.next_tag - 1 });
+            self.shell.journal.rec(&WalRecord::OwnTag { tag: state.next_tag - 1 });
             self.next_tag = state.next_tag;
         }
         let mut out = ReplicaStep { outbound: Vec::new(), settled: installed };
@@ -981,7 +514,7 @@ impl AstroOneReplica {
         }
         // The caught-up prefix is dead weight in the broadcast layer now.
         self.brb.gc_delivered();
-        self.snapshot_requested = true;
+        self.shell.snapshot_requested = true;
         Ok(out)
     }
 }
@@ -1415,7 +948,7 @@ mod tests {
         assert_eq!(blocks.len(), 2, "two sealed blocks");
         assert_eq!(head.blocks, vec![(ClientId(7), 2)]);
 
-        c.node_mut(3).begin_catchup();
+        c.node_mut(3).begin_catchup(None);
         let step = c.node_mut(3).flush();
         c.submit_step(ReplicaId(3), step);
         c.run_to_quiescence();

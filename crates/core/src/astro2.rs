@@ -20,19 +20,15 @@
 //! paper's evaluation condition is funded clients, whose certificates are
 //! never spent.
 
-use crate::astro1::{prune_at_high_water, SyncSession};
 use crate::batch::{
     credit_ack_context, credit_context, verify_certificate, CreditBundle, DepBatch, DepPayment,
     DependencyCertificate,
 };
-use crate::journal::{
-    block_counts, merge_history_blocks, split_history_blocks, Astro2Snapshot, Astro2State, Journal,
-    JournalSlot, RecoverError, SyncBlock, SyncHead, WalRecord, SYNC_HEAD_MAX_BYTES,
-};
+use crate::journal::{Astro2Snapshot, Astro2State, JournalSlot, LedgerState, WalRecord};
 use crate::ledger::{Ledger, SettleOutcome};
-use crate::obs::CoreObs;
 use crate::pending::PendingQueue;
-use crate::reconfig::{BlockVotes, CatchUp, ReconfigMsg, SyncError, SyncServeError};
+use crate::reconfig::{ReconfigMsg, SyncError};
+use crate::replica::{self, Replica, Shell};
 use crate::xlog::XLogError;
 use crate::{ReplicaStep, SubmitError};
 use astro_brb::signed::{SignedBrb, SignedMsg};
@@ -40,7 +36,7 @@ use astro_brb::{BrbConfig, DeliveryOrder, Envelope, InstanceId};
 use astro_types::wire::{decode_exact, Wire, WireError};
 use astro_types::{
     Amount, Authenticator, ClientId, Group, Payment, PaymentId, ReplicaId, SeqNo, ShardId,
-    ShardLayout,
+    ShardLayout, SigCheck,
 };
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
@@ -184,101 +180,6 @@ impl<S: Wire> Wire for Astro2Msg<S> {
         }
     }
 }
-
-/// Enumerates every Schnorr signature check that handling `msg` can
-/// trigger at a receiving replica — the runtime verify pool's work list.
-///
-/// The pool pre-verifies these off the replica thread into the shared
-/// [`astro_types::VerdictCache`]; by the time the state machine reaches
-/// its `verify_all` / [`astro_types::count_valid_signers`] calls, the
-/// verdicts are cache hits and the event loop never blocks on curve
-/// arithmetic. Enumerating is sound because verification is a pure
-/// function of `(signer, context, signature)`: pre-verifying a check the
-/// state machine never consults wastes pool cycles but cannot change any
-/// transition.
-///
-/// - `Ack` — the accumulated-ACK batch check ([`SignedBrb`]'s quorum
-///   path) covers the ack context.
-/// - `Commit` — the `2f+1` quorum proof covers the ack context; attached
-///   dependency certificates are checked at settlement.
-/// - `Prepare` — the attached dependency certificates again: they will be
-///   checked when the instance *commits*, so pre-verifying at PREPARE
-///   hides the certificate work behind the ACK round-trip.
-/// - `Credit` — one signature over the sub-batch digest.
-pub fn sig_checks(
-    from: ReplicaId,
-    msg: &Astro2Msg<astro_crypto::Signature>,
-) -> Vec<astro_types::SigCheck> {
-    use astro_brb::payload_digest;
-    use astro_brb::signed::ack_context;
-    use astro_types::SigCheck;
-
-    let mut out = Vec::new();
-    let push_certs = |out: &mut Vec<SigCheck>, batch: &DepBatch<astro_crypto::Signature>| {
-        for entry in &batch.entries {
-            for cert in &entry.deps {
-                if cert.bundle.is_empty() {
-                    continue;
-                }
-                // One shared context per certificate; every proof entry
-                // takes a refcount bump, not a buffer clone.
-                let context: std::sync::Arc<[u8]> = credit_context(&cert.bundle).into();
-                for (signer, sig) in &cert.proofs {
-                    out.push(SigCheck {
-                        signer: *signer,
-                        context: std::sync::Arc::clone(&context),
-                        sig: *sig,
-                    });
-                }
-            }
-        }
-    };
-    match msg {
-        Astro2Msg::Brb(SignedMsg::Prepare { payload, .. }) => push_certs(&mut out, payload),
-        Astro2Msg::Brb(SignedMsg::Ack { id, digest, sig }) => {
-            out.push(SigCheck {
-                signer: from,
-                context: ack_context(*id, digest).into(),
-                sig: *sig,
-            });
-        }
-        Astro2Msg::Brb(SignedMsg::Commit { id, payload, proof }) => {
-            let context: std::sync::Arc<[u8]> =
-                ack_context(*id, &payload_digest(*id, payload)).into();
-            for (signer, sig) in proof {
-                out.push(SigCheck {
-                    signer: *signer,
-                    context: std::sync::Arc::clone(&context),
-                    sig: *sig,
-                });
-            }
-            push_certs(&mut out, payload);
-        }
-        Astro2Msg::Credit(cb) => {
-            out.push(SigCheck {
-                signer: from,
-                context: credit_context(&cb.bundle).into(),
-                sig: cb.sig,
-            });
-        }
-        Astro2Msg::CreditAck { digests, sig } => {
-            out.push(SigCheck {
-                signer: from,
-                context: credit_ack_context(digests).into(),
-                sig: *sig,
-            });
-        }
-        // Catch-up traffic certifies by f+1 matching digests over the
-        // authenticated links — nothing for the verify pool. A
-        // CreditRequest carries no signature: over-replay it could induce
-        // is already harmless.
-        Astro2Msg::Sync(_) | Astro2Msg::CreditRequest { .. } => {}
-    }
-    out
-}
-
-/// The broadcast-layer message an in-progress catch-up parks for replay.
-type ParkedBrb<A> = SignedMsg<DepBatch<<A as Authenticator>::Sig>, <A as Authenticator>::Sig>;
 
 /// CREDIT proofs gathered for one sub-batch (Listing 10's `partialDeps`).
 #[derive(Debug)]
@@ -537,14 +438,13 @@ impl<S> HeldCerts<S> {
 /// One Astro II replica.
 #[derive(Debug)]
 pub struct AstroTwoReplica<A: Authenticator> {
-    me: ReplicaId,
+    shell: Shell<Astro2Msg<A::Sig>>,
     layout: ShardLayout,
     my_shard: ShardId,
     /// Group per shard id (certificate verification needs every shard).
     groups: Vec<Group>,
     auth: A,
     brb: SignedBrb<DepBatch<A::Sig>, A>,
-    ledger: Ledger,
     /// Future-sequence payments with their attached certificates.
     pending: PendingQueue<Vec<DependencyCertificate<A::Sig>>>,
     /// Credits already materialized (replay protection, Listing 9's
@@ -570,7 +470,7 @@ pub struct AstroTwoReplica<A: Authenticator> {
     /// as one signed [`Astro2Msg::CreditAck`] on the next flush tick
     /// (a `BTreeMap` for deterministic emission order).
     pending_acks: BTreeMap<ReplicaId, Vec<[u8; 32]>>,
-    batch: Vec<DepPayment<A::Sig>>,
+    pub(crate) batch: Vec<DepPayment<A::Sig>>,
     batch_size: usize,
     next_tag: u64,
     mode: CreditMode,
@@ -585,22 +485,9 @@ pub struct AstroTwoReplica<A: Authenticator> {
     /// conflict-free at its single entry point. In-memory only: after a
     /// restart the ledger's `next_seq` is the correct floor.
     submitted_seq: HashMap<ClientId, SeqNo>,
-    journal: JournalSlot,
     /// Certificate consumptions awaiting the flush that makes their
     /// carrying payments durable (see [`WalRecord::CertsTaken`]).
     pending_cert_takes: Vec<(ClientId, Vec<[u8; 32]>)>,
-    /// Catch-up in progress: broadcast delivery is paused (messages park)
-    /// until a certified peer state is installed. CREDIT traffic keeps
-    /// flowing — certificates accumulate independently of the ledger.
-    syncing: Option<SyncSession<ParkedBrb<A>>>,
-    /// Metric handles, when a registry is attached (None = unobserved).
-    obs: Option<CoreObs>,
-    /// Set when a sync install made the in-memory state newer than any
-    /// journal replay can reproduce; the durable runtime consumes it and
-    /// snapshots immediately.
-    snapshot_requested: bool,
-    /// See [`prune_at_high_water`].
-    gc_rearm: usize,
 }
 
 impl<A: Authenticator> AstroTwoReplica<A> {
@@ -622,13 +509,12 @@ impl<A: Authenticator> AstroTwoReplica<A> {
             BrbConfig { order: DeliveryOrder::Unordered, bind_source: true },
         );
         AstroTwoReplica {
-            me,
+            shell: Shell::new(me, cfg.initial_balance),
             layout,
             my_shard,
             groups,
             auth,
             brb,
-            ledger: Ledger::new(cfg.initial_balance),
             pending: PendingQueue::new(),
             used_deps: HashSet::new(),
             cert_cache: CertCache::new(CERT_CACHE_CAP),
@@ -644,31 +530,37 @@ impl<A: Authenticator> AstroTwoReplica<A> {
             dep_policy: cfg.dep_policy,
             reserved: HashMap::new(),
             submitted_seq: HashMap::new(),
-            journal: JournalSlot::none(),
             pending_cert_takes: Vec::new(),
-            syncing: None,
-            obs: None,
-            snapshot_requested: false,
-            gc_rearm: 0,
         }
     }
 
-    /// Attaches a journal: every subsequent state-machine effect is
-    /// recorded (see [`crate::journal::WalRecord`]).
-    pub fn set_journal(&mut self, journal: Box<dyn Journal>) {
-        self.journal.set(journal);
+    // `submit` / `handle` / `flush` stay callable without the trait in
+    // scope: `benchmark/src/layers/protocol.rs` names them by path.
+
+    /// [`Replica::submit`].
+    ///
+    /// # Errors
+    ///
+    /// As [`Replica::submit`].
+    pub fn submit(
+        &mut self,
+        payment: Payment,
+    ) -> Result<ReplicaStep<Astro2Msg<A::Sig>>, SubmitError> {
+        Replica::submit(self, payment)
     }
 
-    /// Attaches metric handles: settles, catch-up progress, certificate
-    /// cache effectiveness, and payment lifecycle stamps report into them
-    /// from here on.
-    pub fn set_obs(&mut self, obs: CoreObs) {
-        self.obs = Some(obs);
+    /// [`Replica::handle`].
+    pub fn handle(
+        &mut self,
+        from: ReplicaId,
+        msg: Astro2Msg<A::Sig>,
+    ) -> ReplicaStep<Astro2Msg<A::Sig>> {
+        Replica::handle(self, from, msg)
     }
 
-    /// This replica's id.
-    pub fn id(&self) -> ReplicaId {
-        self.me
+    /// [`Replica::flush`].
+    pub fn flush(&mut self) -> ReplicaStep<Astro2Msg<A::Sig>> {
+        Replica::flush(self)
     }
 
     /// The shard this replica belongs to.
@@ -676,174 +568,49 @@ impl<A: Authenticator> AstroTwoReplica<A> {
         self.my_shard
     }
 
-    /// This replica's broadcast group (its shard).
-    pub fn group(&self) -> &Group {
-        &self.groups[self.my_shard.0 as usize]
-    }
-
-    /// A client submits a payment to its representative (Listing 7): the
-    /// accumulated dependency certificates ride along with it.
+    /// Reconstructs a replica from a recovered snapshot state. `auth`,
+    /// `layout` and `cfg` must match the crashed incarnation. In-flight
+    /// state that is deliberately not durable — the unflushed client
+    /// batch, partial CREDIT proof sets below the certificate threshold,
+    /// and in-flight balance reservations — restarts empty.
     ///
     /// # Errors
     ///
-    /// Rejects clients this replica does not represent.
-    pub fn submit(
-        &mut self,
-        payment: Payment,
-    ) -> Result<ReplicaStep<Astro2Msg<A::Sig>>, SubmitError> {
-        if !self.layout.is_representative(self.me, payment.spender) {
-            return Err(SubmitError::NotRepresentative {
-                client: payment.spender,
-                representative: self.layout.representative_of(payment.spender),
-            });
-        }
-        // At most one payment per xlog slot may ever leave this
-        // representative (Listing 7 assigns sequence numbers here for the
-        // same reason): the shard's broadcast delivery is unordered, so if
-        // two conflicting payments at one seq both reached broadcast,
-        // correct replicas could settle different winners. An equivocating
-        // client's second submission dies at the door instead.
-        let floor = self.ledger.next_seq(payment.spender);
-        let gate = self.submitted_seq.entry(payment.spender).or_insert(floor);
-        if *gate < floor {
-            // A catch-up install advanced the ledger past the gate.
-            *gate = floor;
-        }
-        if payment.seq != *gate {
-            return Err(SubmitError::SeqOutOfOrder {
-                client: payment.spender,
-                seq: payment.seq,
-                expected: *gate,
-            });
-        }
-        *gate = gate.next();
-        let reserved = self.reserved.entry(payment.spender).or_insert(0);
-        let need = reserved.saturating_add(payment.amount.0);
-        let attach = match self.dep_policy {
-            DepPolicy::Always => true,
-            DepPolicy::WhenNeeded => self.ledger.balance(payment.spender).0 < need,
-        };
-        *reserved = need;
-        let deps = if attach {
-            let taken = self.held.take(payment.spender);
-            if !taken.is_empty() {
-                // Consumption is journaled at the *flush* that broadcasts
-                // the carrying payment, not here: a crash before the
-                // broadcast must restore the certificates (the batch is
-                // lost with them), and re-attachment after recovery is
-                // idempotent at verifiers via `usedDeps`.
-                self.pending_cert_takes
-                    .push((payment.spender, taken.iter().map(cert_digest).collect()));
-            }
-            taken
-        } else {
-            Vec::new()
-        };
-        self.batch.push(DepPayment { payment, deps });
-        // While catching up the batch only accumulates: auto-flush would
-        // burn the sync retry pacing (flush doubles as its timer), and
-        // broadcasting must wait for the certified tag floor anyway.
-        if self.syncing.is_none() && self.batch.len() >= self.batch_size {
-            Ok(self.flush())
-        } else {
-            Ok(ReplicaStep::empty())
-        }
-    }
-
-    /// Enqueues a payment with explicitly chosen dependency certificates
-    /// and flushes immediately — the hook adversarial tests use to model a
-    /// Byzantine representative attaching arbitrary (possibly forged)
-    /// certificates. Test-only.
-    #[doc(hidden)]
-    pub fn debug_submit_with_deps(
-        &mut self,
-        payment: Payment,
-        deps: Vec<DependencyCertificate<A::Sig>>,
-    ) -> ReplicaStep<Astro2Msg<A::Sig>> {
-        self.batch.push(DepPayment { payment, deps });
-        self.flush()
-    }
-
-    /// Broadcasts the accumulated batch within the shard, if any.
+    /// Fails if the snapshot's xlogs violate the owner/sequence
+    /// invariants. Certificates that fail to decode under this signature
+    /// scheme are dropped (they could never verify either).
     ///
-    /// While a catch-up is in progress the batch stays parked (no
-    /// broadcast may leave before the certified tag floor is known) and
-    /// the flush timer paces the periodic catch-up request retry — or,
-    /// once a fallback budget runs out, abandons the catch-up and
-    /// resumes from the local state.
-    pub fn flush(&mut self) -> ReplicaStep<Astro2Msg<A::Sig>> {
-        // CREDIT retransmission rides the same timer — and keeps running
-        // during catch-up: the outbox serves *other* replicas' recovery,
-        // which must not wait for ours.
-        let mut out = ReplicaStep::empty();
-        self.tick_outbox(&mut out.outbound);
-        if let Some(sync) = &mut self.syncing {
-            if sync.ticks == 0 {
-                if sync.exhausted() {
-                    // No f+1 matching donors in time; resume from the
-                    // locally recovered state, replaying whatever parked
-                    // (see the Astro I flush for the rationale), and ask
-                    // donors to replay CREDITs lost while we were down.
-                    let sync = self.syncing.take().expect("syncing");
-                    for (from, m) in sync.buffered {
-                        let step = self.handle(from, Astro2Msg::Brb(m));
-                        out.outbound.extend(step.outbound);
-                        out.settled.extend(step.settled);
-                    }
-                    out.outbound.extend(self.credit_request_envelopes());
-                    return out;
-                }
-                sync.ticks = crate::astro1::SYNC_RETRY_TICKS;
-                sync.requests += 1;
-                if let Some(obs) = &self.obs {
-                    if sync.requests > 1 {
-                        obs.sync_retries.inc();
-                    }
-                    obs.flight.event("core.sync.request", u64::from(sync.requests), 0);
-                }
-                let request = sync.votes.request();
-                out.outbound
-                    .push(Envelope { to: astro_brb::Dest::All, msg: Astro2Msg::Sync(request) });
-                return out;
-            }
-            sync.ticks -= 1;
-            return out;
-        }
-        if self.batch.is_empty() {
-            return out;
-        }
-        let entries = std::mem::take(&mut self.batch);
-        if let Some(obs) = &self.obs {
-            obs.stage_batch(entries.iter().map(|e| &e.payment), astro_obs::Stage::Prepare);
-            obs.pending_depth.set(self.pending.len() as u64);
-            obs.cert_cache_hits.set(self.cert_cache.hits());
-            obs.cert_cache_misses.set(self.cert_cache.misses());
-        }
-        let id = InstanceId { source: u64::from(self.me.0), tag: self.next_tag };
-        self.next_tag += 1;
-        // The batch becomes durable now: certificate consumption first,
-        // then the tag reservation — a restarted replica must never reuse
-        // a tag it already broadcast under (peers ack at most one payload
-        // per instance, so a reused tag wedges the stream). Journaled
-        // before the PREPARE leaves; against *power loss* the window is
-        // bounded by group commit unless `sync_on_broadcast` is set.
-        for (client, digests) in std::mem::take(&mut self.pending_cert_takes) {
-            self.journal.rec(&WalRecord::CertsTaken { client, digests });
-        }
-        self.journal.rec(&WalRecord::OwnTag { tag: id.tag });
-        let step = self.brb.broadcast(id, DepBatch { entries });
-        out.outbound.extend(
-            step.outbound.into_iter().map(|e| Envelope { to: e.to, msg: Astro2Msg::Brb(e.msg) }),
-        );
-        out
+    /// # Panics
+    ///
+    /// Panics if the replica is not a member of the layout (as
+    /// [`Self::new`]).
+    pub fn restore(
+        auth: A,
+        layout: ShardLayout,
+        cfg: Astro2Config,
+        state: &Astro2State,
+    ) -> Result<Self, XLogError> {
+        let mut replica = AstroTwoReplica::new(auth, layout, cfg);
+        replica.shell.ledger = Ledger::import(&state.ledger)?;
+        replica.restore_residual(&Astro2Snapshot {
+            sealed_segments: 0,
+            pending: state.pending.clone(),
+            used_deps: state.used_deps.clone(),
+            stuck: state.stuck.clone(),
+            certs: state.certs.clone(),
+            outbox: state.outbox.clone(),
+            next_tag: state.next_tag,
+            cursors: state.cursors.clone(),
+        });
+        Ok(replica)
     }
 
     /// Paces only the CREDIT retry outbox — the flush timer's
     /// retransmission duty without cutting the payment batch. Drivers
     /// with independent batch and retry clocks (the simulator) call this
-    /// instead of piggybacking retransmission on [`Self::flush`]: firing
-    /// `flush` early just to age the outbox would cut batches short and
-    /// inflate the per-batch broadcast overhead.
+    /// instead of piggybacking retransmission on [`Replica::flush`]:
+    /// firing `flush` early just to age the outbox would cut batches
+    /// short and inflate the per-batch broadcast overhead.
     pub fn pace_outbox(&mut self) -> ReplicaStep<Astro2Msg<A::Sig>> {
         let mut out = ReplicaStep::empty();
         self.tick_outbox(&mut out.outbound);
@@ -872,7 +639,7 @@ impl<A: Authenticator> AstroTwoReplica<A> {
                 }),
             });
         }
-        if let Some(obs) = &self.obs {
+        if let Some(obs) = &self.shell.obs {
             if retransmits > 0 {
                 obs.credit_retransmits.add(retransmits);
                 obs.flight.event("core.credit.retransmit", retransmits, self.outbox.len() as u64);
@@ -894,7 +661,7 @@ impl<A: Authenticator> AstroTwoReplica<A> {
         let key: [u8; 32] = context.as_slice().try_into().expect("sha256 digest");
         let sig = self.auth.sign(&context);
         if !self.outbox.contains_key(&key) {
-            self.journal.rec(&WalRecord::CreditOut { dest, bundle: bundle.clone() });
+            self.shell.journal.rec(&WalRecord::CreditOut { dest, bundle: bundle.clone() });
             self.outbox.insert(
                 key,
                 OutboxEntry {
@@ -910,25 +677,6 @@ impl<A: Authenticator> AstroTwoReplica<A> {
             to: astro_brb::Dest::One(dest),
             msg: Astro2Msg::Credit(CreditBundle { bundle, sig }),
         });
-    }
-
-    /// The unicast fan-out of a `CreditRequest` to every potential donor:
-    /// all replicas of all shards (cross-shard settles credit through
-    /// here too), excluding this replica.
-    fn credit_request_envelopes(&self) -> Vec<Envelope<Astro2Msg<A::Sig>>> {
-        let since = self.ledger.total_settled() as u64;
-        let mut out = Vec::new();
-        for group in &self.groups {
-            for &r in group.members() {
-                if r != self.me {
-                    out.push(Envelope {
-                        to: astro_brb::Dest::One(r),
-                        msg: Astro2Msg::CreditRequest { since },
-                    });
-                }
-            }
-        }
-        out
     }
 
     /// Number of payments waiting in the unflushed batch.
@@ -948,60 +696,6 @@ impl<A: Authenticator> AstroTwoReplica<A> {
     /// accumulated acks leave on the next flush tick.
     pub fn pending_acks(&self) -> usize {
         self.pending_acks.len()
-    }
-
-    /// Processes one replica-to-replica message.
-    pub fn handle(
-        &mut self,
-        from: ReplicaId,
-        msg: Astro2Msg<A::Sig>,
-    ) -> ReplicaStep<Astro2Msg<A::Sig>> {
-        match msg {
-            Astro2Msg::Brb(m) => {
-                let member = self.group().contains(from);
-                if let Some(sync) = &mut self.syncing {
-                    // Settlement is paused until the transferred state is
-                    // installed; park the message for replay.
-                    if member {
-                        sync.park(from, m);
-                        if let Some(obs) = &self.obs {
-                            obs.parked.inc();
-                            obs.parked_depth.set(sync.buffered.len() as u64);
-                        }
-                    }
-                    return ReplicaStep::empty();
-                }
-                let step = self.brb.handle(from, m);
-                let mut out = ReplicaStep {
-                    outbound: step
-                        .outbound
-                        .into_iter()
-                        .map(|e| Envelope { to: e.to, msg: Astro2Msg::Brb(e.msg) })
-                        .collect(),
-                    settled: Vec::new(),
-                };
-                for delivery in step.delivered {
-                    self.apply_batch(delivery.id, delivery.payload, &mut out);
-                }
-                if let Some(obs) = &self.obs {
-                    // An outbound COMMIT means this replica just assembled
-                    // the 2f+1 ack quorum proof for its payload.
-                    for env in &out.outbound {
-                        if let Astro2Msg::Brb(SignedMsg::Commit { payload, .. }) = &env.msg {
-                            obs.stage_batch(
-                                payload.entries.iter().map(|e| &e.payment),
-                                astro_obs::Stage::AckQuorum,
-                            );
-                        }
-                    }
-                }
-                out
-            }
-            Astro2Msg::Credit(cb) => self.on_credit(from, cb),
-            Astro2Msg::Sync(m) => self.on_sync(from, m),
-            Astro2Msg::CreditAck { digests, sig } => self.on_credit_ack(from, digests, sig),
-            Astro2Msg::CreditRequest { since } => self.on_credit_request(from, since),
-        }
     }
 
     /// Handles a CREDIT acknowledgment at the settling replica: each
@@ -1030,10 +724,10 @@ impl<A: Authenticator> AstroTwoReplica<A> {
                 continue;
             }
             self.outbox.remove(&digest);
-            self.journal.rec(&WalRecord::CreditAcked { digest });
+            self.shell.journal.rec(&WalRecord::CreditAcked { digest });
             discharged += 1;
         }
-        if let Some(obs) = &self.obs {
+        if let Some(obs) = &self.shell.obs {
             if discharged > 0 {
                 obs.credit_acks.add(discharged);
             }
@@ -1050,7 +744,7 @@ impl<A: Authenticator> AstroTwoReplica<A> {
     /// certificates the requester certified, acked, and then lost.
     fn on_credit_request(&mut self, from: ReplicaId, since: u64) -> ReplicaStep<Astro2Msg<A::Sig>> {
         let mut out = ReplicaStep::empty();
-        if from == self.me {
+        if from == self.shell.me {
             return out;
         }
         let mut replays = 0u64;
@@ -1074,12 +768,12 @@ impl<A: Authenticator> AstroTwoReplica<A> {
         // settled history is a stale prefix of what the requester
         // already has) — the outbox retransmissions above still count.
         let same_shard = self.layout.shard_of_replica(from) == Some(self.my_shard);
-        if !(same_shard && (self.ledger.total_settled() as u64) < since) {
+        if !(same_shard && (self.shell.ledger.total_settled() as u64) < since) {
             // Regenerate from settled history. Singleton bundles, so every
             // donor derives the identical digest independently and `f+1`
             // proofs accumulate under one key at the requester.
             let mut regenerated: Vec<Vec<Payment>> = Vec::new();
-            for xlog in self.ledger.xlogs() {
+            for xlog in self.shell.ledger.xlogs() {
                 for p in xlog.iter() {
                     if self.layout.representative_of(p.beneficiary) != from {
                         continue;
@@ -1107,7 +801,7 @@ impl<A: Authenticator> AstroTwoReplica<A> {
                 self.queue_credit(from, bundle, &mut out.outbound);
             }
         }
-        if let Some(obs) = &self.obs {
+        if let Some(obs) = &self.shell.obs {
             if replays > 0 {
                 obs.credit_replays.add(replays);
             }
@@ -1115,149 +809,6 @@ impl<A: Authenticator> AstroTwoReplica<A> {
             obs.outbox_depth.set(self.outbox.len() as u64);
         }
         out
-    }
-
-    /// Handles reconfiguration traffic: serves catch-up requests from
-    /// shard members and, while catching up, folds peer responses into
-    /// the collector until one certifies and installs.
-    fn on_sync(
-        &mut self,
-        from: ReplicaId,
-        msg: ReconfigMsg<A::Sig>,
-    ) -> ReplicaStep<Astro2Msg<A::Sig>> {
-        if from == self.me || !self.group().contains(from) {
-            return ReplicaStep::empty();
-        }
-        match msg {
-            ReconfigMsg::SyncRequest { settled } => {
-                // A replica that is itself catching up serves nothing,
-                // and one behind the requester's floor stays silent (its
-                // response would be rejected on arrival anyway).
-                if self.syncing.is_some() || (self.ledger.total_settled() as u64) < settled {
-                    return ReplicaStep::empty();
-                }
-                match self.sync_chunks(from) {
-                    Ok((head, blocks)) => {
-                        let mut outbound = Vec::with_capacity(blocks.len() + 1);
-                        let reply = ReconfigMsg::SyncState {
-                            settled: self.ledger.total_settled() as u64,
-                            state: head.to_wire_bytes(),
-                        };
-                        outbound.push(Envelope {
-                            to: astro_brb::Dest::One(from),
-                            msg: Astro2Msg::Sync(reply),
-                        });
-                        for (client, block, data) in blocks {
-                            outbound.push(Envelope {
-                                to: astro_brb::Dest::One(from),
-                                msg: Astro2Msg::Sync(ReconfigMsg::SyncBlock {
-                                    client,
-                                    block,
-                                    data,
-                                }),
-                            });
-                        }
-                        ReplicaStep { outbound, settled: Vec::new() }
-                    }
-                    Err(SyncServeError::HeadTooLarge { bytes }) => {
-                        // Typed refusal instead of the framing layer's
-                        // oversized-payload panic.
-                        if let Some(obs) = &self.obs {
-                            obs.sync_refused_oversize.inc();
-                            obs.flight.event("core.sync.head_oversize", bytes as u64, 0);
-                        }
-                        ReplicaStep::empty()
-                    }
-                }
-            }
-            ReconfigMsg::SyncState { settled, state } => {
-                let Some(sync) = &mut self.syncing else { return ReplicaStep::empty() };
-                if let Some(head) = sync.votes.offer(from, settled, state) {
-                    sync.certified_head = Some(head);
-                }
-                self.note_sync_progress();
-                self.try_complete_sync()
-            }
-            ReconfigMsg::SyncBlock { client, block, data } => {
-                let Some(sync) = &mut self.syncing else { return ReplicaStep::empty() };
-                sync.blocks.offer(from, client, block, data);
-                self.note_sync_progress();
-                self.try_complete_sync()
-            }
-            // The join protocol is driven by `ReconfigReplica`
-            // deployments, not by the payment replica itself.
-            _ => ReplicaStep::empty(),
-        }
-    }
-
-    /// Publishes the catch-up collectors' reject/progress counters.
-    fn note_sync_progress(&mut self) {
-        let (Some(obs), Some(sync)) = (&self.obs, &self.syncing) else { return };
-        obs.sync_rejected.set((sync.votes.rejected() + sync.blocks.rejected()) as u64);
-        obs.sync_blocks_certified.set(sync.blocks.certified_len() as u64);
-    }
-
-    /// Attempts to finish the catch-up; the Astro II twin of
-    /// [`crate::astro1::AstroOneReplica`]'s completion flow — certified
-    /// head plus all referenced history blocks reassemble into a full
-    /// [`Astro2State`] and install. Invalid transfers discard every vote;
-    /// a merely stale head keeps the content-stable certified blocks.
-    fn try_complete_sync(&mut self) -> ReplicaStep<Astro2Msg<A::Sig>> {
-        let Some(sync) = &mut self.syncing else { return ReplicaStep::empty() };
-        let Some(head_bytes) = &sync.certified_head else { return ReplicaStep::empty() };
-        let assembled = match decode_exact::<SyncHead>(head_bytes) {
-            Ok(head) => {
-                if !sync.blocks.has_all(&head.blocks) {
-                    return ReplicaStep::empty(); // blocks still certifying
-                }
-                let blocks = &sync.blocks;
-                decode_exact::<Astro2State>(&head.state_tail).ok().and_then(|mut state| {
-                    merge_history_blocks(&mut state.ledger, &head.blocks, |c, b| {
-                        blocks.certified(c, b).cloned()
-                    })
-                    .ok()
-                    .map(|()| state)
-                })
-            }
-            Err(_) => None,
-        };
-        let Some(state) = assembled else {
-            // f+1 matching copies of an undecodable or unmergeable
-            // transfer cannot come from an honest majority; drop
-            // everything and re-collect.
-            sync.certified_head = None;
-            sync.votes.clear();
-            sync.blocks.clear();
-            return ReplicaStep::empty();
-        };
-        match self.install_sync(&state) {
-            Ok(mut out) => {
-                let sync = self.syncing.take().expect("syncing");
-                for (from, m) in sync.buffered {
-                    let step = self.handle(from, Astro2Msg::Brb(m));
-                    out.outbound.extend(step.outbound);
-                    out.settled.extend(step.settled);
-                }
-                out
-            }
-            Err(SyncError::Stale) => {
-                // The certified head is behind this replica (the donors
-                // lag) — discard it and retry; certified blocks stay.
-                if let Some(sync) = &mut self.syncing {
-                    sync.certified_head = None;
-                    sync.votes.clear();
-                }
-                ReplicaStep::empty()
-            }
-            Err(SyncError::Invalid) => {
-                if let Some(sync) = &mut self.syncing {
-                    sync.certified_head = None;
-                    sync.votes.clear();
-                    sync.blocks.clear();
-                }
-                ReplicaStep::empty()
-            }
-        }
     }
 
     /// Applies a BRB-delivered batch (Listings 8–9) and emits CREDIT
@@ -1297,7 +848,7 @@ impl<A: Authenticator> AstroTwoReplica<A> {
                     // future-sequence payment queues *before* the
                     // dependency step, so its credits are not yet in the
                     // ledger and must survive a restart with it.
-                    self.journal.rec(&WalRecord::Queued {
+                    self.shell.journal.rec(&WalRecord::Queued {
                         payment: p,
                         deps: entry.deps.iter().map(Wire::to_wire_bytes).collect(),
                     });
@@ -1310,8 +861,8 @@ impl<A: Authenticator> AstroTwoReplica<A> {
 
         // Cascade: settled payments may unblock queued successors.
         let Self {
+            shell: Shell { ledger, journal, .. },
             pending,
-            ledger,
             auth,
             layout,
             groups,
@@ -1320,7 +871,6 @@ impl<A: Authenticator> AstroTwoReplica<A> {
             stuck,
             mode,
             my_shard,
-            journal,
             ..
         } = self;
         let cascaded = pending.drain_cascade(touched, ledger, |ledger, p, deps| {
@@ -1335,7 +885,7 @@ impl<A: Authenticator> AstroTwoReplica<A> {
         // a torn tail that cuts before it replays a (harmless, idempotent)
         // effect prefix with the cursor still behind — never a cursor that
         // has advanced past effects that were lost.
-        self.journal.rec(&WalRecord::Delivered { source: id.source, tag: id.tag });
+        self.shell.journal.rec(&WalRecord::Delivered { source: id.source, tag: id.tag });
 
         // Emit CREDIT sub-batches grouped by beneficiary representative
         // (paper §VI-A's second batching level: one signature per group).
@@ -1348,24 +898,25 @@ impl<A: Authenticator> AstroTwoReplica<A> {
                 by_rep.entry(self.layout.representative_of(p.beneficiary)).or_default().push(*p);
             }
         }
+        let me = self.shell.me;
         for (rep, bundle) in by_rep {
-            if rep == self.me {
+            if rep == me {
                 // Self-addressed credits deliver inline: no transport to
                 // lose them, so they bypass the retry outbox too.
                 let sig = self.auth.sign(&credit_context(&bundle));
-                let step = self.on_credit(self.me, CreditBundle { bundle, sig });
+                let step = self.on_credit(me, CreditBundle { bundle, sig });
                 out.outbound.extend(step.outbound);
                 out.settled.extend(step.settled);
             } else {
                 self.queue_credit(rep, bundle, &mut out.outbound);
             }
         }
-        if let Some(obs) = &self.obs {
+        if let Some(obs) = &self.shell.obs {
             obs.settles.add(settled.len() as u64);
             // Representative-only, as in Astro I: one stamp per payment
             // keeps the rest of the shard off the tracer.
             obs.stage_batch(
-                settled.iter().filter(|p| self.layout.representative_of(p.spender) == self.me),
+                settled.iter().filter(|p| self.layout.representative_of(p.spender) == me),
                 astro_obs::Stage::Settle,
             );
         }
@@ -1379,7 +930,7 @@ impl<A: Authenticator> AstroTwoReplica<A> {
         deps: &[DependencyCertificate<A::Sig>],
     ) -> SettleOutcome {
         let Self {
-            ledger,
+            shell: Shell { ledger, journal, .. },
             auth,
             layout,
             groups,
@@ -1388,7 +939,6 @@ impl<A: Authenticator> AstroTwoReplica<A> {
             stuck,
             mode,
             my_shard,
-            journal,
             ..
         } = self;
         attempt_settle_inner(
@@ -1417,7 +967,7 @@ impl<A: Authenticator> AstroTwoReplica<A> {
             return empty;
         }
         // Ignore bundles for clients we do not represent.
-        if !cb.bundle.iter().any(|p| self.layout.is_representative(self.me, p.beneficiary)) {
+        if !cb.bundle.iter().any(|p| self.layout.is_representative(self.shell.me, p.beneficiary)) {
             return empty;
         }
         let context = credit_context(&cb.bundle);
@@ -1457,7 +1007,7 @@ impl<A: Authenticator> AstroTwoReplica<A> {
         proofs.sort_unstable_by_key(|(r, _)| *r);
         let senders: Vec<ReplicaId> = proofs.iter().map(|(r, _)| *r).collect();
         let cert = DependencyCertificate { bundle: partial.bundle.clone(), proofs };
-        self.journal.rec(&WalRecord::Cert { bytes: cert.to_wire_bytes() });
+        self.shell.journal.rec(&WalRecord::Cert { bytes: cert.to_wire_bytes() });
         self.hold(key, cert);
         // The certificate is durable (journaled above; group commit makes
         // it disk-durable before outbound leaves a durable runtime): owe
@@ -1485,7 +1035,7 @@ impl<A: Authenticator> AstroTwoReplica<A> {
             .bundle
             .iter()
             .map(|p| p.beneficiary)
-            .filter(|b| self.layout.is_representative(self.me, *b))
+            .filter(|b| self.layout.is_representative(self.shell.me, *b))
             .collect();
         self.held.insert(key, Arc::new(cert), mine);
     }
@@ -1496,10 +1046,10 @@ impl<A: Authenticator> AstroTwoReplica<A> {
     /// traffic scales with flush intervals, not with sub-batch count.
     /// Self-addressed credits discharge their outbox entry directly.
     fn note_ack(&mut self, to: ReplicaId, key: [u8; 32]) {
-        if to == self.me {
+        if to == self.shell.me {
             // Signing an ack to ourselves is wasted work.
             if self.outbox.remove(&key).is_some() {
-                self.journal.rec(&WalRecord::CreditAcked { digest: key });
+                self.shell.journal.rec(&WalRecord::CreditAcked { digest: key });
             }
             return;
         }
@@ -1519,28 +1069,6 @@ impl<A: Authenticator> AstroTwoReplica<A> {
                 msg: Astro2Msg::CreditAck { digests, sig },
             });
         }
-    }
-
-    /// The settled balance of a client at this replica.
-    pub fn balance(&self, client: ClientId) -> Amount {
-        self.ledger.balance(client)
-    }
-
-    /// The balance a representative reports to its client: settled balance
-    /// plus certified-but-unspent incoming credits.
-    pub fn available_balance(&self, client: ClientId) -> Amount {
-        // A credit may be vouched for by several held certificates (a
-        // replayed singleton alongside the original sub-batch); the store
-        // yields each payment once.
-        self.held
-            .vouched(client)
-            .filter(|p| !self.used_deps.contains(&p.id()))
-            .fold(self.ledger.balance(client), |total, p| total.saturating_add(p.amount))
-    }
-
-    /// Read access to the ledger.
-    pub fn ledger(&self) -> &Ledger {
-        &self.ledger
     }
 
     /// Number of payments queued awaiting approval.
@@ -1564,34 +1092,280 @@ impl<A: Authenticator> AstroTwoReplica<A> {
         &self.cert_cache
     }
 
-    /// Prunes BRB state for delivered broadcast instances (the contiguous
-    /// delivered prefix of every source's stream) — see
-    /// [`SignedBrb::gc_delivered`]. The durable runtime calls this at its
-    /// snapshot-install point so BRB memory stays bounded by the
-    /// in-flight window. Returns the number of instances pruned.
-    pub fn prune_delivered(&mut self) -> usize {
-        self.brb.gc_delivered()
+    /// Re-creates one retry-outbox entry from recovered `(dest, bundle)`
+    /// data, re-signing with this replica's key (signatures are not
+    /// persisted). Due for immediate retransmission; idempotent over the
+    /// snapshot/WAL overlap window.
+    fn restore_outbox_entry(&mut self, dest: ReplicaId, bundle: Vec<Payment>) {
+        let context = credit_context(&bundle);
+        let key: [u8; 32] = context.as_slice().try_into().expect("sha256 digest");
+        if self.outbox.contains_key(&key) {
+            return;
+        }
+        let sig = self.auth.sign(&context);
+        self.outbox
+            .insert(key, OutboxEntry { dest, bundle, sig, ticks: 0, backoff: OUTBOX_BASE_TICKS });
+    }
+}
+
+impl<A: Authenticator> Replica for AstroTwoReplica<A> {
+    type Msg = Astro2Msg<A::Sig>;
+    type Sig = A::Sig;
+    type Config = Astro2Config;
+    type State = Astro2State;
+    type Snapshot = Astro2Snapshot;
+
+    fn shell(&self) -> &Shell<Self::Msg> {
+        &self.shell
     }
 
-    /// [`Self::prune_delivered`] once `high_water` instances are tracked;
-    /// for calling after every message (see [`prune_at_high_water`]).
-    pub fn prune_delivered_at(&mut self, high_water: usize) {
-        let (tracked, brb, obs) = (self.brb.tracked_instances(), &mut self.brb, self.obs.as_ref());
-        prune_at_high_water(&mut self.gc_rearm, tracked, high_water, obs, || brb.gc_delivered());
+    fn shell_mut(&mut self) -> &mut Shell<Self::Msg> {
+        &mut self.shell
     }
 
-    /// Number of receiver-side BRB instances currently tracked
-    /// (observability for the GC tests).
-    pub fn tracked_instances(&self) -> usize {
+    fn sync_msg(msg: ReconfigMsg<A::Sig>) -> Self::Msg {
+        Astro2Msg::Sync(msg)
+    }
+
+    fn state_ledger(state: &mut Astro2State) -> &mut LedgerState {
+        &mut state.ledger
+    }
+
+    fn sealed_segments(residual: &Astro2Snapshot) -> u64 {
+        residual.sealed_segments
+    }
+
+    /// This replica's shard.
+    fn group(&self) -> &Group {
+        &self.groups[self.my_shard.0 as usize]
+    }
+
+    /// Listing 7: the accumulated dependency certificates ride along with
+    /// the payment. Rejects clients this replica does not represent, and
+    /// sequence numbers other than the client's next.
+    fn submit(&mut self, payment: Payment) -> Result<ReplicaStep<Self::Msg>, SubmitError> {
+        if !self.layout.is_representative(self.shell.me, payment.spender) {
+            return Err(SubmitError::NotRepresentative {
+                client: payment.spender,
+                representative: self.layout.representative_of(payment.spender),
+            });
+        }
+        // At most one payment per xlog slot may ever leave this
+        // representative (Listing 7 assigns sequence numbers here for the
+        // same reason): the shard's broadcast delivery is unordered, so if
+        // two conflicting payments at one seq both reached broadcast,
+        // correct replicas could settle different winners. An equivocating
+        // client's second submission dies at the door instead.
+        let floor = self.shell.ledger.next_seq(payment.spender);
+        let gate = self.submitted_seq.entry(payment.spender).or_insert(floor);
+        if *gate < floor {
+            // A catch-up install advanced the ledger past the gate.
+            *gate = floor;
+        }
+        if payment.seq != *gate {
+            return Err(SubmitError::SeqOutOfOrder {
+                client: payment.spender,
+                seq: payment.seq,
+                expected: *gate,
+            });
+        }
+        *gate = gate.next();
+        let reserved = self.reserved.entry(payment.spender).or_insert(0);
+        let need = reserved.saturating_add(payment.amount.0);
+        let attach = match self.dep_policy {
+            DepPolicy::Always => true,
+            DepPolicy::WhenNeeded => self.shell.ledger.balance(payment.spender).0 < need,
+        };
+        *reserved = need;
+        let deps = if attach {
+            let taken = self.held.take(payment.spender);
+            if !taken.is_empty() {
+                // Consumption is journaled at the *flush* that broadcasts
+                // the carrying payment, not here: a crash before the
+                // broadcast must restore the certificates (the batch is
+                // lost with them), and re-attachment after recovery is
+                // idempotent at verifiers via `usedDeps`.
+                self.pending_cert_takes
+                    .push((payment.spender, taken.iter().map(cert_digest).collect()));
+            }
+            taken
+        } else {
+            Vec::new()
+        };
+        self.batch.push(DepPayment { payment, deps });
+        // While catching up the batch only accumulates: auto-flush would
+        // burn the sync retry pacing (flush doubles as its timer), and
+        // broadcasting must wait for the certified tag floor anyway.
+        if !self.is_syncing() && self.batch.len() >= self.batch_size {
+            Ok(self.flush())
+        } else {
+            Ok(ReplicaStep::empty())
+        }
+    }
+
+    fn handle(&mut self, from: ReplicaId, msg: Self::Msg) -> ReplicaStep<Self::Msg> {
+        match msg {
+            Astro2Msg::Brb(m) => {
+                if self.is_syncing() {
+                    // Settlement is paused until the transferred state is
+                    // installed; CREDIT traffic keeps flowing —
+                    // certificates accumulate independently of the ledger.
+                    replica::park(self, from, Astro2Msg::Brb(m));
+                    return ReplicaStep::empty();
+                }
+                let step = self.brb.handle(from, m);
+                let mut out = ReplicaStep {
+                    outbound: step
+                        .outbound
+                        .into_iter()
+                        .map(|e| Envelope { to: e.to, msg: Astro2Msg::Brb(e.msg) })
+                        .collect(),
+                    settled: Vec::new(),
+                };
+                for delivery in step.delivered {
+                    self.apply_batch(delivery.id, delivery.payload, &mut out);
+                }
+                if let Some(obs) = &self.shell.obs {
+                    // An outbound COMMIT means this replica just assembled
+                    // the 2f+1 ack quorum proof for its payload.
+                    for env in &out.outbound {
+                        if let Astro2Msg::Brb(SignedMsg::Commit { payload, .. }) = &env.msg {
+                            obs.stage_batch(
+                                payload.entries.iter().map(|e| &e.payment),
+                                astro_obs::Stage::AckQuorum,
+                            );
+                        }
+                    }
+                }
+                out
+            }
+            Astro2Msg::Credit(cb) => self.on_credit(from, cb),
+            Astro2Msg::Sync(m) => replica::handle_sync(self, from, m),
+            Astro2Msg::CreditAck { digests, sig } => self.on_credit_ack(from, digests, sig),
+            Astro2Msg::CreditRequest { since } => self.on_credit_request(from, since),
+        }
+    }
+
+    /// Broadcasts the accumulated batch within the shard, if any. CREDIT
+    /// retransmission and batched acks ride the same timer.
+    fn flush(&mut self) -> ReplicaStep<Self::Msg> {
+        // The outbox keeps running during catch-up: it serves *other*
+        // replicas' recovery, which must not wait for ours.
+        let mut out = ReplicaStep::empty();
+        self.tick_outbox(&mut out.outbound);
+        if let Some(step) = replica::catchup_tick(self) {
+            out.outbound.extend(step.outbound);
+            out.settled.extend(step.settled);
+            return out;
+        }
+        if self.batch.is_empty() {
+            return out;
+        }
+        let entries = std::mem::take(&mut self.batch);
+        if let Some(obs) = &self.shell.obs {
+            obs.stage_batch(entries.iter().map(|e| &e.payment), astro_obs::Stage::Prepare);
+            obs.pending_depth.set(self.pending.len() as u64);
+            obs.cert_cache_hits.set(self.cert_cache.hits());
+            obs.cert_cache_misses.set(self.cert_cache.misses());
+        }
+        let id = InstanceId { source: u64::from(self.shell.me.0), tag: self.next_tag };
+        self.next_tag += 1;
+        // The batch becomes durable now: certificate consumption first,
+        // then the tag reservation — a restarted replica must never reuse
+        // a tag it already broadcast under (peers ack at most one payload
+        // per instance, so a reused tag wedges the stream). Journaled
+        // before the PREPARE leaves; against *power loss* the window is
+        // bounded by group commit unless `sync_on_broadcast` is set.
+        for (client, digests) in std::mem::take(&mut self.pending_cert_takes) {
+            self.shell.journal.rec(&WalRecord::CertsTaken { client, digests });
+        }
+        self.shell.journal.rec(&WalRecord::OwnTag { tag: id.tag });
+        let step = self.brb.broadcast(id, DepBatch { entries });
+        out.outbound.extend(
+            step.outbound.into_iter().map(|e| Envelope { to: e.to, msg: Astro2Msg::Brb(e.msg) }),
+        );
+        out
+    }
+
+    /// Settled balance plus certified-but-unspent incoming credits.
+    fn available_balance(&self, client: ClientId) -> Amount {
+        // A credit may be vouched for by several held certificates (a
+        // replayed singleton alongside the original sub-batch); the store
+        // yields each payment once.
+        self.held
+            .vouched(client)
+            .filter(|p| !self.used_deps.contains(&p.id()))
+            .fold(self.shell.ledger.balance(client), |total, p| total.saturating_add(p.amount))
+    }
+
+    /// The pool pre-verifies these off the replica thread into the shared
+    /// [`astro_types::VerdictCache`]; by the time the state machine
+    /// reaches its `verify_all` / [`astro_types::count_valid_signers`]
+    /// calls, the verdicts are cache hits. Only Schnorr signatures are
+    /// enumerated ([`Authenticator::schnorr`]).
+    ///
+    /// - `Ack` — the accumulated-ACK batch check ([`SignedBrb`]'s quorum
+    ///   path) covers the ack context.
+    /// - `Commit` — the `2f+1` quorum proof covers the ack context;
+    ///   attached dependency certificates are checked at settlement.
+    /// - `Prepare` — the attached dependency certificates again: they will
+    ///   be checked when the instance *commits*, so pre-verifying at
+    ///   PREPARE hides the certificate work behind the ACK round-trip.
+    /// - `Credit` — one signature over the sub-batch digest.
+    fn preverify(&self, from: ReplicaId, msg: &Self::Msg) -> Vec<SigCheck> {
+        use astro_brb::payload_digest;
+        use astro_brb::signed::ack_context;
+
+        let mut out = Vec::new();
+        let certs = |out: &mut Vec<SigCheck>, batch: &DepBatch<A::Sig>| {
+            for cert in batch.entries.iter().flat_map(|entry| &entry.deps) {
+                if !cert.bundle.is_empty() {
+                    let proofs = cert.proofs.iter().map(|(signer, sig)| (*signer, sig));
+                    push_checks::<A>(out, credit_context(&cert.bundle).into(), proofs);
+                }
+            }
+        };
+        match msg {
+            Astro2Msg::Brb(SignedMsg::Prepare { payload, .. }) => certs(&mut out, payload),
+            Astro2Msg::Brb(SignedMsg::Ack { id, digest, sig }) => {
+                push_checks::<A>(&mut out, ack_context(*id, digest).into(), [(from, sig)]);
+            }
+            Astro2Msg::Brb(SignedMsg::Commit { id, payload, proof }) => {
+                let context = ack_context(*id, &payload_digest(*id, payload)).into();
+                push_checks::<A>(&mut out, context, proof.iter().map(|(r, sig)| (*r, sig)));
+                certs(&mut out, payload);
+            }
+            Astro2Msg::Credit(cb) => {
+                push_checks::<A>(&mut out, credit_context(&cb.bundle).into(), [(from, &cb.sig)]);
+            }
+            Astro2Msg::CreditAck { digests, sig } => {
+                push_checks::<A>(&mut out, credit_ack_context(digests).into(), [(from, sig)]);
+            }
+            // Catch-up traffic certifies by f+1 matching digests over the
+            // authenticated links — nothing for the verify pool. A
+            // CreditRequest carries no signature: over-replay it could
+            // induce is already harmless.
+            Astro2Msg::Sync(_) | Astro2Msg::CreditRequest { .. } => {}
+        }
+        out
+    }
+
+    fn tracked_instances(&self) -> usize {
         self.brb.tracked_instances()
     }
 
-    /// Exports the durable state (snapshot): settlement state, approval
-    /// queue, dependency replay-protection, stuck set, held certificates,
-    /// broadcast tag counter, and BRB cursors. The shared settlement
-    /// state is canonical; the certificate section is representative-local
-    /// by construction.
-    pub fn export_state(&self) -> Astro2State {
+    /// See [`SignedBrb::gc_delivered`]: the contiguous delivered prefix of
+    /// every source's stream.
+    fn prune_delivered(&mut self) -> usize {
+        self.brb.gc_delivered()
+    }
+
+    /// Settlement state, approval queue, dependency replay-protection,
+    /// stuck set, held certificates, the CREDIT outbox, broadcast tag
+    /// counter, and BRB cursors. The shared settlement state is
+    /// canonical; the certificate section is representative-local by
+    /// construction.
+    fn export_state(&self) -> Astro2State {
         let mut used_deps: Vec<PaymentId> = self.used_deps.iter().copied().collect();
         used_deps.sort_unstable();
         let mut stuck: Vec<ClientId> = self.stuck.iter().copied().collect();
@@ -1622,7 +1396,7 @@ impl<A: Authenticator> AstroTwoReplica<A> {
             self.outbox.values().map(|e| (e.dest, e.bundle.clone())).collect();
         outbox.sort_by_key(|(dest, _)| *dest);
         Astro2State {
-            ledger: self.ledger.export(),
+            ledger: self.shell.ledger.export(),
             pending: self
                 .pending
                 .entries()
@@ -1638,89 +1412,56 @@ impl<A: Authenticator> AstroTwoReplica<A> {
         }
     }
 
-    /// Reconstructs a replica from a recovered snapshot state. `auth`,
-    /// `layout` and `cfg` must match the crashed incarnation. In-flight
-    /// state that is deliberately not durable — the unflushed client
-    /// batch, partial CREDIT proof sets below the certificate threshold,
-    /// and in-flight balance reservations — restarts empty.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the snapshot's xlogs violate the owner/sequence
-    /// invariants. Certificates that fail to decode under this signature
-    /// scheme are dropped (they could never verify either).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the replica is not a member of the layout (as
-    /// [`Self::new`]).
-    pub fn restore(
-        auth: A,
-        layout: ShardLayout,
-        cfg: Astro2Config,
-        state: &Astro2State,
-    ) -> Result<Self, XLogError> {
-        let mut replica = AstroTwoReplica::new(auth, layout, cfg);
-        replica.ledger = Ledger::import(&state.ledger)?;
-        for (payment, deps) in &state.pending {
-            let decoded: Vec<DependencyCertificate<A::Sig>> =
-                deps.iter().filter_map(|bytes| decode_exact(bytes).ok()).collect();
-            replica.pending.push(*payment, decoded);
+    /// Everything outside the ledger.
+    fn residual_state(&self, sealed_segments: u64) -> Astro2Snapshot {
+        let full = self.export_state();
+        Astro2Snapshot {
+            sealed_segments,
+            pending: full.pending,
+            used_deps: full.used_deps,
+            stuck: full.stuck,
+            certs: full.certs,
+            outbox: full.outbox,
+            next_tag: full.next_tag,
+            cursors: full.cursors,
         }
-        replica.used_deps = state.used_deps.iter().copied().collect();
-        replica.stuck = state.stuck.iter().copied().collect();
-        replica.restore_held(&state.certs);
-        for (dest, bundle) in &state.outbox {
-            replica.restore_outbox_entry(*dest, bundle.clone());
-        }
-        replica.next_tag = state.next_tag;
-        for (source, next) in &state.cursors {
-            replica.brb.advance_cursor(*source, *next);
-        }
-        Ok(replica)
     }
 
-    /// Rebuilds the held-certificate store from a snapshot's certificate
-    /// section. Each client's list is inserted as written; certificates
-    /// listed under several beneficiaries come back as one allocation.
-    fn restore_held(&mut self, certs: &[(ClientId, Vec<Vec<u8>>)]) {
-        for (client, certs) in certs {
+    /// Certificates listed under several beneficiaries come back as one
+    /// allocation; outbox entries are re-signed.
+    fn restore_residual(&mut self, residual: &Astro2Snapshot) {
+        for (payment, deps) in &residual.pending {
+            let decoded: Vec<DependencyCertificate<A::Sig>> =
+                deps.iter().filter_map(|bytes| decode_exact(bytes).ok()).collect();
+            self.pending.push(*payment, decoded);
+        }
+        self.used_deps = residual.used_deps.iter().copied().collect();
+        self.stuck = residual.stuck.iter().copied().collect();
+        for (client, certs) in &residual.certs {
             for bytes in certs {
                 if let Ok(cert) = decode_exact::<DependencyCertificate<A::Sig>>(bytes) {
                     self.held.insert(credit_key(&cert.bundle), Arc::new(cert), [*client]);
                 }
             }
         }
-    }
-
-    /// Re-creates one retry-outbox entry from recovered `(dest, bundle)`
-    /// data, re-signing with this replica's key (signatures are not
-    /// persisted). Due for immediate retransmission; idempotent over the
-    /// snapshot/WAL overlap window.
-    fn restore_outbox_entry(&mut self, dest: ReplicaId, bundle: Vec<Payment>) {
-        let context = credit_context(&bundle);
-        let key: [u8; 32] = context.as_slice().try_into().expect("sha256 digest");
-        if self.outbox.contains_key(&key) {
-            return;
+        for (dest, bundle) in &residual.outbox {
+            self.restore_outbox_entry(*dest, bundle.clone());
         }
-        let sig = self.auth.sign(&context);
-        self.outbox
-            .insert(key, OutboxEntry { dest, bundle, sig, ticks: 0, backoff: OUTBOX_BASE_TICKS });
+        self.next_tag = residual.next_tag;
+        for (source, next) in &residual.cursors {
+            self.brb.advance_cursor(*source, *next);
+        }
     }
 
-    /// Re-applies one WAL record on top of a restored snapshot. Records
-    /// must be fed in log order; records already reflected in the
-    /// snapshot re-apply as no-ops. Call [`Self::finish_recovery`] after
-    /// the last record.
-    pub fn replay(&mut self, record: &WalRecord) {
+    fn replay(&mut self, record: &WalRecord) {
         match record {
             WalRecord::Delivered { source, tag } => self.brb.advance_cursor(*source, tag + 1),
             WalRecord::Settle { payment, credit_beneficiary } => {
-                let _ = self.ledger.settle(payment, *credit_beneficiary);
+                let _ = self.shell.ledger.settle(payment, *credit_beneficiary);
             }
             WalRecord::DepUsed { dep } => {
                 if self.used_deps.insert(dep.id()) {
-                    self.ledger.credit(dep.beneficiary, dep.amount);
+                    self.shell.ledger.credit(dep.beneficiary, dep.amount);
                 }
             }
             WalRecord::Queued { payment, deps } => {
@@ -1755,61 +1496,18 @@ impl<A: Authenticator> AstroTwoReplica<A> {
         }
     }
 
-    /// Completes recovery: queue entries superseded by replayed settles
-    /// are pruned.
-    pub fn finish_recovery(&mut self) {
-        self.pending.prune_stale(&self.ledger);
+    fn finish_recovery(&mut self) {
+        self.pending.prune_stale(&self.shell.ledger);
     }
 
-    /// Starts peer catch-up (the restart path); see
-    /// [`crate::astro1::AstroOneReplica::begin_catchup`] — the Astro II
-    /// flow is identical, with the shard as the donor group. Retries
-    /// forever: for replicas with a safe local state to fall back to,
-    /// use [`Self::begin_catchup_with_fallback`].
-    pub fn begin_catchup(&mut self) {
-        let floor = self.ledger.total_settled() as u64;
-        let group = self.group().clone();
-        self.syncing = Some(SyncSession::new(
-            CatchUp::new(&group, self.me, floor),
-            BlockVotes::new(&group, self.me),
-            None,
-        ));
-    }
-
-    /// Like [`Self::begin_catchup`], but gives up after a bounded number
-    /// of request rounds and resumes from the locally recovered state;
-    /// see [`crate::astro1::AstroOneReplica::begin_catchup_with_fallback`].
-    pub fn begin_catchup_with_fallback(&mut self) {
-        let floor = self.ledger.total_settled() as u64;
-        let group = self.group().clone();
-        self.syncing = Some(SyncSession::new(
-            CatchUp::new(&group, self.me, floor),
-            BlockVotes::new(&group, self.me),
-            Some(crate::astro1::SYNC_FALLBACK_ROUNDS),
-        ));
-    }
-
-    /// True while peer catch-up is in progress.
-    pub fn is_syncing(&self) -> bool {
-        self.syncing.is_some()
-    }
-
-    /// True once after a sync install (the durable runtime must snapshot
-    /// now); consuming resets the flag.
-    pub fn take_snapshot_request(&mut self) -> bool {
-        std::mem::take(&mut self.snapshot_requested)
-    }
-
-    /// The canonical state served to a catching-up peer: the shared
-    /// settlement state (ledger, approval queue, dependency
+    /// The shared settlement state (ledger, approval queue, dependency
     /// replay-protection, stuck set) with the replica-local sections —
     /// the representative certificate store and the CREDIT retry outbox —
     /// cleared: donors do not hold the requester's clients' certificates
     /// or delivery debts, and leaving local data in would break the
-    /// byte-identical `f+1` match. `next_tag` is reinterpreted as the
-    /// *requester's* stream high-water mark (see
-    /// [`astro_brb::signed::SignedBrb::source_high_water`]).
-    pub fn sync_state(&self, requester: ReplicaId) -> Astro2State {
+    /// byte-identical `f+1` match. See
+    /// [`astro_brb::signed::SignedBrb::source_high_water`] for `next_tag`.
+    fn sync_state(&self, requester: ReplicaId) -> Astro2State {
         let mut state = self.export_state();
         state.certs = Vec::new();
         state.outbox = Vec::new();
@@ -1817,133 +1515,20 @@ impl<A: Authenticator> AstroTwoReplica<A> {
         state
     }
 
-    /// The chunked form of [`Self::sync_state`]; see
-    /// [`crate::astro1::AstroOneReplica::sync_chunks`]. Settled history
-    /// splits into content-stable blocks, the volatile remainder rides in
-    /// a small [`SyncHead`].
-    ///
-    /// # Errors
-    ///
-    /// [`SyncServeError::HeadTooLarge`] if the volatile head alone
-    /// exceeds [`SYNC_HEAD_MAX_BYTES`].
-    pub fn sync_chunks(
-        &self,
-        requester: ReplicaId,
-    ) -> Result<(SyncHead, Vec<SyncBlock>), SyncServeError> {
-        let mut state = self.sync_state(requester);
-        let blocks = split_history_blocks(&mut state.ledger);
-        let head = SyncHead { blocks: block_counts(&blocks), state_tail: state.to_wire_bytes() };
-        let bytes = head.state_tail.len();
-        if bytes > SYNC_HEAD_MAX_BYTES {
-            return Err(SyncServeError::HeadTooLarge { bytes });
-        }
-        Ok((head, blocks))
-    }
-
-    /// Seals the settle delta since the last checkpoint; see
-    /// [`crate::astro1::AstroOneReplica::seal_checkpoint`].
-    pub fn seal_checkpoint(&mut self) -> Vec<Vec<u8>> {
-        self.ledger
-            .seal_delta()
-            .iter()
-            .map(crate::journal::CheckpointRecord::to_wire_bytes)
-            .collect()
-    }
-
-    /// The residual snapshot — everything outside the ledger (which the
-    /// checkpoint segments reconstruct in full at seal time); see
-    /// [`crate::astro1::AstroOneReplica::residual_state`].
-    pub fn residual_state(&self, sealed_segments: u64) -> Astro2Snapshot {
-        let full = self.export_state();
-        Astro2Snapshot {
-            sealed_segments,
-            pending: full.pending,
-            used_deps: full.used_deps,
-            stuck: full.stuck,
-            certs: full.certs,
-            outbox: full.outbox,
-            next_tag: full.next_tag,
-            cursors: full.cursors,
-        }
-    }
-
-    /// Forgets the checkpoint watermarks; see
-    /// [`crate::astro1::AstroOneReplica::rebaseline`].
-    pub fn rebaseline(&mut self) {
-        self.ledger.rebaseline();
-    }
-
-    /// Reconstructs a replica from recovered checkpoint segments plus the
-    /// residual snapshot — the segmented counterpart of [`Self::restore`];
-    /// see [`crate::astro1::AstroOneReplica::restore_from_checkpoints`].
-    ///
-    /// # Errors
-    ///
-    /// As [`crate::astro1::AstroOneReplica::restore_from_checkpoints`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the replica is not a member of the layout (as
-    /// [`Self::new`]).
-    pub fn restore_from_checkpoints(
-        auth: A,
-        layout: ShardLayout,
-        cfg: Astro2Config,
-        segments: &[Vec<Vec<u8>>],
-        residual: &Astro2Snapshot,
-    ) -> Result<Self, RecoverError> {
-        if (segments.len() as u64) < residual.sealed_segments {
-            return Err(RecoverError::MissingSegments {
-                referenced: residual.sealed_segments,
-                recovered: segments.len() as u64,
-            });
-        }
-        let sealed = &segments[..residual.sealed_segments as usize];
-        let initial_balance = cfg.initial_balance;
-        let mut replica = AstroTwoReplica::new(auth, layout, cfg);
-        replica.ledger = Ledger::from_checkpoints(initial_balance, sealed)?;
-        for (payment, deps) in &residual.pending {
-            let decoded: Vec<DependencyCertificate<A::Sig>> =
-                deps.iter().filter_map(|bytes| decode_exact(bytes).ok()).collect();
-            replica.pending.push(*payment, decoded);
-        }
-        replica.used_deps = residual.used_deps.iter().copied().collect();
-        replica.stuck = residual.stuck.iter().copied().collect();
-        replica.restore_held(&residual.certs);
-        for (dest, bundle) in &residual.outbox {
-            replica.restore_outbox_entry(*dest, bundle.clone());
-        }
-        replica.next_tag = residual.next_tag;
-        for (source, next) in &residual.cursors {
-            replica.brb.advance_cursor(*source, *next);
-        }
-        Ok(replica)
-    }
-
-    /// Installs a certified peer state over the locally recovered one;
-    /// the Astro II analogue of
-    /// [`crate::astro1::AstroOneReplica::install_sync`]. The
-    /// representative-local certificate store is untouched by the
-    /// transfer itself: certificates are re-formed from CREDIT traffic —
-    /// donors retain unacked bundles in their retry outboxes, and the
-    /// `CreditRequest` fan-out this install emits makes them replay
-    /// anything this store is still missing.
-    ///
-    /// # Errors
-    ///
-    /// [`SyncError::Stale`] if the transferred state is behind this
-    /// replica in any xlog, used dependency, or stuck mark;
-    /// [`SyncError::Invalid`] if it fails structural validation.
-    pub fn install_sync(
-        &mut self,
-        state: &Astro2State,
-    ) -> Result<ReplicaStep<Astro2Msg<A::Sig>>, SyncError> {
+    /// Stale if the transferred state is behind this replica in any xlog,
+    /// used dependency, or stuck mark. The representative-local
+    /// certificate store is untouched by the transfer itself:
+    /// certificates are re-formed from CREDIT traffic — donors retain
+    /// unacked bundles in their retry outboxes, and the `CreditRequest`
+    /// fan-out of [`Replica::catchup_ended`] makes them replay anything
+    /// this store is still missing.
+    fn install_sync(&mut self, state: &Astro2State) -> Result<ReplicaStep<Self::Msg>, SyncError> {
         let certified = Ledger::import(&state.ledger).map_err(|_| SyncError::Invalid)?;
         // Never regress: xlogs, materialized dependencies, and stuck
         // marks must all be supersets of the local state, or effects this
         // replica already applied would vanish (and a dependency could
         // re-materialize — a double credit).
-        for xlog in self.ledger.xlogs() {
+        for xlog in self.shell.ledger.xlogs() {
             if certified.next_seq(xlog.owner()) < xlog.next_seq() {
                 return Err(SyncError::Stale);
             }
@@ -1958,10 +1543,10 @@ impl<A: Authenticator> AstroTwoReplica<A> {
         }
         let mut installed: Vec<Payment> = Vec::new();
         for xlog in certified.xlogs() {
-            let have = self.ledger.xlog(xlog.owner()).map_or(0, crate::xlog::XLog::len);
+            let have = self.shell.ledger.xlog(xlog.owner()).map_or(0, crate::xlog::XLog::len);
             installed.extend(xlog.iter().skip(have).copied());
         }
-        self.ledger = certified;
+        self.shell.ledger = certified;
         self.used_deps = certified_deps;
         self.stuck = certified_stuck;
         self.pending = PendingQueue::new();
@@ -1973,7 +1558,7 @@ impl<A: Authenticator> AstroTwoReplica<A> {
         if state.next_tag > self.next_tag {
             // Journaled even though a snapshot follows: tag reuse is the
             // one recovery error a later catch-up cannot repair.
-            self.journal.rec(&WalRecord::OwnTag { tag: state.next_tag - 1 });
+            self.shell.journal.rec(&WalRecord::OwnTag { tag: state.next_tag - 1 });
             self.next_tag = state.next_tag;
         }
         let mut out = ReplicaStep { outbound: Vec::new(), settled: installed };
@@ -1988,12 +1573,42 @@ impl<A: Authenticator> AstroTwoReplica<A> {
         }
         // The caught-up prefix is dead weight in the broadcast layer now.
         self.brb.gc_delivered();
-        self.snapshot_requested = true;
-        // Rebuild the certificate store: ask every potential donor to
-        // replay CREDITs that died with the link while this replica was
-        // down (or that it certified and then lost non-durably).
-        out.outbound.extend(self.credit_request_envelopes());
+        self.shell.snapshot_requested = true;
         Ok(out)
+    }
+
+    /// Rebuilds the certificate store: asks every potential donor — all
+    /// replicas of all shards (cross-shard settles credit through here
+    /// too) — to replay CREDITs that died with the link while this
+    /// replica was down (or that it certified and then lost non-durably).
+    fn catchup_ended(&self) -> Vec<Envelope<Self::Msg>> {
+        let since = self.shell.ledger.total_settled() as u64;
+        let mut out = Vec::new();
+        for group in &self.groups {
+            for &r in group.members() {
+                if r != self.shell.me {
+                    out.push(Envelope {
+                        to: astro_brb::Dest::One(r),
+                        msg: Astro2Msg::CreditRequest { since },
+                    });
+                }
+            }
+        }
+        out
+    }
+}
+
+/// Appends one pool check per Schnorr signature in `sigs`, all over the
+/// shared `context` (a refcount bump per signature, not a buffer clone).
+fn push_checks<'a, A: Authenticator>(
+    out: &mut Vec<SigCheck>,
+    context: Arc<[u8]>,
+    sigs: impl IntoIterator<Item = (ReplicaId, &'a A::Sig)>,
+) {
+    for (signer, sig) in sigs {
+        if let Some(sig) = A::schnorr(sig) {
+            out.push(SigCheck { signer, context: Arc::clone(&context), sig });
+        }
     }
 }
 
@@ -2082,7 +1697,7 @@ mod tests {
     use crate::testkit::PaymentCluster;
     use astro_types::MacAuthenticator;
 
-    type Replica = AstroTwoReplica<MacAuthenticator>;
+    type Node = AstroTwoReplica<MacAuthenticator>;
 
     /// A journal that keeps its records in memory.
     #[derive(Clone, Default)]
@@ -2093,7 +1708,7 @@ mod tests {
         }
     }
 
-    fn cluster(shards: usize, per_shard: usize, cfg: Astro2Config) -> PaymentCluster<Replica> {
+    fn cluster(shards: usize, per_shard: usize, cfg: Astro2Config) -> PaymentCluster<Node> {
         let layout = ShardLayout::uniform(shards, per_shard).unwrap();
         let total = shards * per_shard;
         PaymentCluster::new((0..total).map(|i| {
@@ -2116,7 +1731,7 @@ mod tests {
 
     /// The oldest certificate `rep` holds for `client`.
     fn held_cert(
-        c: &PaymentCluster<Replica>,
+        c: &PaymentCluster<Node>,
         rep: ReplicaId,
         client: ClientId,
     ) -> DependencyCertificate<astro_types::auth::SimSig> {
@@ -2124,7 +1739,7 @@ mod tests {
     }
 
     /// Submits a payment at its representative.
-    fn pay(c: &mut PaymentCluster<Replica>, layout: &ShardLayout, p: Payment) {
+    fn pay(c: &mut PaymentCluster<Node>, layout: &ShardLayout, p: Payment) {
         let rep = layout.representative_of(p.spender);
         let step = c.node_mut(rep.0 as usize).submit(p).expect("representative accepts");
         c.submit_step(rep, step);
@@ -2472,8 +2087,11 @@ mod tests {
         // Future-sequence payment (seq 1 before seq 0) with the cert: it
         // must queue, deps unconsumed, at every replica.
         let node = c.node_mut(rep1.0 as usize);
-        let step =
-            node.debug_submit_with_deps(Payment::new(1u64, 1u64, 2u64, 120u64), vec![cert.clone()]);
+        let step = crate::testkit::submit_with_deps(
+            node,
+            Payment::new(1u64, 1u64, 2u64, 120u64),
+            vec![cert.clone()],
+        );
         c.submit_step(rep1, step);
         c.run_to_quiescence();
         assert_eq!(c.node(2).pending_len(), 1, "future-seq payment queues");
@@ -2527,7 +2145,7 @@ mod tests {
 
     /// Drives `rounds` flush ticks on every replica, routing the emitted
     /// retransmissions through the cluster.
-    fn tick_flushes(c: &mut PaymentCluster<Replica>, rounds: usize) {
+    fn tick_flushes(c: &mut PaymentCluster<Node>, rounds: usize) {
         for _ in 0..rounds {
             for i in 0..c.len() {
                 let step = c.node_mut(i).flush();
@@ -2637,7 +2255,7 @@ mod tests {
         for i in 0..4 {
             assert_eq!(c.node(i).outbox_depth(), 0);
         }
-        let requests = c.node(idx).credit_request_envelopes();
+        let requests = c.node(idx).catchup_ended();
         assert_eq!(requests.len(), 3);
         let step = ReplicaStep { outbound: requests, settled: Vec::new() };
         c.submit_step(rep1, step);
@@ -2788,14 +2406,14 @@ mod tests {
     }
 
     /// `covered` as the list scan the index replaced computed it.
-    fn scan_covered(node: &Replica, p: &Payment) -> bool {
+    fn scan_covered(node: &Node, p: &Payment) -> bool {
         node.used_deps.contains(&p.id())
             || node.held.certs(p.beneficiary).iter().any(|c| c.bundle.contains(p))
     }
 
     /// `available_balance` as the list scan the index replaced computed it.
-    fn scan_available_balance(node: &Replica, client: ClientId) -> Amount {
-        let mut total = node.ledger.balance(client);
+    fn scan_available_balance(node: &Node, client: ClientId) -> Amount {
+        let mut total = node.balance(client);
         let mut counted: HashSet<PaymentId> = HashSet::new();
         for cert in node.held.certs(client) {
             for p in cert.credits_for(client) {
@@ -2809,7 +2427,7 @@ mod tests {
 
     /// The store's indexes against the lists they index, for everything
     /// the interleaving test can have put there.
-    fn assert_index_matches_scan(node: &Replica, clients: &[ClientId], bundles: &[Vec<Payment>]) {
+    fn assert_index_matches_scan(node: &Node, clients: &[ClientId], bundles: &[Vec<Payment>]) {
         for bundle in bundles {
             for p in bundle {
                 let inflated = Payment { amount: Amount(p.amount.0 + 1000), ..*p };
@@ -2920,7 +2538,7 @@ mod tests {
                         } else {
                             let state = node.export_state();
                             let (layout, config) = (layout.clone(), config.clone());
-                            node = Replica::restore(mac(me), layout, config, &state).unwrap();
+                            node = Node::restore(mac(me), layout, config, &state).unwrap();
                             node.set_journal(Box::new(sink.clone()));
                             next_seq.clear();
                         }

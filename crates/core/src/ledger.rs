@@ -111,6 +111,11 @@ impl Ledger {
         }
     }
 
+    /// The genesis balance of clients the ledger has not seen.
+    pub fn initial_balance(&self) -> Amount {
+        self.initial_balance
+    }
+
     /// The spendable balance of `client` as currently settled.
     #[inline]
     pub fn balance(&self, client: ClientId) -> Amount {

@@ -8,6 +8,8 @@
 //!   payment logs, totally ordered *within* but not *across* clients (§II).
 //! - [`ledger`] + [`pending`]: replica state and the approval/settlement
 //!   rules of Listings 2–4.
+//! - [`replica`]: the [`Replica`] trait both protocols implement, and the
+//!   catch-up, checkpoint and recovery machinery they share.
 //! - [`astro1`]: **Astro I** — payments over Bracha's echo-based BRB with
 //!   MAC-authenticated links and totality.
 //! - [`astro2`]: **Astro II** — payments over signature-based BRB with
@@ -67,6 +69,7 @@ pub mod ledger;
 pub mod obs;
 pub mod pending;
 pub mod reconfig;
+pub mod replica;
 pub mod testkit;
 pub mod xlog;
 
@@ -77,6 +80,7 @@ pub use astro1::{Astro1Config, Astro1Msg, AstroOneReplica};
 pub use astro2::{Astro2Config, Astro2Msg, AstroTwoReplica, CreditMode};
 pub use ledger::{Ledger, SettleOutcome};
 pub use obs::CoreObs;
+pub use replica::{Replica, SYNC_FALLBACK_ROUNDS};
 pub use xlog::XLog;
 
 /// The observable result of one replica transition: messages to send and

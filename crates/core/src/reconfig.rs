@@ -256,6 +256,9 @@ pub enum SyncError {
     /// (xlog, delivery cursor, used dependency, stuck mark) — installing
     /// it would lose settled effects. The donors are lagging; retry.
     Stale,
+    /// The certified head references history blocks that are not all
+    /// certified yet; keep collecting.
+    Incomplete,
 }
 
 impl core::fmt::Display for SyncError {
@@ -263,6 +266,7 @@ impl core::fmt::Display for SyncError {
         match self {
             SyncError::Invalid => f.write_str("transferred state failed validation"),
             SyncError::Stale => f.write_str("transferred state is behind local state"),
+            SyncError::Incomplete => f.write_str("transferred history blocks still certifying"),
         }
     }
 }

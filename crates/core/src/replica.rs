@@ -1,0 +1,646 @@
+//! The one replica trait, and the machinery both Astro protocols share.
+//!
+//! Astro I and Astro II differ in the broadcast primitive and in what must
+//! hold before a payment settles (paper §IV); everything around that —
+//! the ledger, the journal and metric hooks, catch-up, checkpointing,
+//! recovery — is the same. [`Replica`] is the seam: each protocol supplies
+//! its step functions, its broadcast layer's bookkeeping, and the
+//! protocol-specific halves of state transfer ([`Replica::sync_state`],
+//! [`Replica::install_sync`], [`Replica::catchup_ended`]); the provided
+//! methods and the crate-private functions below are written once.
+//!
+//! Catch-up follows Appendix A's joiner argument: a restarted replica
+//! pauses broadcast delivery, requests the settled state from its group,
+//! and installs once `f+1` members served byte-identical copies — the head
+//! as a whole, each sealed history block on its own.
+
+use crate::journal::{
+    block_counts, merge_history_blocks, split_history_blocks, CheckpointRecord, Journal,
+    JournalSlot, LedgerState, RecoverError, SyncBlock, SyncHead, WalRecord, SYNC_HEAD_MAX_BYTES,
+};
+use crate::ledger::Ledger;
+use crate::obs::CoreObs;
+use crate::reconfig::{BlockVotes, CatchUp, ReconfigMsg, SyncError, SyncServeError};
+use crate::{ReplicaStep, SubmitError};
+use astro_brb::{Dest, Envelope};
+use astro_types::wire::{decode_exact, Wire};
+use astro_types::{Amount, ClientId, Group, Payment, ReplicaId, SigCheck};
+use std::collections::VecDeque;
+
+/// Broadcast messages a catching-up replica may park before the
+/// transferred cursor is installed. Overflow drops the *oldest* message:
+/// old messages belong to instances the certified state (which keeps
+/// advancing at the donors while we retry) will cover, while the newest
+/// are exactly the ones replay needs after the install — dropping those
+/// would leave an unfillable FIFO gap, since BRB never retransmits.
+const SYNC_BUFFER_CAP: usize = 8192;
+
+/// Flush ticks between catch-up request retries (the driver flushes on
+/// its batch timer, so a retry goes out roughly every
+/// `SYNC_RETRY_TICKS × flush_every`). Astro I's payload pulls share the
+/// pacing.
+pub(crate) const SYNC_RETRY_TICKS: u32 = 16;
+
+/// Retry rounds after which a catch-up started with a fallback budget
+/// gives up and resumes from what the replica recovered on its own (see
+/// [`Replica::begin_catchup`]). With the runtime's millisecond flush
+/// timers this is a few seconds.
+pub const SYNC_FALLBACK_ROUNDS: u32 = 256;
+
+/// An in-progress catch-up: the response collectors plus the broadcast
+/// traffic paused until the transferred state is installed.
+#[derive(Debug)]
+pub(crate) struct SyncSession<M> {
+    votes: CatchUp,
+    /// Chunked-transfer block collector. Certified blocks persist across
+    /// head retries: history certification is monotonic even while the
+    /// donors keep settling.
+    blocks: BlockVotes,
+    /// A certified head whose referenced blocks are not all certified
+    /// yet (install completes as the last block lands).
+    certified_head: Option<Vec<u8>>,
+    buffered: VecDeque<(ReplicaId, M)>,
+    /// Flush ticks until the next request retry (0 = send now).
+    ticks: u32,
+    /// Requests sent so far this session (`requests - 1` = retries).
+    requests: u32,
+    /// Remaining request rounds before giving up, when the replica has a
+    /// locally recovered state to fall back to. `None` = no fallback:
+    /// the replica must certify before it may participate (a replica
+    /// with no local state cannot safely pick a broadcast tag floor).
+    rounds_left: Option<u32>,
+}
+
+impl<M> SyncSession<M> {
+    /// Accounts one request round; true when the fallback budget is
+    /// exhausted and the replica should resume from its local state.
+    fn exhausted(&mut self) -> bool {
+        match &mut self.rounds_left {
+            None => false,
+            Some(0) => true,
+            Some(rounds) => {
+                *rounds -= 1;
+                false
+            }
+        }
+    }
+}
+
+/// The state every replica carries whatever its protocol: identity,
+/// ledger, journal, metric handles, the catch-up session, and the
+/// snapshot / GC bookkeeping. Opaque outside this crate; protocols embed
+/// one and hand it out through [`Replica::shell`].
+#[derive(Debug)]
+pub struct Shell<M> {
+    pub(crate) me: ReplicaId,
+    pub(crate) ledger: Ledger,
+    pub(crate) journal: JournalSlot,
+    /// Metric handles, when a registry is attached (None = unobserved).
+    pub(crate) obs: Option<CoreObs>,
+    /// Catch-up in progress: broadcast delivery is paused (messages park)
+    /// until a certified peer state is installed.
+    pub(crate) syncing: Option<SyncSession<M>>,
+    /// Set when a sync install made the in-memory state newer than any
+    /// journal replay can reproduce; the durable runtime consumes it and
+    /// snapshots immediately.
+    pub(crate) snapshot_requested: bool,
+    /// Tracked-instance count below which size-triggered GC stays idle
+    /// after a pass that freed nothing (see [`Replica::prune_delivered_at`]).
+    gc_rearm: usize,
+}
+
+impl<M> Shell<M> {
+    pub(crate) fn new(me: ReplicaId, initial_balance: Amount) -> Self {
+        Shell {
+            me,
+            ledger: Ledger::new(initial_balance),
+            journal: JournalSlot::none(),
+            obs: None,
+            syncing: None,
+            snapshot_requested: false,
+            gc_rearm: 0,
+        }
+    }
+}
+
+/// A payment replica: one Astro protocol's state machine behind the
+/// interface the simulator, the threaded runtime, its storage wrapper and
+/// the test router all drive.
+///
+/// Replicas are deterministic sans-I/O state machines: `submit` / `handle`
+/// / `flush` return a [`ReplicaStep`] of outbound envelopes plus the
+/// payments that transition settled.
+pub trait Replica: Sized {
+    /// Replica-to-replica message type.
+    type Msg: Wire + Clone + core::fmt::Debug;
+    /// The signature type the protocol's reconfiguration traffic carries.
+    type Sig;
+    /// Construction-time configuration.
+    type Config: Clone;
+    /// The full durable state: the snapshot [`Self::export_state`] writes
+    /// and the canonical state catch-up transfers.
+    type State: Wire;
+    /// The residual snapshot written next to checkpoint segments: the
+    /// volatile state the segments do not cover.
+    type Snapshot: Wire;
+
+    /// The shared state ([`Shell`]).
+    fn shell(&self) -> &Shell<Self::Msg>;
+
+    /// The shared state, mutably.
+    fn shell_mut(&mut self) -> &mut Shell<Self::Msg>;
+
+    /// Wraps reconfiguration traffic into the protocol's message type.
+    fn sync_msg(msg: ReconfigMsg<Self::Sig>) -> Self::Msg;
+
+    /// The settlement section of a full state.
+    fn state_ledger(state: &mut Self::State) -> &mut LedgerState;
+
+    /// How many checkpoint segments a residual snapshot builds on.
+    fn sealed_segments(residual: &Self::Snapshot) -> u64;
+
+    // ---- the step API ----
+
+    /// This replica's id.
+    fn id(&self) -> ReplicaId {
+        self.shell().me
+    }
+
+    /// The broadcast group this replica belongs to (its shard) — the
+    /// expansion of [`Dest::All`] and the donors of a catch-up.
+    fn group(&self) -> &Group;
+
+    /// A client submits a payment at its representative (Listing 1's
+    /// `Send` arrives here).
+    ///
+    /// # Errors
+    ///
+    /// Rejects payments this replica may not broker (see
+    /// [`SubmitError`]).
+    fn submit(&mut self, payment: Payment) -> Result<ReplicaStep<Self::Msg>, SubmitError>;
+
+    /// Processes one replica-to-replica message.
+    fn handle(&mut self, from: ReplicaId, msg: Self::Msg) -> ReplicaStep<Self::Msg>;
+
+    /// The flush timer: broadcasts the accumulated batch, paces the
+    /// protocol's retransmissions and, while catching up, the catch-up
+    /// request retries.
+    fn flush(&mut self) -> ReplicaStep<Self::Msg>;
+
+    /// Read access to the ledger (audit, state transfer).
+    fn ledger(&self) -> &Ledger {
+        &self.shell().ledger
+    }
+
+    /// The settled balance of a client (Listing 2's `bal`).
+    fn balance(&self, client: ClientId) -> Amount {
+        self.ledger().balance(client)
+    }
+
+    /// A client's spendable funds at this replica: the settled balance
+    /// plus, at an Astro II representative, certified-but-unspent credits
+    /// awaiting the client's next outgoing payment.
+    fn available_balance(&self, client: ClientId) -> Amount {
+        self.balance(client)
+    }
+
+    // ---- hooks ----
+
+    /// Attaches a journal: every subsequent state-machine effect is
+    /// recorded (see [`WalRecord`]).
+    fn set_journal(&mut self, journal: Box<dyn Journal>) {
+        self.shell_mut().journal.set(journal);
+    }
+
+    /// Attaches metric handles: settles, catch-up progress and payment
+    /// lifecycle stamps report into them from here on.
+    fn set_obs(&mut self, obs: CoreObs) {
+        self.shell_mut().obs = Some(obs);
+    }
+
+    /// Every Schnorr signature check handling `msg` can trigger, for a
+    /// verify pool to run ahead of the state machine. Enumerating is
+    /// sound because verification is a pure function of `(signer,
+    /// context, signature)`: a check the state machine never consults
+    /// wastes pool cycles but cannot change any transition. Default:
+    /// none (MAC-authenticated traffic).
+    fn preverify(&self, from: ReplicaId, msg: &Self::Msg) -> Vec<SigCheck> {
+        let _ = (from, msg);
+        Vec::new()
+    }
+
+    // ---- the broadcast layer ----
+
+    /// Number of receiver-side broadcast instances currently tracked.
+    fn tracked_instances(&self) -> usize;
+
+    /// Prunes broadcast-layer state for delivered instances; returns how
+    /// many were freed. The durable runtime calls this once a snapshot
+    /// holds their effects, so broadcast memory stays bounded by the
+    /// in-flight window instead of growing with settled history.
+    fn prune_delivered(&mut self) -> usize;
+
+    /// Size-triggered [`Self::prune_delivered`], cheap enough to call
+    /// after every message: prunes once `high_water` instances are
+    /// tracked — and after a pass that freed nothing (a FIFO gap, say an
+    /// outstanding pull, holds everything back) not before another
+    /// `high_water` have piled up.
+    fn prune_delivered_at(&mut self, high_water: usize) {
+        let tracked = self.tracked_instances();
+        if tracked < high_water.max(self.shell().gc_rearm) {
+            return;
+        }
+        let pruned = self.prune_delivered();
+        let shell = self.shell_mut();
+        shell.gc_rearm = if pruned == 0 { tracked + high_water } else { 0 };
+        if let (0, Some(obs)) = (pruned, &shell.obs) {
+            obs.flight.event("core.brb.gc_stalled", tracked as u64, 0);
+        }
+    }
+
+    // ---- snapshots, checkpoints, recovery ----
+
+    /// Exports the durable state. Canonical in its shared sections:
+    /// replicas holding identical settlement state export identical bytes.
+    fn export_state(&self) -> Self::State;
+
+    /// The residual snapshot: the volatile state **not** covered by
+    /// checkpoint segments. Captured at the same instant as
+    /// [`Self::seal_checkpoint`], the `sealed_segments` sealed so far
+    /// reconstruct the entire ledger, so the residual needs none of it.
+    fn residual_state(&self, sealed_segments: u64) -> Self::Snapshot;
+
+    /// Loads a residual snapshot into this freshly constructed replica
+    /// (everything but the ledger).
+    fn restore_residual(&mut self, residual: &Self::Snapshot);
+
+    /// Re-applies one WAL record on top of a restored snapshot. Records
+    /// must be fed in log order; records already reflected in the
+    /// snapshot re-apply as no-ops. Call [`Self::finish_recovery`] after
+    /// the last record.
+    fn replay(&mut self, record: &WalRecord);
+
+    /// Completes recovery: queue entries superseded by replayed settles
+    /// are pruned.
+    fn finish_recovery(&mut self);
+
+    /// Seals the settle delta since the last checkpoint: one encoded
+    /// [`CheckpointRecord`] per dirty account, in canonical client order,
+    /// and advances the per-account watermarks. Empty when nothing
+    /// settled since the last seal. The durable runtime writes the
+    /// records as one immutable checkpoint segment.
+    fn seal_checkpoint(&mut self) -> Vec<Vec<u8>> {
+        self.shell_mut().ledger.seal_delta().iter().map(CheckpointRecord::to_wire_bytes).collect()
+    }
+
+    /// Forgets the checkpoint watermarks: every account becomes dirty
+    /// again and the next [`Self::seal_checkpoint`] re-exports full
+    /// history. The durable runtime calls this when a checkpoint segment
+    /// fails to persist.
+    fn rebaseline(&mut self) {
+        self.shell_mut().ledger.rebaseline();
+    }
+
+    /// Rebuilds this freshly constructed replica from recovered
+    /// checkpoint segments (decoded record payloads, in index order) plus
+    /// the residual snapshot. The residual says how many segments it
+    /// builds on; extra trailing segments — sealed after the residual was
+    /// written but before its WAL truncation — are ignored.
+    ///
+    /// # Errors
+    ///
+    /// [`RecoverError::MissingSegments`] if fewer segments were recovered
+    /// than the residual references, [`RecoverError::Discontinuity`] /
+    /// [`RecoverError::Decode`] on segment content that does not chain,
+    /// [`RecoverError::Log`] if the reassembled xlogs violate invariants.
+    fn restore_from_checkpoints(
+        mut self,
+        segments: &[Vec<Vec<u8>>],
+        residual: &Self::Snapshot,
+    ) -> Result<Self, RecoverError> {
+        let referenced = Self::sealed_segments(residual);
+        if (segments.len() as u64) < referenced {
+            return Err(RecoverError::MissingSegments {
+                referenced,
+                recovered: segments.len() as u64,
+            });
+        }
+        let initial_balance = self.ledger().initial_balance();
+        self.shell_mut().ledger =
+            Ledger::from_checkpoints(initial_balance, &segments[..referenced as usize])?;
+        self.restore_residual(residual);
+        Ok(self)
+    }
+
+    /// True once after a sync install: the in-memory state is newer than
+    /// any journal replay can reproduce, so a durable deployment must
+    /// snapshot now. Consuming resets the flag.
+    fn take_snapshot_request(&mut self) -> bool {
+        std::mem::take(&mut self.shell_mut().snapshot_requested)
+    }
+
+    // ---- catch-up ----
+
+    /// The canonical state served to catching-up peer `requester`: the
+    /// shared settlement state with replica-local sections cleared, and
+    /// the broadcast tag counter reinterpreted as *the requester's*
+    /// stream high-water mark, so the certified copy tells it the first
+    /// tag that is safe to broadcast under.
+    fn sync_state(&self, requester: ReplicaId) -> Self::State;
+
+    /// Installs a certified peer state over the locally recovered one.
+    /// Returns the step whose `settled` is exactly the payments this
+    /// replica learned through the transfer.
+    ///
+    /// # Errors
+    ///
+    /// [`SyncError::Stale`] if the transferred state is behind this
+    /// replica in any component (installing it would lose settled
+    /// effects — the donors lag; retry), [`SyncError::Invalid`] if it
+    /// fails structural validation.
+    fn install_sync(&mut self, state: &Self::State) -> Result<ReplicaStep<Self::Msg>, SyncError>;
+
+    /// What a replica emits when its catch-up ends, installed or
+    /// abandoned. Default: nothing.
+    fn catchup_ended(&self) -> Vec<Envelope<Self::Msg>> {
+        Vec::new()
+    }
+
+    /// Starts peer catch-up (the restart path): broadcast delivery pauses
+    /// and the next [`Self::flush`] tick broadcasts a
+    /// [`ReconfigMsg::SyncRequest`]; peers answer with their canonical
+    /// state and `f+1` byte-identical copies install. Until then the
+    /// client batch stays parked (no broadcast may leave before the
+    /// certified tag floor is known) and inbound broadcast messages
+    /// buffer for replay.
+    ///
+    /// `fallback_rounds = None` retries **forever**: a replica with no
+    /// locally recovered state must not participate until a certified
+    /// state tells it where the quorum stands. A replica restored from
+    /// durable storage has a safe local state, so it passes a budget
+    /// ([`SYNC_FALLBACK_ROUNDS`]): after that many unanswered rounds it
+    /// resumes from what it recovered — which keeps a cluster whose
+    /// replicas restart *concurrently* live.
+    fn begin_catchup(&mut self, fallback_rounds: Option<u32>) {
+        let floor = self.ledger().total_settled() as u64;
+        let (group, me) = (self.group(), self.id());
+        let session = SyncSession {
+            votes: CatchUp::new(group, me, floor),
+            blocks: BlockVotes::new(group, me),
+            certified_head: None,
+            buffered: VecDeque::new(),
+            ticks: 0,
+            requests: 0,
+            rounds_left: fallback_rounds,
+        };
+        self.shell_mut().syncing = Some(session);
+    }
+
+    /// True while peer catch-up is in progress.
+    fn is_syncing(&self) -> bool {
+        self.shell().syncing.is_some()
+    }
+
+    /// The chunked form of [`Self::sync_state`]: settled history splits
+    /// into content-stable [`crate::journal::SYNC_BLOCK_ENTRIES`]-entry
+    /// xlog blocks (certified per block at the requester), and the
+    /// volatile remainder rides in a small [`SyncHead`]. Every piece
+    /// stays far below the wire frame cap regardless of settled history.
+    ///
+    /// # Errors
+    ///
+    /// [`SyncServeError::HeadTooLarge`] if the volatile head alone
+    /// exceeds [`SYNC_HEAD_MAX_BYTES`] — a pathological state that must
+    /// be refused rather than panicking the framing layer.
+    fn sync_chunks(
+        &self,
+        requester: ReplicaId,
+    ) -> Result<(SyncHead, Vec<SyncBlock>), SyncServeError> {
+        let mut state = self.sync_state(requester);
+        let blocks = split_history_blocks(Self::state_ledger(&mut state));
+        let head = SyncHead { blocks: block_counts(&blocks), state_tail: state.to_wire_bytes() };
+        let bytes = head.state_tail.len();
+        if bytes > SYNC_HEAD_MAX_BYTES {
+            return Err(SyncServeError::HeadTooLarge { bytes });
+        }
+        Ok((head, blocks))
+    }
+
+    /// The last step of a chunked transfer: reassembles a certified head
+    /// with its certified blocks, installs the full state, and appends
+    /// [`Self::catchup_ended`]. Live catch-up and the simulator's
+    /// modelled handshake both finish here.
+    ///
+    /// # Errors
+    ///
+    /// [`SyncError::Incomplete`] while referenced blocks are still
+    /// uncertified, [`SyncError::Invalid`] if the pieces do not decode or
+    /// merge, else as [`Self::install_sync`].
+    fn install_chunked(
+        &mut self,
+        head: &[u8],
+        blocks: &BlockVotes,
+    ) -> Result<ReplicaStep<Self::Msg>, SyncError> {
+        let state = assemble::<Self>(head, blocks)?;
+        install_certified(self, &state)
+    }
+}
+
+/// Reassembles a certified head and the certified blocks it references
+/// into a full state.
+fn assemble<R: Replica>(head: &[u8], blocks: &BlockVotes) -> Result<R::State, SyncError> {
+    let head: SyncHead = decode_exact(head).map_err(|_| SyncError::Invalid)?;
+    if !blocks.has_all(&head.blocks) {
+        return Err(SyncError::Incomplete);
+    }
+    let mut state: R::State = decode_exact(&head.state_tail).map_err(|_| SyncError::Invalid)?;
+    merge_history_blocks(R::state_ledger(&mut state), &head.blocks, |client, block| {
+        blocks.certified(client, block).cloned()
+    })
+    .map_err(|_| SyncError::Invalid)?;
+    Ok(state)
+}
+
+/// [`Replica::install_sync`], then what the finished catch-up owes.
+fn install_certified<R: Replica>(
+    r: &mut R,
+    state: &R::State,
+) -> Result<ReplicaStep<R::Msg>, SyncError> {
+    let mut out = r.install_sync(state)?;
+    out.outbound.extend(r.catchup_ended());
+    Ok(out)
+}
+
+/// While catching up, parks broadcast message `msg` from a group member
+/// for replay after the install (FIFO delivery is paused until the
+/// transferred cursor is installed); traffic from outsiders is dropped.
+pub(crate) fn park<R: Replica>(r: &mut R, from: ReplicaId, msg: R::Msg) {
+    let member = r.group().contains(from);
+    let shell = r.shell_mut();
+    let (true, Some(sync)) = (member, &mut shell.syncing) else { return };
+    if sync.buffered.len() >= SYNC_BUFFER_CAP {
+        sync.buffered.pop_front();
+    }
+    sync.buffered.push_back((from, msg));
+    if let Some(obs) = &shell.obs {
+        obs.parked.inc();
+        obs.parked_depth.set(sync.buffered.len() as u64);
+    }
+}
+
+/// The flush timer's catch-up duty. `None` when no catch-up is running
+/// (the caller flushes as usual); otherwise this tick's step: a request
+/// (re-)sent every [`SYNC_RETRY_TICKS`], nothing in between, or — once a
+/// fallback budget runs out — the end of the catch-up: no `f+1` matching
+/// donors in time (the rest of the cluster may be restarting too), so the
+/// replica resumes from its locally recovered state, exactly as a
+/// pre-catch-up restart did, replaying whatever parked meanwhile.
+pub(crate) fn catchup_tick<R: Replica>(r: &mut R) -> Option<ReplicaStep<R::Msg>> {
+    let shell = r.shell_mut();
+    let sync = shell.syncing.as_mut()?;
+    if sync.ticks > 0 {
+        sync.ticks -= 1;
+        return Some(ReplicaStep::empty());
+    }
+    if sync.exhausted() {
+        let sync = shell.syncing.take().expect("syncing");
+        let mut out = replay_parked(r, sync, ReplicaStep::empty());
+        out.outbound.extend(r.catchup_ended());
+        return Some(out);
+    }
+    sync.ticks = SYNC_RETRY_TICKS;
+    sync.requests += 1;
+    if let Some(obs) = &shell.obs {
+        if sync.requests > 1 {
+            obs.sync_retries.inc();
+        }
+        obs.flight.event("core.sync.request", u64::from(sync.requests), 0);
+    }
+    let request = R::sync_msg(sync.votes.request());
+    Some(ReplicaStep {
+        outbound: vec![Envelope { to: Dest::All, msg: request }],
+        settled: Vec::new(),
+    })
+}
+
+/// Handles reconfiguration traffic: serves catch-up requests from group
+/// members and, while catching up, folds peer responses into the
+/// collectors until a transfer certifies and installs.
+pub(crate) fn handle_sync<R: Replica>(
+    r: &mut R,
+    from: ReplicaId,
+    msg: ReconfigMsg<R::Sig>,
+) -> ReplicaStep<R::Msg> {
+    if from == r.id() || !r.group().contains(from) {
+        return ReplicaStep::empty();
+    }
+    match msg {
+        ReconfigMsg::SyncRequest { settled } => serve_sync(r, from, settled),
+        ReconfigMsg::SyncState { settled, state } => {
+            let Some(sync) = &mut r.shell_mut().syncing else { return ReplicaStep::empty() };
+            if let Some(head) = sync.votes.offer(from, settled, state) {
+                sync.certified_head = Some(head);
+            }
+            try_complete_sync(r)
+        }
+        ReconfigMsg::SyncBlock { client, block, data } => {
+            let Some(sync) = &mut r.shell_mut().syncing else { return ReplicaStep::empty() };
+            sync.blocks.offer(from, client, block, data);
+            try_complete_sync(r)
+        }
+        // The join protocol (Join / ViewProposal / StateTransfer) is
+        // driven by `ReconfigReplica` deployments, not by the payment
+        // replica itself.
+        _ => ReplicaStep::empty(),
+    }
+}
+
+/// Answers a catch-up request with the chunked state. A replica that is
+/// itself catching up serves nothing: its state is behind, and a cluster
+/// of simultaneously restarted replicas must not certify each other's
+/// gaps. A replica behind the requester's own floor stays silent too —
+/// the requester would reject the response anyway.
+fn serve_sync<R: Replica>(r: &R, to: ReplicaId, floor: u64) -> ReplicaStep<R::Msg> {
+    let settled = r.ledger().total_settled() as u64;
+    if r.is_syncing() || settled < floor {
+        return ReplicaStep::empty();
+    }
+    match r.sync_chunks(to) {
+        Ok((head, blocks)) => {
+            let state = head.to_wire_bytes();
+            let reply = std::iter::once(ReconfigMsg::SyncState { settled, state }).chain(
+                blocks.into_iter().map(|(client, block, data)| ReconfigMsg::SyncBlock {
+                    client,
+                    block,
+                    data,
+                }),
+            );
+            let outbound =
+                reply.map(|m| Envelope { to: Dest::One(to), msg: R::sync_msg(m) }).collect();
+            ReplicaStep { outbound, settled: Vec::new() }
+        }
+        Err(SyncServeError::HeadTooLarge { bytes }) => {
+            // Typed refusal instead of the framing layer's
+            // oversized-payload panic.
+            if let Some(obs) = &r.shell().obs {
+                obs.sync_refused_oversize.inc();
+                obs.flight.event("core.sync.head_oversize", bytes as u64, 0);
+            }
+            ReplicaStep::empty()
+        }
+    }
+}
+
+/// Publishes the collectors' progress, then attempts to finish the
+/// catch-up: once the head is certified and every history block it
+/// references is certified, the full state installs and the parked
+/// broadcast traffic replays through the normal path (messages at or
+/// below the installed cursor are dropped by FIFO gating, later ones
+/// proceed). Anything structurally invalid discards the collected votes
+/// and re-collects — `f+1` matching copies of an undecodable transfer
+/// cannot come from an honest majority; a merely *stale* head (the donors
+/// lag) discards only the head, since certified blocks are content-stable.
+fn try_complete_sync<R: Replica>(r: &mut R) -> ReplicaStep<R::Msg> {
+    let assembled = {
+        let shell = r.shell_mut();
+        let Some(sync) = &mut shell.syncing else { return ReplicaStep::empty() };
+        if let Some(obs) = &shell.obs {
+            obs.sync_rejected.set((sync.votes.rejected() + sync.blocks.rejected()) as u64);
+            obs.sync_blocks_certified.set(sync.blocks.certified_len() as u64);
+        }
+        let Some(head) = &sync.certified_head else { return ReplicaStep::empty() };
+        assemble::<R>(head, &sync.blocks)
+    };
+    match assembled.and_then(|state| install_certified(r, &state)) {
+        Ok(out) => {
+            let sync = r.shell_mut().syncing.take().expect("syncing");
+            replay_parked(r, sync, out)
+        }
+        Err(SyncError::Incomplete) => ReplicaStep::empty(),
+        Err(error) => {
+            if let Some(sync) = &mut r.shell_mut().syncing {
+                sync.certified_head = None;
+                sync.votes.clear();
+                if error == SyncError::Invalid {
+                    sync.blocks.clear();
+                }
+            }
+            ReplicaStep::empty()
+        }
+    }
+}
+
+/// Feeds a finished catch-up's parked broadcast traffic back through
+/// [`Replica::handle`], appending the effects to `out`.
+fn replay_parked<R: Replica>(
+    r: &mut R,
+    sync: SyncSession<R::Msg>,
+    mut out: ReplicaStep<R::Msg>,
+) -> ReplicaStep<R::Msg> {
+    for (from, msg) in sync.buffered {
+        let step = r.handle(from, msg);
+        out.outbound.extend(step.outbound);
+        out.settled.extend(step.settled);
+    }
+    out
+}

@@ -1,29 +1,16 @@
-//! In-memory router for payment-replica state machines (sharding-aware).
+//! In-memory router for payment replicas (sharding-aware), plus the
+//! hooks adversarial tests use.
 //!
 //! Like `astro_brb::testkit::Cluster`, but for [`crate::ReplicaStep`]s:
 //! tracks *settled payments* per replica and expands [`Dest::All`] to the
 //! *sender's group* (its shard), which is what a sharded transport does.
 
-use crate::ReplicaStep;
+use crate::astro2::{Astro2Msg, AstroTwoReplica};
+use crate::batch::{DepPayment, DependencyCertificate};
+use crate::{Replica, ReplicaStep};
 use astro_brb::Dest;
-use astro_types::{Payment, ReplicaId};
+use astro_types::{Authenticator, Payment, ReplicaId};
 use std::collections::VecDeque;
-
-/// A payment replica drivable by [`PaymentCluster`].
-pub trait PaymentNode {
-    /// Replica-to-replica message type.
-    type Msg: Clone + core::fmt::Debug;
-
-    /// The node's replica id.
-    fn id(&self) -> ReplicaId;
-
-    /// Members of this node's broadcast group (its shard) — the expansion
-    /// of [`Dest::All`] for messages this node sends.
-    fn group_members(&self) -> Vec<ReplicaId>;
-
-    /// Processes one inbound message.
-    fn on_message(&mut self, from: ReplicaId, msg: Self::Msg) -> ReplicaStep<Self::Msg>;
-}
 
 #[derive(Debug, Clone)]
 struct InFlight<M> {
@@ -34,17 +21,20 @@ struct InFlight<M> {
 
 type Filter<M> = Box<dyn FnMut(ReplicaId, ReplicaId, &M) -> bool>;
 
+type StepHook<N> = Box<dyn FnMut(ReplicaId, &mut N, &ReplicaStep<<N as Replica>::Msg>)>;
+
 /// An in-memory cluster of payment replicas (possibly spanning shards).
-pub struct PaymentCluster<N: PaymentNode> {
+pub struct PaymentCluster<N: Replica> {
     nodes: Vec<N>,
     queue: VecDeque<InFlight<N::Msg>>,
     crashed: Vec<bool>,
     settled: Vec<Vec<Payment>>,
     filter: Option<Filter<N::Msg>>,
+    on_step: Option<StepHook<N>>,
     messages_processed: u64,
 }
 
-impl<N: PaymentNode> PaymentCluster<N> {
+impl<N: Replica> PaymentCluster<N> {
     /// Builds a cluster; node `i` must have id `ReplicaId(i)`.
     ///
     /// # Panics
@@ -62,6 +52,7 @@ impl<N: PaymentNode> PaymentCluster<N> {
             crashed: vec![false; n],
             settled: vec![Vec::new(); n],
             filter: None,
+            on_step: None,
             messages_processed: 0,
         }
     }
@@ -99,15 +90,25 @@ impl<N: PaymentNode> PaymentCluster<N> {
         self.filter = Some(Box::new(filter));
     }
 
+    /// Installs a hook run on a node after each of its steps is
+    /// submitted — what a driver does around the state machine (the
+    /// runtime's size-triggered GC and storage policy).
+    pub fn on_step(&mut self, hook: impl FnMut(ReplicaId, &mut N, &ReplicaStep<N::Msg>) + 'static) {
+        self.on_step = Some(Box::new(hook));
+    }
+
     /// Enqueues a step's outbound messages as sent by `from` and records
     /// its settled payments.
     pub fn submit_step(&mut self, from: ReplicaId, step: ReplicaStep<N::Msg>) {
+        let node = &mut self.nodes[from.0 as usize];
+        if let Some(hook) = &mut self.on_step {
+            hook(from, node, &step);
+        }
         self.settled[from.0 as usize].extend(step.settled);
-        let group = self.nodes[from.0 as usize].group_members();
         for env in step.outbound {
             match env.to {
                 Dest::All => {
-                    for to in &group {
+                    for to in node.group().members() {
                         self.queue.push_back(InFlight { from, to: *to, msg: env.msg.clone() });
                     }
                 }
@@ -133,7 +134,7 @@ impl<N: PaymentNode> PaymentCluster<N> {
                 }
             }
             self.messages_processed += 1;
-            let step = self.nodes[to.0 as usize].on_message(from, msg);
+            let step = self.nodes[to.0 as usize].handle(from, msg);
             self.submit_step(to, step);
         }
     }
@@ -149,34 +150,14 @@ impl<N: PaymentNode> PaymentCluster<N> {
     }
 }
 
-impl PaymentNode for crate::astro1::AstroOneReplica {
-    type Msg = crate::astro1::Astro1Msg;
-
-    fn id(&self) -> ReplicaId {
-        self.id()
-    }
-
-    fn group_members(&self) -> Vec<ReplicaId> {
-        self.group().members().to_vec()
-    }
-
-    fn on_message(&mut self, from: ReplicaId, msg: Self::Msg) -> ReplicaStep<Self::Msg> {
-        self.handle(from, msg)
-    }
-}
-
-impl<A: astro_types::Authenticator> PaymentNode for crate::astro2::AstroTwoReplica<A> {
-    type Msg = crate::astro2::Astro2Msg<A::Sig>;
-
-    fn id(&self) -> ReplicaId {
-        self.id()
-    }
-
-    fn group_members(&self) -> Vec<ReplicaId> {
-        self.group().members().to_vec()
-    }
-
-    fn on_message(&mut self, from: ReplicaId, msg: Self::Msg) -> ReplicaStep<Self::Msg> {
-        self.handle(from, msg)
-    }
+/// Enqueues a payment with explicitly chosen dependency certificates and
+/// flushes immediately — how adversarial tests model a Byzantine
+/// representative attaching arbitrary (possibly forged) certificates.
+pub fn submit_with_deps<A: Authenticator>(
+    node: &mut AstroTwoReplica<A>,
+    payment: Payment,
+    deps: Vec<DependencyCertificate<A::Sig>>,
+) -> ReplicaStep<Astro2Msg<A::Sig>> {
+    node.batch.push(DepPayment { payment, deps });
+    node.flush()
 }

@@ -4,12 +4,12 @@
 //!
 //! Provides exactly what the two Astro variants need (paper §IV):
 //!
-//! - [`sha256`]: SHA-256 (FIPS 180-4) — message digests, payment hashing.
+//! - [`sha256`](mod@sha256): SHA-256 (FIPS 180-4) — message digests, payment hashing.
 //! - [`hmac`]: HMAC-SHA256 — MAC-authenticated links for Astro I's Bracha
 //!   broadcast.
 //! - [`schnorr`]: key-prefixed Schnorr signatures over secp256k1 — the ACK /
 //!   COMMIT / CREDIT signatures of Astro II (substituting for the paper's
-//!   ECDSA P-256; see DESIGN.md §2).
+//!   ECDSA P-256, at the same order of per-operation cost).
 //!
 //! The low-level building blocks ([`u256`], [`field`], [`point`],
 //! [`scalar`]) are public so that benchmarks can measure them directly.

@@ -2,7 +2,7 @@
 //!
 //! As in [`crate::field`], multiplication routes through a reduction
 //! specialized to this modulus: `2^256 mod n` is a 129-bit constant
-//! ([`C`]), so folding the high half of a 512-bit product is a 4×3-limb
+//! (`C`), so folding the high half of a 512-bit product is a 4×3-limb
 //! multiplication instead of the generic fold's full schoolbook pass. The
 //! generic [`Modulus`] path remains the cross-checked reference.
 

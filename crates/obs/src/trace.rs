@@ -198,6 +198,14 @@ impl PaymentTracer {
     /// [`stage`](Self::stage) with a caller-provided timestamp from
     /// [`now_nanos`](Self::now_nanos), for batch stamp sites.
     pub fn stage_at(&self, now: u64, spender: u64, seq: u64, stage: Stage) {
+        // Re-probes only when another payment takes the free slot this
+        // claim picked, between the probe and the claim — a thread
+        // preempted there holds a stale pick for a whole time slice.
+        while !self.try_stage(now, spender, seq, stage) {}
+    }
+
+    /// One probe-and-stamp pass; false if the claim lost its slot.
+    fn try_stage(&self, now: u64, spender: u64, seq: u64, stage: Stage) -> bool {
         let start = home(spender, seq);
         let mut free_at: Option<&Slot> = None;
         for i in 0..PROBE_LIMIT {
@@ -219,7 +227,7 @@ impl PaymentTracer {
                             cell.store(now, Ordering::Relaxed);
                         }
                     }
-                    return;
+                    return true;
                 }
                 FREE if free_at.is_none() => free_at = Some(slot),
                 // CLAIMING is another payment mid-insert (same-key claims
@@ -230,22 +238,18 @@ impl PaymentTracer {
         // No record. A confirm with no history is ignored — the payment
         // settled before tracing attached, or was already closed.
         if stage == Stage::Confirm {
-            return;
+            return true;
         }
         let Some(slot) = free_at else {
             self.inner.dropped.inc();
-            return;
+            return true;
         };
         if slot
             .state
             .compare_exchange(FREE, CLAIMING, Ordering::Acquire, Ordering::Relaxed)
             .is_err()
         {
-            // A different payment took the slot between probe and claim.
-            // Losing one stamp to this near-impossible interleave is
-            // acceptable for a metrics path; the record self-heals at the
-            // next stage.
-            return;
+            return false;
         }
         slot.spender.store(spender, Ordering::Relaxed);
         slot.seq.store(seq, Ordering::Relaxed);
@@ -253,6 +257,7 @@ impl PaymentTracer {
             cell.store(if i == stage as usize { now } else { 0 }, Ordering::Relaxed);
         }
         slot.state.store(OCCUPIED, Ordering::Release);
+        true
     }
 
     /// Reads the record out of `slot`, frees it, and queues it for span

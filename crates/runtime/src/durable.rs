@@ -1,15 +1,13 @@
-//! Durable cluster deployment: journaled replicas over `astro-store`,
-//! with a kill-and-restart-from-disk path.
+//! Durable replicas: journaled state over `astro-store`, recovered from
+//! disk on restart.
 //!
-//! The non-durable clusters lose every xlog and balance when a replica
-//! thread dies. The durable entry points wrap each replica in a
-//! [`DurableNode`]: the replica journals its state-machine effects into a
-//! per-replica WAL (group commit), the driver snapshots periodically
-//! (atomic rename install + WAL truncation), and
-//! [`AstroOneCluster::restart_replica`] /
-//! [`AstroTwoCluster::restart_replica`] bring a killed replica back from
-//! `snapshot + WAL`, rebinding its listen address so the surviving
-//! replicas' redial path (astro-net) reattaches it to the mesh.
+//! A cluster built with [`ClusterBuilder::durable`](crate::ClusterBuilder::durable)
+//! gives every replica a storage directory: the replica journals its
+//! state-machine effects into a per-replica WAL (group commit), the driver
+//! snapshots periodically (checkpoint segment + residual, installed off
+//! the replica thread), and [`Cluster::restart_replica`](crate::Cluster::restart_replica)
+//! brings a killed replica back from `snapshot + WAL` before it catches
+//! up with its peers.
 //!
 //! What is durable: everything settlement-relevant — ledger (balances +
 //! xlogs), the approval queue, Astro II's dependency replay-protection,
@@ -20,21 +18,12 @@
 //! messages on the wire are lost, and recovering them is the client-retry
 //! / state-transfer story (paper Appendix A), not the storage layer's.
 
-use crate::{Astro1Config, Astro2Config, Cluster, ClusterError, RuntimeNode};
-use astro_core::astro1::AstroOneReplica;
-use astro_core::astro2::AstroTwoReplica;
-use astro_core::journal::{Astro1Snapshot, Astro2Snapshot};
-use astro_core::{ReplicaStep, SubmitError};
-use astro_net::{TcpEndpoint, TcpTransport, Transport};
+use crate::ClusterError;
+use astro_core::Replica;
 use astro_store::{SharedStorage, Storage, StoreConfig};
 use astro_types::wire::{decode_exact, Wire};
-use astro_types::{
-    Amount, ClientId, Keychain, Payment, ReplicaId, SchnorrAuthenticator, ShardLayout,
-};
-use std::collections::HashMap;
-use std::net::{SocketAddr, TcpListener};
+use astro_types::Keychain;
 use std::path::{Path, PathBuf};
-use std::time::{Duration, Instant};
 
 /// Deterministic demo keychains for local clusters.
 ///
@@ -42,139 +31,28 @@ use std::time::{Duration, Instant};
 /// public seed baked into this function: *anyone* can derive every
 /// replica's secret key, join the mesh, impersonate replicas, and sign
 /// whatever they like. They exist so examples, tests, and benchmarks can
-/// spin up a loopback cluster in one line; every production-looking entry
-/// point takes caller-provided keychains instead (paper §III's
-/// pre-distributed key material).
+/// spin up a loopback cluster in one line; a deployment passes
+/// pre-distributed key material (paper §III) to
+/// [`ClusterBuilder::tcp_keychains`](crate::ClusterBuilder::tcp_keychains).
 pub fn demo_keychains(n: usize) -> Vec<Keychain> {
     Keychain::deterministic_system(b"astro-runtime-tcp", n)
 }
 
-/// A [`RuntimeNode`] that can journal its effects and export/restore its
-/// durable state — the contract [`DurableNode`] wraps.
-pub trait PersistentNode: RuntimeNode {
-    /// Attaches the journal all subsequent effects are recorded to.
-    fn set_journal(&mut self, journal: Box<dyn astro_core::journal::Journal>);
+/// The deterministic seed Astro II signing keys derive from unless the
+/// builder is given keychains; independent of the transport keychains.
+pub(crate) const ASTRO2_SIGNING_SEED: &[u8] = b"astro-runtime-astro2";
 
-    /// Seals the settle delta since the last checkpoint as encoded
-    /// checkpoint records (one per dirty account) and advances the
-    /// node's watermarks. Empty when nothing settled since the last
-    /// seal. The wrapper writes the records as one immutable checkpoint
-    /// segment — snapshot IO is O(dirty accounts), not O(total settled).
-    fn seal_checkpoint_records(&mut self) -> Vec<Vec<u8>>;
-
-    /// The wire-encoded residual snapshot: the volatile state not covered
-    /// by the `sealed_segments` checkpoint segments sealed so far. Must
-    /// be captured at the same instant as
-    /// [`PersistentNode::seal_checkpoint_records`] (same step, no settles
-    /// in between).
-    fn residual_state_bytes(&self, sealed_segments: u64) -> Vec<u8>;
-
-    /// Forgets the checkpoint watermarks after a failed install: the
-    /// on-disk segment sequence stopped matching what the watermarks
-    /// assume, so the next seal must re-export everything from segment
-    /// zero.
-    fn rebaseline(&mut self);
-
-    /// Prunes broadcast-layer state for delivered instances. Called right
-    /// after a snapshot install: the snapshot holds those instances'
-    /// effects, so their BRB bookkeeping is dead weight — this is what
-    /// keeps a long-running replica's memory bounded by the in-flight
-    /// window instead of growing with settled history.
-    fn prune_delivered(&mut self);
-
-    /// Starts the peer catch-up handshake (the restart path): the node
-    /// pauses broadcast delivery, requests the settled delta from its
-    /// peers on its flush timer, and installs once `f+1` byte-identical
-    /// copies certify. Durable nodes have a safe local state, so their
-    /// implementations use the bounded-retry fallback variant: if no
-    /// donor quorum certifies (the rest of the cluster may be restarting
-    /// too), the node resumes from what it recovered on its own instead
-    /// of pausing forever.
-    fn begin_catchup(&mut self);
-
-    /// True once after a catch-up install made the in-memory state newer
-    /// than any journal replay can reproduce — the wrapper must snapshot
-    /// immediately. Consuming resets the flag.
-    fn take_snapshot_request(&mut self) -> bool {
-        false
-    }
-}
-
-impl PersistentNode for AstroOneReplica {
-    fn set_journal(&mut self, journal: Box<dyn astro_core::journal::Journal>) {
-        AstroOneReplica::set_journal(self, journal);
-    }
-
-    fn seal_checkpoint_records(&mut self) -> Vec<Vec<u8>> {
-        AstroOneReplica::seal_checkpoint(self)
-    }
-
-    fn residual_state_bytes(&self, sealed_segments: u64) -> Vec<u8> {
-        self.residual_state(sealed_segments).to_wire_bytes()
-    }
-
-    fn rebaseline(&mut self) {
-        AstroOneReplica::rebaseline(self);
-    }
-
-    fn prune_delivered(&mut self) {
-        AstroOneReplica::prune_delivered(self);
-    }
-
-    fn begin_catchup(&mut self) {
-        AstroOneReplica::begin_catchup_with_fallback(self);
-    }
-
-    fn take_snapshot_request(&mut self) -> bool {
-        AstroOneReplica::take_snapshot_request(self)
-    }
-}
-
-impl PersistentNode for AstroTwoReplica<SchnorrAuthenticator> {
-    fn set_journal(&mut self, journal: Box<dyn astro_core::journal::Journal>) {
-        AstroTwoReplica::set_journal(self, journal);
-    }
-
-    fn seal_checkpoint_records(&mut self) -> Vec<Vec<u8>> {
-        AstroTwoReplica::seal_checkpoint(self)
-    }
-
-    fn residual_state_bytes(&self, sealed_segments: u64) -> Vec<u8> {
-        self.residual_state(sealed_segments).to_wire_bytes()
-    }
-
-    fn rebaseline(&mut self) {
-        AstroTwoReplica::rebaseline(self);
-    }
-
-    fn prune_delivered(&mut self) {
-        AstroTwoReplica::prune_delivered(self);
-    }
-
-    fn begin_catchup(&mut self) {
-        AstroTwoReplica::begin_catchup_with_fallback(self);
-    }
-
-    fn take_snapshot_request(&mut self) -> bool {
-        AstroTwoReplica::take_snapshot_request(self)
-    }
-}
-
-/// A replica wrapped with its storage: journals flow in via the node's
-/// journal hook; this wrapper drives the *snapshot policy* every
-/// [`StoreConfig::snapshot_every_settled`] settled payments and the
-/// final group-commit flush on a clean stop.
-///
-/// v2 engine: at each threshold the node seals its dirty-account delta
-/// (a checkpoint segment) plus a small residual snapshot, and the store
-/// makes both durable **off this thread** ([`Storage::begin_install`]) —
-/// the settle path pays a group-commit fsync and a WAL rotation, never a
-/// full-state serialization. Results fold back in at later step
-/// boundaries: success prunes delivered BRB instances, failure
-/// re-baselines the watermarks so the next seal re-exports from segment
-/// zero.
-pub struct DurableNode<N: PersistentNode> {
-    node: N,
+/// A replica's storage and the snapshot policy run over it: journals flow
+/// in through the replica's journal hook; every
+/// [`StoreConfig::snapshot_every_settled`] settled payments the replica
+/// seals its dirty-account delta (a checkpoint segment) plus a small
+/// residual snapshot, and the store makes both durable **off the replica
+/// thread** ([`Storage::begin_install`]) — the settle path pays a
+/// group-commit fsync and a WAL rotation, never a full-state
+/// serialization. Results fold back in at later step boundaries: success
+/// prunes delivered BRB instances, failure re-baselines the watermarks so
+/// the next seal re-exports from segment zero.
+pub(crate) struct Durability {
     storage: SharedStorage,
     snapshot_every: usize,
     settled_since_snapshot: usize,
@@ -186,20 +64,13 @@ pub struct DurableNode<N: PersistentNode> {
     pending_segments: Option<u64>,
 }
 
-impl<N: PersistentNode> DurableNode<N> {
-    /// Wraps `node`, attaching `storage` as its journal.
-    pub fn new(node: N, storage: SharedStorage) -> Self {
-        Self::with_segments(node, storage, 0)
-    }
-
-    /// Wraps a node recovered from `segments` sealed checkpoint segments
-    /// (the residual snapshot's `sealed_segments`), attaching `storage`
-    /// as its journal.
-    pub fn with_segments(mut node: N, storage: SharedStorage, segments: u64) -> Self {
+impl Durability {
+    /// Attaches `storage` as `node`'s journal; `segments` is how many
+    /// sealed checkpoint segments the node was recovered from.
+    fn new<R: Replica>(node: &mut R, storage: SharedStorage, segments: u64) -> Self {
         let snapshot_every = storage.with(|s| s.config().snapshot_every_settled).max(1);
         node.set_journal(Box::new(storage.clone()));
-        DurableNode {
-            node,
+        Durability {
             storage,
             snapshot_every,
             settled_since_snapshot: 0,
@@ -208,25 +79,32 @@ impl<N: PersistentNode> DurableNode<N> {
         }
     }
 
-    /// The wrapped node.
-    pub fn node(&self) -> &N {
-        &self.node
-    }
-
-    /// Starts the peer catch-up handshake on the wrapped node (the
-    /// durable restart path).
-    pub fn begin_catchup(&mut self) {
-        self.node.begin_catchup();
+    /// Resolves the store's WAL / snapshot metric handles.
+    pub(crate) fn attach_registry(&self, registry: &astro_obs::Registry, me: u32) {
+        self.storage.with(|s| s.attach_obs(astro_store::StoreObs::for_replica(registry, me)));
     }
 
     /// Blocks until any in-flight snapshot install completes and folds
     /// its outcome in (prune on success, re-baseline on failure).
-    pub fn drain_installs(&mut self) {
+    pub(crate) fn drain_installs<R: Replica>(&mut self, node: &mut R) {
         let result = self.storage.drain_install();
-        self.fold_install_result(result);
+        self.fold_install_result(node, result);
     }
 
-    fn fold_install_result(&mut self, result: Option<std::io::Result<()>>) {
+    /// Clean stop: a threshold snapshot still in flight completes (so it
+    /// is never lost to process exit), then everything journaled becomes
+    /// durable. Not run on a simulated crash, which is the point of the
+    /// simulation.
+    pub(crate) fn stop<R: Replica>(&mut self, node: &mut R) {
+        self.drain_installs(node);
+        self.storage.sync();
+    }
+
+    fn fold_install_result<R: Replica>(
+        &mut self,
+        node: &mut R,
+        result: Option<std::io::Result<()>>,
+    ) {
         match result {
             Some(Ok(())) => {
                 if let Some(confirmed) = self.pending_segments.take() {
@@ -235,7 +113,7 @@ impl<N: PersistentNode> DurableNode<N> {
                 // The snapshot now holds every delivered instance's
                 // effects: prune their BRB bookkeeping so broadcast-layer
                 // memory stays bounded (ROADMAP's WAL-aware GC item).
-                self.node.prune_delivered();
+                node.prune_delivered();
             }
             Some(Err(_)) => {
                 // The install guarantees an error left the previous
@@ -248,13 +126,15 @@ impl<N: PersistentNode> DurableNode<N> {
                 // record (it is only deleted after a successful install);
                 // the store reports health out of band.
                 self.pending_segments = None;
-                self.node.rebaseline();
+                node.rebaseline();
             }
             None => {}
         }
     }
 
-    fn after_step(&mut self, settled: usize) {
+    /// The driver calls this after every step of `node` that `settled`
+    /// payments.
+    pub(crate) fn after_step<R: Replica>(&mut self, node: &mut R, settled: usize) {
         // Step boundary: the step's journal records reach the OS with one
         // write(2), so a kill between steps loses nothing (fsync stays
         // amortized by group commit).
@@ -262,8 +142,8 @@ impl<N: PersistentNode> DurableNode<N> {
         self.settled_since_snapshot += settled;
         // Fold in any install that completed off-thread since last step.
         let polled = self.storage.poll_install();
-        self.fold_install_result(polled);
-        if self.node.take_snapshot_request() {
+        self.fold_install_result(node, polled);
+        if node.take_snapshot_request() {
             // A catch-up install replaced the ledger wholesale (state in
             // memory no journal replay can reproduce): every account is
             // dirty again, so the next seal is a full rewrite — and it
@@ -275,10 +155,10 @@ impl<N: PersistentNode> DurableNode<N> {
             // keeps the threshold) — sealing on top of an unconfirmed
             // segment could reference an index that never becomes durable.
             self.settled_since_snapshot = 0;
-            let records = self.node.seal_checkpoint_records();
+            let records = node.seal_checkpoint();
             let segment = (!records.is_empty()).then_some((self.segments as u32, records));
             let new_segments = self.segments + u64::from(segment.is_some());
-            let residual = self.node.residual_state_bytes(new_segments);
+            let residual = node.residual_state(new_segments).to_wire_bytes();
             if self.storage.begin_install(segment, residual) {
                 if self.storage.installing() {
                     // Async: the worker owns sealing + install; the result
@@ -287,122 +167,19 @@ impl<N: PersistentNode> DurableNode<N> {
                 } else if self.storage.healthy() {
                     // Inline completion (memory backend).
                     self.segments = new_segments;
-                    self.node.prune_delivered();
+                    node.prune_delivered();
                 } else {
                     // Inline failure (WAL already degraded, rotation
                     // failed): nothing was sealed.
-                    self.node.rebaseline();
+                    node.rebaseline();
                 }
             } else {
                 // Refused (unreachable: `installing()` was just checked on
                 // this thread) — but the seal above advanced the node's
                 // watermarks, so never drop its records silently.
-                self.node.rebaseline();
+                node.rebaseline();
             }
         }
-    }
-}
-
-impl<N: PersistentNode> RuntimeNode for DurableNode<N> {
-    type Msg = N::Msg;
-
-    fn id(&self) -> ReplicaId {
-        self.node.id()
-    }
-
-    fn submit(&mut self, payment: Payment) -> Result<ReplicaStep<Self::Msg>, SubmitError> {
-        let step = self.node.submit(payment)?;
-        self.after_step(step.settled.len());
-        Ok(step)
-    }
-
-    fn handle(&mut self, from: ReplicaId, msg: Self::Msg) -> ReplicaStep<Self::Msg> {
-        let step = self.node.handle(from, msg);
-        self.after_step(step.settled.len());
-        step
-    }
-
-    fn flush(&mut self) -> ReplicaStep<Self::Msg> {
-        let step = self.node.flush();
-        self.after_step(step.settled.len());
-        step
-    }
-
-    fn final_balances(&self) -> HashMap<ClientId, Amount> {
-        self.node.final_balances()
-    }
-
-    fn total_settled(&self) -> usize {
-        self.node.total_settled()
-    }
-
-    fn available_balance(&self, client: ClientId) -> Amount {
-        self.node.available_balance(client)
-    }
-
-    fn stopping(&mut self) {
-        // Clean stop: a threshold snapshot still in flight completes (so
-        // it is never lost to process exit), then everything journaled
-        // becomes durable.
-        self.drain_installs();
-        self.storage.sync();
-    }
-
-    fn preverify(&self, from: ReplicaId, msg: &Self::Msg) -> Vec<astro_types::SigCheck> {
-        self.node.preverify(from, msg)
-    }
-
-    fn attach_registry(&mut self, registry: &std::sync::Arc<astro_obs::Registry>) {
-        // The wrapped node resolves its protocol handles; the storage
-        // resolves the WAL/snapshot ones.
-        self.node.attach_registry(registry);
-        let me = self.node.id().0;
-        self.storage.with(|s| s.attach_obs(astro_store::StoreObs::for_replica(registry, me)));
-    }
-}
-
-/// Everything a TCP cluster needs to bring one replica back: per-replica
-/// key material (transport and, for Astro II, signing), the fixed listen
-/// addresses, the replica config, the timing knobs, and — on durable
-/// clusters — the storage root. A replica restarted without storage
-/// returns empty and recovers the full ledger from its peers through the
-/// catch-up state transfer; with storage it recovers `snapshot + WAL`
-/// locally first and fetches only the settled delta.
-#[derive(Debug)]
-pub(crate) struct RestartMeta<C> {
-    pub keychains: Vec<Keychain>,
-    /// Signing keychains (Astro II; empty for Astro I).
-    pub signing: Vec<Keychain>,
-    pub addrs: Vec<SocketAddr>,
-    pub cfg: C,
-    pub flush_every: Duration,
-    /// `Some(root, policy)` when the cluster journals to disk.
-    pub storage: Option<(PathBuf, StoreConfig)>,
-}
-
-impl<C> RestartMeta<C> {
-    /// Rebinds replica `i`'s listener and re-establishes its endpoint.
-    /// The old endpoint's acceptor releases the port asynchronously after
-    /// a kill, so binding retries briefly.
-    fn establish_endpoint(&self, i: usize) -> Result<TcpEndpoint, ClusterError> {
-        let addr = self.addrs[i];
-        let deadline = Instant::now() + Duration::from_secs(5);
-        let listener = loop {
-            match TcpListener::bind(addr) {
-                Ok(l) => break l,
-                Err(e) => {
-                    if Instant::now() >= deadline {
-                        // A bind failure is a network problem, not a
-                        // storage one.
-                        return Err(ClusterError::Net(astro_net::NetError::Io(e)));
-                    }
-                    std::thread::sleep(Duration::from_millis(20));
-                }
-            }
-        };
-        let peer_addrs: Vec<Option<SocketAddr>> =
-            self.addrs.iter().enumerate().map(|(j, a)| (j != i).then_some(*a)).collect();
-        Ok(TcpEndpoint::establish(self.keychains[i].clone(), listener, peer_addrs)?)
     }
 }
 
@@ -411,454 +188,46 @@ fn replica_dir(root: &Path, i: usize) -> PathBuf {
     root.join(format!("replica-{i}"))
 }
 
-/// Opens replica `i`'s store and recovers an Astro I node from
-/// `checkpoint segments + residual snapshot + WAL`.
-fn recover_astro1(
+/// Opens replica `i`'s store under `root` and recovers `fresh` (a newly
+/// constructed replica of the crashed incarnation's identity and config)
+/// from `checkpoint segments + residual snapshot + WAL`.
+pub(crate) fn recover<R: Replica>(
     root: &Path,
     i: usize,
-    layout: ShardLayout,
-    cfg: Astro1Config,
+    fresh: R,
     store_cfg: &StoreConfig,
-) -> Result<DurableNode<AstroOneReplica>, ClusterError> {
+) -> Result<(R, Durability), ClusterError> {
     let (storage, recovered) = Storage::open(replica_dir(root, i), store_cfg.clone())?;
-    let me = ReplicaId(i as u32);
     let (mut node, segments) = match &recovered.snapshot {
         Some(bytes) => {
-            let residual: Astro1Snapshot =
+            let residual: R::Snapshot =
                 decode_exact(bytes).map_err(|_| ClusterError::Recovery("snapshot decode"))?;
-            let node = AstroOneReplica::restore_from_checkpoints(
-                me,
-                layout,
-                cfg,
-                &recovered.checkpoints,
-                &residual,
-            )
-            .map_err(|_| ClusterError::Recovery("checkpoint chain invariants"))?;
-            (node, residual.sealed_segments)
+            let segments = R::sealed_segments(&residual);
+            let node = fresh
+                .restore_from_checkpoints(&recovered.checkpoints, &residual)
+                .map_err(|_| ClusterError::Recovery("checkpoint chain invariants"))?;
+            (node, segments)
         }
-        None => (AstroOneReplica::new(me, layout, cfg), 0),
+        None => (fresh, 0),
     };
     for record in &recovered.records {
         node.replay(record);
     }
     node.finish_recovery();
-    Ok(DurableNode::with_segments(node, SharedStorage::new(storage), segments))
-}
-
-/// Opens replica `i`'s store and recovers an Astro II node from
-/// `checkpoint segments + residual snapshot + WAL`. `auth` must carry the
-/// same signing identity as the crashed incarnation.
-fn recover_astro2(
-    root: &Path,
-    i: usize,
-    auth: SchnorrAuthenticator,
-    layout: ShardLayout,
-    cfg: Astro2Config,
-    store_cfg: &StoreConfig,
-) -> Result<DurableNode<AstroTwoReplica<SchnorrAuthenticator>>, ClusterError> {
-    let (storage, recovered) = Storage::open(replica_dir(root, i), store_cfg.clone())?;
-    let (mut node, segments) = match &recovered.snapshot {
-        Some(bytes) => {
-            let residual: Astro2Snapshot =
-                decode_exact(bytes).map_err(|_| ClusterError::Recovery("snapshot decode"))?;
-            let node = AstroTwoReplica::restore_from_checkpoints(
-                auth,
-                layout,
-                cfg,
-                &recovered.checkpoints,
-                &residual,
-            )
-            .map_err(|_| ClusterError::Recovery("checkpoint chain invariants"))?;
-            (node, residual.sealed_segments)
-        }
-        None => (AstroTwoReplica::new(auth, layout, cfg), 0),
-    };
-    for record in &recovered.records {
-        node.replay(record);
-    }
-    node.finish_recovery();
-    Ok(DurableNode::with_segments(node, SharedStorage::new(storage), segments))
-}
-
-/// The deterministic seed Astro II signing keys derive from in durable
-/// (and demo) clusters; independent of the transport keychains.
-pub(crate) const ASTRO2_SIGNING_SEED: &[u8] = b"astro-runtime-astro2";
-
-impl crate::AstroOneCluster {
-    /// Starts a durable Astro I cluster over loopback TCP: one storage
-    /// directory per replica under `dir`, WAL group commit, periodic
-    /// snapshots. Key material from [`demo_keychains`] — **demo/test
-    /// only**, see there; deployments call
-    /// [`start_tcp_durable_with_keychains`](Self::start_tcp_durable_with_keychains).
-    ///
-    /// # Errors
-    ///
-    /// Fails if `n < 4`, the mesh cannot be established, storage cannot
-    /// be opened, or recovered state is invalid.
-    pub fn start_tcp_durable(
-        n: usize,
-        dir: impl Into<PathBuf>,
-        cfg: Astro1Config,
-        flush_every: Duration,
-    ) -> Result<Self, ClusterError> {
-        Self::start_tcp_durable_with_keychains(
-            demo_keychains(n),
-            dir,
-            cfg,
-            flush_every,
-            StoreConfig::default(),
-        )
-    }
-
-    /// Starts a durable Astro I cluster over loopback TCP with
-    /// caller-provided transport keychains (pre-distributed key pairs,
-    /// §III) and an explicit durability policy.
-    ///
-    /// Each replica journals to `dir/replica-<i>/` and recovers whatever
-    /// a previous incarnation left there, so starting twice from the same
-    /// directory resumes the ledger.
-    ///
-    /// # Errors
-    ///
-    /// Fails if fewer than 4 keychains are given, the mesh cannot be
-    /// established, storage cannot be opened, or recovered state is
-    /// invalid.
-    pub fn start_tcp_durable_with_keychains(
-        keychains: Vec<Keychain>,
-        dir: impl Into<PathBuf>,
-        cfg: Astro1Config,
-        flush_every: Duration,
-        store: StoreConfig,
-    ) -> Result<Self, ClusterError> {
-        Self::start_tcp_durable_with_keychains_observed(
-            keychains,
-            dir,
-            cfg,
-            flush_every,
-            store,
-            None,
-        )
-    }
-
-    /// [`start_tcp_durable`](Self::start_tcp_durable) with a metric
-    /// registry attached — on top of the transport/protocol/driver
-    /// instrumentation, each replica's store records WAL append/fsync
-    /// latencies, group-commit batch sizes, and snapshot costs.
-    ///
-    /// # Errors
-    ///
-    /// As [`start_tcp_durable`](Self::start_tcp_durable).
-    pub fn start_tcp_durable_observed(
-        n: usize,
-        dir: impl Into<PathBuf>,
-        cfg: Astro1Config,
-        flush_every: Duration,
-        registry: std::sync::Arc<astro_obs::Registry>,
-    ) -> Result<Self, ClusterError> {
-        Self::start_tcp_durable_with_keychains_observed(
-            demo_keychains(n),
-            dir,
-            cfg,
-            flush_every,
-            StoreConfig::default(),
-            Some(registry),
-        )
-    }
-
-    /// [`start_tcp_durable_with_keychains`](Self::start_tcp_durable_with_keychains)
-    /// with an optional metric registry; see
-    /// [`start_tcp_durable_observed`](Self::start_tcp_durable_observed).
-    ///
-    /// # Errors
-    ///
-    /// As [`start_tcp_durable_with_keychains`](Self::start_tcp_durable_with_keychains).
-    pub fn start_tcp_durable_with_keychains_observed(
-        keychains: Vec<Keychain>,
-        dir: impl Into<PathBuf>,
-        cfg: Astro1Config,
-        flush_every: Duration,
-        store: StoreConfig,
-        registry: Option<std::sync::Arc<astro_obs::Registry>>,
-    ) -> Result<Self, ClusterError> {
-        let n = keychains.len();
-        if n < 4 {
-            return Err(ClusterError::TooSmall { n });
-        }
-        let layout = crate::single_layout(n)?;
-        let dir = dir.into();
-        let endpoints = TcpTransport::loopback(keychains.clone())?.into_endpoints();
-        let addrs: Vec<SocketAddr> = endpoints.iter().map(TcpEndpoint::listen_addr).collect();
-        let nodes = (0..n)
-            .map(|i| recover_astro1(&dir, i, layout.clone(), cfg.clone(), &store))
-            .collect::<Result<Vec<_>, _>>()?;
-        let inner = Cluster::start_endpoints_observed(
-            nodes,
-            endpoints,
-            layout,
-            flush_every,
-            None,
-            registry,
-        )?;
-        Ok(crate::AstroOneCluster {
-            inner,
-            meta: Some(RestartMeta {
-                keychains,
-                signing: Vec::new(),
-                addrs,
-                cfg,
-                flush_every,
-                storage: Some((dir, store)),
-            }),
-        })
-    }
-
-    /// Kills replica `i` without any final flush — a simulated power
-    /// loss. See [`Cluster::kill_replica`].
-    ///
-    /// # Errors
-    ///
-    /// Fails if the replica is not running.
-    pub fn kill_replica(&mut self, i: usize) -> Result<(), ClusterError> {
-        self.inner.kill_replica(i)
-    }
-
-    /// Restarts a killed replica and rejoins it to the live quorum:
-    /// recover `snapshot + longest valid WAL prefix` locally (durable
-    /// clusters; non-durable TCP clusters restart empty), rebind the
-    /// replica's listen address (surviving replicas redial on their next
-    /// send), then run the peer catch-up handshake — the returning
-    /// replica requests the settled delta from its peers, installs it
-    /// once `f+1` byte-identical copies certify, and only then resumes
-    /// broadcast delivery. Payments the quorum settled *during the
-    /// downtime* are therefore recovered without any client
-    /// resubmission.
-    ///
-    /// # Errors
-    ///
-    /// Fails on in-process clusters ([`ClusterError::NotRestartable`]),
-    /// if the replica is still running, or if storage/recovery fails.
-    pub fn restart_replica(&mut self, i: usize) -> Result<(), ClusterError> {
-        let meta = self.meta.as_ref().ok_or(ClusterError::NotRestartable)?;
-        if self.inner.is_running(i) {
-            return Err(ClusterError::ReplicaRunning(i));
-        }
-        let layout = self.inner.layout().clone();
-        let flush_every = meta.flush_every;
-        match &meta.storage {
-            Some((dir, store)) => {
-                let mut node = recover_astro1(dir, i, layout, meta.cfg.clone(), store)?;
-                node.begin_catchup();
-                let endpoint = meta.establish_endpoint(i)?;
-                self.inner.respawn(i, node, endpoint, flush_every)
-            }
-            None => {
-                let mut node = AstroOneReplica::new(ReplicaId(i as u32), layout, meta.cfg.clone());
-                node.begin_catchup();
-                let endpoint = meta.establish_endpoint(i)?;
-                self.inner.respawn(i, node, endpoint, flush_every)
-            }
-        }
-    }
-}
-
-impl crate::AstroTwoCluster {
-    /// Starts a durable Astro II cluster over loopback TCP; the Astro II
-    /// analogue of [`AstroOneCluster::start_tcp_durable`]. Transport *and
-    /// signing* key material derive from fixed public seeds —
-    /// **demo/test only**: anyone can reconstruct every replica's secret
-    /// keys; see [`demo_keychains`].
-    ///
-    /// # Errors
-    ///
-    /// As [`AstroOneCluster::start_tcp_durable`].
-    pub fn start_tcp_durable(
-        n: usize,
-        dir: impl Into<PathBuf>,
-        cfg: Astro2Config,
-        flush_every: Duration,
-    ) -> Result<Self, ClusterError> {
-        Self::start_tcp_durable_with_keychains(
-            demo_keychains(n),
-            Keychain::deterministic_system(ASTRO2_SIGNING_SEED, n),
-            dir,
-            cfg,
-            flush_every,
-            StoreConfig::default(),
-        )
-    }
-
-    /// Starts a durable Astro II cluster over loopback TCP with
-    /// caller-provided key material — `keychains` authenticate the
-    /// transport links, `signing` holds the Schnorr keys the protocol
-    /// signs ACKs, commit proofs, and CREDIT certificates with (both
-    /// pre-distributed, §III) — and an explicit durability policy.
-    /// Signing identities survive restarts.
-    ///
-    /// # Errors
-    ///
-    /// As [`AstroOneCluster::start_tcp_durable_with_keychains`], plus a
-    /// transport/signing keychain count mismatch.
-    pub fn start_tcp_durable_with_keychains(
-        keychains: Vec<Keychain>,
-        signing: Vec<Keychain>,
-        dir: impl Into<PathBuf>,
-        cfg: Astro2Config,
-        flush_every: Duration,
-        store: StoreConfig,
-    ) -> Result<Self, ClusterError> {
-        Self::start_tcp_durable_with_keychains_observed(
-            keychains,
-            signing,
-            dir,
-            cfg,
-            flush_every,
-            store,
-            None,
-        )
-    }
-
-    /// [`start_tcp_durable`](Self::start_tcp_durable) with a metric
-    /// registry attached; the Astro II analogue of
-    /// [`AstroOneCluster::start_tcp_durable_observed`], additionally
-    /// covering the verify pipeline.
-    ///
-    /// # Errors
-    ///
-    /// As [`start_tcp_durable`](Self::start_tcp_durable).
-    pub fn start_tcp_durable_observed(
-        n: usize,
-        dir: impl Into<PathBuf>,
-        cfg: Astro2Config,
-        flush_every: Duration,
-        registry: std::sync::Arc<astro_obs::Registry>,
-    ) -> Result<Self, ClusterError> {
-        Self::start_tcp_durable_with_keychains_observed(
-            demo_keychains(n),
-            Keychain::deterministic_system(ASTRO2_SIGNING_SEED, n),
-            dir,
-            cfg,
-            flush_every,
-            StoreConfig::default(),
-            Some(registry),
-        )
-    }
-
-    /// [`start_tcp_durable_with_keychains`](Self::start_tcp_durable_with_keychains)
-    /// with an optional metric registry; see
-    /// [`start_tcp_durable_observed`](Self::start_tcp_durable_observed).
-    ///
-    /// # Errors
-    ///
-    /// As [`start_tcp_durable_with_keychains`](Self::start_tcp_durable_with_keychains).
-    pub fn start_tcp_durable_with_keychains_observed(
-        keychains: Vec<Keychain>,
-        signing: Vec<Keychain>,
-        dir: impl Into<PathBuf>,
-        cfg: Astro2Config,
-        flush_every: Duration,
-        store: StoreConfig,
-        registry: Option<std::sync::Arc<astro_obs::Registry>>,
-    ) -> Result<Self, ClusterError> {
-        let n = keychains.len();
-        if n < 4 {
-            return Err(ClusterError::TooSmall { n });
-        }
-        if signing.len() != n {
-            return Err(ClusterError::KeychainMismatch { transport: n, signing: signing.len() });
-        }
-        let layout = crate::single_layout(n)?;
-        let dir = dir.into();
-        let endpoints = TcpTransport::loopback(keychains.clone())?.into_endpoints();
-        let addrs: Vec<SocketAddr> = endpoints.iter().map(TcpEndpoint::listen_addr).collect();
-        // Durable clusters run the default verify pipeline: signature
-        // super-batches verify on a shared worker pool against the
-        // *signing* key book, overlapping the replicas' event loops.
-        let pool = crate::VerifyMode::auto().build(signing[0].book().clone());
-        let nodes = signing
-            .iter()
-            .enumerate()
-            .map(|(i, kc)| {
-                let auth = match &pool {
-                    Some(pool) => SchnorrAuthenticator::with_cache(kc.clone(), pool.cache()),
-                    None => SchnorrAuthenticator::new(kc.clone()),
-                };
-                recover_astro2(&dir, i, auth, layout.clone(), cfg.clone(), &store)
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        let inner = Cluster::start_endpoints_observed(
-            nodes,
-            endpoints,
-            layout,
-            flush_every,
-            pool,
-            registry,
-        )?;
-        Ok(crate::AstroTwoCluster {
-            inner,
-            meta: Some(RestartMeta {
-                keychains,
-                signing,
-                addrs,
-                cfg,
-                flush_every,
-                storage: Some((dir, store)),
-            }),
-        })
-    }
-
-    /// Kills replica `i` without any final flush — a simulated power
-    /// loss. See [`Cluster::kill_replica`].
-    ///
-    /// # Errors
-    ///
-    /// Fails if the replica is not running.
-    pub fn kill_replica(&mut self, i: usize) -> Result<(), ClusterError> {
-        self.inner.kill_replica(i)
-    }
-
-    /// Restarts a killed replica and rejoins it to the live quorum; see
-    /// [`AstroOneCluster::restart_replica`] — recovery from disk where
-    /// the cluster is durable, then the peer catch-up handshake either
-    /// way.
-    ///
-    /// # Errors
-    ///
-    /// As [`AstroOneCluster::restart_replica`].
-    pub fn restart_replica(&mut self, i: usize) -> Result<(), ClusterError> {
-        let meta = self.meta.as_ref().ok_or(ClusterError::NotRestartable)?;
-        if self.inner.is_running(i) {
-            return Err(ClusterError::ReplicaRunning(i));
-        }
-        // Re-attach the restarted replica to the cluster's shared verify
-        // pipeline, so recovered nodes verify exactly like the others.
-        let auth = match self.inner.verify_pool() {
-            Some(pool) => SchnorrAuthenticator::with_cache(meta.signing[i].clone(), pool.cache()),
-            None => SchnorrAuthenticator::new(meta.signing[i].clone()),
-        };
-        let layout = self.inner.layout().clone();
-        let flush_every = meta.flush_every;
-        match &meta.storage {
-            Some((dir, store)) => {
-                let mut node = recover_astro2(dir, i, auth, layout, meta.cfg.clone(), store)?;
-                node.begin_catchup();
-                let endpoint = meta.establish_endpoint(i)?;
-                self.inner.respawn(i, node, endpoint, flush_every)
-            }
-            None => {
-                let mut node = AstroTwoReplica::new(auth, layout, meta.cfg.clone());
-                node.begin_catchup();
-                let endpoint = meta.establish_endpoint(i)?;
-                self.inner.respawn(i, node, endpoint, flush_every)
-            }
-        }
-    }
+    let durability = Durability::new(&mut node, SharedStorage::new(storage), segments);
+    Ok((node, durability))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use astro_core::astro1::Astro1Config;
-    use astro_net::InProcTransport;
+    use crate::{AstroOneCluster, BRB_GC_HIGH_WATER};
+    use astro_core::astro1::{Astro1Config, AstroOneReplica};
+    use astro_core::testkit::PaymentCluster;
+    use astro_types::{Amount, ClientId, Payment, ReplicaId, ShardLayout};
+    use std::cell::RefCell;
+    use std::rc::Rc;
+    use std::time::Duration;
 
     fn tmp_dir(name: &str) -> PathBuf {
         let dir =
@@ -867,29 +236,22 @@ mod tests {
         dir
     }
 
+    fn fresh(i: u32, cfg: &Astro1Config) -> AstroOneReplica {
+        AstroOneReplica::new(ReplicaId(i), ShardLayout::single(4).unwrap(), cfg.clone())
+    }
+
     #[test]
     fn durable_node_snapshots_after_threshold() {
         let dir = tmp_dir("snap-policy");
         let store_cfg = StoreConfig { snapshot_every_settled: 3, ..StoreConfig::default() };
-        let layout = ShardLayout::single(4).unwrap();
         let cfg = Astro1Config { batch_size: 1, initial_balance: Amount(1000) };
-        let node = recover_astro1(&dir, 0, layout.clone(), cfg.clone(), &store_cfg).unwrap();
 
-        // Drive settlements through a real in-proc cluster so the node
-        // sees deliveries; then check the snapshot landed.
-        let nodes = vec![
-            node,
-            recover_astro1(&dir, 1, layout.clone(), cfg.clone(), &store_cfg).unwrap(),
-            recover_astro1(&dir, 2, layout.clone(), cfg.clone(), &store_cfg).unwrap(),
-            recover_astro1(&dir, 3, layout.clone(), cfg.clone(), &store_cfg).unwrap(),
-        ];
-        let cluster = Cluster::start_endpoints(
-            nodes,
-            InProcTransport::new(4).into_endpoints(),
-            layout,
-            Duration::from_millis(1),
-        )
-        .unwrap();
+        // Drive settlements through a real in-proc cluster so the nodes
+        // see deliveries; then check the snapshot landed.
+        let cluster = AstroOneCluster::builder(4, cfg.clone(), Duration::from_millis(1))
+            .durable(&dir, store_cfg.clone())
+            .start()
+            .unwrap();
         for seq in 0..8u64 {
             cluster.submit(Payment::new(1u64, seq, 2u64, 1u64)).unwrap();
         }
@@ -898,10 +260,9 @@ mod tests {
         let (_s, recovered) = Storage::open(replica_dir(&dir, 0), store_cfg.clone()).unwrap();
         assert!(recovered.snapshot.is_some(), "threshold crossed: snapshot installed");
         // And the recovered state resumes, not restarts, the ledger.
-        let layout = ShardLayout::single(4).unwrap();
-        let node = recover_astro1(&dir, 0, layout, cfg, &store_cfg).unwrap();
-        assert_eq!(node.node().ledger().total_settled(), 8);
-        assert_eq!(node.node().balance(ClientId(1)), Amount(992));
+        let (node, _) = recover(&dir, 0, fresh(0, &cfg), &store_cfg).unwrap();
+        assert_eq!(node.ledger().total_settled(), 8);
+        assert_eq!(node.balance(ClientId(1)), Amount(992));
     }
 
     #[test]
@@ -909,80 +270,50 @@ mod tests {
         // The WAL-aware GC satellite: once a snapshot holds the
         // deliveries' effects, the BRB layer's per-instance bookkeeping
         // is pruned, so broadcast memory is bounded by the in-flight
-        // window instead of growing with settled history. A manual
-        // message pump (instead of the threaded cluster) keeps the live
-        // nodes observable.
-        use astro_brb::Dest;
-        use astro_core::astro1::Astro1Msg;
-        use astro_core::ReplicaStep;
-        use std::collections::VecDeque;
-
+        // window instead of growing with settled history. The
+        // deterministic router (instead of the threaded cluster) keeps
+        // the live nodes observable; its step hook runs the storage
+        // policy exactly where the driver does.
         let dir = tmp_dir("brb-gc");
         let store_cfg = StoreConfig { snapshot_every_settled: 4, ..StoreConfig::default() };
-        let layout = ShardLayout::single(4).unwrap();
         let cfg = Astro1Config { batch_size: 1, initial_balance: Amount(1000) };
-        let mut nodes: Vec<DurableNode<AstroOneReplica>> = (0..4)
-            .map(|i| recover_astro1(&dir, i, layout.clone(), cfg.clone(), &store_cfg).unwrap())
-            .collect();
-        let mut queue: VecDeque<(ReplicaId, ReplicaId, Astro1Msg)> = VecDeque::new();
-        fn route(
-            queue: &mut VecDeque<(ReplicaId, ReplicaId, Astro1Msg)>,
-            from: ReplicaId,
-            step: ReplicaStep<Astro1Msg>,
-        ) {
-            for env in step.outbound {
-                match env.to {
-                    Dest::All => {
-                        for i in 0..4u32 {
-                            queue.push_back((from, ReplicaId(i), env.msg.clone()));
-                        }
-                    }
-                    Dest::One(to) => queue.push_back((from, to, env.msg)),
-                }
+        let (nodes, stores): (Vec<_>, Vec<_>) =
+            (0..4).map(|i| recover(&dir, i, fresh(i as u32, &cfg), &store_cfg).unwrap()).unzip();
+        let stores = Rc::new(RefCell::new(stores));
+        let mut c = PaymentCluster::new(nodes);
+        let hook = Rc::clone(&stores);
+        c.on_step(move |from, node, step| {
+            node.prune_delivered_at(BRB_GC_HIGH_WATER);
+            hook.borrow_mut()[from.0 as usize].after_step(node, step.settled.len());
+        });
+        let drain = |c: &mut PaymentCluster<AstroOneReplica>| {
+            for (i, store) in stores.borrow_mut().iter_mut().enumerate() {
+                store.drain_installs(c.node_mut(i));
             }
-        }
+        };
         // 32 settles at batch size 1 = 32 broadcast instances; without
         // snapshot-install GC every one would be tracked forever.
-        let rep = layout.representative_of(astro_types::ClientId(1));
-        for seq in 0..32u64 {
-            let step = RuntimeNode::submit(
-                &mut nodes[rep.0 as usize],
-                Payment::new(1u64, seq, 2u64, 1u64),
-            )
-            .unwrap();
-            route(&mut queue, rep, step);
-            while let Some((from, to, msg)) = queue.pop_front() {
-                let step = RuntimeNode::handle(&mut nodes[to.0 as usize], from, msg);
-                route(&mut queue, to, step);
+        let rep = ShardLayout::single(4).unwrap().representative_of(ClientId(1));
+        let pay = |c: &mut PaymentCluster<AstroOneReplica>, seqs: std::ops::Range<u64>| {
+            for seq in seqs {
+                let step = c.node_mut(rep.0 as usize).submit(Payment::new(1u64, seq, 2u64, 1u64));
+                c.submit_step(rep, step.unwrap());
+                c.run_to_quiescence();
             }
-        }
+        };
+        pay(&mut c, 0..32);
         // Quiesce: installs run off-thread, so under a loaded machine the
         // last seal may still be deferred behind an in-flight install.
         // Fold whatever is in flight, settle one more threshold's worth
         // (guaranteeing a fresh seal covering everything before it), and
         // fold that install too — after which at most the post-seal tail
         // of the extra round is still tracked.
-        for node in &mut nodes {
-            node.drain_installs();
-        }
-        for seq in 32..36u64 {
-            let step = RuntimeNode::submit(
-                &mut nodes[rep.0 as usize],
-                Payment::new(1u64, seq, 2u64, 1u64),
-            )
-            .unwrap();
-            route(&mut queue, rep, step);
-            while let Some((from, to, msg)) = queue.pop_front() {
-                let step = RuntimeNode::handle(&mut nodes[to.0 as usize], from, msg);
-                route(&mut queue, to, step);
-            }
-        }
-        for node in &mut nodes {
-            node.drain_installs();
-        }
-        for (i, node) in nodes.iter().enumerate() {
-            assert_eq!(node.node().ledger().total_settled(), 36, "replica {i}");
-            let tracked = node.node().tracked_instances();
+        drain(&mut c);
+        pay(&mut c, 32..36);
+        drain(&mut c);
+        for i in 0..4 {
+            assert_eq!(c.node(i).ledger().total_settled(), 36, "replica {i}");
+            let tracked = c.node(i).tracked_instances();
             assert!(
                 tracked <= 4,
                 "replica {i}: snapshot-install GC must prune history, still tracks {tracked}"
@@ -993,13 +324,9 @@ mod tests {
     #[test]
     fn restart_errors_are_reported() {
         let dir = tmp_dir("restart-errors");
-        let mut cluster = crate::AstroOneCluster::start_tcp_durable(
-            4,
-            &dir,
-            Astro1Config { batch_size: 4, initial_balance: Amount(100) },
-            Duration::from_millis(1),
-        )
-        .unwrap();
+        let cfg = Astro1Config { batch_size: 4, initial_balance: Amount(100) };
+        let mut cluster =
+            AstroOneCluster::start_tcp_durable(4, &dir, cfg, Duration::from_millis(1)).unwrap();
         assert!(matches!(cluster.restart_replica(2), Err(ClusterError::ReplicaRunning(2))));
         cluster.kill_replica(2).unwrap();
         assert!(matches!(cluster.kill_replica(2), Err(ClusterError::ReplicaStopped(2))));
@@ -1007,8 +334,7 @@ mod tests {
         cluster.shutdown();
 
         let mut plain =
-            crate::AstroOneCluster::start(4, Astro1Config::default(), Duration::from_millis(1))
-                .unwrap();
+            AstroOneCluster::start(4, Astro1Config::default(), Duration::from_millis(1)).unwrap();
         plain.kill_replica(1).unwrap();
         assert!(
             matches!(plain.restart_replica(1), Err(ClusterError::NotRestartable)),

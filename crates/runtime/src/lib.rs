@@ -1,10 +1,11 @@
-//! Threaded deployment of Astro replicas, generic over the transport.
+//! Threaded deployment of Astro replicas, generic over the protocol and
+//! the transport.
 //!
 //! The simulator (`astro-sim`) models time; this crate runs the *same*
 //! replica state machines under real concurrency: one OS thread per
 //! replica, an [`astro_net::Transport`] carrying wire-encoded protocol
 //! messages between them, and real wall-clock batching timers. Two
-//! backends ship today:
+//! transports ship today:
 //!
 //! - [`InProcTransport`] — crossbeam channels, authenticated by
 //!   construction: the deterministic-outcome baseline.
@@ -15,9 +16,13 @@
 //! The replica state machines cannot tell the difference: messages are
 //! encoded with [`astro_types::wire::Wire`], moved as bytes, and decoded
 //! on receipt (a peer's malformed bytes are dropped, never a panic).
-//! [`AstroOneCluster`] runs Astro I (Bracha BRB); [`AstroTwoCluster`] runs
-//! Astro II (signature-based BRB with CREDIT certificates) under real
-//! Schnorr signatures.
+//!
+//! One [`Cluster`] type runs any [`Replica`]: [`AstroOneCluster`] runs
+//! Astro I (Bracha BRB), [`AstroTwoCluster`] Astro II (signature-based BRB
+//! with CREDIT certificates) under real Schnorr signatures. A
+//! [`ClusterBuilder`] picks the deployment: transport, key material,
+//! storage ([`durable`]), metric registry and verification pipeline are
+//! independent options.
 //!
 //! # Examples
 //!
@@ -27,11 +32,12 @@
 //! use astro_types::{Amount, ClientId, Payment};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! let cluster = AstroOneCluster::start(
+//! let cluster = AstroOneCluster::builder(
 //!     4,
 //!     Astro1Config { batch_size: 4, initial_balance: Amount(100) },
 //!     std::time::Duration::from_millis(1),
-//! )?;
+//! )
+//! .start()?;
 //! cluster.submit(Payment::new(1u64, 0u64, 2u64, 30u64))?;
 //! let settled = cluster.wait_settled(1, std::time::Duration::from_secs(5));
 //! assert_eq!(settled.len(), 1);
@@ -48,25 +54,29 @@
 pub mod durable;
 pub mod verify;
 
-pub use durable::{demo_keychains, DurableNode, PersistentNode};
+pub use durable::demo_keychains;
 pub use verify::{Ticket, VerifyMode, VerifyPool};
 
 use astro_brb::Dest;
-use astro_core::astro1::{Astro1Config, Astro1Msg, AstroOneReplica};
-use astro_core::astro2::{Astro2Config, Astro2Msg, AstroTwoReplica};
-use astro_core::{CoreObs, ReplicaStep, SubmitError};
-use astro_net::{Endpoint, InProcTransport, NetError, TcpTransport, Transport};
+use astro_core::astro1::{Astro1Config, AstroOneReplica};
+use astro_core::astro2::{Astro2Config, AstroTwoReplica};
+use astro_core::{CoreObs, Replica, ReplicaStep, SubmitError, SYNC_FALLBACK_ROUNDS};
+use astro_net::{Endpoint, InProcTransport, NetError, TcpEndpoint, TcpTransport, Transport};
 use astro_obs::{
     Counter, FlightRecorder, HealthConfig, HealthMonitor, Histogram, PaymentTracer, Registry,
     ServeHandle, Stage,
 };
+use astro_store::StoreConfig;
 use astro_types::wire::{decode_exact, Wire};
 use astro_types::{
     Amount, ClientId, ConfigError, Keychain, Payment, ReplicaId, SchnorrAuthenticator, ShardLayout,
 };
 use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
+use durable::Durability;
 use parking_lot::{Condvar, Mutex};
 use std::collections::{HashMap, VecDeque};
+use std::net::{SocketAddr, TcpListener};
+use std::path::PathBuf;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -226,152 +236,14 @@ impl From<std::io::Error> for ClusterError {
     }
 }
 
-/// A replica state machine the threaded driver can host.
-///
-/// Implemented by [`AstroOneReplica`] and Schnorr-backed
-/// [`AstroTwoReplica`]; the driver, cluster plumbing, and transports are
-/// shared.
-pub trait RuntimeNode: Send + 'static {
-    /// The peer-to-peer message type.
-    type Msg: Wire + Clone + Send + 'static;
-
-    /// This replica's id.
-    fn id(&self) -> ReplicaId;
-
-    /// A client submits a payment at its representative.
-    ///
-    /// # Errors
-    ///
-    /// Rejects clients this replica does not represent.
-    fn submit(&mut self, payment: Payment) -> Result<ReplicaStep<Self::Msg>, SubmitError>;
-
-    /// Processes one peer message.
-    fn handle(&mut self, from: ReplicaId, msg: Self::Msg) -> ReplicaStep<Self::Msg>;
-
-    /// Flushes the pending batch (timer-driven).
-    fn flush(&mut self) -> ReplicaStep<Self::Msg>;
-
-    /// Final per-client balances (every client the replica has seen).
-    fn final_balances(&self) -> HashMap<ClientId, Amount>;
-
-    /// Total payments settled.
-    fn total_settled(&self) -> usize;
-
-    /// A client's spendable funds at this replica: the ledger balance
-    /// plus, at an Astro II representative, certified-but-unspent credits
-    /// awaiting the client's next outgoing payment. Default: the ledger
-    /// balance alone.
-    fn available_balance(&self, client: ClientId) -> Amount {
-        self.final_balances().get(&client).copied().unwrap_or(Amount(0))
-    }
-
-    /// Called once on a *clean* stop, before the thread exits — durable
-    /// nodes flush their group commit here. Not called on a simulated
-    /// crash ([`Cluster::kill_replica`]), which is the point of the
-    /// simulation. Default: nothing.
-    fn stopping(&mut self) {}
-
-    /// The Schnorr signature checks handling `msg` would trigger, for
-    /// pre-verification by the cluster's [`VerifyPool`]. A node whose
-    /// messages carry no pool-verifiable signatures (Astro I's
-    /// MAC-authenticated traffic) returns none and the pool is bypassed.
-    fn preverify(&self, from: ReplicaId, msg: &Self::Msg) -> Vec<astro_types::SigCheck> {
-        let _ = (from, msg);
-        Vec::new()
-    }
-
-    /// Resolves this node's metric/trace handles from `registry` — called
-    /// once before the node's thread spawns (and again on respawn), only
-    /// on observed clusters. Default: the node records nothing.
-    fn attach_registry(&mut self, registry: &Arc<Registry>) {
-        let _ = registry;
-    }
-}
-
+/// Every client's settled balance at one replica (every client it has
+/// seen) — what a replica reports when it stops.
 fn ledger_balances(ledger: &astro_core::Ledger) -> HashMap<ClientId, Amount> {
     let mut clients: Vec<ClientId> =
         ledger.xlogs().flat_map(|x| x.iter().flat_map(|p| [p.spender, p.beneficiary])).collect();
     clients.sort_unstable();
     clients.dedup();
     clients.into_iter().map(|c| (c, ledger.balance(c))).collect()
-}
-
-impl RuntimeNode for AstroOneReplica {
-    type Msg = Astro1Msg;
-
-    fn id(&self) -> ReplicaId {
-        AstroOneReplica::id(self)
-    }
-
-    fn submit(&mut self, payment: Payment) -> Result<ReplicaStep<Self::Msg>, SubmitError> {
-        AstroOneReplica::submit(self, payment)
-    }
-
-    fn handle(&mut self, from: ReplicaId, msg: Self::Msg) -> ReplicaStep<Self::Msg> {
-        let step = AstroOneReplica::handle(self, from, msg);
-        self.prune_delivered_at(BRB_GC_HIGH_WATER);
-        step
-    }
-
-    fn flush(&mut self) -> ReplicaStep<Self::Msg> {
-        AstroOneReplica::flush(self)
-    }
-
-    fn final_balances(&self) -> HashMap<ClientId, Amount> {
-        ledger_balances(self.ledger())
-    }
-
-    fn total_settled(&self) -> usize {
-        self.ledger().total_settled()
-    }
-
-    fn attach_registry(&mut self, registry: &Arc<Registry>) {
-        let me = AstroOneReplica::id(self).0;
-        self.set_obs(CoreObs::for_replica(registry, me));
-    }
-}
-
-impl RuntimeNode for AstroTwoReplica<SchnorrAuthenticator> {
-    type Msg = Astro2Msg<astro_crypto::Signature>;
-
-    fn id(&self) -> ReplicaId {
-        AstroTwoReplica::id(self)
-    }
-
-    fn submit(&mut self, payment: Payment) -> Result<ReplicaStep<Self::Msg>, SubmitError> {
-        AstroTwoReplica::submit(self, payment)
-    }
-
-    fn handle(&mut self, from: ReplicaId, msg: Self::Msg) -> ReplicaStep<Self::Msg> {
-        let step = AstroTwoReplica::handle(self, from, msg);
-        self.prune_delivered_at(BRB_GC_HIGH_WATER);
-        step
-    }
-
-    fn flush(&mut self) -> ReplicaStep<Self::Msg> {
-        AstroTwoReplica::flush(self)
-    }
-
-    fn final_balances(&self) -> HashMap<ClientId, Amount> {
-        ledger_balances(self.ledger())
-    }
-
-    fn total_settled(&self) -> usize {
-        self.ledger().total_settled()
-    }
-
-    fn available_balance(&self, client: ClientId) -> Amount {
-        AstroTwoReplica::available_balance(self, client)
-    }
-
-    fn preverify(&self, from: ReplicaId, msg: &Self::Msg) -> Vec<astro_types::SigCheck> {
-        astro_core::astro2::sig_checks(from, msg)
-    }
-
-    fn attach_registry(&mut self, registry: &Arc<Registry>) {
-        let me = AstroTwoReplica::id(self).0;
-        self.set_obs(CoreObs::for_replica(registry, me));
-    }
 }
 
 /// Control-channel commands, delivered outside the replica mesh (clients
@@ -400,159 +272,464 @@ struct Seat {
     last_result: Option<ReplicaResult>,
 }
 
-/// The transport-generic threaded cluster driver.
-///
-/// Owns one OS thread per replica; each thread multiplexes its control
-/// channel (client traffic, shutdown) with its transport endpoint (peer
-/// traffic) and flushes batches on a wall-clock timer. Individual
-/// replicas can be killed (simulated crash) and respawned with a
-/// recovered node and a fresh endpoint — the durable cluster entry points
-/// build their restart path on this.
-pub struct Cluster {
-    seats: Vec<Seat>,
-    settled: Arc<SettledBoard>,
-    layout: ShardLayout,
-    /// The shared verification pipeline, when the cluster runs pooled.
-    pool: Option<Arc<VerifyPool>>,
-    /// The metric registry, when the cluster runs observed (respawned
-    /// replicas re-attach to it).
-    registry: Option<Arc<Registry>>,
+/// A replica as its driver thread hosts it: the state machine plus, on
+/// durable clusters, its storage.
+struct Hosted<R> {
+    replica: R,
+    durable: Option<Durability>,
 }
 
-impl Cluster {
-    /// Starts `nodes` over `transport`; `nodes[i]` must be `ReplicaId(i)`
-    /// and the transport must provide one endpoint per node.
-    ///
-    /// # Errors
-    ///
-    /// Fails on a node/endpoint count mismatch.
-    pub fn start<N, T>(
-        nodes: Vec<N>,
-        transport: T,
-        layout: ShardLayout,
-        flush_every: Duration,
-    ) -> Result<Cluster, ClusterError>
-    where
-        N: RuntimeNode,
-        T: Transport,
-    {
-        Self::start_endpoints(nodes, transport.into_endpoints(), layout, flush_every)
+impl<R: Replica> Hosted<R> {
+    fn submit(&mut self, payment: Payment) -> Result<ReplicaStep<R::Msg>, SubmitError> {
+        let step = self.replica.submit(payment)?;
+        self.after(&step);
+        Ok(step)
     }
 
-    /// Starts `nodes` over pre-built endpoints (`endpoints[i]` carries
-    /// `ReplicaId(i)`), for callers that need the endpoints' addresses
-    /// before handing them over (the durable TCP path).
-    ///
-    /// # Errors
-    ///
-    /// Fails on a node/endpoint count mismatch.
-    pub fn start_endpoints<N, E>(
-        nodes: Vec<N>,
-        endpoints: Vec<E>,
-        layout: ShardLayout,
-        flush_every: Duration,
-    ) -> Result<Cluster, ClusterError>
-    where
-        N: RuntimeNode,
-        E: Endpoint,
-    {
-        Self::start_endpoints_pooled(nodes, endpoints, layout, flush_every, None)
+    fn handle(&mut self, from: ReplicaId, msg: R::Msg) -> ReplicaStep<R::Msg> {
+        let step = self.replica.handle(from, msg);
+        self.replica.prune_delivered_at(BRB_GC_HIGH_WATER);
+        self.after(&step);
+        step
     }
 
-    /// Starts `nodes` with an optional shared [`VerifyPool`]: inbound
-    /// message bursts are pre-verified on the pool's worker threads while
-    /// each replica's event loop keeps draining transport, and handled in
-    /// arrival order once their verdicts are cached. The nodes'
-    /// authenticators must share the pool's verdict cache
-    /// ([`VerifyPool::cache`]) for the pre-verification to pay off.
-    ///
-    /// # Errors
-    ///
-    /// Fails on a node/endpoint count mismatch.
-    pub fn start_endpoints_pooled<N, E>(
-        nodes: Vec<N>,
-        endpoints: Vec<E>,
-        layout: ShardLayout,
-        flush_every: Duration,
-        pool: Option<Arc<VerifyPool>>,
-    ) -> Result<Cluster, ClusterError>
-    where
-        N: RuntimeNode,
-        E: Endpoint,
-    {
-        Self::start_endpoints_observed(nodes, endpoints, layout, flush_every, pool, None)
+    fn flush(&mut self) -> ReplicaStep<R::Msg> {
+        let step = self.replica.flush();
+        self.after(&step);
+        step
     }
 
-    /// Starts `nodes` with an optional [`VerifyPool`] *and* an optional
-    /// metric [`Registry`]: with a registry attached, every layer records
-    /// into it — transport link counters, the verify pipeline, each
-    /// node's protocol counters and lifecycle stages, and the driver's
-    /// own burst/backlog metrics. Without one, nothing is resolved and
-    /// every instrumentation site is a `None` check.
+    fn after(&mut self, step: &ReplicaStep<R::Msg>) {
+        if let Some(durable) = &mut self.durable {
+            durable.after_step(&mut self.replica, step.settled.len());
+        }
+    }
+
+    fn report(&self) -> ReplicaResult {
+        let ledger = self.replica.ledger();
+        (ledger_balances(ledger), ledger.total_settled())
+    }
+}
+
+/// What a cluster needs to (re)build one of its replicas.
+struct Spec<R: Replica> {
+    layout: ShardLayout,
+    cfg: R::Config,
+    /// Protocol signing keychains (Astro II; `None` for Astro I).
+    signing: Option<Vec<Keychain>>,
+    /// `Some(root, policy)` when the replicas journal to disk.
+    storage: Option<(PathBuf, StoreConfig)>,
+    /// The shared verification pipeline, when the cluster runs pooled.
+    pool: Option<Arc<VerifyPool>>,
+    /// Constructs replica `i`, fresh — the protocol's part, set by its
+    /// `builder`.
+    make: fn(&Spec<R>, usize) -> R,
+}
+
+impl<R: Replica> Spec<R> {
+    /// Replica `i` as its thread will host it: fresh, or — on durable
+    /// clusters — recovered from whatever a previous incarnation left in
+    /// its storage directory.
+    fn host(&self, i: usize) -> Result<Hosted<R>, ClusterError> {
+        let replica = (self.make)(self, i);
+        Ok(match &self.storage {
+            None => Hosted { replica, durable: None },
+            Some((root, store)) => {
+                let (replica, durable) = durable::recover(root, i, replica, store)?;
+                Hosted { replica, durable: Some(durable) }
+            }
+        })
+    }
+}
+
+/// Builds a [`Cluster`] of `n` replicas. Start from the protocol's
+/// `builder` ([`AstroOneCluster::builder`], [`AstroTwoCluster::builder`]);
+/// by default the replicas talk over in-process channels, keep their
+/// state in memory, and record no metrics.
+pub struct ClusterBuilder<R: Replica> {
+    n: usize,
+    cfg: R::Config,
+    flush_every: Duration,
+    /// Transport keychains of a loopback TCP mesh; `None` = in-process
+    /// channels.
+    tcp: Option<Vec<Keychain>>,
+    signing: Option<Vec<Keychain>>,
+    storage: Option<(PathBuf, StoreConfig)>,
+    registry: Option<Arc<Registry>>,
+    verify: VerifyMode,
+    make: fn(&Spec<R>, usize) -> R,
+}
+
+impl<R: Replica + Send + 'static> ClusterBuilder<R> {
+    /// Loopback TCP with HMAC-authenticated sessions, key material drawn
+    /// from [`demo_keychains`] — **demo/test only**, see there.
+    pub fn tcp(mut self) -> Self {
+        self.tcp = Some(demo_keychains(self.n));
+        self
+    }
+
+    /// Loopback TCP with HMAC-authenticated sessions under
+    /// caller-provided key material (pre-distributed key pairs, §III),
+    /// one keychain per replica. TCP clusters retain their key material
+    /// and listen addresses, so a killed replica can be brought back with
+    /// [`Cluster::restart_replica`].
+    pub fn tcp_keychains(mut self, keychains: Vec<Keychain>) -> Self {
+        self.tcp = Some(keychains);
+        self
+    }
+
+    /// Journals every replica under `dir/replica-<i>/` with durability
+    /// policy `store`, snapshots periodically, and recovers whatever a
+    /// previous incarnation left there — so starting twice from the same
+    /// directory resumes the ledger (see [`durable`]).
+    pub fn durable(mut self, dir: impl Into<PathBuf>, store: StoreConfig) -> Self {
+        self.storage = Some((dir.into(), store));
+        self
+    }
+
+    /// Attaches a metric registry: the transport, the verify pipeline,
+    /// each replica's protocol layer and store, and the driver record
+    /// into it, and payment lifecycles are traced end-to-end. Without
+    /// one, nothing is resolved and every instrumentation site is a
+    /// `None` check.
+    pub fn registry(mut self, registry: Arc<Registry>) -> Self {
+        self.registry = Some(registry);
+        self
+    }
+
+    /// Starts the replica threads.
     ///
     /// # Errors
     ///
-    /// Fails on a node/endpoint count mismatch.
-    pub fn start_endpoints_observed<N, E>(
-        nodes: Vec<N>,
-        endpoints: Vec<E>,
-        layout: ShardLayout,
-        flush_every: Duration,
-        pool: Option<Arc<VerifyPool>>,
-        registry: Option<Arc<Registry>>,
-    ) -> Result<Cluster, ClusterError>
-    where
-        N: RuntimeNode,
-        E: Endpoint,
-    {
-        let n = nodes.len();
-        if endpoints.len() != n {
-            return Err(ClusterError::EndpointMismatch { expected: n, got: endpoints.len() });
+    /// Fails if `n < 4`, keychain counts differ from `n`, the TCP mesh
+    /// cannot be established, or storage cannot be opened or holds
+    /// invalid state.
+    pub fn start(self) -> Result<Cluster<R>, ClusterError> {
+        let ClusterBuilder { n, cfg, flush_every, tcp, signing, storage, registry, verify, make } =
+            self;
+        if n < 4 {
+            return Err(ClusterError::TooSmall { n });
+        }
+        let mut pool = None;
+        if let Some(signing) = &signing {
+            if signing.len() != n {
+                return Err(ClusterError::KeychainMismatch {
+                    transport: n,
+                    signing: signing.len(),
+                });
+            }
+            // Signature super-batches verify against the *signing* key
+            // book, overlapping the replicas' event loops.
+            pool = verify.build(signing[0].book().clone());
         }
         if let (Some(reg), Some(pool)) = (&registry, &pool) {
             pool.attach_registry(reg);
         }
-        let settled = Arc::new(SettledBoard::new(n));
-        let mut seats = Vec::with_capacity(n);
-        for (mut node, mut endpoint) in nodes.into_iter().zip(endpoints) {
-            let obs = registry.as_ref().map(|reg| {
-                endpoint.attach_registry(reg);
-                node.attach_registry(reg);
-                DriverObs::for_replica(reg, node.id(), &layout)
-            });
-            let (tx, rx) = unbounded();
-            let settled_board = Arc::clone(&settled);
-            let pool = pool.clone();
-            let handle = std::thread::spawn(move || {
-                replica_main(
-                    &mut node,
-                    endpoint,
-                    &rx,
-                    &settled_board,
-                    flush_every,
-                    pool.as_deref(),
-                    obs.as_ref(),
-                )
-            });
-            seats.push(Seat { ctrl: tx, handle: Some(handle), last_result: None });
+        let spec = Spec { layout: ShardLayout::single(n)?, cfg, signing, storage, pool, make };
+        let mut cluster = Cluster {
+            seats: Vec::with_capacity(n),
+            settled: Arc::new(SettledBoard::new(n)),
+            spec,
+            registry,
+            flush_every,
+            mesh: None,
+        };
+        match tcp {
+            None => cluster.spawn_all(InProcTransport::new(n).into_endpoints())?,
+            Some(keychains) => {
+                if keychains.len() != n {
+                    return Err(ClusterError::EndpointMismatch {
+                        expected: n,
+                        got: keychains.len(),
+                    });
+                }
+                let endpoints = TcpTransport::loopback(keychains.clone())?.into_endpoints();
+                let addrs = endpoints.iter().map(TcpEndpoint::listen_addr).collect();
+                cluster.mesh = Some((keychains, addrs));
+                cluster.spawn_all(endpoints)?;
+            }
         }
-        Ok(Cluster { seats, settled, layout, pool, registry })
+        Ok(cluster)
+    }
+}
+
+impl ClusterBuilder<AstroTwoReplica<SchnorrAuthenticator>> {
+    /// The Schnorr keys the protocol signs ACKs, commit proofs and CREDIT
+    /// certificates with, one keychain per replica (pre-distributed,
+    /// §III); signing identities survive restarts. Default: derived from
+    /// a fixed public seed — demo/test only.
+    pub fn signing(mut self, keychains: Vec<Keychain>) -> Self {
+        self.signing = Some(keychains);
+        self
+    }
+
+    /// How signatures verify: [`VerifyMode::Serial`] on the replica
+    /// threads (the baseline the determinism tests compare against), or
+    /// pooled — inbound signature super-batches pre-verify on shared
+    /// worker threads so curve arithmetic overlaps transport I/O.
+    /// Default: [`VerifyMode::auto`].
+    pub fn verify(mut self, mode: VerifyMode) -> Self {
+        self.verify = mode;
+        self
+    }
+}
+
+/// A running threaded cluster of replicas `R`.
+///
+/// Owns one OS thread per replica; each thread multiplexes its control
+/// channel (client traffic, shutdown) with its transport endpoint (peer
+/// traffic) and flushes batches on a wall-clock timer. Individual
+/// replicas can be killed (simulated crash) and, on TCP clusters,
+/// restarted.
+pub struct Cluster<R: Replica> {
+    seats: Vec<Seat>,
+    settled: Arc<SettledBoard>,
+    spec: Spec<R>,
+    /// The metric registry, when the cluster runs observed (restarted
+    /// replicas re-attach to it).
+    registry: Option<Arc<Registry>>,
+    flush_every: Duration,
+    /// A TCP mesh's transport keychains and listen addresses — what a
+    /// restart re-establishes. `None` for in-process clusters.
+    mesh: Option<(Vec<Keychain>, Vec<SocketAddr>)>,
+}
+
+/// A threaded Astro I cluster (Bracha BRB, MAC-authenticated links).
+pub type AstroOneCluster = Cluster<AstroOneReplica>;
+
+/// A threaded Astro II cluster (signature-based BRB with CREDIT
+/// certificates) under real Schnorr signatures.
+pub type AstroTwoCluster = Cluster<AstroTwoReplica<SchnorrAuthenticator>>;
+
+// The constructors `benchmark/src/sut.rs` names, one builder expression
+// each.
+
+impl AstroOneCluster {
+    /// A builder for `n` Astro I replicas flushing every `flush_every`.
+    pub fn builder(
+        n: usize,
+        cfg: Astro1Config,
+        flush_every: Duration,
+    ) -> ClusterBuilder<AstroOneReplica> {
+        ClusterBuilder {
+            n,
+            cfg,
+            flush_every,
+            tcp: None,
+            signing: None,
+            storage: None,
+            registry: None,
+            verify: VerifyMode::Serial,
+            make: |spec, i| {
+                AstroOneReplica::new(ReplicaId(i as u32), spec.layout.clone(), spec.cfg.clone())
+            },
+        }
+    }
+
+    /// `n` replicas over in-process channels.
+    ///
+    /// # Errors
+    ///
+    /// As [`ClusterBuilder::start`].
+    pub fn start(n: usize, cfg: Astro1Config, flush_every: Duration) -> Result<Self, ClusterError> {
+        Self::builder(n, cfg, flush_every).start()
+    }
+
+    /// `n` replicas over loopback TCP with [`demo_keychains`].
+    ///
+    /// # Errors
+    ///
+    /// As [`ClusterBuilder::start`].
+    pub fn start_tcp(
+        n: usize,
+        cfg: Astro1Config,
+        flush_every: Duration,
+    ) -> Result<Self, ClusterError> {
+        Self::builder(n, cfg, flush_every).tcp().start()
+    }
+
+    /// [`Self::start_tcp`] recording into `registry`.
+    ///
+    /// # Errors
+    ///
+    /// As [`ClusterBuilder::start`].
+    pub fn start_tcp_observed(
+        n: usize,
+        cfg: Astro1Config,
+        flush_every: Duration,
+        registry: Arc<Registry>,
+    ) -> Result<Self, ClusterError> {
+        Self::builder(n, cfg, flush_every).tcp().registry(registry).start()
+    }
+
+    /// [`Self::start_tcp`] journaling under `dir` with the default
+    /// [`StoreConfig`].
+    ///
+    /// # Errors
+    ///
+    /// As [`ClusterBuilder::start`].
+    pub fn start_tcp_durable(
+        n: usize,
+        dir: impl Into<PathBuf>,
+        cfg: Astro1Config,
+        flush_every: Duration,
+    ) -> Result<Self, ClusterError> {
+        Self::builder(n, cfg, flush_every).tcp().durable(dir, StoreConfig::default()).start()
+    }
+
+    /// [`Self::start_tcp_durable`] recording into `registry`.
+    ///
+    /// # Errors
+    ///
+    /// As [`ClusterBuilder::start`].
+    pub fn start_tcp_durable_observed(
+        n: usize,
+        dir: impl Into<PathBuf>,
+        cfg: Astro1Config,
+        flush_every: Duration,
+        registry: Arc<Registry>,
+    ) -> Result<Self, ClusterError> {
+        Self::builder(n, cfg, flush_every)
+            .tcp()
+            .durable(dir, StoreConfig::default())
+            .registry(registry)
+            .start()
+    }
+}
+
+impl AstroTwoCluster {
+    /// A builder for `n` Astro II replicas flushing every `flush_every`,
+    /// signing under keys from a fixed public seed and verifying on a
+    /// pool sized to the machine.
+    pub fn builder(
+        n: usize,
+        cfg: Astro2Config,
+        flush_every: Duration,
+    ) -> ClusterBuilder<AstroTwoReplica<SchnorrAuthenticator>> {
+        ClusterBuilder {
+            n,
+            cfg,
+            flush_every,
+            tcp: None,
+            signing: Some(Keychain::deterministic_system(durable::ASTRO2_SIGNING_SEED, n)),
+            storage: None,
+            registry: None,
+            verify: VerifyMode::auto(),
+            make: |spec, i| {
+                // Replicas share the pool's verdict cache, so pooled
+                // pre-verification pays off at the state machine.
+                let keychain = spec.signing.as_ref().expect("Astro II signs")[i].clone();
+                let auth = match &spec.pool {
+                    Some(pool) => SchnorrAuthenticator::with_cache(keychain, pool.cache()),
+                    None => SchnorrAuthenticator::new(keychain),
+                };
+                AstroTwoReplica::new(auth, spec.layout.clone(), spec.cfg.clone())
+            },
+        }
+    }
+
+    /// `n` replicas over in-process channels.
+    ///
+    /// # Errors
+    ///
+    /// As [`ClusterBuilder::start`].
+    pub fn start(n: usize, cfg: Astro2Config, flush_every: Duration) -> Result<Self, ClusterError> {
+        Self::builder(n, cfg, flush_every).start()
+    }
+
+    /// `n` replicas over loopback TCP with [`demo_keychains`].
+    ///
+    /// # Errors
+    ///
+    /// As [`ClusterBuilder::start`].
+    pub fn start_tcp(
+        n: usize,
+        cfg: Astro2Config,
+        flush_every: Duration,
+    ) -> Result<Self, ClusterError> {
+        Self::builder(n, cfg, flush_every).tcp().start()
+    }
+
+    /// [`Self::start_tcp`] recording into `registry`.
+    ///
+    /// # Errors
+    ///
+    /// As [`ClusterBuilder::start`].
+    pub fn start_tcp_observed(
+        n: usize,
+        cfg: Astro2Config,
+        flush_every: Duration,
+        registry: Arc<Registry>,
+    ) -> Result<Self, ClusterError> {
+        Self::builder(n, cfg, flush_every).tcp().registry(registry).start()
+    }
+}
+
+impl<R: Replica + Send + 'static> Cluster<R> {
+    /// Spawns one replica thread per endpoint (`endpoints[i]` carries
+    /// `ReplicaId(i)`).
+    fn spawn_all<E: Endpoint>(&mut self, endpoints: Vec<E>) -> Result<(), ClusterError> {
+        let nodes =
+            (0..endpoints.len()).map(|i| self.spec.host(i)).collect::<Result<Vec<_>, _>>()?;
+        for (node, endpoint) in nodes.into_iter().zip(endpoints) {
+            let seat = self.spawn(node, endpoint);
+            self.seats.push(seat);
+        }
+        Ok(())
+    }
+
+    /// Wires `node` and `endpoint` into the registry (if observed) and
+    /// starts the replica's thread.
+    fn spawn<E: Endpoint>(&self, mut node: Hosted<R>, mut endpoint: E) -> Seat {
+        let obs = self.registry.as_ref().map(|reg| {
+            let me = node.replica.id();
+            endpoint.attach_registry(reg);
+            node.replica.set_obs(CoreObs::for_replica(reg, me.0));
+            if let Some(durable) = &node.durable {
+                durable.attach_registry(reg, me.0);
+            }
+            DriverObs::for_replica(reg, me, &self.spec.layout)
+        });
+        let (tx, rx) = unbounded();
+        let settled = Arc::clone(&self.settled);
+        let pool = self.spec.pool.clone();
+        let flush_every = self.flush_every;
+        let handle = std::thread::spawn(move || {
+            replica_main(
+                &mut node,
+                endpoint,
+                &rx,
+                &settled,
+                flush_every,
+                pool.as_deref(),
+                obs.as_ref(),
+            )
+        });
+        Seat { ctrl: tx, handle: Some(handle), last_result: None }
     }
 
     /// The client → representative mapping in use.
     pub fn layout(&self) -> &ShardLayout {
-        &self.layout
-    }
-
-    /// The shared verify pool, if the cluster runs pooled (respawned
-    /// replicas re-attach to it).
-    pub fn verify_pool(&self) -> Option<&Arc<VerifyPool>> {
-        self.pool.as_ref()
+        &self.spec.layout
     }
 
     /// The metric registry, if the cluster runs observed.
     pub fn registry(&self) -> Option<&Arc<Registry>> {
         self.registry.as_ref()
+    }
+
+    /// The mesh's TCP listen addresses, indexed by replica id. `None` for
+    /// in-process clusters. With the matching keychain this lets a test
+    /// wire an out-of-process — e.g. deliberately Byzantine — peer into a
+    /// killed replica's seat.
+    pub fn listen_addrs(&self) -> Option<&[SocketAddr]> {
+        self.mesh.as_ref().map(|(_, addrs)| addrs.as_slice())
+    }
+
+    /// The protocol signing keychains the replicas run under (index =
+    /// replica id); `None` for protocols that do not sign.
+    pub fn signing_keychains(&self) -> Option<&[Keychain]> {
+        self.spec.signing.as_deref()
     }
 
     /// Starts the live scrape endpoint ([`Registry::serve`]) for this
@@ -570,9 +747,8 @@ impl Cluster {
         registry.serve(addr).map_err(ClusterError::Export)
     }
 
-    /// Spawns the gray-failure health tick
-    /// ([`HealthMonitor`](astro_obs::HealthMonitor)): every `interval`
-    /// it snapshots the registry, feeds the
+    /// Spawns the gray-failure health tick ([`HealthMonitor`]): every
+    /// `interval` it snapshots the registry, feeds the
     /// [`HealthEngine`](astro_obs::HealthEngine), and publishes
     /// `health.*` gauges plus flight-recorder transition events. The
     /// monitor stops when the returned handle is dropped.
@@ -613,48 +789,34 @@ impl Cluster {
         Ok(())
     }
 
-    /// Respawns seat `i` with a (recovered) node and a fresh endpoint.
+    /// Restarts a killed replica and rejoins it to the live quorum:
+    /// recover `snapshot + longest valid WAL prefix` locally (durable
+    /// clusters; others restart empty), rebind the replica's listen
+    /// address (surviving replicas redial on their next send), then run
+    /// the peer catch-up handshake — the returning replica requests the
+    /// settled delta from its peers, installs it once `f+1`
+    /// byte-identical copies certify, and only then resumes broadcast
+    /// delivery. Payments the quorum settled *during the downtime* are
+    /// therefore recovered without any client resubmission.
     ///
     /// # Errors
     ///
-    /// Fails if the replica is still running.
-    pub fn respawn<N, E>(
-        &mut self,
-        i: usize,
-        mut node: N,
-        endpoint: E,
-        flush_every: Duration,
-    ) -> Result<(), ClusterError>
-    where
-        N: RuntimeNode,
-        E: Endpoint,
-    {
-        if self.seats[i].handle.is_some() {
+    /// Fails on in-process clusters ([`ClusterError::NotRestartable`]),
+    /// if the replica is still running, or if storage/recovery fails.
+    pub fn restart_replica(&mut self, i: usize) -> Result<(), ClusterError> {
+        let Some((keychains, addrs)) = &self.mesh else {
+            return Err(ClusterError::NotRestartable);
+        };
+        if self.is_running(i) {
             return Err(ClusterError::ReplicaRunning(i));
         }
-        let mut endpoint = endpoint;
-        // Re-wire the restarted incarnation into the same registry its
-        // predecessor recorded into.
-        let obs = self.registry.as_ref().map(|reg| {
-            endpoint.attach_registry(reg);
-            node.attach_registry(reg);
-            DriverObs::for_replica(reg, node.id(), &self.layout)
-        });
-        let (tx, rx) = unbounded();
-        let settled_board = Arc::clone(&self.settled);
-        let pool = self.pool.clone();
-        let handle = std::thread::spawn(move || {
-            replica_main(
-                &mut node,
-                endpoint,
-                &rx,
-                &settled_board,
-                flush_every,
-                pool.as_deref(),
-                obs.as_ref(),
-            )
-        });
-        self.seats[i] = Seat { ctrl: tx, handle: Some(handle), last_result: None };
+        let mut node = self.spec.host(i)?;
+        // A replica recovered from disk has a safe local state to fall
+        // back to if no donor quorum certifies in time (the rest of the
+        // cluster may be restarting too); an empty one must certify first.
+        node.replica.begin_catchup(node.durable.is_some().then_some(SYNC_FALLBACK_ROUNDS));
+        let endpoint = establish_endpoint(&keychains[i], addrs, i)?;
+        self.seats[i] = self.spawn(node, endpoint);
         Ok(())
     }
 
@@ -665,7 +827,7 @@ impl Cluster {
     /// Fails if the representative is down or the cluster is shutting
     /// down.
     pub fn submit(&self, payment: Payment) -> Result<(), ClusterError> {
-        let rep = self.layout.representative_of(payment.spender);
+        let rep = self.spec.layout.representative_of(payment.spender);
         // Stamped before the control channel, so the submit→prepare span
         // includes the queueing delay the client actually pays.
         if let Some(reg) = &self.registry {
@@ -753,6 +915,27 @@ impl Cluster {
     }
 }
 
+/// Rebinds replica `i`'s listener at `addrs[i]` and re-establishes its
+/// mesh endpoint. The old endpoint's acceptor releases the port
+/// asynchronously after a kill, so binding retries briefly.
+fn establish_endpoint(
+    keychain: &Keychain,
+    addrs: &[SocketAddr],
+    i: usize,
+) -> Result<TcpEndpoint, ClusterError> {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let listener = loop {
+        match TcpListener::bind(addrs[i]) {
+            Ok(l) => break l,
+            // A bind failure is a network problem, not a storage one.
+            Err(e) if Instant::now() >= deadline => return Err(ClusterError::Net(NetError::Io(e))),
+            Err(_) => std::thread::sleep(Duration::from_millis(20)),
+        }
+    };
+    let peer_addrs = addrs.iter().enumerate().map(|(j, a)| (j != i).then_some(*a)).collect();
+    Ok(TcpEndpoint::establish(keychain.clone(), listener, peer_addrs)?)
+}
+
 /// Driver-level metric handles of one replica thread, resolved once at
 /// spawn on observed clusters. The driver is where two lifecycle stages
 /// live that the state machine cannot see: nothing (submission is stamped
@@ -809,9 +992,9 @@ type Parked<M> = (ReplicaId, M, Option<verify::Ticket>);
 /// Handles every parked message whose verification has completed, in
 /// arrival order; stops at the first still-running ticket (or drains
 /// everything when `block` is set). Must run inside a cork window.
-fn drain_verified<N: RuntimeNode, E: Endpoint>(
-    node: &mut N,
-    pending: &mut VecDeque<Parked<N::Msg>>,
+fn drain_verified<R: Replica, E: Endpoint>(
+    node: &mut Hosted<R>,
+    pending: &mut VecDeque<Parked<R::Msg>>,
     endpoint: &mut E,
     settled: &Arc<SettledBoard>,
     me: ReplicaId,
@@ -834,20 +1017,20 @@ fn drain_verified<N: RuntimeNode, E: Endpoint>(
     }
 }
 
-fn replica_main<N: RuntimeNode, E: Endpoint>(
-    node: &mut N,
+fn replica_main<R: Replica, E: Endpoint>(
+    node: &mut Hosted<R>,
     mut endpoint: E,
     ctrl: &Receiver<Ctrl>,
     settled: &Arc<SettledBoard>,
     flush_every: Duration,
     pool: Option<&VerifyPool>,
     obs: Option<&DriverObs>,
-) -> (HashMap<ClientId, Amount>, usize) {
-    let me = node.id();
+) -> ReplicaResult {
+    let me = node.replica.id();
     let mut next_flush = Instant::now() + flush_every;
     // Pool mode: messages decoded but awaiting their burst's verification
     // ticket, in arrival order. Always empty in serial mode.
-    let mut pending: VecDeque<Parked<N::Msg>> = VecDeque::new();
+    let mut pending: VecDeque<Parked<R::Msg>> = VecDeque::new();
     'run: loop {
         // Work generated in this window is corked: the transport coalesces
         // the frames per link and writes each link once at uncork, so a
@@ -861,20 +1044,23 @@ fn replica_main<N: RuntimeNode, E: Endpoint>(
                     // pooled and serial runs must leave identical state.
                     drain_verified(node, &mut pending, &mut endpoint, settled, me, true, obs);
                     let _ = endpoint.uncork();
-                    node.stopping();
+                    if let Some(durable) = &mut node.durable {
+                        durable.stop(&mut node.replica);
+                    }
                     if let Some(o) = obs {
-                        o.flight.event("runtime.stop", node.total_settled() as u64, 0);
+                        let settled = node.replica.ledger().total_settled();
+                        o.flight.event("runtime.stop", settled as u64, 0);
                     }
                     break 'run;
                 }
                 Ok(Ctrl::Crash) => {
-                    // Simulated power loss: no uncork, no stopping() — the
+                    // Simulated power loss: no uncork, no storage stop — the
                     // thread vanishes mid-step, like the machine did, and
                     // parked messages are lost like messages on the wire.
                     if let Some(o) = obs {
                         o.flight.event("runtime.crash", pending.len() as u64, 0);
                     }
-                    return (node.final_balances(), node.total_settled());
+                    return node.report();
                 }
                 Ok(Ctrl::Client(p)) => {
                     if let Ok(step) = node.submit(p) {
@@ -882,8 +1068,9 @@ fn replica_main<N: RuntimeNode, E: Endpoint>(
                     }
                 }
                 Ok(Ctrl::Probe(client, reply)) => {
-                    let ledger = node.final_balances().get(&client).copied().unwrap_or(Amount(0));
-                    let _ = reply.send((ledger, node.available_balance(client)));
+                    let replica = &node.replica;
+                    let _ =
+                        reply.send((replica.balance(client), replica.available_balance(client)));
                 }
                 Err(TryRecvError::Empty) => break,
             }
@@ -910,7 +1097,7 @@ fn replica_main<N: RuntimeNode, E: Endpoint>(
                     // Malformed bytes from a Byzantine peer are dropped
                     // here; the wire codec is total, so this is the only
                     // failure mode.
-                    if let Ok(msg) = decode_exact::<N::Msg>(&bytes) {
+                    if let Ok(msg) = decode_exact::<R::Msg>(&bytes) {
                         let step = node.handle(from, msg);
                         dispatch(me, step, &mut endpoint, settled, obs);
                         handled += 1;
@@ -918,7 +1105,7 @@ fn replica_main<N: RuntimeNode, E: Endpoint>(
                     for _ in 1..BURST {
                         match endpoint.recv_timeout(Duration::ZERO) {
                             Ok(Some((from, bytes))) => {
-                                if let Ok(msg) = decode_exact::<N::Msg>(&bytes) {
+                                if let Ok(msg) = decode_exact::<R::Msg>(&bytes) {
                                     let step = node.handle(from, msg);
                                     dispatch(me, step, &mut endpoint, settled, obs);
                                     handled += 1;
@@ -938,10 +1125,10 @@ fn replica_main<N: RuntimeNode, E: Endpoint>(
                     // multiplication on a worker), park the messages, and
                     // keep draining transport while the pool verifies.
                     let mut checks: Vec<astro_types::SigCheck> = Vec::new();
-                    let mut burst: Vec<(ReplicaId, N::Msg)> = Vec::new();
+                    let mut burst: Vec<(ReplicaId, R::Msg)> = Vec::new();
                     let mut take = |from: ReplicaId, bytes: &[u8]| {
-                        if let Ok(msg) = decode_exact::<N::Msg>(bytes) {
-                            checks.extend(node.preverify(from, &msg));
+                        if let Ok(msg) = decode_exact::<R::Msg>(bytes) {
+                            checks.extend(node.replica.preverify(from, &msg));
                             burst.push((from, msg));
                         }
                     };
@@ -974,7 +1161,7 @@ fn replica_main<N: RuntimeNode, E: Endpoint>(
             let _ = endpoint.uncork();
         }
     }
-    (node.final_balances(), node.total_settled())
+    node.report()
 }
 
 fn dispatch<M: Wire, E: Endpoint>(
@@ -1019,526 +1206,10 @@ fn dispatch<M: Wire, E: Endpoint>(
     }
 }
 
-pub(crate) fn single_layout(n: usize) -> Result<ShardLayout, ClusterError> {
-    if n < 4 {
-        return Err(ClusterError::TooSmall { n });
-    }
-    Ok(ShardLayout::single(n)?)
-}
-
-/// A running threaded Astro I cluster (Bracha BRB, MAC-authenticated
-/// links).
-pub struct AstroOneCluster {
-    pub(crate) inner: Cluster,
-    /// Restart metadata: key material, listen addresses, and (for durable
-    /// clusters) the storage root. `None` for in-process clusters, whose
-    /// endpoints cannot be re-established.
-    pub(crate) meta: Option<durable::RestartMeta<Astro1Config>>,
-}
-
-impl AstroOneCluster {
-    /// Starts `n` replica threads over in-process channels.
-    ///
-    /// # Errors
-    ///
-    /// Fails if `n < 4`.
-    pub fn start(n: usize, cfg: Astro1Config, flush_every: Duration) -> Result<Self, ClusterError> {
-        Self::start_with(InProcTransport::new(n), n, cfg, flush_every)
-    }
-
-    /// Starts `n` replica threads over loopback TCP with HMAC-authenticated
-    /// sessions, key material drawn from [`demo_keychains`].
-    ///
-    /// **Demo/test only.** See [`demo_keychains`] for why this must never
-    /// carry real funds. A real deployment distributes key pairs in
-    /// advance (§III) and calls
-    /// [`start_tcp_with_keychains`](Self::start_tcp_with_keychains).
-    ///
-    /// # Errors
-    ///
-    /// Fails if `n < 4` or the TCP mesh cannot be established.
-    pub fn start_tcp(
-        n: usize,
-        cfg: Astro1Config,
-        flush_every: Duration,
-    ) -> Result<Self, ClusterError> {
-        Self::start_tcp_with_keychains(demo_keychains(n), cfg, flush_every)
-    }
-
-    /// Starts one replica thread per keychain over loopback TCP with
-    /// HMAC-authenticated sessions, using caller-provided key material
-    /// (pre-distributed key pairs, §III).
-    ///
-    /// TCP clusters retain their key material and listen addresses, so a
-    /// killed replica can be brought back with
-    /// [`restart_replica`](Self::restart_replica) — without durable
-    /// storage it returns empty and recovers the *entire* ledger from its
-    /// peers through the catch-up state transfer.
-    ///
-    /// # Errors
-    ///
-    /// Fails if fewer than 4 keychains are given or the TCP mesh cannot be
-    /// established.
-    pub fn start_tcp_with_keychains(
-        keychains: Vec<Keychain>,
-        cfg: Astro1Config,
-        flush_every: Duration,
-    ) -> Result<Self, ClusterError> {
-        Self::start_tcp_with_keychains_observed(keychains, cfg, flush_every, None)
-    }
-
-    /// [`start_tcp`](Self::start_tcp) with a metric [`Registry`]
-    /// attached: the transport, each replica's protocol layer, and the
-    /// driver record into it, and payment lifecycles are traced
-    /// end-to-end. Key material from [`demo_keychains`] — demo/test only.
-    ///
-    /// # Errors
-    ///
-    /// As [`start_tcp`](Self::start_tcp).
-    pub fn start_tcp_observed(
-        n: usize,
-        cfg: Astro1Config,
-        flush_every: Duration,
-        registry: Arc<Registry>,
-    ) -> Result<Self, ClusterError> {
-        Self::start_tcp_with_keychains_observed(demo_keychains(n), cfg, flush_every, Some(registry))
-    }
-
-    /// [`start_tcp_with_keychains`](Self::start_tcp_with_keychains) with
-    /// an optional metric [`Registry`]; see
-    /// [`start_tcp_observed`](Self::start_tcp_observed).
-    ///
-    /// # Errors
-    ///
-    /// As [`start_tcp_with_keychains`](Self::start_tcp_with_keychains).
-    pub fn start_tcp_with_keychains_observed(
-        keychains: Vec<Keychain>,
-        cfg: Astro1Config,
-        flush_every: Duration,
-        registry: Option<Arc<Registry>>,
-    ) -> Result<Self, ClusterError> {
-        let n = keychains.len();
-        if n < 4 {
-            return Err(ClusterError::TooSmall { n });
-        }
-        let layout = single_layout(n)?;
-        let endpoints = TcpTransport::loopback(keychains.clone())?.into_endpoints();
-        let addrs = endpoints.iter().map(astro_net::TcpEndpoint::listen_addr).collect();
-        let nodes: Vec<AstroOneReplica> = (0..n)
-            .map(|i| AstroOneReplica::new(ReplicaId(i as u32), layout.clone(), cfg.clone()))
-            .collect();
-        Ok(AstroOneCluster {
-            inner: Cluster::start_endpoints_observed(
-                nodes,
-                endpoints,
-                layout,
-                flush_every,
-                None,
-                registry,
-            )?,
-            meta: Some(durable::RestartMeta {
-                keychains,
-                signing: Vec::new(),
-                addrs,
-                cfg,
-                flush_every,
-                storage: None,
-            }),
-        })
-    }
-
-    /// Starts `n` replica threads over an arbitrary transport.
-    ///
-    /// # Errors
-    ///
-    /// Fails if `n < 4` or the transport's endpoint count is not `n`.
-    pub fn start_with<T: Transport>(
-        transport: T,
-        n: usize,
-        cfg: Astro1Config,
-        flush_every: Duration,
-    ) -> Result<Self, ClusterError> {
-        let layout = single_layout(n)?;
-        let nodes: Vec<AstroOneReplica> = (0..n)
-            .map(|i| AstroOneReplica::new(ReplicaId(i as u32), layout.clone(), cfg.clone()))
-            .collect();
-        Ok(AstroOneCluster {
-            inner: Cluster::start(nodes, transport, layout, flush_every)?,
-            meta: None,
-        })
-    }
-
-    /// The client → representative mapping in use.
-    pub fn layout(&self) -> &ShardLayout {
-        self.inner.layout()
-    }
-
-    /// The metric registry, if the cluster runs observed.
-    pub fn registry(&self) -> Option<&Arc<Registry>> {
-        self.inner.registry()
-    }
-
-    /// Starts the live scrape endpoint; see [`Cluster::serve_metrics`].
-    ///
-    /// # Errors
-    ///
-    /// Fails if the cluster runs unobserved or the bind fails.
-    pub fn serve_metrics(&self, addr: &str) -> Result<ServeHandle, ClusterError> {
-        self.inner.serve_metrics(addr)
-    }
-
-    /// Spawns the gray-failure health tick; see
-    /// [`Cluster::spawn_health_monitor`].
-    ///
-    /// # Errors
-    ///
-    /// Fails if the cluster runs unobserved.
-    pub fn spawn_health_monitor(
-        &self,
-        cfg: HealthConfig,
-        interval: Duration,
-    ) -> Result<HealthMonitor, ClusterError> {
-        self.inner.spawn_health_monitor(cfg, interval)
-    }
-
-    /// Submits a payment to the spender's representative.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the cluster is shutting down.
-    pub fn submit(&self, payment: Payment) -> Result<(), ClusterError> {
-        self.inner.submit(payment)
-    }
-
-    /// Blocks until every replica has settled at least `count` payments or
-    /// the timeout elapses; returns replica 0's settled log.
-    pub fn wait_settled(&self, count: usize, timeout: Duration) -> Vec<Payment> {
-        self.inner.wait_settled(count, timeout)
-    }
-
-    /// Settled payments as observed by replica `i` so far.
-    pub fn settled_at(&self, i: usize) -> Vec<Payment> {
-        self.inner.settled_at(i)
-    }
-
-    /// Waits until each listed replica has settled at least `count`
-    /// payments; see [`Cluster::wait_settled_among`].
-    pub fn wait_settled_among(&self, replicas: &[usize], count: usize, timeout: Duration) -> bool {
-        self.inner.wait_settled_among(replicas, count, timeout)
-    }
-
-    /// Reads `client`'s `(ledger, available)` balances at replica `i`;
-    /// see [`Cluster::probe_balance`].
-    ///
-    /// # Errors
-    ///
-    /// Fails if the replica is down or the cluster is shutting down.
-    pub fn probe_balance(
-        &self,
-        i: usize,
-        client: ClientId,
-    ) -> Result<(Amount, Amount), ClusterError> {
-        self.inner.probe_balance(i, client)
-    }
-
-    /// Stops all replicas and returns each replica's final balance map and
-    /// total settled count.
-    pub fn shutdown(self) -> Vec<(HashMap<ClientId, Amount>, usize)> {
-        self.inner.shutdown()
-    }
-}
-
-/// A running threaded Astro II cluster (signature-based BRB with CREDIT
-/// certificates) under real Schnorr signatures.
-pub struct AstroTwoCluster {
-    pub(crate) inner: Cluster,
-    /// Restart metadata; see [`AstroOneCluster`]. For Astro II it also
-    /// carries the protocol signing keychains, so a restarted replica
-    /// signs under the same identity.
-    pub(crate) meta: Option<durable::RestartMeta<Astro2Config>>,
-}
-
-impl AstroTwoCluster {
-    /// Starts `n` replica threads over in-process channels.
-    ///
-    /// # Errors
-    ///
-    /// Fails if `n < 4`.
-    pub fn start(n: usize, cfg: Astro2Config, flush_every: Duration) -> Result<Self, ClusterError> {
-        Self::start_with(InProcTransport::new(n), n, cfg, flush_every)
-    }
-
-    /// Starts `n` replica threads over loopback TCP with HMAC-authenticated
-    /// sessions.
-    ///
-    /// **Demo/test only.** The transport keychains come from
-    /// [`demo_keychains`] — fixed, public seed; see there for the caveats.
-    /// Deployments should use
-    /// [`start_tcp_with_keychains`](Self::start_tcp_with_keychains).
-    ///
-    /// # Errors
-    ///
-    /// Fails if `n < 4` or the TCP mesh cannot be established.
-    pub fn start_tcp(
-        n: usize,
-        cfg: Astro2Config,
-        flush_every: Duration,
-    ) -> Result<Self, ClusterError> {
-        Self::start_tcp_with_keychains(demo_keychains(n), cfg, flush_every)
-    }
-
-    /// Starts one replica thread per keychain over loopback TCP with
-    /// HMAC-authenticated sessions, using caller-provided transport key
-    /// material (pre-distributed key pairs, §III). Protocol signing keys
-    /// derive from the fixed runtime seed, as in [`Self::start_with`].
-    ///
-    /// TCP clusters retain their key material and listen addresses, so a
-    /// killed replica can be brought back with
-    /// [`restart_replica`](Self::restart_replica) — without durable
-    /// storage it returns empty and recovers the ledger from its peers
-    /// through the catch-up state transfer.
-    ///
-    /// # Errors
-    ///
-    /// Fails if fewer than 4 keychains are given or the TCP mesh cannot be
-    /// established.
-    pub fn start_tcp_with_keychains(
-        keychains: Vec<Keychain>,
-        cfg: Astro2Config,
-        flush_every: Duration,
-    ) -> Result<Self, ClusterError> {
-        Self::start_tcp_with_keychains_observed(keychains, cfg, flush_every, None)
-    }
-
-    /// [`start_tcp`](Self::start_tcp) with a metric [`Registry`]
-    /// attached: the transport, the verify pipeline, each replica's
-    /// protocol layer, and the driver record into it, and payment
-    /// lifecycles are traced end-to-end. Key material from
-    /// [`demo_keychains`] — demo/test only.
-    ///
-    /// # Errors
-    ///
-    /// As [`start_tcp`](Self::start_tcp).
-    pub fn start_tcp_observed(
-        n: usize,
-        cfg: Astro2Config,
-        flush_every: Duration,
-        registry: Arc<Registry>,
-    ) -> Result<Self, ClusterError> {
-        Self::start_tcp_with_keychains_observed(demo_keychains(n), cfg, flush_every, Some(registry))
-    }
-
-    /// [`start_tcp_with_keychains`](Self::start_tcp_with_keychains) with
-    /// an optional metric [`Registry`]; see
-    /// [`start_tcp_observed`](Self::start_tcp_observed).
-    ///
-    /// # Errors
-    ///
-    /// As [`start_tcp_with_keychains`](Self::start_tcp_with_keychains).
-    pub fn start_tcp_with_keychains_observed(
-        keychains: Vec<Keychain>,
-        cfg: Astro2Config,
-        flush_every: Duration,
-        registry: Option<Arc<Registry>>,
-    ) -> Result<Self, ClusterError> {
-        let n = keychains.len();
-        if n < 4 {
-            return Err(ClusterError::TooSmall { n });
-        }
-        let layout = single_layout(n)?;
-        let endpoints = TcpTransport::loopback(keychains.clone())?.into_endpoints();
-        let addrs = endpoints.iter().map(astro_net::TcpEndpoint::listen_addr).collect();
-        let signing = Keychain::deterministic_system(durable::ASTRO2_SIGNING_SEED, n);
-        let pool = VerifyMode::auto().build(signing[0].book().clone());
-        let nodes: Vec<AstroTwoReplica<SchnorrAuthenticator>> = signing
-            .iter()
-            .map(|kc| {
-                let auth = match &pool {
-                    Some(pool) => SchnorrAuthenticator::with_cache(kc.clone(), pool.cache()),
-                    None => SchnorrAuthenticator::new(kc.clone()),
-                };
-                AstroTwoReplica::new(auth, layout.clone(), cfg.clone())
-            })
-            .collect();
-        Ok(AstroTwoCluster {
-            inner: Cluster::start_endpoints_observed(
-                nodes,
-                endpoints,
-                layout,
-                flush_every,
-                pool,
-                registry,
-            )?,
-            meta: Some(durable::RestartMeta {
-                keychains,
-                signing,
-                addrs,
-                cfg,
-                flush_every,
-                storage: None,
-            }),
-        })
-    }
-
-    /// Starts `n` replica threads over an arbitrary transport with the
-    /// default verification pipeline ([`VerifyMode::auto`]: a worker pool
-    /// sized to the machine).
-    ///
-    /// # Errors
-    ///
-    /// Fails if `n < 4` or the transport's endpoint count is not `n`.
-    pub fn start_with<T: Transport>(
-        transport: T,
-        n: usize,
-        cfg: Astro2Config,
-        flush_every: Duration,
-    ) -> Result<Self, ClusterError> {
-        Self::start_with_verify(transport, n, cfg, flush_every, VerifyMode::auto())
-    }
-
-    /// Starts `n` replica threads over an arbitrary transport with an
-    /// explicit [`VerifyMode`]. `VerifyMode::Serial` verifies on the
-    /// replica threads (the baseline the determinism tests compare
-    /// against); `VerifyMode::Pooled` pre-verifies inbound signature
-    /// super-batches on shared worker threads so curve arithmetic
-    /// overlaps transport I/O and scales with cores.
-    ///
-    /// # Errors
-    ///
-    /// Fails if `n < 4` or the transport's endpoint count is not `n`.
-    pub fn start_with_verify<T: Transport>(
-        transport: T,
-        n: usize,
-        cfg: Astro2Config,
-        flush_every: Duration,
-        mode: VerifyMode,
-    ) -> Result<Self, ClusterError> {
-        let layout = single_layout(n)?;
-        // The signing keys are independent of any transport session keys;
-        // deterministic for reproducibility, as everywhere in the repo.
-        let keychains = Keychain::deterministic_system(b"astro-runtime-astro2", n);
-        let pool = mode.build(keychains[0].book().clone());
-        let nodes: Vec<AstroTwoReplica<SchnorrAuthenticator>> = keychains
-            .into_iter()
-            .map(|kc| {
-                let auth = match &pool {
-                    Some(pool) => SchnorrAuthenticator::with_cache(kc, pool.cache()),
-                    None => SchnorrAuthenticator::new(kc),
-                };
-                AstroTwoReplica::new(auth, layout.clone(), cfg.clone())
-            })
-            .collect();
-        Ok(AstroTwoCluster {
-            inner: Cluster::start_endpoints_pooled(
-                nodes,
-                transport.into_endpoints(),
-                layout,
-                flush_every,
-                pool,
-            )?,
-            meta: None,
-        })
-    }
-
-    /// The client → representative mapping in use.
-    pub fn layout(&self) -> &ShardLayout {
-        self.inner.layout()
-    }
-
-    /// The metric registry, if the cluster runs observed.
-    pub fn registry(&self) -> Option<&Arc<Registry>> {
-        self.inner.registry()
-    }
-
-    /// Starts the live scrape endpoint; see [`Cluster::serve_metrics`].
-    ///
-    /// # Errors
-    ///
-    /// Fails if the cluster runs unobserved or the bind fails.
-    pub fn serve_metrics(&self, addr: &str) -> Result<ServeHandle, ClusterError> {
-        self.inner.serve_metrics(addr)
-    }
-
-    /// Spawns the gray-failure health tick; see
-    /// [`Cluster::spawn_health_monitor`].
-    ///
-    /// # Errors
-    ///
-    /// Fails if the cluster runs unobserved.
-    pub fn spawn_health_monitor(
-        &self,
-        cfg: HealthConfig,
-        interval: Duration,
-    ) -> Result<HealthMonitor, ClusterError> {
-        self.inner.spawn_health_monitor(cfg, interval)
-    }
-
-    /// Submits a payment to the spender's representative.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the cluster is shutting down.
-    pub fn submit(&self, payment: Payment) -> Result<(), ClusterError> {
-        self.inner.submit(payment)
-    }
-
-    /// Blocks until every replica has settled at least `count` payments or
-    /// the timeout elapses; returns replica 0's settled log.
-    pub fn wait_settled(&self, count: usize, timeout: Duration) -> Vec<Payment> {
-        self.inner.wait_settled(count, timeout)
-    }
-
-    /// Settled payments as observed by replica `i` so far.
-    pub fn settled_at(&self, i: usize) -> Vec<Payment> {
-        self.inner.settled_at(i)
-    }
-
-    /// Waits until each listed replica has settled at least `count`
-    /// payments; see [`Cluster::wait_settled_among`].
-    pub fn wait_settled_among(&self, replicas: &[usize], count: usize, timeout: Duration) -> bool {
-        self.inner.wait_settled_among(replicas, count, timeout)
-    }
-
-    /// Reads `client`'s `(ledger, available)` balances at replica `i`;
-    /// `available` includes the certified-but-unspent credits this
-    /// representative holds for the client. See
-    /// [`Cluster::probe_balance`].
-    ///
-    /// # Errors
-    ///
-    /// Fails if the replica is down or the cluster is shutting down.
-    pub fn probe_balance(
-        &self,
-        i: usize,
-        client: ClientId,
-    ) -> Result<(Amount, Amount), ClusterError> {
-        self.inner.probe_balance(i, client)
-    }
-
-    /// The mesh's TCP listen addresses, indexed by replica id. `None` for
-    /// in-process clusters. With the matching keychain this lets a test
-    /// wire an out-of-process — e.g. deliberately Byzantine — peer into a
-    /// killed replica's seat.
-    pub fn listen_addrs(&self) -> Option<Vec<std::net::SocketAddr>> {
-        self.meta.as_ref().map(|m| m.addrs.clone())
-    }
-
-    /// The protocol signing keychains the replicas run under (index =
-    /// replica id). `None` for in-process clusters.
-    pub fn signing_keychains(&self) -> Option<Vec<Keychain>> {
-        self.meta.as_ref().map(|m| m.signing.clone())
-    }
-
-    /// Stops all replicas and returns each replica's final balance map and
-    /// total settled count.
-    pub fn shutdown(self) -> Vec<(HashMap<ClientId, Amount>, usize)> {
-        self.inner.shutdown()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use astro_core::testkit::PaymentCluster;
 
     fn cfg() -> Astro1Config {
         Astro1Config { batch_size: 8, initial_balance: Amount(1_000) }
@@ -1616,48 +1287,24 @@ mod tests {
         }
     }
 
-    /// Four raw Astro I replicas (batch size 1) for a manual pump.
-    fn raw_astro1_nodes() -> (ShardLayout, Vec<AstroOneReplica>) {
+    /// Four Astro I replicas (batch size 1) on the deterministic router,
+    /// each step followed by the driver's size-triggered GC.
+    fn gc_cluster() -> PaymentCluster<AstroOneReplica> {
         let layout = ShardLayout::single(4).unwrap();
         let cfg = Astro1Config { batch_size: 1, initial_balance: Amount(10_000) };
-        let nodes = (0..4)
-            .map(|i| AstroOneReplica::new(ReplicaId(i as u32), layout.clone(), cfg.clone()))
-            .collect();
-        (layout, nodes)
+        let mut c = PaymentCluster::new(
+            (0..4).map(|i| AstroOneReplica::new(ReplicaId(i), layout.clone(), cfg.clone())),
+        );
+        c.on_step(|_, node, _| node.prune_delivered_at(BRB_GC_HIGH_WATER));
+        c
     }
 
-    /// Submits `payment` at its representative and pumps the resulting
-    /// messages over the `RuntimeNode` impl (the exact path `replica_main`
-    /// drives) until none is left; `keep` is the links' drop filter.
-    /// Returns how many messages each replica handled.
-    fn pump(
-        layout: &ShardLayout,
-        nodes: &mut [AstroOneReplica],
-        payment: Payment,
-        keep: impl Fn(ReplicaId, ReplicaId, &astro_core::astro1::Astro1Msg) -> bool,
-    ) -> [u64; 4] {
-        use astro_brb::Dest;
-        let rep = layout.representative_of(payment.spender);
-        let mut handled = [0; 4];
-        let mut queue = std::collections::VecDeque::new();
-        let mut steps =
-            vec![(rep, RuntimeNode::submit(&mut nodes[rep.0 as usize], payment).unwrap())];
-        loop {
-            for (from, step) in steps.drain(..) {
-                for env in step.outbound {
-                    let to = match env.to {
-                        Dest::All => (0..4).map(ReplicaId).collect(),
-                        Dest::One(to) => vec![to],
-                    };
-                    queue.extend(to.into_iter().map(|to| (from, to, env.msg.clone())));
-                }
-            }
-            let Some((from, to, msg)) = queue.pop_front() else { return handled };
-            if keep(from, to, &msg) {
-                handled[to.0 as usize] += 1;
-                steps.push((to, RuntimeNode::handle(&mut nodes[to.0 as usize], from, msg)));
-            }
-        }
+    /// Submits client 1's payment `seq` and routes until quiescent.
+    fn pay(c: &mut PaymentCluster<AstroOneReplica>, seq: u64) {
+        let rep = ShardLayout::single(4).unwrap().representative_of(ClientId(1));
+        let step = c.node_mut(rep.0 as usize).submit(Payment::new(1u64, seq, 2u64, 1u64));
+        c.submit_step(rep, step.unwrap());
+        c.run_to_quiescence();
     }
 
     #[test]
@@ -1666,14 +1313,14 @@ mod tests {
         // that never snapshot must still bound broadcast-layer memory.
         // Settling far more instances than BRB_GC_HIGH_WATER, tracked
         // state must stay at the threshold, not grow with history.
-        let (layout, mut nodes) = raw_astro1_nodes();
+        let mut c = gc_cluster();
         let settles = 2 * BRB_GC_HIGH_WATER as u64;
         for seq in 0..settles {
-            pump(&layout, &mut nodes, Payment::new(1u64, seq, 2u64, 1u64), |_, _, _| true);
+            pay(&mut c, seq);
         }
-        for (i, node) in nodes.iter().enumerate() {
-            assert_eq!(node.ledger().total_settled(), settles as usize, "replica {i}");
-            let tracked = node.tracked_instances();
+        for i in 0..4 {
+            assert_eq!(c.node(i).ledger().total_settled(), settles as usize, "replica {i}");
+            let tracked = c.node(i).tracked_instances();
             assert!(
                 tracked <= BRB_GC_HIGH_WATER,
                 "replica {i}: size-based GC must bound tracked instances, still tracks {tracked}"
@@ -1689,37 +1336,42 @@ mod tests {
         // trigger must not answer that with one full scan per message.
         use astro_brb::bracha::BrachaMsg;
         use astro_core::astro1::Astro1Msg;
-        let (layout, mut nodes) = raw_astro1_nodes();
+        let mut c = gc_cluster();
         let registry = Registry::new();
-        RuntimeNode::attach_registry(&mut nodes[2], &registry);
-        let keep = |_, to: ReplicaId, msg: &Astro1Msg| match msg {
+        c.node_mut(2).set_obs(CoreObs::for_replica(&registry, 2));
+        c.set_filter(|_, to, msg| match msg {
             Astro1Msg::Brb(BrachaMsg::Prepare { id, .. }) => to.0 != 2 || id.tag != 0,
             Astro1Msg::Brb(BrachaMsg::Answer { .. }) => to.0 != 2,
             _ => true,
-        };
+        });
         let stalled_passes = || {
             let flight = registry.flight(2);
             assert_eq!(flight.dropped(), 0);
             flight.events().iter().filter(|e| e.what == "core.brb.gc_stalled").count()
         };
         let mut seq = 0u64;
-        let mut step = |nodes: &mut [AstroOneReplica]| {
+        while c.node(2).tracked_instances() <= BRB_GC_HIGH_WATER {
+            pay(&mut c, seq);
             seq += 1;
-            pump(&layout, nodes, Payment::new(1u64, seq - 1, 2u64, 1u64), keep)[2]
-        };
-        while nodes[2].tracked_instances() <= BRB_GC_HIGH_WATER {
-            step(&mut nodes);
         }
-        assert_eq!(nodes[2].ledger().total_settled(), 0, "everything waits behind the gap");
+        assert_eq!(c.node(2).ledger().total_settled(), 0, "everything waits behind the gap");
         let before = stalled_passes();
         assert!((1..=2).contains(&before), "{before} passes up to the high water");
-        let mut messages = 0;
-        while messages < 2_000 {
-            messages += step(&mut nodes);
+        // Count the messages replica 2 handles (its steps: it represents
+        // no one here, so every step of its is a handled message).
+        let handled_by_2 = std::rc::Rc::new(std::cell::Cell::new(0u64));
+        let counter = std::rc::Rc::clone(&handled_by_2);
+        c.on_step(move |from, node, _| {
+            counter.set(counter.get() + u64::from(from.0 == 2));
+            node.prune_delivered_at(BRB_GC_HIGH_WATER);
+        });
+        while handled_by_2.get() < 2_000 {
+            pay(&mut c, seq);
+            seq += 1;
         }
         // ~9 messages per instance: not even one more high water's worth.
         let passes = stalled_passes() - before;
-        assert!(passes <= 1, "{passes} scans in {messages} messages");
+        assert!(passes <= 1, "{passes} scans in {} messages", handled_by_2.get());
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! A [`VerifyPool`] owns a fixed set of verifier threads shared by every
 //! replica thread of a [`crate::Cluster`]. The replica's event loop
-//! ([`crate::RuntimeNode::preverify`]) enumerates the signature checks an
+//! ([`astro_core::Replica::preverify`]) enumerates the signature checks an
 //! inbound burst of messages will trigger and submits them as **one
 //! super-batch job** — ACK signatures, commit quorum proofs, and
 //! dependency-certificate proofs across *all* pending BRB instances of the

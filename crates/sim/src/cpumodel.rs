@@ -5,7 +5,7 @@
 //! for what the *real* cryptography costs. The default constants are
 //! calibrated from `cargo bench -p astro-bench --bench micro_crypto`
 //! running this repository's own SHA-256 / HMAC / Schnorr implementations
-//! (see EXPERIMENTS.md for the measured numbers), scaled to the paper's
+//! (`BENCH_micro_crypto.json` holds the measured numbers), scaled to the paper's
 //! t2.medium-class hardware.
 
 use super::netmodel::Nanos;
@@ -40,7 +40,7 @@ pub struct CpuModel {
     pub overhead_ns: Nanos,
     /// Per-request ordering overhead in the consensus baseline (request
     /// validation, MAC vector handling, Java-runtime serialization —
-    /// see "Can 100 Machines Agree?", paper ref [40]).
+    /// see "Can 100 Machines Agree?", paper ref \[40\]).
     pub consensus_request_ns: Nanos,
     /// Per-node state to serialize during reconfiguration state transfer,
     /// per byte.

@@ -3,7 +3,7 @@
 //!
 //! The paper evaluates on Amazon EC2 (four EU regions, t2.medium VMs,
 //! ~20 ms RTT, ~30 MiB/s — §VI-B). This crate substitutes a calibrated
-//! simulator (see DESIGN.md §2): the *same protocol state machines* from
+//! simulator: the *same protocol state machines* from
 //! `astro-core` / `astro-consensus` are driven over
 //!
 //! - a **network model** ([`netmodel`]): region latency matrix, per-node
@@ -17,7 +17,7 @@
 //! - **workloads** ([`workload`]): uniform random payments and Smallbank.
 //!
 //! Every figure and table of the paper is regenerated on top of this crate
-//! by `astro-bench` (see EXPERIMENTS.md).
+//! by `astro-bench`.
 //!
 //! # Examples
 //!

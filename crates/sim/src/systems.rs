@@ -15,10 +15,9 @@ use astro_brb::{Envelope, InstanceId};
 use astro_consensus::pbft::{PbftConfig, PbftMsg, PbftReplica};
 use astro_core::astro1::{Astro1Config, Astro1Msg, AstroOneReplica};
 use astro_core::astro2::{Astro2Config, Astro2Msg, AstroTwoReplica};
-use astro_core::journal::{merge_history_blocks, SyncHead};
 use astro_core::reconfig::{BlockVotes, CatchUp};
-use astro_core::ReplicaStep;
-use astro_types::wire::{decode_exact, Wire};
+use astro_core::{Replica, ReplicaStep};
+use astro_types::wire::Wire;
 use astro_types::{ClientId, Group, MacAuthenticator, Payment, PaymentId, ReplicaId, ShardLayout};
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
@@ -196,91 +195,6 @@ pub struct ChaosReport {
     pub equivocation_settles: usize,
 }
 
-/// What the shared catch-up loop needs from a payment replica — the
-/// chunked serve/install surface both Astro protocols expose.
-trait SyncableReplica {
-    type Msg;
-
-    /// Settled-payment count (the certification floor).
-    fn settled(&self) -> u64;
-
-    /// The chunked sync payload served to `requester`: wire-encoded head
-    /// plus the sealed history blocks it references. `None` when the
-    /// donor refuses to serve (oversized volatile head).
-    fn serve_chunks(&self, requester: ReplicaId) -> Option<(Vec<u8>, SyncBlockSet)>;
-
-    /// Reassembles a certified head and its certified blocks into a full
-    /// state and installs it; `None` on any rejection.
-    fn install_chunked(
-        &mut self,
-        head: &[u8],
-        blocks: &BlockVotes,
-    ) -> Option<ReplicaStep<Self::Msg>>;
-}
-
-/// Sealed history blocks served alongside a sync head.
-type SyncBlockSet = Vec<(ClientId, u64, Vec<u8>)>;
-
-impl SyncableReplica for AstroOneReplica {
-    type Msg = Astro1Msg;
-
-    fn settled(&self) -> u64 {
-        self.ledger().total_settled() as u64
-    }
-
-    fn serve_chunks(&self, requester: ReplicaId) -> Option<(Vec<u8>, SyncBlockSet)> {
-        let (head, blocks) = self.sync_chunks(requester).ok()?;
-        Some((head.to_wire_bytes(), blocks))
-    }
-
-    fn install_chunked(
-        &mut self,
-        head: &[u8],
-        blocks: &BlockVotes,
-    ) -> Option<ReplicaStep<Self::Msg>> {
-        let head: SyncHead = decode_exact(head).ok()?;
-        if !blocks.has_all(&head.blocks) {
-            return None;
-        }
-        let mut state: astro_core::journal::Astro1State = decode_exact(&head.state_tail).ok()?;
-        merge_history_blocks(&mut state.ledger, &head.blocks, |client, block| {
-            blocks.certified(client, block).cloned()
-        })
-        .ok()?;
-        self.install_sync(&state).ok()
-    }
-}
-
-impl SyncableReplica for AstroTwoReplica<MacAuthenticator> {
-    type Msg = Astro2Msg<astro_types::auth::SimSig>;
-
-    fn settled(&self) -> u64 {
-        self.ledger().total_settled() as u64
-    }
-
-    fn serve_chunks(&self, requester: ReplicaId) -> Option<(Vec<u8>, SyncBlockSet)> {
-        let (head, blocks) = self.sync_chunks(requester).ok()?;
-        Some((head.to_wire_bytes(), blocks))
-    }
-
-    fn install_chunked(
-        &mut self,
-        head: &[u8],
-        blocks: &BlockVotes,
-    ) -> Option<ReplicaStep<Self::Msg>> {
-        let head: SyncHead = decode_exact(head).ok()?;
-        if !blocks.has_all(&head.blocks) {
-            return None;
-        }
-        let mut state: astro_core::journal::Astro2State = decode_exact(&head.state_tail).ok()?;
-        merge_history_blocks(&mut state.ledger, &head.blocks, |client, block| {
-            blocks.certified(client, block).cloned()
-        })
-        .ok()?;
-        self.install_sync(&state).ok()
-    }
-}
-
 /// The catch-up handshake in simulated form, shared by both Astro
 /// adapters: `donors` serve a sync head plus sealed history blocks,
 /// the head certifies at `f+1` byte-identical copies, each block
@@ -288,31 +202,31 @@ impl SyncableReplica for AstroTwoReplica<MacAuthenticator> {
 /// reassembles and installs once every referenced block is certified.
 /// Returns the bytes transferred and the install step, or `None` when
 /// nothing certified or the install was rejected (the harness retries).
-fn run_catch_up<R: SyncableReplica>(
+fn run_catch_up<R: Replica>(
     replicas: &mut [R],
-    group: &Group,
     replica: ReplicaId,
     donors: &[ReplicaId],
 ) -> Option<(usize, ReplicaStep<R::Msg>)> {
-    let mut votes = CatchUp::new(group, replica, replicas[replica.0 as usize].settled());
-    let mut blocks = BlockVotes::new(group, replica);
+    let settled = |r: &R| r.ledger().total_settled() as u64;
+    let group = replicas[replica.0 as usize].group().clone();
+    let mut votes = CatchUp::new(&group, replica, settled(&replicas[replica.0 as usize]));
+    let mut blocks = BlockVotes::new(&group, replica);
     let mut certified_head: Option<Vec<u8>> = None;
     let mut bytes = 0usize;
     for &donor in donors {
-        let Some((head, served_blocks)) = replicas[donor.0 as usize].serve_chunks(replica) else {
-            continue;
-        };
-        let settled = replicas[donor.0 as usize].settled();
+        let donor = &replicas[donor.0 as usize];
+        let Ok((head, served_blocks)) = donor.sync_chunks(replica) else { continue };
+        let head = head.to_wire_bytes();
         bytes += head.len();
-        if let Some(certified) = votes.offer(donor, settled, head) {
+        if let Some(certified) = votes.offer(donor.id(), settled(donor), head) {
             certified_head = Some(certified);
         }
         for (client, block, data) in served_blocks {
             bytes += data.len();
-            blocks.offer(donor, client, block, data);
+            blocks.offer(donor.id(), client, block, data);
         }
         if let Some(head) = &certified_head {
-            if let Some(step) = replicas[replica.0 as usize].install_chunked(head, &blocks) {
+            if let Ok(step) = replicas[replica.0 as usize].install_chunked(head, &blocks) {
                 return Some((bytes, step));
             }
         }
@@ -369,7 +283,6 @@ impl FlushTimers {
 pub struct Astro1System {
     replicas: Vec<AstroOneReplica>,
     layout: ShardLayout,
-    group: Group,
     flush: FlushTimers,
     audit: Option<ChaosAudit>,
 }
@@ -383,7 +296,6 @@ impl Astro1System {
                 .map(|i| AstroOneReplica::new(ReplicaId(i), layout.clone(), cfg.clone()))
                 .collect(),
             layout,
-            group: Group::of_size(n).expect("n >= 4"),
             flush: FlushTimers::new(n, batch_delay),
             audit: None,
         }
@@ -531,7 +443,7 @@ impl SimSystem for Astro1System {
         replica: ReplicaId,
         donors: &[ReplicaId],
     ) -> Option<(usize, ReplicaStep<Self::Msg>)> {
-        let (bytes, step) = run_catch_up(&mut self.replicas, &self.group, replica, donors)?;
+        let (bytes, step) = run_catch_up(&mut self.replicas, replica, donors)?;
         self.observe(replica, &step);
         Some((bytes, step))
     }
@@ -734,9 +646,7 @@ impl SimSystem for Astro2System {
         replica: ReplicaId,
         donors: &[ReplicaId],
     ) -> Option<(usize, ReplicaStep<Self::Msg>)> {
-        let shard = self.layout.shard_of_replica(replica).expect("replica in layout");
-        let group = &self.groups[shard.0 as usize];
-        let (bytes, step) = run_catch_up(&mut self.replicas, group, replica, donors)?;
+        let (bytes, step) = run_catch_up(&mut self.replicas, replica, donors)?;
         self.observe(replica, &step);
         Some((bytes, step))
     }

@@ -25,6 +25,7 @@
 
 use astro_core::astro1::Astro1Config;
 use astro_core::astro2::{Astro2Config, CreditMode};
+use astro_core::Replica;
 use astro_sim::harness::run_with_system;
 use astro_sim::netmodel::Nanos;
 use astro_sim::{

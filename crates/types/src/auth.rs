@@ -147,6 +147,14 @@ pub trait Authenticator: Clone + Send + 'static {
     /// The id of the local replica (the signer).
     fn me(&self) -> ReplicaId;
 
+    /// `sig` as a Schnorr signature — the form a [`SigCheck`] carries to a
+    /// verify pool — if it is one. Default: `None` (simulation-grade
+    /// tags have nothing for a pool to check).
+    fn schnorr(sig: &Self::Sig) -> Option<astro_crypto::Signature> {
+        let _ = sig;
+        None
+    }
+
     /// Signs `message` as the local replica.
     fn sign(&self, message: &[u8]) -> Self::Sig;
 
@@ -250,6 +258,10 @@ impl Authenticator for SchnorrAuthenticator {
 
     fn me(&self) -> ReplicaId {
         self.keychain.id()
+    }
+
+    fn schnorr(sig: &Self::Sig) -> Option<astro_crypto::Signature> {
+        Some(*sig)
     }
 
     fn sign(&self, message: &[u8]) -> Self::Sig {

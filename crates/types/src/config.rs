@@ -8,7 +8,6 @@
 //! knowledge.
 
 use crate::ids::{ClientId, ReplicaId, ShardId};
-use serde::{Deserialize, Serialize};
 
 /// Error constructing a configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,7 +33,7 @@ impl std::error::Error for ConfigError {}
 
 /// The replica-group parameters of one (sub)system: `N`, the fault budget
 /// `f`, and the derived quorum sizes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SystemConfig {
     n: usize,
 }
@@ -90,7 +89,7 @@ impl SystemConfig {
 /// One shard: its id, the replicas that form it, and their group config.
 ///
 /// Replica ids are global; a shard owns a contiguous or arbitrary subset.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardSpec {
     /// Shard identifier.
     pub id: ShardId,
@@ -112,7 +111,7 @@ impl ShardSpec {
 
 /// Partition of the system into shards, plus the deterministic
 /// client → shard and client → representative mappings.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardLayout {
     shards: Vec<ShardSpec>,
 }

@@ -7,10 +7,9 @@
 
 use crate::config::{ConfigError, ShardSpec, SystemConfig};
 use crate::ids::ReplicaId;
-use serde::{Deserialize, Serialize};
 
 /// An ordered set of replicas forming one fault-tolerance domain.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Group {
     /// Sorted member ids.
     members: Vec<ReplicaId>,

@@ -5,25 +5,17 @@
 //! state). Sharded deployments additionally group replicas and xlogs into
 //! *shards* (§V).
 
-use serde::{Deserialize, Serialize};
-
 /// Identifies a client (equivalently: one exclusive log, since every client
 /// owns exactly one xlog).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ClientId(pub u64);
 
 /// Identifies a replica.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ReplicaId(pub u32);
 
 /// Identifies a shard (a subset of replicas plus the xlogs assigned to it).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ShardId(pub u16);
 
 impl core::fmt::Display for ClientId {

@@ -9,8 +9,7 @@
 //! - [`config`]: `N = 3f + 1` group parameters, Byzantine quorum sizes, and
 //!   the shard layout / representative mapping of §V.
 //! - [`keys`]: the permissioned key book (§III) and per-replica keychains.
-//! - [`wire`]: a total, allocation-bounded binary codec (no serde format
-//!   crates are permitted offline).
+//! - [`wire`]: a total, allocation-bounded binary codec — the only one.
 //!
 //! # Examples
 //!

@@ -1,15 +1,11 @@
 //! Monetary amounts and client sequence numbers.
 
-use serde::{Deserialize, Serialize};
-
 /// A non-negative amount of money in indivisible units.
 ///
 /// Arithmetic is checked: Astro forbids negative balances (paper §I,
 /// Contributions), so all balance mutations go through
 /// [`Amount::checked_add`] / [`Amount::checked_sub`].
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Amount(pub u64);
 
 impl Amount {
@@ -56,9 +52,7 @@ impl From<u64> for Amount {
 ///
 /// The first payment of a client has sequence number 0; clients increment it
 /// for every payment they initiate (paper, Listing 1).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SeqNo(pub u64);
 
 impl SeqNo {

@@ -10,10 +10,9 @@ use crate::ids::ClientId;
 use crate::money::{Amount, SeqNo};
 use crate::wire::{Wire, WireError};
 use astro_crypto::Digest;
-use serde::{Deserialize, Serialize};
 
 /// The globally unique identifier of a payment: `(spender, sequence number)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PaymentId {
     /// The client whose xlog the payment belongs to.
     pub spender: ClientId,
@@ -28,7 +27,7 @@ impl core::fmt::Display for PaymentId {
 }
 
 /// A single payment operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Payment {
     /// Who pays.
     pub spender: ClientId,

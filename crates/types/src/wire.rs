@@ -1,7 +1,7 @@
 //! A small hand-rolled binary wire format.
 //!
-//! The dependency policy permits `serde` but no serde *format* crate, so the
-//! network-facing encoding is implemented here directly on top of [`bytes`].
+//! The one codec in the workspace (there is no serde): the network-facing
+//! and on-disk encoding is implemented here directly on top of [`bytes`].
 //! The format is deliberately boring: fixed-width little-endian integers,
 //! length-prefixed sequences, one tag byte per enum variant. Decoding is
 //! total — malformed input from Byzantine peers yields a [`WireError`],

@@ -14,6 +14,7 @@
 use astro_core::astro1::{Astro1Config, AstroOneReplica};
 use astro_core::client::Client;
 use astro_core::testkit::PaymentCluster;
+use astro_core::Replica;
 use astro_types::{Amount, ClientId, Payment, ReplicaId, ShardLayout};
 
 fn main() {

@@ -11,6 +11,7 @@
 
 use astro_core::astro2::{Astro2Config, AstroTwoReplica, CreditMode};
 use astro_core::testkit::PaymentCluster;
+use astro_core::Replica;
 use astro_sim::workload::{SmallbankWorkload, Workload};
 use astro_types::{Amount, ClientId, MacAuthenticator, ReplicaId, ShardId, ShardLayout};
 use rand::rngs::StdRng;

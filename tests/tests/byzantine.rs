@@ -5,15 +5,16 @@ use astro_brb::signed::SignedMsg;
 use astro_brb::InstanceId;
 use astro_core::astro2::{Astro2Config, Astro2Msg, AstroTwoReplica, CreditMode, DepPolicy};
 use astro_core::batch::{credit_context, CreditBundle, DepBatch, DepPayment};
-use astro_core::testkit::PaymentCluster;
+use astro_core::testkit::{submit_with_deps, PaymentCluster};
+use astro_core::Replica;
 use astro_types::{
     Amount, Authenticator, ClientId, Keychain, Payment, ReplicaId, SchnorrAuthenticator,
     ShardLayout,
 };
 
-type Replica = AstroTwoReplica<SchnorrAuthenticator>;
+type Node = AstroTwoReplica<SchnorrAuthenticator>;
 
-fn schnorr_cluster(n: usize, cfg: Astro2Config) -> (PaymentCluster<Replica>, ShardLayout) {
+fn schnorr_cluster(n: usize, cfg: Astro2Config) -> (PaymentCluster<Node>, ShardLayout) {
     let layout = ShardLayout::single(n).unwrap();
     let chains = Keychain::deterministic_system(b"byz-integration", n);
     let cluster = PaymentCluster::new(chains.into_iter().map(|kc| {
@@ -148,8 +149,8 @@ fn forged_certificate_is_rejected_and_never_cached() {
     // failed once (a poisoned cache would admit it then).
     let rep5 = layout.representative_of(ClientId(5));
     for seq in [0u64, 1] {
-        let node = cluster.node_mut(rep5.0 as usize);
-        let step = node.debug_submit_with_deps(
+        let step = submit_with_deps(
+            cluster.node_mut(rep5.0 as usize),
             Payment::new(5u64, seq, 2u64, 500_000u64),
             vec![forged.clone()],
         );
@@ -216,7 +217,8 @@ fn off_curve_proof_costs_its_certificate_not_the_frame() {
     // 100 genesis + 300 certified covers 350; the 400 behind the broken
     // certificate must not.
     let rep5 = layout.representative_of(ClientId(5));
-    let step = cluster.node_mut(rep5.0 as usize).debug_submit_with_deps(
+    let step = submit_with_deps(
+        cluster.node_mut(rep5.0 as usize),
         Payment::new(5u64, 0u64, 2u64, 350u64),
         vec![broken.clone(), sound.clone()],
     );
@@ -290,15 +292,13 @@ fn tcp_byzantine_donor_cannot_forge_acks_or_corrupt_credit_replay() {
         credit_mode: CreditMode::Certificates,
         dep_policy: DepPolicy::WhenNeeded,
     };
-    let mut cluster = AstroTwoCluster::start_tcp_with_keychains_observed(
-        transport.clone(),
-        cluster_cfg,
-        Duration::from_millis(1),
-        Some(registry.clone()),
-    )
-    .unwrap();
-    let addrs = cluster.listen_addrs().unwrap();
-    let signing = cluster.signing_keychains().unwrap();
+    let mut cluster = AstroTwoCluster::builder(4, cluster_cfg, Duration::from_millis(1))
+        .tcp_keychains(transport.clone())
+        .registry(registry.clone())
+        .start()
+        .unwrap();
+    let addrs = cluster.listen_addrs().unwrap().to_vec();
+    let signing = cluster.signing_keychains().unwrap().to_vec();
 
     // Client 1's representative is down while client 0 pays it: the
     // CREDIT sub-batches land in the settling replicas' retry outboxes.

@@ -19,6 +19,7 @@ use astro_core::astro2::{Astro2Config, AstroTwoReplica, CreditMode};
 use astro_core::journal::{Astro1State, Astro2State};
 use astro_core::reconfig::{ReconfigMsg, SyncError};
 use astro_core::testkit::PaymentCluster;
+use astro_core::Replica;
 use astro_core::{CoreObs, ReplicaStep};
 use astro_obs::Registry;
 use astro_runtime::{demo_keychains, AstroOneCluster, AstroTwoCluster};
@@ -157,19 +158,11 @@ impl Waves {
 fn run_astro1(durable: bool, dir_name: &str) {
     let cfg = Astro1Config { batch_size: 4, initial_balance: Amount(1_000) };
     let flush = Duration::from_millis(1);
-    let mut cluster = if durable {
-        AstroOneCluster::start_tcp_durable_with_keychains(
-            demo_keychains(4),
-            tmp_dir(dir_name),
-            cfg,
-            flush,
-            store_cfg(),
-        )
-        .expect("durable cluster starts")
-    } else {
-        AstroOneCluster::start_tcp_with_keychains(demo_keychains(4), cfg, flush)
-            .expect("cluster starts")
-    };
+    let mut builder = AstroOneCluster::builder(4, cfg, flush).tcp_keychains(demo_keychains(4));
+    if durable {
+        builder = builder.durable(tmp_dir(dir_name), store_cfg());
+    }
+    let mut cluster = builder.start().expect("cluster starts");
 
     Waves::wave1(|p| cluster.submit(p).unwrap());
     assert_eq!(cluster.wait_settled(32, Duration::from_secs(20)).len(), 32);
@@ -245,20 +238,13 @@ fn run_astro2(durable: bool, dir_name: &str) {
         ..Astro2Config::default()
     };
     let flush = Duration::from_millis(1);
-    let mut cluster = if durable {
-        AstroTwoCluster::start_tcp_durable_with_keychains(
-            demo_keychains(4),
-            Keychain::deterministic_system(b"catchup-test-signing", 4),
-            tmp_dir(dir_name),
-            cfg,
-            flush,
-            store_cfg(),
-        )
-        .expect("durable cluster starts")
-    } else {
-        AstroTwoCluster::start_tcp_with_keychains(demo_keychains(4), cfg, flush)
-            .expect("cluster starts")
-    };
+    let mut builder = AstroTwoCluster::builder(4, cfg, flush).tcp_keychains(demo_keychains(4));
+    if durable {
+        builder = builder
+            .signing(Keychain::deterministic_system(b"catchup-test-signing", 4))
+            .durable(tmp_dir(dir_name), store_cfg());
+    }
+    let mut cluster = builder.start().expect("cluster starts");
 
     Waves::wave1(|p| cluster.submit(p).unwrap());
     assert_eq!(cluster.wait_settled(32, Duration::from_secs(20)).len(), 32);
@@ -373,14 +359,11 @@ fn concurrent_restarts_fall_back_to_local_state_and_stay_live() {
     // instead of pausing the cluster forever.
     let dir = tmp_dir("concurrent-restarts");
     let cfg = Astro1Config { batch_size: 4, initial_balance: Amount(1_000) };
-    let mut cluster = AstroOneCluster::start_tcp_durable_with_keychains(
-        demo_keychains(4),
-        dir,
-        cfg,
-        Duration::from_millis(1),
-        store_cfg(),
-    )
-    .unwrap();
+    let mut cluster = AstroOneCluster::builder(4, cfg, Duration::from_millis(1))
+        .tcp_keychains(demo_keychains(4))
+        .durable(dir, store_cfg())
+        .start()
+        .unwrap();
     for seq in 0..8u64 {
         cluster.submit(Payment::new(1u64, seq, 2u64, 1u64)).unwrap();
     }
@@ -422,14 +405,11 @@ fn chunked_catchup_completes_under_sustained_settlement_load() {
     // with zero client resubmissions.
     let dir = tmp_dir("sustained-load");
     let cfg = Astro1Config { batch_size: 4, initial_balance: Amount(4_000) };
-    let mut cluster = AstroOneCluster::start_tcp_durable_with_keychains(
-        demo_keychains(4),
-        dir,
-        cfg,
-        Duration::from_millis(1),
-        store_cfg(),
-    )
-    .unwrap();
+    let mut cluster = AstroOneCluster::builder(4, cfg, Duration::from_millis(1))
+        .tcp_keychains(demo_keychains(4))
+        .durable(dir, store_cfg())
+        .start()
+        .unwrap();
 
     for seq in 0..16u64 {
         cluster.submit(Payment::new(1u64, seq, 2u64, 1u64)).unwrap();
@@ -522,7 +502,7 @@ fn byzantine_forged_or_tampered_state_transfer_is_rejected() {
     let mut victim = AstroOneReplica::restore(ReplicaId(3), layout, cfg, &early).unwrap();
     let registry = Registry::new();
     victim.set_obs(CoreObs::for_replica(&registry, 3));
-    victim.begin_catchup();
+    victim.begin_catchup(None);
 
     // Drive the flush timer past one full retry interval: the first
     // flush sends the initial SyncRequest, and once the tick budget
@@ -689,7 +669,7 @@ fn undecodable_certified_bytes_restart_collection() {
     let layout = ShardLayout::single(4).unwrap();
     let cfg = Astro1Config { batch_size: 1, initial_balance: Amount(100) };
     let mut victim = AstroOneReplica::restore(ReplicaId(3), layout, cfg, &early).unwrap();
-    victim.begin_catchup();
+    victim.begin_catchup(None);
 
     let garbage = Astro1Msg::Sync(ReconfigMsg::SyncState {
         settled: 99,

@@ -46,14 +46,11 @@ fn balance_bytes(balances: &HashMap<ClientId, Amount>) -> Vec<u8> {
 fn astro1_replica_killed_and_restarted_from_disk_converges_over_tcp() {
     let dir = tmp_dir("astro1-kill-restart");
     let cfg = Astro1Config { batch_size: 4, initial_balance: Amount(1_000) };
-    let mut cluster = AstroOneCluster::start_tcp_durable_with_keychains(
-        demo_keychains(4),
-        &dir,
-        cfg,
-        Duration::from_millis(1),
-        store_cfg(),
-    )
-    .expect("durable cluster starts");
+    let mut cluster = AstroOneCluster::builder(4, cfg, Duration::from_millis(1))
+        .tcp_keychains(demo_keychains(4))
+        .durable(&dir, store_cfg())
+        .start()
+        .expect("durable cluster starts");
 
     // Phase 1: settle a first wave everywhere.
     for seq in 0..20u64 {
@@ -102,14 +99,11 @@ fn astro1_whole_cluster_resumes_from_directory() {
     let cfg = Astro1Config { batch_size: 4, initial_balance: Amount(500) };
 
     {
-        let cluster = AstroOneCluster::start_tcp_durable_with_keychains(
-            demo_keychains(4),
-            &dir,
-            cfg.clone(),
-            Duration::from_millis(1),
-            store_cfg(),
-        )
-        .unwrap();
+        let cluster = AstroOneCluster::builder(4, cfg.clone(), Duration::from_millis(1))
+            .tcp_keychains(demo_keychains(4))
+            .durable(&dir, store_cfg())
+            .start()
+            .unwrap();
         for seq in 0..20u64 {
             cluster.submit(Payment::new(1u64, seq, 2u64, 5u64)).unwrap();
         }
@@ -120,14 +114,11 @@ fn astro1_whole_cluster_resumes_from_directory() {
     // A second incarnation from the same directory resumes the ledger:
     // the client continues its sequence numbers where it left off, which
     // only settles if every replica recovered its xlog position.
-    let cluster = AstroOneCluster::start_tcp_durable_with_keychains(
-        demo_keychains(4),
-        &dir,
-        cfg,
-        Duration::from_millis(1),
-        store_cfg(),
-    )
-    .unwrap();
+    let cluster = AstroOneCluster::builder(4, cfg, Duration::from_millis(1))
+        .tcp_keychains(demo_keychains(4))
+        .durable(&dir, store_cfg())
+        .start()
+        .unwrap();
     for seq in 20..30u64 {
         cluster.submit(Payment::new(1u64, seq, 2u64, 5u64)).unwrap();
     }
@@ -153,15 +144,12 @@ fn astro2_replica_killed_and_restarted_from_disk_converges_over_tcp() {
     };
     // Caller-provided key material on both planes: transport links and
     // protocol signing (the production-shaped entry point).
-    let mut cluster = AstroTwoCluster::start_tcp_durable_with_keychains(
-        demo_keychains(4),
-        Keychain::deterministic_system(b"durability-test-signing", 4),
-        &dir,
-        cfg,
-        Duration::from_millis(1),
-        store_cfg(),
-    )
-    .unwrap();
+    let mut cluster = AstroTwoCluster::builder(4, cfg, Duration::from_millis(1))
+        .tcp_keychains(demo_keychains(4))
+        .signing(Keychain::deterministic_system(b"durability-test-signing", 4))
+        .durable(&dir, store_cfg())
+        .start()
+        .unwrap();
 
     for seq in 0..10u64 {
         cluster.submit(Payment::new(1u64, seq, 2u64, 5u64)).unwrap();

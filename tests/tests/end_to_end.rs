@@ -9,6 +9,7 @@ use astro_core::astro1::{Astro1Config, AstroOneReplica};
 use astro_core::astro2::{Astro2Config, AstroTwoReplica, CreditMode};
 use astro_core::client::Client;
 use astro_core::testkit::PaymentCluster;
+use astro_core::Replica;
 use astro_types::{Amount, ClientId, Group, MacAuthenticator, Payment, ReplicaId, ShardLayout};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

@@ -124,16 +124,13 @@ fn astro2_durable_registry_records_store_and_verify_metrics() {
         credit_mode: CreditMode::DirectIntraShard,
         ..Astro2Config::default()
     };
-    let cluster = AstroTwoCluster::start_tcp_durable_with_keychains_observed(
-        demo_keychains(4),
-        astro_types::Keychain::deterministic_system(b"obs-astro2-signing", 4),
-        tmp_dir("astro2-durable"),
-        cfg,
-        Duration::from_millis(1),
-        store_cfg(),
-        Some(registry.clone()),
-    )
-    .unwrap();
+    let cluster = AstroTwoCluster::builder(4, cfg, Duration::from_millis(1))
+        .tcp_keychains(demo_keychains(4))
+        .signing(astro_types::Keychain::deterministic_system(b"obs-astro2-signing", 4))
+        .durable(tmp_dir("astro2-durable"), store_cfg())
+        .registry(registry.clone())
+        .start()
+        .unwrap();
 
     const TOTAL: u64 = 32;
     for seq in 0..TOTAL {
@@ -174,15 +171,12 @@ fn crash_and_concurrent_restart_move_the_catchup_metrics() {
     // for.
     let registry = Registry::new();
     let cfg = Astro1Config { batch_size: 4, initial_balance: Amount(1_000) };
-    let mut cluster = AstroOneCluster::start_tcp_durable_with_keychains_observed(
-        demo_keychains(4),
-        tmp_dir("crash-restart"),
-        cfg,
-        Duration::from_millis(1),
-        store_cfg(),
-        Some(registry.clone()),
-    )
-    .unwrap();
+    let mut cluster = AstroOneCluster::builder(4, cfg, Duration::from_millis(1))
+        .tcp_keychains(demo_keychains(4))
+        .durable(tmp_dir("crash-restart"), store_cfg())
+        .registry(registry.clone())
+        .start()
+        .unwrap();
 
     for seq in 0..8u64 {
         cluster.submit(Payment::new(1u64, seq, 2u64, 1u64)).unwrap();

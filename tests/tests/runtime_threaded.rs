@@ -3,6 +3,7 @@
 
 use astro_core::astro1::{Astro1Config, AstroOneReplica};
 use astro_core::testkit::PaymentCluster;
+use astro_core::Replica;
 use astro_runtime::AstroOneCluster;
 use astro_types::{Amount, ClientId, Payment, ReplicaId, ShardLayout};
 use std::time::Duration;

@@ -4,6 +4,7 @@
 use astro_consensus::pbft::PbftConfig;
 use astro_core::astro1::Astro1Config;
 use astro_core::astro2::Astro2Config;
+use astro_core::Replica;
 use astro_sim::harness::{run, run_with_system, Fault, SimConfig};
 use astro_sim::systems::{Astro1System, Astro2System, PbftSystem};
 use astro_sim::workload::{SmallbankWorkload, UniformWorkload};

@@ -5,7 +5,6 @@
 //! machines cannot tell the difference.
 
 use astro_core::astro2::{Astro2Config, CreditMode};
-use astro_net::InProcTransport;
 use astro_runtime::{AstroTwoCluster, VerifyMode};
 use astro_types::{Amount, ClientId, Payment};
 use std::collections::HashMap;
@@ -31,8 +30,8 @@ fn workload() -> Vec<Payment> {
 type Finals = Vec<(HashMap<ClientId, Amount>, usize)>;
 
 fn run(mode: VerifyMode, cfg: Astro2Config, payments: &[Payment]) -> Finals {
-    let cluster = AstroTwoCluster::start_with_verify(InProcTransport::new(N), N, cfg, FLUSH, mode)
-        .expect("cluster starts");
+    let cluster =
+        AstroTwoCluster::builder(N, cfg, FLUSH).verify(mode).start().expect("cluster starts");
     for p in payments {
         cluster.submit(*p).expect("submit");
     }
