@@ -487,8 +487,7 @@ impl Replica for AstroOneReplica {
         // replica was down — reported exactly once, in xlog order.
         let mut installed: Vec<Payment> = Vec::new();
         for xlog in certified.xlogs() {
-            let have = self.shell.ledger.xlog(xlog.owner()).map_or(0, crate::xlog::XLog::len);
-            installed.extend(xlog.iter().skip(have).copied());
+            installed.extend(xlog.iter_from(self.shell.ledger.next_seq(xlog.owner())));
         }
         self.shell.ledger = certified;
         self.pending = PendingQueue::new();

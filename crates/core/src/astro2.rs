@@ -790,7 +790,7 @@ impl<A: Authenticator> AstroTwoReplica<A> {
                     if self.used_deps.contains(&p.id()) {
                         continue;
                     }
-                    regenerated.push(vec![*p]);
+                    regenerated.push(vec![p]);
                 }
             }
             for bundle in regenerated {
@@ -1543,8 +1543,7 @@ impl<A: Authenticator> Replica for AstroTwoReplica<A> {
         }
         let mut installed: Vec<Payment> = Vec::new();
         for xlog in certified.xlogs() {
-            let have = self.shell.ledger.xlog(xlog.owner()).map_or(0, crate::xlog::XLog::len);
-            installed.extend(xlog.iter().skip(have).copied());
+            installed.extend(xlog.iter_from(self.shell.ledger.next_seq(xlog.owner())));
         }
         self.shell.ledger = certified;
         self.used_deps = certified_deps;

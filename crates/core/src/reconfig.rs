@@ -673,7 +673,7 @@ impl<A: Authenticator> ReconfigReplica<A> {
                 let mut records: Vec<ClientRecord> = ledger
                     .xlogs()
                     .map(|xlog| ClientRecord {
-                        payments: xlog.iter().copied().collect(),
+                        payments: xlog.iter().collect(),
                         balance: ledger.balance(xlog.owner()),
                         owner: xlog.owner(),
                     })

@@ -8,6 +8,14 @@
 //! Storing full logs (rather than just balances and sequence numbers) is
 //! what enables auditability and reconfiguration state transfer (§II,
 //! Appendix A).
+//!
+//! Each entry is stored as `(beneficiary, amount)` — 16 bytes, half a
+//! [`Payment`]. The other two fields are implied: the spender is the log's
+//! owner and the sequence number is the entry's index, both checked on
+//! every [`XLog::append`] and [`XLog::from_entries`]. Storing them would
+//! only repeat what the log's position already says, at 16 bytes per
+//! settled payment per replica. Readers get full [`Payment`]s back by
+//! value ([`XLog::get`], [`XLog::iter`], [`XLog::iter_from`]).
 
 use astro_types::{Amount, ClientId, Payment, SeqNo};
 
@@ -45,13 +53,20 @@ impl core::fmt::Display for XLogError {
 
 impl std::error::Error for XLogError {}
 
+/// One recorded payment without the fields its position implies.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Entry {
+    beneficiary: ClientId,
+    amount: Amount,
+}
+
 /// The exclusive, append-only payment log of one client.
 ///
 /// # Examples
 ///
 /// ```
 /// use astro_core::xlog::XLog;
-/// use astro_types::{ClientId, Payment};
+/// use astro_types::{ClientId, Payment, SeqNo};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let mut log = XLog::new(ClientId(1));
@@ -59,13 +74,14 @@ impl std::error::Error for XLogError {}
 /// log.append(Payment::new(1u64, 1u64, 3u64, 5u64))?;
 /// assert_eq!(log.len(), 2);
 /// assert_eq!(log.total_spent().0, 15);
+/// assert_eq!(log.get(SeqNo(1)), Some(Payment::new(1u64, 1u64, 3u64, 5u64)));
 /// # Ok(())
 /// # }
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct XLog {
     owner: ClientId,
-    entries: Vec<Payment>,
+    entries: Vec<Entry>,
 }
 
 impl XLog {
@@ -78,24 +94,18 @@ impl XLog {
     ///
     /// # Errors
     ///
-    /// Fails if any entry violates the owner or gap-free-sequence
-    /// invariants — recovered state is re-validated, never trusted.
-    pub fn from_entries(owner: ClientId, entries: Vec<Payment>) -> Result<Self, XLogError> {
-        let candidate = XLog { owner, entries };
-        if !candidate.audit() {
-            let bad = candidate
-                .entries
-                .iter()
-                .enumerate()
-                .find(|(i, p)| p.spender != owner || p.seq != SeqNo(*i as u64))
-                .expect("audit failed, so a bad entry exists");
-            return if bad.1.spender != owner {
-                Err(XLogError::WrongOwner { owner, spender: bad.1.spender })
-            } else {
-                Err(XLogError::SequenceGap { expected: SeqNo(bad.0 as u64), got: bad.1.seq })
-            };
+    /// Fails at the first entry that violates the owner or
+    /// gap-free-sequence invariant — recovered state is re-validated, never
+    /// trusted.
+    pub fn from_entries(
+        owner: ClientId,
+        entries: impl IntoIterator<Item = Payment>,
+    ) -> Result<Self, XLogError> {
+        let mut log = XLog::new(owner);
+        for payment in entries {
+            log.append(payment)?;
         }
-        Ok(candidate)
+        Ok(log)
     }
 
     /// The owning client.
@@ -132,18 +142,31 @@ impl XLog {
         if payment.seq != expected {
             return Err(XLogError::SequenceGap { expected, got: payment.seq });
         }
-        self.entries.push(payment);
+        self.entries.push(Entry { beneficiary: payment.beneficiary, amount: payment.amount });
         Ok(())
     }
 
     /// The payment at sequence number `seq`, if recorded.
-    pub fn get(&self, seq: SeqNo) -> Option<&Payment> {
-        self.entries.get(seq.0 as usize)
+    pub fn get(&self, seq: SeqNo) -> Option<Payment> {
+        let index = usize::try_from(seq.0).ok()?;
+        self.entries.get(index).map(|e| self.payment(seq, e))
     }
 
     /// Iterates over payments in sequence order.
-    pub fn iter(&self) -> impl Iterator<Item = &Payment> {
-        self.entries.iter()
+    pub fn iter(&self) -> impl Iterator<Item = Payment> + '_ {
+        self.iter_from(SeqNo::FIRST)
+    }
+
+    /// Iterates over the payments at sequence numbers `seq` and above, in
+    /// order. The entries below `seq` are skipped by slicing, not visited:
+    /// a delta above a watermark costs the delta, not the history.
+    pub fn iter_from(&self, seq: SeqNo) -> impl Iterator<Item = Payment> + '_ {
+        let start =
+            usize::try_from(seq.0).map_or(self.entries.len(), |s| s.min(self.entries.len()));
+        self.entries[start..]
+            .iter()
+            .zip(start as u64..)
+            .map(move |(e, seq)| self.payment(SeqNo(seq), e))
     }
 
     /// Total amount spent through this log (audit helper).
@@ -151,26 +174,11 @@ impl XLog {
     /// Saturates at `u64::MAX`; individual balances can never reach this
     /// because settlement uses checked arithmetic.
     pub fn total_spent(&self) -> Amount {
-        self.entries.iter().fold(Amount::ZERO, |acc, p| acc.saturating_add(p.amount))
+        self.entries.iter().fold(Amount::ZERO, |acc, e| acc.saturating_add(e.amount))
     }
 
-    /// Audit check: owner and sequence invariants hold for every entry.
-    /// Always true for logs built through [`XLog::append`]; useful after
-    /// state transfer.
-    pub fn audit(&self) -> bool {
-        self.entries
-            .iter()
-            .enumerate()
-            .all(|(i, p)| p.spender == self.owner && p.seq == SeqNo(i as u64))
-    }
-}
-
-impl<'a> IntoIterator for &'a XLog {
-    type Item = &'a Payment;
-    type IntoIter = std::slice::Iter<'a, Payment>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.entries.iter()
+    fn payment(&self, seq: SeqNo, entry: &Entry) -> Payment {
+        Payment { spender: self.owner, seq, beneficiary: entry.beneficiary, amount: entry.amount }
     }
 }
 
@@ -185,7 +193,6 @@ mod tests {
         log.append(Payment::new(1u64, 0u64, 2u64, 10u64)).unwrap();
         assert_eq!(log.next_seq(), SeqNo(1));
         assert_eq!(log.get(SeqNo(0)).unwrap().amount, Amount(10));
-        assert!(log.audit());
     }
 
     #[test]

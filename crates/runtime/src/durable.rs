@@ -255,7 +255,7 @@ mod tests {
         for seq in 0..8u64 {
             cluster.submit(Payment::new(1u64, seq, 2u64, 1u64)).unwrap();
         }
-        assert_eq!(cluster.wait_settled(8, Duration::from_secs(10)).len(), 8);
+        assert!(cluster.wait_settled(8, Duration::from_secs(10)));
         cluster.shutdown();
         let (_s, recovered) = Storage::open(replica_dir(&dir, 0), store_cfg.clone()).unwrap();
         assert!(recovered.snapshot.is_some(), "threshold crossed: snapshot installed");

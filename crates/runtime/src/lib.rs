@@ -39,8 +39,7 @@
 //! )
 //! .start()?;
 //! cluster.submit(Payment::new(1u64, 0u64, 2u64, 30u64))?;
-//! let settled = cluster.wait_settled(1, std::time::Duration::from_secs(5));
-//! assert_eq!(settled.len(), 1);
+//! assert!(cluster.wait_settled(1, std::time::Duration::from_secs(5)));
 //! let finals = cluster.shutdown();
 //! let expected: std::collections::HashMap<ClientId, Amount> =
 //!     [(ClientId(1), Amount(70)), (ClientId(2), Amount(130))].into_iter().collect();
@@ -69,14 +68,16 @@ use astro_obs::{
 use astro_store::StoreConfig;
 use astro_types::wire::{decode_exact, Wire};
 use astro_types::{
-    Amount, ClientId, ConfigError, Keychain, Payment, ReplicaId, SchnorrAuthenticator, ShardLayout,
+    Amount, ClientId, ConfigError, Keychain, Payment, ReplicaId, SchnorrAuthenticator, SeqNo,
+    ShardLayout,
 };
 use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 use durable::Durability;
 use parking_lot::{Condvar, Mutex};
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -109,24 +110,76 @@ const PENDING_HIGH_WATER: usize = 8 * BURST;
 /// instead of rescanning on every message.
 const BRB_GC_HIGH_WATER: usize = 256;
 
-/// The cross-thread settlement board: per-replica settled logs plus a
-/// condvar so waiters ([`Cluster::wait_settled`]) block on progress
-/// notifications instead of sleep-polling.
-struct SettledBoard {
-    logs: Mutex<Vec<Vec<Payment>>>,
-    progress: Condvar,
+/// One seat's settled count, alone on its cache lines so the replica
+/// threads' stores do not contend with each other.
+#[derive(Default)]
+#[repr(align(128))]
+struct SeatCount(AtomicUsize);
+
+/// How far each seat's replica has settled: its ledger's
+/// `total_settled()`, published by its thread after every step that
+/// settled something. The replicas' ledgers are the only record of *what*
+/// settled; this holds only how much.
+///
+/// A waiter that must block registers in `waiters` and re-reads the
+/// counts under `lock`; a publisher stores its count, then reads
+/// `waiters`, and takes the lock to notify only when someone is blocked.
+/// Both sides use `SeqCst`, so either the publisher sees the waiter or the
+/// waiter sees the new count — no wake-up is lost.
+struct Progress {
+    counts: Vec<SeatCount>,
+    waiters: AtomicUsize,
+    lock: Mutex<()>,
+    changed: Condvar,
 }
 
-impl SettledBoard {
+impl Progress {
     fn new(n: usize) -> Self {
-        SettledBoard { logs: Mutex::new(vec![Vec::new(); n]), progress: Condvar::new() }
+        Progress {
+            counts: (0..n).map(|_| SeatCount::default()).collect(),
+            waiters: AtomicUsize::new(0),
+            lock: Mutex::new(()),
+            changed: Condvar::new(),
+        }
     }
 
-    fn extend(&self, replica: ReplicaId, settled: Vec<Payment>) {
-        let mut logs = self.logs.lock();
-        logs[replica.0 as usize].extend(settled);
-        drop(logs);
-        self.progress.notify_all();
+    fn publish(&self, seat: usize, settled: usize) {
+        self.counts[seat].0.store(settled, SeqCst);
+        if self.waiters.load(SeqCst) > 0 {
+            drop(self.lock.lock());
+            self.changed.notify_all();
+        }
+    }
+
+    fn reached(&self, seats: &[usize], count: usize) -> bool {
+        seats.iter().all(|&i| self.counts[i].0.load(SeqCst) >= count)
+    }
+
+    /// Blocks until every seat in `seats` has settled `count` payments or
+    /// `timeout` elapses; true if they did. With a zero timeout this is
+    /// atomic loads only.
+    fn wait(&self, seats: &[usize], count: usize, timeout: Duration) -> bool {
+        if self.reached(seats, count) {
+            return true;
+        }
+        if timeout.is_zero() {
+            return false;
+        }
+        let deadline = Instant::now() + timeout;
+        let mut guard = self.lock.lock();
+        self.waiters.fetch_add(1, SeqCst);
+        let reached = loop {
+            if self.reached(seats, count) {
+                break true;
+            }
+            // Spurious wakeups and partial progress re-check the predicate.
+            let Some(remaining) = deadline.checked_duration_since(Instant::now()) else {
+                break false;
+            };
+            let _ = self.changed.wait_for(&mut guard, remaining);
+        };
+        self.waiters.fetch_sub(1, SeqCst);
+        reached
     }
 }
 
@@ -236,13 +289,15 @@ impl From<std::io::Error> for ClusterError {
     }
 }
 
-/// Every client's settled balance at one replica (every client it has
-/// seen) — what a replica reports when it stops.
+/// Every client's settled balance at one replica (every spender or
+/// beneficiary of a payment it settled) — what a replica reports when it
+/// stops. Memory is O(clients), not O(settled payments).
 fn ledger_balances(ledger: &astro_core::Ledger) -> HashMap<ClientId, Amount> {
-    let mut clients: Vec<ClientId> =
-        ledger.xlogs().flat_map(|x| x.iter().flat_map(|p| [p.spender, p.beneficiary])).collect();
-    clients.sort_unstable();
-    clients.dedup();
+    let mut clients: HashSet<ClientId> = HashSet::new();
+    for xlog in ledger.xlogs().filter(|x| !x.is_empty()) {
+        clients.insert(xlog.owner());
+        clients.extend(xlog.iter().map(|p| p.beneficiary));
+    }
     clients.into_iter().map(|c| (c, ledger.balance(c))).collect()
 }
 
@@ -250,15 +305,26 @@ fn ledger_balances(ledger: &astro_core::Ledger) -> HashMap<ClientId, Amount> {
 /// are not replicas; their submissions do not travel authenticated links).
 enum Ctrl {
     Client(Payment),
-    /// Reads a client's `(ledger, available)` balances off the replica
-    /// thread — how restart tests watch replayed CREDIT certificates
-    /// arrive at a representative before spending them.
-    Probe(ClientId, Sender<(Amount, Amount)>),
+    /// Reads one client's state off the replica thread.
+    Probe(ClientId, Sender<ClientProbe>),
     Stop,
     /// Simulated power loss: exit immediately — no final flush, no
     /// storage sync. What the replica finds on disk afterwards is exactly
     /// what group commit had pushed out.
     Crash,
+}
+
+/// One client's state at one replica, as [`Cluster::probe`] reads it.
+#[derive(Debug, Clone, Copy)]
+pub struct ClientProbe {
+    /// The settled ledger balance.
+    pub balance: Amount,
+    /// The ledger balance plus certified-but-unspent credits an Astro II
+    /// representative holds for the client.
+    pub available: Amount,
+    /// The client's next sequence number: how many of its payments the
+    /// replica has settled, all of `0..next_seq` in order.
+    pub next_seq: SeqNo,
 }
 
 /// What a replica thread leaves behind when it exits.
@@ -273,10 +339,12 @@ struct Seat {
 }
 
 /// A replica as its driver thread hosts it: the state machine plus, on
-/// durable clusters, its storage.
+/// durable clusters, its storage, and where it publishes how much it has
+/// settled.
 struct Hosted<R> {
     replica: R,
     durable: Option<Durability>,
+    progress: Arc<Progress>,
 }
 
 impl<R: Replica> Hosted<R> {
@@ -303,6 +371,14 @@ impl<R: Replica> Hosted<R> {
         if let Some(durable) = &mut self.durable {
             durable.after_step(&mut self.replica, step.settled.len());
         }
+        if !step.settled.is_empty() {
+            self.publish();
+        }
+    }
+
+    fn publish(&self) {
+        let seat = self.replica.id().0 as usize;
+        self.progress.publish(seat, self.replica.ledger().total_settled());
     }
 
     fn report(&self) -> ReplicaResult {
@@ -329,16 +405,20 @@ struct Spec<R: Replica> {
 impl<R: Replica> Spec<R> {
     /// Replica `i` as its thread will host it: fresh, or — on durable
     /// clusters — recovered from whatever a previous incarnation left in
-    /// its storage directory.
-    fn host(&self, i: usize) -> Result<Hosted<R>, ClusterError> {
+    /// its storage directory. Its settled count (the recovered one, or 0)
+    /// is published before it runs.
+    fn host(&self, i: usize, progress: &Arc<Progress>) -> Result<Hosted<R>, ClusterError> {
         let replica = (self.make)(self, i);
-        Ok(match &self.storage {
-            None => Hosted { replica, durable: None },
+        let (replica, durable) = match &self.storage {
+            None => (replica, None),
             Some((root, store)) => {
                 let (replica, durable) = durable::recover(root, i, replica, store)?;
-                Hosted { replica, durable: Some(durable) }
+                (replica, Some(durable))
             }
-        })
+        };
+        let hosted = Hosted { replica, durable, progress: Arc::clone(progress) };
+        hosted.publish();
+        Ok(hosted)
     }
 }
 
@@ -428,7 +508,7 @@ impl<R: Replica + Send + 'static> ClusterBuilder<R> {
         let spec = Spec { layout: ShardLayout::single(n)?, cfg, signing, storage, pool, make };
         let mut cluster = Cluster {
             seats: Vec::with_capacity(n),
-            settled: Arc::new(SettledBoard::new(n)),
+            progress: Arc::new(Progress::new(n)),
             spec,
             registry,
             flush_every,
@@ -483,7 +563,7 @@ impl ClusterBuilder<AstroTwoReplica<SchnorrAuthenticator>> {
 /// restarted.
 pub struct Cluster<R: Replica> {
     seats: Vec<Seat>,
-    settled: Arc<SettledBoard>,
+    progress: Arc<Progress>,
     spec: Spec<R>,
     /// The metric registry, when the cluster runs observed (restarted
     /// replicas re-attach to it).
@@ -669,8 +749,9 @@ impl<R: Replica + Send + 'static> Cluster<R> {
     /// Spawns one replica thread per endpoint (`endpoints[i]` carries
     /// `ReplicaId(i)`).
     fn spawn_all<E: Endpoint>(&mut self, endpoints: Vec<E>) -> Result<(), ClusterError> {
-        let nodes =
-            (0..endpoints.len()).map(|i| self.spec.host(i)).collect::<Result<Vec<_>, _>>()?;
+        let nodes = (0..endpoints.len())
+            .map(|i| self.spec.host(i, &self.progress))
+            .collect::<Result<Vec<_>, _>>()?;
         for (node, endpoint) in nodes.into_iter().zip(endpoints) {
             let seat = self.spawn(node, endpoint);
             self.seats.push(seat);
@@ -691,19 +772,10 @@ impl<R: Replica + Send + 'static> Cluster<R> {
             DriverObs::for_replica(reg, me, &self.spec.layout)
         });
         let (tx, rx) = unbounded();
-        let settled = Arc::clone(&self.settled);
         let pool = self.spec.pool.clone();
         let flush_every = self.flush_every;
         let handle = std::thread::spawn(move || {
-            replica_main(
-                &mut node,
-                endpoint,
-                &rx,
-                &settled,
-                flush_every,
-                pool.as_deref(),
-                obs.as_ref(),
-            )
+            replica_main(&mut node, endpoint, &rx, flush_every, pool.as_deref(), obs.as_ref())
         });
         Seat { ctrl: tx, handle: Some(handle), last_result: None }
     }
@@ -810,7 +882,7 @@ impl<R: Replica + Send + 'static> Cluster<R> {
         if self.is_running(i) {
             return Err(ClusterError::ReplicaRunning(i));
         }
-        let mut node = self.spec.host(i)?;
+        let mut node = self.spec.host(i, &self.progress)?;
         // A replica recovered from disk has a safe local state to fall
         // back to if no donor quorum certifies in time (the rest of the
         // cluster may be restarting too); an empty one must certify first.
@@ -839,42 +911,29 @@ impl<R: Replica + Send + 'static> Cluster<R> {
             .map_err(|_| ClusterError::ShuttingDown)
     }
 
-    /// Blocks until every replica has settled at least `count` payments or
-    /// the timeout elapses; returns replica 0's settled log.
+    /// Blocks until every replica's ledger holds at least `count` settled
+    /// payments or the timeout elapses; true if they all got there.
     ///
-    /// Waiters park on a condition variable that replica threads notify as
-    /// settlements land — wake-up is immediate, not quantized by a poll
-    /// interval.
-    pub fn wait_settled(&self, count: usize, timeout: Duration) -> Vec<Payment> {
-        let deadline = Instant::now() + timeout;
-        let mut logs = self.settled.logs.lock();
-        while !logs.iter().all(|l| l.len() >= count) {
-            // Spurious wakeups and partial progress re-check the predicate.
-            let Some(remaining) = deadline.checked_duration_since(Instant::now()) else { break };
-            let _ = self.settled.progress.wait_for(&mut logs, remaining);
-        }
-        logs[0].clone()
+    /// Replica threads publish their ledger's settled count after every
+    /// settling step and wake blocked waiters — wake-up is immediate, not
+    /// quantized by a poll interval. A restarted replica counts what its
+    /// ledger holds (recovered plus caught up), never a payment twice.
+    pub fn wait_settled(&self, count: usize, timeout: Duration) -> bool {
+        let all: Vec<usize> = (0..self.seats.len()).collect();
+        self.progress.wait(&all, count, timeout)
     }
 
-    /// Settled payments as observed by replica `i` so far.
-    pub fn settled_at(&self, i: usize) -> Vec<Payment> {
-        self.settled.logs.lock()[i].clone()
-    }
-
-    /// Reads `client`'s `(ledger, available)` balances at replica `i`.
-    /// `available` additionally counts certified-but-unspent credits an
-    /// Astro II representative holds for the client — what a restart test
+    /// Reads `client`'s state at replica `i`: its ledger balance, its
+    /// available balance (which additionally counts certified-but-unspent
+    /// credits an Astro II representative holds — what a restart test
     /// polls to see replayed CREDIT certificates arrive before spending
-    /// them.
+    /// them), and its next sequence number (which payments of the client
+    /// the replica holds).
     ///
     /// # Errors
     ///
     /// Fails if the replica is down or the cluster is shutting down.
-    pub fn probe_balance(
-        &self,
-        i: usize,
-        client: ClientId,
-    ) -> Result<(Amount, Amount), ClusterError> {
+    pub fn probe(&self, i: usize, client: ClientId) -> Result<ClientProbe, ClusterError> {
         let (tx, rx) = unbounded();
         self.seats[i].ctrl.send(Ctrl::Probe(client, tx)).map_err(|_| ClusterError::ShuttingDown)?;
         rx.recv().map_err(|_| ClusterError::ShuttingDown)
@@ -883,19 +942,10 @@ impl<R: Replica + Send + 'static> Cluster<R> {
     /// Like [`Self::wait_settled`], but only waits on the listed
     /// replicas — what a test with a deliberately killed replica uses to
     /// wait on the live quorum. Returns true if every listed replica
-    /// reached `count` before the timeout.
+    /// reached `count` before the timeout; with [`Duration::ZERO`] it
+    /// never blocks and reads nothing but atomics.
     pub fn wait_settled_among(&self, replicas: &[usize], count: usize, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        let mut logs = self.settled.logs.lock();
-        loop {
-            if replicas.iter().all(|&i| logs[i].len() >= count) {
-                return true;
-            }
-            let Some(remaining) = deadline.checked_duration_since(Instant::now()) else {
-                return false;
-            };
-            let _ = self.settled.progress.wait_for(&mut logs, remaining);
-        }
+        self.progress.wait(replicas, count, timeout)
     }
 
     /// Stops all replicas and returns each replica's final balance map and
@@ -996,7 +1046,6 @@ fn drain_verified<R: Replica, E: Endpoint>(
     node: &mut Hosted<R>,
     pending: &mut VecDeque<Parked<R::Msg>>,
     endpoint: &mut E,
-    settled: &Arc<SettledBoard>,
     me: ReplicaId,
     block: bool,
     obs: Option<&DriverObs>,
@@ -1013,7 +1062,7 @@ fn drain_verified<R: Replica, E: Endpoint>(
         }
         let (from, msg, _) = pending.pop_front().expect("checked front");
         let step = node.handle(from, msg);
-        dispatch(me, step, endpoint, settled, obs);
+        dispatch(me, step, endpoint, obs);
     }
 }
 
@@ -1021,7 +1070,6 @@ fn replica_main<R: Replica, E: Endpoint>(
     node: &mut Hosted<R>,
     mut endpoint: E,
     ctrl: &Receiver<Ctrl>,
-    settled: &Arc<SettledBoard>,
     flush_every: Duration,
     pool: Option<&VerifyPool>,
     obs: Option<&DriverObs>,
@@ -1042,7 +1090,7 @@ fn replica_main<R: Replica, E: Endpoint>(
                 Ok(Ctrl::Stop) | Err(TryRecvError::Disconnected) => {
                     // A clean stop processes everything already received —
                     // pooled and serial runs must leave identical state.
-                    drain_verified(node, &mut pending, &mut endpoint, settled, me, true, obs);
+                    drain_verified(node, &mut pending, &mut endpoint, me, true, obs);
                     let _ = endpoint.uncork();
                     if let Some(durable) = &mut node.durable {
                         durable.stop(&mut node.replica);
@@ -1064,23 +1112,26 @@ fn replica_main<R: Replica, E: Endpoint>(
                 }
                 Ok(Ctrl::Client(p)) => {
                     if let Ok(step) = node.submit(p) {
-                        dispatch(me, step, &mut endpoint, settled, obs);
+                        dispatch(me, step, &mut endpoint, obs);
                     }
                 }
                 Ok(Ctrl::Probe(client, reply)) => {
                     let replica = &node.replica;
-                    let _ =
-                        reply.send((replica.balance(client), replica.available_balance(client)));
+                    let _ = reply.send(ClientProbe {
+                        balance: replica.balance(client),
+                        available: replica.available_balance(client),
+                        next_seq: replica.ledger().next_seq(client),
+                    });
                 }
                 Err(TryRecvError::Empty) => break,
             }
         }
         if Instant::now() >= next_flush {
             let step = node.flush();
-            dispatch(me, step, &mut endpoint, settled, obs);
+            dispatch(me, step, &mut endpoint, obs);
             next_flush = Instant::now() + flush_every;
         }
-        drain_verified(node, &mut pending, &mut endpoint, settled, me, false, obs);
+        drain_verified(node, &mut pending, &mut endpoint, me, false, obs);
         let _ = endpoint.uncork();
         // Peer traffic, waiting at most until the next flush deadline for
         // the first message, then draining the burst that is already
@@ -1099,7 +1150,7 @@ fn replica_main<R: Replica, E: Endpoint>(
                     // failure mode.
                     if let Ok(msg) = decode_exact::<R::Msg>(&bytes) {
                         let step = node.handle(from, msg);
-                        dispatch(me, step, &mut endpoint, settled, obs);
+                        dispatch(me, step, &mut endpoint, obs);
                         handled += 1;
                     }
                     for _ in 1..BURST {
@@ -1107,7 +1158,7 @@ fn replica_main<R: Replica, E: Endpoint>(
                             Ok(Some((from, bytes))) => {
                                 if let Ok(msg) = decode_exact::<R::Msg>(&bytes) {
                                     let step = node.handle(from, msg);
-                                    dispatch(me, step, &mut endpoint, settled, obs);
+                                    dispatch(me, step, &mut endpoint, obs);
                                     handled += 1;
                                 }
                             }
@@ -1146,7 +1197,7 @@ fn replica_main<R: Replica, E: Endpoint>(
                     for (from, msg) in burst {
                         pending.push_back((from, msg, ticket.clone()));
                     }
-                    drain_verified(node, &mut pending, &mut endpoint, settled, me, false, obs);
+                    drain_verified(node, &mut pending, &mut endpoint, me, false, obs);
                     // Under sustained overload, bound the parked backlog by
                     // waiting for the oldest super-batch.
                     if pending.len() > PENDING_HIGH_WATER {
@@ -1154,7 +1205,7 @@ fn replica_main<R: Replica, E: Endpoint>(
                             o.pending_high_water.inc();
                             o.flight.event("runtime.pending_high_water", pending.len() as u64, 0);
                         }
-                        drain_verified(node, &mut pending, &mut endpoint, settled, me, true, obs);
+                        drain_verified(node, &mut pending, &mut endpoint, me, true, obs);
                     }
                 }
             }
@@ -1168,14 +1219,12 @@ fn dispatch<M: Wire, E: Endpoint>(
     me: ReplicaId,
     step: ReplicaStep<M>,
     endpoint: &mut E,
-    settled: &Arc<SettledBoard>,
     obs: Option<&DriverObs>,
 ) {
     if !step.settled.is_empty() {
         if let Some(o) = obs {
             o.confirm_settled(me, &step.settled);
         }
-        settled.extend(me, step.settled);
     }
     for env in step.outbound {
         let bytes = env.msg.to_wire_bytes();
@@ -1235,8 +1284,7 @@ mod tests {
         for seq in 0..20u64 {
             cluster.submit(Payment::new(1u64, seq, 2u64, 10u64)).unwrap();
         }
-        let settled = cluster.wait_settled(20, Duration::from_secs(10));
-        assert_eq!(settled.len(), 20);
+        assert!(cluster.wait_settled(20, Duration::from_secs(10)));
         let finals = cluster.shutdown();
         for (balances, count) in &finals {
             assert_eq!(*count, 20);
@@ -1261,8 +1309,7 @@ mod tests {
             cluster.submit(Payment::new(5u64, seq, 6u64, 1u64)).unwrap();
         }
         c1.join().unwrap();
-        let settled = cluster.wait_settled(50, Duration::from_secs(10));
-        assert_eq!(settled.len(), 50);
+        assert!(cluster.wait_settled(50, Duration::from_secs(10)));
         let cluster = Arc::into_inner(cluster).expect("sole owner");
         let finals = cluster.shutdown();
         for (balances, count) in &finals {
@@ -1278,13 +1325,41 @@ mod tests {
         for seq in 0..30u64 {
             cluster.submit(Payment::new(7u64, seq, 8u64, 1u64)).unwrap();
         }
-        cluster.wait_settled(30, Duration::from_secs(10));
-        let logs: Vec<Vec<Payment>> = (0..4).map(|i| cluster.settled_at(i)).collect();
-        cluster.shutdown();
-        for log in &logs {
-            let seqs: Vec<u64> = log.iter().map(|p| p.seq.0).collect();
-            assert_eq!(seqs, (0..30u64).collect::<Vec<_>>(), "xlog order must hold");
+        assert!(cluster.wait_settled(30, Duration::from_secs(10)));
+        // An xlog is gap-free and in sequence order by construction, so a
+        // next sequence number of 30 means seqs 0..30, in order.
+        for i in 0..4 {
+            let probe = cluster.probe(i, ClientId(7)).unwrap();
+            assert_eq!(probe.next_seq, SeqNo(30), "replica {i}: xlog order must hold");
+            assert_eq!(probe.balance, Amount(1_000 - 30));
         }
+        cluster.shutdown();
+    }
+
+    #[test]
+    fn blocked_waiter_wakes_when_the_count_is_reached() {
+        let cluster = AstroOneCluster::start(4, cfg(), Duration::from_millis(1)).unwrap();
+        let all = [0, 1, 2, 3];
+        assert!(cluster.wait_settled_among(&all, 0, Duration::ZERO));
+        assert!(!cluster.wait_settled_among(&all, 1, Duration::ZERO), "nothing settled yet");
+        let waited = std::thread::scope(|scope| {
+            let waiter = scope.spawn(|| {
+                let t0 = Instant::now();
+                (cluster.wait_settled_among(&all, 1, Duration::from_secs(60)), t0.elapsed())
+            });
+            // Submit only once the waiter is parked, so the wake-up path
+            // (not the fast path) is what returns it.
+            while cluster.progress.waiters.load(SeqCst) == 0 {
+                std::thread::yield_now();
+            }
+            cluster.submit(Payment::new(1u64, 0u64, 2u64, 1u64)).unwrap();
+            waiter.join().unwrap()
+        });
+        assert!(waited.0, "the waiter must see the count");
+        assert!(waited.1 < Duration::from_secs(10), "woken promptly, not at the timeout");
+        assert_eq!(cluster.progress.waiters.load(SeqCst), 0, "the waiter deregistered");
+        assert!(!cluster.wait_settled_among(&all, 2, Duration::ZERO), "an unreached count");
+        cluster.shutdown();
     }
 
     /// Four Astro I replicas (batch size 1) on the deterministic router,
@@ -1393,8 +1468,7 @@ mod tests {
         for seq in 0..10u64 {
             cluster.submit(Payment::new(1u64, seq, 2u64, 5u64)).unwrap();
         }
-        let settled = cluster.wait_settled(10, Duration::from_secs(10));
-        assert_eq!(settled.len(), 10);
+        assert!(cluster.wait_settled(10, Duration::from_secs(10)));
         let finals = cluster.shutdown();
         for (balances, count) in &finals {
             assert_eq!(*count, 10);

@@ -24,8 +24,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for seq in 0..32u64 {
         cluster.submit(Payment::new(1u64, seq, 2u64, 10u64))?;
     }
-    let settled = cluster.wait_settled(32, Duration::from_secs(10));
-    println!("settled {} payments at every replica", settled.len());
+    assert!(cluster.wait_settled(32, Duration::from_secs(10)), "the first wave settles");
+    println!("settled 32 payments at every replica");
 
     println!("\n--- killing replica 2 (no flush, no goodbye)");
     cluster.kill_replica(2)?;
@@ -38,8 +38,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for seq in 0..32u64 {
         cluster.submit(Payment::new(3u64, seq, 4u64, 5u64))?;
     }
-    let settled = cluster.wait_settled(64, Duration::from_secs(10));
-    println!("settled {} payments total at every replica", settled.len());
+    assert!(cluster.wait_settled(64, Duration::from_secs(10)), "the second wave settles");
+    println!("settled 64 payments total at every replica");
 
     let finals = cluster.shutdown();
     println!("\nfinal balances per replica (must all agree):");

@@ -52,7 +52,7 @@ fn run(label: &str, tcp: bool) -> Vec<(HashMap<ClientId, Amount>, usize)> {
     }
     let settled = cluster.wait_settled(payments.len(), Duration::from_secs(60));
     let elapsed = t0.elapsed();
-    assert_eq!(settled.len(), payments.len(), "all payments settle");
+    assert!(settled, "all payments settle");
 
     println!(
         "{label:<22} bring-up {up:>8.1?}   {} payments settled in {elapsed:>8.1?}  ({:>7.0} pps)",

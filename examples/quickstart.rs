@@ -48,7 +48,7 @@ fn main() {
 
     // Alice's exclusive log is a complete, ordered audit trail.
     let xlog = cluster.node(0).ledger().xlog(ClientId(1)).expect("alice has history");
-    println!("alice's xlog: {} entries, audit = {}", xlog.len(), xlog.audit());
+    println!("alice's xlog: {} entries, {} spent", xlog.len(), xlog.total_spent());
     assert_eq!(cluster.node(0).balance(ClientId(1)), Amount(45));
     println!("ok: all replicas converged");
 }

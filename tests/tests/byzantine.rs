@@ -253,10 +253,8 @@ fn wait_available(
 ) -> bool {
     let deadline = std::time::Instant::now() + timeout;
     while std::time::Instant::now() < deadline {
-        if let Ok((_, available)) = cluster.probe_balance(i, client) {
-            if available.0 >= want {
-                return true;
-            }
+        if cluster.probe(i, client).is_ok_and(|p| p.available.0 >= want) {
+            return true;
         }
         std::thread::sleep(std::time::Duration::from_millis(20));
     }
@@ -443,8 +441,8 @@ fn tcp_byzantine_donor_cannot_forge_acks_or_corrupt_credit_replay() {
         wait_available(&cluster, 1, ClientId(1), 1_000 + PAYMENTS * 10, Duration::from_secs(30)),
         "replayed CREDITs never certified at the restarted representative"
     );
-    let (_, phantom_avail) = cluster.probe_balance(1, ClientId(5)).unwrap();
-    assert_eq!(phantom_avail, Amount(1_000), "phantom CREDIT inflated a balance");
+    let phantom = cluster.probe(1, ClientId(5)).unwrap();
+    assert_eq!(phantom.available, Amount(1_000), "phantom CREDIT inflated a balance");
 
     // The credits are spendable: client 1 pays over its ledger balance,
     // fundable only with the recovered certificates. Settles on the

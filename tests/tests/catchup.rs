@@ -22,7 +22,7 @@ use astro_core::testkit::PaymentCluster;
 use astro_core::Replica;
 use astro_core::{CoreObs, ReplicaStep};
 use astro_obs::Registry;
-use astro_runtime::{demo_keychains, AstroOneCluster, AstroTwoCluster};
+use astro_runtime::{demo_keychains, AstroOneCluster, AstroTwoCluster, ClientProbe, Cluster};
 use astro_store::StoreConfig;
 use astro_types::wire::Wire;
 use astro_types::{Amount, ClientId, Keychain, MacAuthenticator, Payment, ReplicaId, ShardLayout};
@@ -61,24 +61,20 @@ fn balance_bytes(balances: &HashMap<ClientId, Amount>) -> Vec<u8> {
 /// bar is ≥ 256.
 const DOWNTIME_PAYMENTS: u64 = 256;
 
-/// Polls `log` until it contains every `(spender, seq)` in `expect`.
-///
-/// Count-based waits are not meaningful for a restarted replica: its
-/// settled-board log spans both incarnations (the pre-kill entries plus
-/// the full catch-up delta), so its length over-counts. Waiting on the
-/// concrete payments is exact regardless of incarnations.
-fn wait_for_payments(
-    mut log: impl FnMut() -> Vec<Payment>,
-    expect: &[(u64, u64)],
+/// Polls replica `i`'s view of `client` until `done` holds. Waiting on a
+/// client's next sequence number is exact for a restarted replica: an
+/// xlog is gap-free, so `next_seq == k` means it holds payments `0..k`,
+/// whatever it recovered, caught up or settled live.
+fn wait_until<R: Replica + Send + 'static>(
+    cluster: &Cluster<R>,
+    i: usize,
+    client: u64,
     timeout: Duration,
+    done: impl Fn(&ClientProbe) -> bool,
 ) -> bool {
     let deadline = std::time::Instant::now() + timeout;
     loop {
-        let entries = log();
-        if expect
-            .iter()
-            .all(|(s, q)| entries.iter().any(|p| p.spender == ClientId(*s) && p.seq.0 == *q))
-        {
+        if cluster.probe(i, ClientId(client)).is_ok_and(|p| done(&p)) {
             return true;
         }
         if std::time::Instant::now() >= deadline {
@@ -86,17 +82,6 @@ fn wait_for_payments(
         }
         std::thread::sleep(Duration::from_millis(10));
     }
-}
-
-/// The `(spender, seq)` pairs of wave 2 (settled during the downtime).
-fn wave2_ids() -> Vec<(u64, u64)> {
-    (16..16 + DOWNTIME_PAYMENTS).map(|seq| (1u64, seq)).collect()
-}
-
-/// The `(spender, seq)` pairs of wave 3 (the victim's post-restart
-/// stream).
-fn wave3_ids() -> Vec<(u64, u64)> {
-    (16..24u64).map(|seq| (3u64, seq)).collect()
 }
 
 /// The shared choreography. `submit`/`wait`/`wait_among`/`kill`/`restart`
@@ -134,6 +119,25 @@ impl Waves {
         }
     }
 
+    /// Waits until wave 3 settled at every replica (the victim already
+    /// holds waves 1 and 2), then checks the victim's published count.
+    fn wait_all_waves<R: Replica + Send + 'static>(cluster: &Cluster<R>) {
+        for i in 0..4 {
+            assert!(
+                wait_until(cluster, i, 3, Duration::from_secs(30), |p| p.next_seq.0 >= 24),
+                "replica {i}: post-restart broadcasts from the victim must settle everywhere"
+            );
+        }
+        // The victim's settled count is what its ledger holds: each
+        // payment once, not its pre-crash count plus a catch-up delta.
+        let victim = [Self::VICTIM];
+        assert!(cluster.wait_settled_among(&victim, Self::TOTAL, Duration::ZERO));
+        assert!(
+            !cluster.wait_settled_among(&victim, Self::TOTAL + 1, Duration::ZERO),
+            "the restarted replica must not count a settlement twice"
+        );
+    }
+
     fn assert_finals(finals: &[(HashMap<ClientId, Amount>, usize)]) {
         let reference = balance_bytes(&finals[0].0);
         for (i, (balances, count)) in finals.iter().enumerate() {
@@ -165,7 +169,7 @@ fn run_astro1(durable: bool, dir_name: &str) {
     let mut cluster = builder.start().expect("cluster starts");
 
     Waves::wave1(|p| cluster.submit(p).unwrap());
-    assert_eq!(cluster.wait_settled(32, Duration::from_secs(20)).len(), 32);
+    assert!(cluster.wait_settled(32, Duration::from_secs(20)));
 
     cluster.kill_replica(Waves::VICTIM).unwrap();
     Waves::wave2(|p| cluster.submit(p).unwrap());
@@ -179,48 +183,17 @@ fn run_astro1(durable: bool, dir_name: &str) {
     // catch-up handshake. NO payment is resubmitted.
     cluster.restart_replica(Waves::VICTIM).expect("restart");
     assert!(
-        wait_for_payments(
-            || cluster.settled_at(Waves::VICTIM),
-            &wave2_ids(),
-            Duration::from_secs(30)
-        ),
+        wait_until(&cluster, Waves::VICTIM, 1, Duration::from_secs(30), |p| {
+            p.next_seq.0 >= 16 + DOWNTIME_PAYMENTS
+        }),
         "restarted replica learns the downtime settlements from its peers"
     );
 
     // The victim's own stream must continue cleanly above its old tags.
     Waves::wave3(|p| cluster.submit(p).unwrap());
-    for i in 0..4 {
-        assert!(
-            wait_for_payments(|| cluster.settled_at(i), &wave3_ids(), Duration::from_secs(30)),
-            "replica {i}: post-restart broadcasts from the victim must settle everywhere"
-        );
-    }
+    Waves::wait_all_waves(&cluster);
 
     Waves::assert_finals(&cluster.shutdown());
-}
-
-/// Polls replica `i`'s view of `client` until the *available* balance
-/// (ledger plus certified-but-unspent credits at the representative)
-/// reaches `want`.
-fn wait_available(
-    cluster: &AstroTwoCluster,
-    i: usize,
-    client: ClientId,
-    want: u64,
-    timeout: Duration,
-) -> bool {
-    let deadline = std::time::Instant::now() + timeout;
-    loop {
-        if let Ok((_, available)) = cluster.probe_balance(i, client) {
-            if available.0 >= want {
-                return true;
-            }
-        }
-        if std::time::Instant::now() >= deadline {
-            return false;
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
 }
 
 /// Astro II in full certificate mode: CREDIT sub-batches are *unicast*
@@ -247,7 +220,7 @@ fn run_astro2(durable: bool, dir_name: &str) {
     let mut cluster = builder.start().expect("cluster starts");
 
     Waves::wave1(|p| cluster.submit(p).unwrap());
-    assert_eq!(cluster.wait_settled(32, Duration::from_secs(20)).len(), 32);
+    assert!(cluster.wait_settled(32, Duration::from_secs(20)));
 
     // Kill client 3's representative, then settle a wave of payments INTO
     // client 3 at the live quorum: every CREDIT sub-batch targets the dead
@@ -267,11 +240,9 @@ fn run_astro2(durable: bool, dir_name: &str) {
 
     cluster.restart_replica(Waves::VICTIM).expect("restart");
     assert!(
-        wait_for_payments(
-            || cluster.settled_at(Waves::VICTIM),
-            &wave2_ids(),
-            Duration::from_secs(30)
-        ),
+        wait_until(&cluster, Waves::VICTIM, 1, Duration::from_secs(30), |p| {
+            p.next_seq.0 >= 16 + DOWNTIME_PAYMENTS
+        }),
         "restarted replica learns the downtime settlements from its peers"
     );
 
@@ -281,13 +252,9 @@ fn run_astro2(durable: bool, dir_name: &str) {
     // client resubmissions. Ledger balance stays 968 (credits have not
     // materialized), but the *spendable* balance must reach 968 + 256.
     assert!(
-        wait_available(
-            &cluster,
-            Waves::VICTIM,
-            ClientId(3),
-            1_000 - 32 + DOWNTIME_PAYMENTS,
-            Duration::from_secs(30)
-        ),
+        wait_until(&cluster, Waves::VICTIM, 3, Duration::from_secs(30), |p| {
+            p.available.0 >= 1_000 - 32 + DOWNTIME_PAYMENTS
+        }),
         "replayed CREDIT bundles must certify at the restarted representative"
     );
 
@@ -296,23 +263,20 @@ fn run_astro2(durable: bool, dir_name: &str) {
     for seq in 16..24u64 {
         cluster.submit(Payment::new(3u64, seq, 4u64, 150u64)).unwrap();
     }
-    for i in 0..4 {
-        assert!(
-            wait_for_payments(|| cluster.settled_at(i), &wave3_ids(), Duration::from_secs(30)),
-            "replica {i}: certificate-funded payments must settle everywhere"
-        );
-    }
+    Waves::wait_all_waves(&cluster);
 
     // Conservation, counting credits still floating as certificates at
     // their representatives: client 2's wave-1 credits (80) and client
     // 4's (32 + 1 200) never materialized — they must be spendable at
     // replicas 2 and 0 respectively.
     assert!(
-        wait_available(&cluster, 2, ClientId(2), 1_000 + 80, Duration::from_secs(20)),
+        wait_until(&cluster, 2, 2, Duration::from_secs(20), |p| p.available.0 >= 1_000 + 80),
         "client 2's credits must certify at replica 2"
     );
     assert!(
-        wait_available(&cluster, 0, ClientId(4), 1_000 + 32 + 1_200, Duration::from_secs(20)),
+        wait_until(&cluster, 0, 4, Duration::from_secs(20), |p| {
+            p.available.0 >= 1_000 + 32 + 1_200
+        }),
         "client 4's credits must certify at replica 0"
     );
 
@@ -367,7 +331,7 @@ fn concurrent_restarts_fall_back_to_local_state_and_stay_live() {
     for seq in 0..8u64 {
         cluster.submit(Payment::new(1u64, seq, 2u64, 1u64)).unwrap();
     }
-    assert_eq!(cluster.wait_settled(8, Duration::from_secs(20)).len(), 8);
+    assert!(cluster.wait_settled(8, Duration::from_secs(20)));
 
     for i in 1..4 {
         cluster.kill_replica(i).unwrap();
@@ -381,9 +345,8 @@ fn concurrent_restarts_fall_back_to_local_state_and_stay_live() {
     for seq in 8..16u64 {
         cluster.submit(Payment::new(1u64, seq, 2u64, 1u64)).unwrap();
     }
-    assert_eq!(
-        cluster.wait_settled(16, Duration::from_secs(30)).len(),
-        16,
+    assert!(
+        cluster.wait_settled(16, Duration::from_secs(30)),
         "cluster must come back live after a concurrent-restart storm"
     );
     let finals = cluster.shutdown();
@@ -414,7 +377,7 @@ fn chunked_catchup_completes_under_sustained_settlement_load() {
     for seq in 0..16u64 {
         cluster.submit(Payment::new(1u64, seq, 2u64, 1u64)).unwrap();
     }
-    assert_eq!(cluster.wait_settled(16, Duration::from_secs(20)).len(), 16);
+    assert!(cluster.wait_settled(16, Duration::from_secs(20)));
 
     // Downtime deep enough to seal one full history block at the donors.
     cluster.kill_replica(3).unwrap();
@@ -433,10 +396,9 @@ fn chunked_catchup_completes_under_sustained_settlement_load() {
         cluster.submit(Payment::new(1u64, seq, 2u64, 1u64)).unwrap();
     }
 
-    let all_ids: Vec<(u64, u64)> = (0..608u64).map(|seq| (1u64, seq)).collect();
     for i in 0..4 {
         assert!(
-            wait_for_payments(|| cluster.settled_at(i), &all_ids, Duration::from_secs(60)),
+            wait_until(&cluster, i, 1, Duration::from_secs(60), |p| p.next_seq.0 >= 608),
             "replica {i}: every payment, downtime and live-load included, must settle"
         );
     }

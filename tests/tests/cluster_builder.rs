@@ -50,8 +50,7 @@ fn wait_balances<R: Replica + Send + 'static>(
     let deadline = Instant::now() + Duration::from_secs(30);
     for &i in replicas {
         for (client, amount) in want {
-            while cluster.probe_balance(i, *client).ok().map(|(ledger, _)| ledger) != Some(*amount)
-            {
+            while cluster.probe(i, *client).ok().map(|p| p.balance) != Some(*amount) {
                 assert!(Instant::now() < deadline, "replica {i} never reached {client}: {amount}");
                 std::thread::sleep(Duration::from_millis(10));
             }

@@ -58,7 +58,7 @@ fn astro1_registry_sees_every_layer_of_a_settled_workload() {
             cluster.submit(Payment::new(client, seq, client % 4 + 1, 1u64)).unwrap();
         }
     }
-    assert_eq!(cluster.wait_settled(TOTAL as usize, Duration::from_secs(30)).len(), TOTAL as usize);
+    assert!(cluster.wait_settled(TOTAL as usize, Duration::from_secs(30)));
     // Wait until *every* replica applied everything (the confirmed count
     // above only covers the representatives), then freeze the numbers.
     assert!(
@@ -136,7 +136,7 @@ fn astro2_durable_registry_records_store_and_verify_metrics() {
     for seq in 0..TOTAL {
         cluster.submit(Payment::new(1u64, seq, 2u64, 1u64)).unwrap();
     }
-    assert_eq!(cluster.wait_settled(TOTAL as usize, Duration::from_secs(30)).len(), TOTAL as usize);
+    assert!(cluster.wait_settled(TOTAL as usize, Duration::from_secs(30)));
     cluster.shutdown();
     let snap = registry.snapshot();
 
@@ -181,7 +181,7 @@ fn crash_and_concurrent_restart_move_the_catchup_metrics() {
     for seq in 0..8u64 {
         cluster.submit(Payment::new(1u64, seq, 2u64, 1u64)).unwrap();
     }
-    assert_eq!(cluster.wait_settled(8, Duration::from_secs(20)).len(), 8);
+    assert!(cluster.wait_settled(8, Duration::from_secs(20)));
 
     for i in 1..4 {
         cluster.kill_replica(i).unwrap();
@@ -192,9 +192,8 @@ fn crash_and_concurrent_restart_move_the_catchup_metrics() {
     for seq in 8..16u64 {
         cluster.submit(Payment::new(1u64, seq, 2u64, 1u64)).unwrap();
     }
-    assert_eq!(
-        cluster.wait_settled(16, Duration::from_secs(30)).len(),
-        16,
+    assert!(
+        cluster.wait_settled(16, Duration::from_secs(30)),
         "cluster must come back live after the restart storm"
     );
     cluster.shutdown();

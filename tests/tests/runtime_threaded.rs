@@ -5,7 +5,7 @@ use astro_core::astro1::{Astro1Config, AstroOneReplica};
 use astro_core::testkit::PaymentCluster;
 use astro_core::Replica;
 use astro_runtime::AstroOneCluster;
-use astro_types::{Amount, ClientId, Payment, ReplicaId, ShardLayout};
+use astro_types::{Amount, ClientId, Payment, ReplicaId, SeqNo, ShardLayout};
 use std::time::Duration;
 
 fn workload() -> Vec<Payment> {
@@ -55,8 +55,7 @@ fn threaded_runtime_matches_deterministic_testkit() {
     for p in &payments {
         cluster.submit(*p).unwrap();
     }
-    let settled = cluster.wait_settled(payments.len(), Duration::from_secs(20));
-    assert_eq!(settled.len(), payments.len(), "all payments settle");
+    assert!(cluster.wait_settled(payments.len(), Duration::from_secs(20)), "all payments settle");
     let finals = cluster.shutdown();
     for (balances, count) in &finals {
         assert_eq!(*count, payments.len());
@@ -81,7 +80,7 @@ fn threaded_runtime_is_deterministic_in_outcome_across_runs() {
         for p in &payments {
             cluster.submit(*p).unwrap();
         }
-        cluster.wait_settled(payments.len(), Duration::from_secs(20));
+        assert!(cluster.wait_settled(payments.len(), Duration::from_secs(20)));
         let finals = cluster.shutdown();
         let balances: Vec<Amount> = (1..=3u64).map(|c| finals[0].0[&ClientId(c)]).collect();
         outcomes.push(balances);
@@ -104,10 +103,13 @@ fn threaded_runtime_handles_out_of_order_submission() {
     for seq in [2u64, 1, 0] {
         cluster.submit(Payment::new(5u64, seq, 6u64, 10u64)).unwrap();
     }
-    let settled = cluster.wait_settled(3, Duration::from_secs(20));
-    assert_eq!(settled.len(), 3);
-    let seqs: Vec<u64> = settled.iter().map(|p| p.seq.0).collect();
-    assert_eq!(seqs, vec![0, 1, 2], "settlement must follow xlog order");
+    assert!(cluster.wait_settled(3, Duration::from_secs(20)));
+    // An xlog only ever appends its next sequence number, so three
+    // settled payments of client 5 are seqs 0, 1, 2 in that order.
+    for i in 0..4 {
+        let probe = cluster.probe(i, ClientId(5)).unwrap();
+        assert_eq!(probe.next_seq, SeqNo(3), "replica {i}: settlement must follow xlog order");
+    }
     let finals = cluster.shutdown();
     assert_eq!(finals[0].0[&ClientId(5)], Amount(70));
     assert_eq!(finals[0].0[&ClientId(6)], Amount(130));

@@ -66,9 +66,8 @@ fn scrape_endpoint_serves_all_formats_while_the_cluster_settles() {
             cluster.submit(Payment::new(client, seq, client % 4 + 1, 1u64)).unwrap();
         }
     }
-    assert_eq!(
-        cluster.wait_settled(TOTAL as usize, Duration::from_secs(30)).len(),
-        TOTAL as usize,
+    assert!(
+        cluster.wait_settled(TOTAL as usize, Duration::from_secs(30)),
         "cluster must settle at full speed under concurrent scraping"
     );
     stop.store(true, Ordering::Relaxed);
@@ -104,7 +103,7 @@ fn delta_scrape_reports_the_settles_of_its_own_window() {
     for seq in 0..TOTAL {
         cluster.submit(Payment::new(1u64, seq, 2u64, 1u64)).unwrap();
     }
-    assert_eq!(cluster.wait_settled(TOTAL as usize, Duration::from_secs(30)).len(), TOTAL as usize);
+    assert!(cluster.wait_settled(TOTAL as usize, Duration::from_secs(30)));
     let (status, body) = fetch(addr, "/delta");
     assert!(status.contains("200"));
     assert!(
