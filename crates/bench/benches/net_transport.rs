@@ -1,64 +1,15 @@
-//! Transport comparison: end-to-end settlement throughput of a 4-replica
-//! Astro I cluster over in-process channels vs loopback TCP with
-//! HMAC-authenticated sessions, plus the raw link-layer message rate.
+//! Link-layer message rate: 1 KiB frames between two endpoints over
+//! in-process channels vs loopback TCP with HMAC-authenticated sessions,
+//! uncorked (one write per frame) and corked (one write per burst).
 //!
-//! The gap between the two series is the price of real sockets + MACs;
-//! the protocol work (Bracha's O(N²) 49-byte votes around N copies of
-//! the batch, ledger settlement) is identical on both sides.
+//! End-to-end settlement over each transport is measured by the
+//! `benchmark/` package (`a1_tcp`), not here.
 
 use astro_bench::json::Metric;
-use astro_core::astro1::Astro1Config;
 use astro_net::{Endpoint, InProcTransport, TcpTransport, Transport};
-use astro_runtime::AstroOneCluster;
-use astro_types::{Amount, Keychain, Payment, ReplicaId};
-use criterion::{BatchSize, Criterion, Throughput};
+use astro_types::{Keychain, ReplicaId};
+use criterion::{Criterion, Throughput};
 use std::time::Duration;
-
-fn payments() -> u64 {
-    if astro_bench::smoke() {
-        64
-    } else {
-        256
-    }
-}
-
-fn settle_workload(cluster: &AstroOneCluster, payments: u64) {
-    for seq in 0..payments {
-        cluster.submit(Payment::new(1u64, seq, 2u64, 1u64)).expect("cluster accepts payments");
-    }
-    assert!(cluster.wait_settled(payments as usize, Duration::from_secs(60)));
-}
-
-fn cfg() -> Astro1Config {
-    Astro1Config { batch_size: 32, initial_balance: Amount(u64::MAX / 2) }
-}
-
-fn bench_settlement(c: &mut Criterion) {
-    let n = payments();
-    let mut g = c.benchmark_group("settle_256_n4");
-    g.throughput(Throughput::Elements(n));
-    g.bench_function("inproc", |b| {
-        b.iter_batched(
-            || AstroOneCluster::start(4, cfg(), Duration::from_millis(1)).unwrap(),
-            |cluster| {
-                settle_workload(&cluster, n);
-                cluster.shutdown()
-            },
-            BatchSize::PerIteration,
-        );
-    });
-    g.bench_function("tcp_hmac", |b| {
-        b.iter_batched(
-            || AstroOneCluster::start_tcp(4, cfg(), Duration::from_millis(1)).unwrap(),
-            |cluster| {
-                settle_workload(&cluster, n);
-                cluster.shutdown()
-            },
-            BatchSize::PerIteration,
-        );
-    });
-    g.finish();
-}
 
 fn bench_link_messages(c: &mut Criterion) {
     // Raw link layer: 1 KiB messages 0 → 1, no protocol on top.
@@ -117,11 +68,10 @@ fn bench_link_messages(c: &mut Criterion) {
 fn main() {
     let samples = if astro_bench::smoke() { 3 } else { 10 };
     let mut c = Criterion::default().sample_size(samples);
-    bench_settlement(&mut c);
     bench_link_messages(&mut c);
 
-    // Machine-readable export: settled-payments/s and per-iteration
-    // latency percentiles, the numbers the perf trajectory is tracked by.
+    // Machine-readable export: bytes/s and per-iteration latency
+    // percentiles, the numbers the perf trajectory is tracked by.
     let reports = criterion::drain_reports();
     let metrics: Vec<Metric> = reports
         .iter()

@@ -1,11 +1,9 @@
-//! Durability cost: end-to-end settlement throughput of a 4-replica
-//! Astro I cluster over loopback TCP, with and without the `astro-store`
-//! WAL underneath, plus the recovery-side WAL replay rate.
+//! Storage engine costs the end-to-end benchmark does not isolate: WAL
+//! replay rate, chunked state transfer, bytes written per incremental
+//! snapshot, and settle throughput while snapshots install off-thread.
 //!
-//! The durable series runs the identical protocol and transport; the
-//! delta is journaling (one buffered `write(2)` per effect) and group
-//! commit (amortized `fsync(2)`). The acceptance gate for the storage
-//! subsystem is durable ≥ 0.7× the in-memory TCP figure.
+//! What durability costs a settling cluster end to end is measured by
+//! the `benchmark/` package (`a1_durable` against `a1_tcp`), not here.
 
 use astro_bench::json::Metric;
 use astro_core::astro1::{Astro1Config, AstroOneReplica};
@@ -15,7 +13,7 @@ use astro_runtime::AstroOneCluster;
 use astro_store::{Storage, StoreConfig};
 use astro_types::wire::{decode_exact, Wire, MAX_FRAME_LEN};
 use astro_types::{Amount, Payment, ReplicaId, ShardLayout};
-use criterion::{BatchSize, Criterion, Throughput};
+use criterion::{Criterion, Throughput};
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -30,14 +28,6 @@ fn scratch_dir() -> PathBuf {
     dir
 }
 
-fn payments() -> u64 {
-    if astro_bench::smoke() {
-        64
-    } else {
-        256
-    }
-}
-
 fn cfg() -> Astro1Config {
     Astro1Config { batch_size: 32, initial_balance: Amount(u64::MAX / 2) }
 }
@@ -47,46 +37,6 @@ fn settle_workload(cluster: &AstroOneCluster, payments: u64) {
         cluster.submit(Payment::new(1u64, seq, 2u64, 1u64)).expect("cluster accepts payments");
     }
     assert!(cluster.wait_settled(payments as usize, Duration::from_secs(60)));
-}
-
-fn bench_settlement(c: &mut Criterion) {
-    let n = payments();
-    let mut g = c.benchmark_group("settle_256_n4");
-    g.throughput(Throughput::Elements(n));
-    g.bench_function("tcp_hmac", |b| {
-        b.iter_batched(
-            || AstroOneCluster::start_tcp(4, cfg(), Duration::from_millis(1)).unwrap(),
-            |cluster| {
-                settle_workload(&cluster, n);
-                cluster.shutdown()
-            },
-            BatchSize::PerIteration,
-        );
-    });
-    g.bench_function("tcp_hmac_durable", |b| {
-        // Directory teardown happens in the *setup* of the next
-        // iteration, outside the timed routine.
-        let mut last_dir: Option<PathBuf> = None;
-        b.iter_batched(
-            || {
-                if let Some(dir) = last_dir.take() {
-                    let _ = std::fs::remove_dir_all(dir);
-                }
-                let dir = scratch_dir();
-                let cluster =
-                    AstroOneCluster::start_tcp_durable(4, &dir, cfg(), Duration::from_millis(1))
-                        .unwrap();
-                last_dir = Some(dir);
-                cluster
-            },
-            |cluster| {
-                settle_workload(&cluster, n);
-                cluster.shutdown()
-            },
-            BatchSize::PerIteration,
-        );
-    });
-    g.finish();
 }
 
 /// Settlement throughput *during* incremental installs vs the
@@ -292,12 +242,8 @@ fn bench_replay(c: &mut Criterion) {
 }
 
 fn main() {
-    // 21 samples: the TCP settle series is occasionally bimodal (a
-    // socket-buffer stall mode predating this bench); a larger sample set
-    // keeps the medians — and the durable/memory ratio — stable.
     let samples = if astro_bench::smoke() { 3 } else { 21 };
     let mut c = Criterion::default().sample_size(samples);
-    bench_settlement(&mut c);
     bench_replay(&mut c);
     let mut extra = bench_chunked_transfer(&mut c);
     extra.extend(measure_snapshot_io());
@@ -317,18 +263,6 @@ fn main() {
             )
         })
         .collect();
-    // The acceptance ratio, computed within one run so machine load
-    // cancels out: durable group-commit settlement vs in-memory TCP.
-    let rate =
-        |id: &str| reports.iter().find(|r| r.id == id).map(criterion::ReportEntry::ops_per_sec);
-    if let (Some(mem), Some(durable)) =
-        (rate("settle_256_n4/tcp_hmac"), rate("settle_256_n4/tcp_hmac_durable"))
-    {
-        if mem > 0.0 {
-            metrics
-                .push(Metric::new("settle_256_n4/durable_over_memory", [("ratio", durable / mem)]));
-        }
-    }
     metrics.extend(extra);
     let path = astro_bench::json::write("store", &metrics).expect("write bench json");
     println!("\nwrote {}", path.display());

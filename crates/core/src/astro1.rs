@@ -15,8 +15,8 @@ use crate::batch::Batch;
 use crate::journal::{Astro1Snapshot, Astro1State, LedgerState, WalRecord};
 use crate::ledger::{Ledger, SettleOutcome};
 use crate::pending::PendingQueue;
-use crate::reconfig::{ReconfigMsg, SyncError};
 use crate::replica::{self, Replica, Shell, SYNC_FALLBACK_ROUNDS, SYNC_RETRY_TICKS};
+use crate::sync::{SyncError, SyncMsg};
 use crate::xlog::XLogError;
 use crate::{ReplicaStep, SubmitError};
 use astro_brb::bracha::{BrachaBrb, BrachaMsg};
@@ -42,18 +42,16 @@ impl Default for Astro1Config {
     }
 }
 
-/// Wire messages exchanged between Astro I replicas.
-///
-/// Astro I carries no signatures — links are MAC-authenticated and the
-/// catch-up state transfer certifies by `f+1` matching digests — so the
-/// reconfiguration messages are instantiated with the unit signature.
+/// Wire messages exchanged between Astro I replicas. Astro I carries no
+/// signatures: links are MAC-authenticated and the catch-up state
+/// transfer certifies by `f+1` matching copies.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Astro1Msg {
     /// Broadcast-layer traffic (Bracha's three phases plus the payload
     /// request/answer leg).
     Brb(BrachaMsg<Batch>),
-    /// Reconfiguration / catch-up traffic (Appendix A).
-    Sync(ReconfigMsg<()>),
+    /// Catch-up traffic.
+    Sync(SyncMsg),
 }
 
 impl Wire for Astro1Msg {
@@ -274,7 +272,6 @@ impl AstroOneReplica {
 
 impl Replica for AstroOneReplica {
     type Msg = Astro1Msg;
-    type Sig = ();
     type Config = Astro1Config;
     type State = Astro1State;
     type Snapshot = Astro1Snapshot;
@@ -287,7 +284,7 @@ impl Replica for AstroOneReplica {
         &mut self.shell
     }
 
-    fn sync_msg(msg: ReconfigMsg<()>) -> Astro1Msg {
+    fn sync_msg(msg: SyncMsg) -> Astro1Msg {
         Astro1Msg::Sync(msg)
     }
 
@@ -966,8 +963,7 @@ mod tests {
         let state = long_state(entries);
         assert!(state.to_wire_bytes().len() > MAX_FRAME_LEN, "history exceeds one frame");
         let mut donor = restored(0, &state);
-        let step =
-            donor.handle(ReplicaId(3), Astro1Msg::Sync(ReconfigMsg::SyncRequest { settled: 0 }));
+        let step = donor.handle(ReplicaId(3), Astro1Msg::Sync(SyncMsg::Request { settled: 0 }));
         assert!(!step.outbound.is_empty(), "giant state still served");
         for env in &step.outbound {
             assert!(
@@ -979,7 +975,7 @@ mod tests {
 
     #[test]
     fn oversized_volatile_head_is_refused_with_a_typed_error() {
-        use crate::reconfig::SyncServeError;
+        use crate::sync::SyncServeError;
         // History chunks, but the volatile head (here: a pathological
         // approval queue) cannot — past the bound the donor refuses
         // instead of panicking the framing layer.
@@ -990,8 +986,7 @@ mod tests {
             donor.sync_chunks(ReplicaId(3)),
             Err(SyncServeError::HeadTooLarge { .. })
         ));
-        let step =
-            donor.handle(ReplicaId(3), Astro1Msg::Sync(ReconfigMsg::SyncRequest { settled: 0 }));
+        let step = donor.handle(ReplicaId(3), Astro1Msg::Sync(SyncMsg::Request { settled: 0 }));
         assert!(step.outbound.is_empty(), "refusal, not a panic or a partial serve");
     }
 }

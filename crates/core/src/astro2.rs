@@ -27,8 +27,8 @@ use crate::batch::{
 use crate::journal::{Astro2Snapshot, Astro2State, JournalSlot, LedgerState, WalRecord};
 use crate::ledger::{Ledger, SettleOutcome};
 use crate::pending::PendingQueue;
-use crate::reconfig::{ReconfigMsg, SyncError};
 use crate::replica::{self, Replica, Shell};
+use crate::sync::{SyncError, SyncMsg};
 use crate::xlog::XLogError;
 use crate::{ReplicaStep, SubmitError};
 use astro_brb::signed::{SignedBrb, SignedMsg};
@@ -105,8 +105,8 @@ pub enum Astro2Msg<S> {
     /// A CREDIT sub-batch, unicast to a beneficiary representative
     /// (possibly across shards).
     Credit(CreditBundle<S>),
-    /// Reconfiguration / catch-up traffic within a shard (Appendix A).
-    Sync(ReconfigMsg<S>),
+    /// Catch-up traffic within a shard.
+    Sync(SyncMsg),
     /// The destination representative's signed acknowledgment that the
     /// CREDIT sub-batches with these [`credit_context`] digests have been
     /// certified (or were already certified — acks are idempotent). The
@@ -1110,7 +1110,6 @@ impl<A: Authenticator> AstroTwoReplica<A> {
 
 impl<A: Authenticator> Replica for AstroTwoReplica<A> {
     type Msg = Astro2Msg<A::Sig>;
-    type Sig = A::Sig;
     type Config = Astro2Config;
     type State = Astro2State;
     type Snapshot = Astro2Snapshot;
@@ -1123,7 +1122,7 @@ impl<A: Authenticator> Replica for AstroTwoReplica<A> {
         &mut self.shell
     }
 
-    fn sync_msg(msg: ReconfigMsg<A::Sig>) -> Self::Msg {
+    fn sync_msg(msg: SyncMsg) -> Self::Msg {
         Astro2Msg::Sync(msg)
     }
 

@@ -628,7 +628,7 @@ impl From<XLogError> for RecoverError {
 /// The head is the only part of the transfer that must match across
 /// `f+1` donors at once; the blocks it references certify independently
 /// (and monotonically across retry rounds) via
-/// `ReconfigMsg::SyncBlock`.
+/// [`crate::sync::SyncMsg::Block`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SyncHead {
     /// Full history blocks per client, ascending by client id; clients

@@ -195,22 +195,6 @@ impl Ledger {
         SettleOutcome::Applied
     }
 
-    /// Installs a transferred xlog and balance during reconfiguration
-    /// state transfer (Appendix A). Overwrites local state for the owner.
-    pub fn install(&mut self, xlog: XLog, balance: Amount) {
-        let new_len = xlog.len();
-        let owner = xlog.owner();
-        let account = self.account_mut(owner);
-        let old_len = account.xlog.as_ref().map_or(0, XLog::len);
-        account.balance = Some(balance);
-        account.xlog = Some(xlog);
-        // The transferred log replaced whatever sealed prefix the local
-        // checkpoint segments covered: re-seal from scratch.
-        account.ckpt = 0;
-        self.settled = self.settled - old_len + new_len;
-        self.dirty.insert(owner);
-    }
-
     /// Audit: the settled counter agrees with the logs. (Each xlog is
     /// internally consistent by construction: its entries cannot express
     /// a foreign spender or a sequence gap.)
@@ -477,21 +461,6 @@ mod tests {
         assert!(applied > 0);
         let total: u64 = (0..clients).map(|c| l.balance(ClientId(c)).0).sum();
         assert_eq!(total, clients * 50, "money must be conserved");
-    }
-
-    #[test]
-    fn install_overwrites_state() {
-        let mut l = ledger();
-        let mut xlog = XLog::new(ClientId(9));
-        xlog.append(Payment::new(9u64, 0u64, 1u64, 5u64)).unwrap();
-        l.install(xlog.clone(), Amount(77));
-        assert_eq!(l.balance(ClientId(9)), Amount(77));
-        assert_eq!(l.next_seq(ClientId(9)), SeqNo(1));
-        assert_eq!(l.total_settled(), 1);
-        // Reinstalling replaces, not double-counts.
-        l.install(xlog, Amount(76));
-        assert_eq!(l.total_settled(), 1);
-        assert!(l.audit());
     }
 
     #[test]

@@ -19,8 +19,9 @@
 //! - [`batch`]: broadcast-level batching and beneficiary-representative
 //!   sub-batching (§VI-A).
 //! - [`client`]: client-side sequence-number assignment (Listing 1).
-//! - [`reconfig`]: consensusless replica join with views and xlog state
-//!   transfer (Appendix A).
+//! - [`sync`]: catch-up state transfer — the messages a restarted replica
+//!   and its group exchange, and the `f+1` copy collector that certifies
+//!   the transferred state.
 //! - [`obs`]: per-replica metric handles ([`CoreObs`]) reporting into an
 //!   attached [`astro_obs::Registry`].
 //! - [`testkit`]: an in-memory sharding-aware router for deterministic
@@ -68,8 +69,8 @@ pub mod journal;
 pub mod ledger;
 pub mod obs;
 pub mod pending;
-pub mod reconfig;
 pub mod replica;
+pub mod sync;
 pub mod testkit;
 pub mod xlog;
 

@@ -25,7 +25,7 @@ pub struct CoreObs {
     pub parked: Counter,
     /// `core.r{i}.parked_depth` — current catch-up parking-buffer depth.
     pub parked_depth: Gauge,
-    /// `core.r{i}.sync_retries` — SyncRequest re-sends beyond the first
+    /// `core.r{i}.sync_retries` — catch-up request re-sends beyond the first
     /// request of a catch-up session.
     pub sync_retries: Counter,
     /// `core.r{i}.sync_rejected` — responses the catch-up collector has

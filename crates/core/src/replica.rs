@@ -20,12 +20,11 @@ use crate::journal::{
 };
 use crate::ledger::Ledger;
 use crate::obs::CoreObs;
-use crate::reconfig::{BlockVotes, CatchUp, ReconfigMsg, SyncError, SyncServeError};
+use crate::sync::{CopyVotes, SyncError, SyncMsg, SyncServeError, SyncSession};
 use crate::{ReplicaStep, SubmitError};
 use astro_brb::{Dest, Envelope};
 use astro_types::wire::{decode_exact, Wire};
 use astro_types::{Amount, ClientId, Group, Payment, ReplicaId, SigCheck};
-use std::collections::VecDeque;
 
 /// Broadcast messages a catching-up replica may park before the
 /// transferred cursor is installed. Overflow drops the *oldest* message:
@@ -46,45 +45,6 @@ pub(crate) const SYNC_RETRY_TICKS: u32 = 16;
 /// [`Replica::begin_catchup`]). With the runtime's millisecond flush
 /// timers this is a few seconds.
 pub const SYNC_FALLBACK_ROUNDS: u32 = 256;
-
-/// An in-progress catch-up: the response collectors plus the broadcast
-/// traffic paused until the transferred state is installed.
-#[derive(Debug)]
-pub(crate) struct SyncSession<M> {
-    votes: CatchUp,
-    /// Chunked-transfer block collector. Certified blocks persist across
-    /// head retries: history certification is monotonic even while the
-    /// donors keep settling.
-    blocks: BlockVotes,
-    /// A certified head whose referenced blocks are not all certified
-    /// yet (install completes as the last block lands).
-    certified_head: Option<Vec<u8>>,
-    buffered: VecDeque<(ReplicaId, M)>,
-    /// Flush ticks until the next request retry (0 = send now).
-    ticks: u32,
-    /// Requests sent so far this session (`requests - 1` = retries).
-    requests: u32,
-    /// Remaining request rounds before giving up, when the replica has a
-    /// locally recovered state to fall back to. `None` = no fallback:
-    /// the replica must certify before it may participate (a replica
-    /// with no local state cannot safely pick a broadcast tag floor).
-    rounds_left: Option<u32>,
-}
-
-impl<M> SyncSession<M> {
-    /// Accounts one request round; true when the fallback budget is
-    /// exhausted and the replica should resume from its local state.
-    fn exhausted(&mut self) -> bool {
-        match &mut self.rounds_left {
-            None => false,
-            Some(0) => true,
-            Some(rounds) => {
-                *rounds -= 1;
-                false
-            }
-        }
-    }
-}
 
 /// The state every replica carries whatever its protocol: identity,
 /// ledger, journal, metric handles, the catch-up session, and the
@@ -133,8 +93,6 @@ impl<M> Shell<M> {
 pub trait Replica: Sized {
     /// Replica-to-replica message type.
     type Msg: Wire + Clone + core::fmt::Debug;
-    /// The signature type the protocol's reconfiguration traffic carries.
-    type Sig;
     /// Construction-time configuration.
     type Config: Clone;
     /// The full durable state: the snapshot [`Self::export_state`] writes
@@ -150,8 +108,8 @@ pub trait Replica: Sized {
     /// The shared state, mutably.
     fn shell_mut(&mut self) -> &mut Shell<Self::Msg>;
 
-    /// Wraps reconfiguration traffic into the protocol's message type.
-    fn sync_msg(msg: ReconfigMsg<Self::Sig>) -> Self::Msg;
+    /// Wraps catch-up traffic into the protocol's message type.
+    fn sync_msg(msg: SyncMsg) -> Self::Msg;
 
     /// The settlement section of a full state.
     fn state_ledger(state: &mut Self::State) -> &mut LedgerState;
@@ -368,8 +326,8 @@ pub trait Replica: Sized {
 
     /// Starts peer catch-up (the restart path): broadcast delivery pauses
     /// and the next [`Self::flush`] tick broadcasts a
-    /// [`ReconfigMsg::SyncRequest`]; peers answer with their canonical
-    /// state and `f+1` byte-identical copies install. Until then the
+    /// [`SyncMsg::Request`]; peers answer with their canonical state and
+    /// `f+1` byte-identical copies install. Until then the
     /// client batch stays parked (no broadcast may leave before the
     /// certified tag floor is known) and inbound broadcast messages
     /// buffer for replay.
@@ -383,16 +341,7 @@ pub trait Replica: Sized {
     /// replicas restart *concurrently* live.
     fn begin_catchup(&mut self, fallback_rounds: Option<u32>) {
         let floor = self.ledger().total_settled() as u64;
-        let (group, me) = (self.group(), self.id());
-        let session = SyncSession {
-            votes: CatchUp::new(group, me, floor),
-            blocks: BlockVotes::new(group, me),
-            certified_head: None,
-            buffered: VecDeque::new(),
-            ticks: 0,
-            requests: 0,
-            rounds_left: fallback_rounds,
-        };
+        let session = SyncSession::new(self.group(), self.id(), floor, fallback_rounds);
         self.shell_mut().syncing = Some(session);
     }
 
@@ -426,49 +375,63 @@ pub trait Replica: Sized {
         Ok((head, blocks))
     }
 
-    /// The last step of a chunked transfer: reassembles a certified head
-    /// with its certified blocks, installs the full state, and appends
+    /// The last step of a chunked transfer: once `heads` holds a
+    /// certified head and `blocks` every history block it references,
+    /// reassembles and installs the full state and appends
     /// [`Self::catchup_ended`]. Live catch-up and the simulator's
     /// modelled handshake both finish here.
     ///
+    /// A failed install discards what it discredited, so the caller only
+    /// keeps offering copies: an invalid transfer clears both collectors
+    /// (`f+1` matching copies of it cannot come from an honest majority);
+    /// a stale head (the donors lag) clears only the head, since certified
+    /// blocks are content-stable.
+    ///
     /// # Errors
     ///
-    /// [`SyncError::Incomplete`] while referenced blocks are still
+    /// [`SyncError::Incomplete`] while the head or a referenced block is
     /// uncertified, [`SyncError::Invalid`] if the pieces do not decode or
     /// merge, else as [`Self::install_sync`].
     fn install_chunked(
         &mut self,
-        head: &[u8],
-        blocks: &BlockVotes,
+        heads: &mut CopyVotes<()>,
+        blocks: &mut CopyVotes<(ClientId, u64)>,
     ) -> Result<ReplicaStep<Self::Msg>, SyncError> {
-        let state = assemble::<Self>(head, blocks)?;
-        install_certified(self, &state)
+        let result = assemble::<Self>(heads, blocks).and_then(|state| {
+            let mut out = self.install_sync(&state)?;
+            out.outbound.extend(self.catchup_ended());
+            Ok(out)
+        });
+        match result {
+            Err(SyncError::Invalid) => {
+                heads.clear();
+                blocks.clear();
+            }
+            Err(SyncError::Stale) => heads.clear(),
+            Ok(_) | Err(SyncError::Incomplete) => {}
+        }
+        result
     }
 }
 
-/// Reassembles a certified head and the certified blocks it references
+/// Reassembles the certified head and the certified blocks it references
 /// into a full state.
-fn assemble<R: Replica>(head: &[u8], blocks: &BlockVotes) -> Result<R::State, SyncError> {
+fn assemble<R: Replica>(
+    heads: &CopyVotes<()>,
+    blocks: &CopyVotes<(ClientId, u64)>,
+) -> Result<R::State, SyncError> {
+    let head = heads.certified(&()).ok_or(SyncError::Incomplete)?;
     let head: SyncHead = decode_exact(head).map_err(|_| SyncError::Invalid)?;
-    if !blocks.has_all(&head.blocks) {
+    let certified = |client, block| blocks.certified(&(client, block)).is_some();
+    if !head.blocks.iter().all(|&(client, n)| (0..n).all(|block| certified(client, block))) {
         return Err(SyncError::Incomplete);
     }
     let mut state: R::State = decode_exact(&head.state_tail).map_err(|_| SyncError::Invalid)?;
     merge_history_blocks(R::state_ledger(&mut state), &head.blocks, |client, block| {
-        blocks.certified(client, block).cloned()
+        blocks.certified(&(client, block)).cloned()
     })
     .map_err(|_| SyncError::Invalid)?;
     Ok(state)
-}
-
-/// [`Replica::install_sync`], then what the finished catch-up owes.
-fn install_certified<R: Replica>(
-    r: &mut R,
-    state: &R::State,
-) -> Result<ReplicaStep<R::Msg>, SyncError> {
-    let mut out = r.install_sync(state)?;
-    out.outbound.extend(r.catchup_ended());
-    Ok(out)
 }
 
 /// While catching up, parks broadcast message `msg` from a group member
@@ -516,42 +479,36 @@ pub(crate) fn catchup_tick<R: Replica>(r: &mut R) -> Option<ReplicaStep<R::Msg>>
         }
         obs.flight.event("core.sync.request", u64::from(sync.requests), 0);
     }
-    let request = R::sync_msg(sync.votes.request());
+    let request = R::sync_msg(SyncMsg::Request { settled: sync.floor });
     Some(ReplicaStep {
         outbound: vec![Envelope { to: Dest::All, msg: request }],
         settled: Vec::new(),
     })
 }
 
-/// Handles reconfiguration traffic: serves catch-up requests from group
-/// members and, while catching up, folds peer responses into the
-/// collectors until a transfer certifies and installs.
+/// Handles catch-up traffic: serves requests from group members and,
+/// while catching up, folds peer responses into the collectors until a
+/// transfer certifies and installs.
 pub(crate) fn handle_sync<R: Replica>(
     r: &mut R,
     from: ReplicaId,
-    msg: ReconfigMsg<R::Sig>,
+    msg: SyncMsg,
 ) -> ReplicaStep<R::Msg> {
     if from == r.id() || !r.group().contains(from) {
         return ReplicaStep::empty();
     }
     match msg {
-        ReconfigMsg::SyncRequest { settled } => serve_sync(r, from, settled),
-        ReconfigMsg::SyncState { settled, state } => {
+        SyncMsg::Request { settled } => serve_sync(r, from, settled),
+        SyncMsg::Head { settled, head } => {
             let Some(sync) = &mut r.shell_mut().syncing else { return ReplicaStep::empty() };
-            if let Some(head) = sync.votes.offer(from, settled, state) {
-                sync.certified_head = Some(head);
-            }
+            sync.offer_head(from, settled, head);
             try_complete_sync(r)
         }
-        ReconfigMsg::SyncBlock { client, block, data } => {
+        SyncMsg::Block { client, block, data } => {
             let Some(sync) = &mut r.shell_mut().syncing else { return ReplicaStep::empty() };
-            sync.blocks.offer(from, client, block, data);
+            sync.blocks.offer(from, (client, block), data);
             try_complete_sync(r)
         }
-        // The join protocol (Join / ViewProposal / StateTransfer) is
-        // driven by `ReconfigReplica` deployments, not by the payment
-        // replica itself.
-        _ => ReplicaStep::empty(),
     }
 }
 
@@ -567,9 +524,9 @@ fn serve_sync<R: Replica>(r: &R, to: ReplicaId, floor: u64) -> ReplicaStep<R::Ms
     }
     match r.sync_chunks(to) {
         Ok((head, blocks)) => {
-            let state = head.to_wire_bytes();
-            let reply = std::iter::once(ReconfigMsg::SyncState { settled, state }).chain(
-                blocks.into_iter().map(|(client, block, data)| ReconfigMsg::SyncBlock {
+            let head = head.to_wire_bytes();
+            let reply = std::iter::once(SyncMsg::Head { settled, head }).chain(
+                blocks.into_iter().map(|(client, block, data)| SyncMsg::Block {
                     client,
                     block,
                     data,
@@ -592,39 +549,21 @@ fn serve_sync<R: Replica>(r: &R, to: ReplicaId, floor: u64) -> ReplicaStep<R::Ms
 }
 
 /// Publishes the collectors' progress, then attempts to finish the
-/// catch-up: once the head is certified and every history block it
-/// references is certified, the full state installs and the parked
-/// broadcast traffic replays through the normal path (messages at or
-/// below the installed cursor are dropped by FIFO gating, later ones
-/// proceed). Anything structurally invalid discards the collected votes
-/// and re-collects — `f+1` matching copies of an undecodable transfer
-/// cannot come from an honest majority; a merely *stale* head (the donors
-/// lag) discards only the head, since certified blocks are content-stable.
+/// catch-up through [`Replica::install_chunked`]: once it installs, the
+/// parked broadcast traffic replays through the normal path (messages at
+/// or below the installed cursor are dropped by FIFO gating, later ones
+/// proceed); otherwise the session keeps collecting.
 fn try_complete_sync<R: Replica>(r: &mut R) -> ReplicaStep<R::Msg> {
-    let assembled = {
-        let shell = r.shell_mut();
-        let Some(sync) = &mut shell.syncing else { return ReplicaStep::empty() };
-        if let Some(obs) = &shell.obs {
-            obs.sync_rejected.set((sync.votes.rejected() + sync.blocks.rejected()) as u64);
-            obs.sync_blocks_certified.set(sync.blocks.certified_len() as u64);
-        }
-        let Some(head) = &sync.certified_head else { return ReplicaStep::empty() };
-        assemble::<R>(head, &sync.blocks)
-    };
-    match assembled.and_then(|state| install_certified(r, &state)) {
-        Ok(out) => {
-            let sync = r.shell_mut().syncing.take().expect("syncing");
-            replay_parked(r, sync, out)
-        }
-        Err(SyncError::Incomplete) => ReplicaStep::empty(),
-        Err(error) => {
-            if let Some(sync) = &mut r.shell_mut().syncing {
-                sync.certified_head = None;
-                sync.votes.clear();
-                if error == SyncError::Invalid {
-                    sync.blocks.clear();
-                }
-            }
+    let shell = r.shell_mut();
+    let Some(mut sync) = shell.syncing.take() else { return ReplicaStep::empty() };
+    if let Some(obs) = &shell.obs {
+        obs.sync_rejected.set(sync.rejected() as u64);
+        obs.sync_blocks_certified.set(sync.blocks.certified_len() as u64);
+    }
+    match r.install_chunked(&mut sync.heads, &mut sync.blocks) {
+        Ok(out) => replay_parked(r, sync, out),
+        Err(_) => {
+            r.shell_mut().syncing = Some(sync);
             ReplicaStep::empty()
         }
     }

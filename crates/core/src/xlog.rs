@@ -6,8 +6,8 @@
 //! all correct replicas hold identical copies.
 //!
 //! Storing full logs (rather than just balances and sequence numbers) is
-//! what enables auditability and reconfiguration state transfer (§II,
-//! Appendix A).
+//! what enables auditability (§II) and lets a restarted replica certify
+//! the history it missed block by block ([`crate::sync`]).
 //!
 //! Each entry is stored as `(beneficiary, amount)` — 16 bytes, half a
 //! [`Payment`]. The other two fields are implied: the spender is the log's

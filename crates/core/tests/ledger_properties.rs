@@ -10,7 +10,7 @@ use astro_core::pending::PendingQueue;
 use astro_core::testkit::PaymentCluster;
 use astro_core::xlog::{XLog, XLogError};
 use astro_core::Replica;
-use astro_types::wire::Wire;
+use astro_types::wire::{decode_exact, Wire};
 use astro_types::{Amount, ClientId, Payment, ReplicaId, SeqNo, ShardLayout};
 use proptest::prelude::*;
 
@@ -152,21 +152,17 @@ proptest! {
         }
     }
 
-    /// Reconstructing a ledger from transferred xlogs preserves audit.
+    /// Reconstructing a ledger from its transferred export — the path
+    /// catch-up installs through — preserves audit.
     #[test]
     fn state_transfer_preserves_audit(raw in arb_ops()) {
         let mut source = Ledger::new(Amount(10_000));
         for p in as_payments(&raw) {
             let _ = source.settle(&p, true);
         }
-        let mut target = Ledger::new(Amount(10_000));
-        for xlog in source.xlogs() {
-            let mut copy = XLog::new(xlog.owner());
-            for p in xlog.iter() {
-                copy.append(p).expect("source log is valid");
-            }
-            target.install(copy, source.balance(xlog.owner()));
-        }
+        let transferred = source.export().to_wire_bytes();
+        let state: LedgerState = decode_exact(&transferred).expect("export decodes");
+        let target = Ledger::import(&state).expect("source logs are valid");
         prop_assert!(target.audit());
         for c in 0..CLIENTS {
             prop_assert_eq!(target.next_seq(ClientId(c)), source.next_seq(ClientId(c)));

@@ -78,9 +78,10 @@ struct LinkMetrics {
 /// array; reader threads observe the attach through a `OnceLock`.
 struct NetMetrics {
     links: Vec<LinkMetrics>,
-    /// Latency of one `write(2)` on the send path (direct or flush).
+    /// Latency of one `write(2)` on the send path (one per link flush).
     write_nanos: Histogram,
-    /// Bytes per coalesced cork flush.
+    /// Bytes per link flush: a cork window's frames, or one uncorked
+    /// frame.
     flush_bytes: Histogram,
     /// Reconnection attempts after the initial mesh came up.
     redials: Counter,
@@ -451,11 +452,9 @@ pub struct TcpEndpoint {
     /// This endpoint's own handle on its inbox, for self-addressed sends.
     loopback: Sender<Packet>,
     listen_addr: SocketAddr,
-    /// Reusable frame buffer for immediate (uncorked) sends — one
-    /// allocation per link lifetime instead of one per frame.
-    scratch: Vec<u8>,
-    /// When set, sends append frames to `pending` per link; `uncork`
-    /// writes each link's run of frames with one syscall.
+    /// When set, sends leave their frames in `pending` per link and
+    /// `uncork` writes each link's run of frames with one syscall;
+    /// otherwise every send writes its frame at once.
     corked: bool,
     pending: Vec<PendingBuf>,
 }
@@ -567,15 +566,7 @@ impl TcpEndpoint {
 
         let pending = (0..n).map(|_| PendingBuf { buf: Vec::new(), generation: 0 }).collect();
         let loopback = shared.inbox_tx.lock().clone();
-        Ok(TcpEndpoint {
-            shared,
-            inbox,
-            loopback,
-            listen_addr,
-            scratch: Vec::new(),
-            corked: false,
-            pending,
-        })
+        Ok(TcpEndpoint { shared, inbox, loopback, listen_addr, corked: false, pending })
     }
 
     /// The address the endpoint's listener is bound to.
@@ -617,70 +608,68 @@ impl TcpEndpoint {
         }
     }
 
-    /// Attempts to hand `payload` to the link — immediately (one write
-    /// from the reusable scratch buffer) or, while corked, by appending
-    /// the sealed frame to the link's coalescing buffer. Returns `false`
-    /// if the link is down.
+    /// Attempts to hand `payload` to the link by appending the sealed
+    /// frame to the link's coalescing buffer, which is flushed at once
+    /// unless corked (or, corked, once it outgrows
+    /// [`CORK_FLUSH_THRESHOLD`]). Returns `false` if the link is down.
     fn try_send(&mut self, to: ReplicaId, payload: &[u8]) -> Result<bool, NetError> {
         let metrics = self.shared.metrics.get();
-        let slot = &self.shared.links[to.0 as usize];
-        let mut state = slot.state.lock();
+        let mut state = self.shared.links[to.0 as usize].state.lock();
         let generation = state.generation;
         let Some(writer) = state.writer.as_mut() else {
             return Ok(false);
         };
-        if self.corked {
-            let pending = &mut self.pending[to.0 as usize];
-            if pending.generation != generation {
-                // Sealed under a session that no longer exists: drop.
-                pending.buf.clear();
-                pending.generation = generation;
-            }
-            let before = pending.buf.len();
-            append_frame(&mut writer.session, payload, &mut pending.buf);
-            if let Some(m) = metrics {
-                let link = &m.links[to.0 as usize];
-                link.tx_bytes.add((pending.buf.len() - before) as u64);
-                link.tx_frames.inc();
-            }
-            if pending.buf.len() < CORK_FLUSH_THRESHOLD {
-                return Ok(true);
-            }
-            // Oversized burst: flush inline to bound memory, and give the
-            // excess capacity back (one 16 MiB frame must not pin 16 MiB
-            // per link for the endpoint's lifetime).
+        let pending = &mut self.pending[to.0 as usize];
+        if pending.generation != generation {
+            // Sealed under a session that no longer exists: drop.
+            pending.buf.clear();
+            pending.generation = generation;
+        }
+        let before = pending.buf.len();
+        append_frame(&mut writer.session, payload, &mut pending.buf);
+        if let Some(m) = metrics {
+            let link = &m.links[to.0 as usize];
+            link.tx_bytes.add((pending.buf.len() - before) as u64);
+            link.tx_frames.inc();
+        }
+        if self.corked && pending.buf.len() < CORK_FLUSH_THRESHOLD {
+            return Ok(true);
+        }
+        Ok(flush_link(metrics, to.0 as usize, &mut state, pending))
+    }
+}
+
+/// Writes link `i`'s coalesced frames with one `write(2)` if they were
+/// sealed under its live connection (frames of a replaced or vanished
+/// link are dropped — in-flight loss on a broken link, as ever), then
+/// empties the buffer and gives excess capacity back: one 16 MiB frame
+/// must not pin 16 MiB per link for the endpoint's lifetime. Returns
+/// `false` if the write failed; the link is torn down.
+fn flush_link(
+    metrics: Option<&NetMetrics>,
+    i: usize,
+    state: &mut LinkState,
+    pending: &mut PendingBuf,
+) -> bool {
+    let mut ok = true;
+    if state.generation == pending.generation {
+        if let Some(writer) = state.writer.as_mut() {
             if let Some(m) = metrics {
                 m.flush_bytes.record(pending.buf.len() as u64);
             }
-            let ok = NetMetrics::timed_write(metrics, to.0 as usize, || {
+            ok = NetMetrics::timed_write(metrics, i, || {
                 writer.stream.write_all(&pending.buf).is_ok()
             });
-            pending.buf.clear();
-            pending.buf.shrink_to(CORK_FLUSH_THRESHOLD);
-            if ok {
-                return Ok(true);
-            }
-        } else {
-            self.scratch.clear();
-            self.scratch.shrink_to(CORK_FLUSH_THRESHOLD);
-            append_frame(&mut writer.session, payload, &mut self.scratch);
-            if let Some(m) = metrics {
-                let link = &m.links[to.0 as usize];
-                link.tx_bytes.add(self.scratch.len() as u64);
-                link.tx_frames.inc();
-            }
-            if NetMetrics::timed_write(metrics, to.0 as usize, || {
-                writer.stream.write_all(&self.scratch).is_ok()
-            }) {
-                return Ok(true);
+            if !ok {
+                if let Some(w) = state.writer.take() {
+                    let _ = w.stream.shutdown(Shutdown::Both);
+                }
             }
         }
-        // Broken pipe: tear down and let the caller retry.
-        if let Some(w) = state.writer.take() {
-            let _ = w.stream.shutdown(Shutdown::Both);
-        }
-        Ok(false)
     }
+    pending.buf.clear();
+    pending.buf.shrink_to(CORK_FLUSH_THRESHOLD);
+    ok
 }
 
 /// Appends `len || seq || payload || tag` to `out` with no intermediate
@@ -779,33 +768,16 @@ impl Endpoint for TcpEndpoint {
 
     fn uncork(&mut self) -> Result<(), NetError> {
         self.corked = false;
+        let metrics = self.shared.metrics.get();
         let mut first_err = None;
         for i in 0..self.shared.n {
             if self.pending[i].buf.is_empty() {
                 continue;
             }
             let mut state = self.shared.links[i].state.lock();
-            let pending = &mut self.pending[i];
-            // A replaced (or vanished) link invalidates the sealed frames;
-            // drop them — in-flight loss on a broken link, as ever.
-            if state.generation == pending.generation {
-                if let Some(writer) = state.writer.as_mut() {
-                    let metrics = self.shared.metrics.get();
-                    if let Some(m) = metrics {
-                        m.flush_bytes.record(pending.buf.len() as u64);
-                    }
-                    if NetMetrics::timed_write(metrics, i, || {
-                        writer.stream.write_all(&pending.buf).is_err()
-                    }) {
-                        if let Some(w) = state.writer.take() {
-                            let _ = w.stream.shutdown(Shutdown::Both);
-                        }
-                        first_err.get_or_insert(NetError::LinkDown(ReplicaId(i as u32)));
-                    }
-                }
+            if !flush_link(metrics, i, &mut state, &mut self.pending[i]) {
+                first_err.get_or_insert(NetError::LinkDown(ReplicaId(i as u32)));
             }
-            pending.buf.clear();
-            pending.buf.shrink_to(CORK_FLUSH_THRESHOLD);
         }
         match first_err {
             None => Ok(()),

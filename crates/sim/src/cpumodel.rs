@@ -42,9 +42,6 @@ pub struct CpuModel {
     /// validation, MAC vector handling, Java-runtime serialization —
     /// see "Can 100 Machines Agree?", paper ref \[40\]).
     pub consensus_request_ns: Nanos,
-    /// Per-node state to serialize during reconfiguration state transfer,
-    /// per byte.
-    pub state_transfer_ns_per_byte: Nanos,
 }
 
 impl CpuModel {
@@ -67,7 +64,6 @@ impl CpuModel {
             settle_ns: 4_000,
             overhead_ns: 25_000,
             consensus_request_ns: 30_000,
-            state_transfer_ns_per_byte: 4,
         }
     }
 
@@ -90,7 +86,6 @@ impl CpuModel {
             settle_ns: 0,
             overhead_ns: 0,
             consensus_request_ns: 0,
-            state_transfer_ns_per_byte: 0,
         }
     }
 

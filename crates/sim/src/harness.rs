@@ -76,7 +76,7 @@ const CLIENT_RETRY: Nanos = 200_000_000;
 /// How long a restarted replica waits before retrying the catch-up
 /// handshake when no `f+1` matching state certified (its donors were
 /// mid-divergence) — the simulated analogue of the runtime's
-/// flush-timer-paced `SyncRequest` retry.
+/// flush-timer-paced catch-up request retry.
 const CATCH_UP_RETRY: Nanos = 200_000_000;
 
 /// Simulation parameters.

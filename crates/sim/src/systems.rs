@@ -15,7 +15,7 @@ use astro_brb::{Envelope, InstanceId};
 use astro_consensus::pbft::{PbftConfig, PbftMsg, PbftReplica};
 use astro_core::astro1::{Astro1Config, Astro1Msg, AstroOneReplica};
 use astro_core::astro2::{Astro2Config, Astro2Msg, AstroTwoReplica};
-use astro_core::reconfig::{BlockVotes, CatchUp};
+use astro_core::sync::CopyVotes;
 use astro_core::{Replica, ReplicaStep};
 use astro_types::wire::Wire;
 use astro_types::{ClientId, Group, MacAuthenticator, Payment, PaymentId, ReplicaId, ShardLayout};
@@ -208,27 +208,26 @@ fn run_catch_up<R: Replica>(
     donors: &[ReplicaId],
 ) -> Option<(usize, ReplicaStep<R::Msg>)> {
     let settled = |r: &R| r.ledger().total_settled() as u64;
+    let floor = settled(&replicas[replica.0 as usize]);
     let group = replicas[replica.0 as usize].group().clone();
-    let mut votes = CatchUp::new(&group, replica, settled(&replicas[replica.0 as usize]));
-    let mut blocks = BlockVotes::new(&group, replica);
-    let mut certified_head: Option<Vec<u8>> = None;
+    let mut heads = CopyVotes::new(&group, replica);
+    let mut blocks = CopyVotes::new(&group, replica);
     let mut bytes = 0usize;
     for &donor in donors {
         let donor = &replicas[donor.0 as usize];
         let Ok((head, served_blocks)) = donor.sync_chunks(replica) else { continue };
         let head = head.to_wire_bytes();
         bytes += head.len();
-        if let Some(certified) = votes.offer(donor.id(), settled(donor), head) {
-            certified_head = Some(certified);
+        // The live session's floor: a head below it does not vote.
+        if settled(donor) >= floor {
+            heads.offer(donor.id(), (), head);
         }
         for (client, block, data) in served_blocks {
             bytes += data.len();
-            blocks.offer(donor.id(), client, block, data);
+            blocks.offer(donor.id(), (client, block), data);
         }
-        if let Some(head) = &certified_head {
-            if let Ok(step) = replicas[replica.0 as usize].install_chunked(head, &blocks) {
-                return Some((bytes, step));
-            }
+        if let Ok(step) = replicas[replica.0 as usize].install_chunked(&mut heads, &mut blocks) {
+            return Some((bytes, step));
         }
     }
     None

@@ -4,8 +4,8 @@
 //! Each proptest case draws a schedule of crash windows (victim, start
 //! offset, outage length), runs it through the discrete-event harness —
 //! where `Fault::Restart` triggers the real catch-up machinery
-//! (`astro_core::reconfig::CatchUp` + `install_sync`, retried on a timer
-//! exactly like the threaded runtime's flush-paced `SyncRequest`) — and
+//! (`astro_core::sync::CopyVotes` + `install_chunked`, retried on a timer
+//! exactly like the threaded runtime's flush-paced catch-up request) — and
 //! then asserts the invariants no schedule may violate:
 //!
 //! - **liveness**: every drawn payment confirms (clients never resubmit

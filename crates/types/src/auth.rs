@@ -1,7 +1,6 @@
 //! Pluggable message authentication for protocol state machines.
 //!
-//! Astro II's broadcast, CREDIT, and reconfiguration messages carry replica
-//! signatures. Protocol logic is written against the [`Authenticator`]
+//! Astro II's broadcast and CREDIT messages carry replica signatures. Protocol logic is written against the [`Authenticator`]
 //! trait so the same state machines run with:
 //!
 //! - [`SchnorrAuthenticator`] — real Schnorr/secp256k1 signatures (unit and

@@ -123,16 +123,6 @@ macro_rules! impl_wire_int {
 
 impl_wire_int!(u8, u16, u32, u64);
 
-impl Wire for () {
-    fn encode(&self, _buf: &mut Vec<u8>) {}
-    fn decode(_buf: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(())
-    }
-    fn encoded_len(&self) -> usize {
-        0
-    }
-}
-
 impl Wire for bool {
     fn encode(&self, buf: &mut Vec<u8>) {
         buf.put_u8(u8::from(*self));

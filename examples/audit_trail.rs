@@ -1,19 +1,23 @@
-//! Auditability and reconfiguration: the reasons Astro stores full xlogs
-//! rather than mere balances (paper §II, Appendix A).
+//! Auditability and recovery: the reasons Astro stores full xlogs rather
+//! than mere balances (paper §II).
 //!
 //! ```sh
 //! cargo run -p astro-examples --bin audit_trail
 //! ```
 //!
-//! Builds a payment history, audits every exclusive log, then has a new
-//! replica join the (consensusless) system and verifies the transferred
-//! state lets it reconstruct exactly the same view of the world.
+//! Builds a payment history and audits every exclusive log, then has a
+//! replica that lost its state recover the same history from its group:
+//! `f+1` peers serve their settled state, the replica certifies the
+//! byte-identical copies and reconstructs exactly the same view of the
+//! world — no consensus involved.
 
-use astro_brb::Dest;
+use astro_core::astro1::{Astro1Config, AstroOneReplica};
 use astro_core::ledger::Ledger;
-use astro_core::reconfig::{ReconfigMsg, ReconfigReplica, View};
-use astro_types::{Amount, ClientId, Group, MacAuthenticator, Payment, ReplicaId};
-use std::collections::VecDeque;
+use astro_core::sync::CopyVotes;
+use astro_core::testkit::PaymentCluster;
+use astro_core::Replica;
+use astro_types::wire::Wire;
+use astro_types::{Amount, ClientId, Payment, ReplicaId, ShardLayout};
 
 fn main() {
     // --- Part 1: audit trail -------------------------------------------
@@ -43,64 +47,41 @@ fn main() {
     let spent: u64 = ledger.xlogs().map(|x| x.total_spent().0).sum();
     println!("total spent across all xlogs: ${spent}");
 
-    // --- Part 2: a replica joins without consensus ----------------------
-    let group = Group::of_size(4).expect("4 replicas");
-    let view = View::initial(&group);
-    let auth = |i: u32| MacAuthenticator::new(ReplicaId(i), b"audit".to_vec());
-    let mut replicas: Vec<ReconfigReplica<MacAuthenticator>> =
-        (0..4).map(|i| ReconfigReplica::member(auth(i), view.clone())).collect();
-    replicas.push(ReconfigReplica::joiner(auth(4), view));
-    let mut ledgers: Vec<Ledger> = (0..4).map(|_| ledger.clone()).collect();
-    ledgers.push(Ledger::new(Amount(500))); // the joiner starts empty
-
-    let mut queue: VecDeque<(ReplicaId, ReplicaId, ReconfigMsg<_>)> = VecDeque::new();
-    let route = |from: ReplicaId,
-                 step: astro_core::reconfig::ReconfigStep<astro_types::auth::SimSig>,
-                 replicas: &Vec<ReconfigReplica<MacAuthenticator>>,
-                 queue: &mut VecDeque<(
-        ReplicaId,
-        ReplicaId,
-        ReconfigMsg<astro_types::auth::SimSig>,
-    )>| {
-        let recipients = replicas[from.0 as usize].recipients();
-        for env in step.outbound {
-            match env.to {
-                Dest::All => {
-                    for &to in &recipients {
-                        queue.push_back((from, to, env.msg.clone()));
-                    }
-                }
-                Dest::One(to) => queue.push_back((from, to, env.msg)),
-            }
-        }
-    };
-
-    let step = replicas[4].request_join();
-    route(ReplicaId(4), step, &replicas, &mut queue);
-    while let Some((from, to, msg)) = queue.pop_front() {
-        let idx = to.0 as usize;
-        if idx >= replicas.len() {
-            continue;
-        }
-        let mut l = std::mem::replace(&mut ledgers[idx], Ledger::new(Amount(0)));
-        let step = replicas[idx].handle(from, msg, &mut l);
-        ledgers[idx] = l;
-        route(to, step, &replicas, &mut queue);
-    }
-
-    assert!(replicas[4].is_active(), "joiner activated");
-    println!(
-        "\nreplica r4 joined: view {} with {} members",
-        replicas[4].view().number,
-        replicas[4].view().members.len()
+    // --- Part 2: a replica recovers the history from its peers ----------
+    let layout = ShardLayout::single(4).expect("4 replicas");
+    let cfg = Astro1Config { batch_size: 1, initial_balance: Amount(500) };
+    let mut cluster = PaymentCluster::new(
+        (0..4).map(|i| AstroOneReplica::new(ReplicaId(i), layout.clone(), cfg.clone())),
     );
+    for p in history {
+        let rep = layout.representative_of(p.spender);
+        let step = cluster.node_mut(rep.0 as usize).submit(p).expect("submitted at the rep");
+        cluster.submit_step(rep, step);
+    }
+    cluster.run_to_quiescence();
+
+    // Replica 3 comes back with nothing: f+1 = 2 peers serve their state.
+    let me = ReplicaId(3);
+    let mut fresh = AstroOneReplica::new(me, layout.clone(), cfg);
+    let mut heads = CopyVotes::new(fresh.group(), me);
+    let mut blocks = CopyVotes::new(fresh.group(), me);
+    for donor in [0, 1] {
+        let (head, served) = cluster.node(donor).sync_chunks(me).expect("small state serves");
+        heads.offer(ReplicaId(donor as u32), (), head.to_wire_bytes());
+        for (client, block, data) in served {
+            blocks.offer(ReplicaId(donor as u32), (client, block), data);
+        }
+    }
+    let step = fresh.install_chunked(&mut heads, &mut blocks).expect("f+1 copies certify");
+    println!("\nreplica r3 recovered {} settled payments from r0 and r1", step.settled.len());
+    assert_eq!(step.settled.len(), history.len());
     for c in 1..=3u64 {
         assert_eq!(
-            ledgers[4].balance(ClientId(c)),
+            fresh.balance(ClientId(c)),
             ledger.balance(ClientId(c)),
             "transferred state must match"
         );
     }
-    assert!(ledgers[4].audit());
-    println!("joiner reconstructed all balances and xlogs exactly — audit passes");
+    assert!(fresh.ledger().audit());
+    println!("recovered replica reconstructed all balances and xlogs exactly — audit passes");
 }

@@ -1,6 +1,6 @@
 //! Peer catch-up after downtime, end to end over real TCP: a replica is
 //! killed, the live quorum settles hundreds of payments it never hears
-//! about, and the restart path's reconfig/state-transfer handshake
+//! about, and the restart path's catch-up state-transfer handshake
 //! brings it back to byte-identical balances — with **zero client
 //! resubmissions**. Covers Astro I and Astro II, durable (recover local
 //! `snapshot + WAL`, fetch only the delta) and non-durable (restart
@@ -17,7 +17,7 @@
 use astro_core::astro1::{Astro1Config, Astro1Msg, AstroOneReplica};
 use astro_core::astro2::{Astro2Config, AstroTwoReplica, CreditMode};
 use astro_core::journal::{Astro1State, Astro2State};
-use astro_core::reconfig::{ReconfigMsg, SyncError};
+use astro_core::sync::{SyncError, SyncMsg};
 use astro_core::testkit::PaymentCluster;
 use astro_core::Replica;
 use astro_core::{CoreObs, ReplicaStep};
@@ -361,7 +361,7 @@ fn concurrent_restarts_fall_back_to_local_state_and_stay_live() {
 fn chunked_catchup_completes_under_sustained_settlement_load() {
     // The victim misses enough history to push client 1's xlog past one
     // full sync block (512 entries), so its catch-up must certify a
-    // sealed `SyncBlock` alongside the head. The live quorum keeps
+    // sealed `SyncMsg::Block` alongside the head. The live quorum keeps
     // settling new payments *while* the transfer runs: donor heads drift
     // between serves, but certified blocks are immutable and survive
     // head retries, so the transfer converges without a quiet moment and
@@ -444,15 +444,15 @@ fn settled_cluster() -> (PaymentCluster<AstroOneReplica>, Astro1State) {
     (c, early)
 }
 
-/// A `SyncState` (head) response as replica `from` would serve it. The
+/// A `SyncMsg::Head` response as replica `from` would serve it. The
 /// settled history here is far below one block, so the head carries the
-/// whole state and no `SyncBlock` frames accompany it.
+/// whole state and no `SyncMsg::Block` frames accompany it.
 fn response_from(c: &PaymentCluster<AstroOneReplica>, from: usize) -> Astro1Msg {
     let (head, blocks) = c.node(from).sync_chunks(ReplicaId(3)).expect("head within bounds");
     assert!(blocks.is_empty(), "short histories must not seal blocks");
-    Astro1Msg::Sync(ReconfigMsg::SyncState {
+    Astro1Msg::Sync(SyncMsg::Head {
         settled: c.node(from).ledger().total_settled() as u64,
-        state: head.to_wire_bytes(),
+        head: head.to_wire_bytes(),
     })
 }
 
@@ -467,7 +467,7 @@ fn byzantine_forged_or_tampered_state_transfer_is_rejected() {
     victim.begin_catchup(None);
 
     // Drive the flush timer past one full retry interval: the first
-    // flush sends the initial SyncRequest, and once the tick budget
+    // flush sends the initial request, and once the tick budget
     // drains a re-request goes out — which the retry counter must see.
     let mut requests = 0usize;
     for _ in 0..40 {
@@ -503,9 +503,9 @@ fn byzantine_forged_or_tampered_state_transfer_is_rejected() {
             *balance = Amount(1_000_000);
         }
     }
-    let forged = Astro1Msg::Sync(ReconfigMsg::SyncState {
+    let forged = Astro1Msg::Sync(SyncMsg::Head {
         settled: c.node(0).ledger().total_settled() as u64,
-        state: inflated.to_wire_bytes(),
+        head: inflated.to_wire_bytes(),
     });
     // Variant 2: truncate client 1's xlog (drop the last settle).
     let mut truncated = c.node(0).sync_state(ReplicaId(3));
@@ -514,13 +514,12 @@ fn byzantine_forged_or_tampered_state_transfer_is_rejected() {
             entries.pop();
         }
     }
-    let truncated = Astro1Msg::Sync(ReconfigMsg::SyncState {
+    let truncated = Astro1Msg::Sync(SyncMsg::Head {
         settled: c.node(0).ledger().total_settled() as u64,
-        state: truncated.to_wire_bytes(),
+        head: truncated.to_wire_bytes(),
     });
     // Variant 3: a stale state (below the victim's own settled floor).
-    let stale =
-        Astro1Msg::Sync(ReconfigMsg::SyncState { settled: 1, state: early.to_wire_bytes() });
+    let stale = Astro1Msg::Sync(SyncMsg::Head { settled: 1, head: early.to_wire_bytes() });
 
     // The Byzantine replica spams every variant; none certifies (each
     // needs f+1 = 2 matching members) and nothing installs.
@@ -541,7 +540,7 @@ fn byzantine_forged_or_tampered_state_transfer_is_rejected() {
     );
     assert!(
         snap.counter("core.r3.sync_retries").unwrap_or(0) >= 1,
-        "retry counter must count the re-sent SyncRequest"
+        "retry counter must count the re-sent request"
     );
     assert_eq!(
         snap.counter("core.r3.parked"),
@@ -633,10 +632,8 @@ fn undecodable_certified_bytes_restart_collection() {
     let mut victim = AstroOneReplica::restore(ReplicaId(3), layout, cfg, &early).unwrap();
     victim.begin_catchup(None);
 
-    let garbage = Astro1Msg::Sync(ReconfigMsg::SyncState {
-        settled: 99,
-        state: vec![0xde, 0xad, 0xbe, 0xef],
-    });
+    let garbage =
+        Astro1Msg::Sync(SyncMsg::Head { settled: 99, head: vec![0xde, 0xad, 0xbe, 0xef] });
     victim.handle(ReplicaId(0), garbage.clone());
     victim.handle(ReplicaId(1), garbage);
     assert!(victim.is_syncing(), "undecodable bytes must not activate the replica");

@@ -166,7 +166,7 @@ fn astro2_durable_registry_records_store_and_verify_metrics() {
 fn crash_and_concurrent_restart_move_the_catchup_metrics() {
     // The concurrent-restart storm (3 of 4 replicas down) starves the
     // f+1 donor quorum, so the restarted replicas demonstrably *retry*
-    // their SyncRequests before the fallback budget releases them — the
+    // their catch-up requests before the fallback budget releases them — the
     // scenario the sync_retries counter and the flight recorder exist
     // for.
     let registry = Registry::new();
@@ -203,7 +203,7 @@ fn crash_and_concurrent_restart_move_the_catchup_metrics() {
     // its first request: the retry counters must have moved.
     let retries: u64 =
         (1..4).map(|i| snap.counter(&format!("core.r{i}.sync_retries")).unwrap_or(0)).sum();
-    assert!(retries >= 1, "a donor-starved catch-up must re-send its SyncRequest");
+    assert!(retries >= 1, "a donor-starved catch-up must re-send its request");
 
     // The flight recorder kept the story: each killed replica logged the
     // simulated power loss, each restarted one its catch-up requests.

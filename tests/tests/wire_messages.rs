@@ -11,7 +11,7 @@ use astro_core::astro1::Astro1Msg;
 use astro_core::astro2::Astro2Msg;
 use astro_core::batch::{Batch, CreditBundle, DepBatch, DepPayment, DependencyCertificate};
 use astro_core::journal::Astro1State;
-use astro_core::reconfig::{ClientRecord, ReconfigMsg, View};
+use astro_core::sync::SyncMsg;
 use astro_types::auth::SimSig;
 use astro_types::wire::{
     decode_exact, peek_frame_len, put_frame, take_frame, Wire, WireError, MAX_FRAME_LEN,
@@ -132,7 +132,7 @@ fn astro2_messages_round_trip() {
         bundle: vec![Payment::new(1u64, 0u64, 2u64, 3u64)],
         sig: sig(0),
     }));
-    round_trip(&Astro2Msg::<SimSig>::Sync(ReconfigMsg::SyncRequest { settled: 7 }));
+    round_trip(&Astro2Msg::<SimSig>::Sync(SyncMsg::Request { settled: 7 }));
     round_trip(&Astro2Msg::<SimSig>::CreditAck {
         digests: vec![[0xab; 32], [0xcd; 32]],
         sig: sig(2),
@@ -160,77 +160,109 @@ fn sync_state_bytes() -> Vec<u8> {
     .to_wire_bytes()
 }
 
-#[test]
-fn reconfig_messages_round_trip_every_variant() {
-    let view = View { number: 3, members: vec![ReplicaId(0), ReplicaId(1), ReplicaId(2)] };
-    let msgs: Vec<ReconfigMsg<SimSig>> = vec![
-        ReconfigMsg::Join,
-        ReconfigMsg::ViewProposal { view: view.clone(), sig: sig(1) },
-        ReconfigMsg::StateTransfer {
-            view_number: 3,
-            records: vec![ClientRecord {
-                payments: vec![Payment::new(1u64, 0u64, 2u64, 30u64)],
-                balance: astro_types::Amount(70),
-                owner: astro_types::ClientId(1),
-            }],
+/// One of each catch-up message.
+fn sync_messages() -> [SyncMsg; 3] {
+    [
+        SyncMsg::Request { settled: 42 },
+        SyncMsg::Head { settled: 99, head: sync_state_bytes() },
+        SyncMsg::Block {
+            client: astro_types::ClientId(5),
+            block: 2,
+            data: vec![Payment::new(5u64, 0u64, 1u64, 9u64)].to_wire_bytes(),
         },
-        ReconfigMsg::SyncRequest { settled: 42 },
-        ReconfigMsg::SyncState { settled: 99, state: sync_state_bytes() },
-    ];
-    for msg in &msgs {
-        round_trip(msg);
+    ]
+}
+
+#[test]
+fn sync_messages_round_trip_every_variant() {
+    for msg in sync_messages() {
+        round_trip(&msg);
+        round_trip(&Astro1Msg::Sync(msg.clone()));
+        round_trip(&Astro2Msg::<SimSig>::Sync(msg));
     }
-    // The Astro I instantiation (unit signature) and its top-level enum.
-    round_trip(&Astro1Msg::Sync(ReconfigMsg::SyncRequest { settled: 7 }));
-    round_trip(&Astro1Msg::Sync(ReconfigMsg::SyncState { settled: 9, state: sync_state_bytes() }));
     round_trip(&Astro1Msg::Brb(BrachaMsg::Prepare {
         id: InstanceId { source: 1, tag: 2 },
         payload: batch(),
     }));
 }
 
+/// Catch-up bytes are pinned: bare, and as the Astro I and Astro II
+/// envelopes carry them (tag 1 and tag 2).
+#[test]
+fn sync_message_bytes_are_pinned() {
+    let hex = |bytes: &[u8]| bytes.iter().map(|b| format!("{b:02x}")).collect::<String>();
+    let cases = [
+        (SyncMsg::Request { settled: 42 }, "032a00000000000000"),
+        (
+            SyncMsg::Head { settled: 43, head: vec![1, 2, 3, 4] },
+            "042b000000000000000400000001020304",
+        ),
+        (
+            SyncMsg::Block { client: astro_types::ClientId(5), block: 2, data: vec![9, 9, 9] },
+            "050500000000000000020000000000000003000000090909",
+        ),
+    ];
+    for (msg, bare) in cases {
+        assert_eq!(hex(&msg.to_wire_bytes()), bare);
+        assert_eq!(hex(&Astro1Msg::Sync(msg.clone()).to_wire_bytes()), format!("01{bare}"));
+        assert_eq!(hex(&Astro2Msg::<SimSig>::Sync(msg).to_wire_bytes()), format!("02{bare}"));
+    }
+}
+
 #[test]
 fn sync_messages_survive_framing_and_reject_truncation() {
-    let msg = Astro1Msg::Sync(ReconfigMsg::SyncState { settled: 8, state: sync_state_bytes() });
-    let payload = msg.to_wire_bytes();
-    // Through the transport framing intact.
-    let mut framed = Vec::new();
-    put_frame(&mut framed, &payload);
-    let mut slice = framed.as_slice();
-    let inner = take_frame(&mut slice).unwrap();
-    assert_eq!(decode_exact::<Astro1Msg>(inner).unwrap(), msg);
-    // Every strict prefix errors (or at worst yields a shorter valid
-    // value for container types) — never a panic.
-    for cut in 0..payload.len() {
-        let mut slice = &payload[..cut];
-        let _ = Astro1Msg::decode(&mut slice);
-        let mut slice = &payload[..cut];
-        let _ = Astro2Msg::<SimSig>::decode(&mut slice);
-        let mut slice = &payload[..cut];
-        let _ = ReconfigMsg::<SimSig>::decode(&mut slice);
+    for msg in sync_messages() {
+        let msg = Astro1Msg::Sync(msg);
+        let payload = msg.to_wire_bytes();
+        // Through the transport framing intact.
+        let mut framed = Vec::new();
+        put_frame(&mut framed, &payload);
+        let mut slice = framed.as_slice();
+        let inner = take_frame(&mut slice).unwrap();
+        assert_eq!(decode_exact::<Astro1Msg>(inner).unwrap(), msg);
+        // Every strict prefix errors (or at worst yields a shorter valid
+        // value for container types) — never a panic.
+        for cut in 0..payload.len() {
+            let mut slice = &payload[..cut];
+            let _ = Astro1Msg::decode(&mut slice);
+            let mut slice = &payload[..cut];
+            let _ = Astro2Msg::<SimSig>::decode(&mut slice);
+            let mut slice = &payload[..cut];
+            let _ = SyncMsg::decode(&mut slice);
+        }
+        // A trailing byte is rejected outright.
+        let mut padded = payload.clone();
+        padded.push(0);
+        assert!(decode_exact::<Astro1Msg>(&padded).is_err());
+        // Unknown tags at both enum levels — among them 0, 1 and 2, which
+        // no catch-up message uses.
+        let mut bad_outer = payload.clone();
+        bad_outer[0] = 0x66;
+        assert!(matches!(decode_exact::<Astro1Msg>(&bad_outer), Err(WireError::InvalidValue(_))));
+        for tag in [0, 1, 2, 0x77] {
+            let mut bad_inner = payload.clone();
+            bad_inner[1] = tag;
+            assert!(matches!(
+                decode_exact::<Astro1Msg>(&bad_inner),
+                Err(WireError::InvalidValue(_))
+            ));
+            assert!(matches!(
+                decode_exact::<SyncMsg>(&bad_inner[1..]),
+                Err(WireError::InvalidValue(_))
+            ));
+        }
     }
-    // A trailing byte is rejected outright.
-    let mut padded = payload.clone();
-    padded.push(0);
-    assert!(decode_exact::<Astro1Msg>(&padded).is_err());
-    // Unknown tags at both enum levels.
-    let mut bad_outer = payload.clone();
-    bad_outer[0] = 0x66;
-    assert!(matches!(decode_exact::<Astro1Msg>(&bad_outer), Err(WireError::InvalidValue(_))));
-    let mut bad_inner = payload;
-    bad_inner[1] = 0x77;
-    assert!(matches!(decode_exact::<Astro1Msg>(&bad_inner), Err(WireError::InvalidValue(_))));
 }
 
 #[test]
 fn oversized_sync_state_is_rejected_before_allocation() {
-    // A Byzantine peer advertising a sync state larger than the sequence
+    // A Byzantine peer advertising a sync head larger than the sequence
     // bound must be rejected at the length prefix, before any allocation
-    // proportional to the claim. Tag 4 = SyncState, settled, then the
-    // Vec<u8> length prefix.
+    // proportional to the claim. Tag 4 = Head, settled, then the Vec<u8>
+    // length prefix.
     let mut bytes = Vec::new();
     bytes.push(1u8); // Astro1Msg::Sync
-    bytes.push(4u8); // ReconfigMsg::SyncState
+    bytes.push(4u8); // SyncMsg::Head
     0u64.encode(&mut bytes); // settled
     u32::MAX.encode(&mut bytes); // absurd state length
     bytes.extend_from_slice(&[0u8; 64]);
@@ -272,6 +304,7 @@ fn truncation_of_any_message_errors_cleanly() {
             .to_wire_bytes(),
         Astro2Msg::<SimSig>::Credit(CreditBundle { bundle: vec![], sig: sig(1) }).to_wire_bytes(),
         Astro2Msg::<SimSig>::CreditAck { digests: vec![[3; 32]], sig: sig(2) }.to_wire_bytes(),
+        Astro2Msg::<SimSig>::Sync(sync_messages()[2].clone()).to_wire_bytes(),
         PbftMsg::PrePrepare { view: 0, seq: 1, batch: batch() }.to_wire_bytes(),
     ];
     for bytes in encodings {
