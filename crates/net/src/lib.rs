@@ -17,7 +17,8 @@
 //!   [`astro_types::wire`] codec, an HMAC handshake deriving per-direction
 //!   session keys from the per-replica [`Keychain`](astro_types::Keychain)
 //!   (paper §III's pre-distributed key material), per-message MACs with
-//!   strict sequence numbers, and reconnect-on-drop.
+//!   strict sequence numbers, and reconnect-on-drop. An endpoint does all
+//!   of its link I/O on the thread that calls it (see [`tcp`]).
 //!
 //! Byte payloads, not typed messages, cross the transport: callers encode
 //! with [`astro_types::wire::Wire`] and decode on receipt, so a Byzantine
@@ -48,6 +49,7 @@
 
 #![warn(missing_docs)]
 
+mod frames;
 pub mod inproc;
 pub mod session;
 pub mod tcp;
@@ -62,9 +64,10 @@ use std::time::Duration;
 /// A received message body.
 ///
 /// Shared, immutable bytes: a broadcast is encoded **once** and fanned out
-/// by reference-count bump (`InProcTransport`), and received TCP frames
-/// are handed to the caller without a mandatory copy. Derefs to `&[u8]`
-/// wherever a slice is expected.
+/// by reference-count bump (`InProcTransport`). A received TCP frame is
+/// authenticated in place in its link's reassembly buffer and its payload
+/// copied out once, into its own `Payload`. Derefs to `&[u8]` wherever a
+/// slice is expected.
 pub type Payload = Arc<[u8]>;
 
 /// Errors produced by transports.
@@ -152,6 +155,12 @@ pub trait Endpoint: Send + 'static {
     fn broadcast(&mut self, payload: &[u8]) -> Result<(), NetError>;
 
     /// Waits up to `timeout` for the next message; `Ok(None)` on timeout.
+    ///
+    /// This is where a [`TcpEndpoint`] performs its I/O: it reads its
+    /// sockets, authenticates frames, adopts reconnected links and notices
+    /// dead ones only while its caller is inside this method (or flushing
+    /// in [`send`](Endpoint::send) / [`uncork`](Endpoint::uncork)). A
+    /// caller that stops calling it stops draining its peers' sockets.
     ///
     /// # Errors
     ///

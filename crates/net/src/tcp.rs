@@ -7,13 +7,42 @@
 //! every frame is `len || seq || payload || tag` (framing from
 //! [`astro_types::wire`], MAC from the session layer).
 //!
-//! Failure handling: a broken connection tears the link down; the dialer
-//! side re-dials on the next send, the acceptor side keeps its listener
-//! open and installs whatever authenticated replacement arrives. Messages
-//! in flight during the outage are lost — exactly the fair-loss link the
-//! BRB layer is designed to tolerate (quorums mask a disconnected
-//! minority; a reconnected replica rejoins the broadcast flow).
+//! # Threads
+//!
+//! A [`TcpEndpoint`] does all link I/O on its caller's thread — in a
+//! cluster, the replica driver. Its sockets are non-blocking:
+//!
+//! - `send` / `broadcast` seal frames into a per-link buffer; `uncork`, an
+//!   uncorked `send`, or a corked buffer past 256 KiB writes it, one
+//!   `write(2)` per link when the socket has room.
+//! - `recv_timeout` returns a staged message if one is waiting; otherwise
+//!   it reads every socket without blocking, opens each complete frame in
+//!   place (MAC and sequence checked before it is staged) and stages it.
+//!   Only when nothing is staged does it block, in **one** `poll(2)` over
+//!   every link plus a wake socket, until the timeout.
+//! - A flush the kernel cannot take in full waits in that same `poll` for
+//!   writability and keeps reading every link meanwhile, so two endpoints
+//!   flushing to each other with full socket buffers both make progress.
+//!   A link that accepts no byte for 2 s is torn down.
+//!
+//! Two background threads per endpoint only handshake and dial: the
+//! acceptor (one short-lived thread per inbound handshake) and the
+//! maintenance pass that re-dials dead links. Each hands an authenticated
+//! connection to the endpoint through an adoption queue and writes one
+//! byte to the wake socket, so a `recv_timeout` already blocked in `poll`
+//! adopts the new link within the same call.
+//!
+//! Failure handling: a broken connection tears the link down when the
+//! endpoint is driven — its next `recv_timeout` reads the EOF, or its
+//! next `send` fails to write. The dialer side then re-dials (on that
+//! send, or from the maintenance pass), the acceptor side keeps its
+//! listener open and installs whatever authenticated replacement arrives.
+//! Messages in flight during the outage are lost — exactly the fair-loss
+//! link the BRB layer is designed to tolerate (quorums mask a
+//! disconnected minority; a reconnected replica rejoins the broadcast
+//! flow).
 
+use crate::frames::FrameReader;
 use crate::session::{
     make_ack, make_confirm, make_hello, session_pair, verify_ack, verify_confirm, verify_hello,
     RecvSession, SendSession, ACK_LEN, CONFIRM_LEN, HELLO_LEN,
@@ -22,10 +51,13 @@ use crate::{Endpoint, NetError, Payload, Transport};
 use astro_obs::{Counter, FlightRecorder, Histogram, Registry};
 use astro_types::wire::{peek_frame_len, put_frame, Wire, MAX_FRAME_LEN};
 use astro_types::{Keychain, ReplicaId};
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
-use std::io::{Read, Write};
+use std::collections::VecDeque;
+use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::os::fd::AsRawFd;
+use std::os::raw::{c_int, c_short};
+use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
@@ -35,10 +67,9 @@ type Packet = (ReplicaId, Payload);
 /// How long a handshake leg may block before the connection is dropped.
 const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(2);
 
-/// Socket write timeout (`SO_SNDTIMEO`) for every established connection:
-/// a peer that completes the handshake but stops reading turns `write_all`
-/// into an error after this long, instead of blocking the caller (which
-/// holds the link mutex) indefinitely.
+/// How long a flush waits on a link that accepts no byte before tearing
+/// it down: a peer that completes the handshake but stops reading costs
+/// its own link, never an indefinite stall of the endpoint's thread.
 const WRITE_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// Minimum spacing between redial attempts to one peer. Sends to a down
@@ -60,6 +91,92 @@ const ACCEPT_RETRY_DELAY: Duration = Duration::from_millis(50);
 /// flushed inline — bounds memory under pathological bursts.
 const CORK_FLUSH_THRESHOLD: usize = 256 << 10;
 
+/// Most bytes one pass takes from one link (a pass stops earlier at the
+/// first read that leaves the buffer short of full). Bounded so a peer
+/// streaming faster than we consume cannot hold the endpoint in one
+/// link's read loop while its own flushes wait.
+const READ_BUDGET: usize = 256 << 10;
+
+/// `struct pollfd` from `<poll.h>`.
+#[repr(C)]
+struct PollFd {
+    fd: c_int,
+    events: c_short,
+    revents: c_short,
+}
+
+const POLLIN: c_short = 0x001;
+const POLLOUT: c_short = 0x004;
+const POLLERR: c_short = 0x008;
+const POLLHUP: c_short = 0x010;
+
+/// The C library's `poll(2)` family (std already links it). Linux gets
+/// `ppoll`, whose nanosecond timeout keeps a caller's sub-millisecond
+/// timer deadlines; elsewhere `poll` waits whole milliseconds, rounded up
+/// so a short wait never spins.
+#[cfg(target_os = "linux")]
+mod sys {
+    use super::PollFd;
+    use std::os::raw::{c_int, c_long, c_ulong, c_void};
+    use std::time::Duration;
+
+    /// `struct timespec` on 64-bit Linux.
+    #[repr(C)]
+    struct Timespec {
+        tv_sec: c_long,
+        tv_nsec: c_long,
+    }
+
+    extern "C" {
+        fn ppoll(
+            fds: *mut PollFd,
+            nfds: c_ulong,
+            timeout: *const Timespec,
+            sigmask: *const c_void,
+        ) -> c_int;
+    }
+
+    pub(super) fn poll(fds: &mut [PollFd], timeout: Duration) -> c_int {
+        let timeout = Timespec {
+            tv_sec: timeout.as_secs().min(c_long::MAX as u64) as c_long,
+            tv_nsec: timeout.subsec_nanos() as c_long,
+        };
+        // SAFETY: `fds` is an exclusively borrowed, initialised array of
+        // `fds.len()` `pollfd` records and `timeout` a valid `timespec`,
+        // both outliving the call; a null signal mask leaves it unchanged.
+        unsafe { ppoll(fds.as_mut_ptr(), fds.len() as c_ulong, &timeout, std::ptr::null()) }
+    }
+}
+
+#[cfg(not(target_os = "linux"))]
+mod sys {
+    use super::PollFd;
+    use std::os::raw::{c_int, c_uint};
+    use std::time::Duration;
+
+    extern "C" {
+        fn poll(fds: *mut PollFd, nfds: c_uint, timeout: c_int) -> c_int;
+    }
+
+    pub(super) fn poll(fds: &mut [PollFd], timeout: Duration) -> c_int {
+        let ms = timeout.as_nanos().div_ceil(1_000_000).min(c_int::MAX as u128) as c_int;
+        // SAFETY: `fds` is an exclusively borrowed, initialised array of
+        // `fds.len()` `pollfd` records that outlives the call.
+        unsafe { poll(fds.as_mut_ptr(), fds.len() as c_uint, ms) }
+    }
+}
+
+/// Waits up to `timeout` for an event on any of `fds` (entries with a
+/// negative fd are ignored); an interrupted or failed call reports no
+/// events.
+fn poll_fds(fds: &mut [PollFd], timeout: Duration) {
+    if sys::poll(fds, timeout) < 0 {
+        for fd in fds {
+            fd.revents = 0;
+        }
+    }
+}
+
 /// Per-ordered-link traffic counters (`net.r{me}.to_r{peer}.*` /
 /// `net.r{me}.from_r{peer}.*`).
 struct LinkMetrics {
@@ -75,10 +192,10 @@ struct LinkMetrics {
 
 /// Metric handles one TCP endpoint records into once a registry is
 /// attached. Resolved eagerly for every peer so the hot paths index an
-/// array; reader threads observe the attach through a `OnceLock`.
+/// array; the handshake threads observe the attach through a `OnceLock`.
 struct NetMetrics {
     links: Vec<LinkMetrics>,
-    /// Latency of one `write(2)` on the send path (one per link flush).
+    /// Latency of one `write(2)` on the send path.
     write_nanos: Histogram,
     /// Bytes per link flush: a cork window's frames, or one uncorked
     /// frame.
@@ -142,23 +259,45 @@ impl NetMetrics {
     }
 }
 
-/// One live, authenticated connection's write half.
-struct LinkWriter {
+/// A freshly handshaken connection: the socket (already non-blocking)
+/// and both session halves.
+struct Conn {
     stream: TcpStream,
-    session: SendSession,
+    tx: SendSession,
+    rx: RecvSession,
 }
 
-/// Per-peer link state. `generation` lets a stale reader thread detect
-/// that the link it was serving has already been replaced;
-/// `next_dial_at` rate-limits dialer-side reconnection attempts.
-struct LinkState {
-    writer: Option<LinkWriter>,
+/// An authenticated connection on its way from a handshake thread to the
+/// endpoint. Generations number one peer's connections in hand-over
+/// order.
+struct Handover {
+    peer: usize,
     generation: u64,
-    next_dial_at: Option<Instant>,
+    conn: Conn,
 }
 
+/// What the handshake threads and the endpoint share about one peer's
+/// link.
 struct LinkSlot {
-    state: Mutex<LinkState>,
+    /// Generation of the newest connection handed to the endpoint.
+    handed: AtomicU64,
+    /// Highest generation the endpoint has torn down.
+    dead: AtomicU64,
+    /// Rate-limits dialer-side reconnection attempts.
+    next_dial_at: Mutex<Option<Instant>>,
+}
+
+impl LinkSlot {
+    /// True while an authenticated connection is live or waiting to be
+    /// adopted.
+    fn up(&self) -> bool {
+        self.dead.load(Ordering::Acquire) < self.handed.load(Ordering::Acquire)
+    }
+
+    /// True inside the redial cooldown.
+    fn cooling_down(&self) -> bool {
+        self.next_dial_at.lock().is_some_and(|at| Instant::now() < at)
+    }
 }
 
 struct Shared {
@@ -166,11 +305,17 @@ struct Shared {
     n: usize,
     peer_addrs: Vec<Option<SocketAddr>>,
     links: Vec<LinkSlot>,
-    // `Sender` is Send but not Sync; reader threads clone one out.
-    inbox_tx: Mutex<Sender<Packet>>,
+    /// Connections handshaken but not yet adopted, in hand-over order.
+    handovers: Mutex<Vec<Handover>>,
+    /// Set with every hand-over: the endpoint's lock-free "anything to
+    /// adopt?" check.
+    handed_over: AtomicBool,
+    /// Write end of the endpoint's wake socket (non-blocking: a full wake
+    /// buffer already guarantees a wake-up).
+    wake: UnixStream,
     shutdown: AtomicBool,
-    /// Set once by `attach_registry`; reader/maintenance threads observe
-    /// it lock-free mid-flight.
+    /// Set once by `attach_registry`; the handshake threads observe it
+    /// lock-free mid-flight.
     metrics: OnceLock<NetMetrics>,
 }
 
@@ -183,105 +328,34 @@ impl Shared {
         self.me().0 < peer.0
     }
 
-    /// Installs an authenticated connection and spawns its reader.
-    fn install_link(
-        &self,
-        self_arc: &Arc<Shared>,
-        peer: ReplicaId,
-        writer: LinkWriter,
-        rx: RecvSession,
-    ) {
-        let read_stream = match writer.stream.try_clone() {
-            Ok(s) => s,
-            Err(_) => return,
-        };
-        let generation = {
-            let mut state = self.links[peer.0 as usize].state.lock();
-            if let Some(old) = state.writer.take() {
-                let _ = old.stream.shutdown(Shutdown::Both);
-            }
-            state.generation += 1;
-            state.writer = Some(writer);
-            state.generation
-        };
-        let shared = Arc::clone(self_arc);
-        let inbox = self.inbox_tx.lock().clone();
-        std::thread::spawn(move || {
-            reader_main(&shared, peer, generation, read_stream, rx, &inbox);
-        });
-    }
-
-    /// Clears the link if `generation` still names the active connection.
-    fn teardown_link(&self, peer: ReplicaId, generation: u64) {
-        let mut state = self.links[peer.0 as usize].state.lock();
-        if state.generation == generation {
-            if let Some(writer) = state.writer.take() {
-                let _ = writer.stream.shutdown(Shutdown::Both);
-            }
+    /// Queues an authenticated connection for the endpoint to adopt and
+    /// wakes it. After shutdown the connection is closed instead.
+    fn hand_over(&self, peer: ReplicaId, conn: Conn) {
+        let mut queue = self.handovers.lock();
+        if self.shutdown.load(Ordering::Relaxed) {
+            let _ = conn.stream.shutdown(Shutdown::Both);
+            return;
         }
+        let peer = peer.0 as usize;
+        let generation = self.links[peer].handed.fetch_add(1, Ordering::AcqRel) + 1;
+        queue.push(Handover { peer, generation, conn });
+        self.handed_over.store(true, Ordering::Release);
+        drop(queue);
+        let _ = (&self.wake).write(&[1]);
     }
 
-    /// Stops the endpoint: raises the shutdown flag, pokes the listener so
-    /// the acceptor thread observes it (its `accept()` blocks otherwise),
-    /// and severs every live link. Called from `Drop` and from the
-    /// `establish` failure path — both must release the listener thread
-    /// and its port.
+    /// Stops the endpoint's threads: raises the shutdown flag, pokes the
+    /// listener so the acceptor thread observes it (its `accept()` blocks
+    /// otherwise), and closes every connection not yet adopted. Called
+    /// from `Drop` and from the `establish` failure path — both must
+    /// release the listener thread and its port.
     fn shut_down(&self, listen_addr: SocketAddr) {
         self.shutdown.store(true, Ordering::Relaxed);
         let _ = TcpStream::connect_timeout(&listen_addr, Duration::from_millis(200));
-        for slot in &self.links {
-            let mut state = slot.state.lock();
-            if let Some(writer) = state.writer.take() {
-                let _ = writer.stream.shutdown(Shutdown::Both);
-            }
+        for h in self.handovers.lock().drain(..) {
+            let _ = h.conn.stream.shutdown(Shutdown::Both);
         }
     }
-}
-
-/// Reads length-prefixed frames from `stream`, authenticates them against
-/// the session, and forwards payloads to the endpoint inbox. Exits (and
-/// tears the link down) on EOF, IO error, or any authentication failure.
-fn reader_main(
-    shared: &Arc<Shared>,
-    peer: ReplicaId,
-    generation: u64,
-    mut stream: TcpStream,
-    mut session: RecvSession,
-    inbox: &Sender<Packet>,
-) {
-    let mut header = [0u8; 4];
-    loop {
-        if shared.shutdown.load(Ordering::Relaxed) {
-            break;
-        }
-        if stream.read_exact(&mut header).is_err() {
-            break;
-        }
-        let len = match peek_frame_len(&header) {
-            Ok(Some(len)) => len,
-            // Oversized frame: Byzantine or corrupted peer; drop the link.
-            _ => break,
-        };
-        let mut sealed = vec![0u8; len];
-        if stream.read_exact(&mut sealed).is_err() {
-            break;
-        }
-        match session.open_ref(&sealed) {
-            Ok(payload) => {
-                if let Some(m) = shared.metrics.get() {
-                    m.links[peer.0 as usize].rx_bytes.add(4 + len as u64);
-                    m.links[peer.0 as usize].rx_frames.inc();
-                }
-                if inbox.send((peer, Payload::from(payload))).is_err() {
-                    break; // endpoint dropped
-                }
-            }
-            // Forged/tampered/replayed traffic: the connection is not
-            // trustworthy anymore.
-            Err(_) => break,
-        }
-    }
-    shared.teardown_link(peer, generation);
 }
 
 fn read_exact_frame(stream: &mut TcpStream, expected_len: usize) -> Result<Vec<u8>, NetError> {
@@ -304,17 +378,19 @@ fn write_frame(stream: &mut TcpStream, payload: &[u8]) -> std::io::Result<()> {
     stream.write_all(&buf)
 }
 
-/// Dials `peer` and runs the dialer leg of the handshake
-/// (HELLO → ACK → CONFIRM).
-fn dial(shared: &Shared, peer: ReplicaId) -> Result<(LinkWriter, RecvSession), NetError> {
-    let addr = shared.peer_addrs[peer.0 as usize].ok_or(NetError::UnknownPeer(peer))?;
-    let mut stream = TcpStream::connect_timeout(&addr, HANDSHAKE_TIMEOUT)?;
+/// Bounds every handshake leg in both directions.
+fn handshake_timeouts(stream: &TcpStream) -> std::io::Result<()> {
     stream.set_nodelay(true)?;
     stream.set_read_timeout(Some(HANDSHAKE_TIMEOUT))?;
-    // A bounded write timeout for the connection's whole life: a peer
-    // that stops draining its socket turns writes into errors (and the
-    // link into a teardown) instead of wedging the writer thread.
-    stream.set_write_timeout(Some(WRITE_TIMEOUT))?;
+    stream.set_write_timeout(Some(HANDSHAKE_TIMEOUT))
+}
+
+/// Dials `peer` and runs the dialer leg of the handshake
+/// (HELLO → ACK → CONFIRM).
+fn dial(shared: &Shared, peer: ReplicaId) -> Result<Conn, NetError> {
+    let addr = shared.peer_addrs[peer.0 as usize].ok_or(NetError::UnknownPeer(peer))?;
+    let mut stream = TcpStream::connect_timeout(&addr, HANDSHAKE_TIMEOUT)?;
+    handshake_timeouts(&stream)?;
     let (hello, nonce_d) = make_hello(&shared.keychain, peer);
     write_frame(&mut stream, &hello)?;
     let ack = read_exact_frame(&mut stream, ACK_LEN)?;
@@ -322,19 +398,14 @@ fn dial(shared: &Shared, peer: ReplicaId) -> Result<(LinkWriter, RecvSession), N
         .map_err(|_| NetError::Handshake { peer: Some(peer), reason: "ack rejected" })?;
     let confirm = make_confirm(&shared.keychain, peer, &nonce_d, &nonce_a);
     write_frame(&mut stream, &confirm)?;
-    stream.set_read_timeout(None)?;
+    stream.set_nonblocking(true)?;
     let (tx, rx) = session_pair(&shared.keychain, peer, shared.me(), &nonce_d, &nonce_a);
-    Ok((LinkWriter { stream, session: tx }, rx))
+    Ok(Conn { stream, tx, rx })
 }
 
 /// Accept-side handshake on a fresh connection.
-fn accept_handshake(
-    shared: &Shared,
-    mut stream: TcpStream,
-) -> Result<(ReplicaId, LinkWriter, RecvSession), NetError> {
-    stream.set_nodelay(true)?;
-    stream.set_read_timeout(Some(HANDSHAKE_TIMEOUT))?;
-    stream.set_write_timeout(Some(WRITE_TIMEOUT))?;
+fn accept_handshake(shared: &Shared, mut stream: TcpStream) -> Result<(ReplicaId, Conn), NetError> {
+    handshake_timeouts(&stream)?;
     let hello = read_exact_frame(&mut stream, HELLO_LEN)?;
     let (from, nonce_d) = verify_hello(&shared.keychain, &hello)
         .map_err(|_| NetError::Handshake { peer: None, reason: "hello rejected" })?;
@@ -352,9 +423,9 @@ fn accept_handshake(
     let confirm = read_exact_frame(&mut stream, CONFIRM_LEN)?;
     verify_confirm(&shared.keychain, from, &nonce_d, &nonce_a, &confirm)
         .map_err(|_| NetError::Handshake { peer: Some(from), reason: "confirm rejected" })?;
-    stream.set_read_timeout(None)?;
+    stream.set_nonblocking(true)?;
     let (tx, rx) = session_pair(&shared.keychain, from, from, &nonce_d, &nonce_a);
-    Ok((from, LinkWriter { stream, session: tx }, rx))
+    Ok((from, Conn { stream, tx, rx }))
 }
 
 /// How often the maintenance pass re-dials dead links this endpoint is
@@ -378,19 +449,16 @@ fn maintenance_main(shared: Arc<Shared>) {
         }
         for i in 0..shared.n {
             let peer = ReplicaId(i as u32);
-            if !shared.is_dialer_for(peer) || shared.peer_addrs[i].is_none() {
+            let slot = &shared.links[i];
+            if !shared.is_dialer_for(peer)
+                || shared.peer_addrs[i].is_none()
+                || slot.up()
+                || slot.cooling_down()
+            {
                 continue;
             }
-            {
-                let state = shared.links[i].state.lock();
-                if state.writer.is_some()
-                    || state.next_dial_at.is_some_and(|at| Instant::now() < at)
-                {
-                    continue;
-                }
-            }
             let attempt = dial(&shared, peer);
-            shared.links[i].state.lock().next_dial_at = Some(Instant::now() + REDIAL_COOLDOWN);
+            *slot.next_dial_at.lock() = Some(Instant::now() + REDIAL_COOLDOWN);
             if let Some(m) = shared.metrics.get() {
                 m.redials.inc();
                 match &attempt {
@@ -403,8 +471,8 @@ fn maintenance_main(shared: Arc<Shared>) {
                     }
                 }
             }
-            if let Ok((writer, rx)) = attempt {
-                shared.install_link(&shared, peer, writer, rx);
+            if let Ok(conn) = attempt {
+                shared.hand_over(peer, conn);
             }
             if shared.shutdown.load(Ordering::Relaxed) {
                 break;
@@ -430,7 +498,7 @@ fn acceptor_main(shared: Arc<Shared>, listener: TcpListener) {
         // timeout fires, never the accept loop.
         let shared = Arc::clone(&shared);
         std::thread::spawn(move || match accept_handshake(&shared, stream) {
-            Ok((from, writer, rx)) => shared.install_link(&shared, from, writer, rx),
+            Ok((from, conn)) => shared.hand_over(from, conn),
             Err(_) => {
                 if let Some(m) = shared.metrics.get() {
                     m.handshake_failures.inc();
@@ -441,31 +509,43 @@ fn acceptor_main(shared: Arc<Shared>, listener: TcpListener) {
     }
 }
 
+/// One live link, owned by the endpoint.
+struct Link {
+    stream: TcpStream,
+    generation: u64,
+    tx: SendSession,
+    rx: FrameReader,
+    /// Sealed frames not yet written: `out[sent..]`. Frames sealed under
+    /// this connection's session die with it (fair-loss link).
+    out: Vec<u8>,
+    sent: usize,
+    /// While a flush waits on this link: when it last accepted a byte.
+    stalled_since: Option<Instant>,
+}
+
 /// One replica's TCP endpoint.
 ///
 /// Created directly with [`TcpEndpoint::establish`] (one call per OS
 /// process) or in bulk with [`TcpTransport::loopback`] (single-process
-/// clusters and tests).
+/// clusters and tests). All link I/O happens on the thread that calls
+/// it; see the [module docs](self).
 pub struct TcpEndpoint {
     shared: Arc<Shared>,
-    inbox: Receiver<Packet>,
-    /// This endpoint's own handle on its inbox, for self-addressed sends.
-    loopback: Sender<Packet>,
     listen_addr: SocketAddr,
-    /// When set, sends leave their frames in `pending` per link and
+    /// Live links by peer index (`None`: down, or the local slot).
+    links: Vec<Option<Link>>,
+    /// Authenticated inbound and self-addressed messages, in arrival
+    /// order.
+    staged: VecDeque<Packet>,
+    /// Read end of the wake socket the handshake threads write to.
+    wake: UnixStream,
+    /// When set, sends leave their frames in the link's buffer and
     /// `uncork` writes each link's run of frames with one syscall;
     /// otherwise every send writes its frame at once.
     corked: bool,
-    pending: Vec<PendingBuf>,
-}
-
-/// Frames coalesced for one link while corked. `generation` records the
-/// link incarnation the frames were sealed under: if the connection was
-/// replaced in between, the frames carry a dead session's MACs and are
-/// dropped instead of poisoning the new session (fair-loss link).
-struct PendingBuf {
-    buf: Vec<u8>,
-    generation: u64,
+    /// Poll set scratch: the wake socket, then one entry per peer (fd -1
+    /// while the link is down).
+    fds: Vec<PollFd>,
 }
 
 impl std::fmt::Debug for TcpEndpoint {
@@ -507,22 +587,24 @@ impl TcpEndpoint {
             });
         }
         let me = keychain.id();
-        let (inbox_tx, inbox) = unbounded();
         let listen_addr = listener.local_addr()?;
+        let (wake, wake_tx) = UnixStream::pair()?;
+        wake.set_nonblocking(true)?;
+        wake_tx.set_nonblocking(true)?;
         let shared = Arc::new(Shared {
             keychain,
             n,
             peer_addrs,
             links: (0..n)
                 .map(|_| LinkSlot {
-                    state: Mutex::new(LinkState {
-                        writer: None,
-                        generation: 0,
-                        next_dial_at: None,
-                    }),
+                    handed: AtomicU64::new(0),
+                    dead: AtomicU64::new(0),
+                    next_dial_at: Mutex::new(None),
                 })
                 .collect(),
-            inbox_tx: Mutex::new(inbox_tx),
+            handovers: Mutex::new(Vec::new()),
+            handed_over: AtomicBool::new(false),
+            wake: wake_tx,
             shutdown: AtomicBool::new(false),
             metrics: OnceLock::new(),
         });
@@ -547,8 +629,8 @@ impl TcpEndpoint {
             let mut last = None;
             for _ in 0..40 {
                 match dial(&shared, peer) {
-                    Ok((writer, rx)) => {
-                        shared.install_link(&shared, peer, writer, rx);
+                    Ok(conn) => {
+                        shared.hand_over(peer, conn);
                         last = None;
                         break;
                     }
@@ -564,9 +646,17 @@ impl TcpEndpoint {
             }
         }
 
-        let pending = (0..n).map(|_| PendingBuf { buf: Vec::new(), generation: 0 }).collect();
-        let loopback = shared.inbox_tx.lock().clone();
-        Ok(TcpEndpoint { shared, inbox, loopback, listen_addr, corked: false, pending })
+        let mut endpoint = TcpEndpoint {
+            shared,
+            listen_addr,
+            links: (0..n).map(|_| None).collect(),
+            staged: VecDeque::new(),
+            wake,
+            corked: false,
+            fds: Vec::with_capacity(n + 1),
+        };
+        endpoint.adopt();
+        Ok(endpoint)
     }
 
     /// The address the endpoint's listener is bound to.
@@ -574,7 +664,8 @@ impl TcpEndpoint {
         self.listen_addr
     }
 
-    /// Blocks until every link of the mesh is authenticated and up.
+    /// Blocks until every link of the mesh is authenticated and up (live,
+    /// or handed over and adopted on the endpoint's next call).
     ///
     /// # Errors
     ///
@@ -585,7 +676,7 @@ impl TcpEndpoint {
         loop {
             let up = (0..self.shared.n)
                 .filter(|&i| i != self.shared.me().0 as usize)
-                .all(|i| self.shared.links[i].state.lock().writer.is_some());
+                .all(|i| self.shared.links[i].up());
             if up {
                 return Ok(());
             }
@@ -600,76 +691,248 @@ impl TcpEndpoint {
     /// the reconnect path then has to bring the mesh back. Test-only.
     #[doc(hidden)]
     pub fn debug_sever_links(&self) {
-        for slot in &self.shared.links {
-            let mut state = slot.state.lock();
-            if let Some(writer) = state.writer.take() {
-                let _ = writer.stream.shutdown(Shutdown::Both);
-            }
+        for link in self.links.iter().flatten() {
+            let _ = link.stream.shutdown(Shutdown::Both);
         }
     }
 
-    /// Attempts to hand `payload` to the link by appending the sealed
-    /// frame to the link's coalescing buffer, which is flushed at once
-    /// unless corked (or, corked, once it outgrows
-    /// [`CORK_FLUSH_THRESHOLD`]). Returns `false` if the link is down.
-    fn try_send(&mut self, to: ReplicaId, payload: &[u8]) -> Result<bool, NetError> {
-        let metrics = self.shared.metrics.get();
-        let mut state = self.shared.links[to.0 as usize].state.lock();
-        let generation = state.generation;
-        let Some(writer) = state.writer.as_mut() else {
-            return Ok(false);
-        };
-        let pending = &mut self.pending[to.0 as usize];
-        if pending.generation != generation {
-            // Sealed under a session that no longer exists: drop.
-            pending.buf.clear();
-            pending.generation = generation;
+    /// Installs every connection the handshake threads handed over. A
+    /// replacement first drains what the old connection still holds, so
+    /// frames that arrived on it are not lost to the swap.
+    fn adopt(&mut self) {
+        if !self.shared.handed_over.load(Ordering::Acquire)
+            || !self.shared.handed_over.swap(false, Ordering::AcqRel)
+        {
+            return;
         }
-        let before = pending.buf.len();
-        append_frame(&mut writer.session, payload, &mut pending.buf);
-        if let Some(m) = metrics {
-            let link = &m.links[to.0 as usize];
-            link.tx_bytes.add((pending.buf.len() - before) as u64);
-            link.tx_frames.inc();
-        }
-        if self.corked && pending.buf.len() < CORK_FLUSH_THRESHOLD {
-            return Ok(true);
-        }
-        Ok(flush_link(metrics, to.0 as usize, &mut state, pending))
-    }
-}
-
-/// Writes link `i`'s coalesced frames with one `write(2)` if they were
-/// sealed under its live connection (frames of a replaced or vanished
-/// link are dropped — in-flight loss on a broken link, as ever), then
-/// empties the buffer and gives excess capacity back: one 16 MiB frame
-/// must not pin 16 MiB per link for the endpoint's lifetime. Returns
-/// `false` if the write failed; the link is torn down.
-fn flush_link(
-    metrics: Option<&NetMetrics>,
-    i: usize,
-    state: &mut LinkState,
-    pending: &mut PendingBuf,
-) -> bool {
-    let mut ok = true;
-    if state.generation == pending.generation {
-        if let Some(writer) = state.writer.as_mut() {
-            if let Some(m) = metrics {
-                m.flush_bytes.record(pending.buf.len() as u64);
-            }
-            ok = NetMetrics::timed_write(metrics, i, || {
-                writer.stream.write_all(&pending.buf).is_ok()
+        let handovers = std::mem::take(&mut *self.shared.handovers.lock());
+        for Handover { peer, generation, conn } in handovers {
+            self.read_link(peer);
+            self.teardown(peer);
+            self.links[peer] = Some(Link {
+                stream: conn.stream,
+                generation,
+                tx: conn.tx,
+                rx: FrameReader::new(conn.rx),
+                out: Vec::new(),
+                sent: 0,
+                stalled_since: None,
             });
-            if !ok {
-                if let Some(w) = state.writer.take() {
-                    let _ = w.stream.shutdown(Shutdown::Both);
+        }
+    }
+
+    /// Closes link `i` (if up) and tells the maintenance pass it is down.
+    fn teardown(&mut self, i: usize) {
+        if let Some(link) = self.links[i].take() {
+            let _ = link.stream.shutdown(Shutdown::Both);
+            self.shared.links[i].dead.fetch_max(link.generation, Ordering::AcqRel);
+        }
+    }
+
+    /// Reads what link `i`'s socket holds (up to [`READ_BUDGET`]) without
+    /// blocking and stages every complete frame; tears the link down on
+    /// EOF, a socket error, or the first frame that fails authentication
+    /// (frames after it are not delivered).
+    fn read_link(&mut self, i: usize) {
+        let Some(link) = self.links[i].as_mut() else {
+            return;
+        };
+        let peer = ReplicaId(i as u32);
+        let (mut frames, mut bytes) = (0u64, 0u64);
+        let mut budget = READ_BUDGET;
+        let alive = 'read: loop {
+            match link.rx.read_from(&mut link.stream) {
+                Ok(0) => break false,
+                Ok(n) => {
+                    // A read that filled the buffer may have left more in
+                    // the socket; a short one emptied it.
+                    let more = link.rx.is_full() && n < budget;
+                    budget = budget.saturating_sub(n);
+                    loop {
+                        match link.rx.next_payload() {
+                            Ok(Some(payload)) => {
+                                frames += 1;
+                                bytes += (4 + SendSession::sealed_len(payload.len())) as u64;
+                                self.staged.push_back((peer, Payload::from(payload)));
+                            }
+                            Ok(None) => break,
+                            Err(_) => break 'read false,
+                        }
+                    }
+                    if !more {
+                        break true;
+                    }
+                }
+                Err(e) if e.kind() == ErrorKind::WouldBlock => break true,
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(_) => break false,
+            }
+        };
+        if frames > 0 {
+            if let Some(m) = self.shared.metrics.get() {
+                m.links[i].rx_bytes.add(bytes);
+                m.links[i].rx_frames.add(frames);
+            }
+        }
+        if !alive {
+            self.teardown(i);
+        }
+    }
+
+    /// One `poll(2)` over the wake socket and every link, for up to
+    /// `timeout`: readable links are read into the staging queue and
+    /// handed-over connections adopted. Links a flush is waiting on are
+    /// polled for writability too; their events stay in `self.fds`.
+    fn poll_once(&mut self, timeout: Duration) {
+        self.fds.clear();
+        self.fds.push(PollFd { fd: self.wake.as_raw_fd(), events: POLLIN, revents: 0 });
+        for link in &self.links {
+            self.fds.push(match link {
+                Some(l) => PollFd {
+                    fd: l.stream.as_raw_fd(),
+                    events: if l.stalled_since.is_some() { POLLIN | POLLOUT } else { POLLIN },
+                    revents: 0,
+                },
+                None => PollFd { fd: -1, events: 0, revents: 0 },
+            });
+        }
+        poll_fds(&mut self.fds, timeout);
+        if self.fds[0].revents != 0 {
+            let mut sink = [0u8; 64];
+            while matches!((&self.wake).read(&mut sink), Ok(n) if n > 0) {}
+        }
+        for i in 0..self.links.len() {
+            if self.fds[1 + i].revents & (POLLIN | POLLERR | POLLHUP) != 0 {
+                self.read_link(i);
+            }
+        }
+        self.adopt();
+    }
+
+    /// Writes as much of link `i`'s buffered frames as the socket takes
+    /// in one `write(2)`. A partial write leaves the link marked stalled
+    /// for the flush to wait on; an error tears it down (`false`).
+    fn write_link(&mut self, i: usize) -> bool {
+        let metrics = self.shared.metrics.get();
+        let Some(link) = self.links[i].as_mut() else {
+            return true;
+        };
+        while link.sent < link.out.len() {
+            let rest = &link.out[link.sent..];
+            match NetMetrics::timed_write(metrics, i, || (&link.stream).write(rest)) {
+                Ok(n) if n > 0 => {
+                    link.sent += n;
+                    if link.sent == link.out.len() {
+                        // Give excess capacity back: one 16 MiB frame must
+                        // not pin 16 MiB per link for the endpoint's life.
+                        link.out.clear();
+                        link.out.shrink_to(CORK_FLUSH_THRESHOLD);
+                        link.sent = 0;
+                        link.stalled_since = None;
+                    } else {
+                        // A short write means the socket buffer is full.
+                        link.stalled_since = Some(Instant::now());
+                    }
+                    return true;
+                }
+                Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                    link.stalled_since.get_or_insert_with(Instant::now);
+                    return true;
+                }
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                _ => {
+                    self.teardown(i);
+                    return false;
                 }
             }
         }
+        true
     }
-    pending.buf.clear();
-    pending.buf.shrink_to(CORK_FLUSH_THRESHOLD);
-    ok
+
+    /// Writes out link `only`'s buffered frames, or every link's when
+    /// `None`: one `write(2)` per link when the socket has room, else a
+    /// wait in [`poll_once`](Self::poll_once) for writability that keeps
+    /// reading every link. Returns the first targeted link that failed or
+    /// accepted no byte for [`WRITE_TIMEOUT`]; it is torn down and its
+    /// frames are lost, as with any link drop.
+    fn flush(&mut self, only: Option<usize>) -> Result<(), NetError> {
+        let targets = only.map_or(0..self.links.len(), |i| i..i + 1);
+        let mut first_err = None;
+        for i in targets.clone() {
+            let Some(link) = &self.links[i] else { continue };
+            if link.sent == link.out.len() {
+                continue;
+            }
+            if let Some(m) = self.shared.metrics.get() {
+                m.flush_bytes.record((link.out.len() - link.sent) as u64);
+            }
+            if !self.write_link(i) {
+                first_err.get_or_insert(NetError::LinkDown(ReplicaId(i as u32)));
+            }
+        }
+        loop {
+            let now = Instant::now();
+            let mut wait_until: Option<Instant> = None;
+            for i in targets.clone() {
+                let Some(since) = self.links[i].as_ref().and_then(|l| l.stalled_since) else {
+                    continue;
+                };
+                let give_up = since + WRITE_TIMEOUT;
+                if now >= give_up {
+                    if let Some(m) = self.shared.metrics.get() {
+                        m.flight.event("net.write_timeout", i as u64, 0);
+                    }
+                    self.teardown(i);
+                    first_err.get_or_insert(NetError::LinkDown(ReplicaId(i as u32)));
+                } else {
+                    wait_until = Some(wait_until.map_or(give_up, |t| t.min(give_up)));
+                }
+            }
+            let Some(wait_until) = wait_until else { break };
+            self.poll_once(wait_until - now);
+            for i in targets.clone() {
+                let writable = self.fds[1 + i].revents & (POLLOUT | POLLERR | POLLHUP) != 0;
+                let waiting = self.links[i].as_ref().is_some_and(|l| l.stalled_since.is_some());
+                if writable && waiting && !self.write_link(i) {
+                    first_err.get_or_insert(NetError::LinkDown(ReplicaId(i as u32)));
+                }
+            }
+        }
+        match first_err {
+            None => Ok(()),
+            Some(e) => Err(e),
+        }
+    }
+
+    /// Attempts to hand `payload` to link `to` by appending the sealed
+    /// frame to its buffer, which is flushed at once unless corked (or,
+    /// corked, once it outgrows [`CORK_FLUSH_THRESHOLD`]). Returns `false`
+    /// if the link is down or the flush tore it down.
+    fn try_send(&mut self, to: usize, payload: &[u8]) -> bool {
+        let Some(link) = self.links[to].as_mut() else {
+            return false;
+        };
+        let before = link.out.len();
+        append_frame(&mut link.tx, payload, &mut link.out);
+        if let Some(m) = self.shared.metrics.get() {
+            m.links[to].tx_bytes.add((link.out.len() - before) as u64);
+            m.links[to].tx_frames.inc();
+        }
+        if !self.corked {
+            return self.flush(Some(to)).is_ok();
+        }
+        if link.out.len() - link.sent < CORK_FLUSH_THRESHOLD {
+            return true;
+        }
+        // A long corked burst: take in what the peers sent meanwhile too,
+        // so a peer whose own flush waits on us is not held up until our
+        // `uncork`.
+        let flushed = self.flush(Some(to)).is_ok();
+        for i in 0..self.links.len() {
+            self.read_link(i);
+        }
+        flushed
+    }
 }
 
 /// Appends `len || seq || payload || tag` to `out` with no intermediate
@@ -691,33 +954,29 @@ impl Endpoint for TcpEndpoint {
     }
 
     fn send(&mut self, to: ReplicaId, payload: &[u8]) -> Result<(), NetError> {
-        if to.0 as usize >= self.shared.n {
+        let i = to.0 as usize;
+        if i >= self.shared.n {
             return Err(NetError::UnknownPeer(to));
         }
         if to == self.shared.me() {
             // Self-delivery short-circuits the socket layer.
-            let _ = self.loopback.send((to, Payload::from(payload)));
+            self.staged.push_back((to, Payload::from(payload)));
             return Ok(());
         }
-        if self.try_send(to, payload)? {
+        self.adopt();
+        if self.try_send(i, payload) {
             return Ok(());
         }
         // Link down. Never stall the caller waiting for it: a crashed peer
         // must not slow traffic to the live quorum. The dialer side makes
         // at most one cooldown-gated reconnection attempt; the acceptor
         // side reports down and relies on the peer to re-dial.
-        if self.shared.is_dialer_for(to) {
-            {
-                let state = self.shared.links[to.0 as usize].state.lock();
-                if state.next_dial_at.is_some_and(|at| Instant::now() < at) {
-                    return Err(NetError::LinkDown(to));
-                }
-            }
+        let slot = &self.shared.links[i];
+        if self.shared.is_dialer_for(to) && !slot.cooling_down() {
             let attempt = dial(&self.shared, to);
             // Space attempts from *completion*: a connect timeout against a
             // blackholed peer must not make every subsequent send redial.
-            self.shared.links[to.0 as usize].state.lock().next_dial_at =
-                Some(Instant::now() + REDIAL_COOLDOWN);
+            *slot.next_dial_at.lock() = Some(Instant::now() + REDIAL_COOLDOWN);
             if let Some(m) = self.shared.metrics.get() {
                 m.redials.inc();
                 if matches!(&attempt, Err(NetError::Handshake { .. })) {
@@ -725,9 +984,10 @@ impl Endpoint for TcpEndpoint {
                 }
                 m.flight.event("net.send.redial", to.0 as u64, attempt.is_ok() as u64);
             }
-            if let Ok((writer, rx)) = attempt {
-                self.shared.install_link(&self.shared, to, writer, rx);
-                if self.try_send(to, payload)? {
+            if let Ok(conn) = attempt {
+                self.shared.hand_over(to, conn);
+                self.adopt();
+                if self.try_send(i, payload) {
                     return Ok(());
                 }
             }
@@ -749,9 +1009,24 @@ impl Endpoint for TcpEndpoint {
     }
 
     fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Packet>, NetError> {
-        match self.inbox.recv_timeout(timeout) {
-            Ok(packet) => Ok(Some(packet)),
-            Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => Ok(None),
+        if let Some(packet) = self.staged.pop_front() {
+            return Ok(Some(packet));
+        }
+        let deadline = (!timeout.is_zero()).then(|| Instant::now() + timeout);
+        self.adopt();
+        for i in 0..self.links.len() {
+            self.read_link(i);
+        }
+        loop {
+            if let Some(packet) = self.staged.pop_front() {
+                return Ok(Some(packet));
+            }
+            let left =
+                deadline.map_or(Duration::ZERO, |d| d.saturating_duration_since(Instant::now()));
+            if left.is_zero() {
+                return Ok(None);
+            }
+            self.poll_once(left);
         }
     }
 
@@ -768,21 +1043,7 @@ impl Endpoint for TcpEndpoint {
 
     fn uncork(&mut self) -> Result<(), NetError> {
         self.corked = false;
-        let metrics = self.shared.metrics.get();
-        let mut first_err = None;
-        for i in 0..self.shared.n {
-            if self.pending[i].buf.is_empty() {
-                continue;
-            }
-            let mut state = self.shared.links[i].state.lock();
-            if !flush_link(metrics, i, &mut state, &mut self.pending[i]) {
-                first_err.get_or_insert(NetError::LinkDown(ReplicaId(i as u32)));
-            }
-        }
-        match first_err {
-            None => Ok(()),
-            Some(e) => Err(e),
-        }
+        self.flush(None)
     }
 }
 

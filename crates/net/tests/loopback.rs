@@ -134,8 +134,19 @@ fn quiet_mesh_heals_without_traffic_toward_the_dead_peer() {
     let mut replacement = TcpEndpoint::establish(keychains[3].clone(), listener, peer_addrs)
         .expect("replacement comes up");
     // No live replica sends anything. The maintenance re-dial must still
-    // complete the mesh from the peers' side.
-    replacement.wait_connected(Duration::from_secs(5)).expect("maintenance pass heals the mesh");
+    // complete the mesh from the peers' side. The survivors notice their
+    // dead links when driven, so they wait in `recv_timeout` — as a
+    // replica driver always does.
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    while replacement.wait_connected(Duration::from_millis(10)).is_err() {
+        for ep in &mut eps {
+            assert_eq!(ep.recv_timeout(Duration::from_millis(10)).unwrap(), None);
+        }
+        if std::time::Instant::now() >= deadline {
+            break;
+        }
+    }
+    replacement.wait_connected(Duration::ZERO).expect("maintenance pass heals the mesh");
     // And the replacement's broadcast (the catch-up request) reaches all.
     replacement.broadcast(b"sync-request").unwrap();
     for ep in &mut eps {
@@ -257,4 +268,87 @@ fn empty_payloads_and_large_payloads_round_trip() {
     assert!(first.is_empty());
     let (_, second) = eps[2].recv_timeout(RECV).unwrap().expect("1 MiB arrives");
     assert_eq!(&second[..], &big[..]);
+}
+
+#[test]
+fn flushing_toward_each_other_cannot_wedge() {
+    // Two endpoints each cork and send 32 MiB to the other without ever
+    // calling `recv_timeout`, so socket buffers fill both ways. Every
+    // flush the kernel cannot take (the inline flush past the cork
+    // threshold, then `uncork`) keeps reading its own links while it
+    // waits, so the two sides drain each other: no call may come near the
+    // 2 s write timeout, after which a silent link is torn down and its
+    // frames are lost.
+    const FRAME: usize = 16 << 10;
+    const FRAMES: u64 = (32 << 20) / FRAME as u64;
+    let eps = mesh(b"tcp-no-wedge", 2);
+    let barrier = std::sync::Arc::new(std::sync::Barrier::new(2));
+    let handles: Vec<_> = eps
+        .into_iter()
+        .map(|mut ep| {
+            let barrier = barrier.clone();
+            std::thread::spawn(move || {
+                let me = ep.local();
+                let other = ReplicaId(1 - me.0);
+                let mut frame = vec![me.0 as u8; FRAME];
+                let mut longest = Duration::ZERO;
+                let mut timed = |call: &mut dyn FnMut() -> Result<(), NetError>| {
+                    let started = std::time::Instant::now();
+                    call().expect("flush succeeds");
+                    longest = longest.max(started.elapsed());
+                };
+                barrier.wait();
+                ep.cork();
+                for i in 0..FRAMES {
+                    frame[..8].copy_from_slice(&i.to_be_bytes());
+                    timed(&mut || ep.send(other, &frame));
+                }
+                timed(&mut || ep.uncork());
+                eprintln!("longest {longest:?}");
+                assert!(longest < Duration::from_secs(1), "a flush blocked for {longest:?}");
+                for expected in 0..FRAMES {
+                    let (from, bytes) = ep.recv_timeout(RECV).unwrap().expect("frame arrives");
+                    assert_eq!(from, other);
+                    assert_eq!(bytes.len(), FRAME);
+                    assert_eq!(u64::from_be_bytes(bytes[..8].try_into().unwrap()), expected);
+                    assert_eq!(bytes[FRAME - 1], other.0 as u8);
+                }
+                ep
+            })
+        })
+        .collect();
+    // Join both before dropping either: a dropped endpoint would cut the
+    // other's link mid-transfer.
+    let _eps: Vec<TcpEndpoint> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+}
+
+#[test]
+fn link_adopted_while_blocked_in_recv_delivers_within_the_call() {
+    // Replica 1 comes up alone and blocks in `recv_timeout(5 s)` with no
+    // link at all. Replica 0 then comes up, dials it and sends: the
+    // acceptor's hand-over wakes the blocked call, which adopts the link
+    // and returns its first frame.
+    let chains = Keychain::deterministic_system(b"tcp-adopt-wake", 2);
+    let listeners: Vec<TcpListener> =
+        (0..2).map(|_| TcpListener::bind(("127.0.0.1", 0)).unwrap()).collect();
+    let addrs: Vec<_> = listeners.iter().map(|l| l.local_addr().unwrap()).collect();
+    let mut listeners = listeners.into_iter();
+    let (l0, l1) = (listeners.next().unwrap(), listeners.next().unwrap());
+    let mut ep1 = TcpEndpoint::establish(chains[1].clone(), l1, vec![Some(addrs[0]), None])
+        .expect("replica 1 comes up alone");
+    let (ready_tx, ready_rx) = std::sync::mpsc::channel();
+    let receiver = std::thread::spawn(move || {
+        ready_tx.send(()).unwrap();
+        let started = std::time::Instant::now();
+        let got = ep1.recv_timeout(RECV).unwrap();
+        (got, started.elapsed(), ep1)
+    });
+    ready_rx.recv().unwrap();
+    let mut ep0 = TcpEndpoint::establish(chains[0].clone(), l0, vec![None, Some(addrs[1])])
+        .expect("replica 0 dials replica 1");
+    ep0.send(ReplicaId(1), b"first contact").unwrap();
+    let (got, took, _ep1) = receiver.join().unwrap();
+    let (from, bytes) = got.expect("delivered within the blocked call");
+    assert_eq!((from, &bytes[..]), (ReplicaId(0), &b"first contact"[..]));
+    assert!(took < Duration::from_secs(2), "took {took:?}");
 }
