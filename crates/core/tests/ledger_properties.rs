@@ -4,14 +4,18 @@
 //! state-transfer and checkpoint bytes a seeded ledger exports.
 
 use astro_core::astro1::{Astro1Config, AstroOneReplica};
+use astro_core::astro2::{Astro2Config, AstroTwoReplica, CreditMode, DepPolicy};
+use astro_core::batch::{credit_context, DependencyCertificate};
 use astro_core::journal::LedgerState;
 use astro_core::ledger::{Ledger, SettleOutcome, DENSE_LIMIT};
 use astro_core::pending::PendingQueue;
-use astro_core::testkit::PaymentCluster;
+use astro_core::testkit::{submit_with_deps, PaymentCluster};
 use astro_core::xlog::{XLog, XLogError};
 use astro_core::Replica;
 use astro_types::wire::{decode_exact, Wire};
-use astro_types::{Amount, ClientId, Payment, ReplicaId, SeqNo, ShardLayout};
+use astro_types::{
+    Amount, Authenticator, ClientId, MacAuthenticator, Payment, ReplicaId, SeqNo, ShardLayout,
+};
 use proptest::prelude::*;
 
 const CLIENTS: u64 = 6;
@@ -296,5 +300,109 @@ fn seeded_state_and_checkpoint_bytes_are_pinned() {
         hex(astro_crypto::sha256::sha256(&checkpoint)),
         "6c38a0cc3ed5cf534807db50d23e766395a747655a90beefb3483a28ae58ec98",
         "checkpoint record bytes moved"
+    );
+}
+
+/// The residual snapshot a seeded Astro I replica writes next to its
+/// checkpoint segments — approval queue, tag counter and delivery
+/// cursors all non-empty — hashes to a value pinned before the snapshot
+/// types of both protocols became one generic layout.
+#[test]
+fn seeded_astro1_residual_bytes_are_pinned() {
+    let layout = ShardLayout::single(4).unwrap();
+    let cfg = Astro1Config { batch_size: 2, initial_balance: Amount(100) };
+    let mut c = PaymentCluster::new(
+        (0..4).map(|i| AstroOneReplica::new(ReplicaId(i), layout.clone(), cfg.clone())),
+    );
+    let mut seqs = [0u64; 6];
+    for i in 0..30u64 {
+        let s = (i * 7 % 6) as usize;
+        let p = Payment::new(s as u64, seqs[s], (s as u64 + 1 + i % 4) % 6, 3 + i % 11);
+        seqs[s] += 1;
+        let rep = layout.representative_of(p.spender);
+        let step = c.node_mut(rep.0 as usize).submit(p).expect("representative accepts");
+        c.submit_step(rep, step);
+    }
+    let parked = Payment::new(4u64, seqs[4] + 1, 0u64, 1u64);
+    let rep = layout.representative_of(parked.spender);
+    let step = c.node_mut(rep.0 as usize).submit(parked).expect("representative accepts");
+    c.submit_step(rep, step);
+    for i in 0..4 {
+        let step = c.node_mut(i).flush();
+        c.submit_step(ReplicaId(i as u32), step);
+    }
+    c.run_to_quiescence();
+    assert_eq!(c.node(1).ledger().total_settled(), 30);
+    assert_eq!(c.node(1).pending_len(), 1);
+
+    let residual = c.node(1).residual_state(3).to_wire_bytes();
+    assert_eq!(
+        hex(astro_crypto::sha256::sha256(&residual)),
+        "046ad5c03eb94ccaca37527d128089af358dd4920fbf0b716d5523eca3eeb1c5",
+        "Astro I residual snapshot bytes moved"
+    );
+}
+
+/// The full state and the residual snapshot of a seeded Astro II replica
+/// (certificate mode, MAC signatures) whose every protocol section is
+/// populated: a queued payment carrying a certificate, a materialized
+/// dependency, held certificates and an unacked CREDIT.
+#[test]
+fn seeded_astro2_state_and_residual_bytes_are_pinned() {
+    let layout = ShardLayout::single(4).unwrap();
+    let cfg = Astro2Config {
+        batch_size: 1,
+        initial_balance: Amount(100),
+        credit_mode: CreditMode::Certificates,
+        dep_policy: DepPolicy::WhenNeeded,
+    };
+    let mac = |r: u32| MacAuthenticator::new(ReplicaId(r), b"pins".to_vec());
+    let mut c = PaymentCluster::new(
+        (0..4).map(|i| AstroTwoReplica::new(mac(i), layout.clone(), cfg.clone())),
+    );
+    let pay = |c: &mut PaymentCluster<AstroTwoReplica<MacAuthenticator>>, p: Payment| {
+        let rep = layout.representative_of(p.spender);
+        let step = c.node_mut(rep.0 as usize).submit(p).expect("representative accepts");
+        c.submit_step(rep, step);
+        c.run_to_quiescence();
+    };
+    // Every client pays the next: each beneficiary's representative
+    // holds a certificate.
+    for s in 0..8u64 {
+        pay(&mut c, Payment::new(s, 0u64, (s + 1) % 8, 10 + s));
+    }
+    // Client 1 overspends its settled 89: the certificate for client 0's
+    // 10 rides along and materializes everywhere.
+    pay(&mut c, Payment::new(1u64, 1u64, 2u64, 95u64));
+    // A future sequence number, carrying a certificate, queues everywhere.
+    let bundle = vec![Payment::new(4u64, 0u64, 5u64, 14u64)];
+    let context = credit_context(&bundle);
+    let proofs = (0..2).map(|r| (ReplicaId(r), mac(r).sign(&context))).collect();
+    let cert = DependencyCertificate { bundle, proofs };
+    let rep = layout.representative_of(ClientId(5));
+    let step = submit_with_deps(
+        c.node_mut(rep.0 as usize),
+        Payment::new(5u64, 2u64, 6u64, 1u64),
+        vec![cert],
+    );
+    c.submit_step(rep, step);
+    c.run_to_quiescence();
+    let node = c.node(0);
+    assert_eq!(node.balance(ClientId(1)), Amount(100 - 11 + 10 - 95));
+    assert_eq!(node.pending_len(), 1);
+    assert!(node.held_certificates(ClientId(0)) > 0 && node.held_certificates(ClientId(4)) > 0);
+    assert!(node.outbox_depth() > 0);
+
+    let state = node.export_state().to_wire_bytes();
+    let residual = node.residual_state(2).to_wire_bytes();
+    assert_eq!(
+        hex(astro_crypto::sha256::sha256(&state)),
+        "1792cdbf04bc8c06e3b294a5e04f3f6970909dc57000e1ff5286cb8c79b15486",
+        "Astro II state wire bytes moved"
+    );
+    assert_eq!(
+        hex(astro_crypto::sha256::sha256(&residual)),
+        "73a57b28324d337c431f53476d13c0736d52b95eca024dc31b7525456173e480",
+        "Astro II residual snapshot bytes moved"
     );
 }
