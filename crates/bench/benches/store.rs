@@ -7,7 +7,7 @@
 
 use astro_bench::json::Metric;
 use astro_core::astro1::{Astro1Config, AstroOneReplica};
-use astro_core::journal::{merge_history_blocks, Astro1State, WalRecord};
+use astro_core::journal::{merge_history_blocks, Astro1Local, State, WalRecord};
 use astro_core::Replica;
 use astro_runtime::AstroOneCluster;
 use astro_store::{Storage, StoreConfig};
@@ -178,7 +178,7 @@ fn bench_chunked_transfer(c: &mut Criterion) -> Vec<Metric> {
     g.bench_function("entries_per_sec", |b| {
         b.iter(|| {
             let (head, blocks) = donor.sync_chunks(ReplicaId(3)).unwrap();
-            let mut state: Astro1State = decode_exact(&head.state_tail).unwrap();
+            let mut state: State<Astro1Local> = decode_exact(&head.state_tail).unwrap();
             let map: HashMap<_, _> =
                 blocks.into_iter().map(|(c, i, data)| ((c, i), data)).collect();
             merge_history_blocks(&mut state.ledger, &head.blocks, |c, i| map.get(&(c, i)).cloned())

@@ -32,8 +32,8 @@
 //! the caller falls back to state transfer (Astro I: peer catch-up).
 
 use crate::{
-    payload_digest, BrbConfig, Delivery, Dest, Envelope, FifoDelivery, InstanceId, Payload, Source,
-    Step, Tag,
+    payload_digest, BrbConfig, Broadcast, Delivery, Dest, Envelope, FifoDelivery, InstanceId,
+    Payload, Source, Step, Tag,
 };
 use astro_types::wire::{Wire, WireError};
 use astro_types::{Group, ReplicaId};
@@ -227,11 +227,6 @@ impl<P: Payload> BrachaBrb<P> {
         self.me
     }
 
-    /// Number of instances currently tracked (for memory accounting).
-    pub fn tracked_instances(&self) -> usize {
-        self.instances.len()
-    }
-
     /// Completed instances still waiting for their payload; while there
     /// are any, the caller keeps calling [`Self::retry_pulls`] on a timer.
     pub fn pulls_outstanding(&self) -> usize {
@@ -411,45 +406,6 @@ impl<P: Payload> BrachaBrb<P> {
         (out, exhausted)
     }
 
-    /// The FIFO delivery cursors (durable-state export); see
-    /// [`FifoDelivery::cursors`].
-    pub fn delivery_cursors(&self) -> Vec<(Source, Tag)> {
-        self.fifo.cursors()
-    }
-
-    /// Advances the FIFO cursor of `source` to at least `next`
-    /// (recovery); see [`FifoDelivery::advance`].
-    pub fn advance_cursor(&mut self, source: Source, next: Tag) {
-        self.fifo.advance(source, next);
-    }
-
-    /// Advances the FIFO cursor of `source` on a *live* replica (peer
-    /// catch-up) and returns the completed-but-buffered deliveries the
-    /// advance released; see [`FifoDelivery::advance_releasing`]. Pulls
-    /// for instances the cursor moved past are cancelled: the transferred
-    /// state holds their effects.
-    pub fn advance_cursor_releasing(&mut self, source: Source, next: Tag) -> Vec<Delivery<P>> {
-        let released = self.fifo.advance_releasing(source, next);
-        let cursor = self.fifo.cursor(source);
-        self.pulls.retain(|id| id.source != source || id.tag >= cursor);
-        released
-    }
-
-    /// One past the highest tag this replica has any evidence of for
-    /// `source`'s stream — tracked instances or the FIFO delivery cursor.
-    /// A peer serving catch-up state reports this so a restarted `source`
-    /// resumes broadcasting above every tag it may already have used.
-    pub fn source_high_water(&self, source: Source) -> Tag {
-        let tracked = self
-            .instances
-            .keys()
-            .filter(|id| id.source == source)
-            .map(|id| id.tag + 1)
-            .max()
-            .unwrap_or(0);
-        tracked.max(self.fifo.cursor(source))
-    }
-
     /// Drops state for all instances of `source` with `tag < up_to`,
     /// outstanding pulls included.
     ///
@@ -461,20 +417,54 @@ impl<P: Payload> BrachaBrb<P> {
         self.instances.retain(|id, _| id.source != source || id.tag >= up_to);
         self.pulls.retain(|id| id.source != source || id.tag >= up_to);
     }
+}
+
+impl<P: Payload> Broadcast for BrachaBrb<P> {
+    type Payload = P;
+
+    fn tracked_instances(&self) -> usize {
+        self.instances.len()
+    }
 
     /// Prunes every instance below its source's FIFO delivery cursor —
     /// those instances were delivered (the cursor only advances past
     /// deliveries), and FIFO gating already drops any replayed duplicate
-    /// of them, so their votes and payload are dead weight. Called
-    /// from the durable runtime's snapshot-install point to keep BRB
-    /// memory bounded by the in-flight window. Returns the number of
-    /// instances pruned.
-    pub fn gc_delivered(&mut self) -> usize {
+    /// of them, so their votes and payload are dead weight.
+    fn gc_delivered(&mut self) -> usize {
         let before = self.instances.len();
-        for (source, next) in self.delivery_cursors() {
+        for (source, next) in self.fifo.cursors() {
             self.gc_source(source, next);
         }
         before - self.instances.len()
+    }
+
+    fn delivery_cursors(&self) -> Vec<(Source, Tag)> {
+        self.fifo.cursors()
+    }
+
+    fn advance_cursor(&mut self, source: Source, next: Tag) {
+        self.fifo.advance(source, next);
+    }
+
+    /// Pulls for instances the cursor moved past are cancelled: the
+    /// transferred state holds their effects.
+    fn advance_cursor_releasing(&mut self, source: Source, next: Tag) -> Vec<Delivery<P>> {
+        let released = self.fifo.advance_releasing(source, next);
+        let cursor = self.fifo.cursor(source);
+        self.pulls.retain(|id| id.source != source || id.tag >= cursor);
+        released
+    }
+
+    /// Tracked instances or the FIFO delivery cursor.
+    fn source_high_water(&self, source: Source) -> Tag {
+        let tracked = self
+            .instances
+            .keys()
+            .filter(|id| id.source == source)
+            .map(|id| id.tag + 1)
+            .max()
+            .unwrap_or(0);
+        tracked.max(self.fifo.cursor(source))
     }
 }
 

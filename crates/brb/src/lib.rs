@@ -19,6 +19,13 @@
 //! and deliveries. The discrete-event simulator, the threaded runtime, and
 //! the unit tests all drive the same code.
 //!
+//! The paper's variation point between Astro I and Astro II is exactly
+//! this choice of primitive (§IV). Everything the payment layer needs of
+//! it besides sending and receiving — tracked instances, GC, delivery
+//! cursors, a source's high-water mark — is the [`Broadcast`] trait, which
+//! both protocols implement, so state transfer and recovery above it are
+//! written once.
+//!
 //! # Properties (paper §IV)
 //!
 //! With identifiers `(source, tag)`, in the terms of Cachin, Kursawe,
@@ -296,6 +303,50 @@ impl<P> FifoDelivery<P> {
     pub fn cursor(&self, source: Source) -> Tag {
         *self.next_tag.get(&source).unwrap_or(&0)
     }
+}
+
+/// What the payment layer needs of a broadcast primitive beyond sending
+/// and receiving: instance bookkeeping, garbage collection and the
+/// delivery cursors durable state and catch-up carry. The paper's two
+/// protocols differ in how an instance completes, not in any of this, so
+/// state transfer and recovery are written once against this trait.
+pub trait Broadcast {
+    /// The payload an instance delivers.
+    type Payload;
+
+    /// Number of receiver-side instances currently tracked (memory
+    /// accounting and size-triggered GC).
+    fn tracked_instances(&self) -> usize;
+
+    /// Prunes the instances whose delivery the application has applied;
+    /// returns how many were freed. Replayed duplicates of a pruned
+    /// instance are never delivered again.
+    fn gc_delivered(&mut self) -> usize;
+
+    /// The FIFO delivery cursors: next deliverable tag per source,
+    /// ascending by source (empty in unordered mode); see
+    /// [`FifoDelivery::cursors`].
+    fn delivery_cursors(&self) -> Vec<(Source, Tag)>;
+
+    /// Advances the FIFO cursor of `source` to at least `next` while
+    /// (re)constructing a replica; see [`FifoDelivery::advance`].
+    fn advance_cursor(&mut self, source: Source, next: Tag);
+
+    /// Advances the FIFO cursor of `source` on a *live* replica (peer
+    /// catch-up) and returns the completed-but-buffered deliveries the
+    /// advance released; see [`FifoDelivery::advance_releasing`].
+    fn advance_cursor_releasing(
+        &mut self,
+        source: Source,
+        next: Tag,
+    ) -> Vec<Delivery<Self::Payload>>;
+
+    /// One past the highest tag this replica has any evidence of for
+    /// `source`'s stream. A peer serving catch-up state reports this so a
+    /// restarted `source` resumes broadcasting above every tag it may
+    /// already have used (peers vote for at most one payload per
+    /// instance, so a reused tag would wedge the stream).
+    fn source_high_water(&self, source: Source) -> Tag;
 }
 
 /// The payload contract: broadcast payloads must be cloneable, comparable

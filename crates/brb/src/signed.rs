@@ -20,8 +20,8 @@
 //! attack this enables when uncompensated.
 
 use crate::{
-    payload_digest, BrbConfig, Delivery, Dest, Envelope, FifoDelivery, InstanceId, Payload, Source,
-    Step, Tag,
+    payload_digest, BrbConfig, Broadcast, Delivery, Dest, Envelope, FifoDelivery, InstanceId,
+    Payload, Source, Step, Tag,
 };
 use astro_types::wire::{Wire, WireError};
 use astro_types::{count_valid_signers, Authenticator, Group, ReplicaId};
@@ -187,11 +187,6 @@ impl<P: Payload, A: Authenticator> SignedBrb<P, A> {
     /// The local replica id.
     pub fn id(&self) -> ReplicaId {
         self.auth.me()
-    }
-
-    /// Number of receiver-side instances tracked.
-    pub fn tracked_instances(&self) -> usize {
-        self.instances.len()
     }
 
     /// Initiates a broadcast of `payload` for instance `id`.
@@ -360,63 +355,28 @@ impl<P: Payload, A: Authenticator> SignedBrb<P, A> {
         self.fifo.enqueue(id, payload)
     }
 
-    /// The FIFO delivery cursors (durable-state export; empty in
-    /// unordered mode, where re-deliveries are the payment layer's
-    /// problem); see [`FifoDelivery::cursors`].
-    pub fn delivery_cursors(&self) -> Vec<(Source, Tag)> {
-        self.fifo.cursors()
-    }
-
-    /// Advances the FIFO cursor of `source` to at least `next`
-    /// (recovery); see [`FifoDelivery::advance`].
-    pub fn advance_cursor(&mut self, source: Source, next: Tag) {
-        self.fifo.advance(source, next);
-    }
-
-    /// Advances the FIFO cursor of `source` on a *live* replica (peer
-    /// catch-up) and returns the completed-but-buffered deliveries the
-    /// advance released; see [`FifoDelivery::advance_releasing`]. A
-    /// no-op returning nothing in unordered mode (Astro II's default),
-    /// where nothing is ever gap-blocked.
-    pub fn advance_cursor_releasing(&mut self, source: Source, next: Tag) -> Vec<Delivery<P>> {
-        self.fifo.advance_releasing(source, next)
-    }
-
-    /// One past the highest tag this replica has any evidence of for
-    /// `source`'s stream — tracked receiver instances, the GC watermark,
-    /// or the FIFO cursor. A peer serving catch-up state reports this so
-    /// a restarted `source` resumes broadcasting above every tag it may
-    /// already have used (re-using an acked tag can never commit: peers
-    /// ack at most one payload per instance).
-    pub fn source_high_water(&self, source: Source) -> Tag {
-        let tracked = self
-            .instances
-            .keys()
-            .filter(|id| id.source == source)
-            .map(|id| id.tag + 1)
-            .max()
-            .unwrap_or(0);
-        tracked.max(*self.gc_floor.get(&source).unwrap_or(&0)).max(self.fifo.cursor(source))
-    }
-
     /// Drops receiver and broadcaster state for instances of `source` with
     /// `tag < up_to`.
     pub fn gc_source(&mut self, source: Source, up_to: Tag) {
         self.instances.retain(|id, _| id.source != source || id.tag >= up_to);
         self.outgoing.retain(|id, _| id.source != source || id.tag >= up_to);
     }
+}
+
+impl<P: Payload, A: Authenticator> Broadcast for SignedBrb<P, A> {
+    type Payload = P;
+
+    fn tracked_instances(&self) -> usize {
+        self.instances.len()
+    }
 
     /// Prunes the contiguous *delivered* prefix of every source's
     /// instance stream and advances the per-source watermark, so a
     /// long-running replica's BRB memory stays bounded by the in-flight
     /// window instead of growing with history. Duplicate messages for a
-    /// pruned instance are dropped at [`Self::handle`] (the watermark
+    /// pruned instance are dropped at [`SignedBrb::handle`] (the watermark
     /// remembers delivery so pruning cannot re-open an instance).
-    ///
-    /// Called from the durable runtime's snapshot-install point: once a
-    /// snapshot holds an instance's effects, its BRB state is dead
-    /// weight. Returns the number of instances pruned.
-    pub fn gc_delivered(&mut self) -> usize {
+    fn gc_delivered(&mut self) -> usize {
         let mut delivered: HashMap<Source, Vec<Tag>> = HashMap::new();
         for (id, inst) in &self.instances {
             if inst.delivered {
@@ -440,6 +400,34 @@ impl<P: Payload, A: Authenticator> SignedBrb<P, A> {
             }
         }
         before - self.instances.len()
+    }
+
+    /// Empty in unordered mode, where re-deliveries are the payment
+    /// layer's problem.
+    fn delivery_cursors(&self) -> Vec<(Source, Tag)> {
+        self.fifo.cursors()
+    }
+
+    fn advance_cursor(&mut self, source: Source, next: Tag) {
+        self.fifo.advance(source, next);
+    }
+
+    /// A no-op returning nothing in unordered mode (Astro II's default),
+    /// where nothing is ever gap-blocked.
+    fn advance_cursor_releasing(&mut self, source: Source, next: Tag) -> Vec<Delivery<P>> {
+        self.fifo.advance_releasing(source, next)
+    }
+
+    /// Tracked receiver instances, the GC watermark, or the FIFO cursor.
+    fn source_high_water(&self, source: Source) -> Tag {
+        let tracked = self
+            .instances
+            .keys()
+            .filter(|id| id.source == source)
+            .map(|id| id.tag + 1)
+            .max()
+            .unwrap_or(0);
+        tracked.max(*self.gc_floor.get(&source).unwrap_or(&0)).max(self.fifo.cursor(source))
     }
 }
 

@@ -168,8 +168,10 @@ proptest! {
         }
     }
 
-    /// Agreement for the signed protocol under equivocation and any
-    /// schedule (totality is NOT asserted — the protocol does not have it).
+    /// Consistency and integrity for the signed protocol under
+    /// equivocation and any schedule: the correct replicas deliver at most
+    /// one distinct payload, each at most once and only one that was sent
+    /// (totality is NOT asserted — the protocol does not have it).
     #[test]
     fn signed_agreement_under_equivocation(
         n in 4usize..=7,
@@ -178,22 +180,28 @@ proptest! {
     ) {
         let mut c = signed_cluster(n);
         let id = InstanceId { source: 9, tag: 0 };
+        // Replica 0 is Byzantine: payload 1 or 2 per receiver.
         for r in 1..n {
             let payload = if assignment[r - 1] { 1 } else { 2 };
             c.inject(ReplicaId(0), ReplicaId(r as u32), SignedMsg::Prepare { id, payload });
         }
         c.run_to_quiescence_shuffled(seed);
         let mut delivered_payloads = HashSet::new();
-        for i in 0..n {
+        for i in 1..n {
+            // Integrity: at most once, and only a payload that was sent.
+            prop_assert!(c.deliveries(i).len() <= 1, "replica {} delivered twice", i);
             for d in c.deliveries(i) {
+                prop_assert!(d.payload == 1 || d.payload == 2);
                 delivered_payloads.insert(d.payload);
             }
         }
+        // Consistency.
         prop_assert!(delivered_payloads.len() <= 1);
     }
 
-    /// Reliability for the signed protocol with a correct broadcaster and
-    /// up to f crashes.
+    /// Validity for the signed protocol: with a correct broadcaster and up
+    /// to f crashes, under any schedule every live replica delivers the
+    /// broadcaster's payload, exactly once.
     #[test]
     fn signed_reliability_with_crashes(
         n in 4usize..=10,
@@ -217,7 +225,8 @@ proptest! {
         c.run_to_quiescence_shuffled(seed);
         for i in 0..n {
             if !crashed.contains(&i) {
-                prop_assert_eq!(c.deliveries(i).len(), 1, "live replica {} must deliver", i);
+                let payloads: Vec<u64> = c.deliveries(i).iter().map(|d| d.payload).collect();
+                prop_assert_eq!(payloads, vec![55], "live replica {} must deliver once", i);
             }
         }
     }

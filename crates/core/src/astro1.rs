@@ -12,18 +12,16 @@
 //! batch's effects — delivered-instance GC never costs totality.
 
 use crate::batch::Batch;
-use crate::journal::{Astro1Snapshot, Astro1State, LedgerState, WalRecord};
-use crate::ledger::{Ledger, SettleOutcome};
+use crate::journal::{Astro1Local, WalRecord};
+use crate::ledger::SettleOutcome;
 use crate::pending::PendingQueue;
 use crate::replica::{self, Replica, Shell, SYNC_FALLBACK_ROUNDS, SYNC_RETRY_TICKS};
-use crate::sync::{SyncError, SyncMsg};
-use crate::xlog::XLogError;
+use crate::sync::SyncMsg;
 use crate::{ReplicaStep, SubmitError};
 use astro_brb::bracha::{BrachaBrb, BrachaMsg};
 use astro_brb::{BrbConfig, DeliveryOrder, Envelope, InstanceId};
 use astro_types::wire::{Wire, WireError};
 use astro_types::{Amount, ClientId, Group, Payment, ReplicaId, ShardLayout};
-use std::collections::HashMap;
 
 /// Configuration of an Astro I replica.
 #[derive(Debug, Clone)]
@@ -93,7 +91,6 @@ pub struct AstroOneReplica {
     pending: PendingQueue<()>,
     batch: Vec<Payment>,
     batch_size: usize,
-    next_tag: u64,
     /// Flush ticks since outstanding payload pulls were last requested.
     pull_ticks: u32,
 }
@@ -123,40 +120,8 @@ impl AstroOneReplica {
             pending: PendingQueue::new(),
             batch: Vec::new(),
             batch_size: cfg.batch_size.max(1),
-            next_tag: 0,
             pull_ticks: 0,
         }
-    }
-
-    /// Reconstructs a replica from a recovered snapshot state (see
-    /// [`crate::journal`]). `layout` and `cfg` must match the crashed
-    /// incarnation; the unflushed client batch and in-flight BRB instance
-    /// messages are not part of durable state (their payments are
-    /// re-learnable through the broadcast layer or client retry).
-    ///
-    /// # Errors
-    ///
-    /// Fails if the snapshot's xlogs violate the owner/sequence
-    /// invariants.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `me` is not a member of the layout (as [`Self::new`]).
-    pub fn restore(
-        me: ReplicaId,
-        layout: ShardLayout,
-        cfg: Astro1Config,
-        state: &Astro1State,
-    ) -> Result<Self, XLogError> {
-        let mut replica = AstroOneReplica::new(me, layout, cfg);
-        replica.shell.ledger = Ledger::import(&state.ledger)?;
-        replica.restore_residual(&Astro1Snapshot {
-            sealed_segments: 0,
-            pending: state.pending.clone(),
-            next_tag: state.next_tag,
-            cursors: state.cursors.clone(),
-        });
-        Ok(replica)
     }
 
     // `submit` / `handle` / `flush` stay callable without the trait in
@@ -197,10 +162,120 @@ impl AstroOneReplica {
     pub fn pending_len(&self) -> usize {
         self.pending.len()
     }
+}
+
+impl Replica for AstroOneReplica {
+    type Msg = Astro1Msg;
+    type Config = Astro1Config;
+    type Brb = BrachaBrb<Batch>;
+    type Local = Astro1Local;
+
+    fn shell(&self) -> &Shell<Astro1Msg> {
+        &self.shell
+    }
+
+    fn shell_mut(&mut self) -> &mut Shell<Astro1Msg> {
+        &mut self.shell
+    }
+
+    fn brb(&self) -> &BrachaBrb<Batch> {
+        &self.brb
+    }
+
+    fn brb_mut(&mut self) -> &mut BrachaBrb<Batch> {
+        &mut self.brb
+    }
+
+    fn sync_msg(msg: SyncMsg) -> Astro1Msg {
+        Astro1Msg::Sync(msg)
+    }
+
+    fn group(&self) -> &Group {
+        &self.group
+    }
+
+    /// Rejects payments from clients this replica does not represent —
+    /// the mapping is public (paper §III), so honest clients never hit
+    /// this.
+    fn submit(&mut self, payment: Payment) -> Result<ReplicaStep<Astro1Msg>, SubmitError> {
+        if !self.layout.is_representative(self.shell.me, payment.spender) {
+            return Err(SubmitError::NotRepresentative {
+                client: payment.spender,
+                representative: self.layout.representative_of(payment.spender),
+            });
+        }
+        self.batch.push(payment);
+        // While catching up the batch only accumulates: auto-flush would
+        // burn the sync retry pacing (flush doubles as its timer), and
+        // broadcasting must wait for the certified tag floor anyway.
+        if !self.is_syncing() && self.batch.len() >= self.batch_size {
+            Ok(self.flush())
+        } else {
+            Ok(ReplicaStep::empty())
+        }
+    }
+
+    fn handle(&mut self, from: ReplicaId, msg: Astro1Msg) -> ReplicaStep<Astro1Msg> {
+        match msg {
+            Astro1Msg::Brb(m) => {
+                if self.is_syncing() {
+                    replica::park(self, from, Astro1Msg::Brb(m));
+                    return ReplicaStep::empty();
+                }
+                let step = self.brb.handle(from, m);
+                let mut out =
+                    ReplicaStep { outbound: wrap_brb(step.outbound), settled: Vec::new() };
+                for delivery in step.delivered {
+                    self.apply(delivery.id, delivery.payload, &mut out);
+                }
+                out
+            }
+            Astro1Msg::Sync(m) => replica::handle_sync(self, from, m),
+        }
+    }
+
+    /// Broadcasts the accumulated batch, if any (called on a timer by the
+    /// driver, and automatically when a batch fills). The same timer, at
+    /// the catch-up retry pacing, re-sends the broadcast layer's
+    /// unanswered payload requests, and starts a catch-up once one has
+    /// gone unanswered for all its rounds.
+    fn flush(&mut self) -> ReplicaStep<Astro1Msg> {
+        if let Some(step) = replica::catchup_tick(self) {
+            return step;
+        }
+        let mut out = ReplicaStep::empty();
+        self.pull_ticks = if self.brb.pulls_outstanding() == 0 { 0 } else { self.pull_ticks + 1 };
+        if self.pull_ticks == SYNC_RETRY_TICKS {
+            self.pull_ticks = 0;
+            let (requests, exhausted) = self.brb.retry_pulls();
+            out.outbound = wrap_brb(requests);
+            if exhausted {
+                // Everyone that vouched for a batch stayed silent for all
+                // its rounds: they delivered and pruned it, so its effects
+                // are in their settled state — fetch that. The local state
+                // is sound, hence the fallback budget.
+                self.begin_catchup(Some(SYNC_FALLBACK_ROUNDS));
+                return out;
+            }
+        }
+        if self.batch.is_empty() {
+            return out;
+        }
+        let payments = std::mem::take(&mut self.batch);
+        if let Some(obs) = &self.shell.obs {
+            obs.stage_batch(&payments, astro_obs::Stage::Prepare);
+            obs.pending_depth.set(self.pending.len() as u64);
+        }
+        let id = self.shell.next_instance();
+        let step = self.brb.broadcast(id, Batch { payments });
+        debug_assert!(step.delivered.is_empty());
+        out.outbound.extend(wrap_brb(step.outbound));
+        out
+    }
 
     /// Applies a BRB-delivered batch: approve (queue if blocked) and settle
     /// each payment, then cascade the approval queue.
-    fn apply_batch(&mut self, id: InstanceId, batch: &Batch, out: &mut ReplicaStep<Astro1Msg>) {
+    fn apply(&mut self, id: InstanceId, batch: Batch, out: &mut ReplicaStep<Astro1Msg>) {
         let broadcaster = ReplicaId(id.source as u32);
         let settled_before = out.settled.len();
         let me = self.shell.me;
@@ -268,250 +343,28 @@ impl AstroOneReplica {
             );
         }
     }
-}
 
-impl Replica for AstroOneReplica {
-    type Msg = Astro1Msg;
-    type Config = Astro1Config;
-    type State = Astro1State;
-    type Snapshot = Astro1Snapshot;
-
-    fn shell(&self) -> &Shell<Astro1Msg> {
-        &self.shell
+    /// The approval queue.
+    fn export_local(&self) -> Astro1Local {
+        Astro1Local { pending: self.pending.payments() }
     }
 
-    fn shell_mut(&mut self) -> &mut Shell<Astro1Msg> {
-        &mut self.shell
-    }
-
-    fn sync_msg(msg: SyncMsg) -> Astro1Msg {
-        Astro1Msg::Sync(msg)
-    }
-
-    fn state_ledger(state: &mut Astro1State) -> &mut LedgerState {
-        &mut state.ledger
-    }
-
-    fn sealed_segments(residual: &Astro1Snapshot) -> u64 {
-        residual.sealed_segments
-    }
-
-    fn group(&self) -> &Group {
-        &self.group
-    }
-
-    /// Rejects payments from clients this replica does not represent —
-    /// the mapping is public (paper §III), so honest clients never hit
-    /// this.
-    fn submit(&mut self, payment: Payment) -> Result<ReplicaStep<Astro1Msg>, SubmitError> {
-        if !self.layout.is_representative(self.shell.me, payment.spender) {
-            return Err(SubmitError::NotRepresentative {
-                client: payment.spender,
-                representative: self.layout.representative_of(payment.spender),
-            });
-        }
-        self.batch.push(payment);
-        // While catching up the batch only accumulates: auto-flush would
-        // burn the sync retry pacing (flush doubles as its timer), and
-        // broadcasting must wait for the certified tag floor anyway.
-        if !self.is_syncing() && self.batch.len() >= self.batch_size {
-            Ok(self.flush())
-        } else {
-            Ok(ReplicaStep::empty())
-        }
-    }
-
-    fn handle(&mut self, from: ReplicaId, msg: Astro1Msg) -> ReplicaStep<Astro1Msg> {
-        match msg {
-            Astro1Msg::Brb(m) => {
-                if self.is_syncing() {
-                    replica::park(self, from, Astro1Msg::Brb(m));
-                    return ReplicaStep::empty();
-                }
-                let step = self.brb.handle(from, m);
-                let mut out =
-                    ReplicaStep { outbound: wrap_brb(step.outbound), settled: Vec::new() };
-                for delivery in step.delivered {
-                    self.apply_batch(delivery.id, &delivery.payload, &mut out);
-                }
-                out
-            }
-            Astro1Msg::Sync(m) => replica::handle_sync(self, from, m),
-        }
-    }
-
-    /// Broadcasts the accumulated batch, if any (called on a timer by the
-    /// driver, and automatically when a batch fills). The same timer, at
-    /// the catch-up retry pacing, re-sends the broadcast layer's
-    /// unanswered payload requests, and starts a catch-up once one has
-    /// gone unanswered for all its rounds.
-    fn flush(&mut self) -> ReplicaStep<Astro1Msg> {
-        if let Some(step) = replica::catchup_tick(self) {
-            return step;
-        }
-        let mut out = ReplicaStep::empty();
-        self.pull_ticks = if self.brb.pulls_outstanding() == 0 { 0 } else { self.pull_ticks + 1 };
-        if self.pull_ticks == SYNC_RETRY_TICKS {
-            self.pull_ticks = 0;
-            let (requests, exhausted) = self.brb.retry_pulls();
-            out.outbound = wrap_brb(requests);
-            if exhausted {
-                // Everyone that vouched for a batch stayed silent for all
-                // its rounds: they delivered and pruned it, so its effects
-                // are in their settled state — fetch that. The local state
-                // is sound, hence the fallback budget.
-                self.begin_catchup(Some(SYNC_FALLBACK_ROUNDS));
-                return out;
-            }
-        }
-        if self.batch.is_empty() {
-            return out;
-        }
-        let payments = std::mem::take(&mut self.batch);
-        if let Some(obs) = &self.shell.obs {
-            obs.stage_batch(&payments, astro_obs::Stage::Prepare);
-            obs.pending_depth.set(self.pending.len() as u64);
-        }
-        let id = InstanceId { source: u64::from(self.shell.me.0), tag: self.next_tag };
-        self.next_tag += 1;
-        // Journaled before the PREPARE leaves: a restarted replica must
-        // never reuse a tag it already broadcast under (peers echo at most
-        // once per instance, so a reused tag wedges the stream). Against
-        // *power loss* the window is bounded by group commit unless the
-        // store's `sync_on_broadcast` policy is set.
-        self.shell.journal.rec(&WalRecord::OwnTag { tag: id.tag });
-        let step = self.brb.broadcast(id, Batch { payments });
-        debug_assert!(step.delivered.is_empty());
-        out.outbound.extend(wrap_brb(step.outbound));
-        out
-    }
-
-    fn tracked_instances(&self) -> usize {
-        self.brb.tracked_instances()
-    }
-
-    /// See [`BrachaBrb::gc_delivered`]: everything below the per-source
-    /// FIFO cursors.
-    fn prune_delivered(&mut self) -> usize {
-        self.brb.gc_delivered()
-    }
-
-    /// Settlement state, approval queue, broadcast tag counter, and BRB
-    /// delivery cursors.
-    fn export_state(&self) -> Astro1State {
-        Astro1State {
-            ledger: self.shell.ledger.export(),
-            pending: self.pending.payments(),
-            next_tag: self.next_tag,
-            cursors: self.brb.delivery_cursors(),
-        }
-    }
-
-    /// The approval queue, the broadcast tag counter, and delivery
-    /// cursors.
-    fn residual_state(&self, sealed_segments: u64) -> Astro1Snapshot {
-        Astro1Snapshot {
-            sealed_segments,
-            pending: self.pending.payments(),
-            next_tag: self.next_tag,
-            cursors: self.brb.delivery_cursors(),
-        }
-    }
-
-    fn restore_residual(&mut self, residual: &Astro1Snapshot) {
-        for payment in &residual.pending {
+    fn restore_local(&mut self, local: &Astro1Local) {
+        self.pending = PendingQueue::new();
+        for payment in &local.pending {
             self.pending.push(*payment, ());
         }
-        self.next_tag = residual.next_tag;
-        for (source, next) in &residual.cursors {
-            self.brb.advance_cursor(*source, *next);
-        }
     }
 
-    fn replay(&mut self, record: &WalRecord) {
-        match record {
-            WalRecord::Delivered { source, tag } => self.brb.advance_cursor(*source, tag + 1),
-            WalRecord::Settle { payment, credit_beneficiary } => {
-                let _ = self.shell.ledger.settle(payment, *credit_beneficiary);
-            }
-            WalRecord::Queued { payment, .. } => self.pending.push(*payment, ()),
-            WalRecord::OwnTag { tag } => self.next_tag = self.next_tag.max(tag + 1),
-            // Astro II records do not occur in an Astro I log.
-            WalRecord::DepUsed { .. }
-            | WalRecord::Stuck { .. }
-            | WalRecord::Cert { .. }
-            | WalRecord::CertsTaken { .. }
-            | WalRecord::CreditOut { .. }
-            | WalRecord::CreditAcked { .. } => {}
+    fn replay_local(&mut self, record: &WalRecord) {
+        // Astro II records do not occur in an Astro I log.
+        if let WalRecord::Queued { payment, .. } = record {
+            self.pending.push(*payment, ());
         }
     }
 
     fn finish_recovery(&mut self) {
         self.pending.prune_stale(&self.shell.ledger);
-    }
-
-    /// [`Replica::export_state`] with `next_tag` reinterpreted as the
-    /// requester's stream high-water mark.
-    fn sync_state(&self, requester: ReplicaId) -> Astro1State {
-        let mut state = self.export_state();
-        state.next_tag = self.brb.source_high_water(u64::from(requester.0));
-        state
-    }
-
-    /// The settled delta (xlogs, balances, approval queue) replaces local
-    /// settlement state, delivery cursors advance (releasing any
-    /// completed instances the gap was holding back), and the broadcast
-    /// tag counter rises to the certified floor. Stale if any xlog or
-    /// delivery cursor is behind the local one.
-    fn install_sync(&mut self, state: &Astro1State) -> Result<ReplicaStep<Astro1Msg>, SyncError> {
-        let certified = Ledger::import(&state.ledger).map_err(|_| SyncError::Invalid)?;
-        // Never regress: every local xlog must be a prefix of (or equal
-        // to) its certified counterpart, and no certified cursor may sit
-        // below a local one — otherwise effects this replica already
-        // applied would vanish with no re-delivery to restore them.
-        for xlog in self.shell.ledger.xlogs() {
-            if certified.next_seq(xlog.owner()) < xlog.next_seq() {
-                return Err(SyncError::Stale);
-            }
-        }
-        let certified_cursors: HashMap<u64, u64> = state.cursors.iter().copied().collect();
-        for (source, next) in self.brb.delivery_cursors() {
-            if certified_cursors.get(&source).copied().unwrap_or(0) < next {
-                return Err(SyncError::Stale);
-            }
-        }
-        // The settled delta — everything the quorum settled while this
-        // replica was down — reported exactly once, in xlog order.
-        let mut installed: Vec<Payment> = Vec::new();
-        for xlog in certified.xlogs() {
-            installed.extend(xlog.iter_from(self.shell.ledger.next_seq(xlog.owner())));
-        }
-        self.shell.ledger = certified;
-        self.pending = PendingQueue::new();
-        for payment in &state.pending {
-            self.pending.push(*payment, ());
-        }
-        if state.next_tag > self.next_tag {
-            // Journaled even though a snapshot follows: tag reuse is the
-            // one recovery error a later catch-up cannot repair.
-            self.shell.journal.rec(&WalRecord::OwnTag { tag: state.next_tag - 1 });
-            self.next_tag = state.next_tag;
-        }
-        let mut out = ReplicaStep { outbound: Vec::new(), settled: installed };
-        // Advance cursors past the caught-up instances; instances that
-        // completed *behind* a gap are released and applied now. Their
-        // effects are already part of the certified state, so the ledger
-        // drops them as stale — but a gap-blocked instance *beyond* the
-        // certified cursor settles normally here.
-        for (source, next) in &state.cursors {
-            for delivery in self.brb.advance_cursor_releasing(*source, *next) {
-                self.apply_batch(delivery.id, &delivery.payload, &mut out);
-            }
-        }
-        // The caught-up prefix is dead weight in the broadcast layer now.
-        self.brb.gc_delivered();
-        self.shell.snapshot_requested = true;
-        Ok(out)
     }
 }
 
@@ -523,6 +376,7 @@ fn wrap_brb(outbound: Vec<Envelope<BrachaMsg<Batch>>>) -> Vec<Envelope<Astro1Msg
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::journal::State;
     use crate::testkit::PaymentCluster;
 
     fn cluster(n: usize, batch_size: usize) -> PaymentCluster<AstroOneReplica> {
@@ -704,7 +558,7 @@ mod tests {
         let state = c.node(2).export_state();
         let layout = ShardLayout::single(4).unwrap();
         let cfg = Astro1Config { batch_size: 2, initial_balance: Amount(100) };
-        let restored = AstroOneReplica::restore(ReplicaId(2), layout, cfg, &state).unwrap();
+        let restored = AstroOneReplica::new(ReplicaId(2), layout, cfg).restore(&state).unwrap();
         assert_eq!(restored.export_state(), state, "restore→export is the identity");
         for client in 0..4u64 {
             assert_eq!(restored.balance(ClientId(client)), c.node(2).balance(ClientId(client)));
@@ -794,7 +648,8 @@ mod tests {
         let state = c.node(0).export_state();
         let layout = ShardLayout::single(4).unwrap();
         let cfg = Astro1Config { batch_size: 1, initial_balance: Amount(100) };
-        let mut recovered = AstroOneReplica::restore(ReplicaId(0), layout, cfg, &state).unwrap();
+        let mut recovered =
+            AstroOneReplica::new(ReplicaId(0), layout, cfg).restore(&state).unwrap();
         for rec in sink.0.lock().unwrap().iter() {
             recovered.replay(rec);
         }
@@ -859,7 +714,7 @@ mod tests {
         for i in 1..4 {
             let state = c.node(i).export_state();
             assert_eq!(state.ledger.to_wire_bytes(), reference.ledger.to_wire_bytes(), "{i}");
-            assert_eq!((&state.pending, &state.cursors), (&reference.pending, &reference.cursors));
+            assert_eq!((&state.local, &state.cursors), (&reference.local, &reference.cursors));
             let mut theirs = c.settled(i).to_vec();
             theirs.sort_unstable_by_key(Payment::id);
             assert_eq!(theirs, settled, "replica {i} settled a different set");
@@ -897,28 +752,28 @@ mod tests {
     /// A settlement state with `entries` payments on client 7's xlog —
     /// bulk history for the chunked-transfer tests (built directly; the
     /// broadcast path would take minutes at this size).
-    fn long_state(entries: u64) -> Astro1State {
+    fn long_state(entries: u64) -> State<Astro1Local> {
         let history: Vec<Payment> =
             (0..entries).map(|seq| Payment::new(7u64, seq, 8u64, 1u64)).collect();
-        Astro1State {
+        State {
             ledger: crate::journal::LedgerState {
                 initial_balance: Amount(100),
                 accounts: vec![(ClientId(7), Amount(100)), (ClientId(8), Amount(100 + entries))],
                 xlogs: vec![(ClientId(7), history)],
             },
-            pending: Vec::new(),
+            local: Astro1Local { pending: Vec::new() },
             next_tag: 0,
             cursors: Vec::new(),
         }
     }
 
-    fn restored(i: u32, state: &Astro1State) -> AstroOneReplica {
-        AstroOneReplica::restore(
+    fn restored(i: u32, state: &State<Astro1Local>) -> AstroOneReplica {
+        AstroOneReplica::new(
             ReplicaId(i),
             ShardLayout::single(4).unwrap(),
             Astro1Config { batch_size: 1, initial_balance: Amount(100) },
-            state,
         )
+        .restore(state)
         .expect("valid state")
     }
 
@@ -980,7 +835,8 @@ mod tests {
         // approval queue) cannot — past the bound the donor refuses
         // instead of panicking the framing layer.
         let mut state = long_state(4);
-        state.pending = (0..300_000u64).map(|c| Payment::new(c, 0u64, 1u64, u64::MAX)).collect();
+        state.local.pending =
+            (0..300_000u64).map(|c| Payment::new(c, 0u64, 1u64, u64::MAX)).collect();
         let mut donor = restored(0, &state);
         assert!(matches!(
             donor.sync_chunks(ReplicaId(3)),

@@ -24,12 +24,11 @@ use crate::batch::{
     credit_ack_context, credit_context, verify_certificate, CreditBundle, DepBatch, DepPayment,
     DependencyCertificate,
 };
-use crate::journal::{Astro2Snapshot, Astro2State, JournalSlot, LedgerState, WalRecord};
+use crate::journal::{Astro2Local, JournalSlot, WalRecord};
 use crate::ledger::{Ledger, SettleOutcome};
 use crate::pending::PendingQueue;
 use crate::replica::{self, Replica, Shell};
 use crate::sync::{SyncError, SyncMsg};
-use crate::xlog::XLogError;
 use crate::{ReplicaStep, SubmitError};
 use astro_brb::signed::{SignedBrb, SignedMsg};
 use astro_brb::{BrbConfig, DeliveryOrder, Envelope, InstanceId};
@@ -311,7 +310,7 @@ fn credit_key(bundle: &[Payment]) -> [u8; 32] {
 #[derive(Debug)]
 struct Held<S> {
     /// The certificates, oldest first: the order [`HeldCerts::take`]
-    /// attaches them in and `export_state` writes them in.
+    /// attaches them in and `export_local` writes them in.
     certs: Vec<Arc<DependencyCertificate<S>>>,
     /// [`credit_key`] of every held bundle → its position in `certs`.
     bundles: HashMap<[u8; 32], usize>,
@@ -340,10 +339,10 @@ struct Held<S> {
 ///   be checked on its own, and was never equal under the list scan this
 ///   index replaces.
 ///
-/// Nothing here is journaled in its own right: `restore` /
-/// `restore_from_checkpoints` rebuild the store from the snapshot's
-/// certificate section, `WalRecord::Cert` replay re-inserts and
-/// `WalRecord::CertsTaken` replay removes by content digest.
+/// Nothing here is journaled in its own right: restore and recovery
+/// rebuild the store from the snapshot's certificate section,
+/// `WalRecord::Cert` replay re-inserts and `WalRecord::CertsTaken` replay
+/// removes by content digest.
 #[derive(Debug)]
 struct HeldCerts<S> {
     clients: HashMap<ClientId, Held<S>>,
@@ -472,7 +471,6 @@ pub struct AstroTwoReplica<A: Authenticator> {
     pending_acks: BTreeMap<ReplicaId, Vec<[u8; 32]>>,
     pub(crate) batch: Vec<DepPayment<A::Sig>>,
     batch_size: usize,
-    next_tag: u64,
     mode: CreditMode,
     dep_policy: DepPolicy,
     /// Representative state: funds already promised to in-flight payments
@@ -525,7 +523,6 @@ impl<A: Authenticator> AstroTwoReplica<A> {
             pending_acks: BTreeMap::new(),
             batch: Vec::new(),
             batch_size: cfg.batch_size.max(1),
-            next_tag: 0,
             mode: cfg.credit_mode,
             dep_policy: cfg.dep_policy,
             reserved: HashMap::new(),
@@ -566,43 +563,6 @@ impl<A: Authenticator> AstroTwoReplica<A> {
     /// The shard this replica belongs to.
     pub fn shard(&self) -> ShardId {
         self.my_shard
-    }
-
-    /// Reconstructs a replica from a recovered snapshot state. `auth`,
-    /// `layout` and `cfg` must match the crashed incarnation. In-flight
-    /// state that is deliberately not durable — the unflushed client
-    /// batch, partial CREDIT proof sets below the certificate threshold,
-    /// and in-flight balance reservations — restarts empty.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the snapshot's xlogs violate the owner/sequence
-    /// invariants. Certificates that fail to decode under this signature
-    /// scheme are dropped (they could never verify either).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the replica is not a member of the layout (as
-    /// [`Self::new`]).
-    pub fn restore(
-        auth: A,
-        layout: ShardLayout,
-        cfg: Astro2Config,
-        state: &Astro2State,
-    ) -> Result<Self, XLogError> {
-        let mut replica = AstroTwoReplica::new(auth, layout, cfg);
-        replica.shell.ledger = Ledger::import(&state.ledger)?;
-        replica.restore_residual(&Astro2Snapshot {
-            sealed_segments: 0,
-            pending: state.pending.clone(),
-            used_deps: state.used_deps.clone(),
-            stuck: state.stuck.clone(),
-            certs: state.certs.clone(),
-            outbox: state.outbox.clone(),
-            next_tag: state.next_tag,
-            cursors: state.cursors.clone(),
-        });
-        Ok(replica)
     }
 
     /// Paces only the CREDIT retry outbox — the flush timer's
@@ -811,118 +771,6 @@ impl<A: Authenticator> AstroTwoReplica<A> {
         out
     }
 
-    /// Applies a BRB-delivered batch (Listings 8–9) and emits CREDIT
-    /// sub-batches for the settled payments.
-    fn apply_batch(
-        &mut self,
-        id: InstanceId,
-        batch: DepBatch<A::Sig>,
-        out: &mut ReplicaStep<Astro2Msg<A::Sig>>,
-    ) {
-        let broadcaster = ReplicaId(id.source as u32);
-        let mut touched: Vec<ClientId> = Vec::new();
-        let mut settled: Vec<Payment> = Vec::new();
-
-        for entry in batch.entries {
-            let p = entry.payment;
-            // Representative and locality checks.
-            if self.layout.representative_of(p.spender) != broadcaster
-                || self.layout.shard_of_client(p.spender) != self.my_shard
-            {
-                continue;
-            }
-            match self.attempt_settle(&p, &entry.deps) {
-                SettleOutcome::Applied => {
-                    if let Some(r) = self.reserved.get_mut(&p.spender) {
-                        *r = r.saturating_sub(p.amount.0);
-                    }
-                    settled.push(p);
-                    touched.push(p.spender);
-                    touched.push(p.beneficiary);
-                }
-                SettleOutcome::FutureSeq | SettleOutcome::InsufficientFunds => {
-                    // InsufficientFunds only surfaces in DirectIntraShard
-                    // mode (certificate mode converts it into a permanent
-                    // drop); queue until a credit arrives, as in Astro I.
-                    // The attached certificates ride into the record: a
-                    // future-sequence payment queues *before* the
-                    // dependency step, so its credits are not yet in the
-                    // ledger and must survive a restart with it.
-                    self.shell.journal.rec(&WalRecord::Queued {
-                        payment: p,
-                        deps: entry.deps.iter().map(Wire::to_wire_bytes).collect(),
-                    });
-                    self.pending.push(p, entry.deps);
-                    touched.push(p.spender);
-                }
-                SettleOutcome::StaleSeq => {}
-            }
-        }
-
-        // Cascade: settled payments may unblock queued successors.
-        let Self {
-            shell: Shell { ledger, journal, .. },
-            pending,
-            auth,
-            layout,
-            groups,
-            used_deps,
-            cert_cache,
-            stuck,
-            mode,
-            my_shard,
-            ..
-        } = self;
-        let cascaded = pending.drain_cascade(touched, ledger, |ledger, p, deps| {
-            attempt_settle_inner(
-                ledger, auth, layout, groups, used_deps, cert_cache, stuck, journal, *mode,
-                *my_shard, p, deps,
-            )
-        });
-        settled.extend(cascaded.into_iter().map(|e| e.payment));
-
-        // The delivery record *terminates* the batch's effects in the log:
-        // a torn tail that cuts before it replays a (harmless, idempotent)
-        // effect prefix with the cursor still behind — never a cursor that
-        // has advanced past effects that were lost.
-        self.shell.journal.rec(&WalRecord::Delivered { source: id.source, tag: id.tag });
-
-        // Emit CREDIT sub-batches grouped by beneficiary representative
-        // (paper §VI-A's second batching level: one signature per group).
-        let mut by_rep: BTreeMap<ReplicaId, Vec<Payment>> = BTreeMap::new();
-        for p in &settled {
-            let beneficiary_shard = self.layout.shard_of_client(p.beneficiary);
-            let direct =
-                self.mode == CreditMode::DirectIntraShard && beneficiary_shard == self.my_shard;
-            if !direct {
-                by_rep.entry(self.layout.representative_of(p.beneficiary)).or_default().push(*p);
-            }
-        }
-        let me = self.shell.me;
-        for (rep, bundle) in by_rep {
-            if rep == me {
-                // Self-addressed credits deliver inline: no transport to
-                // lose them, so they bypass the retry outbox too.
-                let sig = self.auth.sign(&credit_context(&bundle));
-                let step = self.on_credit(me, CreditBundle { bundle, sig });
-                out.outbound.extend(step.outbound);
-                out.settled.extend(step.settled);
-            } else {
-                self.queue_credit(rep, bundle, &mut out.outbound);
-            }
-        }
-        if let Some(obs) = &self.shell.obs {
-            obs.settles.add(settled.len() as u64);
-            // Representative-only, as in Astro I: one stamp per payment
-            // keeps the rest of the shard off the tracer.
-            obs.stage_batch(
-                settled.iter().filter(|p| self.layout.representative_of(p.spender) == me),
-                astro_obs::Stage::Settle,
-            );
-        }
-        out.settled.extend(settled);
-    }
-
     /// One settle attempt for a payment with its dependencies.
     fn attempt_settle(
         &mut self,
@@ -1111,8 +959,8 @@ impl<A: Authenticator> AstroTwoReplica<A> {
 impl<A: Authenticator> Replica for AstroTwoReplica<A> {
     type Msg = Astro2Msg<A::Sig>;
     type Config = Astro2Config;
-    type State = Astro2State;
-    type Snapshot = Astro2Snapshot;
+    type Brb = SignedBrb<DepBatch<A::Sig>, A>;
+    type Local = Astro2Local;
 
     fn shell(&self) -> &Shell<Self::Msg> {
         &self.shell
@@ -1122,16 +970,16 @@ impl<A: Authenticator> Replica for AstroTwoReplica<A> {
         &mut self.shell
     }
 
+    fn brb(&self) -> &Self::Brb {
+        &self.brb
+    }
+
+    fn brb_mut(&mut self) -> &mut Self::Brb {
+        &mut self.brb
+    }
+
     fn sync_msg(msg: SyncMsg) -> Self::Msg {
         Astro2Msg::Sync(msg)
-    }
-
-    fn state_ledger(state: &mut Astro2State) -> &mut LedgerState {
-        &mut state.ledger
-    }
-
-    fn sealed_segments(residual: &Astro2Snapshot) -> u64 {
-        residual.sealed_segments
     }
 
     /// This replica's shard.
@@ -1222,7 +1070,7 @@ impl<A: Authenticator> Replica for AstroTwoReplica<A> {
                     settled: Vec::new(),
                 };
                 for delivery in step.delivered {
-                    self.apply_batch(delivery.id, delivery.payload, &mut out);
+                    self.apply(delivery.id, delivery.payload, &mut out);
                 }
                 if let Some(obs) = &self.shell.obs {
                     // An outbound COMMIT means this replica just assembled
@@ -1267,18 +1115,12 @@ impl<A: Authenticator> Replica for AstroTwoReplica<A> {
             obs.cert_cache_hits.set(self.cert_cache.hits());
             obs.cert_cache_misses.set(self.cert_cache.misses());
         }
-        let id = InstanceId { source: u64::from(self.shell.me.0), tag: self.next_tag };
-        self.next_tag += 1;
         // The batch becomes durable now: certificate consumption first,
-        // then the tag reservation — a restarted replica must never reuse
-        // a tag it already broadcast under (peers ack at most one payload
-        // per instance, so a reused tag wedges the stream). Journaled
-        // before the PREPARE leaves; against *power loss* the window is
-        // bounded by group commit unless `sync_on_broadcast` is set.
+        // then the tag reservation.
         for (client, digests) in std::mem::take(&mut self.pending_cert_takes) {
             self.shell.journal.rec(&WalRecord::CertsTaken { client, digests });
         }
-        self.shell.journal.rec(&WalRecord::OwnTag { tag: id.tag });
+        let id = self.shell.next_instance();
         let step = self.brb.broadcast(id, DepBatch { entries });
         out.outbound.extend(
             step.outbound.into_iter().map(|e| Envelope { to: e.to, msg: Astro2Msg::Brb(e.msg) }),
@@ -1349,22 +1191,118 @@ impl<A: Authenticator> Replica for AstroTwoReplica<A> {
         out
     }
 
-    fn tracked_instances(&self) -> usize {
-        self.brb.tracked_instances()
+    /// Applies a BRB-delivered batch (Listings 8–9) and emits CREDIT
+    /// sub-batches for the settled payments.
+    fn apply(&mut self, id: InstanceId, batch: DepBatch<A::Sig>, out: &mut ReplicaStep<Self::Msg>) {
+        let broadcaster = ReplicaId(id.source as u32);
+        let mut touched: Vec<ClientId> = Vec::new();
+        let mut settled: Vec<Payment> = Vec::new();
+
+        for entry in batch.entries {
+            let p = entry.payment;
+            // Representative and locality checks.
+            if self.layout.representative_of(p.spender) != broadcaster
+                || self.layout.shard_of_client(p.spender) != self.my_shard
+            {
+                continue;
+            }
+            match self.attempt_settle(&p, &entry.deps) {
+                SettleOutcome::Applied => {
+                    if let Some(r) = self.reserved.get_mut(&p.spender) {
+                        *r = r.saturating_sub(p.amount.0);
+                    }
+                    settled.push(p);
+                    touched.push(p.spender);
+                    touched.push(p.beneficiary);
+                }
+                SettleOutcome::FutureSeq | SettleOutcome::InsufficientFunds => {
+                    // InsufficientFunds only surfaces in DirectIntraShard
+                    // mode (certificate mode converts it into a permanent
+                    // drop); queue until a credit arrives, as in Astro I.
+                    // The attached certificates ride into the record: a
+                    // future-sequence payment queues *before* the
+                    // dependency step, so its credits are not yet in the
+                    // ledger and must survive a restart with it.
+                    self.shell.journal.rec(&WalRecord::Queued {
+                        payment: p,
+                        deps: entry.deps.iter().map(Wire::to_wire_bytes).collect(),
+                    });
+                    self.pending.push(p, entry.deps);
+                    touched.push(p.spender);
+                }
+                SettleOutcome::StaleSeq => {}
+            }
+        }
+
+        // Cascade: settled payments may unblock queued successors.
+        let Self {
+            shell: Shell { ledger, journal, .. },
+            pending,
+            auth,
+            layout,
+            groups,
+            used_deps,
+            cert_cache,
+            stuck,
+            mode,
+            my_shard,
+            ..
+        } = self;
+        let cascaded = pending.drain_cascade(touched, ledger, |ledger, p, deps| {
+            attempt_settle_inner(
+                ledger, auth, layout, groups, used_deps, cert_cache, stuck, journal, *mode,
+                *my_shard, p, deps,
+            )
+        });
+        settled.extend(cascaded.into_iter().map(|e| e.payment));
+
+        // The delivery record *terminates* the batch's effects in the log:
+        // a torn tail that cuts before it replays a (harmless, idempotent)
+        // effect prefix with the cursor still behind — never a cursor that
+        // has advanced past effects that were lost.
+        self.shell.journal.rec(&WalRecord::Delivered { source: id.source, tag: id.tag });
+
+        // Emit CREDIT sub-batches grouped by beneficiary representative
+        // (paper §VI-A's second batching level: one signature per group).
+        let mut by_rep: BTreeMap<ReplicaId, Vec<Payment>> = BTreeMap::new();
+        for p in &settled {
+            let beneficiary_shard = self.layout.shard_of_client(p.beneficiary);
+            let direct =
+                self.mode == CreditMode::DirectIntraShard && beneficiary_shard == self.my_shard;
+            if !direct {
+                by_rep.entry(self.layout.representative_of(p.beneficiary)).or_default().push(*p);
+            }
+        }
+        let me = self.shell.me;
+        for (rep, bundle) in by_rep {
+            if rep == me {
+                // Self-addressed credits deliver inline: no transport to
+                // lose them, so they bypass the retry outbox too.
+                let sig = self.auth.sign(&credit_context(&bundle));
+                let step = self.on_credit(me, CreditBundle { bundle, sig });
+                out.outbound.extend(step.outbound);
+                out.settled.extend(step.settled);
+            } else {
+                self.queue_credit(rep, bundle, &mut out.outbound);
+            }
+        }
+        if let Some(obs) = &self.shell.obs {
+            obs.settles.add(settled.len() as u64);
+            // Representative-only, as in Astro I: one stamp per payment
+            // keeps the rest of the shard off the tracer.
+            obs.stage_batch(
+                settled.iter().filter(|p| self.layout.representative_of(p.spender) == me),
+                astro_obs::Stage::Settle,
+            );
+        }
+        out.settled.extend(settled);
     }
 
-    /// See [`SignedBrb::gc_delivered`]: the contiguous delivered prefix of
-    /// every source's stream.
-    fn prune_delivered(&mut self) -> usize {
-        self.brb.gc_delivered()
-    }
-
-    /// Settlement state, approval queue, dependency replay-protection,
-    /// stuck set, held certificates, the CREDIT outbox, broadcast tag
-    /// counter, and BRB cursors. The shared settlement state is
+    /// Approval queue, dependency replay-protection, stuck set, held
+    /// certificates and the CREDIT outbox. The shared sections are
     /// canonical; the certificate section is representative-local by
     /// construction.
-    fn export_state(&self) -> Astro2State {
+    fn export_local(&self) -> Astro2Local {
         let mut used_deps: Vec<PaymentId> = self.used_deps.iter().copied().collect();
         used_deps.sort_unstable();
         let mut stuck: Vec<ClientId> = self.stuck.iter().copied().collect();
@@ -1394,8 +1332,7 @@ impl<A: Authenticator> Replica for AstroTwoReplica<A> {
         let mut outbox: Vec<(ReplicaId, Vec<Payment>)> =
             self.outbox.values().map(|e| (e.dest, e.bundle.clone())).collect();
         outbox.sort_by_key(|(dest, _)| *dest);
-        Astro2State {
-            ledger: self.shell.ledger.export(),
+        Astro2Local {
             pending: self
                 .pending
                 .entries()
@@ -1406,72 +1343,69 @@ impl<A: Authenticator> Replica for AstroTwoReplica<A> {
             stuck,
             certs,
             outbox,
-            next_tag: self.next_tag,
-            cursors: self.brb.delivery_cursors(),
-        }
-    }
-
-    /// Everything outside the ledger.
-    fn residual_state(&self, sealed_segments: u64) -> Astro2Snapshot {
-        let full = self.export_state();
-        Astro2Snapshot {
-            sealed_segments,
-            pending: full.pending,
-            used_deps: full.used_deps,
-            stuck: full.stuck,
-            certs: full.certs,
-            outbox: full.outbox,
-            next_tag: full.next_tag,
-            cursors: full.cursors,
         }
     }
 
     /// Certificates listed under several beneficiaries come back as one
-    /// allocation; outbox entries are re-signed.
-    fn restore_residual(&mut self, residual: &Astro2Snapshot) {
-        for (payment, deps) in &residual.pending {
-            let decoded: Vec<DependencyCertificate<A::Sig>> =
-                deps.iter().filter_map(|bytes| decode_exact(bytes).ok()).collect();
-            self.pending.push(*payment, decoded);
+    /// allocation; outbox entries are re-signed. Held certificates and
+    /// outbox entries merge into what the replica has (a catch-up
+    /// transfers neither, see [`Replica::sync_local`]). Partial CREDIT
+    /// proof sets below the certificate threshold and balance
+    /// reservations are not durable: they restart empty.
+    fn restore_local(&mut self, local: &Astro2Local) {
+        self.pending = PendingQueue::new();
+        for (payment, deps) in &local.pending {
+            self.pending.push(*payment, decode_certs(deps));
         }
-        self.used_deps = residual.used_deps.iter().copied().collect();
-        self.stuck = residual.stuck.iter().copied().collect();
-        for (client, certs) in &residual.certs {
-            for bytes in certs {
-                if let Ok(cert) = decode_exact::<DependencyCertificate<A::Sig>>(bytes) {
-                    self.held.insert(credit_key(&cert.bundle), Arc::new(cert), [*client]);
-                }
+        self.used_deps = local.used_deps.iter().copied().collect();
+        self.stuck = local.stuck.iter().copied().collect();
+        for (client, certs) in &local.certs {
+            for cert in decode_certs::<A::Sig>(certs) {
+                self.held.insert(credit_key(&cert.bundle), Arc::new(cert), [*client]);
             }
         }
-        for (dest, bundle) in &residual.outbox {
+        for (dest, bundle) in &local.outbox {
             self.restore_outbox_entry(*dest, bundle.clone());
-        }
-        self.next_tag = residual.next_tag;
-        for (source, next) in &residual.cursors {
-            self.brb.advance_cursor(*source, *next);
         }
     }
 
-    fn replay(&mut self, record: &WalRecord) {
+    /// The representative certificate store and the CREDIT retry outbox
+    /// are replica-local: donors do not hold the requester's clients'
+    /// certificates or delivery debts, and leaving them in would break
+    /// the byte-identical `f+1` match. The requester's own store is
+    /// untouched by the transfer: certificates are re-formed from CREDIT
+    /// traffic — donors retain unacked bundles in their retry outboxes,
+    /// and the `CreditRequest` fan-out of [`Replica::catchup_ended`] makes
+    /// them replay anything the store is still missing.
+    fn sync_local(local: &mut Astro2Local) {
+        local.certs = Vec::new();
+        local.outbox = Vec::new();
+    }
+
+    /// Materialized dependencies and stuck marks must both be supersets of
+    /// the local ones, or effects this replica already applied would
+    /// vanish — and a dependency could re-materialize: a double credit.
+    fn check_local(&self, local: &Astro2Local) -> Result<(), SyncError> {
+        let certified_deps: HashSet<PaymentId> = local.used_deps.iter().copied().collect();
+        let certified_stuck: HashSet<ClientId> = local.stuck.iter().copied().collect();
+        if self.used_deps.is_subset(&certified_deps) && self.stuck.is_subset(&certified_stuck) {
+            Ok(())
+        } else {
+            Err(SyncError::Stale)
+        }
+    }
+
+    fn replay_local(&mut self, record: &WalRecord) {
         match record {
-            WalRecord::Delivered { source, tag } => self.brb.advance_cursor(*source, tag + 1),
-            WalRecord::Settle { payment, credit_beneficiary } => {
-                let _ = self.shell.ledger.settle(payment, *credit_beneficiary);
-            }
             WalRecord::DepUsed { dep } => {
                 if self.used_deps.insert(dep.id()) {
                     self.shell.ledger.credit(dep.beneficiary, dep.amount);
                 }
             }
-            WalRecord::Queued { payment, deps } => {
-                let decoded: Vec<DependencyCertificate<A::Sig>> =
-                    deps.iter().filter_map(|bytes| decode_exact(bytes).ok()).collect();
-                self.pending.push(*payment, decoded);
-            }
+            WalRecord::Queued { payment, deps } => self.pending.push(*payment, decode_certs(deps)),
             WalRecord::Stuck { client } => {
                 self.stuck.insert(*client);
             }
-            WalRecord::OwnTag { tag } => self.next_tag = self.next_tag.max(tag + 1),
             WalRecord::CertsTaken { client, digests } => {
                 // Consumption by content digest: removal of an absent
                 // certificate is a no-op, so any replay interleaving with
@@ -1492,87 +1426,13 @@ impl<A: Authenticator> Replica for AstroTwoReplica<A> {
             WalRecord::CreditAcked { digest } => {
                 self.outbox.remove(digest);
             }
+            // Replayed by `Replica::replay` itself.
+            WalRecord::Delivered { .. } | WalRecord::Settle { .. } | WalRecord::OwnTag { .. } => {}
         }
     }
 
     fn finish_recovery(&mut self) {
         self.pending.prune_stale(&self.shell.ledger);
-    }
-
-    /// The shared settlement state (ledger, approval queue, dependency
-    /// replay-protection, stuck set) with the replica-local sections —
-    /// the representative certificate store and the CREDIT retry outbox —
-    /// cleared: donors do not hold the requester's clients' certificates
-    /// or delivery debts, and leaving local data in would break the
-    /// byte-identical `f+1` match. See
-    /// [`astro_brb::signed::SignedBrb::source_high_water`] for `next_tag`.
-    fn sync_state(&self, requester: ReplicaId) -> Astro2State {
-        let mut state = self.export_state();
-        state.certs = Vec::new();
-        state.outbox = Vec::new();
-        state.next_tag = self.brb.source_high_water(u64::from(requester.0));
-        state
-    }
-
-    /// Stale if the transferred state is behind this replica in any xlog,
-    /// used dependency, or stuck mark. The representative-local
-    /// certificate store is untouched by the transfer itself:
-    /// certificates are re-formed from CREDIT traffic — donors retain
-    /// unacked bundles in their retry outboxes, and the `CreditRequest`
-    /// fan-out of [`Replica::catchup_ended`] makes them replay anything
-    /// this store is still missing.
-    fn install_sync(&mut self, state: &Astro2State) -> Result<ReplicaStep<Self::Msg>, SyncError> {
-        let certified = Ledger::import(&state.ledger).map_err(|_| SyncError::Invalid)?;
-        // Never regress: xlogs, materialized dependencies, and stuck
-        // marks must all be supersets of the local state, or effects this
-        // replica already applied would vanish (and a dependency could
-        // re-materialize — a double credit).
-        for xlog in self.shell.ledger.xlogs() {
-            if certified.next_seq(xlog.owner()) < xlog.next_seq() {
-                return Err(SyncError::Stale);
-            }
-        }
-        let certified_deps: HashSet<PaymentId> = state.used_deps.iter().copied().collect();
-        if !self.used_deps.is_subset(&certified_deps) {
-            return Err(SyncError::Stale);
-        }
-        let certified_stuck: HashSet<ClientId> = state.stuck.iter().copied().collect();
-        if !self.stuck.is_subset(&certified_stuck) {
-            return Err(SyncError::Stale);
-        }
-        let mut installed: Vec<Payment> = Vec::new();
-        for xlog in certified.xlogs() {
-            installed.extend(xlog.iter_from(self.shell.ledger.next_seq(xlog.owner())));
-        }
-        self.shell.ledger = certified;
-        self.used_deps = certified_deps;
-        self.stuck = certified_stuck;
-        self.pending = PendingQueue::new();
-        for (payment, deps) in &state.pending {
-            let decoded: Vec<DependencyCertificate<A::Sig>> =
-                deps.iter().filter_map(|bytes| decode_exact(bytes).ok()).collect();
-            self.pending.push(*payment, decoded);
-        }
-        if state.next_tag > self.next_tag {
-            // Journaled even though a snapshot follows: tag reuse is the
-            // one recovery error a later catch-up cannot repair.
-            self.shell.journal.rec(&WalRecord::OwnTag { tag: state.next_tag - 1 });
-            self.next_tag = state.next_tag;
-        }
-        let mut out = ReplicaStep { outbound: Vec::new(), settled: installed };
-        // Astro II's broadcast delivers unordered, so `cursors` is empty
-        // and nothing is ever gap-blocked — but mirror the Astro I flow
-        // (advance-and-release, then apply) so a FIFO-configured
-        // deployment would stay correct too.
-        for (source, next) in &state.cursors {
-            for delivery in self.brb.advance_cursor_releasing(*source, *next) {
-                self.apply_batch(delivery.id, delivery.payload, &mut out);
-            }
-        }
-        // The caught-up prefix is dead weight in the broadcast layer now.
-        self.brb.gc_delivered();
-        self.shell.snapshot_requested = true;
-        Ok(out)
     }
 
     /// Rebuilds the certificate store: asks every potential donor — all
@@ -1594,6 +1454,12 @@ impl<A: Authenticator> Replica for AstroTwoReplica<A> {
         }
         out
     }
+}
+
+/// Decodes wire-encoded certificates, dropping any that fail to decode
+/// under this signature scheme (they could never verify either).
+fn decode_certs<S: Wire>(certs: &[Vec<u8>]) -> Vec<DependencyCertificate<S>> {
+    certs.iter().filter_map(|bytes| decode_exact(bytes).ok()).collect()
 }
 
 /// Appends one pool check per Schnorr signature in `sigs`, all over the
@@ -2025,12 +1891,12 @@ mod tests {
         let rep2 = layout.representative_of(ClientId(2));
         let node = c.node(rep2.0 as usize);
         let state = node.export_state();
-        let restored = AstroTwoReplica::restore(
+        let restored = AstroTwoReplica::new(
             MacAuthenticator::new(rep2, b"astro2".to_vec()),
             layout.clone(),
             cfg(CreditMode::Certificates),
-            &state,
         )
+        .restore(&state)
         .unwrap();
         assert_eq!(restored.export_state(), state, "restore→export is the identity");
         assert_eq!(restored.balance(ClientId(0)), node.balance(ClientId(0)));
@@ -2284,19 +2150,19 @@ mod tests {
         c.run_to_quiescence();
         let donor = (0..4).find(|&i| c.node(i).outbox_depth() == 1).unwrap();
         let state = c.node(donor).export_state();
-        assert_eq!(state.outbox.len(), 1, "unacked CREDIT exported");
-        let restored = AstroTwoReplica::restore(
+        assert_eq!(state.local.outbox.len(), 1, "unacked CREDIT exported");
+        let restored = AstroTwoReplica::new(
             MacAuthenticator::new(ReplicaId(donor as u32), b"astro2".to_vec()),
             layout.clone(),
             cfg(CreditMode::Certificates),
-            &state,
         )
+        .restore(&state)
         .unwrap();
         assert_eq!(restored.outbox_depth(), 1, "outbox recovered");
         assert_eq!(restored.export_state(), state, "restore→export is the identity");
         // The state served to catching-up peers clears the (donor-local)
         // outbox, like the certificate store.
-        assert!(restored.sync_state(rep1).outbox.is_empty());
+        assert!(restored.sync_state(rep1).local.outbox.is_empty());
     }
     fn mac(r: ReplicaId) -> MacAuthenticator {
         MacAuthenticator::new(r, b"astro2".to_vec())
@@ -2333,13 +2199,10 @@ mod tests {
         // Crash; the snapshot holds the certificate and the log's overlap
         // window holds a `Cert` record for the re-formed one.
         let state = c.node(rep1.0 as usize).export_state();
-        let mut recovered = AstroTwoReplica::restore(
-            mac(rep1),
-            layout.clone(),
-            cfg(CreditMode::Certificates),
-            &state,
-        )
-        .unwrap();
+        let mut recovered =
+            AstroTwoReplica::new(mac(rep1), layout.clone(), cfg(CreditMode::Certificates))
+                .restore(&state)
+                .unwrap();
         assert_eq!(recovered.available_balance(ClientId(1)), Amount(130));
         recovered.replay(&WalRecord::Cert { bytes: reformed.to_wire_bytes() });
         assert_eq!(recovered.held_certificates(ClientId(1)), 1);
@@ -2536,7 +2399,7 @@ mod tests {
                         } else {
                             let state = node.export_state();
                             let (layout, config) = (layout.clone(), config.clone());
-                            node = Node::restore(mac(me), layout, config, &state).unwrap();
+                            node = Node::new(mac(me), layout, config).restore(&state).unwrap();
                             node.set_journal(Box::new(sink.clone()));
                             next_seq.clear();
                         }

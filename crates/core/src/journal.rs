@@ -1,5 +1,5 @@
-//! Durability hooks: the write-ahead-log record vocabulary and the
-//! snapshot state types replicas export and restore.
+//! Durability hooks: the write-ahead-log record vocabulary and the one
+//! state layout both protocols export, snapshot, transfer and restore.
 //!
 //! The paper's replicas are in-memory state machines; what makes them
 //! *recoverable* is that every state transition is driven by a small set
@@ -16,10 +16,16 @@
 //! the ledger, dependency credits are guarded by `usedDeps`, cursors and
 //! tag counters only move forward.
 //!
-//! The snapshot types ([`LedgerState`], [`Astro1State`], [`Astro2State`])
-//! reuse the wire codec, so a snapshot is byte-identical across replicas
-//! holding the same state — which is exactly the paper's convergence
-//! claim made checkable on disk.
+//! State is laid out once for both protocols: [`State`] (ledger, the
+//! protocol's own section, broadcast tag counter, delivery cursors) is the
+//! full snapshot and the canonical state catch-up transfers; [`Residual`]
+//! is the same without the ledger, written next to checkpoint segments.
+//! Only the section type differs — [`Astro1Local`] (the approval queue)
+//! and [`Astro2Local`] (plus dependency replay protection, stuck clients,
+//! held certificates and the CREDIT outbox). All of it reuses the wire
+//! codec, so a snapshot is byte-identical across replicas holding the
+//! same state — which is exactly the paper's convergence claim made
+//! checkable on disk.
 
 use crate::xlog::XLogError;
 use astro_types::wire::{decode_exact, Wire, WireError};
@@ -316,53 +322,119 @@ impl Wire for LedgerState {
     }
 }
 
-/// Snapshot of an [`AstroOneReplica`](crate::astro1::AstroOneReplica).
+/// A replica's full durable state: what [`crate::Replica::export_state`]
+/// writes and, with replica-local sections cleared, what catch-up
+/// transfers. Every field but `local` is the same for both protocols;
+/// `local` is the protocol's own section ([`Astro1Local`],
+/// [`Astro2Local`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Astro1State {
+pub struct State<L> {
     /// The settlement state.
     pub ledger: LedgerState,
-    /// Payments queued awaiting approval, `(spender, seq)` ascending.
-    pub pending: Vec<Payment>,
+    /// The protocol-specific section.
+    pub local: L,
     /// The replica's own next broadcast tag.
     pub next_tag: u64,
     /// BRB delivery cursors: next deliverable tag per source, ascending
-    /// by source.
+    /// by source (empty under unordered delivery).
     pub cursors: Vec<(u64, u64)>,
 }
 
-impl Wire for Astro1State {
+impl<L: Wire> Wire for State<L> {
     fn encode(&self, buf: &mut Vec<u8>) {
         self.ledger.encode(buf);
-        self.pending.encode(buf);
+        self.local.encode(buf);
         self.next_tag.encode(buf);
         self.cursors.encode(buf);
     }
     fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(Astro1State {
+        Ok(State {
             ledger: Wire::decode(buf)?,
-            pending: Wire::decode(buf)?,
+            local: Wire::decode(buf)?,
             next_tag: Wire::decode(buf)?,
             cursors: Wire::decode(buf)?,
         })
     }
     fn encoded_len(&self) -> usize {
         self.ledger.encoded_len()
-            + self.pending.encoded_len()
+            + self.local.encoded_len()
             + self.next_tag.encoded_len()
             + self.cursors.encoded_len()
     }
 }
 
-/// Snapshot of an [`AstroTwoReplica`](crate::astro2::AstroTwoReplica).
+/// The residual snapshot (v2 storage engine): a [`State`] without its
+/// ledger. Settled history and balances live in the `sealed_segments`
+/// checkpoint segments this snapshot builds on, so the snapshot itself
+/// stays O(working set) no matter how much history has settled.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Residual<L> {
+    /// How many checkpoint segments this snapshot builds on. Recovery
+    /// uses exactly this many (an orphan segment sealed just before a
+    /// crash, whose snapshot never installed, is ignored) and fails if
+    /// fewer are recovered intact.
+    pub sealed_segments: u64,
+    /// The protocol-specific section.
+    pub local: L,
+    /// The replica's own next broadcast tag.
+    pub next_tag: u64,
+    /// BRB delivery cursors, ascending by source.
+    pub cursors: Vec<(u64, u64)>,
+}
+
+impl<L: Wire> Wire for Residual<L> {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        self.sealed_segments.encode(buf);
+        self.local.encode(buf);
+        self.next_tag.encode(buf);
+        self.cursors.encode(buf);
+    }
+    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
+        Ok(Residual {
+            sealed_segments: Wire::decode(buf)?,
+            local: Wire::decode(buf)?,
+            next_tag: Wire::decode(buf)?,
+            cursors: Wire::decode(buf)?,
+        })
+    }
+    fn encoded_len(&self) -> usize {
+        self.sealed_segments.encoded_len()
+            + self.local.encoded_len()
+            + self.next_tag.encoded_len()
+            + self.cursors.encoded_len()
+    }
+}
+
+/// The protocol-specific state section of an
+/// [`AstroOneReplica`](crate::astro1::AstroOneReplica).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Astro1Local {
+    /// Payments queued awaiting approval, `(spender, seq)` ascending.
+    pub pending: Vec<Payment>,
+}
+
+impl Wire for Astro1Local {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        self.pending.encode(buf);
+    }
+    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
+        Ok(Astro1Local { pending: Wire::decode(buf)? })
+    }
+    fn encoded_len(&self) -> usize {
+        self.pending.encoded_len()
+    }
+}
+
+/// The protocol-specific state section of an
+/// [`AstroTwoReplica`](crate::astro2::AstroTwoReplica).
 ///
-/// Certificates are carried as opaque wire bytes so the snapshot type is
+/// Certificates are carried as opaque wire bytes so the section is
 /// independent of the signature scheme; they are decoded against the
 /// concrete scheme on restore (a certificate that fails to decode is
-/// dropped — it could never verify either).
+/// dropped — it could never verify either). `certs` and `outbox` are
+/// replica-local: catch-up transfers them empty.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Astro2State {
-    /// The settlement state.
-    pub ledger: LedgerState,
+pub struct Astro2Local {
     /// Payments queued awaiting approval with their attached (not yet
     /// materialized) certificates, `(spender, seq)` ascending.
     pub pending: Vec<(Payment, Vec<Vec<u8>>)>,
@@ -379,44 +451,31 @@ pub struct Astro2State {
     /// then bundle digest. Signatures are not exported — restore re-signs
     /// with the replica's own key.
     pub outbox: Vec<(ReplicaId, Vec<Payment>)>,
-    /// The replica's own next broadcast tag.
-    pub next_tag: u64,
-    /// BRB delivery cursors (FIFO mode), ascending by source.
-    pub cursors: Vec<(u64, u64)>,
 }
 
-impl Wire for Astro2State {
+impl Wire for Astro2Local {
     fn encode(&self, buf: &mut Vec<u8>) {
-        self.ledger.encode(buf);
         self.pending.encode(buf);
         self.used_deps.encode(buf);
         self.stuck.encode(buf);
         self.certs.encode(buf);
         self.outbox.encode(buf);
-        self.next_tag.encode(buf);
-        self.cursors.encode(buf);
     }
     fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(Astro2State {
-            ledger: Wire::decode(buf)?,
+        Ok(Astro2Local {
             pending: Wire::decode(buf)?,
             used_deps: Wire::decode(buf)?,
             stuck: Wire::decode(buf)?,
             certs: Wire::decode(buf)?,
             outbox: Wire::decode(buf)?,
-            next_tag: Wire::decode(buf)?,
-            cursors: Wire::decode(buf)?,
         })
     }
     fn encoded_len(&self) -> usize {
-        self.ledger.encoded_len()
-            + self.pending.encoded_len()
+        self.pending.encoded_len()
             + self.used_deps.encoded_len()
             + self.stuck.encoded_len()
             + self.certs.encoded_len()
             + self.outbox.encoded_len()
-            + self.next_tag.encoded_len()
-            + self.cursors.encoded_len()
     }
 }
 
@@ -462,106 +521,6 @@ impl Wire for CheckpointRecord {
             + self.balance.encoded_len()
             + self.base.encoded_len()
             + self.entries.encoded_len()
-    }
-}
-
-/// The residual snapshot of an Astro I replica (v2 storage engine): the
-/// volatile protocol state *not* covered by checkpoint segments. Settled
-/// history and balances live in the `sealed_segments` checkpoint
-/// segments this snapshot builds on — the snapshot itself stays O(working
-/// set) no matter how much history has settled.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Astro1Snapshot {
-    /// How many checkpoint segments this snapshot builds on. Recovery
-    /// uses exactly this many (an orphan segment sealed just before a
-    /// crash, whose snapshot never installed, is ignored) and fails if
-    /// fewer are recovered intact.
-    pub sealed_segments: u64,
-    /// Payments queued awaiting approval, `(spender, seq)` ascending.
-    pub pending: Vec<Payment>,
-    /// The replica's own next broadcast tag.
-    pub next_tag: u64,
-    /// BRB delivery cursors, ascending by source.
-    pub cursors: Vec<(u64, u64)>,
-}
-
-impl Wire for Astro1Snapshot {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.sealed_segments.encode(buf);
-        self.pending.encode(buf);
-        self.next_tag.encode(buf);
-        self.cursors.encode(buf);
-    }
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(Astro1Snapshot {
-            sealed_segments: Wire::decode(buf)?,
-            pending: Wire::decode(buf)?,
-            next_tag: Wire::decode(buf)?,
-            cursors: Wire::decode(buf)?,
-        })
-    }
-    fn encoded_len(&self) -> usize {
-        self.sealed_segments.encoded_len()
-            + self.pending.encoded_len()
-            + self.next_tag.encoded_len()
-            + self.cursors.encoded_len()
-    }
-}
-
-/// The residual snapshot of an Astro II replica — see [`Astro1Snapshot`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Astro2Snapshot {
-    /// Checkpoint segments this snapshot builds on (see
-    /// [`Astro1Snapshot::sealed_segments`]).
-    pub sealed_segments: u64,
-    /// Queued payments with their attached certificates.
-    pub pending: Vec<(Payment, Vec<Vec<u8>>)>,
-    /// Dependency credits already materialized, ascending.
-    pub used_deps: Vec<PaymentId>,
-    /// Clients with permanently stuck xlogs, ascending.
-    pub stuck: Vec<ClientId>,
-    /// Held dependency certificates per represented client.
-    pub certs: Vec<(ClientId, Vec<Vec<u8>>)>,
-    /// Unacked CREDIT sub-batches still owed delivery.
-    pub outbox: Vec<(ReplicaId, Vec<Payment>)>,
-    /// The replica's own next broadcast tag.
-    pub next_tag: u64,
-    /// BRB delivery cursors, ascending by source.
-    pub cursors: Vec<(u64, u64)>,
-}
-
-impl Wire for Astro2Snapshot {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.sealed_segments.encode(buf);
-        self.pending.encode(buf);
-        self.used_deps.encode(buf);
-        self.stuck.encode(buf);
-        self.certs.encode(buf);
-        self.outbox.encode(buf);
-        self.next_tag.encode(buf);
-        self.cursors.encode(buf);
-    }
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(Astro2Snapshot {
-            sealed_segments: Wire::decode(buf)?,
-            pending: Wire::decode(buf)?,
-            used_deps: Wire::decode(buf)?,
-            stuck: Wire::decode(buf)?,
-            certs: Wire::decode(buf)?,
-            outbox: Wire::decode(buf)?,
-            next_tag: Wire::decode(buf)?,
-            cursors: Wire::decode(buf)?,
-        })
-    }
-    fn encoded_len(&self) -> usize {
-        self.sealed_segments.encoded_len()
-            + self.pending.encoded_len()
-            + self.used_deps.encoded_len()
-            + self.stuck.encoded_len()
-            + self.certs.encoded_len()
-            + self.outbox.encoded_len()
-            + self.next_tag.encoded_len()
-            + self.cursors.encoded_len()
     }
 }
 
@@ -621,9 +580,8 @@ impl From<XLogError> for RecoverError {
 
 /// The head of a chunked catch-up transfer: per-client counts of the full
 /// history blocks split out of the state, plus the remaining volatile
-/// state (balances, xlog *tails*, queues, cursors) as `Astro1State` /
-/// `Astro2State` wire bytes whose xlogs hold only the entries past the
-/// last full block.
+/// state (balances, xlog *tails*, queues, cursors) as [`State`] wire
+/// bytes whose xlogs hold only the entries past the last full block.
 ///
 /// The head is the only part of the transfer that must match across
 /// `f+1` donors at once; the blocks it references certify independently
@@ -762,36 +720,38 @@ mod tests {
 
     #[test]
     fn astro1_state_wire_round_trips() {
-        let state = Astro1State {
+        let state = State {
             ledger: LedgerState {
                 initial_balance: Amount(100),
                 accounts: vec![(ClientId(1), Amount(70)), (ClientId(2), Amount(130))],
                 xlogs: vec![(ClientId(1), vec![p(1, 0, 2, 30)])],
             },
-            pending: vec![p(3, 1, 4, 9)],
+            local: Astro1Local { pending: vec![p(3, 1, 4, 9)] },
             next_tag: 5,
             cursors: vec![(0, 2), (1, 7)],
         };
         let bytes = state.to_wire_bytes();
         assert_eq!(bytes.len(), state.encoded_len());
-        assert_eq!(decode_exact::<Astro1State>(&bytes).unwrap(), state);
+        assert_eq!(decode_exact::<State<Astro1Local>>(&bytes).unwrap(), state);
     }
 
     #[test]
     fn astro2_state_wire_round_trips() {
-        let state = Astro2State {
+        let state = State {
             ledger: LedgerState { initial_balance: Amount(9), accounts: vec![], xlogs: vec![] },
-            pending: vec![],
-            used_deps: vec![p(1, 0, 2, 5).id()],
-            stuck: vec![ClientId(8)],
-            certs: vec![(ClientId(2), vec![vec![0xab, 0xcd]])],
-            outbox: vec![(ReplicaId(1), vec![p(3, 0, 4, 2)])],
+            local: Astro2Local {
+                pending: vec![],
+                used_deps: vec![p(1, 0, 2, 5).id()],
+                stuck: vec![ClientId(8)],
+                certs: vec![(ClientId(2), vec![vec![0xab, 0xcd]])],
+                outbox: vec![(ReplicaId(1), vec![p(3, 0, 4, 2)])],
+            },
             next_tag: 1,
             cursors: vec![],
         };
         let bytes = state.to_wire_bytes();
         assert_eq!(bytes.len(), state.encoded_len());
-        assert_eq!(decode_exact::<Astro2State>(&bytes).unwrap(), state);
+        assert_eq!(decode_exact::<State<Astro2Local>>(&bytes).unwrap(), state);
     }
 
     #[test]
@@ -809,29 +769,31 @@ mod tests {
 
     #[test]
     fn snapshot_residuals_wire_round_trip() {
-        let s1 = Astro1Snapshot {
+        let s1 = Residual {
             sealed_segments: 3,
-            pending: vec![p(3, 1, 4, 9)],
+            local: Astro1Local { pending: vec![p(3, 1, 4, 9)] },
             next_tag: 5,
             cursors: vec![(0, 2), (1, 7)],
         };
         let bytes = s1.to_wire_bytes();
         assert_eq!(bytes.len(), s1.encoded_len());
-        assert_eq!(decode_exact::<Astro1Snapshot>(&bytes).unwrap(), s1);
+        assert_eq!(decode_exact::<Residual<Astro1Local>>(&bytes).unwrap(), s1);
 
-        let s2 = Astro2Snapshot {
+        let s2 = Residual {
             sealed_segments: 1,
-            pending: vec![(p(9, 3, 1, 1), vec![vec![7, 8]])],
-            used_deps: vec![p(1, 0, 2, 5).id()],
-            stuck: vec![ClientId(8)],
-            certs: vec![(ClientId(2), vec![vec![0xab]])],
-            outbox: vec![(ReplicaId(1), vec![p(3, 0, 4, 2)])],
+            local: Astro2Local {
+                pending: vec![(p(9, 3, 1, 1), vec![vec![7, 8]])],
+                used_deps: vec![p(1, 0, 2, 5).id()],
+                stuck: vec![ClientId(8)],
+                certs: vec![(ClientId(2), vec![vec![0xab]])],
+                outbox: vec![(ReplicaId(1), vec![p(3, 0, 4, 2)])],
+            },
             next_tag: 1,
             cursors: vec![(2, 4)],
         };
         let bytes = s2.to_wire_bytes();
         assert_eq!(bytes.len(), s2.encoded_len());
-        assert_eq!(decode_exact::<Astro2Snapshot>(&bytes).unwrap(), s2);
+        assert_eq!(decode_exact::<Residual<Astro2Local>>(&bytes).unwrap(), s2);
     }
 
     fn long_ledger(len: u64) -> LedgerState {

@@ -3,11 +3,13 @@
 //! Astro I and Astro II differ in the broadcast primitive and in what must
 //! hold before a payment settles (paper §IV); everything around that —
 //! the ledger, the journal and metric hooks, catch-up, checkpointing,
-//! recovery — is the same. [`Replica`] is the seam: each protocol supplies
-//! its step functions, its broadcast layer's bookkeeping, and the
-//! protocol-specific halves of state transfer ([`Replica::sync_state`],
-//! [`Replica::install_sync`], [`Replica::catchup_ended`]); the provided
-//! methods and the crate-private functions below are written once.
+//! recovery — is the same. [`Replica`] is the seam. Each protocol supplies
+//! its step functions, its broadcast layer (an [`astro_brb::Broadcast`]),
+//! how a delivered instance applies ([`Replica::apply`]) and its own
+//! section of the durable state ([`Replica::Local`] with the `*_local`
+//! hooks). The rest is written once, here: exporting, restoring and
+//! snapshotting a [`State`], serving and installing catch-up state,
+//! replaying the shared WAL records, broadcast GC.
 //!
 //! Catch-up follows Appendix A's joiner argument: a restarted replica
 //! pauses broadcast delivery, requests the settled state from its group,
@@ -16,15 +18,18 @@
 
 use crate::journal::{
     block_counts, merge_history_blocks, split_history_blocks, CheckpointRecord, Journal,
-    JournalSlot, LedgerState, RecoverError, SyncBlock, SyncHead, WalRecord, SYNC_HEAD_MAX_BYTES,
+    JournalSlot, RecoverError, Residual, State, SyncBlock, SyncHead, WalRecord,
+    SYNC_HEAD_MAX_BYTES,
 };
 use crate::ledger::Ledger;
 use crate::obs::CoreObs;
 use crate::sync::{CopyVotes, SyncError, SyncMsg, SyncServeError, SyncSession};
+use crate::xlog::XLogError;
 use crate::{ReplicaStep, SubmitError};
-use astro_brb::{Dest, Envelope};
+use astro_brb::{Broadcast, Dest, Envelope, InstanceId};
 use astro_types::wire::{decode_exact, Wire};
 use astro_types::{Amount, ClientId, Group, Payment, ReplicaId, SigCheck};
+use std::collections::HashMap;
 
 /// Broadcast messages a catching-up replica may park before the
 /// transferred cursor is installed. Overflow drops the *oldest* message:
@@ -47,13 +52,15 @@ pub(crate) const SYNC_RETRY_TICKS: u32 = 16;
 pub const SYNC_FALLBACK_ROUNDS: u32 = 256;
 
 /// The state every replica carries whatever its protocol: identity,
-/// ledger, journal, metric handles, the catch-up session, and the
-/// snapshot / GC bookkeeping. Opaque outside this crate; protocols embed
+/// ledger, own broadcast tag counter, journal, metric handles, the
+/// catch-up session, and the snapshot / GC bookkeeping. Opaque outside this crate; protocols embed
 /// one and hand it out through [`Replica::shell`].
 #[derive(Debug)]
 pub struct Shell<M> {
     pub(crate) me: ReplicaId,
     pub(crate) ledger: Ledger,
+    /// The next tag on this replica's own broadcast stream.
+    next_tag: u64,
     pub(crate) journal: JournalSlot,
     /// Metric handles, when a registry is attached (None = unobserved).
     pub(crate) obs: Option<CoreObs>,
@@ -74,12 +81,26 @@ impl<M> Shell<M> {
         Shell {
             me,
             ledger: Ledger::new(initial_balance),
+            next_tag: 0,
             journal: JournalSlot::none(),
             obs: None,
             syncing: None,
             snapshot_requested: false,
             gc_rearm: 0,
         }
+    }
+
+    /// Reserves the next instance on this replica's own broadcast stream.
+    /// The tag is journaled before the PREPARE leaves: a restarted replica
+    /// must never reuse a tag it already broadcast under (peers vote for at
+    /// most one payload per instance, so a reused tag wedges the stream).
+    /// Against *power loss* the window is bounded by group commit unless
+    /// the store's `sync_on_broadcast` policy is set.
+    pub(crate) fn next_instance(&mut self) -> InstanceId {
+        let id = InstanceId { source: u64::from(self.me.0), tag: self.next_tag };
+        self.next_tag += 1;
+        self.journal.rec(&WalRecord::OwnTag { tag: id.tag });
+        id
     }
 }
 
@@ -95,12 +116,10 @@ pub trait Replica: Sized {
     type Msg: Wire + Clone + core::fmt::Debug;
     /// Construction-time configuration.
     type Config: Clone;
-    /// The full durable state: the snapshot [`Self::export_state`] writes
-    /// and the canonical state catch-up transfers.
-    type State: Wire;
-    /// The residual snapshot written next to checkpoint segments: the
-    /// volatile state the segments do not cover.
-    type Snapshot: Wire;
+    /// The broadcast primitive — the paper's variation point (§IV).
+    type Brb: Broadcast;
+    /// The protocol's own section of the durable state ([`State::local`]).
+    type Local: Wire;
 
     /// The shared state ([`Shell`]).
     fn shell(&self) -> &Shell<Self::Msg>;
@@ -108,14 +127,57 @@ pub trait Replica: Sized {
     /// The shared state, mutably.
     fn shell_mut(&mut self) -> &mut Shell<Self::Msg>;
 
+    /// The broadcast layer.
+    fn brb(&self) -> &Self::Brb;
+
+    /// The broadcast layer, mutably.
+    fn brb_mut(&mut self) -> &mut Self::Brb;
+
     /// Wraps catch-up traffic into the protocol's message type.
     fn sync_msg(msg: SyncMsg) -> Self::Msg;
 
-    /// The settlement section of a full state.
-    fn state_ledger(state: &mut Self::State) -> &mut LedgerState;
+    /// Applies one delivered broadcast instance (settling, queueing and
+    /// journaling its payments), appending the effects to `out`.
+    fn apply(
+        &mut self,
+        id: InstanceId,
+        payload: <Self::Brb as Broadcast>::Payload,
+        out: &mut ReplicaStep<Self::Msg>,
+    );
 
-    /// How many checkpoint segments a residual snapshot builds on.
-    fn sealed_segments(residual: &Self::Snapshot) -> u64;
+    // ---- the protocol's own state section ----
+
+    /// Exports the protocol's section of the durable state, canonically
+    /// ordered.
+    fn export_local(&self) -> Self::Local;
+
+    /// Loads a protocol section into this replica, replacing what it
+    /// carries of the transferable state (restore, recovery, and a
+    /// catch-up install, whose section arrives through
+    /// [`Self::sync_local`]).
+    fn restore_local(&mut self, local: &Self::Local);
+
+    /// Clears what a catch-up must not transfer: sections local to one
+    /// replica, which would break the byte-identical `f+1` match and mean
+    /// nothing at the requester. Default: nothing is replica-local.
+    fn sync_local(local: &mut Self::Local) {
+        let _ = local;
+    }
+
+    /// Rejects a transferred section that is behind this replica.
+    ///
+    /// # Errors
+    ///
+    /// [`SyncError::Stale`] if installing `local` would lose an effect
+    /// this replica already applied. Default: nothing to check.
+    fn check_local(&self, local: &Self::Local) -> Result<(), SyncError> {
+        let _ = local;
+        Ok(())
+    }
+
+    /// Re-applies a WAL record only this protocol emits (see
+    /// [`Self::replay`]).
+    fn replay_local(&mut self, record: &WalRecord);
 
     // ---- the step API ----
 
@@ -190,13 +252,17 @@ pub trait Replica: Sized {
     // ---- the broadcast layer ----
 
     /// Number of receiver-side broadcast instances currently tracked.
-    fn tracked_instances(&self) -> usize;
+    fn tracked_instances(&self) -> usize {
+        self.brb().tracked_instances()
+    }
 
     /// Prunes broadcast-layer state for delivered instances; returns how
     /// many were freed. The durable runtime calls this once a snapshot
     /// holds their effects, so broadcast memory stays bounded by the
     /// in-flight window instead of growing with settled history.
-    fn prune_delivered(&mut self) -> usize;
+    fn prune_delivered(&mut self) -> usize {
+        self.brb_mut().gc_delivered()
+    }
 
     /// Size-triggered [`Self::prune_delivered`], cheap enough to call
     /// after every message: prunes once `high_water` instances are
@@ -218,25 +284,66 @@ pub trait Replica: Sized {
 
     // ---- snapshots, checkpoints, recovery ----
 
-    /// Exports the durable state. Canonical in its shared sections:
+    /// Exports the durable state: ledger, protocol section, broadcast tag
+    /// counter and delivery cursors. Canonical in its shared sections:
     /// replicas holding identical settlement state export identical bytes.
-    fn export_state(&self) -> Self::State;
+    fn export_state(&self) -> State<Self::Local> {
+        State {
+            ledger: self.ledger().export(),
+            local: self.export_local(),
+            next_tag: self.shell().next_tag,
+            cursors: self.brb().delivery_cursors(),
+        }
+    }
 
     /// The residual snapshot: the volatile state **not** covered by
     /// checkpoint segments. Captured at the same instant as
     /// [`Self::seal_checkpoint`], the `sealed_segments` sealed so far
-    /// reconstruct the entire ledger, so the residual needs none of it.
-    fn residual_state(&self, sealed_segments: u64) -> Self::Snapshot;
+    /// reconstruct the entire ledger, so the residual needs none of it
+    /// (and copies none of it).
+    fn residual_state(&self, sealed_segments: u64) -> Residual<Self::Local> {
+        Residual {
+            sealed_segments,
+            local: self.export_local(),
+            next_tag: self.shell().next_tag,
+            cursors: self.brb().delivery_cursors(),
+        }
+    }
 
-    /// Loads a residual snapshot into this freshly constructed replica
-    /// (everything but the ledger).
-    fn restore_residual(&mut self, residual: &Self::Snapshot);
+    /// Rebuilds this freshly constructed replica from an exported state.
+    /// The construction parameters must match the exporting incarnation;
+    /// the unflushed client batch and in-flight broadcast instances are
+    /// not part of durable state (their payments are re-learnable through
+    /// the broadcast layer or client retry).
+    ///
+    /// # Errors
+    ///
+    /// Fails if the state's xlogs violate the owner/sequence invariants.
+    fn restore(mut self, state: &State<Self::Local>) -> Result<Self, XLogError> {
+        self.shell_mut().ledger = Ledger::import(&state.ledger)?;
+        restore_sections(&mut self, &state.local, state.next_tag, &state.cursors);
+        Ok(self)
+    }
 
     /// Re-applies one WAL record on top of a restored snapshot. Records
     /// must be fed in log order; records already reflected in the
-    /// snapshot re-apply as no-ops. Call [`Self::finish_recovery`] after
-    /// the last record.
-    fn replay(&mut self, record: &WalRecord);
+    /// snapshot re-apply as no-ops (stale settles are dropped by the
+    /// ledger, cursors and the tag counter only move forward). Records
+    /// beyond the shared three go to [`Self::replay_local`]. Call
+    /// [`Self::finish_recovery`] after the last record.
+    fn replay(&mut self, record: &WalRecord) {
+        match record {
+            WalRecord::Delivered { source, tag } => self.brb_mut().advance_cursor(*source, tag + 1),
+            WalRecord::Settle { payment, credit_beneficiary } => {
+                let _ = self.shell_mut().ledger.settle(payment, *credit_beneficiary);
+            }
+            WalRecord::OwnTag { tag } => {
+                let shell = self.shell_mut();
+                shell.next_tag = shell.next_tag.max(tag + 1);
+            }
+            _ => self.replay_local(record),
+        }
+    }
 
     /// Completes recovery: queue entries superseded by replayed settles
     /// are pruned.
@@ -274,9 +381,9 @@ pub trait Replica: Sized {
     fn restore_from_checkpoints(
         mut self,
         segments: &[Vec<Vec<u8>>],
-        residual: &Self::Snapshot,
+        residual: &Residual<Self::Local>,
     ) -> Result<Self, RecoverError> {
-        let referenced = Self::sealed_segments(residual);
+        let referenced = residual.sealed_segments;
         if (segments.len() as u64) < referenced {
             return Err(RecoverError::MissingSegments {
                 referenced,
@@ -286,7 +393,7 @@ pub trait Replica: Sized {
         let initial_balance = self.ledger().initial_balance();
         self.shell_mut().ledger =
             Ledger::from_checkpoints(initial_balance, &segments[..referenced as usize])?;
-        self.restore_residual(residual);
+        restore_sections(&mut self, &residual.local, residual.next_tag, &residual.cursors);
         Ok(self)
     }
 
@@ -300,23 +407,87 @@ pub trait Replica: Sized {
     // ---- catch-up ----
 
     /// The canonical state served to catching-up peer `requester`: the
-    /// shared settlement state with replica-local sections cleared, and
-    /// the broadcast tag counter reinterpreted as *the requester's*
-    /// stream high-water mark, so the certified copy tells it the first
-    /// tag that is safe to broadcast under.
-    fn sync_state(&self, requester: ReplicaId) -> Self::State;
+    /// shared settlement state with replica-local sections cleared
+    /// ([`Self::sync_local`]), and the broadcast tag counter reinterpreted
+    /// as *the requester's* stream high-water mark
+    /// ([`Broadcast::source_high_water`]), so the certified copy tells it
+    /// the first tag that is safe to broadcast under.
+    fn sync_state(&self, requester: ReplicaId) -> State<Self::Local> {
+        let mut state = self.export_state();
+        Self::sync_local(&mut state.local);
+        state.next_tag = self.brb().source_high_water(u64::from(requester.0));
+        state
+    }
 
-    /// Installs a certified peer state over the locally recovered one.
-    /// Returns the step whose `settled` is exactly the payments this
-    /// replica learned through the transfer.
+    /// Installs a certified peer state over the locally recovered one:
+    /// the settled delta replaces local settlement state, the protocol
+    /// section is restored, the broadcast tag counter rises to the
+    /// certified floor, and delivery cursors advance — releasing any
+    /// completed instances the gap was holding back. Returns the step
+    /// whose `settled` is exactly the payments this replica learned
+    /// through the transfer (plus whatever the released instances
+    /// settle).
     ///
     /// # Errors
     ///
     /// [`SyncError::Stale`] if the transferred state is behind this
-    /// replica in any component (installing it would lose settled
-    /// effects — the donors lag; retry), [`SyncError::Invalid`] if it
-    /// fails structural validation.
-    fn install_sync(&mut self, state: &Self::State) -> Result<ReplicaStep<Self::Msg>, SyncError>;
+    /// replica in any xlog, delivery cursor or protocol section
+    /// ([`Self::check_local`]) — installing it would lose settled effects
+    /// (the donors lag; retry). [`SyncError::Invalid`] if it fails
+    /// structural validation.
+    fn install_sync(
+        &mut self,
+        state: &State<Self::Local>,
+    ) -> Result<ReplicaStep<Self::Msg>, SyncError> {
+        let certified = Ledger::import(&state.ledger).map_err(|_| SyncError::Invalid)?;
+        // Never regress: every local xlog must be a prefix of (or equal
+        // to) its certified counterpart, and no certified cursor may sit
+        // below a local one — otherwise effects this replica already
+        // applied would vanish with no re-delivery to restore them.
+        for xlog in self.ledger().xlogs() {
+            if certified.next_seq(xlog.owner()) < xlog.next_seq() {
+                return Err(SyncError::Stale);
+            }
+        }
+        let certified_cursors: HashMap<u64, u64> = state.cursors.iter().copied().collect();
+        for (source, next) in self.brb().delivery_cursors() {
+            if certified_cursors.get(&source).copied().unwrap_or(0) < next {
+                return Err(SyncError::Stale);
+            }
+        }
+        self.check_local(&state.local)?;
+        // The settled delta — everything the quorum settled while this
+        // replica was down — reported exactly once, in xlog order.
+        let mut installed: Vec<Payment> = Vec::new();
+        for xlog in certified.xlogs() {
+            installed.extend(xlog.iter_from(self.ledger().next_seq(xlog.owner())));
+        }
+        let shell = self.shell_mut();
+        shell.ledger = certified;
+        if state.next_tag > shell.next_tag {
+            // Journaled even though a snapshot follows: tag reuse is the
+            // one recovery error a later catch-up cannot repair.
+            shell.journal.rec(&WalRecord::OwnTag { tag: state.next_tag - 1 });
+            shell.next_tag = state.next_tag;
+        }
+        self.restore_local(&state.local);
+        let mut out = ReplicaStep { outbound: Vec::new(), settled: installed };
+        // Advance cursors past the caught-up instances; instances that
+        // completed *behind* a gap are released and applied now. Their
+        // effects are already part of the certified state, so the ledger
+        // drops them as stale — but a gap-blocked instance *beyond* the
+        // certified cursor settles normally here. (Under unordered
+        // delivery there are no cursors and nothing is gap-blocked.)
+        for (source, next) in &state.cursors {
+            for delivery in self.brb_mut().advance_cursor_releasing(*source, *next) {
+                self.apply(delivery.id, delivery.payload, &mut out);
+            }
+        }
+        // The caught-up prefix is dead weight in the broadcast layer now.
+        self.brb_mut().gc_delivered();
+        self.shell_mut().snapshot_requested = true;
+        Ok(out)
+    }
 
     /// What a replica emits when its catch-up ends, installed or
     /// abandoned. Default: nothing.
@@ -366,7 +537,7 @@ pub trait Replica: Sized {
         requester: ReplicaId,
     ) -> Result<(SyncHead, Vec<SyncBlock>), SyncServeError> {
         let mut state = self.sync_state(requester);
-        let blocks = split_history_blocks(Self::state_ledger(&mut state));
+        let blocks = split_history_blocks(&mut state.ledger);
         let head = SyncHead { blocks: block_counts(&blocks), state_tail: state.to_wire_bytes() };
         let bytes = head.state_tail.len();
         if bytes > SYNC_HEAD_MAX_BYTES {
@@ -414,20 +585,36 @@ pub trait Replica: Sized {
     }
 }
 
+/// Loads everything of a state but its ledger into a freshly constructed
+/// replica: the protocol section, the tag counter, the delivery cursors.
+fn restore_sections<R: Replica>(
+    r: &mut R,
+    local: &R::Local,
+    next_tag: u64,
+    cursors: &[(u64, u64)],
+) {
+    r.restore_local(local);
+    r.shell_mut().next_tag = next_tag;
+    for (source, next) in cursors {
+        r.brb_mut().advance_cursor(*source, *next);
+    }
+}
+
 /// Reassembles the certified head and the certified blocks it references
 /// into a full state.
 fn assemble<R: Replica>(
     heads: &CopyVotes<()>,
     blocks: &CopyVotes<(ClientId, u64)>,
-) -> Result<R::State, SyncError> {
+) -> Result<State<R::Local>, SyncError> {
     let head = heads.certified(&()).ok_or(SyncError::Incomplete)?;
     let head: SyncHead = decode_exact(head).map_err(|_| SyncError::Invalid)?;
     let certified = |client, block| blocks.certified(&(client, block)).is_some();
     if !head.blocks.iter().all(|&(client, n)| (0..n).all(|block| certified(client, block))) {
         return Err(SyncError::Incomplete);
     }
-    let mut state: R::State = decode_exact(&head.state_tail).map_err(|_| SyncError::Invalid)?;
-    merge_history_blocks(R::state_ledger(&mut state), &head.blocks, |client, block| {
+    let mut state: State<R::Local> =
+        decode_exact(&head.state_tail).map_err(|_| SyncError::Invalid)?;
+    merge_history_blocks(&mut state.ledger, &head.blocks, |client, block| {
         blocks.certified(&(client, block)).cloned()
     })
     .map_err(|_| SyncError::Invalid)?;

@@ -19,6 +19,7 @@
 //! / state-transfer story (paper Appendix A), not the storage layer's.
 
 use crate::ClusterError;
+use astro_core::journal::Residual;
 use astro_core::Replica;
 use astro_store::{SharedStorage, Storage, StoreConfig};
 use astro_types::wire::{decode_exact, Wire};
@@ -200,9 +201,9 @@ pub(crate) fn recover<R: Replica>(
     let (storage, recovered) = Storage::open(replica_dir(root, i), store_cfg.clone())?;
     let (mut node, segments) = match &recovered.snapshot {
         Some(bytes) => {
-            let residual: R::Snapshot =
+            let residual: Residual<R::Local> =
                 decode_exact(bytes).map_err(|_| ClusterError::Recovery("snapshot decode"))?;
-            let segments = R::sealed_segments(&residual);
+            let segments = residual.sealed_segments;
             let node = fresh
                 .restore_from_checkpoints(&recovered.checkpoints, &residual)
                 .map_err(|_| ClusterError::Recovery("checkpoint chain invariants"))?;

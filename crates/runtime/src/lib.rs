@@ -1076,8 +1076,8 @@ fn replica_main<R: Replica, E: Endpoint>(
 ) -> ReplicaResult {
     let me = node.replica.id();
     let mut next_flush = Instant::now() + flush_every;
-    // Pool mode: messages decoded but awaiting their burst's verification
-    // ticket, in arrival order. Always empty in serial mode.
+    // Messages decoded but awaiting their burst's verification ticket, in
+    // arrival order. Empty between bursts in serial mode (no tickets).
     let mut pending: VecDeque<Parked<R::Msg>> = VecDeque::new();
     'run: loop {
         // Work generated in this window is corked: the transport coalesces
@@ -1139,75 +1139,49 @@ fn replica_main<R: Replica, E: Endpoint>(
         let wait = next_flush.saturating_duration_since(Instant::now()).min(POLL_SLICE);
         if let Ok(Some(first)) = endpoint.recv_timeout(wait) {
             endpoint.cork();
-            match pool {
-                None => {
-                    // Serial path: verification runs wherever the state
-                    // machine asks, on this thread.
-                    let mut handled: u64 = 0;
-                    let (from, bytes) = first;
-                    // Malformed bytes from a Byzantine peer are dropped
-                    // here; the wire codec is total, so this is the only
-                    // failure mode.
-                    if let Ok(msg) = decode_exact::<R::Msg>(&bytes) {
-                        let step = node.handle(from, msg);
-                        dispatch(me, step, &mut endpoint, obs);
-                        handled += 1;
+            // Decode the burst and park it. With a pool, every signature
+            // the burst carries is submitted as ONE super-batch (all
+            // pending BRB instances amortize into a single multi-scalar
+            // multiplication on a worker) and transport keeps draining
+            // while the pool verifies; serially, verification runs
+            // wherever the state machine asks, so the burst carries no
+            // ticket and is handled at once.
+            let mut checks: Vec<astro_types::SigCheck> = Vec::new();
+            let mut burst: Vec<(ReplicaId, R::Msg)> = Vec::new();
+            let mut take = |from: ReplicaId, bytes: &[u8]| {
+                // Malformed bytes from a Byzantine peer are dropped here;
+                // the wire codec is total, so this is the only failure
+                // mode.
+                if let Ok(msg) = decode_exact::<R::Msg>(bytes) {
+                    if pool.is_some() {
+                        checks.extend(node.replica.preverify(from, &msg));
                     }
-                    for _ in 1..BURST {
-                        match endpoint.recv_timeout(Duration::ZERO) {
-                            Ok(Some((from, bytes))) => {
-                                if let Ok(msg) = decode_exact::<R::Msg>(&bytes) {
-                                    let step = node.handle(from, msg);
-                                    dispatch(me, step, &mut endpoint, obs);
-                                    handled += 1;
-                                }
-                            }
-                            _ => break,
-                        }
-                    }
-                    if let Some(o) = obs {
-                        o.burst_msgs.record(handled);
-                    }
+                    burst.push((from, msg));
                 }
-                Some(pool) => {
-                    // Pipelined path: decode the whole burst, submit every
-                    // signature it carries as ONE super-batch (all pending
-                    // BRB instances amortize into a single multi-scalar
-                    // multiplication on a worker), park the messages, and
-                    // keep draining transport while the pool verifies.
-                    let mut checks: Vec<astro_types::SigCheck> = Vec::new();
-                    let mut burst: Vec<(ReplicaId, R::Msg)> = Vec::new();
-                    let mut take = |from: ReplicaId, bytes: &[u8]| {
-                        if let Ok(msg) = decode_exact::<R::Msg>(bytes) {
-                            checks.extend(node.replica.preverify(from, &msg));
-                            burst.push((from, msg));
-                        }
-                    };
-                    take(first.0, &first.1);
-                    for _ in 1..BURST {
-                        match endpoint.recv_timeout(Duration::ZERO) {
-                            Ok(Some((from, bytes))) => take(from, &bytes),
-                            _ => break,
-                        }
-                    }
-                    let ticket = (!checks.is_empty()).then(|| pool.submit(checks));
-                    if let Some(o) = obs {
-                        o.burst_msgs.record(burst.len() as u64);
-                    }
-                    for (from, msg) in burst {
-                        pending.push_back((from, msg, ticket.clone()));
-                    }
-                    drain_verified(node, &mut pending, &mut endpoint, me, false, obs);
-                    // Under sustained overload, bound the parked backlog by
-                    // waiting for the oldest super-batch.
-                    if pending.len() > PENDING_HIGH_WATER {
-                        if let Some(o) = obs {
-                            o.pending_high_water.inc();
-                            o.flight.event("runtime.pending_high_water", pending.len() as u64, 0);
-                        }
-                        drain_verified(node, &mut pending, &mut endpoint, me, true, obs);
-                    }
+            };
+            take(first.0, &first.1);
+            for _ in 1..BURST {
+                match endpoint.recv_timeout(Duration::ZERO) {
+                    Ok(Some((from, bytes))) => take(from, &bytes),
+                    _ => break,
                 }
+            }
+            let ticket = pool.filter(|_| !checks.is_empty()).map(|pool| pool.submit(checks));
+            if let Some(o) = obs {
+                o.burst_msgs.record(burst.len() as u64);
+            }
+            for (from, msg) in burst {
+                pending.push_back((from, msg, ticket.clone()));
+            }
+            drain_verified(node, &mut pending, &mut endpoint, me, false, obs);
+            // Under sustained overload, bound the parked backlog by
+            // waiting for the oldest super-batch.
+            if pending.len() > PENDING_HIGH_WATER {
+                if let Some(o) = obs {
+                    o.pending_high_water.inc();
+                    o.flight.event("runtime.pending_high_water", pending.len() as u64, 0);
+                }
+                drain_verified(node, &mut pending, &mut endpoint, me, true, obs);
             }
             let _ = endpoint.uncork();
         }

@@ -16,7 +16,7 @@
 
 use astro_core::astro1::{Astro1Config, Astro1Msg, AstroOneReplica};
 use astro_core::astro2::{Astro2Config, AstroTwoReplica, CreditMode};
-use astro_core::journal::{Astro1State, Astro2State};
+use astro_core::journal::{Astro1Local, Astro2Local, State};
 use astro_core::sync::{SyncError, SyncMsg};
 use astro_core::testkit::PaymentCluster;
 use astro_core::Replica;
@@ -421,7 +421,7 @@ fn chunked_catchup_completes_under_sustained_settlement_load() {
 /// victim (replica 3) will be restored from: 3 of client 3's payments
 /// settle before the capture, 5 of client 1's after it — the delta the
 /// catch-up must transfer.
-fn settled_cluster() -> (PaymentCluster<AstroOneReplica>, Astro1State) {
+fn settled_cluster() -> (PaymentCluster<AstroOneReplica>, State<Astro1Local>) {
     let layout = ShardLayout::single(4).unwrap();
     let cfg = Astro1Config { batch_size: 1, initial_balance: Amount(100) };
     let mut c = PaymentCluster::new(
@@ -461,7 +461,7 @@ fn byzantine_forged_or_tampered_state_transfer_is_rejected() {
     let (c, early) = settled_cluster();
     let layout = ShardLayout::single(4).unwrap();
     let cfg = Astro1Config { batch_size: 1, initial_balance: Amount(100) };
-    let mut victim = AstroOneReplica::restore(ReplicaId(3), layout, cfg, &early).unwrap();
+    let mut victim = AstroOneReplica::new(ReplicaId(3), layout, cfg).restore(&early).unwrap();
     let registry = Registry::new();
     victim.set_obs(CoreObs::for_replica(&registry, 3));
     victim.begin_catchup(None);
@@ -592,7 +592,7 @@ fn regressed_cursor_or_ledger_is_rejected_by_the_install_guards() {
     // behind it in any component must be rejected even if it certified
     // (defense in depth below the f+1 vote).
     let current = c.node(3).export_state();
-    let mut victim = AstroOneReplica::restore(ReplicaId(3), layout, cfg, &current).unwrap();
+    let mut victim = AstroOneReplica::new(ReplicaId(3), layout, cfg).restore(&current).unwrap();
 
     // A state with a truncated xlog regresses the ledger.
     let mut behind = c.node(0).sync_state(ReplicaId(3));
@@ -629,7 +629,7 @@ fn undecodable_certified_bytes_restart_collection() {
     let (c, early) = settled_cluster();
     let layout = ShardLayout::single(4).unwrap();
     let cfg = Astro1Config { batch_size: 1, initial_balance: Amount(100) };
-    let mut victim = AstroOneReplica::restore(ReplicaId(3), layout, cfg, &early).unwrap();
+    let mut victim = AstroOneReplica::new(ReplicaId(3), layout, cfg).restore(&early).unwrap();
     victim.begin_catchup(None);
 
     let garbage =
@@ -672,9 +672,10 @@ fn astro2_sync_state_drops_garbage_certificates_and_guards_used_deps() {
     c.run_to_quiescence();
 
     let mut victim = AstroTwoReplica::new(auth(3), layout.clone(), cfg.clone());
-    let mut state: Astro2State = c.node(0).sync_state(ReplicaId(3));
+    let mut state: State<Astro2Local> = c.node(0).sync_state(ReplicaId(3));
     // "Bad proof set": a queued payment dragging garbage cert bytes.
-    state.pending = vec![(Payment::new(9u64, 1u64, 1u64, 1u64), vec![vec![0xff, 0x00, 0xff]])];
+    state.local.pending =
+        vec![(Payment::new(9u64, 1u64, 1u64, 1u64), vec![vec![0xff, 0x00, 0xff]])];
     let step: ReplicaStep<_> = victim.install_sync(&state).expect("honest ledger installs");
     assert_eq!(step.settled.len(), 4);
     assert_eq!(victim.pending_len(), 1, "payment queued, garbage certificate dropped");
@@ -683,7 +684,7 @@ fn astro2_sync_state_drops_garbage_certificates_and_guards_used_deps() {
     // Regression guard: a second transfer that lost a used dependency
     // (or a stuck mark) must be rejected outright.
     let mut regressed = state.clone();
-    regressed.used_deps = Vec::new();
+    regressed.local.used_deps = Vec::new();
     victim.replay(&astro_core::journal::WalRecord::DepUsed {
         dep: Payment::new(5u64, 0u64, 3u64, 7u64),
     });

@@ -10,7 +10,7 @@ use astro_consensus::pbft::PbftMsg;
 use astro_core::astro1::Astro1Msg;
 use astro_core::astro2::Astro2Msg;
 use astro_core::batch::{Batch, CreditBundle, DepBatch, DepPayment, DependencyCertificate};
-use astro_core::journal::Astro1State;
+use astro_core::journal::{Astro1Local, State};
 use astro_core::sync::SyncMsg;
 use astro_types::auth::SimSig;
 use astro_types::wire::{
@@ -144,7 +144,7 @@ fn astro2_messages_round_trip() {
 /// settled ledger, as served over the wire.
 fn sync_state_bytes() -> Vec<u8> {
     use astro_core::journal::LedgerState;
-    Astro1State {
+    State {
         ledger: LedgerState {
             initial_balance: astro_types::Amount(100),
             accounts: vec![
@@ -153,7 +153,7 @@ fn sync_state_bytes() -> Vec<u8> {
             ],
             xlogs: vec![(astro_types::ClientId(1), vec![Payment::new(1u64, 0u64, 2u64, 30u64)])],
         },
-        pending: vec![Payment::new(5u64, 2u64, 1u64, 9u64)],
+        local: Astro1Local { pending: vec![Payment::new(5u64, 2u64, 1u64, 9u64)] },
         next_tag: 4,
         cursors: vec![(0, 2), (3, 4)],
     }
