@@ -18,6 +18,13 @@ use std::collections::{BTreeSet, HashMap};
 /// demand up to this bound, amortized-doubling.
 pub const DENSE_LIMIT: u64 = 1 << 20;
 
+/// Most xlog entries one [`CheckpointRecord`] carries. At 32 bytes an
+/// entry a record stays near 2 MiB, well inside the 16 MiB frame bound
+/// recovery enforces on checkpoint segments; without the split, a
+/// re-baselined client with about 524k settled payments would seal a
+/// segment recovery refuses.
+pub const CHECKPOINT_CHUNK_ENTRIES: usize = 1 << 16;
+
 /// Outcome of attempting to settle a payment against the ledger.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SettleOutcome {
@@ -266,9 +273,12 @@ impl Ledger {
     /// Seals the dirty-account delta: one [`CheckpointRecord`] per account
     /// touched since its last checkpoint, in canonical (id-ascending)
     /// order, each carrying the account's absolute balance and the xlog
-    /// entries above its watermark. Watermarks advance and the dirty set
-    /// clears — the caller owns making the records durable (and calling
-    /// [`Ledger::rebaseline`] if it fails to).
+    /// entries above its watermark. A delta longer than
+    /// [`CHECKPOINT_CHUNK_ENTRIES`] is split into consecutive records with
+    /// the same balance, each based where the previous one ends.
+    /// Watermarks advance and the dirty set clears — the caller owns
+    /// making the records durable (and calling [`Ledger::rebaseline`] if
+    /// it fails to).
     pub fn seal_delta(&mut self) -> Vec<CheckpointRecord> {
         let initial = self.initial_balance;
         let dirty = std::mem::take(&mut self.dirty);
@@ -276,14 +286,19 @@ impl Ledger {
         for client in dirty {
             let account = self.account_mut(client);
             let balance = account.balance.unwrap_or(initial);
-            let base = account.ckpt;
-            let entries: Vec<Payment> = account
-                .xlog
-                .as_ref()
-                .map(|x| x.iter_from(SeqNo(base)).collect())
-                .unwrap_or_default();
-            account.ckpt = base + entries.len() as u64;
-            records.push(CheckpointRecord { client, balance, base, entries });
+            let mut base = account.ckpt;
+            let mut delta =
+                account.xlog.iter().flat_map(|x| x.iter_from(SeqNo(account.ckpt))).peekable();
+            loop {
+                let entries: Vec<Payment> = delta.by_ref().take(CHECKPOINT_CHUNK_ENTRIES).collect();
+                let len = entries.len() as u64;
+                records.push(CheckpointRecord { client, balance, base, entries });
+                base += len;
+                if delta.peek().is_none() {
+                    break;
+                }
+            }
+            account.ckpt = base;
         }
         records
     }
@@ -295,7 +310,8 @@ impl Ledger {
     /// an install failure or a catch-up import) export full history from
     /// `base == 0`, so a later segment can lawfully rewrite what earlier
     /// segments built; xlogs only ever grow, so the rewrite is always a
-    /// superset of what it replaces.
+    /// superset of what it replaces. The later chunks of a split delta
+    /// (see [`Ledger::seal_delta`]) continue at `base == have`.
     ///
     /// # Errors
     ///
@@ -650,6 +666,47 @@ mod tests {
             fresh.apply_checkpoint(r).unwrap();
         }
         assert_eq!(fresh.export(), l.export());
+    }
+
+    #[test]
+    fn rebaselined_long_history_seals_in_bounded_chunks() {
+        let chunk = CHECKPOINT_CHUNK_ENTRIES as u64;
+        let mut l = Ledger::new(Amount(1 << 40));
+        for seq in 0..chunk + 100 {
+            assert_eq!(
+                l.settle(&Payment::new(1u64, seq, 2u64, 1u64), true),
+                SettleOutcome::Applied
+            );
+        }
+        let first = l.seal_delta();
+        assert_eq!(first.iter().map(|r| r.base).collect::<Vec<_>>(), [0, chunk, 0]);
+        let first: Vec<Vec<u8>> = first.iter().map(Wire::to_wire_bytes).collect();
+        // Client 1 grows past two chunks; client 3 stays small.
+        for seq in chunk + 100..2 * chunk + 17 {
+            assert_eq!(
+                l.settle(&Payment::new(1u64, seq, 2u64, 1u64), true),
+                SettleOutcome::Applied
+            );
+        }
+        assert_eq!(l.settle(&Payment::new(3u64, 0u64, 1u64, 9u64), true), SettleOutcome::Applied);
+        l.rebaseline();
+        let full = l.seal_delta();
+        let long: Vec<&CheckpointRecord> =
+            full.iter().filter(|r| r.client == ClientId(1)).collect();
+        assert_eq!(long.iter().map(|r| r.base).collect::<Vec<_>>(), [0, chunk, 2 * chunk]);
+        assert_eq!(long.iter().map(|r| r.entries.len()).sum::<usize>(), 2 * chunk as usize + 17);
+        assert!(long.iter().all(|r| r.balance == l.balance(ClientId(1))));
+        assert!(full.iter().all(|r| r.entries.len() <= CHECKPOINT_CHUNK_ENTRIES));
+        assert_eq!(full.len(), 3 + 2, "clients 2 and 3 fit one record each");
+        assert_eq!(l.sealed_entries(), 2 * chunk + 18);
+
+        // The base-0 chunk replaces the longer history the first segment
+        // built, and the later chunks continue it.
+        let full: Vec<Vec<u8>> = full.iter().map(Wire::to_wire_bytes).collect();
+        let recovered = Ledger::from_checkpoints(Amount(1 << 40), &[first, full]).unwrap();
+        assert_eq!(recovered.export(), l.export());
+        assert_eq!(recovered.total_settled(), l.total_settled());
+        assert!(recovered.audit());
     }
 
     #[test]

@@ -64,8 +64,16 @@ fn ckpt_dir(dir: &Path) -> PathBuf {
 ///
 /// # Errors
 ///
-/// Propagates IO errors; on error no new segment is visible.
+/// Propagates IO errors, and refuses with `InvalidInput` a record over
+/// [`MAX_RECORD_LEN`] (recovery would drop the whole segment); on error
+/// no new segment is visible.
 pub fn seal_segment(dir: &Path, index: u32, records: &[Vec<u8>]) -> std::io::Result<()> {
+    if records.iter().any(|r| r.len() > MAX_RECORD_LEN) {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            "oversized checkpoint record",
+        ));
+    }
     let ckpt = ckpt_dir(dir);
     std::fs::create_dir_all(&ckpt)?;
     let tmp = ckpt.join(CKPT_TMP_FILE);
@@ -76,7 +84,6 @@ pub fn seal_segment(dir: &Path, index: u32, records: &[Vec<u8>]) -> std::io::Res
     buf.extend_from_slice(&CKPT_VERSION.to_le_bytes());
     buf.extend_from_slice(&index.to_le_bytes());
     for record in records {
-        debug_assert!(record.len() <= MAX_RECORD_LEN, "oversized checkpoint record");
         buf.extend_from_slice(&(record.len() as u32).to_le_bytes());
         buf.extend_from_slice(&crc32(record).to_le_bytes());
         buf.extend_from_slice(record);
@@ -223,6 +230,15 @@ mod tests {
         seal_segment(&dir, 0, &[b"old".to_vec()]).unwrap();
         seal_segment(&dir, 0, &[b"new".to_vec()]).unwrap();
         assert_eq!(read_segments(&dir).unwrap(), vec![vec![b"new".to_vec()]]);
+    }
+
+    #[test]
+    fn oversized_record_is_refused() {
+        let dir = tmp_dir("oversized");
+        let records = [b"fits".to_vec(), vec![0; MAX_RECORD_LEN + 1]];
+        let err = seal_segment(&dir, 0, &records).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+        assert!(!segment_path(&dir, 0).exists(), "no segment recovery would drop");
     }
 
     #[test]

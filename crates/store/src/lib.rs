@@ -12,7 +12,8 @@
 //! Three layers:
 //!
 //! - [`wal`]: a CRC-framed, length-prefixed append-only log with **group
-//!   commit** (write per record, fsync per interval/record-count).
+//!   commit** (one `write(2)` per replica step, fsync per
+//!   interval/record-count).
 //!   Recovery takes the longest valid prefix; torn tails and bit flips
 //!   cut the log, never panic.
 //! - [`snapshot`]: integrity-checked state blobs installed by atomic
@@ -453,7 +454,7 @@ impl Storage {
     pub fn append(&mut self, record: &WalRecord) {
         match &mut self.backend {
             Backend::Disk { wal, .. } => {
-                wal.append(&record.to_wire_bytes());
+                wal.append_with(|buf| record.encode(buf));
                 if self.cfg.sync_on_broadcast && matches!(record, WalRecord::OwnTag { .. }) {
                     wal.sync();
                 }
