@@ -27,6 +27,7 @@ fn main() {
         let (a1, _) = find_peak(
             || {
                 Astro1System::new(
+                    1,
                     N,
                     Astro1Config { batch_size: batch, initial_balance: GENESIS },
                     14_000_000, // ~2N² · 27 µs at N=16

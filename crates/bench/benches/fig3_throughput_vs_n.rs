@@ -47,6 +47,7 @@ fn main() {
         let (astro1, _) = find_peak(
             || {
                 Astro1System::new(
+                    1,
                     n,
                     Astro1Config { batch_size: 64, initial_balance: GENESIS },
                     astro1_delay(n),

@@ -37,6 +37,7 @@ fn main() {
     for &clients in &loads {
         let r = run(
             Astro1System::new(
+                1,
                 N,
                 Astro1Config { batch_size: 64, initial_balance: GENESIS },
                 // Throughput-optimal flush for Bracha at N=100 (see fig3).

@@ -53,7 +53,12 @@ fn main() {
     let mut c = cfg.clone();
     c.faults = vec![(fault_at, Fault::Delay(ReplicaId(7), DELAY))];
     let r = run(
-        Astro1System::new(N, Astro1Config { batch_size: 64, initial_balance: GENESIS }, 5_000_000),
+        Astro1System::new(
+            1,
+            N,
+            Astro1Config { batch_size: 64, initial_balance: GENESIS },
+            5_000_000,
+        ),
         UniformWorkload::new(CLIENTS, 100),
         c,
     );

@@ -67,7 +67,7 @@ fn pbft() -> PbftSystem {
 }
 
 fn astro1() -> Astro1System {
-    Astro1System::new(N, Astro1Config { batch_size: 64, initial_balance: GENESIS }, 5_000_000)
+    Astro1System::new(1, N, Astro1Config { batch_size: 64, initial_balance: GENESIS }, 5_000_000)
 }
 
 fn print_series(label: &str, r: &astro_sim::SimReport) {

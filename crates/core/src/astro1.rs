@@ -151,13 +151,6 @@ impl AstroOneReplica {
         self.batch.len()
     }
 
-    /// True while a payload pull or a catch-up is outstanding: only the
-    /// flush timer moves those, so drivers that arm it on demand (the
-    /// simulator) keep it armed while this holds.
-    pub fn needs_tick(&self) -> bool {
-        self.is_syncing() || self.brb.pulls_outstanding() > 0
-    }
-
     /// Number of payments queued awaiting approval.
     pub fn pending_len(&self) -> usize {
         self.pending.len()
@@ -271,6 +264,12 @@ impl Replica for AstroOneReplica {
         debug_assert!(step.delivered.is_empty());
         out.outbound.extend(wrap_brb(step.outbound));
         out
+    }
+
+    /// A batch awaits broadcast, or a payload pull or a catch-up is
+    /// outstanding.
+    fn needs_tick(&self) -> bool {
+        !self.batch.is_empty() || self.is_syncing() || self.brb.pulls_outstanding() > 0
     }
 
     /// Applies a BRB-delivered batch: approve (queue if blocked) and settle

@@ -196,7 +196,7 @@ struct PartialBundle<S> {
 /// timer is not harmless — every spurious retransmit charges the
 /// destination another signature verification, deepening the very queue
 /// that is delaying its acks.
-const OUTBOX_BASE_TICKS: u32 = 64;
+pub const OUTBOX_BASE_TICKS: u32 = 64;
 /// Retransmission backoff cap, in flush ticks. A representative
 /// returning from a long outage does not wait for this timer — its
 /// catch-up `CreditRequest` makes donors replay immediately.
@@ -565,18 +565,6 @@ impl<A: Authenticator> AstroTwoReplica<A> {
         self.my_shard
     }
 
-    /// Paces only the CREDIT retry outbox — the flush timer's
-    /// retransmission duty without cutting the payment batch. Drivers
-    /// with independent batch and retry clocks (the simulator) call this
-    /// instead of piggybacking retransmission on [`Replica::flush`]:
-    /// firing `flush` early just to age the outbox would cut batches
-    /// short and inflate the per-batch broadcast overhead.
-    pub fn pace_outbox(&mut self) -> ReplicaStep<Astro2Msg<A::Sig>> {
-        let mut out = ReplicaStep::empty();
-        self.tick_outbox(&mut out.outbound);
-        out
-    }
-
     /// One flush tick of the retry outbox: accumulated acks leave
     /// (batched per destination), then entries whose backoff expired are
     /// retransmitted and their backoff doubles (capped).
@@ -644,15 +632,12 @@ impl<A: Authenticator> AstroTwoReplica<A> {
         self.batch.len()
     }
 
-    /// Unacked CREDIT sub-batches in the retry outbox. Drivers keep the
-    /// flush timer armed while this is nonzero — retransmission has no
-    /// other clock.
+    /// Unacked CREDIT sub-batches in the retry outbox.
     pub fn outbox_depth(&self) -> usize {
         self.outbox.len()
     }
 
-    /// Settling replicas owed a batched CREDIT acknowledgment. Drivers
-    /// keep the flush timer armed while this is nonzero — the
+    /// Settling replicas owed a batched CREDIT acknowledgment; the
     /// accumulated acks leave on the next flush tick.
     pub fn pending_acks(&self) -> usize {
         self.pending_acks.len()
@@ -1126,6 +1111,13 @@ impl<A: Authenticator> Replica for AstroTwoReplica<A> {
             step.outbound.into_iter().map(|e| Envelope { to: e.to, msg: Astro2Msg::Brb(e.msg) }),
         );
         out
+    }
+
+    /// A batch awaits broadcast, a CREDIT awaits its ack, an ack is owed,
+    /// or a catch-up is outstanding.
+    fn needs_tick(&self) -> bool {
+        let idle = self.batch.is_empty() && self.outbox.is_empty() && self.pending_acks.is_empty();
+        !idle || self.is_syncing()
     }
 
     /// Settled balance plus certified-but-unspent incoming credits.

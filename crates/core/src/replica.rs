@@ -207,6 +207,11 @@ pub trait Replica: Sized {
     /// request retries.
     fn flush(&mut self) -> ReplicaStep<Self::Msg>;
 
+    /// True while [`Self::flush`] has work that nothing else moves: a
+    /// driver that arms its flush timer on demand keeps it armed while
+    /// this holds.
+    fn needs_tick(&self) -> bool;
+
     /// Read access to the ledger (audit, state transfer).
     fn ledger(&self) -> &Ledger {
         &self.shell().ledger

@@ -52,15 +52,17 @@ pub enum Fault {
     /// `astro_store::Storage::healthy()` reports false — the process
     /// stays up and keeps voting, just slowly.
     DiskDegraded(ReplicaId, bool),
-    /// Skew the replica's timer pacing: every flush/outbox deadline
-    /// interval is stretched by `permille / 1000` (values below 1000 are
-    /// clamped to 1000 — a fast clock would only flush smaller batches,
-    /// which is not a fault). The deterministic analogue of a VM whose
-    /// timer interrupts fire late (steal time, cgroup throttling): the
-    /// replica keeps voting and settling at full speed, but its batch
-    /// cuts and CREDIT ack/retransmit pacing crawl — the gray failure
-    /// the health engine's pacing-skew rule localizes. `1000` restores
-    /// nominal pacing.
+    /// Skew the replica's timer pacing: every flush deadline interval is
+    /// stretched by `permille / 1000` (values below 1000 are clamped to
+    /// 1000 — a fast clock would only flush smaller batches, which is not
+    /// a fault). The deterministic analogue of a VM whose timer
+    /// interrupts fire late (steal time, cgroup throttling): the replica
+    /// keeps voting and settling at full speed, but its batch cuts and
+    /// CREDIT ack/retransmit pacing crawl. The health engine's
+    /// pacing-skew rule fires only once the ack cadence stretches past
+    /// the peers' retry horizon of 64 flush ticks
+    /// (`astro_core::astro2::OUTBOX_BASE_TICKS`) and they retransmit;
+    /// milder skews are gray by design. `1000` restores nominal pacing.
     ClockSkew(ReplicaId, u64),
 }
 
@@ -746,6 +748,7 @@ mod tests {
     #[test]
     fn astro1_simulation_confirms_payments() {
         let system = Astro1System::new(
+            1,
             4,
             Astro1Config { batch_size: 8, initial_balance: Amount(1_000_000_000) },
             5_000_000,
@@ -794,6 +797,7 @@ mod tests {
     fn simulation_is_deterministic() {
         let mk = || {
             Astro1System::new(
+                1,
                 4,
                 Astro1Config { batch_size: 4, initial_balance: Amount(1_000_000_000) },
                 5_000_000,
@@ -813,6 +817,7 @@ mod tests {
         // Crash replica 1 at t = 2 s.
         cfg.faults = vec![(2_000_000_000, Fault::Crash(ReplicaId(1)))];
         let system = Astro1System::new(
+            1,
             4,
             Astro1Config { batch_size: 4, initial_balance: Amount(1_000_000_000) },
             5_000_000,
@@ -835,6 +840,7 @@ mod tests {
         // more than a crash-forever run.
         let system = || {
             Astro1System::new(
+                1,
                 4,
                 Astro1Config { batch_size: 4, initial_balance: Amount(1_000_000_000) },
                 5_000_000,

@@ -21,6 +21,11 @@
 //!
 //! # Examples
 //!
+//! Both Astro protocols run under one adapter, [`systems::AstroSystem`];
+//! [`Astro1System`] and [`Astro2System`] name its two instances. A
+//! deployment is `shards × per_shard` replicas (Astro I has one shard)
+//! plus the batch flush interval:
+//!
 //! ```
 //! use astro_sim::harness::{run, SimConfig};
 //! use astro_sim::systems::Astro1System;
@@ -29,6 +34,7 @@
 //! use astro_types::Amount;
 //!
 //! let system = Astro1System::new(
+//!     1,
 //!     4,
 //!     Astro1Config { batch_size: 8, initial_balance: Amount(1_000_000) },
 //!     5_000_000, // 5 ms batch flush
@@ -52,6 +58,9 @@ pub use cpumodel::CpuModel;
 pub use harness::{run, run_observed, run_with_system, Fault, SimConfig, SimReport};
 pub use metrics::{LatencyStats, ThroughputTimeline};
 pub use netmodel::{NetParams, Network, Region};
-pub use systems::{Astro1System, Astro2System, ChaosReport, ConfirmRule, PbftSystem, SimSystem};
+pub use systems::{
+    Astro1System, Astro2System, AstroSystem, ChaosReport, ConfirmRule, PbftSystem, SimReplica,
+    SimSystem,
+};
 pub use telemetry::SimTelemetry;
 pub use workload::{SmallbankWorkload, UniformWorkload, Workload};

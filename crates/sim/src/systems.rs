@@ -1,17 +1,23 @@
 //! Adapters presenting Astro I, Astro II, and the consensus baseline to the
-//! simulator through one trait.
+//! simulator through one trait, [`SimSystem`].
 //!
-//! Each adapter owns the full set of replica state machines, maps
-//! simulator events to protocol calls, and prices the CPU work of each
-//! message kind (signatures, MACs, hashing) for the [`CpuModel`] — the
-//! protocol logic itself runs with simulation-grade authenticators, so the
-//! *costs* come from the model, not wall-clock crypto.
+//! Both Astro protocols run under one adapter, [`AstroSystem`], around a
+//! replica that implements [`astro_core::Replica`]; what a protocol adds
+//! on top of that trait — building a replica, pricing its messages,
+//! recognising its PREPAREs — is [`SimReplica`]. [`PbftSystem`] adapts
+//! the consensus baseline.
+//!
+//! Each adapter maps simulator events to protocol calls and prices the
+//! CPU work of each message kind (signatures, MACs, hashing) for the
+//! [`CpuModel`] — the protocol logic itself runs with simulation-grade
+//! authenticators, so the *costs* come from the model, not wall-clock
+//! crypto.
 
 use crate::cpumodel::{CpuModel, DeliverCost};
 use crate::netmodel::Nanos;
 use astro_brb::bracha::BrachaMsg;
 use astro_brb::signed::SignedMsg;
-use astro_brb::{Envelope, InstanceId};
+use astro_brb::InstanceId;
 use astro_consensus::pbft::{PbftConfig, PbftMsg, PbftReplica};
 use astro_core::astro1::{Astro1Config, Astro1Msg, AstroOneReplica};
 use astro_core::astro2::{Astro2Config, Astro2Msg, AstroTwoReplica};
@@ -126,7 +132,7 @@ pub trait SimSystem {
 }
 
 /// Always-on invariants a chaos schedule must never violate, tracked by
-/// the Astro system adapters when enabled: a replica re-broadcasting an
+/// [`AstroSystem`] when enabled: a replica re-broadcasting an
 /// instance id it already used (stream-tag reuse — a restart that lost
 /// its tag counter would wedge or equivocate its stream), a replica
 /// reporting the same payment settled twice (double settle), and two
@@ -182,7 +188,7 @@ impl ChaosAudit {
 }
 
 /// The audit counters of a chaos run; see
-/// [`Astro1System::enable_chaos_audit`].
+/// [`AstroSystem::enable_chaos_audit`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChaosReport {
     /// Own-stream instance ids broadcast more than once.
@@ -195,225 +201,33 @@ pub struct ChaosReport {
     pub equivocation_settles: usize,
 }
 
-/// The catch-up handshake in simulated form, shared by both Astro
-/// adapters: `donors` serve a sync head plus sealed history blocks,
-/// the head certifies at `f+1` byte-identical copies, each block
-/// certifies independently at `f+1`, and the restarted replica
-/// reassembles and installs once every referenced block is certified.
-/// Returns the bytes transferred and the install step, or `None` when
-/// nothing certified or the install was rejected (the harness retries).
-fn run_catch_up<R: Replica>(
-    replicas: &mut [R],
-    replica: ReplicaId,
-    donors: &[ReplicaId],
-) -> Option<(usize, ReplicaStep<R::Msg>)> {
-    let settled = |r: &R| r.ledger().total_settled() as u64;
-    let floor = settled(&replicas[replica.0 as usize]);
-    let group = replicas[replica.0 as usize].group().clone();
-    let mut heads = CopyVotes::new(&group, replica);
-    let mut blocks = CopyVotes::new(&group, replica);
-    let mut bytes = 0usize;
-    for &donor in donors {
-        let donor = &replicas[donor.0 as usize];
-        let Ok((head, served_blocks)) = donor.sync_chunks(replica) else { continue };
-        let head = head.to_wire_bytes();
-        bytes += head.len();
-        // The live session's floor: a head below it does not vote.
-        if settled(donor) >= floor {
-            heads.offer(donor.id(), (), head);
-        }
-        for (client, block, data) in served_blocks {
-            bytes += data.len();
-            blocks.offer(donor.id(), (client, block), data);
-        }
-        if let Ok(step) = replicas[replica.0 as usize].install_chunked(&mut heads, &mut blocks) {
-            return Some((bytes, step));
-        }
-    }
-    None
-}
-
-/// Tracks Astro-side batch-flush deadlines (the core replicas flush on
-/// size; the adapter adds the time-based flush policy).
-#[derive(Debug)]
-struct FlushTimers {
-    delay: Nanos,
-    deadline: Vec<Option<Nanos>>,
-}
-
-impl FlushTimers {
-    fn new(n: usize, delay: Nanos) -> Self {
-        FlushTimers { delay, deadline: vec![None; n] }
-    }
-
-    /// Arms the timer after a submit left payments batched.
-    fn note_batched(&mut self, replica: ReplicaId, batched: usize, now: Nanos) {
-        let slot = &mut self.deadline[replica.0 as usize];
-        if batched > 0 {
-            if slot.is_none() {
-                *slot = Some(now + self.delay);
-            }
-        } else {
-            *slot = None;
-        }
-    }
-
-    fn due(&mut self, replica: ReplicaId, now: Nanos) -> bool {
-        let slot = &mut self.deadline[replica.0 as usize];
-        if slot.is_some_and(|d| now >= d) {
-            *slot = None;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn next(&self, replica: ReplicaId) -> Option<Nanos> {
-        self.deadline[replica.0 as usize]
-    }
-}
-
 // ---------------------------------------------------------------------------
-// Astro I
+// Astro I and Astro II
 // ---------------------------------------------------------------------------
 
-/// Astro I under simulation: echo-based broadcast, MAC links.
-#[derive(Debug)]
-pub struct Astro1System {
-    replicas: Vec<AstroOneReplica>,
-    layout: ShardLayout,
-    flush: FlushTimers,
-    audit: Option<ChaosAudit>,
+/// What the simulator needs of an Astro protocol beyond [`Replica`]: how
+/// to build a replica, what its messages cost to receive, and which of
+/// its messages opens a broadcast instance.
+pub trait SimReplica: Replica {
+    /// Builds replica `id` of `layout`.
+    fn build(id: ReplicaId, layout: &ShardLayout, cfg: &Self::Config) -> Self;
+
+    /// The receiving replica's CPU cost of `msg`; see
+    /// [`SimSystem::deliver_cost`].
+    fn deliver_cost(msg: &Self::Msg, cpu: &CpuModel) -> DeliverCost;
+
+    /// The instance `msg` opens, if it is a PREPARE (the chaos audit's
+    /// stream-tag check).
+    fn own_prepare(msg: &Self::Msg) -> Option<InstanceId>;
 }
 
-impl Astro1System {
-    /// Builds an `n`-replica single-shard Astro I deployment.
-    pub fn new(n: usize, cfg: Astro1Config, batch_delay: Nanos) -> Self {
-        let layout = ShardLayout::single(n).expect("n >= 4");
-        Astro1System {
-            replicas: (0..n as u32)
-                .map(|i| AstroOneReplica::new(ReplicaId(i), layout.clone(), cfg.clone()))
-                .collect(),
-            layout,
-            flush: FlushTimers::new(n, batch_delay),
-            audit: None,
-        }
+/// Astro I: echo-based broadcast, MAC links, one shard.
+impl SimReplica for AstroOneReplica {
+    fn build(id: ReplicaId, layout: &ShardLayout, cfg: &Astro1Config) -> Self {
+        AstroOneReplica::new(id, layout.clone(), cfg.clone())
     }
 
-    /// Access to a replica (assertions in tests).
-    pub fn replica(&self, i: usize) -> &AstroOneReplica {
-        &self.replicas[i]
-    }
-
-    /// Attaches every replica's [`astro_core::CoreObs`] instrumentation
-    /// to `registry` — the same wiring the threaded runtime's observed
-    /// constructors do, so a simulated run exports the same `core.*`
-    /// counters (used by [`crate::telemetry::SimTelemetry`]).
-    pub fn attach_registry(&mut self, registry: &astro_obs::Registry) {
-        for (i, r) in self.replicas.iter_mut().enumerate() {
-            r.set_obs(astro_core::CoreObs::for_replica(registry, i as u32));
-        }
-    }
-
-    /// Turns on the chaos-schedule invariant counters (stream-tag reuse,
-    /// double settles). Off by default — the benchmarks pay nothing.
-    pub fn enable_chaos_audit(&mut self) {
-        self.audit = Some(ChaosAudit::new(self.replicas.len()));
-    }
-
-    /// The audit counters gathered since
-    /// [`Self::enable_chaos_audit`], if enabled.
-    pub fn chaos_report(&self) -> Option<ChaosReport> {
-        self.audit.as_ref().map(|a| ChaosReport {
-            duplicate_broadcasts: a.duplicate_broadcasts,
-            double_settles: a.double_settles,
-            equivocation_settles: a.equivocation_settles,
-        })
-    }
-
-    /// (Re-)arms the flush timer while payments await broadcast or a
-    /// payload pull or catch-up, which have no other clock, is outstanding.
-    fn arm_flush(&mut self, replica: ReplicaId, now: Nanos) {
-        let r = &self.replicas[replica.0 as usize];
-        self.flush.note_batched(replica, r.batched() + usize::from(r.needs_tick()), now);
-    }
-
-    fn observe(&mut self, replica: ReplicaId, step: &ReplicaStep<Astro1Msg>) {
-        let Some(audit) = &mut self.audit else { return };
-        audit.observe_settled(replica, &step.settled);
-        for env in &step.outbound {
-            if let Astro1Msg::Brb(BrachaMsg::Prepare { id, .. }) = &env.msg {
-                if id.source == u64::from(replica.0) {
-                    audit.observe_prepare(*id);
-                }
-            }
-        }
-    }
-}
-
-impl SimSystem for Astro1System {
-    type Msg = Astro1Msg;
-
-    fn n(&self) -> usize {
-        self.replicas.len()
-    }
-
-    fn entry_replica(&self, client: ClientId) -> ReplicaId {
-        self.layout.representative_of(client)
-    }
-
-    fn confirm_rule(&self) -> ConfirmRule {
-        ConfirmRule::AtEntryReplica
-    }
-
-    fn submit(
-        &mut self,
-        replica: ReplicaId,
-        payment: Payment,
-        now: Nanos,
-    ) -> ReplicaStep<Self::Msg> {
-        let step = self.replicas[replica.0 as usize]
-            .submit(payment)
-            .unwrap_or_else(|_| ReplicaStep::empty());
-        self.arm_flush(replica, now);
-        self.observe(replica, &step);
-        step
-    }
-
-    fn deliver(
-        &mut self,
-        to: ReplicaId,
-        from: ReplicaId,
-        msg: Self::Msg,
-        now: Nanos,
-    ) -> ReplicaStep<Self::Msg> {
-        let step = self.replicas[to.0 as usize].handle(from, msg);
-        // May start or finish a pull; an armed batch deadline stays put.
-        self.arm_flush(to, now);
-        self.observe(to, &step);
-        step
-    }
-
-    fn tick(&mut self, replica: ReplicaId, now: Nanos) -> ReplicaStep<Self::Msg> {
-        if self.flush.due(replica, now) {
-            let step = self.replicas[replica.0 as usize].flush();
-            self.arm_flush(replica, now);
-            self.observe(replica, &step);
-            step
-        } else {
-            ReplicaStep::empty()
-        }
-    }
-
-    fn next_deadline(&self, replica: ReplicaId) -> Option<Nanos> {
-        self.flush.next(replica)
-    }
-
-    fn broadcast_targets(&self, _sender: ReplicaId) -> Vec<ReplicaId> {
-        (0..self.replicas.len() as u32).map(ReplicaId).collect()
-    }
-
-    fn deliver_cost(&self, msg: &Self::Msg, cpu: &CpuModel) -> DeliverCost {
+    fn deliver_cost(msg: &Astro1Msg, cpu: &CpuModel) -> DeliverCost {
         // MAC-authenticated link + hashing what the frame carries. A
         // payload (PREPARE, or the ANSWER that replaces a missed one) is
         // digested once and every replica additionally validates the
@@ -437,224 +251,24 @@ impl SimSystem for Astro1System {
         })
     }
 
-    fn catch_up(
-        &mut self,
-        replica: ReplicaId,
-        donors: &[ReplicaId],
-    ) -> Option<(usize, ReplicaStep<Self::Msg>)> {
-        let (bytes, step) = run_catch_up(&mut self.replicas, replica, donors)?;
-        self.observe(replica, &step);
-        Some((bytes, step))
-    }
-
-    fn has_catch_up(&self) -> bool {
-        true
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Astro II
-// ---------------------------------------------------------------------------
-
-/// Astro II under simulation: signed broadcast, CREDIT certificates,
-/// optional sharding. Uses [`MacAuthenticator`] internally; the cost model
-/// charges real signature prices.
-#[derive(Debug)]
-pub struct Astro2System {
-    replicas: Vec<AstroTwoReplica<MacAuthenticator>>,
-    layout: ShardLayout,
-    groups: Vec<Group>,
-    flush: FlushTimers,
-    /// Independent pacer for the CREDIT retry outbox: it must keep
-    /// running while unacked bundles remain (retransmission has no other
-    /// clock), but it must not share the batch timer — firing `flush`
-    /// early just to age the outbox cuts batches short and inflates the
-    /// per-batch broadcast overhead.
-    outbox: FlushTimers,
-    audit: Option<ChaosAudit>,
-}
-
-impl Astro2System {
-    /// Builds a sharded Astro II deployment (`shards × per_shard`
-    /// replicas). Use `shards = 1` for the unsharded microbenchmarks.
-    pub fn new(shards: usize, per_shard: usize, cfg: Astro2Config, batch_delay: Nanos) -> Self {
-        let layout = ShardLayout::uniform(shards, per_shard).expect("valid layout");
-        let total = shards * per_shard;
-        let groups =
-            layout.shards().iter().map(|s| Group::from_spec(s).expect("shard size")).collect();
-        Astro2System {
-            replicas: (0..total as u32)
-                .map(|i| {
-                    AstroTwoReplica::new(
-                        MacAuthenticator::new(ReplicaId(i), b"sim-astro2".to_vec()),
-                        layout.clone(),
-                        cfg.clone(),
-                    )
-                })
-                .collect(),
-            layout,
-            groups,
-            flush: FlushTimers::new(total, batch_delay),
-            // Acks and retransmission pace at a coarser interval than
-            // batch cutting: a wider window accumulates more digests per
-            // destination into each signed CreditAck (fewer point-to-point
-            // messages) at the cost of at most one extra window of ack
-            // latency. Recovery after a restart is CreditRequest-replay
-            // driven, so the coarser retransmit clock is safe.
-            outbox: FlushTimers::new(total, batch_delay.saturating_mul(4)),
-            audit: None,
-        }
-    }
-
-    /// Access to a replica (assertions in tests).
-    pub fn replica(&self, i: usize) -> &AstroTwoReplica<MacAuthenticator> {
-        &self.replicas[i]
-    }
-
-    /// Attaches every replica's [`astro_core::CoreObs`] instrumentation
-    /// to `registry`; see [`Astro1System::attach_registry`].
-    pub fn attach_registry(&mut self, registry: &astro_obs::Registry) {
-        for (i, r) in self.replicas.iter_mut().enumerate() {
-            r.set_obs(astro_core::CoreObs::for_replica(registry, i as u32));
-        }
-    }
-
-    /// The shard layout.
-    pub fn layout(&self) -> &ShardLayout {
-        &self.layout
-    }
-
-    /// Turns on the chaos-schedule invariant counters; see
-    /// [`Astro1System::enable_chaos_audit`].
-    pub fn enable_chaos_audit(&mut self) {
-        self.audit = Some(ChaosAudit::new(self.replicas.len()));
-    }
-
-    /// The audit counters gathered since [`Self::enable_chaos_audit`].
-    pub fn chaos_report(&self) -> Option<ChaosReport> {
-        self.audit.as_ref().map(|a| ChaosReport {
-            duplicate_broadcasts: a.duplicate_broadcasts,
-            double_settles: a.double_settles,
-            equivocation_settles: a.equivocation_settles,
-        })
-    }
-
-    /// (Re-)arms both timers: the batch flush deadline for payments
-    /// awaiting broadcast, and the separate outbox pacer for unacked
-    /// CREDIT bundles awaiting retransmission.
-    fn arm_timers(&mut self, replica: ReplicaId, now: Nanos) {
-        let r = &self.replicas[replica.0 as usize];
-        self.flush.note_batched(replica, r.batched(), now);
-        self.outbox.note_batched(replica, r.outbox_depth() + r.pending_acks(), now);
-    }
-
-    fn observe(
-        &mut self,
-        replica: ReplicaId,
-        step: &ReplicaStep<Astro2Msg<astro_types::auth::SimSig>>,
-    ) {
-        let Some(audit) = &mut self.audit else { return };
-        audit.observe_settled(replica, &step.settled);
-        for env in &step.outbound {
-            if let Astro2Msg::Brb(SignedMsg::Prepare { id, .. }) = &env.msg {
-                if id.source == u64::from(replica.0) {
-                    audit.observe_prepare(*id);
-                }
-            }
+    fn own_prepare(msg: &Astro1Msg) -> Option<InstanceId> {
+        match msg {
+            Astro1Msg::Brb(BrachaMsg::Prepare { id, .. }) => Some(*id),
+            _ => None,
         }
     }
 }
 
-impl SimSystem for Astro2System {
-    type Msg = Astro2Msg<astro_types::auth::SimSig>;
-
-    fn n(&self) -> usize {
-        self.replicas.len()
+/// Astro II: signed broadcast, CREDIT certificates, optional sharding.
+/// The replicas sign with [`MacAuthenticator`]; the cost model charges
+/// real signature prices.
+impl SimReplica for AstroTwoReplica<MacAuthenticator> {
+    fn build(id: ReplicaId, layout: &ShardLayout, cfg: &Astro2Config) -> Self {
+        let auth = MacAuthenticator::new(id, b"sim-astro2".to_vec());
+        AstroTwoReplica::new(auth, layout.clone(), cfg.clone())
     }
 
-    fn entry_replica(&self, client: ClientId) -> ReplicaId {
-        self.layout.representative_of(client)
-    }
-
-    fn confirm_rule(&self) -> ConfirmRule {
-        ConfirmRule::AtEntryReplica
-    }
-
-    fn submit(
-        &mut self,
-        replica: ReplicaId,
-        payment: Payment,
-        now: Nanos,
-    ) -> ReplicaStep<Self::Msg> {
-        let step = self.replicas[replica.0 as usize]
-            .submit(payment)
-            .unwrap_or_else(|_| ReplicaStep::empty());
-        self.arm_timers(replica, now);
-        self.observe(replica, &step);
-        step
-    }
-
-    fn deliver(
-        &mut self,
-        to: ReplicaId,
-        from: ReplicaId,
-        msg: Self::Msg,
-        now: Nanos,
-    ) -> ReplicaStep<Self::Msg> {
-        let step = self.replicas[to.0 as usize].handle(from, msg);
-        // A delivery can enqueue CREDIT outbox entries and owed acks
-        // (settlement emits them); keep the retransmit pacer armed. The
-        // batch timer stays anchored to submissions: payments a
-        // settlement cascade re-queues ride the next submission's window
-        // rather than re-anchoring (and thus shortening) it.
-        let r = &self.replicas[to.0 as usize];
-        self.outbox.note_batched(to, r.outbox_depth() + r.pending_acks(), now);
-        self.observe(to, &step);
-        step
-    }
-
-    fn tick(&mut self, replica: ReplicaId, now: Nanos) -> ReplicaStep<Self::Msg> {
-        let mut step = ReplicaStep::empty();
-        if self.flush.due(replica, now) {
-            step = self.replicas[replica.0 as usize].flush();
-        }
-        if self.outbox.due(replica, now) {
-            let pace = self.replicas[replica.0 as usize].pace_outbox();
-            step.outbound.extend(pace.outbound);
-            step.settled.extend(pace.settled);
-        }
-        self.arm_timers(replica, now);
-        self.observe(replica, &step);
-        step
-    }
-
-    fn next_deadline(&self, replica: ReplicaId) -> Option<Nanos> {
-        match (self.flush.next(replica), self.outbox.next(replica)) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
-    }
-
-    fn broadcast_targets(&self, sender: ReplicaId) -> Vec<ReplicaId> {
-        let shard = self.layout.shard_of_replica(sender).expect("sender in layout");
-        self.groups[shard.0 as usize].members().to_vec()
-    }
-
-    fn catch_up(
-        &mut self,
-        replica: ReplicaId,
-        donors: &[ReplicaId],
-    ) -> Option<(usize, ReplicaStep<Self::Msg>)> {
-        let (bytes, step) = run_catch_up(&mut self.replicas, replica, donors)?;
-        self.observe(replica, &step);
-        Some((bytes, step))
-    }
-
-    fn has_catch_up(&self) -> bool {
-        true
-    }
-
-    fn deliver_cost(&self, msg: &Self::Msg, cpu: &CpuModel) -> DeliverCost {
+    fn deliver_cost(msg: &Self::Msg, cpu: &CpuModel) -> DeliverCost {
         // Signature verification is the offloadable share (the runtime's
         // verify pool pre-verifies it on worker threads); hashing,
         // signing replies, and bookkeeping stay on the event loop.
@@ -714,6 +328,212 @@ impl SimSystem for Astro2System {
             Astro2Msg::Sync(_) => DeliverCost::inline(cpu.hash(size)),
         }
     }
+
+    fn own_prepare(msg: &Self::Msg) -> Option<InstanceId> {
+        match msg {
+            Astro2Msg::Brb(SignedMsg::Prepare { id, .. }) => Some(*id),
+            _ => None,
+        }
+    }
+}
+
+/// An Astro deployment under simulation, either protocol. Each replica
+/// has one flush timer, armed while it [needs a
+/// tick](Replica::needs_tick) — the threaded runtime's discipline, so
+/// batches, CREDIT acks and retransmissions, payload pulls and catch-up
+/// retries all move on the clock they move on in a live cluster.
+#[derive(Debug)]
+pub struct AstroSystem<R> {
+    replicas: Vec<R>,
+    layout: ShardLayout,
+    batch_delay: Nanos,
+    /// Each replica's armed flush deadline.
+    deadlines: Vec<Option<Nanos>>,
+    audit: Option<ChaosAudit>,
+}
+
+/// Astro I under simulation.
+pub type Astro1System = AstroSystem<AstroOneReplica>;
+
+/// Astro II under simulation.
+pub type Astro2System = AstroSystem<AstroTwoReplica<MacAuthenticator>>;
+
+impl<R: SimReplica> AstroSystem<R> {
+    /// Builds a deployment of `shards × per_shard` replicas that flush
+    /// `batch_delay` after work arrives. Astro I is unsharded:
+    /// `shards = 1`.
+    pub fn new(shards: usize, per_shard: usize, cfg: R::Config, batch_delay: Nanos) -> Self {
+        let layout = ShardLayout::uniform(shards, per_shard).expect("valid layout");
+        let n = shards * per_shard;
+        AstroSystem {
+            replicas: (0..n as u32).map(|i| R::build(ReplicaId(i), &layout, &cfg)).collect(),
+            layout,
+            batch_delay,
+            deadlines: vec![None; n],
+            audit: None,
+        }
+    }
+
+    /// Access to a replica (assertions in tests).
+    pub fn replica(&self, i: usize) -> &R {
+        &self.replicas[i]
+    }
+
+    /// The shard layout.
+    pub fn layout(&self) -> &ShardLayout {
+        &self.layout
+    }
+
+    /// Attaches every replica's [`astro_core::CoreObs`] instrumentation
+    /// to `registry` — the same wiring the threaded runtime's observed
+    /// constructors do, so a simulated run exports the same `core.*`
+    /// counters (used by [`crate::telemetry::SimTelemetry`]).
+    pub fn attach_registry(&mut self, registry: &astro_obs::Registry) {
+        for (i, r) in self.replicas.iter_mut().enumerate() {
+            r.set_obs(astro_core::CoreObs::for_replica(registry, i as u32));
+        }
+    }
+
+    /// Turns on the chaos-schedule invariant counters (stream-tag reuse,
+    /// double settles). Off by default — the benchmarks pay nothing.
+    pub fn enable_chaos_audit(&mut self) {
+        self.audit = Some(ChaosAudit::new(self.replicas.len()));
+    }
+
+    /// The audit counters gathered since
+    /// [`Self::enable_chaos_audit`], if enabled.
+    pub fn chaos_report(&self) -> Option<ChaosReport> {
+        self.audit.as_ref().map(|a| ChaosReport {
+            duplicate_broadcasts: a.duplicate_broadcasts,
+            double_settles: a.double_settles,
+            equivocation_settles: a.equivocation_settles,
+        })
+    }
+
+    /// Keeps the flush timer armed while the replica needs a tick (an
+    /// armed deadline stays put) and audits the step.
+    fn stepped(
+        &mut self,
+        replica: ReplicaId,
+        now: Nanos,
+        step: ReplicaStep<R::Msg>,
+    ) -> ReplicaStep<R::Msg> {
+        let i = replica.0 as usize;
+        let armed = self.deadlines[i];
+        self.deadlines[i] =
+            self.replicas[i].needs_tick().then(|| armed.unwrap_or(now + self.batch_delay));
+        self.observe(replica, &step);
+        step
+    }
+
+    fn observe(&mut self, replica: ReplicaId, step: &ReplicaStep<R::Msg>) {
+        let Some(audit) = &mut self.audit else { return };
+        audit.observe_settled(replica, &step.settled);
+        for id in step.outbound.iter().filter_map(|env| R::own_prepare(&env.msg)) {
+            if id.source == u64::from(replica.0) {
+                audit.observe_prepare(id);
+            }
+        }
+    }
+}
+
+impl<R: SimReplica> SimSystem for AstroSystem<R> {
+    type Msg = R::Msg;
+
+    fn n(&self) -> usize {
+        self.replicas.len()
+    }
+
+    fn entry_replica(&self, client: ClientId) -> ReplicaId {
+        self.layout.representative_of(client)
+    }
+
+    fn confirm_rule(&self) -> ConfirmRule {
+        ConfirmRule::AtEntryReplica
+    }
+
+    fn submit(&mut self, replica: ReplicaId, payment: Payment, now: Nanos) -> ReplicaStep<R::Msg> {
+        let step = self.replicas[replica.0 as usize]
+            .submit(payment)
+            .unwrap_or_else(|_| ReplicaStep::empty());
+        self.stepped(replica, now, step)
+    }
+
+    fn deliver(
+        &mut self,
+        to: ReplicaId,
+        from: ReplicaId,
+        msg: R::Msg,
+        now: Nanos,
+    ) -> ReplicaStep<R::Msg> {
+        let step = self.replicas[to.0 as usize].handle(from, msg);
+        self.stepped(to, now, step)
+    }
+
+    fn tick(&mut self, replica: ReplicaId, now: Nanos) -> ReplicaStep<R::Msg> {
+        let deadline = &mut self.deadlines[replica.0 as usize];
+        if !deadline.is_some_and(|d| now >= d) {
+            return ReplicaStep::empty();
+        }
+        *deadline = None;
+        let step = self.replicas[replica.0 as usize].flush();
+        self.stepped(replica, now, step)
+    }
+
+    fn next_deadline(&self, replica: ReplicaId) -> Option<Nanos> {
+        self.deadlines[replica.0 as usize]
+    }
+
+    fn broadcast_targets(&self, sender: ReplicaId) -> Vec<ReplicaId> {
+        self.replicas[sender.0 as usize].group().members().to_vec()
+    }
+
+    fn deliver_cost(&self, msg: &R::Msg, cpu: &CpuModel) -> DeliverCost {
+        R::deliver_cost(msg, cpu)
+    }
+
+    /// The handshake in simulated form: `donors` serve a sync head plus
+    /// sealed history blocks, the head certifies at `f+1` byte-identical
+    /// copies, each block certifies independently at `f+1`, and the
+    /// replica reassembles and installs once every referenced block is
+    /// certified.
+    fn catch_up(
+        &mut self,
+        replica: ReplicaId,
+        donors: &[ReplicaId],
+    ) -> Option<(usize, ReplicaStep<R::Msg>)> {
+        let settled = |r: &R| r.ledger().total_settled() as u64;
+        let floor = settled(&self.replicas[replica.0 as usize]);
+        let group = self.replicas[replica.0 as usize].group().clone();
+        let mut heads = CopyVotes::new(&group, replica);
+        let mut blocks = CopyVotes::new(&group, replica);
+        let mut bytes = 0usize;
+        for &donor in donors {
+            let donor = &self.replicas[donor.0 as usize];
+            let Ok((head, served_blocks)) = donor.sync_chunks(replica) else { continue };
+            let head = head.to_wire_bytes();
+            bytes += head.len();
+            // The live session's floor: a head below it does not vote.
+            if settled(donor) >= floor {
+                heads.offer(donor.id(), (), head);
+            }
+            for (client, block, data) in served_blocks {
+                bytes += data.len();
+                blocks.offer(donor.id(), (client, block), data);
+            }
+            if let Ok(step) =
+                self.replicas[replica.0 as usize].install_chunked(&mut heads, &mut blocks)
+            {
+                self.observe(replica, &step);
+                return Some((bytes, step));
+            }
+        }
+        None
+    }
+
+    fn has_catch_up(&self) -> bool {
+        true
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -747,11 +567,6 @@ impl PbftSystem {
     /// Access to a replica (assertions in tests).
     pub fn replica(&self, i: usize) -> &PbftReplica {
         &self.replicas[i]
-    }
-
-    /// The current view at replica `i` (robustness telemetry).
-    pub fn view_of(&self, i: usize) -> u64 {
-        self.replicas[i].view()
     }
 }
 
@@ -854,5 +669,49 @@ impl SimSystem for PbftSystem {
     }
 }
 
-/// Re-exported so harness users can name envelope types.
-pub type SysEnvelope<M> = Envelope<M>;
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::harness::{run_with_system, SimConfig};
+    use crate::workload::UniformWorkload;
+    use astro_types::Amount;
+
+    const BUDGET: usize = 24;
+
+    /// Settles a few payments and runs on until nothing is in flight: no
+    /// replica needs a tick then, so no flush timer stays armed.
+    fn quiesce<R: SimReplica>(system: AstroSystem<R>) -> AstroSystem<R> {
+        let cfg = SimConfig {
+            duration: 3_000_000_000,
+            warmup: 0,
+            submit_budget: Some(BUDGET),
+            ..SimConfig::default()
+        };
+        let (report, system) = run_with_system(system, UniformWorkload::new(4, 10), cfg);
+        assert_eq!(report.confirmed, BUDGET);
+        for r in 0..system.n() as u32 {
+            assert_eq!(system.next_deadline(ReplicaId(r)), None, "replica {r}: timer left armed");
+        }
+        system
+    }
+
+    #[test]
+    fn flush_timers_disarm_at_quiescence() {
+        let genesis = Amount(1_000_000);
+        quiesce(Astro1System::new(
+            1,
+            4,
+            Astro1Config { batch_size: 4, initial_balance: genesis },
+            5_000_000,
+        ));
+        let astro2 = quiesce(Astro2System::new(
+            1,
+            4,
+            Astro2Config { batch_size: 4, initial_balance: genesis, ..Astro2Config::default() },
+            5_000_000,
+        ));
+        for i in 0..4 {
+            assert_eq!(astro2.replica(i).outbox_depth(), 0, "replica {i}: CREDIT left unacked");
+        }
+    }
+}

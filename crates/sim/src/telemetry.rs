@@ -13,7 +13,7 @@
 //! Signal mapping (one namespace, shared with the runtime):
 //!
 //! - `core.r{i}.*` — attach the system to [`SimTelemetry::registry`]
-//!   (e.g. `Astro2System::attach_registry`) and the replicas' own
+//!   (`AstroSystem::attach_registry`) and the replicas' own
 //!   [`astro_core::obs::CoreObs`] counters (settles, CREDIT
 //!   retransmits, catch-up retries) flow in unchanged.
 //! - `net.r{i}.to_r{j}.tx_frames` / `net.r{j}.from_r{i}.rx_frames` —

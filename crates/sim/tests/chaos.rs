@@ -162,6 +162,7 @@ proptest! {
         raw in proptest::collection::vec((0u64..4, 50u64..600, 100u64..900), 1..4),
     ) {
         let mut system = Astro1System::new(
+            1,
             4,
             Astro1Config { batch_size: 1, initial_balance: Amount(GENESIS) },
             2 * MS,

@@ -10,7 +10,7 @@
 //! windows close on the simulated clock — so a failure here means the
 //! live detector would mislocalize the same fault.
 
-use astro_core::astro2::Astro2Config;
+use astro_core::astro2::{Astro2Config, OUTBOX_BASE_TICKS};
 use astro_obs::health::reason;
 use astro_obs::{HealthConfig, Subject, Verdict};
 use astro_sim::harness::run_observed;
@@ -121,17 +121,39 @@ fn partial_partition_is_localized_to_the_severed_links() {
     assert_eq!(telemetry.worst_verdict(Subject::Link(1, 2)).reason(), Some(reason::PARTITIONED));
 }
 
+/// Replica 1's timers crawl `skew`× slow from 3 s (a wedged timer
+/// thread): it keeps echoing peers' broadcasts at full speed, but its
+/// batch cuts and the acks it owes leave only on its stretched flush
+/// tick.
+fn clock_skew_run(skew: u64) -> SimTelemetry {
+    observed_run(19, 16_000 * MS, vec![(3_000 * MS, Fault::ClockSkew(ReplicaId(1), skew * 1000))])
+}
+
+/// Peers retransmit an unacked CREDIT after `OUTBOX_BASE_TICKS` = 64 of
+/// their flush ticks, and while a CREDIT is unacked their timer ticks
+/// every flush interval (5 ms here: a 320 ms horizon). A replica skewed
+/// `s`× acks once every `s` flush intervals: at `s` = 64 its acks land
+/// on the horizon, past it peers retransmit.
+const RETRY_HORIZON: u64 = OUTBOX_BASE_TICKS as u64;
+
 #[test]
 fn clock_skew_is_localized_as_pacing_skew() {
-    // Replica 1's timers crawl 64× slow from 3 s (a wedged timer
-    // thread): it keeps echoing peers' broadcasts at full speed, but its
-    // own batch cuts and CREDIT ack pacing stretch past the peers' lazy
-    // retry threshold — its egress collapses relative to peers while
-    // their outboxes retransmit unacked CREDITs, exactly the signature
-    // the pacing-skew rule keys on. (Milder skews stretch batches too,
-    // but stay under the retransmit horizon — gray by design.)
-    let faults = vec![(3_000 * MS, Fault::ClockSkew(ReplicaId(1), 64_000))];
-    let telemetry = observed_run(19, 16_000 * MS, faults);
+    // At 2 × the horizon (128×: an ack every 640 ms against peers'
+    // 320 ms retry timer) CREDITs to the skewed replica go out again
+    // before its acks arrive: its egress collapses relative to peers
+    // while their outboxes retransmit, exactly the signature the
+    // pacing-skew rule keys on.
+    let telemetry = clock_skew_run(2 * RETRY_HORIZON);
     assert_localized(&telemetry, Subject::Replica(1), &[Subject::Replica(1)]);
     assert_eq!(telemetry.worst_verdict(Subject::Replica(1)).reason(), Some(reason::PACING_SKEW));
+}
+
+#[test]
+fn clock_skew_at_the_retry_horizon_implicates_nothing() {
+    // Exactly at the horizon the acks still beat the peers' retry timer:
+    // batches stretch but nothing retransmits — gray by design, and no
+    // subject may be blamed for it.
+    let telemetry = clock_skew_run(RETRY_HORIZON);
+    let implicated = telemetry.implicated();
+    assert!(implicated.is_empty(), "false positives at the retry horizon: {implicated:?}");
 }

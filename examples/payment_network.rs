@@ -51,6 +51,7 @@ fn main() {
     cfg.faults = vec![(fault_at, Fault::Crash(ReplicaId(3)))]; // one representative
     let report = run(
         Astro1System::new(
+            1,
             N,
             Astro1Config { batch_size: 16, initial_balance: Amount(1_000_000) },
             5_000_000,

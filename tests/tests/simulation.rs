@@ -71,6 +71,7 @@ fn astro2_sharded_smallbank_settles_cross_shard() {
 #[test]
 fn all_replicas_converge_after_simulation() {
     let system = Astro1System::new(
+        1,
         7,
         Astro1Config { batch_size: 8, initial_balance: Amount(1_000_000) },
         5_000_000,
@@ -113,6 +114,7 @@ fn delay_fault_degrades_but_does_not_stop_astro() {
     c.faults = vec![(3_000_000_000, Fault::Delay(ReplicaId(1), 100_000_000))];
     let report = run(
         Astro1System::new(
+            1,
             4,
             Astro1Config { batch_size: 8, initial_balance: Amount(1_000_000) },
             5_000_000,
@@ -142,9 +144,9 @@ fn pbft_total_order_survives_simulated_crash() {
     // A view change must have happened, and live replicas' executed
     // histories must be prefix-consistent (cut-off may leave them one
     // batch apart or one view behind).
-    assert!(system.view_of(1) >= 1, "view change must have happened");
+    assert!(system.replica(1).view() >= 1, "view change must have happened");
     for i in 2..4 {
-        assert!(system.view_of(i) >= 1);
+        assert!(system.replica(i).view() >= 1);
     }
     for cl in 0..8u64 {
         let client = ClientId(cl);
@@ -188,6 +190,7 @@ fn free_cpu_model_is_faster_than_calibrated() {
     let slow = cfg(2);
     let make = || {
         Astro1System::new(
+            1,
             4,
             Astro1Config { batch_size: 8, initial_balance: Amount(1_000_000_000) },
             5_000_000,
