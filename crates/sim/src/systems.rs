@@ -471,11 +471,9 @@ impl<R: SimReplica> SimSystem for AstroSystem<R> {
     }
 
     fn tick(&mut self, replica: ReplicaId, now: Nanos) -> ReplicaStep<R::Msg> {
-        let deadline = &mut self.deadlines[replica.0 as usize];
-        if !deadline.is_some_and(|d| now >= d) {
+        if self.deadlines[replica.0 as usize].take_if(|d| now >= *d).is_none() {
             return ReplicaStep::empty();
         }
-        *deadline = None;
         let step = self.replicas[replica.0 as usize].flush();
         self.stepped(replica, now, step)
     }
