@@ -1,4 +1,4 @@
-//! In-process transport: crossbeam channels as authenticated links.
+//! In-process transport: `std::sync::mpsc` channels as authenticated links.
 //!
 //! This wraps the channel mesh the threaded runtime always used, behind
 //! the [`Transport`]/[`Endpoint`] interface. Links are authenticated by
@@ -8,7 +8,7 @@
 
 use crate::{Endpoint, NetError, Payload, Transport};
 use astro_types::ReplicaId;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::time::Duration;
 
 type Packet = (ReplicaId, Payload);
@@ -24,7 +24,7 @@ impl InProcTransport {
     /// holding a sender to every inbox.
     pub fn new(n: usize) -> Self {
         let (txs, rxs): (Vec<Sender<Packet>>, Vec<Receiver<Packet>>) =
-            (0..n).map(|_| unbounded()).unzip();
+            (0..n).map(|_| channel()).unzip();
         let endpoints = rxs
             .into_iter()
             .enumerate()

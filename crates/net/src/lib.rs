@@ -9,7 +9,7 @@
 //!   generic over. An endpoint is one replica's connection to the full
 //!   replica mesh: `send`, `broadcast` (which includes self-delivery, as
 //!   the protocol cores expect), and `recv_timeout`.
-//! - [`InProcTransport`]: crossbeam channels, authenticated by
+//! - [`InProcTransport`]: `std::sync::mpsc` channels, authenticated by
 //!   construction. The zero-overhead baseline, and what deterministic
 //!   tests and single-process deployments use.
 //! - [`TcpTransport`] / [`TcpEndpoint`]: real sockets. One TCP connection

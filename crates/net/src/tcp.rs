@@ -51,7 +51,6 @@ use crate::{Endpoint, NetError, Payload, Transport};
 use astro_obs::{Counter, FlightRecorder, Histogram, Registry};
 use astro_types::wire::{peek_frame_len, put_frame, Wire, MAX_FRAME_LEN};
 use astro_types::{Keychain, ReplicaId};
-use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -59,7 +58,7 @@ use std::os::fd::AsRawFd;
 use std::os::raw::{c_int, c_short};
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 type Packet = (ReplicaId, Payload);
@@ -296,7 +295,7 @@ impl LinkSlot {
 
     /// True inside the redial cooldown.
     fn cooling_down(&self) -> bool {
-        self.next_dial_at.lock().is_some_and(|at| Instant::now() < at)
+        lock(&self.next_dial_at).is_some_and(|at| Instant::now() < at)
     }
 }
 
@@ -331,7 +330,7 @@ impl Shared {
     /// Queues an authenticated connection for the endpoint to adopt and
     /// wakes it. After shutdown the connection is closed instead.
     fn hand_over(&self, peer: ReplicaId, conn: Conn) {
-        let mut queue = self.handovers.lock();
+        let mut queue = lock(&self.handovers);
         if self.shutdown.load(Ordering::Relaxed) {
             let _ = conn.stream.shutdown(Shutdown::Both);
             return;
@@ -352,10 +351,17 @@ impl Shared {
     fn shut_down(&self, listen_addr: SocketAddr) {
         self.shutdown.store(true, Ordering::Relaxed);
         let _ = TcpStream::connect_timeout(&listen_addr, Duration::from_millis(200));
-        for h in self.handovers.lock().drain(..) {
+        for h in lock(&self.handovers).drain(..) {
             let _ = h.conn.stream.shutdown(Shutdown::Both);
         }
     }
+}
+
+/// Locks `mutex`, ignoring poison: none of the endpoint's critical
+/// sections leaves its data half-updated, so a holder that panicked must
+/// not turn every later lock into a second panic.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 fn read_exact_frame(stream: &mut TcpStream, expected_len: usize) -> Result<Vec<u8>, NetError> {
@@ -458,7 +464,7 @@ fn maintenance_main(shared: Arc<Shared>) {
                 continue;
             }
             let attempt = dial(&shared, peer);
-            *slot.next_dial_at.lock() = Some(Instant::now() + REDIAL_COOLDOWN);
+            *lock(&slot.next_dial_at) = Some(Instant::now() + REDIAL_COOLDOWN);
             if let Some(m) = shared.metrics.get() {
                 m.redials.inc();
                 match &attempt {
@@ -705,7 +711,7 @@ impl TcpEndpoint {
         {
             return;
         }
-        let handovers = std::mem::take(&mut *self.shared.handovers.lock());
+        let handovers = std::mem::take(&mut *lock(&self.shared.handovers));
         for Handover { peer, generation, conn } in handovers {
             self.read_link(peer);
             self.teardown(peer);
@@ -976,7 +982,7 @@ impl Endpoint for TcpEndpoint {
             let attempt = dial(&self.shared, to);
             // Space attempts from *completion*: a connect timeout against a
             // blackholed peer must not make every subsequent send redial.
-            *slot.next_dial_at.lock() = Some(Instant::now() + REDIAL_COOLDOWN);
+            *lock(&slot.next_dial_at) = Some(Instant::now() + REDIAL_COOLDOWN);
             if let Some(m) = self.shared.metrics.get() {
                 m.redials.inc();
                 if matches!(&attempt, Err(NetError::Handshake { .. })) {

@@ -7,7 +7,7 @@
 //! messages between them, and real wall-clock batching timers. Two
 //! transports ship today:
 //!
-//! - [`InProcTransport`] — crossbeam channels, authenticated by
+//! - [`InProcTransport`] — `std::sync::mpsc` channels, authenticated by
 //!   construction: the deterministic-outcome baseline.
 //! - [`TcpTransport`] — real sockets with HMAC-authenticated sessions
 //!   (paper §III's authenticated links made literal), one connection per
@@ -71,14 +71,13 @@ use astro_types::{
     Amount, ClientId, ConfigError, Keychain, Payment, ReplicaId, SchnorrAuthenticator, SeqNo,
     ShardLayout,
 };
-use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 use durable::Durability;
-use parking_lot::{Condvar, Mutex};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -165,21 +164,15 @@ impl Progress {
         if timeout.is_zero() {
             return false;
         }
-        let deadline = Instant::now() + timeout;
-        let mut guard = self.lock.lock();
+        let guard = self.lock.lock().unwrap_or_else(PoisonError::into_inner);
         self.waiters.fetch_add(1, SeqCst);
-        let reached = loop {
-            if self.reached(seats, count) {
-                break true;
-            }
-            // Spurious wakeups and partial progress re-check the predicate.
-            let Some(remaining) = deadline.checked_duration_since(Instant::now()) else {
-                break false;
-            };
-            let _ = self.changed.wait_for(&mut guard, remaining);
-        };
+        // Spurious wake-ups and partial progress re-check the predicate.
+        let (_guard, result) = self
+            .changed
+            .wait_timeout_while(guard, timeout, |_| !self.reached(seats, count))
+            .unwrap_or_else(PoisonError::into_inner);
         self.waiters.fetch_sub(1, SeqCst);
-        reached
+        !result.timed_out()
     }
 }
 
@@ -771,7 +764,7 @@ impl<R: Replica + Send + 'static> Cluster<R> {
             }
             DriverObs::for_replica(reg, me, &self.spec.layout)
         });
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         let pool = self.spec.pool.clone();
         let flush_every = self.flush_every;
         let handle = std::thread::spawn(move || {
@@ -934,7 +927,7 @@ impl<R: Replica + Send + 'static> Cluster<R> {
     ///
     /// Fails if the replica is down or the cluster is shutting down.
     pub fn probe(&self, i: usize, client: ClientId) -> Result<ClientProbe, ClusterError> {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         self.seats[i].ctrl.send(Ctrl::Probe(client, tx)).map_err(|_| ClusterError::ShuttingDown)?;
         rx.recv().map_err(|_| ClusterError::ShuttingDown)
     }
@@ -1332,7 +1325,9 @@ mod tests {
         assert!(waited.0, "the waiter must see the count");
         assert!(waited.1 < Duration::from_secs(10), "woken promptly, not at the timeout");
         assert_eq!(cluster.progress.waiters.load(SeqCst), 0, "the waiter deregistered");
-        assert!(!cluster.wait_settled_among(&all, 2, Duration::ZERO), "an unreached count");
+        let t0 = Instant::now();
+        assert!(!cluster.wait_settled_among(&all, 2, Duration::from_millis(20)), "unreached");
+        assert!(t0.elapsed() >= Duration::from_millis(20), "the timed wait blocked");
         cluster.shutdown();
     }
 

@@ -25,9 +25,8 @@
 use astro_crypto::schnorr::{batch_verify, find_invalid};
 use astro_obs::{Gauge, Histogram, Registry};
 use astro_types::{KeyBook, SigCheck, VerdictCache};
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use parking_lot::{Condvar, Mutex};
-use std::sync::{Arc, OnceLock};
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -94,20 +93,17 @@ impl Ticket {
 
     /// True once the job's verdicts are in the cache.
     pub fn is_done(&self) -> bool {
-        *self.0.done.lock()
+        *lock(&self.0.done)
     }
 
     /// Blocks until the job completes.
     pub fn wait(&self) {
-        let mut done = self.0.done.lock();
-        while !*done {
-            self.0.cv.wait(&mut done);
-        }
+        let done = lock(&self.0.done);
+        drop(self.0.cv.wait_while(done, |done| !*done));
     }
 
     fn complete(&self) {
-        let mut done = self.0.done.lock();
-        *done = true;
+        *lock(&self.0.done) = true;
         self.0.cv.notify_all();
     }
 }
@@ -137,7 +133,7 @@ struct PoolObs {
 /// A fixed pool of verifier threads plus the verdict cache they fill.
 pub struct VerifyPool {
     jobs: Sender<Job>,
-    workers: Mutex<Vec<JoinHandle<()>>>,
+    workers: Vec<JoinHandle<()>>,
     cache: Arc<VerdictCache>,
     obs: Arc<OnceLock<PoolObs>>,
 }
@@ -147,7 +143,7 @@ impl VerifyPool {
     pub fn start(threads: usize, book: KeyBook) -> Arc<VerifyPool> {
         let cache = Arc::new(VerdictCache::new(VERDICT_CACHE_CAP));
         let obs: Arc<OnceLock<PoolObs>> = Arc::new(OnceLock::new());
-        let (tx, rx) = unbounded::<Job>();
+        let (tx, rx) = channel::<Job>();
         let rx = Arc::new(Mutex::new(rx));
         let workers = (0..threads.max(1))
             .map(|i| {
@@ -161,7 +157,7 @@ impl VerifyPool {
                     .expect("spawn verifier thread")
             })
             .collect();
-        Arc::new(VerifyPool { jobs: tx, workers: Mutex::new(workers), cache, obs })
+        Arc::new(VerifyPool { jobs: tx, workers, cache, obs })
     }
 
     /// Resolves the pool's `verify.*` metric handles from `registry`;
@@ -213,9 +209,9 @@ impl Drop for VerifyPool {
     fn drop(&mut self) {
         // Disconnect the job channel; workers drain what is queued
         // (completing outstanding tickets) and exit.
-        let (tx, _) = unbounded();
+        let (tx, _) = channel();
         drop(std::mem::replace(&mut self.jobs, tx));
-        for handle in self.workers.lock().drain(..) {
+        for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
     }
@@ -228,12 +224,12 @@ fn worker_main(
     obs: &OnceLock<PoolObs>,
 ) {
     loop {
-        // The offline crossbeam stub wraps `std::sync::mpsc` — a
-        // single-consumer receiver — so workers share it behind a mutex.
+        // `std::sync::mpsc::Receiver` is single-consumer, so workers
+        // share it behind a mutex.
         // One idle worker at a time blocks in `recv` holding the lock
         // (only one could dequeue anyway); the lock is released before
         // the curve work, so job *processing* runs fully in parallel.
-        let job = { rx.lock().recv() };
+        let job = lock(rx).recv();
         let Ok(Job { items, ticket }) = job else { return };
         match obs.get() {
             Some(o) => {
@@ -248,6 +244,12 @@ fn worker_main(
         }
         ticket.complete();
     }
+}
+
+/// Locks `mutex`, ignoring poison: every critical section here is a load,
+/// a store or a `recv`, so a panicked holder leaves nothing half-updated.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Verifies one super-batch into the cache: resolve keys, skip verdicts

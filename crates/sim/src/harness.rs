@@ -9,14 +9,13 @@
 use crate::cpumodel::CpuModel;
 use crate::metrics::{LatencyRecorder, LatencyStats, ThroughputTimeline};
 use crate::netmodel::{Nanos, NetParams, Network, Region};
+use crate::rng::Rng;
 use crate::systems::{ConfirmRule, SimSystem};
 use crate::telemetry::SimTelemetry;
 use crate::workload::Workload;
 use astro_brb::Dest;
 use astro_core::ReplicaStep;
 use astro_types::{PaymentId, ReplicaId};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 
@@ -223,7 +222,7 @@ fn run_inner<S: SimSystem, W: Workload>(
     cfg: SimConfig,
     mut telemetry: Option<&mut SimTelemetry>,
 ) -> (SimReport, S) {
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
+    let mut rng = Rng::seeded(cfg.seed);
     let mut network = Network::new(system.n(), cfg.net.clone());
     let mut heap: BinaryHeap<Reverse<Event<S::Msg>>> = BinaryHeap::new();
     let mut seq = 0u64;
@@ -418,7 +417,7 @@ fn run_inner<S: SimSystem, W: Workload>(
                             if live.is_empty() {
                                 continue;
                             }
-                            entry = live[rng.gen_range(0..live.len())];
+                            entry = live[rng.below(live.len() as u64) as usize];
                             entry_override.insert(client, entry);
                         }
                     }
@@ -593,7 +592,7 @@ fn process_step<S: SimSystem>(
     network: &mut Network,
     heap: &mut BinaryHeap<Reverse<Event<S::Msg>>>,
     seq: &mut u64,
-    rng: &mut StdRng,
+    rng: &mut Rng,
     cfg: &SimConfig,
     outstanding: &mut HashMap<PaymentId, Outstanding>,
     latency: &mut LatencyRecorder,

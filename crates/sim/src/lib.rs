@@ -50,6 +50,7 @@ pub mod cpumodel;
 pub mod harness;
 pub mod metrics;
 pub mod netmodel;
+pub mod rng;
 pub mod systems;
 pub mod telemetry;
 pub mod workload;

@@ -14,9 +14,8 @@
 //!    "tc-delayed" nodes (paper §VI-D) add a constant extra delay to every
 //!    outgoing packet.
 
+use crate::rng::Rng;
 use astro_types::ReplicaId;
-use rand::rngs::StdRng;
-use rand::Rng;
 
 /// Nanosecond simulation time.
 pub type Nanos = u64;
@@ -213,7 +212,7 @@ impl Network {
         to: ReplicaId,
         size: usize,
         now: Nanos,
-        rng: &mut StdRng,
+        rng: &mut Rng,
     ) -> Option<Nanos> {
         let f = &self.nodes[from.0 as usize];
         if f.crashed || self.nodes[to.0 as usize].crashed {
@@ -233,7 +232,7 @@ impl Network {
         let start = now.max(self.nodes[from.0 as usize].nic_free_at);
         let done = start + tx;
         self.nodes[from.0 as usize].nic_free_at = done;
-        let jitter = if self.params.jitter > 0 { rng.gen_range(0..self.params.jitter) } else { 0 };
+        let jitter = if self.params.jitter > 0 { rng.below(self.params.jitter) } else { 0 };
         let extra = self.nodes[from.0 as usize].extra_delay
             + self.link_extra.get(&(from.0, to.0)).copied().unwrap_or(0);
         let raw = done + self.latency(from, to) + jitter + extra;
@@ -248,10 +247,9 @@ impl Network {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
 
-    fn rng() -> StdRng {
-        StdRng::seed_from_u64(7)
+    fn rng() -> Rng {
+        Rng::seeded(7)
     }
 
     #[test]

@@ -1,10 +1,9 @@
 //! Workload generators: uniform random payments (§VI-C1 microbenchmarks)
 //! and the Smallbank transaction family (§VI-C2, after BLOCKBENCH).
 
+use crate::rng::Rng;
 use astro_core::client::Client;
 use astro_types::{Amount, ClientId, Payment};
-use rand::rngs::StdRng;
-use rand::Rng;
 
 /// A source of client payments for the simulator's closed-loop clients.
 pub trait Workload {
@@ -16,7 +15,7 @@ pub trait Workload {
     fn client_id(&self, idx: usize) -> ClientId;
 
     /// Produces client `idx`'s next payment.
-    fn next_payment(&mut self, idx: usize, rng: &mut StdRng) -> Payment;
+    fn next_payment(&mut self, idx: usize, rng: &mut Rng) -> Payment;
 }
 
 /// Uniform random payments: each request picks a random beneficiary and a
@@ -47,14 +46,14 @@ impl Workload for UniformWorkload {
         self.clients[idx].id()
     }
 
-    fn next_payment(&mut self, idx: usize, rng: &mut StdRng) -> Payment {
+    fn next_payment(&mut self, idx: usize, rng: &mut Rng) -> Payment {
         let n = self.clients.len() as u64;
         let me = self.clients[idx].id().0;
-        let mut beneficiary = rng.gen_range(0..n);
+        let mut beneficiary = rng.below(n);
         if beneficiary == me && n > 1 {
             beneficiary = (beneficiary + 1) % n;
         }
-        let amount = Amount(rng.gen_range(1..=self.max_amount));
+        let amount = Amount(1 + rng.below(self.max_amount));
         self.clients[idx].pay(ClientId(beneficiary), amount)
     }
 }
@@ -124,11 +123,11 @@ impl SmallbankWorkload {
         }
     }
 
-    fn pick_counterparty(&self, me: usize, cross_shard: bool, rng: &mut StdRng) -> u64 {
+    fn pick_counterparty(&self, me: usize, cross_shard: bool, rng: &mut Rng) -> u64 {
         let owners = self.owners.len() as u64;
         let my_shard = (me as u64) % self.num_shards;
         for _ in 0..64 {
-            let other = rng.gen_range(0..owners);
+            let other = rng.below(owners);
             if other == me as u64 {
                 continue;
             }
@@ -150,9 +149,9 @@ impl Workload for SmallbankWorkload {
         self.owners[idx].0.id()
     }
 
-    fn next_payment(&mut self, idx: usize, rng: &mut StdRng) -> Payment {
-        let amount = Amount(rng.gen_range(1..=self.max_amount));
-        let op = rng.gen_range(0..5u8);
+    fn next_payment(&mut self, idx: usize, rng: &mut Rng) -> Payment {
+        let amount = Amount(1 + rng.below(self.max_amount));
+        let op = rng.below(5);
         let shards = self.num_shards;
         match op {
             // TransactSavings: checking → savings.
@@ -167,7 +166,7 @@ impl Workload for SmallbankWorkload {
             }
             // SendPayment / WriteCheck: checking → other owner's checking.
             _ => {
-                let cross = shards > 1 && rng.gen_bool(self.cross_shard_prob);
+                let cross = shards > 1 && rng.chance(self.cross_shard_prob);
                 let other = self.pick_counterparty(idx, cross, rng);
                 let beneficiary = Self::checking(other, shards);
                 self.owners[idx].0.pay(beneficiary, amount)
@@ -180,12 +179,11 @@ impl Workload for SmallbankWorkload {
 mod tests {
     use super::*;
     use astro_types::ShardLayout;
-    use rand::SeedableRng;
 
     #[test]
     fn uniform_never_pays_self() {
         let mut w = UniformWorkload::new(5, 10);
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut rng = Rng::seeded(1);
         for _ in 0..200 {
             for idx in 0..5 {
                 let p = w.next_payment(idx, &mut rng);
@@ -198,7 +196,7 @@ mod tests {
     #[test]
     fn uniform_sequences_are_contiguous() {
         let mut w = UniformWorkload::new(3, 5);
-        let mut rng = StdRng::seed_from_u64(2);
+        let mut rng = Rng::seeded(2);
         for expected in 0..10u64 {
             let p = w.next_payment(0, &mut rng);
             assert_eq!(p.seq.0, expected);
@@ -224,7 +222,7 @@ mod tests {
     fn smallbank_cross_shard_fraction_near_one_eighth() {
         let layout = ShardLayout::uniform(4, 4).unwrap();
         let mut w = SmallbankWorkload::new(400, 4, 10);
-        let mut rng = StdRng::seed_from_u64(3);
+        let mut rng = Rng::seeded(3);
         let mut cross = 0usize;
         let total = 20_000;
         for i in 0..total {
@@ -243,7 +241,7 @@ mod tests {
     #[test]
     fn smallbank_single_shard_never_crosses() {
         let mut w = SmallbankWorkload::new(50, 1, 10);
-        let mut rng = StdRng::seed_from_u64(4);
+        let mut rng = Rng::seeded(4);
         for i in 0..500 {
             let _ = w.next_payment(i % 50, &mut rng);
         }

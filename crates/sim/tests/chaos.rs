@@ -28,13 +28,12 @@ use astro_core::astro2::{Astro2Config, CreditMode};
 use astro_core::Replica;
 use astro_sim::harness::run_with_system;
 use astro_sim::netmodel::Nanos;
+use astro_sim::rng::Rng;
 use astro_sim::{
     Astro1System, Astro2System, CpuModel, Fault, NetParams, SimConfig, SimSystem, UniformWorkload,
 };
 use astro_types::{Amount, ClientId, Payment, ReplicaId};
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 const CLIENTS: usize = 6;
 const GENESIS: u64 = 1_000_000;
@@ -336,7 +335,7 @@ proptest! {
         let first = Payment::new(0u64, 0u64, 1u64, amount_a);
         let second = Payment::new(0u64, 0u64, 2u64, amount_b);
 
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Rng::seeded(seed);
         let mut queue: Vec<(ReplicaId, ReplicaId, <Astro2System as SimSystem>::Msg)> = Vec::new();
         let mut now: Nanos = 0;
         let route = |queue: &mut Vec<_>,
@@ -372,10 +371,10 @@ proptest! {
         // retransmit backoff, so quiescence means genuinely done.
         let mut idle_rounds = 0;
         while idle_rounds < 40 {
-            if let Some(pick) = (!queue.is_empty()).then(|| rng.gen_range(0..queue.len())) {
+            if let Some(pick) = (!queue.is_empty()).then(|| rng.below(queue.len() as u64) as usize) {
                 idle_rounds = 0;
                 let (from, to, msg) = queue.swap_remove(pick);
-                let duplicate = rng.gen_range(0..8u32) == 0;
+                let duplicate = rng.below(8) == 0;
                 let step = system.deliver(to, from, msg.clone(), now);
                 route(&mut queue, &system, to, step);
                 if duplicate {

@@ -62,10 +62,9 @@ pub mod wal;
 use astro_core::journal::{Journal, WalRecord};
 use astro_obs::{Counter, FlightRecorder, Gauge, Histogram, Registry};
 use astro_types::wire::{decode_exact, Wire};
-use parking_lot::Mutex;
 use std::fs::File;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 use wal::{GroupCommit, RecoveredWal, WalWriter, WAL_HEADER_LEN};
 
@@ -958,19 +957,25 @@ impl SharedStorage {
         SharedStorage(Arc::new(Mutex::new(storage)))
     }
 
+    /// Locks the storage, ignoring poison: a holder that panicked must not
+    /// turn every later call into a second panic.
+    fn lock(&self) -> MutexGuard<'_, Storage> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Runs `f` with the storage locked.
     pub fn with<R>(&self, f: impl FnOnce(&mut Storage) -> R) -> R {
-        f(&mut self.0.lock())
+        f(&mut self.lock())
     }
 
     /// Hands buffered frames to the OS; see [`Storage::flush_writes`].
     pub fn flush_writes(&self) {
-        self.0.lock().flush_writes();
+        self.lock().flush_writes();
     }
 
     /// Forces the group commit.
     pub fn sync(&self) {
-        self.0.lock().sync();
+        self.lock().sync();
     }
 
     /// Atomically installs a snapshot and truncates the WAL.
@@ -979,54 +984,54 @@ impl SharedStorage {
     ///
     /// See [`Storage::install_snapshot`].
     pub fn install_snapshot(&self, state: &[u8]) -> std::io::Result<()> {
-        self.0.lock().install_snapshot(state)
+        self.lock().install_snapshot(state)
     }
 
     /// Starts an asynchronous checkpointed install; see
     /// [`Storage::begin_install`].
     pub fn begin_install(&self, segment: Option<(u32, Vec<Vec<u8>>)>, residual: Vec<u8>) -> bool {
-        self.0.lock().begin_install(segment, residual)
+        self.lock().begin_install(segment, residual)
     }
 
     /// Reports a completed asynchronous install; see
     /// [`Storage::poll_install`].
     pub fn poll_install(&self) -> Option<std::io::Result<()>> {
-        self.0.lock().poll_install()
+        self.lock().poll_install()
     }
 
     /// True while an asynchronous install is in flight; see
     /// [`Storage::installing`].
     pub fn installing(&self) -> bool {
-        self.0.lock().installing()
+        self.lock().installing()
     }
 
     /// Blocks until any in-flight install completes; see
     /// [`Storage::drain_install`].
     pub fn drain_install(&self) -> Option<std::io::Result<()>> {
-        self.0.lock().drain_install()
+        self.lock().drain_install()
     }
 
     /// True while no IO error has degraded the store.
     pub fn healthy(&self) -> bool {
-        self.0.lock().healthy()
+        self.lock().healthy()
     }
 
     /// Flags (or clears) a gray device failure; see
     /// [`Storage::set_degraded`].
     pub fn set_degraded(&self, degraded: bool) {
-        self.0.lock().set_degraded(degraded);
+        self.lock().set_degraded(degraded);
     }
 }
 
 impl std::fmt::Debug for SharedStorage {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        self.0.lock().fmt(f)
+        self.lock().fmt(f)
     }
 }
 
 impl Journal for SharedStorage {
     fn record(&mut self, record: &WalRecord) {
-        self.0.lock().append(record);
+        self.lock().append(record);
     }
 }
 

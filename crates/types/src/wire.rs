@@ -1,7 +1,8 @@
 //! A small hand-rolled binary wire format.
 //!
 //! The one codec in the workspace (there is no serde): the network-facing
-//! and on-disk encoding is implemented here directly on top of [`bytes`].
+//! and on-disk encoding is implemented here directly on `Vec<u8>` and
+//! `&[u8]`.
 //! The format is deliberately boring: fixed-width little-endian integers,
 //! length-prefixed sequences, one tag byte per enum variant. Decoding is
 //! total — malformed input from Byzantine peers yields a [`WireError`],
@@ -21,8 +22,6 @@
 //! assert_eq!(Vec::<u32>::decode(&mut slice).unwrap(), vec![1, 2, 3]);
 //! assert!(slice.is_empty());
 //! ```
-
-use bytes::{Buf, BufMut};
 
 /// Errors produced while decoding wire data.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -96,10 +95,7 @@ pub fn decode_exact<T: Wire>(mut buf: &[u8]) -> Result<T, WireError> {
 }
 
 fn take<'a>(buf: &mut &'a [u8], len: usize) -> Result<&'a [u8], WireError> {
-    if buf.remaining() < len {
-        return Err(WireError::UnexpectedEof);
-    }
-    let (head, tail) = buf.split_at(len);
+    let (head, tail) = buf.split_at_checked(len).ok_or(WireError::UnexpectedEof)?;
     *buf = tail;
     Ok(head)
 }
@@ -108,7 +104,7 @@ macro_rules! impl_wire_int {
     ($($ty:ty),*) => {$(
         impl Wire for $ty {
             fn encode(&self, buf: &mut Vec<u8>) {
-                buf.put_slice(&self.to_le_bytes());
+                buf.extend_from_slice(&self.to_le_bytes());
             }
             fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
                 let bytes = take(buf, core::mem::size_of::<$ty>())?;
@@ -125,7 +121,7 @@ impl_wire_int!(u8, u16, u32, u64);
 
 impl Wire for bool {
     fn encode(&self, buf: &mut Vec<u8>) {
-        buf.put_u8(u8::from(*self));
+        buf.push(u8::from(*self));
     }
     fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
         match u8::decode(buf)? {
@@ -141,7 +137,7 @@ impl Wire for bool {
 
 impl<const LEN: usize> Wire for [u8; LEN] {
     fn encode(&self, buf: &mut Vec<u8>) {
-        buf.put_slice(self);
+        buf.extend_from_slice(self);
     }
     fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
         let bytes = take(buf, LEN)?;
@@ -178,9 +174,9 @@ impl<T: Wire> Wire for Vec<T> {
 impl<T: Wire> Wire for Option<T> {
     fn encode(&self, buf: &mut Vec<u8>) {
         match self {
-            None => buf.put_u8(0),
+            None => buf.push(0),
             Some(v) => {
-                buf.put_u8(1);
+                buf.push(1);
                 v.encode(buf);
             }
         }
@@ -227,7 +223,7 @@ pub const MAX_FRAME_LEN: usize = 16 << 20;
 pub fn put_frame(buf: &mut Vec<u8>, payload: &[u8]) {
     assert!(payload.len() <= MAX_FRAME_LEN, "frame payload too large");
     (payload.len() as u32).encode(buf);
-    buf.put_slice(payload);
+    buf.extend_from_slice(payload);
 }
 
 /// Inspects the front of `buf` for a frame header.
@@ -271,7 +267,7 @@ pub fn take_frame<'a>(buf: &mut &'a [u8]) -> Result<&'a [u8], WireError> {
 // no curve point fails verification later instead of the frame here.
 impl Wire for astro_crypto::Signature {
     fn encode(&self, buf: &mut Vec<u8>) {
-        buf.put_slice(&self.to_bytes());
+        buf.extend_from_slice(&self.to_bytes());
     }
     fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
         let bytes: [u8; astro_crypto::schnorr::SIGNATURE_LEN] = Wire::decode(buf)?;
@@ -285,7 +281,7 @@ impl Wire for astro_crypto::Signature {
 
 impl Wire for astro_crypto::PublicKey {
     fn encode(&self, buf: &mut Vec<u8>) {
-        buf.put_slice(&self.to_bytes());
+        buf.extend_from_slice(&self.to_bytes());
     }
     fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
         let bytes: [u8; astro_crypto::schnorr::PUBLIC_KEY_LEN] = Wire::decode(buf)?;

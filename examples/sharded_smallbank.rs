@@ -12,10 +12,9 @@
 use astro_core::astro2::{Astro2Config, AstroTwoReplica, CreditMode};
 use astro_core::testkit::PaymentCluster;
 use astro_core::Replica;
+use astro_sim::rng::Rng;
 use astro_sim::workload::{SmallbankWorkload, Workload};
 use astro_types::{Amount, ClientId, MacAuthenticator, ReplicaId, ShardId, ShardLayout};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 const SHARDS: usize = 2;
 const PER_SHARD: usize = 4;
@@ -39,7 +38,7 @@ fn main() {
     }));
 
     let mut workload = SmallbankWorkload::new(OWNERS, SHARDS, 20);
-    let mut rng = StdRng::seed_from_u64(2026);
+    let mut rng = Rng::seeded(2026);
     let mut cross_shard = 0usize;
 
     for i in 0..TRANSACTIONS {

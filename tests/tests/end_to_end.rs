@@ -10,9 +10,8 @@ use astro_core::astro2::{Astro2Config, AstroTwoReplica, CreditMode};
 use astro_core::client::Client;
 use astro_core::testkit::PaymentCluster;
 use astro_core::Replica;
+use astro_sim::rng::Rng;
 use astro_types::{Amount, ClientId, Group, MacAuthenticator, Payment, ReplicaId, ShardLayout};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 const N: usize = 4;
 const CLIENTS: u64 = 6;
@@ -21,16 +20,16 @@ const GENESIS: Amount = Amount(1_000);
 /// A deterministic random workload: every client has funds for all its
 /// payments (amounts are small), so ordering differences cannot matter.
 fn workload(seed: u64, count: usize) -> Vec<Payment> {
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Rng::seeded(seed);
     let mut clients: Vec<Client> = (0..CLIENTS).map(|i| Client::new(ClientId(i))).collect();
     (0..count)
         .map(|_| {
-            let s = rng.gen_range(0..CLIENTS) as usize;
-            let mut b = rng.gen_range(0..CLIENTS);
+            let s = rng.below(CLIENTS) as usize;
+            let mut b = rng.below(CLIENTS);
             if b == s as u64 {
                 b = (b + 1) % CLIENTS;
             }
-            clients[s].pay(ClientId(b), Amount(rng.gen_range(1..5)))
+            clients[s].pay(ClientId(b), Amount(1 + rng.below(4)))
         })
         .collect()
 }
