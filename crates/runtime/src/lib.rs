@@ -1325,10 +1325,36 @@ mod tests {
         assert!(waited.0, "the waiter must see the count");
         assert!(waited.1 < Duration::from_secs(10), "woken promptly, not at the timeout");
         assert_eq!(cluster.progress.waiters.load(SeqCst), 0, "the waiter deregistered");
-        let t0 = Instant::now();
-        assert!(!cluster.wait_settled_among(&all, 2, Duration::from_millis(20)), "unreached");
-        assert!(t0.elapsed() >= Duration::from_millis(20), "the timed wait blocked");
+        assert!(!cluster.wait_settled_among(&all, 2, Duration::ZERO), "an unreached count");
         cluster.shutdown();
+    }
+
+    #[test]
+    fn condvar_notify_wakes_waiter() {
+        let progress = Progress::new(2);
+        let reached = std::thread::scope(|scope| {
+            let waiter = scope.spawn(|| progress.wait(&[0, 1], 3, Duration::from_secs(60)));
+            while progress.waiters.load(SeqCst) == 0 {
+                std::thread::yield_now();
+            }
+            // A partial publish wakes the waiter, which re-checks and parks again.
+            progress.publish(0, 3);
+            std::thread::sleep(Duration::from_millis(20));
+            progress.publish(1, 3);
+            waiter.join().unwrap()
+        });
+        assert!(reached);
+        assert_eq!(progress.waiters.load(SeqCst), 0);
+    }
+
+    #[test]
+    fn condvar_wait_for_times_out() {
+        let progress = Progress::new(1);
+        progress.publish(0, 1);
+        let t0 = Instant::now();
+        assert!(!progress.wait(&[0], 2, Duration::from_millis(10)));
+        assert!(t0.elapsed() >= Duration::from_millis(10), "the timed wait blocked");
+        assert_eq!(progress.waiters.load(SeqCst), 0);
     }
 
     /// Four Astro I replicas (batch size 1) on the deterministic router,

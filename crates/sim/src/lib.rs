@@ -65,3 +65,58 @@ pub use systems::{
 };
 pub use telemetry::SimTelemetry;
 pub use workload::{SmallbankWorkload, UniformWorkload, Workload};
+
+#[cfg(test)]
+mod tests {
+    use crate::rng::Rng;
+
+    #[test]
+    fn seeded_runs_are_deterministic() {
+        let mut a = Rng::seeded(7);
+        let mut b = Rng::seeded(7);
+        for _ in 0..100 {
+            assert_eq!(a.next_u64(), b.next_u64());
+        }
+        let mut c = Rng::seeded(8);
+        assert_ne!(a.next_u64(), c.next_u64());
+    }
+
+    #[test]
+    fn gen_range_respects_bounds() {
+        let mut rng = Rng::seeded(1);
+        for n in [1, 5, 7, 10, u64::MAX] {
+            for _ in 0..1_000 {
+                let v = rng.below(n);
+                assert!(v < n, "below({n}) gave {v}");
+            }
+        }
+        assert!((0..1_000).all(|_| rng.below(1) == 0));
+    }
+
+    #[test]
+    fn gen_range_covers_the_range() {
+        let mut rng = Rng::seeded(2);
+        let mut seen = [false; 8];
+        for _ in 0..500 {
+            seen[rng.below(8) as usize] = true;
+        }
+        assert!(seen.iter().all(|&s| s), "below(8) missed a value: {seen:?}");
+    }
+
+    #[test]
+    fn gen_bool_matches_probability_roughly() {
+        let mut rng = Rng::seeded(3);
+        let hits = (0..10_000).filter(|_| rng.chance(0.25)).count();
+        assert!((2_000..3_000).contains(&hits), "chance(0.25) hit {hits} of 10000");
+        assert!((0..1_000).all(|_| !rng.chance(0.0)));
+        assert!((0..1_000).all(|_| rng.chance(1.0)));
+    }
+
+    /// splitmix64 expands even a zero seed into a non-zero xoshiro state
+    /// (the all-zero state would emit zeros forever).
+    #[test]
+    fn from_seed_avoids_zero_state() {
+        let mut rng = Rng::seeded(0);
+        assert_ne!(rng.next_u64(), 0);
+    }
+}
