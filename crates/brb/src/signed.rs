@@ -258,7 +258,15 @@ impl<P: Payload, A: Authenticator> SignedBrb<P, A> {
             _ => {}
         }
         instance.acked = Some(digest);
-        let sig = self.auth.sign(&ack_context(id, &digest));
+        // The broadcaster acks its own PREPARE too. That ACK comes back to
+        // this replica only, so its verdict may be noted at signing time;
+        // the bytes are the same either way.
+        let context = ack_context(id, &digest);
+        let sig = if from == self.auth.me() {
+            self.auth.sign_for_self(&context)
+        } else {
+            self.auth.sign(&context)
+        };
         Step {
             outbound: vec![Envelope {
                 to: Dest::One(from),
@@ -436,8 +444,9 @@ mod tests {
     use super::*;
     use crate::testkit::Cluster;
     use crate::DeliveryOrder;
-    use astro_types::{Keychain, MacAuthenticator, SchnorrAuthenticator};
+    use astro_types::{Keychain, MacAuthenticator, SchnorrAuthenticator, VerdictCache};
     use std::collections::HashSet;
+    use std::sync::Arc;
 
     type MacBrb = SignedBrb<u64, MacAuthenticator>;
 
@@ -483,6 +492,36 @@ mod tests {
         c.run_to_quiescence();
         for i in 0..4 {
             assert_eq!(c.deliveries(i).len(), 1);
+        }
+    }
+
+    #[test]
+    fn source_verifies_only_its_peers_acks() {
+        // Each replica has a verdict cache of its own. The source signs
+        // its own ACK for itself, so reaching the quorum costs curve work
+        // for the two peer ACKs only; a peer checking the COMMIT proof
+        // still verifies every entry, its own ACK (sent to the source)
+        // included.
+        let cfg = Group::of_size(4).unwrap();
+        let chains = Keychain::deterministic_system(b"self-ack", 4);
+        let caches: Vec<Arc<VerdictCache>> =
+            (0..4).map(|_| Arc::new(VerdictCache::new(64))).collect();
+        let mut c = Cluster::new(chains.into_iter().zip(&caches).map(|(kc, cache)| {
+            SignedBrb::<u64, _>::new(
+                SchnorrAuthenticator::with_cache(kc, cache.clone()),
+                cfg.clone(),
+                BrbConfig::default(),
+            )
+        }));
+        let step = c.node_mut(0).broadcast(iid(0, 0), 77);
+        c.submit(ReplicaId(0), step);
+        c.run_to_quiescence();
+        for i in 0..4 {
+            assert_eq!(c.deliveries(i).len(), 1, "replica {i}");
+        }
+        assert_eq!(caches[0].misses(), 2, "one miss per peer ACK in the quorum");
+        for (i, cache) in caches.iter().enumerate().skip(1) {
+            assert_eq!(cache.misses(), 3, "replica {i} checks the whole proof");
         }
     }
 

@@ -105,11 +105,6 @@ impl<N: TestNode> Cluster<N> {
         self.filter = Some(Box::new(filter));
     }
 
-    /// Removes the message filter.
-    pub fn clear_filter(&mut self) {
-        self.filter = None;
-    }
-
     /// Enqueues the outbound messages of `step` as if sent by `from`, and
     /// records its deliveries.
     pub fn submit(&mut self, from: ReplicaId, step: Step<N::Payload, N::Msg>) {

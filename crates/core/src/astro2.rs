@@ -1138,13 +1138,19 @@ impl<A: Authenticator> Replica for AstroTwoReplica<A> {
     /// enumerated ([`Authenticator::schnorr`]).
     ///
     /// - `Ack` — the accumulated-ACK batch check ([`SignedBrb`]'s quorum
-    ///   path) covers the ack context.
+    ///   path) covers the ack context. The broadcaster's ACK of its own
+    ///   PREPARE is enumerated like any other, but it was signed with
+    ///   [`Authenticator::sign_for_self`], so the pool finds its verdict
+    ///   already cached and does no curve work for it.
     /// - `Commit` — the `2f+1` quorum proof covers the ack context;
     ///   attached dependency certificates are checked at settlement.
     /// - `Prepare` — the attached dependency certificates again: they will
     ///   be checked when the instance *commits*, so pre-verifying at
     ///   PREPARE hides the certificate work behind the ACK round-trip.
-    /// - `Credit` — one signature over the sub-batch digest.
+    /// - `Credit` — one signature over the sub-batch digest. A
+    ///   representative's self-addressed CREDIT never reaches the pool:
+    ///   [`Replica::apply`] hands it to `on_credit` inline, signed with
+    ///   `sign_for_self`, so its check is a cache hit there.
     fn preverify(&self, from: ReplicaId, msg: &Self::Msg) -> Vec<SigCheck> {
         use astro_brb::payload_digest;
         use astro_brb::signed::ack_context;
@@ -1269,8 +1275,10 @@ impl<A: Authenticator> Replica for AstroTwoReplica<A> {
         for (rep, bundle) in by_rep {
             if rep == me {
                 // Self-addressed credits deliver inline: no transport to
-                // lose them, so they bypass the retry outbox too.
-                let sig = self.auth.sign(&credit_context(&bundle));
+                // lose them, so they bypass the retry outbox too. Signed
+                // for self, so with a verdict cache the check in
+                // `on_credit` is a lookup, not curve work.
+                let sig = self.auth.sign_for_self(&credit_context(&bundle));
                 let step = self.on_credit(me, CreditBundle { bundle, sig });
                 out.outbound.extend(step.outbound);
                 out.settled.extend(step.settled);
@@ -1551,7 +1559,8 @@ mod tests {
     use super::*;
     use crate::journal::Journal;
     use crate::testkit::PaymentCluster;
-    use astro_types::MacAuthenticator;
+    use astro_crypto::Signature;
+    use astro_types::{Keychain, MacAuthenticator, SchnorrAuthenticator, VerdictCache};
 
     type Node = AstroTwoReplica<MacAuthenticator>;
 
@@ -1925,6 +1934,98 @@ mod tests {
         recovered.finish_recovery();
         assert_eq!(recovered.export_state(), c.node(1).export_state());
         assert_eq!(recovered.stuck_clients().count(), 1);
+    }
+
+    /// Schnorr signing whose `sign_for_self` is the trait default, plain
+    /// `sign`: the baseline that notes no verdict at signing time.
+    #[derive(Debug, Clone)]
+    struct PlainSign(SchnorrAuthenticator);
+
+    impl Authenticator for PlainSign {
+        type Sig = Signature;
+
+        fn me(&self) -> ReplicaId {
+            self.0.me()
+        }
+
+        fn schnorr(sig: &Signature) -> Option<Signature> {
+            Some(*sig)
+        }
+
+        fn sign(&self, message: &[u8]) -> Signature {
+            self.0.sign(message)
+        }
+
+        fn verify(&self, peer: ReplicaId, message: &[u8], sig: &Signature) -> bool {
+            self.0.verify(peer, message, sig)
+        }
+
+        fn verify_all(&self, message: &[u8], sigs: &[(ReplicaId, &Signature)]) -> bool {
+            self.0.verify_all(message, sigs)
+        }
+
+        fn verify_each(&self, message: &[u8], sigs: &[(ReplicaId, &Signature)]) -> Vec<bool> {
+            self.0.verify_each(message, sigs)
+        }
+    }
+
+    /// Client 0 pays client 1 over four Schnorr replicas, each with a
+    /// verdict cache of its own. Returns the `Cert` records client 1's
+    /// representative journaled, the certificate it holds, and its cache.
+    fn certify_over_schnorr<A: Authenticator<Sig = Signature>>(
+        wrap: impl Fn(SchnorrAuthenticator) -> A,
+    ) -> (Vec<Vec<u8>>, DependencyCertificate<Signature>, Arc<VerdictCache>) {
+        let layout = ShardLayout::single(4).unwrap();
+        let rep1 = layout.representative_of(ClientId(1));
+        assert_ne!(rep1, layout.representative_of(ClientId(0)), "rep 1 is not the broadcaster");
+        let caches: Vec<Arc<VerdictCache>> =
+            (0..4).map(|_| Arc::new(VerdictCache::new(256))).collect();
+        let chains = Keychain::deterministic_system(b"astro2-self-credit", 4);
+        let mut c = PaymentCluster::new(chains.into_iter().zip(&caches).map(|(kc, cache)| {
+            AstroTwoReplica::new(
+                wrap(SchnorrAuthenticator::with_cache(kc, cache.clone())),
+                layout.clone(),
+                cfg(CreditMode::Certificates),
+            )
+        }));
+        let sink = Sink::default();
+        c.node_mut(rep1.0 as usize).set_journal(Box::new(sink.clone()));
+        let p = Payment::new(0u64, 0u64, 1u64, 30u64);
+        let step = c.node_mut(0).submit(p).expect("representative accepts");
+        c.submit_step(ReplicaId(0), step);
+        c.run_to_quiescence();
+        let certs: Vec<Vec<u8>> = sink
+            .0
+            .lock()
+            .unwrap()
+            .iter()
+            .filter_map(|r| match r {
+                WalRecord::Cert { bytes } => Some(bytes.clone()),
+                _ => None,
+            })
+            .collect();
+        let held =
+            DependencyCertificate::clone(&c.node(rep1.0 as usize).held.certs(ClientId(1))[0]);
+        (certs, held, caches[rep1.0 as usize].clone())
+    }
+
+    #[test]
+    fn own_credit_signature_certifies_without_a_verify_miss() {
+        let (certs, held, cache) = certify_over_schnorr(|auth| auth);
+        let (plain_certs, _, plain_cache) = certify_over_schnorr(PlainSign);
+        assert_eq!(certs.len(), 1, "the sub-batch is certified once");
+        assert_eq!(certs, plain_certs, "journaled Cert bytes do not depend on sign_for_self");
+        assert_eq!(
+            cache.misses() + 1,
+            plain_cache.misses(),
+            "the representative's own CREDIT is the one check that needs no curve work"
+        );
+        // The verdict is still cached for any later check of the proof.
+        let rep1 = ShardLayout::single(4).unwrap().representative_of(ClientId(1));
+        let (_, sig) = held.proofs.iter().find(|(r, _)| *r == rep1).expect("own proof");
+        let check =
+            SigCheck { signer: rep1, context: credit_context(&held.bundle).into(), sig: *sig };
+        assert_eq!(cache.get(&check.cache_key()), Some(true));
     }
 
     #[test]

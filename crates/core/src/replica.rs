@@ -247,8 +247,11 @@ pub trait Replica: Sized {
     /// verify pool to run ahead of the state machine. Enumerating is
     /// sound because verification is a pure function of `(signer,
     /// context, signature)`: a check the state machine never consults
-    /// wastes pool cycles but cannot change any transition. Default:
-    /// none (MAC-authenticated traffic).
+    /// wastes pool cycles but cannot change any transition. A signature
+    /// the replica made for itself
+    /// ([`astro_types::Authenticator::sign_for_self`]) is enumerated like
+    /// any other; its verdict is already cached, so the pool skips it.
+    /// Default: none (MAC-authenticated traffic).
     fn preverify(&self, from: ReplicaId, msg: &Self::Msg) -> Vec<SigCheck> {
         let _ = (from, msg);
         Vec::new()

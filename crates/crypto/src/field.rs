@@ -162,11 +162,6 @@ impl Fe {
         self.add(self)
     }
 
-    /// Multiplies by a small constant.
-    pub fn mul_u64(&self, k: u64) -> Fe {
-        self.mul(&Fe::from_u64(k))
-    }
-
     /// Multiplicative inverse via Fermat's little theorem (`self^(p−2)`),
     /// evaluated with a fixed addition chain: 255 squarings and 15
     /// multiplications.

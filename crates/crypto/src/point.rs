@@ -47,16 +47,6 @@ impl Affine {
         Affine { x: Fe::ZERO, y: Fe::ZERO, infinity: true }
     }
 
-    /// Constructs a point from coordinates, verifying the curve equation.
-    pub fn from_coordinates(x: Fe, y: Fe) -> Option<Affine> {
-        let p = Affine { x, y, infinity: false };
-        if p.is_on_curve() {
-            Some(p)
-        } else {
-            None
-        }
-    }
-
     /// The x coordinate.
     ///
     /// # Panics

@@ -67,13 +67,6 @@ impl CpuModel {
         }
     }
 
-    /// [`Self::calibrated`] with verification charged inline on the
-    /// event loop — the serial baseline the verify-pool ablation
-    /// compares against.
-    pub fn calibrated_serial_verify() -> Self {
-        CpuModel { verify_lanes: 0, ..Self::calibrated() }
-    }
-
     /// Zero-cost model (isolates the network in ablation experiments).
     pub fn free() -> Self {
         CpuModel {
@@ -92,12 +85,6 @@ impl CpuModel {
     /// Cost of hashing `bytes` bytes.
     pub fn hash(&self, bytes: usize) -> Nanos {
         self.hash_ns_per_byte * bytes as Nanos
-    }
-
-    /// True when signature verification runs on worker lanes instead of
-    /// the event loop.
-    pub fn pooled_verify(&self) -> bool {
-        self.verify_lanes > 0
     }
 
     /// Cost of verifying `k` signatures as one batch.

@@ -19,6 +19,7 @@ use crate::wire::{Wire, WireError};
 use astro_crypto::hmac::hmac_sha256;
 use astro_crypto::schnorr::SIGNATURE_LEN;
 use astro_crypto::sha256::Sha256;
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex};
 
@@ -113,14 +114,18 @@ impl VerdictCache {
     }
 
     /// Records a verdict (first write wins; verification is deterministic,
-    /// so concurrent writers agree).
+    /// so concurrent writers agree). Writers are the verify pool, the
+    /// authenticator's own cache misses and
+    /// [`SchnorrAuthenticator`]'s [`Authenticator::sign_for_self`].
     pub fn insert(&self, key: [u8; 32], ok: bool) {
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        if inner.map.insert(key, ok).is_none() {
-            inner.order.push_back(key);
-            if inner.order.len() > self.cap {
-                if let Some(evicted) = inner.order.pop_front() {
-                    inner.map.remove(&evicted);
+        let VerdictInner { map, order } = &mut *inner;
+        if let Entry::Vacant(slot) = map.entry(key) {
+            slot.insert(ok);
+            order.push_back(key);
+            if order.len() > self.cap {
+                if let Some(evicted) = order.pop_front() {
+                    map.remove(&evicted);
                 }
             }
         }
@@ -156,6 +161,23 @@ pub trait Authenticator: Clone + Send + 'static {
 
     /// Signs `message` as the local replica.
     fn sign(&self, message: &[u8]) -> Self::Sig;
+
+    /// Signs `message` as the local replica, for a message the local
+    /// replica addresses to itself: the broadcaster's own ACK, the
+    /// representative's self-addressed CREDIT. The bytes are exactly
+    /// [`sign`](Authenticator::sign)'s. An implementation with a verdict
+    /// cache may also note the signature as valid, because it made it
+    /// and every later check of it would otherwise repeat curve work
+    /// whose answer is known. Default: plain `sign`.
+    ///
+    /// Only a self-addressed signature may be noted. A cache can be
+    /// shared by several replicas of one process (the runtime's verify
+    /// pool shares one across a cluster), so a verdict noted for a
+    /// signature sent to a peer would spare that peer a check no
+    /// deployment spares it. Plain `sign` therefore never notes one.
+    fn sign_for_self(&self, message: &[u8]) -> Self::Sig {
+        self.sign(message)
+    }
 
     /// Verifies that `sig` is `peer`'s signature over `message`.
     fn verify(&self, peer: ReplicaId, message: &[u8], sig: &Self::Sig) -> bool;
@@ -222,7 +244,9 @@ pub fn count_valid_signers<A: Authenticator>(
 /// the replica thread, every `verify*` call here becomes a cache lookup
 /// and the replica's event loop never blocks on scalar multiplications
 /// for pre-verified traffic. Cache misses fall back to the normal
-/// (batched) verification paths and backfill the cache.
+/// (batched) verification paths and backfill the cache. With a cache,
+/// [`Authenticator::sign_for_self`] notes its own signature's verdict,
+/// so the replica never verifies a signature it made for itself.
 #[derive(Debug, Clone)]
 pub struct SchnorrAuthenticator {
     keychain: Keychain,
@@ -245,11 +269,6 @@ impl SchnorrAuthenticator {
     pub fn keychain(&self) -> &Keychain {
         &self.keychain
     }
-
-    /// The attached verdict cache, if any.
-    pub fn verdict_cache(&self) -> Option<&Arc<VerdictCache>> {
-        self.cache.as_ref()
-    }
 }
 
 impl Authenticator for SchnorrAuthenticator {
@@ -265,6 +284,17 @@ impl Authenticator for SchnorrAuthenticator {
 
     fn sign(&self, message: &[u8]) -> Self::Sig {
         self.keychain.sign(message)
+    }
+
+    /// Signs, then notes `true` for the signature in the attached cache:
+    /// a signature made with this replica's own key verifies by
+    /// construction. Without a cache this is plain `sign`.
+    fn sign_for_self(&self, message: &[u8]) -> Self::Sig {
+        let sig = self.sign(message);
+        if let Some(cache) = &self.cache {
+            cache.insert(verdict_key(self.me(), message, &sig), true);
+        }
+        sig
     }
 
     fn verify(&self, peer: ReplicaId, message: &[u8], sig: &Self::Sig) -> bool {
@@ -492,6 +522,57 @@ mod tests {
         let mut dup = good.clone();
         dup.push(good[0]);
         assert_eq!(count_valid_signers(&auths[0], msg, &dup, |_| true), 4);
+    }
+
+    #[test]
+    fn verdict_cache_keeps_the_first_verdict() {
+        let cache = VerdictCache::new(4);
+        cache.insert([7; 32], true);
+        cache.insert([7; 32], false);
+        assert_eq!(cache.get(&[7; 32]), Some(true));
+        assert_eq!(cache.len(), 1);
+        // The duplicate took no FIFO slot: four more keys evict only the
+        // first.
+        for k in 0..4u8 {
+            cache.insert([k; 32], false);
+        }
+        assert_eq!(cache.len(), 4);
+        assert_eq!(cache.get(&[7; 32]), None);
+        assert_eq!(cache.get(&[0; 32]), Some(false));
+    }
+
+    #[test]
+    fn sign_for_self_notes_its_verdict_and_sign_does_not() {
+        let chains = Keychain::deterministic_system(b"auth-self", 4);
+        let cache = Arc::new(VerdictCache::new(64));
+        let auth = SchnorrAuthenticator::with_cache(chains[0].clone(), cache.clone());
+        let own = auth.sign_for_self(b"self-addressed");
+        assert_eq!(own, auth.sign(b"self-addressed"), "same bytes as plain sign");
+        assert!(SchnorrAuthenticator::new(chains[1].clone()).verify(
+            ReplicaId(0),
+            b"self-addressed",
+            &own
+        ));
+        let misses = cache.misses();
+        assert!(auth.verify(ReplicaId(0), b"self-addressed", &own));
+        assert!(auth.verify_all(b"self-addressed", &[(ReplicaId(0), &own)]));
+        assert_eq!(cache.misses(), misses, "own signature is a cache hit");
+        assert_eq!(cache.hits(), 2);
+        // A signature for a peer is never noted: its first check misses.
+        let sent = auth.sign(b"to a peer");
+        let key = verdict_key(ReplicaId(0), b"to a peer", &sent);
+        assert_eq!(cache.get(&key), None);
+        assert!(auth.verify(ReplicaId(0), b"to a peer", &sent));
+        assert_eq!(cache.misses(), misses + 2);
+        // Without a cache, sign_for_self is plain sign.
+        let bare = SchnorrAuthenticator::new(chains[0].clone());
+        assert_eq!(bare.sign_for_self(b"self-addressed"), own);
+    }
+
+    #[test]
+    fn mac_sign_for_self_is_sign() {
+        let a = MacAuthenticator::new(ReplicaId(2), b"s".to_vec());
+        assert_eq!(a.sign_for_self(b"m"), a.sign(b"m"));
     }
 
     #[test]

@@ -66,16 +66,6 @@ impl Payment {
         let bytes = self.to_wire_bytes();
         astro_crypto::sha256::sha256_concat(&[b"astro-payment-v1", &bytes])
     }
-
-    /// True if the payment moves zero funds (allowed, but useful to flag).
-    pub fn is_zero_amount(&self) -> bool {
-        self.amount.is_zero()
-    }
-
-    /// True if spender and beneficiary are the same client.
-    pub fn is_self_payment(&self) -> bool {
-        self.spender == self.beneficiary
-    }
 }
 
 impl core::fmt::Display for Payment {
