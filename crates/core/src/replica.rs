@@ -377,8 +377,8 @@ pub trait Replica: Sized {
     /// Rebuilds this freshly constructed replica from recovered
     /// checkpoint segments (decoded record payloads, in index order) plus
     /// the residual snapshot. The residual says how many segments it
-    /// builds on; extra trailing segments — sealed after the residual was
-    /// written but before its WAL truncation — are ignored.
+    /// builds on; extra trailing segments — sealed just before a crash,
+    /// by an install whose residual never landed — are ignored.
     ///
     /// # Errors
     ///

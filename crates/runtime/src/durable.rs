@@ -88,7 +88,7 @@ impl Durability {
     /// Blocks until any in-flight snapshot install completes and folds
     /// its outcome in (prune on success, re-baseline on failure).
     pub(crate) fn drain_installs<R: Replica>(&mut self, node: &mut R) {
-        let result = self.storage.drain_install();
+        let result = self.storage.with(Storage::drain_install);
         self.fold_install_result(node, result);
     }
 
@@ -98,7 +98,7 @@ impl Durability {
     /// simulation.
     pub(crate) fn stop<R: Replica>(&mut self, node: &mut R) {
         self.drain_installs(node);
-        self.storage.sync();
+        self.storage.with(Storage::sync);
     }
 
     fn fold_install_result<R: Replica>(
@@ -136,13 +136,16 @@ impl Durability {
     /// The driver calls this after every step of `node` that `settled`
     /// payments.
     pub(crate) fn after_step<R: Replica>(&mut self, node: &mut R, settled: usize) {
-        // Step boundary: the step's journal records reach the OS with one
-        // write(2), so a kill between steps loses nothing (fsync stays
-        // amortized by group commit).
-        self.storage.flush_writes();
+        let (polled, installing) = self.storage.with(|s| {
+            // Step boundary: the step's journal records reach the OS with
+            // one write(2), so a kill between steps loses nothing (fsync
+            // stays amortized by group commit).
+            s.flush_writes();
+            // Fold in any install that completed off-thread since last
+            // step.
+            (s.poll_install(), s.installing())
+        });
         self.settled_since_snapshot += settled;
-        // Fold in any install that completed off-thread since last step.
-        let polled = self.storage.poll_install();
         self.fold_install_result(node, polled);
         if node.take_snapshot_request() {
             // A catch-up install replaced the ledger wholesale (state in
@@ -151,7 +154,7 @@ impl Durability {
             // must happen now, not at the next settled-count threshold.
             self.settled_since_snapshot = self.snapshot_every;
         }
-        if self.settled_since_snapshot >= self.snapshot_every && !self.storage.installing() {
+        if self.settled_since_snapshot >= self.snapshot_every && !installing {
             // While an install is in flight the seal defers (the counter
             // keeps the threshold) — sealing on top of an unconfirmed
             // segment could reference an index that never becomes durable.
@@ -160,24 +163,14 @@ impl Durability {
             let segment = (!records.is_empty()).then_some((self.segments as u32, records));
             let new_segments = self.segments + u64::from(segment.is_some());
             let residual = node.residual_state(new_segments).to_wire_bytes();
-            if self.storage.begin_install(segment, residual) {
-                if self.storage.installing() {
-                    // Async: the worker owns sealing + install; the result
-                    // folds in at a later step boundary.
-                    self.pending_segments = Some(new_segments);
-                } else if self.storage.healthy() {
-                    // Inline completion (memory backend).
-                    self.segments = new_segments;
-                    node.prune_delivered();
-                } else {
-                    // Inline failure (WAL already degraded, rotation
-                    // failed): nothing was sealed.
-                    node.rebaseline();
-                }
+            if self.storage.with(|s| s.begin_install(segment, residual) && s.installing()) {
+                // The worker owns sealing + install; the result folds in
+                // at a later step boundary.
+                self.pending_segments = Some(new_segments);
             } else {
-                // Refused (unreachable: `installing()` was just checked on
-                // this thread) — but the seal above advanced the node's
-                // watermarks, so never drop its records silently.
+                // Failed before it started (WAL degraded, rotation wedged
+                // or failed): nothing was sealed, but the seal above
+                // advanced the node's watermarks.
                 node.rebaseline();
             }
         }
@@ -224,7 +217,10 @@ mod tests {
     use super::*;
     use crate::{AstroOneCluster, BRB_GC_HIGH_WATER};
     use astro_core::astro1::{Astro1Config, AstroOneReplica};
+    use astro_core::journal::{CheckpointRecord, WalRecord};
     use astro_core::testkit::PaymentCluster;
+    use astro_core::Ledger;
+    use astro_store::wal::MAX_RECORD_LEN;
     use astro_types::{Amount, ClientId, Payment, ReplicaId, ShardLayout};
     use std::cell::RefCell;
     use std::rc::Rc;
@@ -320,6 +316,40 @@ mod tests {
                 "replica {i}: snapshot-install GC must prune history, still tracks {tracked}"
             );
         }
+    }
+
+    #[test]
+    fn install_failing_before_it_starts_rebaselines_the_node() {
+        // A degraded WAL fails the install before it reaches the worker:
+        // the seal's records were never made durable, so the node must
+        // re-export every account at its next seal.
+        let dir = tmp_dir("inline-failure");
+        let store_cfg = StoreConfig { snapshot_every_settled: 1000, ..StoreConfig::default() };
+        let cfg = Astro1Config { batch_size: 1, initial_balance: Amount(1000) };
+        let (nodes, mut stores): (Vec<_>, Vec<_>) =
+            (0..4).map(|i| recover(&dir, i, fresh(i as u32, &cfg), &store_cfg).unwrap()).unzip();
+        let mut c = PaymentCluster::new(nodes);
+        let rep = ShardLayout::single(4).unwrap().representative_of(ClientId(1));
+        for seq in 0..3u64 {
+            let step = c.node_mut(rep.0 as usize).submit(Payment::new(1u64, seq, 2u64, 1u64));
+            c.submit_step(rep, step.unwrap());
+            c.run_to_quiescence();
+        }
+        let (node, durability) = (c.node_mut(0), &mut stores[0]);
+        assert_eq!(node.ledger().total_settled(), 3);
+        durability.storage.with(|s| s.append(&WalRecord::Cert { bytes: vec![0; MAX_RECORD_LEN] }));
+        durability.after_step(node, 1000);
+        assert!(!durability.storage.with(|s| s.installing() || s.healthy()));
+        assert_eq!(durability.pending_segments, None);
+        // The seal inside `after_step` cleaned every account; only the
+        // rebaseline makes this one carry the full ledger from base 0.
+        let resealed = node.seal_checkpoint();
+        for bytes in &resealed {
+            assert_eq!(decode_exact::<CheckpointRecord>(bytes).unwrap().base, 0);
+        }
+        let rebuilt = Ledger::from_checkpoints(Amount(1000), &[resealed]).unwrap();
+        assert_eq!(rebuilt.export(), node.ledger().export());
+        assert_eq!(rebuilt.total_settled(), 3);
     }
 
     #[test]

@@ -47,9 +47,9 @@ pub enum Fault {
     SlowLink(ReplicaId, ReplicaId, Nanos),
     /// Degrade (`true`) or restore (`false`) a replica's disk: every
     /// settle pays an extra write stall, the deterministic analogue of a
-    /// sick device whose fsyncs take milliseconds while
-    /// `astro_store::Storage::healthy()` reports false — the process
-    /// stays up and keeps voting, just slowly.
+    /// sick device whose fsyncs take milliseconds — the process stays up
+    /// and keeps voting, just slowly. The health engine's `disk-degraded`
+    /// rule localises it by fsync latency far above the peer median.
     DiskDegraded(ReplicaId, bool),
     /// Skew the replica's timer pacing: every flush deadline interval is
     /// stretched by `permille / 1000` (values below 1000 are clamped to

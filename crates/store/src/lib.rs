@@ -16,13 +16,13 @@
 //!   interval/record-count).
 //!   Recovery takes the longest valid prefix; torn tails and bit flips
 //!   cut the log, never panic.
-//! - [`snapshot`]: integrity-checked state blobs installed by atomic
-//!   rename; the WAL is truncated after an install.
+//! - [`checkpoint`] and [`snapshot`]: immutable segments of settled
+//!   history, and the integrity-checked residual state installed over
+//!   them by atomic rename.
 //! - [`Storage`]: the replica-facing facade — [`Storage::open`] recovers
-//!   `snapshot + WAL`, [`Storage::append`] journals one record,
-//!   [`Storage::install_snapshot`] compacts. A [`Storage::memory`]
-//!   backend with the same interface keeps non-durable deployments and
-//!   tests free of disk IO.
+//!   `segments + snapshot + WAL`, [`Storage::append`] journals one record,
+//!   and [`Storage::begin_install`] compacts: it rotates the WAL and
+//!   seals a segment plus a snapshot off the calling thread.
 //!
 //! [`SharedStorage`] is the [`astro_core::journal::Journal`]
 //! implementation the runtime plugs into a replica.
@@ -60,11 +60,12 @@ pub mod snapshot;
 pub mod wal;
 
 use astro_core::journal::{Journal, WalRecord};
-use astro_obs::{Counter, FlightRecorder, Gauge, Histogram, Registry};
+use astro_obs::{FlightRecorder, Gauge, Histogram, Registry};
 use astro_types::wire::{decode_exact, Wire};
 use std::fs::File;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::mpsc::{Receiver, Sender, TryRecvError};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 use wal::{GroupCommit, RecoveredWal, WalWriter, WAL_HEADER_LEN};
 
@@ -83,19 +84,15 @@ pub struct StoreObs {
     pub flush_batch_bytes: Histogram,
     /// Records amortized into one group commit.
     pub commit_batch_records: Histogram,
-    /// Wall time of one snapshot install (serialize excluded; write +
-    /// fsync + rename + WAL truncate included).
+    /// Wall time of one snapshot install on the install worker: the WAL
+    /// rotation's fsync and renames, the segment seal and the snapshot
+    /// write, fsync and rename (serialization excluded).
     pub snapshot_nanos: Histogram,
-    /// State bytes per installed snapshot (v2: checkpoint-segment bytes
-    /// plus the residual — the incremental cost, not the full state).
-    pub snapshot_bytes: Histogram,
     /// Current WAL file length.
     pub wal_bytes: Gauge,
-    /// Snapshot installs that failed (compaction skipped, WAL retained).
-    pub install_failures: Counter,
-    /// `health.r{replica}.store`: 1 while [`Storage::healthy`], 0 once an
-    /// install failure or gray device failure degraded the store —
-    /// cleared again when a later install succeeds (the re-heal path).
+    /// `health.r{replica}.store`: 1 while snapshot installs succeed, 0
+    /// once one failed — cleared again when a later install succeeds
+    /// (the re-heal path).
     pub store_healthy: Gauge,
     /// Flight recorder: `store.snapshot.fail` / `store.snapshot.heal`
     /// events mark the health transitions.
@@ -112,9 +109,7 @@ impl StoreObs {
             flush_batch_bytes: registry.histogram(&name("flush_batch_bytes")),
             commit_batch_records: registry.histogram(&name("commit_batch_records")),
             snapshot_nanos: registry.histogram(&name("snapshot_nanos")),
-            snapshot_bytes: registry.histogram(&name("snapshot_bytes")),
             wal_bytes: registry.gauge(&name("wal_bytes")),
-            install_failures: registry.counter(&name("install_failures")),
             store_healthy: registry.gauge(&format!("health.r{replica}.store")),
             flight: registry.flight(replica),
         };
@@ -149,8 +144,9 @@ pub struct StoreConfig {
     /// Group commit: force an fsync when this much time has passed since
     /// the last one and a record arrives.
     pub sync_interval: Duration,
-    /// Take a snapshot (and truncate the WAL) after this many settled
-    /// payments. Consumed by the runtime's durable node driver.
+    /// Seal a checkpoint segment and install a snapshot (rotating the
+    /// WAL) after this many settled payments. Consumed by the runtime's
+    /// durable node driver.
     pub snapshot_every_settled: usize,
     /// Fsync the WAL on every own-broadcast tag reservation (`OwnTag`),
     /// *before* the PREPARE leaves. Off by default: it puts one fsync on
@@ -182,9 +178,9 @@ impl Default for StoreConfig {
 /// What [`Storage::open`] found on disk.
 #[derive(Debug, Default)]
 pub struct Recovered {
-    /// The installed snapshot's state bytes, if a snapshot exists. Under
-    /// the v2 engine this is the *residual* state; the settled history it
-    /// builds on is in `checkpoints`.
+    /// The installed snapshot's state bytes, if a snapshot exists: the
+    /// *residual* state; the settled history it builds on is in
+    /// `checkpoints`.
     pub snapshot: Option<Vec<u8>>,
     /// The longest valid checkpoint-segment prefix: record payloads per
     /// sealed segment, in seal order. How many segments are actually
@@ -193,13 +189,6 @@ pub struct Recovered {
     pub checkpoints: Vec<Vec<Vec<u8>>>,
     /// The WAL's longest valid record prefix, decoded, in log order.
     pub records: Vec<WalRecord>,
-}
-
-/// What one asynchronous install reports back.
-#[derive(Debug, Clone, Copy)]
-struct InstallStats {
-    bytes: u64,
-    nanos: u64,
 }
 
 /// One queued install for the persistent worker thread.
@@ -223,7 +212,8 @@ struct InstallJob {
 
 /// What one install job reports back.
 struct InstallDone {
-    result: std::io::Result<InstallStats>,
+    /// The install's wall time in nanoseconds, or why it failed.
+    result: std::io::Result<u64>,
     /// False if a fast-path job failed *before* its renames completed:
     /// the live log now sits at [`WAL_NEXT_FILE`] with the superseded
     /// one still at [`WAL_FILE`], and any further rotation on top would
@@ -234,12 +224,12 @@ struct InstallDone {
 }
 
 /// A long-lived install worker: spawning a thread per install costs
-/// ~100 µs on the settle path, so the first install spawns one worker
-/// that serves every subsequent snapshot cycle. Dropping it (with
-/// [`Storage`]) closes the job channel and joins the thread.
+/// ~100 µs on the settle path, so [`Storage::open`] spawns one worker
+/// that serves every snapshot cycle. Dropping it (with [`Storage`])
+/// closes the job channel and joins the thread.
 struct InstallWorker {
-    jobs: std::sync::mpsc::Sender<InstallJob>,
-    results: std::sync::mpsc::Receiver<InstallDone>,
+    jobs: Sender<InstallJob>,
+    results: Receiver<InstallDone>,
     thread: Option<std::thread::JoinHandle<()>>,
 }
 
@@ -259,12 +249,11 @@ impl Drop for InstallWorker {
 }
 
 impl InstallWorker {
-    fn spawn() -> InstallWorker {
+    fn spawn() -> std::io::Result<InstallWorker> {
         let (jobs, job_rx) = std::sync::mpsc::channel::<InstallJob>();
         let (result_tx, results) = std::sync::mpsc::channel();
-        let thread = std::thread::Builder::new()
-            .name("astro-store-install".into())
-            .spawn(move || {
+        let thread =
+            std::thread::Builder::new().name("astro-store-install".into()).spawn(move || {
                 while let Ok(job) = job_rx.recv() {
                     let InstallJob { dir, segment, residual, rotate, need_spare, policy, old_log } =
                         job;
@@ -278,76 +267,47 @@ impl InstallWorker {
                         old_log,
                         &mut rotated,
                     )
-                    .map(|bytes| InstallStats {
-                        bytes,
-                        nanos: started.elapsed().as_nanos() as u64,
-                    });
+                    .map(|()| started.elapsed().as_nanos() as u64);
                     let spare =
                         if need_spare && rotated { make_spare(&dir, policy).ok() } else { None };
                     if result_tx.send(InstallDone { result, rotated, spare }).is_err() {
                         break;
                     }
                 }
-            })
-            .expect("spawn install worker");
-        InstallWorker { jobs, results, thread: Some(thread) }
+            })?;
+        Ok(InstallWorker { jobs, results, thread: Some(thread) })
     }
 }
 
-// One Backend lives per Storage (never in a collection), so the size
-// spread between the disk and in-memory variants costs nothing.
-#[allow(clippy::large_enum_variant)]
-enum Backend {
-    Disk {
-        dir: PathBuf,
-        wal: WalWriter,
-        /// Spawned eagerly at open (thread spawn is too slow to pay on
-        /// the settle path); `None` only after a worker channel death.
-        worker: Option<InstallWorker>,
-        /// True while a job is queued or running on the worker.
-        pending: bool,
-        /// Pre-created fresh WAL at [`WAL_NEXT_FILE`]; the fast-path
-        /// rotation swaps to it without touching the filesystem.
-        spare: Option<WalWriter>,
-        /// Set when a fast-path install failed before its renames: the
-        /// on-disk generations are out of their canonical places, so no
-        /// further rotation may run (appends continue, recovery is
-        /// order-correct via the next-WAL merge, compaction has stopped).
-        rotation_wedged: bool,
-    },
-    Memory {
-        records: Vec<WalRecord>,
-        snapshot: Option<Vec<u8>>,
-        checkpoints: Vec<Vec<Vec<u8>>>,
-    },
-}
-
-/// One replica's durable (or in-memory) state store.
+/// One replica's durable state store: its directory, the live WAL
+/// writer and the install worker that compacts behind it.
 pub struct Storage {
-    backend: Backend,
+    dir: PathBuf,
+    wal: WalWriter,
     cfg: StoreConfig,
+    /// Spawned at open (thread spawn is too slow to pay on the settle
+    /// path); `None` only after the worker died, until the next install
+    /// re-spawns it.
+    worker: Option<InstallWorker>,
+    /// True while a job is queued or running on the worker.
+    pending: bool,
+    /// Pre-created fresh WAL at [`WAL_NEXT_FILE`]; the fast-path
+    /// rotation swaps to it without touching the filesystem.
+    spare: Option<WalWriter>,
+    /// Set when a fast-path install failed before its renames: the
+    /// on-disk generations are out of their canonical places, so no
+    /// further rotation may run (appends continue, recovery is
+    /// order-correct via the next-WAL merge, compaction has stopped).
+    rotation_wedged: bool,
     /// Set when a snapshot install failed; compaction has stopped (the
     /// WAL keeps growing) even though the WAL writer itself is fine.
     install_failed: bool,
-    /// Externally injected gray failure: the device is sick (stalling,
-    /// remapping sectors) without any append having errored yet. Set by
-    /// fault injection and operator tooling; [`Storage::healthy`] reports
-    /// it so drivers stop trusting the store before it starts eating
-    /// records.
-    degraded: bool,
     obs: Option<StoreObs>,
 }
 
 impl std::fmt::Debug for Storage {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match &self.backend {
-            Backend::Disk { dir, wal, .. } => {
-                f.debug_struct("Storage").field("dir", dir).field("wal_len", &wal.len()).finish()
-            }
-            Backend::Memory { records, .. } => {
-                f.debug_struct("Storage").field("memory_records", &records.len()).finish()
-            }
-        }
+        f.debug_struct("Storage").field("dir", &self.dir).field("wal_len", &self.wal.len()).finish()
     }
 }
 
@@ -360,8 +320,9 @@ impl Storage {
     ///
     /// # Errors
     ///
-    /// Genuine IO errors, and `InvalidData` for a present-but-damaged
-    /// snapshot (recovering *past* it would silently lose state).
+    /// Genuine IO errors (a failed install-worker spawn included), and
+    /// `InvalidData` for a present-but-damaged snapshot (recovering
+    /// *past* it would silently lose state).
     pub fn open(
         dir: impl Into<PathBuf>,
         cfg: StoreConfig,
@@ -396,40 +357,18 @@ impl Storage {
         // worker now, off the settle path (thread spawn costs ~100 µs —
         // paid here, at recovery, instead of at the first install).
         let spare = make_spare(&dir, group_commit_of(&cfg)).ok();
-        Ok((
-            Storage {
-                backend: Backend::Disk {
-                    dir,
-                    wal,
-                    worker: Some(InstallWorker::spawn()),
-                    pending: false,
-                    spare,
-                    rotation_wedged: false,
-                },
-                cfg,
-                install_failed: false,
-                degraded: false,
-                obs: None,
-            },
-            Recovered { snapshot, checkpoints, records },
-        ))
-    }
-
-    /// An in-memory store with the same interface: nothing survives the
-    /// process, which is exactly what non-durable deployments and unit
-    /// tests want.
-    pub fn memory(cfg: StoreConfig) -> Storage {
-        Storage {
-            backend: Backend::Memory {
-                records: Vec::new(),
-                snapshot: None,
-                checkpoints: Vec::new(),
-            },
+        let storage = Storage {
+            dir,
+            wal,
             cfg,
+            worker: Some(InstallWorker::spawn()?),
+            pending: false,
+            spare,
+            rotation_wedged: false,
             install_failed: false,
-            degraded: false,
             obs: None,
-        }
+        };
+        Ok((storage, Recovered { snapshot, checkpoints, records }))
     }
 
     /// The configured durability policy.
@@ -438,12 +377,10 @@ impl Storage {
     }
 
     /// Attaches metric handles; WAL append/fsync latencies, group-commit
-    /// batch sizes, and snapshot duration/bytes are recorded from here on.
+    /// batch sizes, and snapshot duration are recorded from here on.
     pub fn attach_obs(&mut self, obs: StoreObs) {
-        if let Backend::Disk { wal, .. } = &mut self.backend {
-            wal.attach_obs(obs.clone());
-            obs.wal_bytes.set(wal.len());
-        }
+        self.wal.attach_obs(obs.clone());
+        obs.wal_bytes.set(self.wal.len());
         self.obs = Some(obs);
     }
 
@@ -451,14 +388,9 @@ impl Storage {
     /// `OwnTag` record forces one immediately under
     /// [`StoreConfig::sync_on_broadcast`]).
     pub fn append(&mut self, record: &WalRecord) {
-        match &mut self.backend {
-            Backend::Disk { wal, .. } => {
-                wal.append_with(|buf| record.encode(buf));
-                if self.cfg.sync_on_broadcast && matches!(record, WalRecord::OwnTag { .. }) {
-                    wal.sync();
-                }
-            }
-            Backend::Memory { records, .. } => records.push(record.clone()),
+        self.wal.append_with(|buf| record.encode(buf));
+        if self.cfg.sync_on_broadcast && matches!(record, WalRecord::OwnTag { .. }) {
+            self.wal.sync();
         }
     }
 
@@ -466,49 +398,15 @@ impl Storage {
     /// at the replica's step boundary — after this, an in-process crash
     /// loses nothing.
     pub fn flush_writes(&mut self) {
-        if let Backend::Disk { wal, .. } = &mut self.backend {
-            wal.flush_writes();
-        }
+        self.wal.flush_writes();
     }
 
     /// Forces the group commit.
     pub fn sync(&mut self) {
-        if let Backend::Disk { wal, .. } = &mut self.backend {
-            wal.sync();
-        }
+        self.wal.sync();
     }
 
-    /// Atomically installs `state` as the snapshot and truncates the WAL.
-    ///
-    /// # Errors
-    ///
-    /// Propagates IO errors; on error the old snapshot and full WAL are
-    /// still in place (install is crash-atomic, and the WAL is only
-    /// truncated after a successful install).
-    pub fn install_snapshot(&mut self, state: &[u8]) -> std::io::Result<()> {
-        let started = self.obs.as_ref().map(|_| Instant::now());
-        let result = match &mut self.backend {
-            Backend::Disk { dir, wal, .. } => {
-                snapshot::write_snapshot(dir, state).and_then(|()| wal.reset())
-            }
-            Backend::Memory { records, snapshot, .. } => {
-                *snapshot = Some(state.to_vec());
-                records.clear();
-                Ok(())
-            }
-        };
-        if let (Some(obs), Some(started)) = (&self.obs, started) {
-            if result.is_ok() {
-                obs.snapshot_nanos.record(started.elapsed().as_nanos() as u64);
-                obs.snapshot_bytes.record(state.len() as u64);
-                obs.wal_bytes.set(self.wal_bytes());
-            }
-        }
-        self.note_install_result(result.is_err());
-        result
-    }
-
-    /// Starts an asynchronous v2 snapshot install: optionally seals
+    /// Starts an asynchronous snapshot install: optionally seals
     /// `segment` (index, checkpoint-record payloads) and installs
     /// `residual` as the snapshot, off the calling thread.
     ///
@@ -523,8 +421,11 @@ impl Storage {
     ///
     /// Returns `false` (and does nothing) while a previous install is
     /// still in flight — the caller retries at its next snapshot
-    /// threshold. The memory backend installs synchronously and always
-    /// returns `true`.
+    /// threshold. Otherwise returns `true`: either the install is in
+    /// flight ([`Storage::installing`]) or it failed before it started
+    /// (the WAL is degraded, rotation is wedged, or the rotation or a
+    /// worker re-spawn failed) and nothing was sealed —
+    /// [`Storage::healthy`] then reports `false`.
     ///
     /// Completion is reported through [`Storage::poll_install`].
     pub fn begin_install(
@@ -532,104 +433,81 @@ impl Storage {
         segment: Option<(u32, Vec<Vec<u8>>)>,
         residual: Vec<u8>,
     ) -> bool {
-        match &mut self.backend {
-            Backend::Memory { records, snapshot, checkpoints } => {
-                if let Some((index, seg_records)) = segment {
-                    checkpoints.truncate(index as usize);
-                    checkpoints.push(seg_records);
-                }
-                *snapshot = Some(residual);
-                records.clear();
-                // Memory installs complete inline.
-                self.note_install_result(false);
-                true
-            }
-            Backend::Disk { dir, wal, worker, pending, spare, rotation_wedged } => {
-                if *pending {
-                    return false;
-                }
-                if *rotation_wedged {
-                    // A fast-path install failed mid-rotation: the log
-                    // generations are off their canonical paths and any
-                    // further rotation would scramble replay order.
-                    // Appends continue (records are safe; recovery
-                    // reorders via the next-WAL merge), compaction stays
-                    // stopped, health keeps reporting it.
-                    self.note_install_result(true);
-                    return true;
-                }
-                // Every journaled frame must reach the OS before the
-                // rotation: the rotated log is never written again. The
-                // *fsync* making it power-loss durable — and every
-                // rename — is the worker's job (see `run_install`).
-                wal.flush_writes();
-                if wal.health().is_err() {
-                    self.note_install_result(true);
-                    return true;
-                }
-                let policy = group_commit_of(&self.cfg);
-                let mut old_log = None;
-                let rotate = if !dir.join(WAL_PREV_FILE).exists() && spare.is_some() {
-                    // Fast path: swap to the pre-created spare; the old
-                    // writer's file stays at `WAL_FILE` until the worker
-                    // renames it out, and the writer itself ships to the
-                    // worker (fsync and close both happen off-thread).
-                    let mut fresh = spare.take().expect("just checked");
-                    if let Some(obs) = &self.obs {
-                        fresh.attach_obs(obs.clone());
-                        obs.wal_bytes.set(fresh.len());
-                    }
-                    old_log = Some(std::mem::replace(wal, fresh));
-                    true
-                } else {
-                    // Slow path: a leftover prev WAL from a *failed*
-                    // install still holds live records — fold it back
-                    // before rotating again so its records cannot be
-                    // orphaned by a second rotation — then rotate inline
-                    // as the caller of record.
-                    if merge_prev_wal(dir).is_err() {
-                        self.note_install_result(true);
-                        return true;
-                    }
-                    let rotated = std::fs::rename(dir.join(WAL_FILE), dir.join(WAL_PREV_FILE))
-                        .and_then(|()| {
-                            WalWriter::open_rotated(&dir.join(WAL_FILE), policy.clone())
-                        });
-                    let mut fresh = match rotated {
-                        Ok(w) => w,
-                        Err(_) => {
-                            self.note_install_result(true);
-                            return true;
-                        }
-                    };
-                    if let Some(obs) = &self.obs {
-                        fresh.attach_obs(obs.clone());
-                        obs.wal_bytes.set(fresh.len());
-                    }
-                    *wal = fresh;
-                    false
-                };
-                let job = InstallJob {
-                    dir: dir.clone(),
-                    segment,
-                    residual,
-                    rotate,
-                    need_spare: spare.is_none(),
-                    policy,
-                    old_log,
-                };
-                let worker = worker.get_or_insert_with(InstallWorker::spawn);
-                if worker.jobs.send(job).is_err() {
-                    // The worker thread died (it never does barring a
-                    // panic); its rotation state is unknown, so wedge.
-                    *rotation_wedged = rotate;
-                    self.note_install_result(true);
-                    return true;
-                }
-                *pending = true;
-                true
-            }
+        if self.pending {
+            return false;
         }
+        match self.queue_install(segment, residual) {
+            Some(()) => self.pending = true,
+            None => self.note_install_result(true),
+        }
+        true
+    }
+
+    /// Rotates the WAL and hands the install to the worker; `None` if the
+    /// install failed before it started.
+    fn queue_install(
+        &mut self,
+        segment: Option<(u32, Vec<Vec<u8>>)>,
+        residual: Vec<u8>,
+    ) -> Option<()> {
+        if self.rotation_wedged {
+            // A fast-path install failed mid-rotation: the log
+            // generations are off their canonical paths and any further
+            // rotation would scramble replay order. Appends continue
+            // (records are safe; recovery reorders via the next-WAL
+            // merge), compaction stays stopped, health keeps reporting it.
+            return None;
+        }
+        if self.worker.is_none() {
+            self.worker = Some(InstallWorker::spawn().ok()?);
+        }
+        // Every journaled frame must reach the OS before the rotation:
+        // the rotated log is never written again. The *fsync* making it
+        // power-loss durable — and every rename — is the worker's job
+        // (see `run_install`).
+        self.wal.flush_writes();
+        self.wal.health().ok()?;
+        let policy = group_commit_of(&self.cfg);
+        let rotate = !self.dir.join(WAL_PREV_FILE).exists() && self.spare.is_some();
+        let mut fresh = if rotate {
+            // Fast path: swap to the pre-created spare; the old writer's
+            // file stays at `WAL_FILE` until the worker renames it out.
+            self.spare.take().expect("just checked")
+        } else {
+            // Slow path: a leftover prev WAL from a *failed* install
+            // still holds live records — fold it back before rotating
+            // again so its records cannot be orphaned by a second
+            // rotation — then rotate inline as the caller of record.
+            merge_prev_wal(&self.dir).ok()?;
+            std::fs::rename(self.dir.join(WAL_FILE), self.dir.join(WAL_PREV_FILE)).ok()?;
+            WalWriter::open_rotated(&self.dir.join(WAL_FILE), policy.clone()).ok()?
+        };
+        if let Some(obs) = &self.obs {
+            fresh.attach_obs(obs.clone());
+            obs.wal_bytes.set(fresh.len());
+        }
+        let old_log = std::mem::replace(&mut self.wal, fresh);
+        let job = InstallJob {
+            dir: self.dir.clone(),
+            segment,
+            residual,
+            rotate,
+            // On the fast path the superseded writer ships to the worker
+            // (fsync and close both happen off-thread); on the slow path
+            // its file was renamed away and it closes here.
+            old_log: rotate.then_some(old_log),
+            need_spare: self.spare.is_none(),
+            policy,
+        };
+        let worker = self.worker.as_ref().expect("spawned above");
+        if worker.jobs.send(job).is_err() {
+            // The worker thread died (it never does barring a panic);
+            // the job's renames never ran, so wedge a fast-path rotation.
+            self.worker = None;
+            self.rotation_wedged = rotate;
+            return None;
+        }
+        Some(())
     }
 
     /// Reports a completed asynchronous install, if one finished since
@@ -638,29 +516,15 @@ impl Storage {
     /// must re-baseline: the segment it exported was never sealed),
     /// `None` while idle or still in flight.
     pub fn poll_install(&mut self) -> Option<std::io::Result<()>> {
-        let Backend::Disk { worker, pending, spare, rotation_wedged, .. } = &mut self.backend
-        else {
-            return None;
-        };
-        if !*pending {
+        if !self.pending {
             return None;
         }
-        let done = match worker.as_ref().expect("pending implies worker").results.try_recv() {
-            Ok(done) => done,
-            Err(std::sync::mpsc::TryRecvError::Empty) => return None,
-            Err(std::sync::mpsc::TryRecvError::Disconnected) => InstallDone {
-                result: Err(std::io::Error::other("install worker died")),
-                // The worker's rotation state is unknown: wedge.
-                rotated: false,
-                spare: None,
-            },
+        let done = match self.worker.as_ref().expect("pending implies worker").results.try_recv() {
+            Ok(done) => Some(done),
+            Err(TryRecvError::Empty) => return None,
+            Err(TryRecvError::Disconnected) => None,
         };
-        *pending = false;
-        if let Some(fresh) = done.spare {
-            *spare = Some(fresh);
-        }
-        *rotation_wedged |= !done.rotated;
-        self.finish_install(done.result)
+        Some(self.complete_install(done))
     }
 
     /// True while an asynchronous install is in flight. Callers must not
@@ -668,47 +532,42 @@ impl Storage {
     /// reference a segment index the in-flight install may still fail to
     /// produce.
     pub fn installing(&self) -> bool {
-        matches!(&self.backend, Backend::Disk { pending: true, .. })
+        self.pending
     }
 
     /// Blocks until any in-flight install completes and folds its result
     /// in; used on clean shutdown so a threshold snapshot is never lost
     /// to process exit.
     pub fn drain_install(&mut self) -> Option<std::io::Result<()>> {
-        let Backend::Disk { worker, pending, spare, rotation_wedged, .. } = &mut self.backend
-        else {
-            return None;
-        };
-        if !*pending {
+        if !self.pending {
             return None;
         }
-        let done =
-            worker.as_ref().expect("pending implies worker").results.recv().unwrap_or_else(|_| {
-                InstallDone {
-                    result: Err(std::io::Error::other("install worker died")),
-                    rotated: false,
-                    spare: None,
-                }
-            });
-        *pending = false;
-        if let Some(fresh) = done.spare {
-            *spare = Some(fresh);
-        }
-        *rotation_wedged |= !done.rotated;
-        self.finish_install(done.result)
+        let done = self.worker.as_ref().expect("pending implies worker").results.recv().ok();
+        Some(self.complete_install(done))
     }
 
-    fn finish_install(
-        &mut self,
-        result: std::io::Result<InstallStats>,
-    ) -> Option<std::io::Result<()>> {
-        if let (Some(obs), Ok(stats)) = (&self.obs, &result) {
-            obs.snapshot_nanos.record(stats.nanos);
-            obs.snapshot_bytes.record(stats.bytes);
-            obs.wal_bytes.set(self.wal_bytes());
+    /// Folds in the in-flight install's report; `None` means the worker
+    /// died with the job, leaving its rotation state unknown: wedge.
+    fn complete_install(&mut self, done: Option<InstallDone>) -> std::io::Result<()> {
+        self.pending = false;
+        let InstallDone { result, rotated, spare } = done.unwrap_or_else(|| {
+            self.worker = None;
+            InstallDone {
+                result: Err(std::io::Error::other("install worker died")),
+                rotated: false,
+                spare: None,
+            }
+        });
+        if spare.is_some() {
+            self.spare = spare;
+        }
+        self.rotation_wedged |= !rotated;
+        if let (Some(obs), Ok(nanos)) = (&self.obs, &result) {
+            obs.snapshot_nanos.record(*nanos);
+            obs.wal_bytes.set(self.wal.len());
         }
         self.note_install_result(result.is_err());
-        Some(result.map(|_| ()))
+        result.map(|_| ())
     }
 
     /// Folds one install outcome into the health state, emitting the
@@ -720,55 +579,23 @@ impl Storage {
         self.install_failed = failed;
         let Some(obs) = &self.obs else { return };
         if failed {
-            obs.install_failures.inc();
             obs.store_healthy.set(0);
             if !was_failed {
                 obs.flight.event("store.snapshot.fail", 0, 0);
             }
         } else if was_failed {
             // The re-heal path: compaction resumed, the store is healthy
-            // again (unless independently degraded).
-            if !self.degraded {
-                obs.store_healthy.set(1);
-            }
+            // again.
+            obs.store_healthy.set(1);
             obs.flight.event("store.snapshot.heal", 0, 0);
         }
     }
 
-    /// Current WAL length in bytes (0 for the memory backend).
-    pub fn wal_bytes(&self) -> u64 {
-        match &self.backend {
-            Backend::Disk { wal, .. } => wal.len(),
-            Backend::Memory { .. } => 0,
-        }
-    }
-
-    /// Marks the store's device as degraded (or recovered): a gray
-    /// failure — stalling fsyncs, a remapping disk — that no append has
-    /// surfaced as an error yet. While set, [`Storage::healthy`] reports
-    /// `false` so drivers treat the replica as sick before data is lost.
-    /// The chaos simulator's `DiskDegraded` fault is the deterministic
-    /// analogue of this state.
-    pub fn set_degraded(&mut self, degraded: bool) {
-        self.degraded = degraded;
-        if let Some(obs) = &self.obs {
-            obs.store_healthy.set(u64::from(self.healthy()));
-        }
-    }
-
-    /// `false` once an IO error (or an injected gray failure, see
-    /// [`Storage::set_degraded`]) degraded the store: the WAL writer
-    /// dropped records (see [`wal::WalWriter::health`]), the last
-    /// snapshot install failed (compaction stopped, WAL unbounded), or
-    /// the device was flagged sick.
+    /// `false` once an IO error degraded the store: the WAL writer
+    /// dropped records (see [`wal::WalWriter::health`]), or the last
+    /// snapshot install failed (compaction stopped, WAL unbounded).
     pub fn healthy(&self) -> bool {
-        if self.install_failed || self.degraded {
-            return false;
-        }
-        match &self.backend {
-            Backend::Disk { wal, .. } => wal.health().is_ok(),
-            Backend::Memory { .. } => true,
-        }
+        !self.install_failed && self.wal.health().is_ok()
     }
 }
 
@@ -806,7 +633,7 @@ fn run_install(
     rotate: bool,
     old_log: Option<WalWriter>,
     rotated: &mut bool,
-) -> std::io::Result<u64> {
+) -> std::io::Result<()> {
     if rotate {
         // Make the superseded log power-loss durable first (acknowledged
         // records whose group commit had not fired yet), then perform
@@ -837,14 +664,12 @@ fn run_install(
             }
         }
     }
-    let mut bytes = residual.len() as u64;
     if let Some((index, records)) = segment {
-        bytes += records.iter().map(|r| 8 + r.len() as u64).sum::<u64>();
         checkpoint::seal_segment(dir, *index, records)?;
     }
     snapshot::write_snapshot(dir, residual)?;
     let _ = std::fs::remove_file(dir.join(WAL_PREV_FILE));
-    Ok(bytes)
+    Ok(())
 }
 
 /// Pre-creates the next rotation's spare WAL at [`WAL_NEXT_FILE`]:
@@ -957,81 +782,22 @@ impl SharedStorage {
         SharedStorage(Arc::new(Mutex::new(storage)))
     }
 
-    /// Locks the storage, ignoring poison: a holder that panicked must not
-    /// turn every later call into a second panic.
-    fn lock(&self) -> MutexGuard<'_, Storage> {
-        self.0.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Runs `f` with the storage locked.
+    /// Runs `f` with the storage locked, ignoring poison: a holder that
+    /// panicked must not turn every later call into a second panic.
     pub fn with<R>(&self, f: impl FnOnce(&mut Storage) -> R) -> R {
-        f(&mut self.lock())
-    }
-
-    /// Hands buffered frames to the OS; see [`Storage::flush_writes`].
-    pub fn flush_writes(&self) {
-        self.lock().flush_writes();
-    }
-
-    /// Forces the group commit.
-    pub fn sync(&self) {
-        self.lock().sync();
-    }
-
-    /// Atomically installs a snapshot and truncates the WAL.
-    ///
-    /// # Errors
-    ///
-    /// See [`Storage::install_snapshot`].
-    pub fn install_snapshot(&self, state: &[u8]) -> std::io::Result<()> {
-        self.lock().install_snapshot(state)
-    }
-
-    /// Starts an asynchronous checkpointed install; see
-    /// [`Storage::begin_install`].
-    pub fn begin_install(&self, segment: Option<(u32, Vec<Vec<u8>>)>, residual: Vec<u8>) -> bool {
-        self.lock().begin_install(segment, residual)
-    }
-
-    /// Reports a completed asynchronous install; see
-    /// [`Storage::poll_install`].
-    pub fn poll_install(&self) -> Option<std::io::Result<()>> {
-        self.lock().poll_install()
-    }
-
-    /// True while an asynchronous install is in flight; see
-    /// [`Storage::installing`].
-    pub fn installing(&self) -> bool {
-        self.lock().installing()
-    }
-
-    /// Blocks until any in-flight install completes; see
-    /// [`Storage::drain_install`].
-    pub fn drain_install(&self) -> Option<std::io::Result<()>> {
-        self.lock().drain_install()
-    }
-
-    /// True while no IO error has degraded the store.
-    pub fn healthy(&self) -> bool {
-        self.lock().healthy()
-    }
-
-    /// Flags (or clears) a gray device failure; see
-    /// [`Storage::set_degraded`].
-    pub fn set_degraded(&self, degraded: bool) {
-        self.lock().set_degraded(degraded);
+        f(&mut self.0.lock().unwrap_or_else(PoisonError::into_inner))
     }
 }
 
 impl std::fmt::Debug for SharedStorage {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        self.lock().fmt(f)
+        self.with(|s| s.fmt(f))
     }
 }
 
 impl Journal for SharedStorage {
     fn record(&mut self, record: &WalRecord) {
-        self.lock().append(record);
+        self.with(|s| s.append(record));
     }
 }
 
@@ -1064,22 +830,6 @@ mod tests {
         let (_s, rec) = Storage::open(&dir, StoreConfig::default()).unwrap();
         assert!(rec.snapshot.is_none());
         assert_eq!(rec.records, (0..5).map(settle).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn snapshot_install_truncates_the_wal() {
-        let dir = tmp_dir("snap");
-        let (mut s, _) = Storage::open(&dir, StoreConfig::default()).unwrap();
-        for seq in 0..5 {
-            s.append(&settle(seq));
-        }
-        s.install_snapshot(b"the state").unwrap();
-        s.append(&settle(5));
-        s.sync();
-        drop(s);
-        let (_s, rec) = Storage::open(&dir, StoreConfig::default()).unwrap();
-        assert_eq!(rec.snapshot.unwrap(), b"the state");
-        assert_eq!(rec.records, vec![settle(5)], "pre-snapshot records are compacted away");
     }
 
     #[test]
@@ -1237,27 +987,25 @@ mod tests {
     }
 
     #[test]
-    fn memory_backend_mirrors_the_interface() {
-        let mut s = Storage::memory(StoreConfig::default());
+    fn install_on_a_degraded_wal_fails_before_it_starts() {
+        let dir = tmp_dir("degraded-install");
+        let (mut s, _) = Storage::open(&dir, StoreConfig::default()).unwrap();
         s.append(&settle(0));
-        s.install_snapshot(b"snap").unwrap();
+        assert!(s.begin_install(Some((0, vec![b"ckpt-record".to_vec()])), b"first".to_vec()));
+        wait_install(&mut s).unwrap();
         s.append(&settle(1));
-        s.sync();
-        assert!(s.healthy());
-        assert_eq!(s.wal_bytes(), 0);
-    }
-
-    #[test]
-    fn degraded_flag_drives_health_and_clears() {
-        let mut s = Storage::memory(StoreConfig::default());
-        assert!(s.healthy());
-        s.set_degraded(true);
-        assert!(!s.healthy(), "a sick device must report unhealthy before any IO error");
-        // The store keeps accepting appends while degraded — the flag is
-        // advisory, not a write barrier.
-        s.append(&settle(0));
-        s.set_degraded(false);
-        assert!(s.healthy());
+        s.append(&settle(2));
+        // A record recovery would refuse is never written: the WAL
+        // writer goes degraded instead.
+        s.append(&WalRecord::Cert { bytes: vec![0; wal::MAX_RECORD_LEN] });
+        assert!(s.begin_install(Some((1, vec![b"lost".to_vec()])), b"second".to_vec()));
+        assert!(!s.installing(), "nothing was handed to the worker");
+        assert!(!s.healthy());
+        drop(s);
+        let (_s, rec) = Storage::open(&dir, StoreConfig::default()).unwrap();
+        assert_eq!(rec.snapshot.unwrap(), b"first");
+        assert_eq!(rec.checkpoints, vec![vec![b"ckpt-record".to_vec()]]);
+        assert_eq!(rec.records, vec![settle(1), settle(2)]);
     }
 
     #[test]
@@ -1267,8 +1015,8 @@ mod tests {
         let shared = SharedStorage::new(s);
         let mut journal: Box<dyn Journal> = Box::new(shared.clone());
         journal.record(&settle(0));
-        shared.sync();
-        assert!(shared.healthy());
+        shared.with(Storage::sync);
+        assert!(shared.with(|s| s.healthy()));
         drop(journal);
         drop(shared);
         let (_s, rec) = Storage::open(&dir, StoreConfig::default()).unwrap();

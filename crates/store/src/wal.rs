@@ -369,25 +369,6 @@ impl WalWriter {
         self.last_sync = Instant::now();
     }
 
-    /// Truncates the log back to its header (after a snapshot install).
-    /// Buffered frames are dropped — their effects are in the snapshot.
-    ///
-    /// # Errors
-    ///
-    /// Propagates IO errors — a failed truncation after a snapshot would
-    /// otherwise double-apply the log on the next recovery (harmless for
-    /// replay, but the caller should know).
-    pub fn reset(&mut self) -> std::io::Result<()> {
-        self.buffer.clear();
-        self.file.set_len(WAL_HEADER_LEN)?;
-        self.file.seek(SeekFrom::Start(WAL_HEADER_LEN))?;
-        self.file.sync_all()?;
-        self.len = WAL_HEADER_LEN;
-        self.records_since_sync = 0;
-        self.last_sync = Instant::now();
-        Ok(())
-    }
-
     /// Current log length in bytes (header included, buffered frames
     /// counted).
     pub fn len(&self) -> u64 {
@@ -513,20 +494,6 @@ mod tests {
         w.sync();
         drop(w);
         assert_eq!(read_wal(&path).unwrap().payloads, vec![b"fresh".to_vec()]);
-    }
-
-    #[test]
-    fn reset_truncates_to_header() {
-        let path = tmp("reset");
-        let mut w = WalWriter::open_at(&path, 0, GroupCommit::default()).unwrap();
-        w.append(b"gone");
-        w.sync();
-        w.reset().unwrap();
-        assert!(w.is_empty());
-        w.append(b"kept");
-        w.sync();
-        drop(w);
-        assert_eq!(read_wal(&path).unwrap().payloads, vec![b"kept".to_vec()]);
     }
 
     #[test]
