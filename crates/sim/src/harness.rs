@@ -15,7 +15,7 @@ use crate::telemetry::SimTelemetry;
 use crate::workload::Workload;
 use astro_brb::Dest;
 use astro_core::ReplicaStep;
-use astro_types::{PaymentId, ReplicaId};
+use astro_types::{Payment, PaymentId, ReplicaId};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 
@@ -137,7 +137,6 @@ pub struct SimReport {
     pub events: u64,
 }
 
-#[derive(Debug)]
 enum EventKind<M> {
     Deliver {
         from: ReplicaId,
@@ -187,9 +186,66 @@ struct Outstanding {
     seen_at: u32,
 }
 
+/// One replica's row of the run state: its CPU, disk and timer models.
+#[derive(Clone)]
+struct Node {
+    /// When the replica's event loop next comes free.
+    cpu_free: Nanos,
+    /// What each settle costs: the model's settle cost plus any
+    /// [`Fault::DiskDegraded`] write stall.
+    settle_ns: Nanos,
+    /// Timer-pacing skew in permille ([`Fault::ClockSkew`]); 1000 =
+    /// nominal.
+    clock_skew: u64,
+    /// Verifier lanes (the runtime's verify pool in simulated time): each
+    /// entry is when that lane next comes free. Empty when the model runs
+    /// verification inline.
+    verify_free: Vec<Nanos>,
+    /// When the replica's most recent inbound message took effect. The
+    /// runtime handles parked messages strictly in arrival order
+    /// (`drain_verified`), so a message's effects can never precede an
+    /// earlier message's verification — model that head-of-line ordering.
+    deliver_ready: Nanos,
+    /// The protocol deadline the scheduled tick serves.
+    next_tick: Nanos,
+    /// The authoritative (possibly skew-stretched) fire time of the
+    /// scheduled tick. Superseded tick events still sitting in the heap
+    /// are dropped when they pop — otherwise a stale tick would fire an
+    /// overdue timer at its *nominal* time and silently erode a
+    /// [`Fault::ClockSkew`] stretch back to the healthy cadence.
+    tick_fire: Nanos,
+}
+
+/// One run: the system under test, the models around it, the event heap
+/// and the metrics.
+struct Sim<'t, S: SimSystem> {
+    system: S,
+    cfg: SimConfig,
+    telemetry: Option<&'t mut SimTelemetry>,
+    rng: Rng,
+    network: Network,
+    heap: BinaryHeap<Reverse<Event<S::Msg>>>,
+    /// Schedule order: breaks ties between events due at the same time.
+    seq: u64,
+    nodes: Vec<Node>,
+    outstanding: HashMap<PaymentId, Outstanding>,
+    /// The replica a client reconnected to after its own crashed.
+    entry_override: HashMap<usize, ReplicaId>,
+    /// Payments whose representative was down at submit time, waiting for
+    /// the scheduled retry (one slot per client: the loop is closed).
+    parked: HashMap<usize, Payment>,
+    latency: LatencyRecorder,
+    timeline: ThroughputTimeline,
+    /// Fresh payments drawn from the workload (parked retries excluded).
+    drawn: usize,
+    submitted: usize,
+    confirmed: usize,
+    events: u64,
+}
+
 /// Runs `workload` against `system` under `cfg` and reports metrics.
 pub fn run<S: SimSystem, W: Workload>(system: S, workload: W, cfg: SimConfig) -> SimReport {
-    run_inner(system, workload, cfg, None).0
+    Sim::new(system, cfg, None).run(workload).0
 }
 
 /// Like [`run`], additionally returning the system for post-run inspection
@@ -199,7 +255,7 @@ pub fn run_with_system<S: SimSystem, W: Workload>(
     workload: W,
     cfg: SimConfig,
 ) -> (SimReport, S) {
-    run_inner(system, workload, cfg, None)
+    Sim::new(system, cfg, None).run(workload)
 }
 
 /// Like [`run_with_system`], additionally feeding every network
@@ -213,510 +269,370 @@ pub fn run_observed<S: SimSystem, W: Workload>(
     cfg: SimConfig,
     telemetry: &mut SimTelemetry,
 ) -> (SimReport, S) {
-    run_inner(system, workload, cfg, Some(telemetry))
+    Sim::new(system, cfg, Some(telemetry)).run(workload)
 }
 
-fn run_inner<S: SimSystem, W: Workload>(
-    mut system: S,
-    mut workload: W,
-    cfg: SimConfig,
-    mut telemetry: Option<&mut SimTelemetry>,
-) -> (SimReport, S) {
-    let mut rng = Rng::seeded(cfg.seed);
-    let mut network = Network::new(system.n(), cfg.net.clone());
-    let mut heap: BinaryHeap<Reverse<Event<S::Msg>>> = BinaryHeap::new();
-    let mut seq = 0u64;
-    let push = |heap: &mut BinaryHeap<Reverse<Event<S::Msg>>>, seq: &mut u64, time, kind| {
-        *seq += 1;
-        heap.push(Reverse(Event { time, seq: *seq, kind }));
-    };
-
-    // Closed-loop clients start staggered to avoid a thundering herd, but
-    // the whole ramp fits well inside the warm-up window regardless of the
-    // client count.
-    let stagger = 137_000.min(500_000_000 / workload.num_clients().max(1) as Nanos);
-    for c in 0..workload.num_clients() {
-        push(&mut heap, &mut seq, (c as Nanos) * stagger, EventKind::ClientSubmit { client: c });
-    }
-    for (t, f) in &cfg.faults {
-        push(&mut heap, &mut seq, *t, EventKind::Fault(*f));
-    }
-
-    let mut cpu_free: Vec<Nanos> = vec![0; system.n()];
-    // Per-replica extra write stall per settle ([`Fault::DiskDegraded`]).
-    let mut disk_stall: Vec<Nanos> = vec![0; system.n()];
-    // Per-replica timer-pacing skew in permille ([`Fault::ClockSkew`]);
-    // 1000 = nominal.
-    let mut clock_skew: Vec<u64> = vec![1000; system.n()];
-    // Per-replica verifier lanes (the runtime's verify pool in simulated
-    // time): each entry is when that lane next comes free. Empty when the
-    // model runs verification inline.
-    let mut verify_free: Vec<Vec<Nanos>> = vec![vec![0; cfg.cpu.verify_lanes]; system.n()];
-    // When the replica's most recent inbound message took effect. The
-    // runtime handles parked messages strictly in arrival order
-    // (`drain_verified`), so a message's effects can never precede an
-    // earlier message's verification — model that head-of-line ordering.
-    let mut deliver_ready: Vec<Nanos> = vec![0; system.n()];
-    let mut next_tick: Vec<Nanos> = vec![Nanos::MAX; system.n()];
-    // The authoritative (possibly skew-stretched) fire time for each
-    // replica's scheduled tick. Superseded tick events still sitting in
-    // the heap are dropped when they pop — otherwise a stale tick would
-    // fire an overdue timer at its *nominal* time and silently erode a
-    // [`Fault::ClockSkew`] stretch back to the healthy cadence.
-    let mut tick_fire: Vec<Nanos> = vec![Nanos::MAX; system.n()];
-    let mut outstanding: HashMap<PaymentId, Outstanding> = HashMap::new();
-    let mut entry_override: HashMap<usize, ReplicaId> = HashMap::new();
-    // Payments whose representative was down at submit time, waiting for
-    // the scheduled retry (one slot per client: the loop is closed).
-    let mut parked: HashMap<usize, astro_types::Payment> = HashMap::new();
-    let mut latency = LatencyRecorder::new();
-    let mut timeline = ThroughputTimeline::new(cfg.timeline_bucket);
-    // Fresh payments drawn from the workload (parked retries excluded).
-    let mut drawn = 0usize;
-    let mut submitted = 0usize;
-    let mut confirmed = 0usize;
-    let mut events = 0u64;
-    let confirm_rule = system.confirm_rule();
-
-    while let Some(Reverse(event)) = heap.pop() {
-        if event.time > cfg.duration {
-            break;
-        }
-        // Health windows close on the simulated clock: run every tick due
-        // strictly before this event (events arrive in time order, so the
-        // registry holds exactly the state as of the window's end).
-        if let Some(t) = telemetry.as_deref_mut() {
-            t.poll(event.time);
-        }
-        events += 1;
-        match event.kind {
-            EventKind::Fault(f) => match f {
-                Fault::Crash(r) => network.crash(r),
-                Fault::Restart(r) => {
-                    network.restore(r);
-                    // The restarted replica runs the catch-up handshake
-                    // to learn what the quorum settled during its
-                    // downtime (the runtime's `restart_replica` flow).
-                    push(&mut heap, &mut seq, event.time, EventKind::CatchUp { replica: r });
-                }
-                Fault::Delay(r, extra) => network.add_delay(r, extra),
-                Fault::PartialPartition(a, b) => network.partition(a, b),
-                Fault::HealPartition(a, b) => {
-                    network.heal(a, b);
-                    // Broadcast messages dropped on the severed link have
-                    // no transport-level retransmit; both endpoints fetch
-                    // the missed state exactly as a restarted replica
-                    // does.
-                    push(&mut heap, &mut seq, event.time, EventKind::CatchUp { replica: a });
-                    push(&mut heap, &mut seq, event.time, EventKind::CatchUp { replica: b });
-                }
-                Fault::SlowLink(a, b, extra) => network.slow_link(a, b, extra),
-                Fault::DiskDegraded(r, degraded) => {
-                    disk_stall[r.0 as usize] = if degraded { DISK_DEGRADED_STALL } else { 0 };
-                }
-                Fault::ClockSkew(r, permille) => {
-                    clock_skew[r.0 as usize] = permille.max(1000);
-                }
-            },
-            EventKind::CatchUp { replica } => {
-                if network.is_crashed(replica) {
-                    continue; // crashed again before catching up
-                }
-                let donors: Vec<ReplicaId> = system
-                    .broadcast_targets(replica)
-                    .into_iter()
-                    .filter(|&d| d != replica && !network.is_crashed(d))
-                    .collect();
-                match system.catch_up(replica, &donors) {
-                    Some((bytes, step)) => {
-                        // Charge the handshake: one request/response round
-                        // trip plus serializing the transferred state.
-                        let tx = (bytes as u64).saturating_mul(1_000_000_000)
-                            / cfg.net.bandwidth_bytes_per_sec.max(1);
-                        let done = event.time + 2 * cfg.net.inter_region_latency + tx;
-                        cpu_free[replica.0 as usize] = cpu_free[replica.0 as usize].max(done);
-                        process_step(
-                            &mut system,
-                            &mut network,
-                            &mut heap,
-                            &mut seq,
-                            &mut rng,
-                            &cfg,
-                            &mut outstanding,
-                            &mut latency,
-                            &mut timeline,
-                            &mut confirmed,
-                            &mut next_tick,
-                            &mut tick_fire,
-                            &mut cpu_free,
-                            replica,
-                            step,
-                            done,
-                            confirm_rule,
-                            telemetry.as_deref_mut(),
-                            &disk_stall,
-                            &clock_skew,
-                        );
-                    }
-                    // No f+1 matching state yet (donors mid-divergence):
-                    // retry later, as the live protocol does on its flush
-                    // timer. Systems without catch-up machinery (the
-                    // consensus baseline) restart with state intact and
-                    // nothing to fetch.
-                    None if system.has_catch_up() => push(
-                        &mut heap,
-                        &mut seq,
-                        event.time + CATCH_UP_RETRY,
-                        EventKind::CatchUp { replica },
-                    ),
-                    None => {}
-                }
-            }
-            EventKind::ClientSubmit { client } => {
-                // A payment parked while its representative was down is
-                // retried as-is: drawing a fresh one would skip a
-                // sequence number and wedge the client's xlog forever.
-                let payment = match parked.remove(&client) {
-                    Some(p) => p,
-                    None => {
-                        // The budget counts *drawn* payments; once
-                        // exhausted this client's closed loop ends.
-                        if cfg.submit_budget.is_some_and(|b| drawn >= b) {
-                            continue;
-                        }
-                        drawn += 1;
-                        workload.next_payment(client, &mut rng)
-                    }
-                };
-                // Route by the *payment's spender* — a Smallbank owner has
-                // two xlogs (checking, savings) with possibly different
-                // representatives.
-                let mut entry =
-                    *entry_override.get(&client).unwrap_or(&system.entry_replica(payment.spender));
-                if network.is_crashed(entry) {
-                    match confirm_rule {
-                        // Astro: fate-sharing with the representative —
-                        // the client's xlog stops while it is down (paper
-                        // §VI-D), and resumes if a restart brings it back.
-                        ConfirmRule::AtEntryReplica => {
-                            parked.insert(client, payment);
-                            push(
-                                &mut heap,
-                                &mut seq,
-                                event.time + CLIENT_RETRY,
-                                EventKind::ClientSubmit { client },
-                            );
-                            continue;
-                        }
-                        // BFT-SMaRt clients reconnect to another replica.
-                        ConfirmRule::ReplicaCount(_) => {
-                            let live: Vec<ReplicaId> = (0..system.n() as u32)
-                                .map(ReplicaId)
-                                .filter(|r| !network.is_crashed(*r))
-                                .collect();
-                            if live.is_empty() {
-                                continue;
-                            }
-                            entry = live[rng.below(live.len() as u64) as usize];
-                            entry_override.insert(client, entry);
-                        }
-                    }
-                }
-                submitted += 1;
-                outstanding.insert(
-                    payment.id(),
-                    Outstanding { client, sent_at: event.time, entry, seen_at: 0 },
-                );
-                let arrival = event.time + client_leg(&network, entry, &cfg.net);
-                let start = arrival.max(cpu_free[entry.0 as usize]);
-                let step = system.submit(entry, payment, start);
-                let completion = start + cfg.cpu.overhead_ns;
-                cpu_free[entry.0 as usize] = completion;
-                process_step(
-                    &mut system,
-                    &mut network,
-                    &mut heap,
-                    &mut seq,
-                    &mut rng,
-                    &cfg,
-                    &mut outstanding,
-                    &mut latency,
-                    &mut timeline,
-                    &mut confirmed,
-                    &mut next_tick,
-                    &mut tick_fire,
-                    &mut cpu_free,
-                    entry,
-                    step,
-                    completion,
-                    confirm_rule,
-                    telemetry.as_deref_mut(),
-                    &disk_stall,
-                    &clock_skew,
-                );
-            }
-            EventKind::Deliver { from, to, msg } => {
-                if network.is_crashed(to) {
-                    continue;
-                }
-                let start = event.time.max(cpu_free[to.0 as usize]);
-                let cost = system.deliver_cost(&msg, &cfg.cpu);
-                // The verification share runs on the earliest-free lane
-                // (the verify pool), overlapping the event loop; with no
-                // lanes it IS event-loop work and counts toward
-                // `inline_done` — the serial baseline charges it even
-                // when the step produces no effects.
-                let (inline_done, ready) = if cost.verify == 0 || cfg.cpu.verify_lanes == 0 {
-                    let done = start + cfg.cpu.overhead_ns + cost.total();
-                    (done, done)
-                } else {
-                    let inline_done = start + cfg.cpu.overhead_ns + cost.inline;
-                    let lanes = &mut verify_free[to.0 as usize];
-                    let lane = (0..lanes.len()).min_by_key(|&l| lanes[l]).expect("lanes > 0");
-                    lanes[lane] = lanes[lane].max(start) + cost.verify;
-                    (inline_done, inline_done.max(lanes[lane]))
-                };
-                // FIFO handling: this message cannot take effect before
-                // its predecessors have (arrival-order pipeline).
-                let ready = ready.max(deliver_ready[to.0 as usize]);
-                deliver_ready[to.0 as usize] = ready;
-                let step = system.deliver(to, from, msg, ready);
-                let completion = ready
-                    + (cfg.cpu.settle_ns + disk_stall[to.0 as usize]) * step.settled.len() as Nanos;
-                // The loop itself is busy only for the inline share — a
-                // message whose step had effects re-occupies it at
-                // `ready` to emit them; one that produced nothing (an ACK
-                // below quorum verifying in the background) frees the
-                // loop at `inline_done`.
-                cpu_free[to.0 as usize] = if step.outbound.is_empty() && step.settled.is_empty() {
-                    inline_done
-                } else {
-                    completion
-                };
-                process_step(
-                    &mut system,
-                    &mut network,
-                    &mut heap,
-                    &mut seq,
-                    &mut rng,
-                    &cfg,
-                    &mut outstanding,
-                    &mut latency,
-                    &mut timeline,
-                    &mut confirmed,
-                    &mut next_tick,
-                    &mut tick_fire,
-                    &mut cpu_free,
-                    to,
-                    step,
-                    completion,
-                    confirm_rule,
-                    telemetry.as_deref_mut(),
-                    &disk_stall,
-                    &clock_skew,
-                );
-            }
-            EventKind::Tick { replica } => {
-                // Only the authoritative schedule fires the clock; ticks
-                // whose deadline was superseded by a re-schedule are
-                // inert heap residue.
-                if event.time != tick_fire[replica.0 as usize] {
-                    continue;
-                }
-                next_tick[replica.0 as usize] = Nanos::MAX;
-                tick_fire[replica.0 as usize] = Nanos::MAX;
-                if network.is_crashed(replica) {
-                    continue;
-                }
-                let start = event.time.max(cpu_free[replica.0 as usize]);
-                let step = system.tick(replica, start);
-                let completion = start
-                    + cfg.cpu.overhead_ns
-                    + (cfg.cpu.settle_ns + disk_stall[replica.0 as usize])
-                        * step.settled.len() as Nanos;
-                cpu_free[replica.0 as usize] = completion;
-                process_step(
-                    &mut system,
-                    &mut network,
-                    &mut heap,
-                    &mut seq,
-                    &mut rng,
-                    &cfg,
-                    &mut outstanding,
-                    &mut latency,
-                    &mut timeline,
-                    &mut confirmed,
-                    &mut next_tick,
-                    &mut tick_fire,
-                    &mut cpu_free,
-                    replica,
-                    step,
-                    completion,
-                    confirm_rule,
-                    telemetry.as_deref_mut(),
-                    &disk_stall,
-                    &clock_skew,
-                );
-            }
-        }
-    }
-
-    let measured = cfg.duration.saturating_sub(cfg.warmup);
-    let throughput =
-        if measured > 0 { timeline.rate_between(cfg.warmup, cfg.duration) } else { 0.0 };
-    (
-        SimReport {
-            submitted,
-            confirmed,
-            throughput_pps: throughput,
-            latency: latency.stats(),
-            timeline,
-            events,
-        },
-        system,
-    )
-}
-
-/// One-way latency between the client park (Ireland, §VI-B) and a replica.
-fn client_leg(network: &Network, replica: ReplicaId, params: &NetParams) -> Nanos {
-    if network.region_of(replica) == Region::Ireland {
-        params.intra_region_latency
-    } else {
-        params.inter_region_latency
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn process_step<S: SimSystem>(
-    system: &mut S,
-    network: &mut Network,
-    heap: &mut BinaryHeap<Reverse<Event<S::Msg>>>,
-    seq: &mut u64,
-    rng: &mut Rng,
-    cfg: &SimConfig,
-    outstanding: &mut HashMap<PaymentId, Outstanding>,
-    latency: &mut LatencyRecorder,
-    timeline: &mut ThroughputTimeline,
-    confirmed: &mut usize,
-    next_tick: &mut [Nanos],
-    tick_fire: &mut [Nanos],
-    cpu_free: &mut [Nanos],
-    replica: ReplicaId,
-    step: ReplicaStep<S::Msg>,
-    now: Nanos,
-    confirm_rule: ConfirmRule,
-    mut telemetry: Option<&mut SimTelemetry>,
-    disk_stall: &[Nanos],
-    clock_skew: &[u64],
-) {
-    // The settles of this step hit the WAL: record the modelled fsync
-    // latency (settle cost plus any injected disk stall) so the health
-    // engine sees the same `store.*` signal the runtime exports.
-    if !step.settled.is_empty() {
-        if let Some(t) = telemetry.as_deref_mut() {
-            t.on_settled(
-                replica,
-                step.settled.len(),
-                cfg.cpu.settle_ns + disk_stall[replica.0 as usize],
-            );
-        }
-    }
-
-    // Confirmations.
-    for p in &step.settled {
-        let id = p.id();
-        let confirm = match confirm_rule {
-            ConfirmRule::AtEntryReplica => outstanding.get(&id).is_some_and(|o| o.entry == replica),
-            ConfirmRule::ReplicaCount(k) => match outstanding.get_mut(&id) {
-                Some(o) => {
-                    o.seen_at += 1;
-                    o.seen_at as usize >= k
-                }
-                None => false,
-            },
+impl<'t, S: SimSystem> Sim<'t, S> {
+    fn new(system: S, cfg: SimConfig, telemetry: Option<&'t mut SimTelemetry>) -> Self {
+        let node = Node {
+            cpu_free: 0,
+            settle_ns: cfg.cpu.settle_ns,
+            clock_skew: 1000,
+            verify_free: vec![0; cfg.cpu.verify_lanes],
+            deliver_ready: 0,
+            next_tick: Nanos::MAX,
+            tick_fire: Nanos::MAX,
         };
-        if confirm {
-            let info = outstanding.remove(&id).expect("checked above");
-            let reply_at = now + client_leg(network, replica, &cfg.net);
-            if reply_at >= cfg.warmup {
-                latency.record(reply_at - info.sent_at);
-            }
-            timeline.record(reply_at);
-            *confirmed += 1;
-            // Closed loop: the client immediately submits its next payment.
-            *seq += 1;
-            heap.push(Reverse(Event {
-                time: reply_at,
-                seq: *seq,
-                kind: EventKind::ClientSubmit { client: info.client },
-            }));
+        Sim {
+            telemetry,
+            rng: Rng::seeded(cfg.seed),
+            network: Network::new(system.n(), cfg.net.clone()),
+            heap: BinaryHeap::new(),
+            seq: 0,
+            nodes: vec![node; system.n()],
+            outstanding: HashMap::new(),
+            entry_override: HashMap::new(),
+            parked: HashMap::new(),
+            latency: LatencyRecorder::new(),
+            timeline: ThroughputTimeline::new(cfg.timeline_bucket),
+            drawn: 0,
+            submitted: 0,
+            confirmed: 0,
+            events: 0,
+            system,
+            cfg,
         }
     }
 
-    // Outbound messages. Each copy costs sender CPU (serialization, link
-    // MAC) before it reaches the NIC, so broadcasts serialize through the
-    // sender — the leader-bottleneck effect.
-    let mut send_clock = now;
-    for env in step.outbound {
-        let size = system.wire_size(&env.msg);
-        let per_copy = system.send_cost(&env.msg, &cfg.cpu);
-        match env.to {
-            Dest::All => {
-                for target in system.broadcast_targets(replica) {
-                    send_clock += per_copy;
-                    let arrival = network.transmit(replica, target, size, send_clock, rng);
-                    if let Some(t) = telemetry.as_deref_mut() {
-                        t.on_transmit(&*network, replica, target, send_clock, arrival);
+    fn run<W: Workload>(mut self, mut workload: W) -> (SimReport, S) {
+        // Closed-loop clients start staggered to avoid a thundering herd,
+        // but the whole ramp fits well inside the warm-up window
+        // regardless of the client count.
+        let stagger = 137_000.min(500_000_000 / workload.num_clients().max(1) as Nanos);
+        for client in 0..workload.num_clients() {
+            self.schedule(client as Nanos * stagger, EventKind::ClientSubmit { client });
+        }
+        for (time, fault) in std::mem::take(&mut self.cfg.faults) {
+            self.schedule(time, EventKind::Fault(fault));
+        }
+
+        while let Some(Reverse(Event { time, kind, .. })) = self.heap.pop() {
+            if time > self.cfg.duration {
+                break;
+            }
+            // Health windows close on the simulated clock: run every tick
+            // due strictly before this event (events arrive in time order,
+            // so the registry holds exactly the state as of the window's
+            // end).
+            if let Some(t) = self.telemetry.as_deref_mut() {
+                t.poll(time);
+            }
+            self.events += 1;
+            match kind {
+                EventKind::Fault(fault) => self.fault(fault, time),
+                EventKind::CatchUp { replica } => self.catch_up(replica, time),
+                EventKind::ClientSubmit { client } => {
+                    self.client_submit(&mut workload, client, time)
+                }
+                EventKind::Deliver { from, to, msg } => self.deliver(from, to, msg, time),
+                EventKind::Tick { replica } => self.tick(replica, time),
+            }
+        }
+
+        let measured = self.cfg.duration.saturating_sub(self.cfg.warmup);
+        let throughput_pps = if measured > 0 {
+            self.timeline.rate_between(self.cfg.warmup, self.cfg.duration)
+        } else {
+            0.0
+        };
+        let report = SimReport {
+            submitted: self.submitted,
+            confirmed: self.confirmed,
+            throughput_pps,
+            latency: self.latency.stats(),
+            timeline: self.timeline,
+            events: self.events,
+        };
+        (report, self.system)
+    }
+
+    /// Queues an event; events due at the same time pop in the order they
+    /// were scheduled.
+    fn schedule(&mut self, time: Nanos, kind: EventKind<S::Msg>) {
+        self.seq += 1;
+        self.heap.push(Reverse(Event { time, seq: self.seq, kind }));
+    }
+
+    fn fault(&mut self, fault: Fault, now: Nanos) {
+        match fault {
+            Fault::Crash(r) => self.network.crash(r),
+            Fault::Restart(r) => {
+                self.network.restore(r);
+                // The restarted replica runs the catch-up handshake to
+                // learn what the quorum settled during its downtime (the
+                // runtime's `restart_replica` flow).
+                self.schedule(now, EventKind::CatchUp { replica: r });
+            }
+            Fault::Delay(r, extra) => self.network.add_delay(r, extra),
+            Fault::PartialPartition(a, b) => self.network.partition(a, b),
+            Fault::HealPartition(a, b) => {
+                self.network.heal(a, b);
+                // Broadcast messages dropped on the severed link have no
+                // transport-level retransmit; both endpoints fetch the
+                // missed state exactly as a restarted replica does.
+                self.schedule(now, EventKind::CatchUp { replica: a });
+                self.schedule(now, EventKind::CatchUp { replica: b });
+            }
+            Fault::SlowLink(a, b, extra) => self.network.slow_link(a, b, extra),
+            Fault::DiskDegraded(r, degraded) => {
+                let stall = if degraded { DISK_DEGRADED_STALL } else { 0 };
+                self.nodes[r.0 as usize].settle_ns = self.cfg.cpu.settle_ns + stall;
+            }
+            Fault::ClockSkew(r, permille) => {
+                self.nodes[r.0 as usize].clock_skew = permille.max(1000);
+            }
+        }
+    }
+
+    fn catch_up(&mut self, replica: ReplicaId, now: Nanos) {
+        if self.network.is_crashed(replica) {
+            return; // crashed again before catching up
+        }
+        let donors: Vec<ReplicaId> = self
+            .system
+            .broadcast_targets(replica)
+            .into_iter()
+            .filter(|&d| d != replica && !self.network.is_crashed(d))
+            .collect();
+        match self.system.catch_up(replica, &donors) {
+            Some((bytes, step)) => {
+                // Charge the handshake: one request/response round trip
+                // plus serializing the transferred state.
+                let net = &self.cfg.net;
+                let tx = (bytes as u64).saturating_mul(1_000_000_000)
+                    / net.bandwidth_bytes_per_sec.max(1);
+                let done = now + 2 * net.inter_region_latency + tx;
+                let node = &mut self.nodes[replica.0 as usize];
+                node.cpu_free = node.cpu_free.max(done);
+                self.step(replica, step, done);
+            }
+            // No f+1 matching state yet (donors mid-divergence): retry
+            // later, as the live protocol does on its flush timer. Systems
+            // without catch-up machinery (the consensus baseline) restart
+            // with state intact and nothing to fetch.
+            None if self.system.has_catch_up() => {
+                self.schedule(now + CATCH_UP_RETRY, EventKind::CatchUp { replica })
+            }
+            None => {}
+        }
+    }
+
+    fn client_submit<W: Workload>(&mut self, workload: &mut W, client: usize, now: Nanos) {
+        // A payment parked while its representative was down is retried
+        // as-is: drawing a fresh one would skip a sequence number and
+        // wedge the client's xlog forever.
+        let payment = match self.parked.remove(&client) {
+            Some(p) => p,
+            None => {
+                // The budget counts *drawn* payments; once exhausted this
+                // client's closed loop ends.
+                if self.cfg.submit_budget.is_some_and(|b| self.drawn >= b) {
+                    return;
+                }
+                self.drawn += 1;
+                workload.next_payment(client, &mut self.rng)
+            }
+        };
+        // Route by the *payment's spender* — a Smallbank owner has two
+        // xlogs (checking, savings) with possibly different
+        // representatives.
+        let mut entry = *self
+            .entry_override
+            .get(&client)
+            .unwrap_or(&self.system.entry_replica(payment.spender));
+        if self.network.is_crashed(entry) {
+            match self.system.confirm_rule() {
+                // Astro: fate-sharing with the representative — the
+                // client's xlog stops while it is down (paper §VI-D), and
+                // resumes if a restart brings it back.
+                ConfirmRule::AtEntryReplica => {
+                    self.parked.insert(client, payment);
+                    self.schedule(now + CLIENT_RETRY, EventKind::ClientSubmit { client });
+                    return;
+                }
+                // BFT-SMaRt clients reconnect to another replica.
+                ConfirmRule::ReplicaCount(_) => {
+                    let live: Vec<ReplicaId> = (0..self.system.n() as u32)
+                        .map(ReplicaId)
+                        .filter(|&r| !self.network.is_crashed(r))
+                        .collect();
+                    if live.is_empty() {
+                        return;
                     }
-                    if let Some(arrival) = arrival {
-                        *seq += 1;
-                        heap.push(Reverse(Event {
-                            time: arrival,
-                            seq: *seq,
-                            kind: EventKind::Deliver {
-                                from: replica,
-                                to: target,
-                                msg: env.msg.clone(),
-                            },
-                        }));
-                    }
+                    entry = live[self.rng.below(live.len() as u64) as usize];
+                    self.entry_override.insert(client, entry);
                 }
             }
-            Dest::One(target) => {
+        }
+        self.submitted += 1;
+        self.outstanding
+            .insert(payment.id(), Outstanding { client, sent_at: now, entry, seen_at: 0 });
+        let arrival = now + self.client_leg(entry);
+        let node = &mut self.nodes[entry.0 as usize];
+        let start = arrival.max(node.cpu_free);
+        let step = self.system.submit(entry, payment, start);
+        let completion = start + self.cfg.cpu.overhead_ns;
+        node.cpu_free = completion;
+        self.step(entry, step, completion);
+    }
+
+    fn deliver(&mut self, from: ReplicaId, to: ReplicaId, msg: S::Msg, now: Nanos) {
+        if self.network.is_crashed(to) {
+            return;
+        }
+        let cpu = &self.cfg.cpu;
+        let node = &mut self.nodes[to.0 as usize];
+        let start = now.max(node.cpu_free);
+        let cost = self.system.deliver_cost(&msg, cpu);
+        // The verification share runs on the earliest-free lane (the
+        // verify pool), overlapping the event loop; with no lanes it IS
+        // event-loop work and counts toward `inline_done` — the serial
+        // baseline charges it even when the step produces no effects.
+        let (inline_done, ready) = if cost.verify == 0 || cpu.verify_lanes == 0 {
+            let done = start + cpu.overhead_ns + cost.total();
+            (done, done)
+        } else {
+            let inline_done = start + cpu.overhead_ns + cost.inline;
+            let lanes = &mut node.verify_free;
+            let lane = (0..lanes.len()).min_by_key(|&l| lanes[l]).expect("lanes > 0");
+            lanes[lane] = lanes[lane].max(start) + cost.verify;
+            (inline_done, inline_done.max(lanes[lane]))
+        };
+        // FIFO handling: this message cannot take effect before its
+        // predecessors have (arrival-order pipeline).
+        let ready = ready.max(node.deliver_ready);
+        node.deliver_ready = ready;
+        let step = self.system.deliver(to, from, msg, ready);
+        let completion = ready + node.settle_ns * step.settled.len() as Nanos;
+        // The loop itself is busy only for the inline share — a message
+        // whose step had effects re-occupies it at `ready` to emit them;
+        // one that produced nothing (an ACK below quorum verifying in the
+        // background) frees the loop at `inline_done`.
+        node.cpu_free = if step.outbound.is_empty() && step.settled.is_empty() {
+            inline_done
+        } else {
+            completion
+        };
+        self.step(to, step, completion);
+    }
+
+    fn tick(&mut self, replica: ReplicaId, now: Nanos) {
+        let node = &mut self.nodes[replica.0 as usize];
+        // Only the authoritative schedule fires the clock; ticks whose
+        // deadline was superseded by a re-schedule are inert heap residue.
+        if now != node.tick_fire {
+            return;
+        }
+        node.next_tick = Nanos::MAX;
+        node.tick_fire = Nanos::MAX;
+        if self.network.is_crashed(replica) {
+            return;
+        }
+        let start = now.max(node.cpu_free);
+        let step = self.system.tick(replica, start);
+        let completion =
+            start + self.cfg.cpu.overhead_ns + node.settle_ns * step.settled.len() as Nanos;
+        node.cpu_free = completion;
+        self.step(replica, step, completion);
+    }
+
+    /// Applies `replica`'s transition, done at `now`: confirms its
+    /// settles, transmits its messages and re-arms its timer.
+    fn step(&mut self, replica: ReplicaId, step: ReplicaStep<S::Msg>, now: Nanos) {
+        // The settles of this step hit the WAL: record the modelled fsync
+        // latency (settle cost plus any injected disk stall) so the health
+        // engine sees the same `store.*` signal the runtime exports.
+        if let Some(t) = self.telemetry.as_deref_mut() {
+            t.on_settled(replica, step.settled.len(), self.nodes[replica.0 as usize].settle_ns);
+        }
+        for p in &step.settled {
+            self.confirm(replica, p.id(), now);
+        }
+
+        // Outbound messages. Each copy costs sender CPU (serialization,
+        // link MAC) before it reaches the NIC, so broadcasts serialize
+        // through the sender — the leader-bottleneck effect.
+        let mut send_clock = now;
+        for env in step.outbound {
+            let size = self.system.wire_size(&env.msg);
+            let per_copy = self.system.send_cost(&env.msg, &self.cfg.cpu);
+            let targets = match env.to {
+                Dest::All => self.system.broadcast_targets(replica),
+                Dest::One(target) => vec![target],
+            };
+            for to in targets {
                 send_clock += per_copy;
-                let arrival = network.transmit(replica, target, size, send_clock, rng);
-                if let Some(t) = telemetry.as_deref_mut() {
-                    t.on_transmit(&*network, replica, target, send_clock, arrival);
+                let arrival = self.network.transmit(replica, to, size, send_clock, &mut self.rng);
+                if let Some(t) = self.telemetry.as_deref_mut() {
+                    t.on_transmit(&self.network, replica, to, send_clock, arrival);
                 }
                 if let Some(arrival) = arrival {
-                    *seq += 1;
-                    heap.push(Reverse(Event {
-                        time: arrival,
-                        seq: *seq,
-                        kind: EventKind::Deliver { from: replica, to: target, msg: env.msg },
-                    }));
+                    let msg = env.msg.clone();
+                    self.schedule(arrival, EventKind::Deliver { from: replica, to, msg });
                 }
+            }
+        }
+
+        // The sender's CPU was busy until the last copy left.
+        let node = &mut self.nodes[replica.0 as usize];
+        node.cpu_free = node.cpu_free.max(send_clock);
+
+        // Timer rescheduling. A skewed clock ([`Fault::ClockSkew`])
+        // stretches the remaining interval: the timer still fires, just
+        // `permille / 1000` later than the protocol asked for — batch cuts
+        // and outbox pacing crawl while message handling runs at full
+        // speed.
+        if let Some(deadline) = self.system.next_deadline(replica) {
+            if deadline < node.next_tick {
+                node.next_tick = deadline;
+                let stretched = deadline.saturating_sub(now).saturating_mul(node.clock_skew);
+                let fire = now + stretched / 1000;
+                node.tick_fire = fire;
+                self.schedule(fire, EventKind::Tick { replica });
             }
         }
     }
 
-    // The sender's CPU was busy until the last copy left.
-    cpu_free[replica.0 as usize] = cpu_free[replica.0 as usize].max(send_clock);
+    /// Counts a settle of `id` at `replica` toward the confirmation rule;
+    /// once it holds, the reply reaches the client and the closed loop
+    /// submits the client's next payment.
+    fn confirm(&mut self, replica: ReplicaId, id: PaymentId, now: Nanos) {
+        let Some(o) = self.outstanding.get_mut(&id) else { return };
+        o.seen_at += 1;
+        let confirmed = match self.system.confirm_rule() {
+            ConfirmRule::AtEntryReplica => o.entry == replica,
+            ConfirmRule::ReplicaCount(k) => o.seen_at as usize >= k,
+        };
+        if !confirmed {
+            return;
+        }
+        let Outstanding { client, sent_at, .. } = self.outstanding.remove(&id).expect("present");
+        let reply_at = now + self.client_leg(replica);
+        if reply_at >= self.cfg.warmup {
+            self.latency.record(reply_at - sent_at);
+        }
+        self.timeline.record(reply_at);
+        self.confirmed += 1;
+        self.schedule(reply_at, EventKind::ClientSubmit { client });
+    }
 
-    // Timer rescheduling for this replica. A skewed clock
-    // ([`Fault::ClockSkew`]) stretches the remaining interval: the timer
-    // still fires, just `permille / 1000` later than the protocol asked
-    // for — batch cuts and outbox pacing crawl while message handling
-    // runs at full speed.
-    if let Some(deadline) = system.next_deadline(replica) {
-        let slot = &mut next_tick[replica.0 as usize];
-        if deadline < *slot {
-            *slot = deadline;
-            let skew = clock_skew[replica.0 as usize];
-            let fire = now + deadline.saturating_sub(now).saturating_mul(skew) / 1000;
-            tick_fire[replica.0 as usize] = fire;
-            *seq += 1;
-            heap.push(Reverse(Event { time: fire, seq: *seq, kind: EventKind::Tick { replica } }));
+    /// One-way latency between the client park (Ireland, §VI-B) and a
+    /// replica.
+    fn client_leg(&self, replica: ReplicaId) -> Nanos {
+        if self.network.region_of(replica) == Region::Ireland {
+            self.cfg.net.intra_region_latency
+        } else {
+            self.cfg.net.inter_region_latency
         }
     }
 }
