@@ -127,7 +127,9 @@ pub struct SimReport {
     pub submitted: usize,
     /// Payments confirmed.
     pub confirmed: usize,
-    /// Steady-state throughput (confirmations in `[warmup, duration)`).
+    /// Steady-state throughput: the confirmations whose reply reaches the
+    /// client in `[warmup, duration)`, per second of that window (0 when
+    /// the window is empty). Exact whatever the timeline bucket.
     pub throughput_pps: f64,
     /// Latency statistics for confirmations after warmup.
     pub latency: Option<LatencyStats>,
@@ -236,6 +238,8 @@ struct Sim<'t, S: SimSystem> {
     parked: HashMap<usize, Payment>,
     latency: LatencyRecorder,
     timeline: ThroughputTimeline,
+    /// Confirmations whose reply lands in `[warmup, duration)`.
+    steady: usize,
     /// Fresh payments drawn from the workload (parked retries excluded).
     drawn: usize,
     submitted: usize,
@@ -295,6 +299,7 @@ impl<'t, S: SimSystem> Sim<'t, S> {
             parked: HashMap::new(),
             latency: LatencyRecorder::new(),
             timeline: ThroughputTimeline::new(cfg.timeline_bucket),
+            steady: 0,
             drawn: 0,
             submitted: 0,
             confirmed: 0,
@@ -339,12 +344,9 @@ impl<'t, S: SimSystem> Sim<'t, S> {
             }
         }
 
-        let measured = self.cfg.duration.saturating_sub(self.cfg.warmup);
-        let throughput_pps = if measured > 0 {
-            self.timeline.rate_between(self.cfg.warmup, self.cfg.duration)
-        } else {
-            0.0
-        };
+        let window = self.cfg.duration.saturating_sub(self.cfg.warmup);
+        let throughput_pps =
+            if window > 0 { self.steady as f64 * 1_000_000_000.0 / window as f64 } else { 0.0 };
         let report = SimReport {
             submitted: self.submitted,
             confirmed: self.confirmed,
@@ -621,6 +623,9 @@ impl<'t, S: SimSystem> Sim<'t, S> {
         if reply_at >= self.cfg.warmup {
             self.latency.record(reply_at - sent_at);
         }
+        if (self.cfg.warmup..self.cfg.duration).contains(&reply_at) {
+            self.steady += 1;
+        }
         self.timeline.record(reply_at);
         self.confirmed += 1;
         self.schedule(reply_at, EventKind::ClientSubmit { client });
@@ -723,6 +728,26 @@ mod tests {
         assert_eq!(r1.confirmed, r2.confirmed);
         assert_eq!(r1.events, r2.events);
         assert_eq!(r1.timeline.buckets(), r2.timeline.buckets());
+    }
+
+    #[test]
+    fn throughput_does_not_depend_on_the_timeline_bucket() {
+        // A warm-up that is no multiple of the bucket: the steady-state
+        // window starts mid-bucket, and only the confirmations inside it
+        // may count.
+        let rate = |bucket| {
+            let system = Astro1System::new(
+                1,
+                4,
+                Astro1Config { batch_size: 4, initial_balance: Amount(1_000_000_000) },
+                5_000_000,
+            );
+            let cfg = SimConfig { warmup: 333_000_000, timeline_bucket: bucket, ..quick_cfg() };
+            run(system, UniformWorkload::new(8, 10), cfg).throughput_pps
+        };
+        let (coarse, fine) = (rate(1_000_000_000), rate(1_000_000));
+        assert!(fine > 0.0);
+        assert_eq!(coarse, fine, "1 s buckets vs 1 ms buckets");
     }
 
     #[test]

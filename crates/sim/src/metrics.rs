@@ -130,23 +130,6 @@ impl ThroughputTimeline {
         let scale = 1_000_000_000.0 / self.bucket as f64;
         self.counts.iter().map(|&c| c as f64 * scale).collect()
     }
-
-    /// Total confirmations in `[from, to)` nanoseconds, as a rate (pps).
-    pub fn rate_between(&self, from: Nanos, to: Nanos) -> f64 {
-        if to <= from {
-            return 0.0;
-        }
-        let lo = (from / self.bucket) as usize;
-        let hi = ((to.saturating_sub(1)) / self.bucket) as usize;
-        let total: u64 = self
-            .counts
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| *i >= lo && *i <= hi)
-            .map(|(_, c)| *c)
-            .sum();
-        total as f64 * 1_000_000_000.0 / (to - from) as f64
-    }
 }
 
 #[cfg(test)]
@@ -199,16 +182,5 @@ mod tests {
         }
         assert_eq!(t.buckets().len(), 5);
         assert_eq!(t.buckets()[0], 2);
-        let rate = t.rate_between(0, 5_000_000_000);
-        assert!((rate - 2.0).abs() < 0.01);
-    }
-
-    #[test]
-    fn rate_between_partial_window() {
-        let mut t = ThroughputTimeline::new(1_000_000_000);
-        t.record(100);
-        t.record(1_500_000_000);
-        assert!((t.rate_between(0, 1_000_000_000) - 1.0).abs() < 0.01);
-        assert!((t.rate_between(0, 2_000_000_000) - 1.0).abs() < 0.01);
     }
 }
