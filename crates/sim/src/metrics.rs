@@ -9,19 +9,9 @@ use super::netmodel::Nanos;
 pub type LatencyStats = astro_obs::Summary;
 
 /// Collects per-payment confirmation latencies.
-///
-/// Samples accumulate in an unsorted tail; [`stats`](Self::stats) merges
-/// the tail into a maintained sorted run (sort the tail, one linear
-/// merge) instead of clone-and-sorting the full history per call, so
-/// repeated mid-run reads cost O(new + total), not O(total log total).
 #[derive(Debug, Default, Clone)]
 pub struct LatencyRecorder {
-    /// All samples seen so far, sorted.
-    sorted: Vec<Nanos>,
-    /// Samples recorded since the last merge.
-    tail: Vec<Nanos>,
-    /// Running sum of every sample (mean without a pass over the data).
-    sum: u128,
+    samples: Vec<Nanos>,
 }
 
 impl LatencyRecorder {
@@ -32,49 +22,26 @@ impl LatencyRecorder {
 
     /// Records one latency sample.
     pub fn record(&mut self, latency: Nanos) {
-        self.tail.push(latency);
-        self.sum += latency as u128;
+        self.samples.push(latency);
     }
 
     /// Number of samples recorded.
     pub fn len(&self) -> usize {
-        self.sorted.len() + self.tail.len()
+        self.samples.len()
     }
 
     /// True if no samples were recorded.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.samples.is_empty()
     }
 
-    /// Folds the unsorted tail into the sorted run.
-    fn consolidate(&mut self) {
-        if self.tail.is_empty() {
-            return;
-        }
-        self.tail.sort_unstable();
-        let merged_len = self.sorted.len() + self.tail.len();
-        let old = std::mem::replace(&mut self.sorted, Vec::with_capacity(merged_len));
-        let (mut a, mut b) = (old.into_iter().peekable(), self.tail.drain(..).peekable());
-        loop {
-            match (a.peek(), b.peek()) {
-                (Some(x), Some(y)) => {
-                    let next = if x <= y { a.next() } else { b.next() };
-                    self.sorted.push(next.expect("peeked"));
-                }
-                (Some(_), None) => self.sorted.extend(a.by_ref()),
-                (None, Some(_)) => self.sorted.extend(b.by_ref()),
-                (None, None) => break,
-            }
-        }
-    }
-
-    /// Computes the statistics; `None` when no samples exist.
+    /// Computes the statistics; `None` when no samples exist. Sorts the
+    /// samples in place: the harness reads them once, at the end of a run.
     pub fn stats(&mut self) -> Option<LatencyStats> {
-        self.consolidate();
-        if self.sorted.is_empty() {
-            return None;
-        }
-        let sorted = &self.sorted;
+        let sorted = &mut self.samples;
+        sorted.sort_unstable();
+        let max = *sorted.last()?;
+        let sum: u128 = sorted.iter().map(|&s| s as u128).sum();
         // Nearest-rank convention: the p-th percentile is the smallest
         // sample with at least p·n samples at or below it.
         let pct = |p: f64| -> Nanos {
@@ -83,11 +50,11 @@ impl LatencyRecorder {
         };
         Some(LatencyStats {
             count: sorted.len() as u64,
-            mean: self.sum as f64 / sorted.len() as f64,
+            mean: sum as f64 / sorted.len() as f64,
             p50: pct(0.50),
             p95: pct(0.95),
             p99: pct(0.99),
-            max: *sorted.last().expect("non-empty"),
+            max,
         })
     }
 }
@@ -148,25 +115,6 @@ mod tests {
         assert_eq!(s.p95, 95_000_000);
         assert_eq!(s.max, 100_000_000);
         assert!((s.mean - 50_500_000.0).abs() < 1.0);
-    }
-
-    #[test]
-    fn interleaved_reads_match_one_shot_stats() {
-        // Recording between stats() calls must fold correctly into the
-        // maintained sorted run — same answers as sorting everything once.
-        let mut incremental = LatencyRecorder::new();
-        let mut oneshot = LatencyRecorder::new();
-        // An adversarial order: descending, so the tail merge is exercised
-        // at the front of the sorted run.
-        for i in (1..=50u64).rev() {
-            incremental.record(i * 10);
-            oneshot.record(i * 10);
-            if i % 7 == 0 {
-                let _ = incremental.stats();
-            }
-        }
-        assert_eq!(incremental.len(), 50);
-        assert_eq!(incremental.stats(), oneshot.stats());
     }
 
     #[test]
