@@ -3,10 +3,12 @@
 //!
 //! Each proptest case draws a schedule of crash windows (victim, start
 //! offset, outage length), runs it through the discrete-event harness —
-//! where `Fault::Restart` triggers the real catch-up machinery
-//! (`astro_core::sync::CopyVotes` + `install_chunked`, retried on a timer
-//! exactly like the threaded runtime's flush-paced catch-up request) — and
-//! then asserts the invariants no schedule may violate:
+//! where `Fault::Restart` triggers the real catch-up install
+//! (`astro_core::sync::CopyVotes` + `install_chunked`). The sim sends no
+//! catch-up messages: `AstroSystem::catch_up` reads the live donors'
+//! `sync_chunks` directly, and when no `f+1` copies certify yet the
+//! harness retries every `CATCH_UP_RETRY` = 200 ms of simulated time —
+//! and then asserts the invariants no schedule may violate:
 //!
 //! - **liveness**: every drawn payment confirms (clients never resubmit
 //!   a different payment; parked submissions retry verbatim),
