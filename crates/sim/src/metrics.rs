@@ -25,16 +25,6 @@ impl LatencyRecorder {
         self.samples.push(latency);
     }
 
-    /// Number of samples recorded.
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// True if no samples were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
     /// Computes the statistics; `None` when no samples exist. Sorts the
     /// samples in place: the harness reads them once, at the end of a run.
     pub fn stats(&mut self) -> Option<LatencyStats> {
