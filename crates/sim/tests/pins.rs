@@ -2,7 +2,9 @@
 //! under a schedule that injects every [`Fault`] variant, must report the
 //! very numbers recorded here — counts, event total, throughput, latency
 //! percentiles, the confirmation timeline, and (for the observed run) the
-//! health engine's output.
+//! health engine's output. A second run per system drops the two faults
+//! after which a replica rejoins and catches up (`Restart`,
+//! `HealPartition`), so a change to catch-up alone leaves those pins put.
 //!
 //! The harness is deterministic given a seed, so any change to the event
 //! loop that reorders a heap push or an rng draw moves a number and fails
@@ -69,6 +71,17 @@ fn every_fault(a: u32, b: u32, c: u32) -> Vec<(Nanos, Fault)> {
     ]
 }
 
+/// [`every_fault`] without the two faults that make a replica rejoin
+/// ([`Fault::Restart`], [`Fault::HealPartition`]): the crashed replica
+/// stays down and the severed link stays cut, so no fault starts a
+/// catch-up.
+fn no_rejoin(faults: Vec<(Nanos, Fault)>) -> Vec<(Nanos, Fault)> {
+    faults
+        .into_iter()
+        .filter(|(_, f)| !matches!(f, Fault::Restart(_) | Fault::HealPartition(..)))
+        .collect()
+}
+
 fn cfg(seed: u64, faults: Vec<(Nanos, Fault)>) -> SimConfig {
     SimConfig {
         duration: 2_000 * MS,
@@ -82,15 +95,47 @@ fn cfg(seed: u64, faults: Vec<(Nanos, Fault)>) -> SimConfig {
     }
 }
 
-#[test]
-fn astro1_n4_every_fault_pinned() {
-    let system = Astro1System::new(
+fn astro1() -> Astro1System {
+    Astro1System::new(
         1,
         4,
         Astro1Config { batch_size: 8, initial_balance: Amount(1_000_000_000) },
         5 * MS,
+    )
+}
+
+fn astro2() -> (Astro2System, SimTelemetry) {
+    let mut system = Astro2System::new(
+        2,
+        4,
+        Astro2Config {
+            batch_size: 8,
+            initial_balance: Amount(1_000_000_000),
+            credit_mode: CreditMode::Certificates,
+            ..Astro2Config::default()
+        },
+        5 * MS,
     );
-    let report = run(system, UniformWorkload::new(8, 10), cfg(11, every_fault(0, 1, 2)));
+    let telemetry = SimTelemetry::new(8, HealthConfig::default(), BUCKET);
+    system.attach_registry(telemetry.registry());
+    (system, telemetry)
+}
+
+fn pbft() -> PbftSystem {
+    PbftSystem::new(
+        4,
+        PbftConfig {
+            batch_size: 8,
+            batch_delay: 5 * MS,
+            view_change_timeout: 1_000 * MS,
+            initial_balance: Amount(1_000_000_000),
+        },
+    )
+}
+
+#[test]
+fn astro1_n4_every_fault_pinned() {
+    let report = run(astro1(), UniformWorkload::new(8, 10), cfg(11, every_fault(0, 1, 2)));
     assert_eq!(
         Pin::from(&report),
         Pin {
@@ -106,19 +151,7 @@ fn astro1_n4_every_fault_pinned() {
 
 #[test]
 fn astro2_two_shards_observed_every_fault_pinned() {
-    let mut system = Astro2System::new(
-        2,
-        4,
-        Astro2Config {
-            batch_size: 8,
-            initial_balance: Amount(1_000_000_000),
-            credit_mode: CreditMode::Certificates,
-            ..Astro2Config::default()
-        },
-        5 * MS,
-    );
-    let mut telemetry = SimTelemetry::new(8, HealthConfig::default(), BUCKET);
-    system.attach_registry(telemetry.registry());
+    let (system, mut telemetry) = astro2();
     // Faults straddle the shards: replicas 0–3 form shard 0, 4–7 shard 1.
     let (report, _system) = run_observed(
         system,
@@ -145,18 +178,9 @@ fn astro2_two_shards_observed_every_fault_pinned() {
 
 #[test]
 fn pbft_n4_every_fault_pinned() {
-    let system = PbftSystem::new(
-        4,
-        PbftConfig {
-            batch_size: 8,
-            batch_delay: 5 * MS,
-            view_change_timeout: 1_000 * MS,
-            initial_balance: Amount(1_000_000_000),
-        },
-    );
     // The crash hits a backup, so clients of the crashed replica
     // reconnect elsewhere (an rng draw) while the leader keeps ordering.
-    let report = run(system, UniformWorkload::new(8, 10), cfg(33, every_fault(1, 2, 3)));
+    let report = run(pbft(), UniformWorkload::new(8, 10), cfg(33, every_fault(1, 2, 3)));
     assert_eq!(
         Pin::from(&report),
         Pin {
@@ -166,6 +190,68 @@ fn pbft_n4_every_fault_pinned() {
             throughput_pps: 121.333_333_333_333_33,
             latency: (182, 61_674_393, 83_596_384, 90_592_357, 90_592_357),
             buckets: vec![32, 29, 24, 30, 34, 32, 32, 30],
+        }
+    );
+}
+
+#[test]
+fn astro1_n4_rejoin_free_faults_pinned() {
+    let report =
+        run(astro1(), UniformWorkload::new(8, 10), cfg(11, no_rejoin(every_fault(0, 1, 2))));
+    assert_eq!(
+        Pin::from(&report),
+        Pin {
+            submitted: 218,
+            confirmed: 210,
+            events: 2938,
+            throughput_pps: 97.333_333_333_333_33,
+            latency: (146, 60_850_554, 76_926_338, 77_819_851, 77_819_851),
+            buckets: vec![36, 28, 22, 20, 24, 24, 28, 28],
+        }
+    );
+}
+
+#[test]
+fn astro2_two_shards_observed_rejoin_free_faults_pinned() {
+    let (system, mut telemetry) = astro2();
+    let (report, _system) = run_observed(
+        system,
+        UniformWorkload::new(16, 10),
+        cfg(22, no_rejoin(every_fault(1, 4, 6))),
+        &mut telemetry,
+    );
+    assert_eq!(
+        Pin::from(&report),
+        Pin {
+            submitted: 748,
+            confirmed: 732,
+            events: 11025,
+            throughput_pps: 358.666_666_666_666_7,
+            latency: (538, 41_215_016, 46_720_593, 47_005_306, 47_383_804),
+            buckets: vec![96, 98, 88, 88, 86, 90, 94, 92],
+        }
+    );
+    // With nothing undone, the engine localises the degraded disk, the
+    // replica that stays crashed and the link that stays cut.
+    assert_eq!(telemetry.reports().len(), 7);
+    assert_eq!(
+        telemetry.implicated(),
+        vec![Subject::Replica(1), Subject::Replica(6), Subject::Link(1, 6)]
+    );
+}
+
+#[test]
+fn pbft_n4_rejoin_free_faults_pinned() {
+    let report = run(pbft(), UniformWorkload::new(8, 10), cfg(33, no_rejoin(every_fault(1, 2, 3))));
+    assert_eq!(
+        Pin::from(&report),
+        Pin {
+            submitted: 243,
+            confirmed: 235,
+            events: 2398,
+            throughput_pps: 116.0,
+            latency: (174, 70_180_829, 90_417_357, 101_609_843, 101_609_843),
+            buckets: vec![32, 29, 24, 22, 30, 32, 30, 36],
         }
     );
 }
