@@ -557,8 +557,9 @@ pub trait Replica: Sized {
     /// The last step of a chunked transfer: once `heads` holds a
     /// certified head and `blocks` every history block it references,
     /// reassembles and installs the full state and appends
-    /// [`Self::catchup_ended`]. Live catch-up and the simulator's
-    /// modelled handshake both finish here.
+    /// [`Self::catchup_ended`]. Live catch-up finishes here, and so does
+    /// an offline audit that collects peers' [`Self::sync_chunks`] by
+    /// hand (`examples/audit_trail.rs`).
     ///
     /// A failed install discards what it discredited, so the caller only
     /// keeps offering copies: an invalid transfer clears both collectors

@@ -27,7 +27,10 @@ pub enum Fault {
     /// Restart a crashed replica with its state intact — the
     /// deterministic model of a replica recovering from durable storage
     /// (`astro-store`) and rejoining the mesh. Messages sent during the
-    /// outage stay lost, exactly as over TCP.
+    /// outage stay lost, exactly as over TCP, so the replica starts the
+    /// catch-up handshake the runtime's restart starts
+    /// ([`SimSystem::rejoin`]): its requests, the donors' replies and the
+    /// retries cross the simulated links like any other message.
     Restart(ReplicaId),
     /// Add a constant delay to all the replica's outgoing packets
     /// (`tc qdisc … netem delay …`).
@@ -37,10 +40,12 @@ pub enum Fault {
     /// the cluster, so neither looks crashed to anyone but the other.
     PartialPartition(ReplicaId, ReplicaId),
     /// Heal a severed link. Packets dropped during the partition stay
-    /// lost (the TCP connections were reset), so both endpoints run the
-    /// catch-up handshake to recover whatever broadcast state they
-    /// missed — unicast CREDIT traffic recovers through the retry
-    /// outbox instead.
+    /// lost (the TCP connections were reset), so both endpoints start the
+    /// catch-up handshake, as after a [`Fault::Restart`], to recover
+    /// whatever broadcast state they missed — unicast CREDIT traffic
+    /// recovers through the retry outbox instead. A live cluster has no
+    /// such trigger: its replicas start catch-up on restart, and Astro I's
+    /// also when their payload pulls run out.
     HealPartition(ReplicaId, ReplicaId),
     /// Add a constant delay to both directions of one link (a slow but
     /// live link). Zero restores the link.
@@ -73,12 +78,6 @@ const DISK_DEGRADED_STALL: Nanos = 2_000_000;
 /// whose representative is down (it polls for its replica's return;
 /// paper §VI-D).
 const CLIENT_RETRY: Nanos = 200_000_000;
-
-/// How long a restarted replica waits before retrying the catch-up
-/// handshake when no `f+1` matching state certified (its donors were
-/// mid-divergence) — the simulated analogue of the runtime's
-/// flush-timer-paced catch-up request retry.
-const CATCH_UP_RETRY: Nanos = 200_000_000;
 
 /// Simulation parameters.
 #[derive(Debug, Clone)]
@@ -140,22 +139,10 @@ pub struct SimReport {
 }
 
 enum EventKind<M> {
-    Deliver {
-        from: ReplicaId,
-        to: ReplicaId,
-        msg: M,
-    },
-    Tick {
-        replica: ReplicaId,
-    },
-    ClientSubmit {
-        client: usize,
-    },
+    Deliver { from: ReplicaId, to: ReplicaId, msg: M },
+    Tick { replica: ReplicaId },
+    ClientSubmit { client: usize },
     Fault(Fault),
-    /// A restarted replica (re)tries the catch-up state transfer.
-    CatchUp {
-        replica: ReplicaId,
-    },
 }
 
 struct Event<M> {
@@ -335,7 +322,6 @@ impl<'t, S: SimSystem> Sim<'t, S> {
             self.events += 1;
             match kind {
                 EventKind::Fault(fault) => self.fault(fault, time),
-                EventKind::CatchUp { replica } => self.catch_up(replica, time),
                 EventKind::ClientSubmit { client } => {
                     self.client_submit(&mut workload, client, time)
                 }
@@ -370,10 +356,7 @@ impl<'t, S: SimSystem> Sim<'t, S> {
             Fault::Crash(r) => self.network.crash(r),
             Fault::Restart(r) => {
                 self.network.restore(r);
-                // The restarted replica runs the catch-up handshake to
-                // learn what the quorum settled during its downtime (the
-                // runtime's `restart_replica` flow).
-                self.schedule(now, EventKind::CatchUp { replica: r });
+                self.rejoin(r, now);
             }
             Fault::Delay(r, extra) => self.network.add_delay(r, extra),
             Fault::PartialPartition(a, b) => self.network.partition(a, b),
@@ -382,8 +365,8 @@ impl<'t, S: SimSystem> Sim<'t, S> {
                 // Broadcast messages dropped on the severed link have no
                 // transport-level retransmit; both endpoints fetch the
                 // missed state exactly as a restarted replica does.
-                self.schedule(now, EventKind::CatchUp { replica: a });
-                self.schedule(now, EventKind::CatchUp { replica: b });
+                self.rejoin(a, now);
+                self.rejoin(b, now);
             }
             Fault::SlowLink(a, b, extra) => self.network.slow_link(a, b, extra),
             Fault::DiskDegraded(r, degraded) => {
@@ -396,37 +379,11 @@ impl<'t, S: SimSystem> Sim<'t, S> {
         }
     }
 
-    fn catch_up(&mut self, replica: ReplicaId, now: Nanos) {
-        if self.network.is_crashed(replica) {
-            return; // crashed again before catching up
-        }
-        let donors: Vec<ReplicaId> = self
-            .system
-            .broadcast_targets(replica)
-            .into_iter()
-            .filter(|&d| d != replica && !self.network.is_crashed(d))
-            .collect();
-        match self.system.catch_up(replica, &donors) {
-            Some((bytes, step)) => {
-                // Charge the handshake: one request/response round trip
-                // plus serializing the transferred state.
-                let net = &self.cfg.net;
-                let tx = (bytes as u64).saturating_mul(1_000_000_000)
-                    / net.bandwidth_bytes_per_sec.max(1);
-                let done = now + 2 * net.inter_region_latency + tx;
-                let node = &mut self.nodes[replica.0 as usize];
-                node.cpu_free = node.cpu_free.max(done);
-                self.step(replica, step, done);
-            }
-            // No f+1 matching state yet (donors mid-divergence): retry
-            // later, as the live protocol does on its flush timer. Systems
-            // without catch-up machinery (the consensus baseline) restart
-            // with state intact and nothing to fetch.
-            None if self.system.has_catch_up() => {
-                self.schedule(now + CATCH_UP_RETRY, EventKind::CatchUp { replica })
-            }
-            None => {}
-        }
+    /// `replica` rejoins the cluster and starts whatever catch-up its
+    /// system runs.
+    fn rejoin(&mut self, replica: ReplicaId, now: Nanos) {
+        let step = self.system.rejoin(replica, now);
+        self.step(replica, step, now);
     }
 
     fn client_submit<W: Workload>(&mut self, workload: &mut W, client: usize, now: Nanos) {

@@ -21,8 +21,7 @@ use astro_brb::InstanceId;
 use astro_consensus::pbft::{PbftConfig, PbftMsg, PbftReplica};
 use astro_core::astro1::{Astro1Config, Astro1Msg, AstroOneReplica};
 use astro_core::astro2::{Astro2Config, Astro2Msg, AstroTwoReplica};
-use astro_core::sync::CopyVotes;
-use astro_core::{Replica, ReplicaStep};
+use astro_core::{Replica, ReplicaStep, SYNC_FALLBACK_ROUNDS};
 use astro_types::wire::Wire;
 use astro_types::{ClientId, Group, MacAuthenticator, Payment, PaymentId, ReplicaId, ShardLayout};
 use std::collections::hash_map::Entry;
@@ -105,29 +104,14 @@ pub trait SimSystem {
         msg.encoded_len()
     }
 
-    /// Runs the catch-up state transfer for a replica that just restarted
-    /// (the runtime's `restart_replica` handshake in simulated form):
-    /// `donors` serve their canonical settlement state and the replica
-    /// installs once `f+1` byte-identical copies certify. Returns the
-    /// bytes transferred (so the harness can charge the handshake's
-    /// network and CPU cost) and the install step — its `settled` is the
-    /// delta the replica learned, which the harness feeds through
-    /// confirmation like any other step. `None` when nothing certified
-    /// (donors mid-divergence — the harness retries, as the live
-    /// protocol does on its flush timer). Default: no machinery.
-    fn catch_up(
-        &mut self,
-        replica: ReplicaId,
-        donors: &[ReplicaId],
-    ) -> Option<(usize, ReplicaStep<Self::Msg>)> {
-        let _ = (replica, donors);
-        None
-    }
-
-    /// True if [`Self::catch_up`] can ever succeed (gates the harness's
-    /// retry loop).
-    fn has_catch_up(&self) -> bool {
-        false
+    /// `replica` rejoins the cluster: it restarted, or a severed link to
+    /// it healed. The broadcast traffic it missed meanwhile is lost, so a
+    /// system with catch-up starts it here; its requests and the donors'
+    /// replies then travel as ordinary messages. Default: nothing to
+    /// fetch.
+    fn rejoin(&mut self, replica: ReplicaId, now: Nanos) -> ReplicaStep<Self::Msg> {
+        let _ = (replica, now);
+        ReplicaStep::empty()
     }
 }
 
@@ -490,47 +474,18 @@ impl<R: SimReplica> SimSystem for AstroSystem<R> {
         R::deliver_cost(msg, cpu)
     }
 
-    /// The handshake in simulated form: `donors` serve a sync head plus
-    /// sealed history blocks, the head certifies at `f+1` byte-identical
-    /// copies, each block certifies independently at `f+1`, and the
-    /// replica reassembles and installs once every referenced block is
-    /// certified.
-    fn catch_up(
-        &mut self,
-        replica: ReplicaId,
-        donors: &[ReplicaId],
-    ) -> Option<(usize, ReplicaStep<R::Msg>)> {
-        let settled = |r: &R| r.ledger().total_settled() as u64;
-        let floor = settled(&self.replicas[replica.0 as usize]);
-        let group = self.replicas[replica.0 as usize].group().clone();
-        let mut heads = CopyVotes::new(&group, replica);
-        let mut blocks = CopyVotes::new(&group, replica);
-        let mut bytes = 0usize;
-        for &donor in donors {
-            let donor = &self.replicas[donor.0 as usize];
-            let Ok((head, served_blocks)) = donor.sync_chunks(replica) else { continue };
-            let head = head.to_wire_bytes();
-            bytes += head.len();
-            // The live session's floor: a head below it does not vote.
-            if settled(donor) >= floor {
-                heads.offer(donor.id(), (), head);
-            }
-            for (client, block, data) in served_blocks {
-                bytes += data.len();
-                blocks.offer(donor.id(), (client, block), data);
-            }
-            if let Ok(step) =
-                self.replicas[replica.0 as usize].install_chunked(&mut heads, &mut blocks)
-            {
-                self.observe(replica, &step);
-                return Some((bytes, step));
-            }
+    /// Starts the catch-up the runtime's `restart_replica` starts for a
+    /// durable replica: the simulated restart keeps state, as a durable
+    /// one does, so the replica may fall back to it after
+    /// [`SYNC_FALLBACK_ROUNDS`] unanswered requests. A replica already
+    /// catching up keeps its session and the traffic parked in it. The
+    /// armed flush timer sends the request.
+    fn rejoin(&mut self, replica: ReplicaId, now: Nanos) -> ReplicaStep<R::Msg> {
+        let r = &mut self.replicas[replica.0 as usize];
+        if !r.is_syncing() {
+            r.begin_catchup(Some(SYNC_FALLBACK_ROUNDS));
         }
-        None
-    }
-
-    fn has_catch_up(&self) -> bool {
-        true
+        self.stepped(replica, now, ReplicaStep::empty())
     }
 }
 

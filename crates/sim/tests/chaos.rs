@@ -3,12 +3,12 @@
 //!
 //! Each proptest case draws a schedule of crash windows (victim, start
 //! offset, outage length), runs it through the discrete-event harness —
-//! where `Fault::Restart` triggers the real catch-up install
-//! (`astro_core::sync::CopyVotes` + `install_chunked`). The sim sends no
-//! catch-up messages: `AstroSystem::catch_up` reads the live donors'
-//! `sync_chunks` directly, and when no `f+1` copies certify yet the
-//! harness retries every `CATCH_UP_RETRY` = 200 ms of simulated time —
-//! and then asserts the invariants no schedule may violate:
+//! where `Fault::Restart` starts the runtime's catch-up handshake: the
+//! restarted replica's requests (re-sent on its flush timer), the
+//! donors' head and block replies and the broadcast traffic it parks
+//! meanwhile all cross the simulated links, and it installs once `f+1`
+//! copies certify — and then asserts the invariants no schedule may
+//! violate:
 //!
 //! - **liveness**: every drawn payment confirms (clients never resubmit
 //!   a different payment; parked submissions retry verbatim),

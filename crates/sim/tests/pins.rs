@@ -139,12 +139,12 @@ fn astro1_n4_every_fault_pinned() {
     assert_eq!(
         Pin::from(&report),
         Pin {
-            submitted: 270,
-            confirmed: 266,
-            events: 4897,
-            throughput_pps: 132.0,
-            latency: (202, 55_744_058, 74_756_087, 76_373_515, 651_915_918),
-            buckets: vec![36, 28, 24, 28, 34, 34, 42, 36, 4],
+            submitted: 276,
+            confirmed: 268,
+            events: 4983,
+            throughput_pps: 136.0,
+            latency: (204, 55_866_139, 74_807_517, 83_694_541, 457_396_320),
+            buckets: vec![36, 28, 24, 34, 28, 40, 38, 40],
         }
     );
 }
@@ -162,12 +162,12 @@ fn astro2_two_shards_observed_every_fault_pinned() {
     assert_eq!(
         Pin::from(&report),
         Pin {
-            submitted: 768,
-            confirmed: 752,
-            events: 13162,
-            throughput_pps: 372.0,
-            latency: (558, 41_176_300, 46_487_246, 47_295_949, 52_573_654),
-            buckets: vec![96, 98, 90, 88, 94, 96, 92, 98],
+            submitted: 764,
+            confirmed: 748,
+            events: 12961,
+            throughput_pps: 369.333_333_333_333_3,
+            latency: (554, 41_169_559, 46_523_738, 47_350_287, 62_684_365),
+            buckets: vec![96, 98, 88, 90, 90, 94, 96, 96],
         }
     );
     // One health window per bucket; the degraded disk is the one fault
@@ -186,7 +186,7 @@ fn pbft_n4_every_fault_pinned() {
         Pin {
             submitted: 251,
             confirmed: 243,
-            events: 3444,
+            events: 3441,
             throughput_pps: 121.333_333_333_333_33,
             latency: (182, 61_674_393, 83_596_384, 90_592_357, 90_592_357),
             buckets: vec![32, 29, 24, 30, 34, 32, 32, 30],
