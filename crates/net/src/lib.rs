@@ -155,6 +155,8 @@ pub trait Endpoint: Send + 'static {
     fn broadcast(&mut self, payload: &[u8]) -> Result<(), NetError>;
 
     /// Waits up to `timeout` for the next message; `Ok(None)` on timeout.
+    /// A `timeout` too long to add to the current instant, such as
+    /// [`Duration::MAX`], waits with no deadline.
     ///
     /// This is where a [`TcpEndpoint`] performs its I/O: it reads its
     /// sockets, authenticates frames, adopts reconnected links and notices

@@ -1018,7 +1018,8 @@ impl Endpoint for TcpEndpoint {
         if let Some(packet) = self.staged.pop_front() {
             return Ok(Some(packet));
         }
-        let deadline = (!timeout.is_zero()).then(|| Instant::now() + timeout);
+        // `None`: the timeout runs past the clock's range, so no deadline.
+        let deadline = Instant::now().checked_add(timeout);
         self.adopt();
         for i in 0..self.links.len() {
             self.read_link(i);
@@ -1028,7 +1029,7 @@ impl Endpoint for TcpEndpoint {
                 return Ok(Some(packet));
             }
             let left =
-                deadline.map_or(Duration::ZERO, |d| d.saturating_duration_since(Instant::now()));
+                deadline.map_or(Duration::MAX, |d| d.saturating_duration_since(Instant::now()));
             if left.is_zero() {
                 return Ok(None);
             }

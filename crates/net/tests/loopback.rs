@@ -352,3 +352,18 @@ fn link_adopted_while_blocked_in_recv_delivers_within_the_call() {
     assert_eq!((from, &bytes[..]), (ReplicaId(0), &b"first contact"[..]));
     assert!(took < Duration::from_secs(2), "took {took:?}");
 }
+
+#[test]
+fn recv_without_deadline_blocks_until_a_frame_arrives() {
+    // `Duration::MAX` cannot be added to the current instant: the call
+    // must wait with no deadline, and the peer's frame ends the wait.
+    let mut eps = mesh(b"tcp-no-deadline", 2);
+    let mut ep1 = eps.pop().unwrap();
+    let mut ep0 = eps.pop().unwrap();
+    let receiver = std::thread::spawn(move || (ep1.recv_timeout(Duration::MAX).unwrap(), ep1));
+    std::thread::sleep(Duration::from_millis(100));
+    ep0.send(ReplicaId(1), b"wake up").unwrap();
+    let (got, _ep1) = receiver.join().expect("the wait does not panic");
+    let (from, bytes) = got.expect("the frame ends the wait");
+    assert_eq!((from, &bytes[..]), (ReplicaId(0), &b"wake up"[..]));
+}
