@@ -6,7 +6,7 @@
 //! quorum settled payments it never saw, and the broadcast layer does not
 //! retransmit them, so it has to fetch them through the catch-up
 //! handshake while the load goes on. By the end of the 3 s run it must
-//! have finished catching up and trail the best replica by less than one
+//! have finished catching up and trail the best replica by at most one
 //! payment per client: a closed loop has at most one payment per client
 //! in flight, so anything more is history the replica failed to learn.
 
