@@ -54,10 +54,10 @@ fn bench_schnorr(c: &mut Criterion) {
 }
 
 fn bench_field(c: &mut Criterion) {
-    // The two Fermat exponentiations (fixed addition chains): `sqrt` is
-    // the lift of a compressed point onto the curve (one per signature in
-    // a real batch check), `invert` the Jacobian→affine normalization
-    // (one per `sign`, one per `verify`).
+    // `sqrt` (a Fermat exponentiation) is the lift of a compressed point
+    // onto the curve (one per signature in a real batch check), `invert`
+    // (safegcd divsteps) the Jacobian→affine normalization (one per
+    // `sign`, one per `verify`).
     let x = Affine::generator().x().square(); // a full-width residue
     c.bench_function("field/sqrt", |b| {
         b.iter(|| black_box(&x).sqrt());

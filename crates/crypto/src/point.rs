@@ -494,49 +494,48 @@ pub fn multi_scalar_mul_jacobian(terms: &[(Scalar, Affine)]) -> Jacobian {
     acc
 }
 
-/// Fixed-base comb table for the generator: `TABLE[w][d] = d · 2^(4w) · G`
-/// for window `w` in 0..64 and digit `d` in 1..=15.
-struct GeneratorTable {
-    windows: Vec<[Affine; 15]>,
-}
+/// Digits per comb window: [`mul_generator`] reads its scalar a byte at a
+/// time, and digit 0 needs no entry.
+const COMB_DIGITS: usize = 255;
 
-fn generator_table() -> &'static GeneratorTable {
-    static TABLE: OnceLock<GeneratorTable> = OnceLock::new();
+/// The generator's fixed-base comb, built once per process: `d·2^(8w)·G`
+/// at index `255·w + d − 1`, for window `w` in 0..32 and digit `d` in
+/// 1..=255 — 8160 affine points, about 590 KB. Each window is normalized
+/// with its own [`to_affine_batch`]: 32 inversions instead of one, so the
+/// build's scratch is one window (about 24 KB of Jacobian points), not a
+/// second copy of the table that the allocator would have to map and
+/// return.
+fn generator_comb() -> &'static [Affine] {
+    static TABLE: OnceLock<Vec<Affine>> = OnceLock::new();
     TABLE.get_or_init(|| {
-        let mut windows = Vec::with_capacity(64);
-        let mut base = Affine::generator().to_jacobian();
-        for _ in 0..64 {
-            let base_affine = base.to_affine();
-            let mut row = [Affine::infinity(); 15];
-            let mut acc = base_affine.to_jacobian();
-            row[0] = base_affine;
-            for (d, slot) in row.iter_mut().enumerate().skip(1) {
-                acc = acc.add_affine(&base_affine);
-                let _ = d;
-                *slot = acc.to_affine();
+        let mut table = Vec::with_capacity(32 * COMB_DIGITS);
+        let mut row = Vec::with_capacity(COMB_DIGITS);
+        let mut base = Affine::generator();
+        for _ in 0..32 {
+            row.clear();
+            let mut acc = base.to_jacobian();
+            row.push(acc);
+            for _ in 1..COMB_DIGITS {
+                acc = acc.add_affine(&base);
+                row.push(acc);
             }
-            windows.push(row);
-            // Advance base by 2^4.
-            for _ in 0..4 {
-                base = base.double();
-            }
+            table.extend(to_affine_batch(&row));
+            // The next window's base: 256·base = 255·base + base.
+            base = acc.add_affine(&base).to_affine();
         }
-        GeneratorTable { windows }
+        table
     })
 }
 
-/// Fast fixed-base multiplication `k·G` using the precomputed comb table
-/// (64 mixed additions, no doublings).
+/// Fast fixed-base multiplication `k·G` through the precomputed comb: one
+/// mixed addition per nonzero byte of `k` (at most 32), no doublings.
 pub fn mul_generator(k: &Scalar) -> Affine {
-    let table = generator_table();
-    let bytes = k.to_be_bytes(); // big-endian
+    let windows = generator_comb().chunks_exact(COMB_DIGITS);
     let mut acc = Jacobian::infinity();
-    for (w, row) in table.windows.iter().enumerate() {
-        // Window w covers bits [4w, 4w+4): nibble index from the LE view.
-        let byte = bytes[31 - w / 2];
-        let nibble = if w % 2 == 0 { byte & 0x0f } else { byte >> 4 };
-        if nibble != 0 {
-            acc = acc.add_affine(&row[(nibble - 1) as usize]);
+    // Window w holds byte w of k, counted from the least significant.
+    for (row, &byte) in windows.zip(k.to_be_bytes().iter().rev()) {
+        if byte != 0 {
+            acc = acc.add_affine(&row[byte as usize - 1]);
         }
     }
     acc.to_affine()
@@ -585,13 +584,24 @@ mod tests {
     #[test]
     fn naive_window_and_comb_agree() {
         let g = Affine::generator();
-        for k in [1u64, 2, 3, 7, 0xffff, 0xdeadbeef, u64::MAX] {
-            let s = Scalar::from_u64(k);
-            let a = g.mul_naive(&s);
-            let b = g.mul_window(&s);
-            let c = mul_generator(&s);
-            assert_eq!(a, b, "k={k}");
-            assert_eq!(a, c, "k={k}");
+        let mut scalars: Vec<Scalar> = [1u64, 2, 3, 7, 0xffff, 0xdeadbeef, u64::MAX]
+            .into_iter()
+            .map(Scalar::from_u64)
+            .collect();
+        // Every comb window alone at its smallest, middle and largest
+        // digit, then n − 1 (every window nonzero, the top one 0xff).
+        for window in 0..32 {
+            for digit in [0x01, 0x80, 0xff] {
+                let mut bytes = [0u8; 32];
+                bytes[31 - window] = digit;
+                scalars.push(Scalar::from_be_bytes_checked(&bytes).expect("below n"));
+            }
+        }
+        scalars.push(Scalar::ZERO.sub(&Scalar::ONE));
+        for s in &scalars {
+            let a = g.mul_naive(s);
+            assert_eq!(a, g.mul_window(s), "k={:?}", s.limbs());
+            assert_eq!(a, mul_generator(s), "k={:?}", s.limbs());
         }
     }
 

@@ -154,10 +154,11 @@ impl SecretKey {
     /// Signs `message`, reusing an already-computed public key.
     ///
     /// The nonce commitment `R = k·G` goes through the cached fixed-base
-    /// comb table ([`crate::point::mul_generator`]), so with `pk` cached a
-    /// signature costs exactly one comb multiplication plus hashing —
-    /// signing used to pay a second comb multiplication re-deriving `pk`
-    /// on every call.
+    /// comb table ([`crate::point::mul_generator`]: one mixed addition per
+    /// nonzero byte of `k`, at most 32), so with `pk` cached a signature
+    /// costs one comb multiplication, the field inversion that makes R
+    /// affine for compression ([`Fe::invert`]), and hashing — signing used
+    /// to pay a second comb multiplication re-deriving `pk` on every call.
     pub fn sign_with_public(&self, pk: &PublicKey, message: &[u8]) -> Signature {
         debug_assert_eq!(*pk, self.public(), "public key must match the secret");
         let mut counter: u32 = 0;

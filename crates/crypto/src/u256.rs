@@ -66,7 +66,7 @@ pub fn mul_wide(a: &Limbs, b: &Limbs) -> Wide {
 /// product: the 6 off-diagonal limb products are computed once and
 /// doubled instead of twice, so a squaring costs 10 wide multiplications
 /// where [`mul_wide`] costs 16 — and squarings dominate the doubling
-/// chains of point arithmetic and Fermat inversions.
+/// chains of point arithmetic and the field's square root.
 #[inline]
 pub fn sqr_wide(a: &Limbs) -> Wide {
     // Off-diagonal products a[i]·a[j] (i < j), accumulated once.
@@ -103,8 +103,8 @@ pub fn sqr_wide(a: &Limbs) -> Wide {
 }
 
 /// Square-and-multiply exponentiation (MSB first) over caller-supplied
-/// squaring and multiplication — the one ladder behind `Fe` and `Scalar`
-/// Fermat inversions, so the specialized reductions (and any future
+/// squaring and multiplication — the ladder behind the `Scalar` Fermat
+/// inversion, so the specialized reductions (and any future
 /// hardening of the ladder itself) live in exactly one place. `base` must
 /// already be reduced; returns `one` when `exp` is zero.
 pub fn pow_ladder<T: Copy>(

@@ -58,6 +58,37 @@ fn addition_chains_agree_with_the_generic_ladder_on_edge_values() {
     }
 }
 
+/// Inputs that steer the divstep inversion through its corners: single
+/// bits at and around the 62-bit limb boundaries (long runs of zero
+/// divsteps), values next to p and p/2 (early sign flips of δ), and a value
+/// whose whole low limb is zero.
+fn inversion_corner_values() -> Vec<Limbs> {
+    let mut out: Vec<Limbs> = [0u32, 61, 62, 63, 124, 186, 255]
+        .into_iter()
+        .map(|k| {
+            let mut bit = [0u64; 4];
+            bit[k as usize / 64] = 1 << (k % 64);
+            *Fe::from_limbs(bit).limbs()
+        })
+        .collect();
+    let (p_minus_2, _) = u256::sub(&P.m, &[2, 0, 0, 0]);
+    let half_p_minus_1 = [0xFFFFFFFF7FFFFE17, u64::MAX, u64::MAX, 0x7FFFFFFFFFFFFFFF];
+    let low_62_zero =
+        [0xC000000000000000, 0x0123456789ABCDEF, 0xFEDCBA9876543210, 0x0F1E2D3C4B5A6978];
+    out.extend([p_minus_2, half_p_minus_1, low_62_zero]);
+    out
+}
+
+#[test]
+fn inversion_agrees_with_the_generic_ladder_on_divstep_corners() {
+    for limbs in inversion_corner_values() {
+        let a = Fe::from_limbs(limbs);
+        let (inv, _) = field_pows_by_generic_ladder(&a);
+        assert_eq!(a.invert(), inv, "invert {a}");
+        assert_eq!(a.mul(&a.invert()), Fe::ONE, "a·a⁻¹ for {a}");
+    }
+}
+
 #[test]
 fn specialized_reduction_agrees_on_edge_products() {
     // Every pairwise product of the edge values, through both reductions.
