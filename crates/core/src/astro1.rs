@@ -479,6 +479,26 @@ mod tests {
     }
 
     #[test]
+    fn a_batch_carrying_seq_one_before_seq_zero_settles_both() {
+        use astro_types::wire::Wire;
+        // The first payment queues on its sequence gap while the batch is
+        // applied; the second fills the gap, and the cascade over the
+        // queue that filled during this very batch settles the first.
+        let mut c = cluster(4, 2);
+        pay(&mut c, Payment::new(1u64, 1u64, 3u64, 20u64));
+        pay(&mut c, Payment::new(1u64, 0u64, 2u64, 30u64));
+        c.run_to_quiescence();
+        let reference = c.node(0).export_state().ledger.to_wire_bytes();
+        for i in 0..4 {
+            let seqs: Vec<u64> = c.settled(i).iter().map(|p| p.seq.0).collect();
+            assert_eq!(seqs, [0, 1], "replica {i} settles both, in sequence order");
+            assert_eq!(c.node(i).pending_len(), 0, "replica {i} queue drained");
+            assert_eq!(c.node(i).balance(ClientId(1)), Amount(50));
+            assert_eq!(c.node(i).export_state().ledger.to_wire_bytes(), reference, "replica {i}");
+        }
+    }
+
+    #[test]
     fn replicas_converge_to_identical_state() {
         let mut c = cluster(7, 2);
         // A little payment storm among 6 clients.

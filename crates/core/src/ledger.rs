@@ -11,7 +11,7 @@
 use crate::journal::{CheckpointRecord, LedgerState, RecoverError};
 use crate::xlog::{XLog, XLogError};
 use astro_types::{Amount, ClientId, Payment, SeqNo};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 
 /// Client ids below this index into the dense account table; ids at or
 /// above it live in the sparse fallback map. The dense table grows on
@@ -53,11 +53,21 @@ struct Account {
     /// durable history; a snapshot delta only exports entries at or
     /// above it.
     ckpt: u64,
+    /// Touched since the last checkpoint: set exactly while the id is in
+    /// `Ledger::dirty`, so that list never holds an id twice.
+    dirty: bool,
 }
 
 impl Account {
     fn is_vacant(&self) -> bool {
         self.balance.is_none() && self.xlog.is_none()
+    }
+
+    /// Sets the dirty flag. True if it was clear: the caller then lists
+    /// the account in `Ledger::dirty`.
+    #[inline]
+    fn mark_dirty(&mut self) -> bool {
+        !std::mem::replace(&mut self.dirty, true)
     }
 }
 
@@ -76,9 +86,11 @@ pub struct Ledger {
     /// Payments settled across all xlogs (maintained incrementally).
     settled: usize,
     /// Accounts touched (balance or xlog) since their last checkpoint —
-    /// exactly what the next [`Ledger::seal_delta`] exports. Ordered so
-    /// the delta encoding is canonical.
-    dirty: BTreeSet<ClientId>,
+    /// exactly what the next [`Ledger::seal_delta`] exports. An id joins
+    /// when its account's flag goes from clear to set, so the per-payment
+    /// cost is a flag test and at most a push; the list is in touch order
+    /// and sorted once in `seal_delta`, which keeps the delta canonical.
+    dirty: Vec<ClientId>,
 }
 
 impl Ledger {
@@ -89,7 +101,7 @@ impl Ledger {
             dense: Vec::new(),
             sparse: HashMap::new(),
             settled: 0,
-            dirty: BTreeSet::new(),
+            dirty: Vec::new(),
         }
     }
 
@@ -164,7 +176,9 @@ impl Ledger {
         let new =
             balance.checked_add(amount).expect("balance overflow: total money supply exceeds u64");
         account.balance = Some(new);
-        self.dirty.insert(client);
+        if account.mark_dirty() {
+            self.dirty.push(client);
+        }
     }
 
     /// Attempts to settle `payment` atomically: both approval criteria of
@@ -194,8 +208,10 @@ impl Ledger {
             .get_or_insert_with(|| XLog::new(payment.spender))
             .append(*payment)
             .expect("sequence checked above");
+        if spender.mark_dirty() {
+            self.dirty.push(payment.spender);
+        }
         self.settled += 1;
-        self.dirty.insert(payment.spender);
         if credit_beneficiary {
             self.credit(payment.beneficiary, payment.amount);
         }
@@ -245,14 +261,20 @@ impl Ledger {
     pub fn import(state: &LedgerState) -> Result<Ledger, XLogError> {
         let mut ledger = Ledger::new(state.initial_balance);
         for (client, balance) in &state.accounts {
-            ledger.account_mut(*client).balance = Some(*balance);
-            ledger.dirty.insert(*client);
+            let account = ledger.account_mut(*client);
+            account.balance = Some(*balance);
+            if account.mark_dirty() {
+                ledger.dirty.push(*client);
+            }
         }
         for (owner, entries) in &state.xlogs {
             let xlog = XLog::from_entries(*owner, entries.iter().copied())?;
             ledger.settled += xlog.len();
-            ledger.account_mut(*owner).xlog = Some(xlog);
-            ledger.dirty.insert(*owner);
+            let account = ledger.account_mut(*owner);
+            account.xlog = Some(xlog);
+            if account.mark_dirty() {
+                ledger.dirty.push(*owner);
+            }
         }
         Ok(ledger)
     }
@@ -273,18 +295,26 @@ impl Ledger {
     /// Seals the dirty-account delta: one [`CheckpointRecord`] per account
     /// touched since its last checkpoint, in canonical (id-ascending)
     /// order, each carrying the account's absolute balance and the xlog
-    /// entries above its watermark. A delta longer than
-    /// [`CHECKPOINT_CHUNK_ENTRIES`] is split into consecutive records with
-    /// the same balance, each based where the previous one ends.
-    /// Watermarks advance and the dirty set clears — the caller owns
+    /// entries above its watermark. The dirty list is sorted here, once
+    /// per seal. A delta longer than [`CHECKPOINT_CHUNK_ENTRIES`] is split
+    /// into consecutive records with the same balance, each based where
+    /// the previous one ends.
+    /// Watermarks advance and the dirty flags clear — the caller owns
     /// making the records durable (and calling [`Ledger::rebaseline`] if
     /// it fails to).
     pub fn seal_delta(&mut self) -> Vec<CheckpointRecord> {
         let initial = self.initial_balance;
-        let dirty = std::mem::take(&mut self.dirty);
+        let mut dirty = std::mem::take(&mut self.dirty);
+        dirty.sort_unstable();
+        debug_assert!(dirty.windows(2).all(|w| w[0] < w[1]), "an id listed twice as dirty");
+        debug_assert!(
+            dirty.iter().all(|c| self.account(*c).is_some_and(|a| a.dirty)),
+            "a dirty-listed account without its flag"
+        );
         let mut records = Vec::with_capacity(dirty.len());
-        for client in dirty {
+        for &client in &dirty {
             let account = self.account_mut(client);
+            account.dirty = false;
             let balance = account.balance.unwrap_or(initial);
             let mut base = account.ckpt;
             let mut delta =
@@ -300,6 +330,9 @@ impl Ledger {
             }
             account.ckpt = base;
         }
+        // Keep the list's allocation for the next interval's touches.
+        dirty.clear();
+        self.dirty = dirty;
         records
     }
 
@@ -383,13 +416,17 @@ impl Ledger {
         for (i, account) in self.dense.iter_mut().enumerate() {
             if !account.is_vacant() {
                 account.ckpt = 0;
-                self.dirty.insert(ClientId(i as u64));
+                if account.mark_dirty() {
+                    self.dirty.push(ClientId(i as u64));
+                }
             }
         }
         for (client, account) in &mut self.sparse {
             if !account.is_vacant() {
                 account.ckpt = 0;
-                self.dirty.insert(*client);
+                if account.mark_dirty() {
+                    self.dirty.push(*client);
+                }
             }
         }
     }

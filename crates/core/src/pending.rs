@@ -9,6 +9,7 @@
 
 use crate::ledger::{Ledger, SettleOutcome};
 use astro_types::{ClientId, Payment};
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
 /// A generic pending entry: the payment plus protocol-specific context the
@@ -108,7 +109,8 @@ impl<C> PendingQueue<C> {
     /// clients whose queues may have been unblocked (typically the
     /// payment's spender and beneficiary).
     ///
-    /// Returns settled entries in settlement order.
+    /// Returns settled entries in settlement order. An empty queue
+    /// returns at once: nothing is waiting, so nothing can be unblocked.
     pub fn drain_cascade(
         &mut self,
         seed: impl IntoIterator<Item = ClientId>,
@@ -116,40 +118,46 @@ impl<C> PendingQueue<C> {
         mut settle: impl FnMut(&mut Ledger, &Payment, &C) -> SettleOutcome,
     ) -> Vec<Queued<C>> {
         let mut settled = Vec::new();
+        if self.len == 0 {
+            return settled;
+        }
         let mut work: VecDeque<ClientId> = seed.into_iter().collect();
         while let Some(client) = work.pop_front() {
+            // One probe per examined client: the slot both yields the
+            // queue and removes it once drained.
+            let Entry::Occupied(mut slot) = self.by_spender.entry(client) else { continue };
+            let queue = slot.get_mut();
             // Examine heads (lowest sequence) of this spender's queue.
-            #[allow(clippy::while_let_loop)] // two fallible bindings per step
-            loop {
-                let Some(queue) = self.by_spender.get_mut(&client) else { break };
-                let Some((&seq, entry)) = queue.iter().next() else { break };
+            while let Some(head) = queue.first_entry() {
+                let seq = *head.key();
                 let next = ledger.next_seq(client).0;
                 if seq < next {
                     // Stale duplicate — discard.
-                    queue.remove(&seq);
+                    head.remove();
                     self.len -= 1;
                     continue;
                 }
                 if seq > next {
                     break; // still gapped
                 }
-                match settle(ledger, &entry.payment.clone(), &entry.context) {
+                let entry = head.get();
+                match settle(ledger, &entry.payment, &entry.context) {
                     SettleOutcome::Applied => {
-                        let entry = queue.remove(&seq).expect("head exists");
+                        let entry = head.remove();
                         self.len -= 1;
                         work.push_back(entry.payment.beneficiary);
                         work.push_back(entry.payment.spender);
                         settled.push(entry);
                     }
                     SettleOutcome::StaleSeq => {
-                        queue.remove(&seq);
+                        head.remove();
                         self.len -= 1;
                     }
                     SettleOutcome::FutureSeq | SettleOutcome::InsufficientFunds => break,
                 }
             }
-            if self.by_spender.get(&client).is_some_and(BTreeMap::is_empty) {
-                self.by_spender.remove(&client);
+            if queue.is_empty() {
+                slot.remove();
             }
         }
         settled
@@ -237,6 +245,26 @@ mod tests {
         q.push(Payment::new(1u64, 0u64, 2u64, 1u64), ());
         assert_eq!(q.len(), 1);
         assert_eq!(q.waiting_for(ClientId(1)), 1);
+    }
+
+    #[test]
+    fn cascade_over_an_empty_queue_never_settles() {
+        let mut ledger = Ledger::new(Amount(100));
+        let mut q = PendingQueue::new();
+        let mut calls = 0;
+        let mut counting = |l: &mut Ledger, p: &Payment, _: &()| {
+            calls += 1;
+            l.settle(p, true)
+        };
+        assert!(q.drain_cascade([ClientId(1), ClientId(2)], &mut ledger, &mut counting).is_empty());
+        // A queue that drained empty is empty too: only the cascade that
+        // settles the queued payment calls `settle`.
+        q.push(Payment::new(1u64, 1u64, 2u64, 10u64), ());
+        ledger.settle(&Payment::new(1u64, 0u64, 2u64, 10u64), true);
+        assert_eq!(q.drain_cascade([ClientId(1)], &mut ledger, &mut counting).len(), 1);
+        assert!(q.is_empty());
+        assert!(q.drain_cascade([ClientId(1), ClientId(2)], &mut ledger, &mut counting).is_empty());
+        assert_eq!(calls, 1);
     }
 
     #[test]

@@ -1,13 +1,14 @@
 //! Property tests for the ledger / pending-queue engine: conservation,
 //! idempotence, and cascade correctness under arbitrary workloads; the
-//! compact xlog against a plain `Vec<Payment>`; and pinned digests of the
+//! compact xlog against a plain `Vec<Payment>`; the checkpoint delta
+//! against an ordered-set model; and pinned digests of the
 //! state-transfer and checkpoint bytes a seeded ledger exports.
 
 use astro_core::astro1::{Astro1Config, AstroOneReplica};
 use astro_core::astro2::{Astro2Config, AstroTwoReplica, CreditMode, DepPolicy};
 use astro_core::batch::{credit_context, DependencyCertificate};
-use astro_core::journal::LedgerState;
-use astro_core::ledger::{Ledger, SettleOutcome, DENSE_LIMIT};
+use astro_core::journal::{CheckpointRecord, LedgerState};
+use astro_core::ledger::{Ledger, SettleOutcome, CHECKPOINT_CHUNK_ENTRIES, DENSE_LIMIT};
 use astro_core::pending::PendingQueue;
 use astro_core::testkit::{submit_with_deps, PaymentCluster};
 use astro_core::xlog::{XLog, XLogError};
@@ -17,8 +18,57 @@ use astro_types::{
     Amount, Authenticator, ClientId, MacAuthenticator, Payment, ReplicaId, SeqNo, ShardLayout,
 };
 use proptest::prelude::*;
+use std::collections::{BTreeMap, BTreeSet};
 
 const CLIENTS: u64 = 6;
+
+/// Dense ids and ids past the dense table, for the checkpoint-delta model.
+const MODEL_IDS: [u64; 8] = [0, 1, 2, 5, 9, DENSE_LIMIT, DENSE_LIMIT + 3, DENSE_LIMIT + 40];
+
+/// The checkpoint delta as an ordered set: the clients touched since
+/// their last seal, and each client's sealed xlog watermark.
+#[derive(Default)]
+struct DeltaModel {
+    dirty: BTreeSet<ClientId>,
+    marks: BTreeMap<ClientId, u64>,
+    /// Every client that ever held a balance or an xlog (non-vacant).
+    known: BTreeSet<ClientId>,
+}
+
+impl DeltaModel {
+    fn touch(&mut self, client: ClientId) {
+        self.dirty.insert(client);
+        self.known.insert(client);
+    }
+
+    /// Every known client dirty, nothing sealed.
+    fn rebaseline(&mut self) {
+        self.dirty = self.known.clone();
+        self.marks.clear();
+    }
+
+    /// The records the next seal must produce, rebuilt from the ledger's
+    /// balances and xlog tails; advances the watermarks.
+    fn seal(&mut self, ledger: &Ledger) -> Vec<CheckpointRecord> {
+        let mut records = Vec::new();
+        for client in std::mem::take(&mut self.dirty) {
+            let balance = ledger.balance(client);
+            let mark = self.marks.get(&client).copied().unwrap_or(0);
+            let tail: Vec<Payment> =
+                ledger.xlog(client).map_or(Vec::new(), |x| x.iter_from(SeqNo(mark)).collect());
+            let mut base = mark;
+            if tail.is_empty() {
+                records.push(CheckpointRecord { client, balance, base, entries: Vec::new() });
+            }
+            for chunk in tail.chunks(CHECKPOINT_CHUNK_ENTRIES) {
+                records.push(CheckpointRecord { client, balance, base, entries: chunk.to_vec() });
+                base += chunk.len() as u64;
+            }
+            self.marks.insert(client, base);
+        }
+        records
+    }
+}
 
 fn arb_ops() -> impl Strategy<Value = Vec<(u64, u64, u64)>> {
     proptest::collection::vec((0..CLIENTS, 1..CLIENTS, 1u64..500), 1..60)
@@ -171,6 +221,72 @@ proptest! {
         for c in 0..CLIENTS {
             prop_assert_eq!(target.next_seq(ClientId(c)), source.next_seq(ClientId(c)));
         }
+    }
+
+    /// The dirty list and its seal match an ordered-set model under any
+    /// interleaving of settles (beneficiary credited directly or not),
+    /// credits, seals, re-baselines and export→import round trips, over
+    /// dense and sparse ids: every seal's bytes are the model's records,
+    /// and `dirty_len` is the model set's size after every step. The
+    /// sealed segments, replayed, rebuild the ledger.
+    #[test]
+    fn seal_delta_matches_an_ordered_set_model(
+        ops in proptest::collection::vec(
+            (0u8..10, 0..MODEL_IDS.len(), 0..MODEL_IDS.len(), 1u64..400, 0u8..8),
+            0..80,
+        ),
+    ) {
+        let genesis = Amount(1_000);
+        let mut ledger = Ledger::new(genesis);
+        let mut model = DeltaModel::default();
+        let mut segments: Vec<Vec<Vec<u8>>> = Vec::new();
+        let mut seal = |ledger: &mut Ledger, model: &mut DeltaModel| {
+            let want: Vec<Vec<u8>> = model.seal(ledger).iter().map(Wire::to_wire_bytes).collect();
+            let got: Vec<Vec<u8>> = ledger.seal_delta().iter().map(Wire::to_wire_bytes).collect();
+            segments.push(got.clone());
+            (got, want)
+        };
+        for (kind, a, b, amount, skew) in ops {
+            let (a, b) = (ClientId(MODEL_IDS[a]), ClientId(MODEL_IDS[b]));
+            match kind {
+                0..=4 => {
+                    // Mostly the next sequence number; a gap or a replay
+                    // one time in eight each, neither of which may dirty.
+                    let next = ledger.next_seq(a).0;
+                    let seq = match skew { 0 => next + 1, 1 => next.saturating_sub(1), _ => next };
+                    let credit_beneficiary = kind < 3;
+                    let p = Payment::new(a.0, seq, b.0, amount);
+                    if ledger.settle(&p, credit_beneficiary) == SettleOutcome::Applied {
+                        model.touch(a);
+                        if credit_beneficiary {
+                            model.touch(b);
+                        }
+                    }
+                }
+                5 | 6 => {
+                    ledger.credit(a, Amount(amount));
+                    model.touch(a);
+                }
+                7 => {
+                    let (got, want) = seal(&mut ledger, &mut model);
+                    prop_assert_eq!(got, want);
+                }
+                8 => {
+                    ledger.rebaseline();
+                    model.rebaseline();
+                }
+                _ => {
+                    ledger = Ledger::import(&ledger.export()).expect("own export imports");
+                    model.rebaseline();
+                }
+            }
+            prop_assert_eq!(ledger.dirty_len(), model.dirty.len());
+        }
+        let (got, want) = seal(&mut ledger, &mut model);
+        prop_assert_eq!(got, want);
+        prop_assert_eq!(ledger.dirty_len(), 0);
+        let rebuilt = Ledger::from_checkpoints(genesis, &segments).expect("segments replay");
+        prop_assert_eq!(rebuilt.export(), ledger.export());
     }
 
     /// The compact xlog behaves exactly like the `Vec<Payment>` it
