@@ -357,15 +357,17 @@ pub trait Payload: Clone + Eq + core::fmt::Debug + Wire + Send + 'static {}
 impl<T: Clone + Eq + core::fmt::Debug + Wire + Send + 'static> Payload for T {}
 
 /// Domain-separated digest of a payload within an instance; what ECHOes
-/// and READYs carry and ACKs sign.
+/// and READYs carry and ACKs sign. The payload is encoded into the
+/// thread's reused scratch buffer, not a fresh one per call.
 pub fn payload_digest<P: Payload>(id: InstanceId, payload: &P) -> [u8; 32] {
-    let bytes = payload.to_wire_bytes();
-    astro_crypto::sha256::sha256_concat(&[
-        b"astro-brb-payload-v1",
-        &id.source.to_be_bytes(),
-        &id.tag.to_be_bytes(),
-        &bytes,
-    ])
+    astro_types::wire::with_encoding(payload, |bytes| {
+        astro_crypto::sha256::sha256_concat(&[
+            b"astro-brb-payload-v1",
+            &id.source.to_be_bytes(),
+            &id.tag.to_be_bytes(),
+            bytes,
+        ])
+    })
 }
 
 #[cfg(test)]

@@ -32,7 +32,7 @@ use crate::sync::{SyncError, SyncMsg};
 use crate::{ReplicaStep, SubmitError};
 use astro_brb::signed::{SignedBrb, SignedMsg};
 use astro_brb::{BrbConfig, DeliveryOrder, Envelope, InstanceId};
-use astro_types::wire::{decode_exact, Wire, WireError};
+use astro_types::wire::{decode_exact, with_encoding, Wire, WireError};
 use astro_types::{
     Amount, Authenticator, ClientId, Group, Payment, PaymentId, ReplicaId, SeqNo, ShardId,
     ShardLayout, SigCheck,
@@ -293,17 +293,9 @@ impl CertCache {
 
 /// Content digest of a certificate (bundle and proofs).
 fn cert_digest<S: Wire>(cert: &DependencyCertificate<S>) -> [u8; 32] {
-    let mut h = astro_crypto::sha256::Sha256::new();
-    h.update(b"astro-cert-digest-v1");
-    h.update(&cert.to_wire_bytes());
-    h.finalize()
-}
-
-/// The [`credit_context`] digest of a sub-batch as a map key: what CREDIT
-/// proofs accumulate under, what acks name, and what identifies a held
-/// bundle.
-fn credit_key(bundle: &[Payment]) -> [u8; 32] {
-    credit_context(bundle).as_slice().try_into().expect("sha256 digest")
+    with_encoding(cert, |bytes| {
+        astro_crypto::sha256::sha256_concat(&[b"astro-cert-digest-v1", bytes])
+    })
 }
 
 /// What a representative holds for one beneficiary.
@@ -312,7 +304,7 @@ struct Held<S> {
     /// The certificates, oldest first: the order [`HeldCerts::take`]
     /// attaches them in and `export_local` writes them in.
     certs: Vec<Arc<DependencyCertificate<S>>>,
-    /// [`credit_key`] of every held bundle → its position in `certs`.
+    /// [`credit_context`] of every held bundle → its position in `certs`.
     bundles: HashMap<[u8; 32], usize>,
     /// Every payment crediting this client that a held certificate
     /// vouches for.
@@ -330,7 +322,7 @@ struct Held<S> {
 /// plus two hash indexes that make the CREDIT path cost the same after a
 /// million certificates as after one:
 ///
-/// - the bundle digests ([`credit_key`]) held — "is a certificate over
+/// - the bundle digests ([`credit_context`]) held — "is a certificate over
 ///   this bundle already here", the dedup every insertion goes through
 ///   (live certification, `Cert` replay, snapshot restore alike);
 /// - the *whole* [`Payment`]s vouched for — "is this credit already
@@ -428,7 +420,7 @@ impl<S> HeldCerts<S> {
         let Some(held) = self.clients.remove(&client) else { return };
         for cert in held.certs {
             if !taken.contains(&cert_digest(&cert)) {
-                self.insert(credit_key(&cert.bundle), cert, [client]);
+                self.insert(credit_context(&cert.bundle), cert, [client]);
             }
         }
     }
@@ -739,7 +731,7 @@ impl<A: Authenticator> AstroTwoReplica<A> {
                 }
             }
             for bundle in regenerated {
-                if self.outbox.contains_key(&credit_key(&bundle)) {
+                if self.outbox.contains_key(&credit_context(&bundle)) {
                     continue; // already queued (and just retransmitted above)
                 }
                 replays += 1;
@@ -1361,7 +1353,7 @@ impl<A: Authenticator> Replica for AstroTwoReplica<A> {
         self.stuck = local.stuck.iter().copied().collect();
         for (client, certs) in &local.certs {
             for cert in decode_certs::<A::Sig>(certs) {
-                self.held.insert(credit_key(&cert.bundle), Arc::new(cert), [*client]);
+                self.held.insert(credit_context(&cert.bundle), Arc::new(cert), [*client]);
             }
         }
         for (dest, bundle) in &local.outbox {
@@ -1418,7 +1410,7 @@ impl<A: Authenticator> Replica for AstroTwoReplica<A> {
                 };
                 // Idempotent over the snapshot-overlap window, by the
                 // same bundle dedup as live certification.
-                self.hold(credit_key(&cert.bundle), cert);
+                self.hold(credit_context(&cert.bundle), cert);
             }
             WalRecord::CreditOut { dest, bundle } => {
                 self.restore_outbox_entry(*dest, bundle.clone());
@@ -2326,7 +2318,7 @@ mod tests {
         node.flush();
         node.handle(sender, credit(sender, &[inflated]));
         assert_eq!(node.pending_acks(), 0);
-        assert_eq!(node.partial[&credit_key(&[inflated])].proofs.len(), 1);
+        assert_eq!(node.partial[&credit_context(&[inflated])].proofs.len(), 1);
         assert_eq!(node.available_balance(ClientId(1)), Amount(130));
     }
 
@@ -2389,7 +2381,7 @@ mod tests {
                     assert_eq!(node.covered(&q), scan_covered(node, &q), "covered({q})");
                 }
             }
-            let key = credit_key(bundle);
+            let key = credit_context(bundle);
             let mut holders = clients.iter().filter_map(|c| {
                 let held = node.held.clients.get(c)?;
                 let listed = held.certs.iter().filter(|cert| cert.bundle == *bundle).count();

@@ -74,15 +74,16 @@ impl<S: Wire> Wire for DependencyCertificate<S> {
 }
 
 /// The byte string CREDIT signatures cover: a domain-separated digest of
-/// the sub-batch contents.
-pub fn credit_context(bundle: &[Payment]) -> Vec<u8> {
+/// the sub-batch contents. It also keys the sub-batch wherever CREDIT
+/// proofs accumulate, acks name a bundle or a held certificate is found.
+pub fn credit_context(bundle: &[Payment]) -> [u8; 32] {
     let mut h = astro_crypto::sha256::Sha256::new();
     h.update(b"astro-credit-v1");
     h.update(&(bundle.len() as u64).to_be_bytes());
     for p in bundle {
-        h.update(&p.to_wire_bytes());
+        h.update(&p.to_bytes());
     }
-    h.finalize().to_vec()
+    h.finalize()
 }
 
 /// The byte string a CREDIT acknowledgment signature covers: the acked
@@ -91,14 +92,14 @@ pub fn credit_context(bundle: &[Payment]) -> Vec<u8> {
 /// every digest the representative owes a given settler — acks are
 /// batched per destination on the flush tick, so ack traffic scales
 /// with flush intervals rather than with sub-batch count.
-pub fn credit_ack_context(digests: &[[u8; 32]]) -> Vec<u8> {
+pub fn credit_ack_context(digests: &[[u8; 32]]) -> [u8; 32] {
     let mut h = astro_crypto::sha256::Sha256::new();
     h.update(b"astro-credit-ack-v2");
     h.update(&(digests.len() as u64).to_be_bytes());
     for d in digests {
         h.update(d);
     }
-    h.finalize().to_vec()
+    h.finalize()
 }
 
 /// Verifies a dependency certificate against the settling shard's group.
@@ -290,6 +291,30 @@ mod tests {
         let cert: DependencyCertificate<SimSig> =
             DependencyCertificate { bundle: vec![], proofs: vec![] };
         assert!(!verify_certificate(&cert, &group, &a));
+    }
+
+    #[test]
+    fn digest_distinguishes_conflicting_payments() {
+        // Two payments with the same identifier but different beneficiary
+        // (the double-spend pattern) must have different CREDIT digests.
+        let a = p(1, 7, 2, 10);
+        let a_conflict = p(1, 7, 3, 10);
+        assert_eq!(a.id(), a_conflict.id());
+        assert_ne!(credit_context(&[a]), credit_context(&[a_conflict]));
+    }
+
+    proptest::proptest! {
+        /// The CREDIT digest is injective over singleton bundles (no
+        /// trivial collisions on distinct payments).
+        #[test]
+        fn distinct_payments_have_distinct_digests(
+            a in proptest::prelude::any::<[u64; 4]>(),
+            b in proptest::prelude::any::<[u64; 4]>(),
+        ) {
+            let (a, b) = (p(a[0], a[1], a[2], a[3]), p(b[0], b[1], b[2], b[3]));
+            proptest::prop_assume!(a != b);
+            proptest::prop_assert_ne!(credit_context(&[a]), credit_context(&[b]));
+        }
     }
 
     #[test]

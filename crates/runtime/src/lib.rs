@@ -1039,6 +1039,7 @@ fn drain_verified<R: Replica, E: Endpoint>(
     node: &mut Hosted<R>,
     pending: &mut VecDeque<Parked<R::Msg>>,
     endpoint: &mut E,
+    wire: &mut Vec<u8>,
     me: ReplicaId,
     block: bool,
     obs: Option<&DriverObs>,
@@ -1055,7 +1056,7 @@ fn drain_verified<R: Replica, E: Endpoint>(
         }
         let (from, msg, _) = pending.pop_front().expect("checked front");
         let step = node.handle(from, msg);
-        dispatch(me, step, endpoint, obs);
+        dispatch(me, step, endpoint, wire, obs);
     }
 }
 
@@ -1072,6 +1073,8 @@ fn replica_main<R: Replica, E: Endpoint>(
     // Messages decoded but awaiting their burst's verification ticket, in
     // arrival order. Empty between bursts in serial mode (no tickets).
     let mut pending: VecDeque<Parked<R::Msg>> = VecDeque::new();
+    // Every outbound message is encoded here, one at a time.
+    let mut wire: Vec<u8> = Vec::new();
     'run: loop {
         // Work generated in this window is corked: the transport coalesces
         // the frames per link and writes each link once at uncork, so a
@@ -1083,7 +1086,7 @@ fn replica_main<R: Replica, E: Endpoint>(
                 Ok(Ctrl::Stop) | Err(TryRecvError::Disconnected) => {
                     // A clean stop processes everything already received —
                     // pooled and serial runs must leave identical state.
-                    drain_verified(node, &mut pending, &mut endpoint, me, true, obs);
+                    drain_verified(node, &mut pending, &mut endpoint, &mut wire, me, true, obs);
                     let _ = endpoint.uncork();
                     if let Some(durable) = &mut node.durable {
                         durable.stop(&mut node.replica);
@@ -1105,7 +1108,7 @@ fn replica_main<R: Replica, E: Endpoint>(
                 }
                 Ok(Ctrl::Client(p)) => {
                     if let Ok(step) = node.submit(p) {
-                        dispatch(me, step, &mut endpoint, obs);
+                        dispatch(me, step, &mut endpoint, &mut wire, obs);
                     }
                 }
                 Ok(Ctrl::Probe(client, reply)) => {
@@ -1121,10 +1124,10 @@ fn replica_main<R: Replica, E: Endpoint>(
         }
         if Instant::now() >= next_flush {
             let step = node.flush();
-            dispatch(me, step, &mut endpoint, obs);
+            dispatch(me, step, &mut endpoint, &mut wire, obs);
             next_flush = Instant::now() + flush_every;
         }
-        drain_verified(node, &mut pending, &mut endpoint, me, false, obs);
+        drain_verified(node, &mut pending, &mut endpoint, &mut wire, me, false, obs);
         let _ = endpoint.uncork();
         // Peer traffic, waiting at most until the next flush deadline for
         // the first message, then draining the burst that is already
@@ -1166,7 +1169,7 @@ fn replica_main<R: Replica, E: Endpoint>(
             for (from, msg) in burst {
                 pending.push_back((from, msg, ticket.clone()));
             }
-            drain_verified(node, &mut pending, &mut endpoint, me, false, obs);
+            drain_verified(node, &mut pending, &mut endpoint, &mut wire, me, false, obs);
             // Under sustained overload, bound the parked backlog by
             // waiting for the oldest super-batch.
             if pending.len() > PENDING_HIGH_WATER {
@@ -1174,7 +1177,7 @@ fn replica_main<R: Replica, E: Endpoint>(
                     o.pending_high_water.inc();
                     o.flight.event("runtime.pending_high_water", pending.len() as u64, 0);
                 }
-                drain_verified(node, &mut pending, &mut endpoint, me, true, obs);
+                drain_verified(node, &mut pending, &mut endpoint, &mut wire, me, true, obs);
             }
             let _ = endpoint.uncork();
         }
@@ -1182,10 +1185,14 @@ fn replica_main<R: Replica, E: Endpoint>(
     node.report()
 }
 
+/// Encodes and sends a step's outbound messages, each into `wire`: one
+/// buffer the replica thread keeps for its lifetime (the endpoint copies
+/// the bytes into its link buffers before `send` returns).
 fn dispatch<M: Wire, E: Endpoint>(
     me: ReplicaId,
     step: ReplicaStep<M>,
     endpoint: &mut E,
+    wire: &mut Vec<u8>,
     obs: Option<&DriverObs>,
 ) {
     if !step.settled.is_empty() {
@@ -1194,7 +1201,9 @@ fn dispatch<M: Wire, E: Endpoint>(
         }
     }
     for env in step.outbound {
-        let bytes = env.msg.to_wire_bytes();
+        wire.clear();
+        env.msg.encode(wire);
+        let bytes = &wire[..];
         // A failed send means a peer link is down. Broadcast losses are
         // masked by quorums; unicast losses (CREDIT sub-batches, acks,
         // sync traffic) are fail-fast outcomes the replica's retry
@@ -1203,7 +1212,7 @@ fn dispatch<M: Wire, E: Endpoint>(
         // Either way the failure is surfaced, never silently swallowed.
         match env.to {
             Dest::All => {
-                if endpoint.broadcast(&bytes).is_err() {
+                if endpoint.broadcast(bytes).is_err() {
                     if let Some(o) = obs {
                         o.send_failures.inc();
                         o.flight.event("runtime.send_failed", u64::from(me.0), 0);
@@ -1211,7 +1220,7 @@ fn dispatch<M: Wire, E: Endpoint>(
                 }
             }
             Dest::One(to) => {
-                if endpoint.send(to, &bytes).is_err() {
+                if endpoint.send(to, bytes).is_err() {
                     if let Some(o) = obs {
                         o.send_failures.inc();
                         o.flight.event("runtime.send_failed", u64::from(to.0), 0);

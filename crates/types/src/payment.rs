@@ -9,7 +9,6 @@
 use crate::ids::ClientId;
 use crate::money::{Amount, SeqNo};
 use crate::wire::{Wire, WireError};
-use astro_crypto::Digest;
 
 /// The globally unique identifier of a payment: `(spender, sequence number)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -60,11 +59,15 @@ impl Payment {
         PaymentId { spender: self.spender, seq: self.seq }
     }
 
-    /// Domain-separated SHA-256 digest of the canonical encoding; this is
-    /// what Astro II's ACK and CREDIT messages sign.
-    pub fn digest(&self) -> Digest {
-        let bytes = self.to_wire_bytes();
-        astro_crypto::sha256::sha256_concat(&[b"astro-payment-v1", &bytes])
+    /// The canonical 32-byte encoding, on the stack: exactly the bytes
+    /// [`Wire::encode`] appends.
+    pub fn to_bytes(&self) -> [u8; 32] {
+        let mut out = [0u8; 32];
+        out[..8].copy_from_slice(&self.spender.0.to_le_bytes());
+        out[8..16].copy_from_slice(&self.seq.0.to_le_bytes());
+        out[16..24].copy_from_slice(&self.beneficiary.0.to_le_bytes());
+        out[24..].copy_from_slice(&self.amount.0.to_le_bytes());
+        out
     }
 }
 
@@ -149,10 +152,7 @@ impl Wire for PaymentId {
 
 impl Wire for Payment {
     fn encode(&self, buf: &mut Vec<u8>) {
-        self.spender.encode(buf);
-        self.seq.encode(buf);
-        self.beneficiary.encode(buf);
-        self.amount.encode(buf);
+        buf.extend_from_slice(&self.to_bytes());
     }
     fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
         Ok(Payment {
@@ -178,6 +178,9 @@ mod tests {
         let bytes = p.to_wire_bytes();
         assert_eq!(bytes.len(), p.encoded_len());
         assert_eq!(decode_exact::<Payment>(&bytes).unwrap(), p);
+        // Fixed-width little-endian fields, in declaration order.
+        let fields = [p.spender.0, p.seq.0, p.beneficiary.0, p.amount.0].map(u64::to_le_bytes);
+        assert_eq!(bytes, fields.concat());
     }
 
     #[test]
@@ -187,16 +190,6 @@ mod tests {
         // and a signature adds 65.
         let p = Payment::new(1u64, 0u64, 2u64, 10u64);
         assert_eq!(p.encoded_len(), 32);
-    }
-
-    #[test]
-    fn digest_distinguishes_conflicting_payments() {
-        // Two payments with the same identifier but different beneficiary
-        // (the double-spend pattern) must have different digests.
-        let a = Payment::new(1u64, 7u64, 2u64, 10u64);
-        let a_conflict = Payment::new(1u64, 7u64, 3u64, 10u64);
-        assert_eq!(a.id(), a_conflict.id());
-        assert_ne!(a.digest(), a_conflict.digest());
     }
 
     #[test]

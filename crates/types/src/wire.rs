@@ -63,21 +63,44 @@ pub trait Wire: Sized {
 
     /// The exact number of bytes [`Wire::encode`] would produce.
     ///
-    /// The default implementation encodes into a scratch buffer; hot types
-    /// override it with a closed-form size (the network simulator calls this
-    /// on every modelled message).
+    /// Every impl in the workspace overrides this with a closed-form size:
+    /// [`Wire::to_wire_bytes`] allocates exactly this much, and the network
+    /// simulator charges it for every modelled message. An under-count
+    /// would bring back growth reallocations, so `to_wire_bytes` checks it
+    /// in debug builds. The default encodes into a scratch buffer.
     fn encoded_len(&self) -> usize {
         let mut buf = Vec::new();
         self.encode(&mut buf);
         buf.len()
     }
 
-    /// Encodes into a fresh buffer.
+    /// Encodes into a fresh buffer of exactly [`Wire::encoded_len`] bytes:
+    /// one allocation, no growth. A caller that encodes repeatedly should
+    /// instead keep one buffer and [`Wire::encode`] into it.
     fn to_wire_bytes(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
+        let len = self.encoded_len();
+        let mut buf = Vec::with_capacity(len);
         self.encode(&mut buf);
+        debug_assert_eq!(buf.len(), len, "encoded_len must be exact");
         buf
     }
+}
+
+/// Runs `f` over the encoding of `value`, written into a scratch buffer
+/// this thread keeps between calls. Hashing an encoding this way
+/// allocates nothing once the buffer has grown to the largest value the
+/// thread has encoded. A nested call, from inside `f`, encodes into a
+/// buffer of its own.
+pub fn with_encoding<T: Wire, R>(value: &T, f: impl FnOnce(&[u8]) -> R) -> R {
+    thread_local! {
+        static SCRATCH: core::cell::Cell<Vec<u8>> = const { core::cell::Cell::new(Vec::new()) };
+    }
+    let mut buf = SCRATCH.take();
+    buf.clear();
+    value.encode(&mut buf);
+    let out = f(&buf);
+    SCRATCH.set(buf);
+    out
 }
 
 /// Decodes a value that must consume the entire buffer.

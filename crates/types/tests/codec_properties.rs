@@ -92,12 +92,4 @@ proptest! {
             prop_assert_eq!(decode_exact::<Proofs>(&proofs.to_wire_bytes()).unwrap(), proofs);
         }
     }
-
-    /// Digests are injective over the encoding (no trivial collisions on
-    /// distinct payments).
-    #[test]
-    fn distinct_payments_have_distinct_digests(a in arb_payment(), b in arb_payment()) {
-        prop_assume!(a != b);
-        prop_assert_ne!(a.digest(), b.digest());
-    }
 }

@@ -344,8 +344,7 @@ fn tcp_byzantine_donor_cannot_forge_acks_or_corrupt_credit_replay() {
     // (a) Forged acks: correctly signed by replica 3 over the *real*
     // outbox digests — but the entries are destined to replica 1, and an
     // ack only counts from its destination. Donors must keep retrying.
-    let digests: Vec<[u8; 32]> =
-        wave.iter().map(|p| credit_context(&[*p]).as_slice().try_into().unwrap()).collect();
+    let digests: Vec<[u8; 32]> = wave.iter().map(|p| credit_context(&[*p])).collect();
     for &donor in &[0u32, 2] {
         // One batched ack covering every digest, and one per digest —
         // neither form may discharge entries destined to replica 1.

@@ -9,14 +9,18 @@ use astro_brb::InstanceId;
 use astro_consensus::pbft::PbftMsg;
 use astro_core::astro1::Astro1Msg;
 use astro_core::astro2::Astro2Msg;
-use astro_core::batch::{Batch, CreditBundle, DepBatch, DepPayment, DependencyCertificate};
-use astro_core::journal::{Astro1Local, State};
+use astro_core::batch::{
+    credit_ack_context, credit_context, Batch, CreditBundle, DepBatch, DepPayment,
+    DependencyCertificate,
+};
+use astro_core::journal::{Astro1Local, State, WalRecord};
 use astro_core::sync::SyncMsg;
+use astro_crypto::Signature;
 use astro_types::auth::SimSig;
 use astro_types::wire::{
     decode_exact, peek_frame_len, put_frame, take_frame, Wire, WireError, MAX_FRAME_LEN,
 };
-use astro_types::{Authenticator, MacAuthenticator, Payment, ReplicaId};
+use astro_types::{Authenticator, Keychain, MacAuthenticator, Payment, ReplicaId};
 
 fn round_trip<T: Wire + PartialEq + core::fmt::Debug>(value: &T) {
     let bytes = value.to_wire_bytes();
@@ -138,6 +142,76 @@ fn astro2_messages_round_trip() {
         sig: sig(2),
     });
     round_trip(&Astro2Msg::<SimSig>::CreditRequest { since: 42 });
+}
+
+/// A certificate as a representative holds it: a CREDIT sub-batch with
+/// real Schnorr proofs from f+1 = 2 of 4 replicas.
+fn schnorr_certificate(first: u64) -> DependencyCertificate<Signature> {
+    let chains = Keychain::deterministic_system(b"wire-tests", 4);
+    let bundle =
+        vec![Payment::new(first, 0u64, 9u64, 12u64), Payment::new(first + 1, 3u64, 9u64, 1u64)];
+    let context = credit_context(&bundle);
+    let proofs = chains[1..3].iter().map(|kc| (kc.id(), kc.sign(&context))).collect();
+    DependencyCertificate { bundle, proofs }
+}
+
+#[test]
+fn schnorr_astro2_messages_round_trip() {
+    let chains = Keychain::deterministic_system(b"wire-tests", 4);
+    let payload = DepBatch {
+        entries: vec![
+            DepPayment { payment: Payment::new(9u64, 0u64, 1u64, 5u64), deps: vec![] },
+            DepPayment {
+                payment: Payment::new(9u64, 1u64, 2u64, 20u64),
+                deps: vec![schnorr_certificate(3), schnorr_certificate(5)],
+            },
+        ],
+    };
+    let id = InstanceId { source: 0, tag: 11 };
+    let digest = astro_brb::payload_digest(id, &payload);
+    let acks: Vec<(ReplicaId, Signature)> =
+        chains[..3].iter().map(|kc| (kc.id(), kc.sign(&digest))).collect();
+    let bundle = schnorr_certificate(7).bundle;
+    let messages: [Astro2Msg<Signature>; 6] = [
+        Astro2Msg::Brb(SignedMsg::Prepare { id, payload: payload.clone() }),
+        Astro2Msg::Brb(SignedMsg::Ack { id, digest, sig: acks[1].1 }),
+        Astro2Msg::Brb(SignedMsg::Commit { id, payload, proof: acks }),
+        Astro2Msg::Credit(CreditBundle { sig: chains[2].sign(&credit_context(&bundle)), bundle }),
+        Astro2Msg::CreditAck {
+            digests: vec![digest],
+            sig: chains[0].sign(&credit_ack_context(&[digest])),
+        },
+        Astro2Msg::Sync(sync_messages()[1].clone()),
+    ];
+    for msg in &messages {
+        round_trip(msg);
+    }
+}
+
+#[test]
+fn wal_records_round_trip_every_variant() {
+    let cert = schnorr_certificate(3);
+    let records = [
+        WalRecord::Delivered { source: 2, tag: 40 },
+        WalRecord::Settle {
+            payment: Payment::new(1u64, 0u64, 2u64, 5u64),
+            credit_beneficiary: false,
+        },
+        WalRecord::DepUsed { dep: cert.bundle[0] },
+        WalRecord::Queued {
+            payment: Payment::new(9u64, 4u64, 1u64, 50u64),
+            deps: vec![cert.to_wire_bytes(), schnorr_certificate(5).to_wire_bytes()],
+        },
+        WalRecord::Stuck { client: astro_types::ClientId(9) },
+        WalRecord::OwnTag { tag: 41 },
+        WalRecord::Cert { bytes: cert.to_wire_bytes() },
+        WalRecord::CertsTaken { client: astro_types::ClientId(9), digests: vec![[0x5a; 32]; 3] },
+        WalRecord::CreditOut { dest: ReplicaId(1), bundle: cert.bundle.clone() },
+        WalRecord::CreditAcked { digest: credit_context(&cert.bundle) },
+    ];
+    for rec in &records {
+        round_trip(rec);
+    }
 }
 
 /// A realistic catch-up payload: the canonical snapshot encoding of a
