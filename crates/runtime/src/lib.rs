@@ -1203,7 +1203,6 @@ fn dispatch<M: Wire, E: Endpoint>(
     for env in step.outbound {
         wire.clear();
         env.msg.encode(wire);
-        let bytes = &wire[..];
         // A failed send means a peer link is down. Broadcast losses are
         // masked by quorums; unicast losses (CREDIT sub-batches, acks,
         // sync traffic) are fail-fast outcomes the replica's retry
@@ -1212,7 +1211,7 @@ fn dispatch<M: Wire, E: Endpoint>(
         // Either way the failure is surfaced, never silently swallowed.
         match env.to {
             Dest::All => {
-                if endpoint.broadcast(bytes).is_err() {
+                if endpoint.broadcast(wire).is_err() {
                     if let Some(o) = obs {
                         o.send_failures.inc();
                         o.flight.event("runtime.send_failed", u64::from(me.0), 0);
@@ -1220,7 +1219,7 @@ fn dispatch<M: Wire, E: Endpoint>(
                 }
             }
             Dest::One(to) => {
-                if endpoint.send(to, bytes).is_err() {
+                if endpoint.send(to, wire).is_err() {
                     if let Some(o) = obs {
                         o.send_failures.inc();
                         o.flight.event("runtime.send_failed", u64::from(to.0), 0);

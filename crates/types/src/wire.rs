@@ -61,18 +61,14 @@ pub trait Wire: Sized {
     /// out-of-range tag/length/value.
     fn decode(buf: &mut &[u8]) -> Result<Self, WireError>;
 
-    /// The exact number of bytes [`Wire::encode`] would produce.
+    /// The exact number of bytes [`Wire::encode`] would produce, in closed
+    /// form: no encoding, no allocation.
     ///
-    /// Every impl in the workspace overrides this with a closed-form size:
     /// [`Wire::to_wire_bytes`] allocates exactly this much, and the network
     /// simulator charges it for every modelled message. An under-count
     /// would bring back growth reallocations, so `to_wire_bytes` checks it
-    /// in debug builds. The default encodes into a scratch buffer.
-    fn encoded_len(&self) -> usize {
-        let mut buf = Vec::new();
-        self.encode(&mut buf);
-        buf.len()
-    }
+    /// in debug builds.
+    fn encoded_len(&self) -> usize;
 
     /// Encodes into a fresh buffer of exactly [`Wire::encoded_len`] bytes:
     /// one allocation, no growth. A caller that encodes repeatedly should

@@ -26,23 +26,28 @@ fn count_one() {
     let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
 }
 
-// SAFETY: every call forwards to `System` unchanged; the count is a
-// const-initialised thread-local without a destructor, so touching it
-// never allocates or re-enters the allocator.
+// SAFETY: every method forwards to `System` unchanged, so `System`'s
+// guarantees hold; the count is a const-initialised thread-local without a
+// destructor, so touching it never allocates or re-enters the allocator.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count_one();
+        // SAFETY: the caller's `alloc` contract, passed on unchanged.
         unsafe { System.alloc(layout) }
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         count_one();
+        // SAFETY: the caller's `alloc_zeroed` contract, passed on unchanged.
         unsafe { System.alloc_zeroed(layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count_one();
+        // SAFETY: `ptr` came from this allocator, which is `System`'s; the
+        // caller's `realloc` contract, passed on unchanged.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from this allocator, which is `System`'s.
         unsafe { System.dealloc(ptr, layout) }
     }
 }

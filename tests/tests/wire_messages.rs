@@ -169,8 +169,9 @@ fn schnorr_astro2_messages_round_trip() {
     };
     let id = InstanceId { source: 0, tag: 11 };
     let digest = astro_brb::payload_digest(id, &payload);
+    let context = astro_brb::signed::ack_context(id, &digest);
     let acks: Vec<(ReplicaId, Signature)> =
-        chains[..3].iter().map(|kc| (kc.id(), kc.sign(&digest))).collect();
+        chains[..3].iter().map(|kc| (kc.id(), kc.sign(&context))).collect();
     let bundle = schnorr_certificate(7).bundle;
     let messages: [Astro2Msg<Signature>; 6] = [
         Astro2Msg::Brb(SignedMsg::Prepare { id, payload: payload.clone() }),
