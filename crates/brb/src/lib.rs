@@ -360,14 +360,17 @@ impl<T: Clone + Eq + core::fmt::Debug + Wire + Send + 'static> Payload for T {}
 /// and READYs carry and ACKs sign. The payload is encoded into the
 /// thread's reused scratch buffer, not a fresh one per call.
 pub fn payload_digest<P: Payload>(id: InstanceId, payload: &P) -> [u8; 32] {
-    astro_types::wire::with_encoding(payload, |bytes| {
-        astro_crypto::sha256::sha256_concat(&[
-            b"astro-brb-payload-v1",
-            &id.source.to_be_bytes(),
-            &id.tag.to_be_bytes(),
-            bytes,
-        ])
-    })
+    astro_types::wire::with_encoding(payload, |bytes| encoded_payload_digest(id, bytes))
+}
+
+/// [`payload_digest`] of the payload whose canonical encoding is `bytes`.
+pub(crate) fn encoded_payload_digest(id: InstanceId, bytes: &[u8]) -> [u8; 32] {
+    astro_crypto::sha256::sha256_concat(&[
+        b"astro-brb-payload-v1",
+        &id.source.to_be_bytes(),
+        &id.tag.to_be_bytes(),
+        bytes,
+    ])
 }
 
 #[cfg(test)]

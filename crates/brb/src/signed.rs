@@ -20,8 +20,8 @@
 //! attack this enables when uncompensated.
 
 use crate::{
-    payload_digest, BrbConfig, Broadcast, Delivery, Dest, Envelope, FifoDelivery, InstanceId,
-    Payload, Source, Step, Tag,
+    encoded_payload_digest, payload_digest, BrbConfig, Broadcast, Delivery, Dest, Envelope,
+    FifoDelivery, InstanceId, Payload, Source, Step, Tag,
 };
 use astro_types::wire::{Wire, WireError};
 use astro_types::{count_valid_signers, Authenticator, Group, ReplicaId};
@@ -29,17 +29,71 @@ use std::collections::HashMap;
 
 type PayloadDigest = [u8; 32];
 
+/// A broadcast payload with its instance id and its [`payload_digest`],
+/// computed once: by the broadcaster from the value ([`Digested::new`]), or
+/// by a receiver from the bytes it has just decoded, so a received payload
+/// is never re-encoded to be hashed. The codec is canonical, so both give
+/// the same digest. The fields are private: the digest always belongs to
+/// the id and payload beside it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Digested<P> {
+    id: InstanceId,
+    payload: P,
+    digest: PayloadDigest,
+}
+
+impl<P: Payload> Digested<P> {
+    /// Hashes `payload` for instance `id`.
+    pub fn new(id: InstanceId, payload: P) -> Self {
+        let digest = payload_digest(id, &payload);
+        Digested { id, payload, digest }
+    }
+}
+
+impl<P> Digested<P> {
+    /// The instance the payload is broadcast in.
+    pub fn id(&self) -> InstanceId {
+        self.id
+    }
+
+    /// The payload.
+    pub fn payload(&self) -> &P {
+        &self.payload
+    }
+
+    /// `payload_digest(id, payload)`.
+    pub fn digest(&self) -> &PayloadDigest {
+        &self.digest
+    }
+}
+
+/// Encoded as the id, then the payload. Decoding hashes the payload's
+/// bytes as read from the frame.
+impl<P: Wire> Wire for Digested<P> {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        self.id.encode(buf);
+        self.payload.encode(buf);
+    }
+
+    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
+        let id = InstanceId::decode(buf)?;
+        let start = *buf;
+        let payload = P::decode(buf)?;
+        let digest = encoded_payload_digest(id, &start[..start.len() - buf.len()]);
+        Ok(Digested { id, payload, digest })
+    }
+
+    fn encoded_len(&self) -> usize {
+        self.id.encoded_len() + self.payload.encoded_len()
+    }
+}
+
 /// Protocol messages of the signature-based BRB, generic over the signature
 /// type of the [`Authenticator`] in use.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SignedMsg<P, S> {
     /// Phase 1: broadcaster disseminates the payload.
-    Prepare {
-        /// Instance identifier `(s, n)`.
-        id: InstanceId,
-        /// The broadcast payload.
-        payload: P,
-    },
+    Prepare(Digested<P>),
     /// Phase 2: signed acknowledgement, unicast back to the broadcaster.
     Ack {
         /// Instance identifier.
@@ -52,10 +106,8 @@ pub enum SignedMsg<P, S> {
     /// Phase 3: the commit certificate; carries the payload so replicas
     /// that missed the PREPARE can still deliver.
     Commit {
-        /// Instance identifier.
-        id: InstanceId,
-        /// The committed payload.
-        payload: P,
+        /// The committed payload, with its instance id.
+        body: Digested<P>,
         /// `2f+1` signatures from distinct replicas over the ack context.
         proof: Vec<(ReplicaId, S)>,
     },
@@ -64,10 +116,9 @@ pub enum SignedMsg<P, S> {
 impl<P: Wire, S: Wire> Wire for SignedMsg<P, S> {
     fn encode(&self, buf: &mut Vec<u8>) {
         match self {
-            SignedMsg::Prepare { id, payload } => {
+            SignedMsg::Prepare(body) => {
                 buf.push(0);
-                id.encode(buf);
-                payload.encode(buf);
+                body.encode(buf);
             }
             SignedMsg::Ack { id, digest, sig } => {
                 buf.push(1);
@@ -75,10 +126,9 @@ impl<P: Wire, S: Wire> Wire for SignedMsg<P, S> {
                 digest.encode(buf);
                 sig.encode(buf);
             }
-            SignedMsg::Commit { id, payload, proof } => {
+            SignedMsg::Commit { body, proof } => {
                 buf.push(2);
-                id.encode(buf);
-                payload.encode(buf);
+                body.encode(buf);
                 proof.encode(buf);
             }
         }
@@ -86,41 +136,36 @@ impl<P: Wire, S: Wire> Wire for SignedMsg<P, S> {
 
     fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
         match u8::decode(buf)? {
-            0 => Ok(SignedMsg::Prepare { id: InstanceId::decode(buf)?, payload: P::decode(buf)? }),
+            0 => Ok(SignedMsg::Prepare(Digested::decode(buf)?)),
             1 => Ok(SignedMsg::Ack {
                 id: InstanceId::decode(buf)?,
                 digest: Wire::decode(buf)?,
                 sig: S::decode(buf)?,
             }),
-            2 => Ok(SignedMsg::Commit {
-                id: InstanceId::decode(buf)?,
-                payload: P::decode(buf)?,
-                proof: Wire::decode(buf)?,
-            }),
+            2 => Ok(SignedMsg::Commit { body: Digested::decode(buf)?, proof: Wire::decode(buf)? }),
             _ => Err(WireError::InvalidValue("signed brb message tag")),
         }
     }
 
     fn encoded_len(&self) -> usize {
         1 + match self {
-            SignedMsg::Prepare { id, payload } => id.encoded_len() + payload.encoded_len(),
+            SignedMsg::Prepare(body) => body.encoded_len(),
             SignedMsg::Ack { id, digest, sig } => {
                 id.encoded_len() + digest.encoded_len() + sig.encoded_len()
             }
-            SignedMsg::Commit { id, payload, proof } => {
-                id.encoded_len() + payload.encoded_len() + proof.encoded_len()
-            }
+            SignedMsg::Commit { body, proof } => body.encoded_len() + proof.encoded_len(),
         }
     }
 }
 
-/// The byte string an ACK signature covers.
-pub fn ack_context(id: InstanceId, digest: &PayloadDigest) -> Vec<u8> {
-    let mut out = Vec::with_capacity(16 + 32 + 16);
-    out.extend_from_slice(b"astro-brb-ack-v1");
-    out.extend_from_slice(&id.source.to_be_bytes());
-    out.extend_from_slice(&id.tag.to_be_bytes());
-    out.extend_from_slice(digest);
+/// The byte string an ACK signature covers: a 16-byte domain tag, the
+/// instance id, the payload digest.
+pub fn ack_context(id: InstanceId, digest: &PayloadDigest) -> [u8; 64] {
+    let mut out = [0u8; 64];
+    out[..16].copy_from_slice(b"astro-brb-ack-v1");
+    out[16..24].copy_from_slice(&id.source.to_be_bytes());
+    out[24..32].copy_from_slice(&id.tag.to_be_bytes());
+    out[32..].copy_from_slice(digest);
     out
 }
 
@@ -135,8 +180,7 @@ struct RecvInstance {
 /// Broadcaster-side state for one of our own instances.
 #[derive(Debug)]
 struct Outgoing<P, S> {
-    payload: P,
-    digest: PayloadDigest,
+    body: Digested<P>,
     /// ACKs whose signatures have been verified (individually or as part
     /// of a batch).
     acks: HashMap<ReplicaId, S>,
@@ -179,9 +223,15 @@ impl<P: Payload, A: Authenticator> SignedBrb<P, A> {
         }
     }
 
-    /// True if `id` names an instance already delivered and pruned.
-    fn pruned(&self, id: InstanceId) -> bool {
+    /// True if `id` names an instance already delivered and pruned: its
+    /// messages are dropped unread.
+    pub fn pruned(&self, id: InstanceId) -> bool {
         id.tag < *self.gc_floor.get(&id.source).unwrap_or(&0)
+    }
+
+    /// The payload digest this replica ACKed for `id`, if it ACKed one.
+    pub fn acked(&self, id: InstanceId) -> Option<&PayloadDigest> {
+        self.instances.get(&id)?.acked.as_ref()
     }
 
     /// The local replica id.
@@ -191,19 +241,18 @@ impl<P: Payload, A: Authenticator> SignedBrb<P, A> {
 
     /// Initiates a broadcast of `payload` for instance `id`.
     pub fn broadcast(&mut self, id: InstanceId, payload: P) -> Step<P, SignedMsg<P, A::Sig>> {
-        let digest = payload_digest(id, &payload);
+        let body = Digested::new(id, payload);
         self.outgoing.insert(
             id,
             Outgoing {
-                payload: payload.clone(),
-                digest,
+                body: body.clone(),
                 acks: HashMap::new(),
                 unverified: Vec::new(),
                 committed: false,
             },
         );
         Step {
-            outbound: vec![Envelope { to: Dest::All, msg: SignedMsg::Prepare { id, payload } }],
+            outbound: vec![Envelope { to: Dest::All, msg: SignedMsg::Prepare(body) }],
             delivered: Vec::new(),
         }
     }
@@ -220,21 +269,21 @@ impl<P: Payload, A: Authenticator> SignedBrb<P, A> {
             return Step::empty();
         }
         match msg {
-            SignedMsg::Prepare { id, payload } => {
-                if self.bind_source && u64::from(from.0) != id.source {
+            SignedMsg::Prepare(body) => {
+                if self.bind_source && u64::from(from.0) != body.id.source {
                     return Step::empty();
                 }
-                if self.pruned(id) {
+                if self.pruned(body.id) {
                     return Step::empty();
                 }
-                self.on_prepare(from, id, payload)
+                self.on_prepare(from, body.id, body.digest)
             }
             SignedMsg::Ack { id, digest, sig } => self.on_ack(from, id, digest, sig),
-            SignedMsg::Commit { id, payload, proof } => {
-                if self.pruned(id) {
+            SignedMsg::Commit { body, proof } => {
+                if self.pruned(body.id) {
                     return Step::empty();
                 }
-                self.on_commit(id, payload, proof)
+                self.on_commit(body, proof)
             }
         }
     }
@@ -243,9 +292,8 @@ impl<P: Payload, A: Authenticator> SignedBrb<P, A> {
         &mut self,
         from: ReplicaId,
         id: InstanceId,
-        payload: P,
+        digest: PayloadDigest,
     ) -> Step<P, SignedMsg<P, A::Sig>> {
-        let digest = payload_digest(id, &payload);
         let instance =
             self.instances.entry(id).or_insert(RecvInstance { acked: None, delivered: false });
         match instance.acked {
@@ -287,7 +335,7 @@ impl<P: Payload, A: Authenticator> SignedBrb<P, A> {
         let Some(outgoing) = self.outgoing.get_mut(&id) else {
             return Step::empty();
         };
-        if outgoing.committed || outgoing.digest != digest {
+        if outgoing.committed || outgoing.body.digest != digest {
             return Step::empty();
         }
         if outgoing.acks.contains_key(&from) || outgoing.unverified.iter().any(|(r, _)| *r == from)
@@ -322,22 +370,19 @@ impl<P: Payload, A: Authenticator> SignedBrb<P, A> {
         outgoing.committed = true;
         let proof: Vec<(ReplicaId, A::Sig)> =
             outgoing.acks.iter().map(|(r, s)| (*r, s.clone())).collect();
-        let payload = outgoing.payload.clone();
+        let body = outgoing.body.clone();
         Step {
-            outbound: vec![Envelope {
-                to: Dest::All,
-                msg: SignedMsg::Commit { id, payload, proof },
-            }],
+            outbound: vec![Envelope { to: Dest::All, msg: SignedMsg::Commit { body, proof } }],
             delivered: Vec::new(),
         }
     }
 
     fn on_commit(
         &mut self,
-        id: InstanceId,
-        payload: P,
+        body: Digested<P>,
         proof: Vec<(ReplicaId, A::Sig)>,
     ) -> Step<P, SignedMsg<P, A::Sig>> {
+        let id = body.id;
         {
             let instance =
                 self.instances.entry(id).or_insert(RecvInstance { acked: None, delivered: false });
@@ -345,8 +390,7 @@ impl<P: Payload, A: Authenticator> SignedBrb<P, A> {
                 return Step::empty();
             }
         }
-        let digest = payload_digest(id, &payload);
-        let context = ack_context(id, &digest);
+        let context = ack_context(id, &body.digest);
         // Batched quorum-proof check: one batch verification over the
         // deduped member signatures, forgery-locating fallback on failure
         // (see `astro_types::count_valid_signers`).
@@ -356,7 +400,7 @@ impl<P: Payload, A: Authenticator> SignedBrb<P, A> {
         }
         let instance = self.instances.get_mut(&id).expect("inserted above");
         instance.delivered = true;
-        Step { outbound: Vec::new(), delivered: self.enqueue_delivery(id, payload) }
+        Step { outbound: Vec::new(), delivered: self.enqueue_delivery(id, body.payload) }
     }
 
     fn enqueue_delivery(&mut self, id: InstanceId, payload: P) -> Vec<Delivery<P>> {
@@ -608,9 +652,9 @@ mod tests {
         let id = iid(9, 0);
         // Byzantine node 0 prepares payload 1 at replicas 1,2 and payload 2
         // at replica 3.
-        c.inject(ReplicaId(0), ReplicaId(1), SignedMsg::Prepare { id, payload: 1 });
-        c.inject(ReplicaId(0), ReplicaId(2), SignedMsg::Prepare { id, payload: 1 });
-        c.inject(ReplicaId(0), ReplicaId(3), SignedMsg::Prepare { id, payload: 2 });
+        c.inject(ReplicaId(0), ReplicaId(1), SignedMsg::Prepare(Digested::new(id, 1)));
+        c.inject(ReplicaId(0), ReplicaId(2), SignedMsg::Prepare(Digested::new(id, 1)));
+        c.inject(ReplicaId(0), ReplicaId(3), SignedMsg::Prepare(Digested::new(id, 2)));
         c.run_to_quiescence();
         let mut seen = std::collections::HashSet::new();
         for i in 0..4 {
@@ -655,7 +699,11 @@ mod tests {
                 (ReplicaId(i), a.sign(&ctx))
             })
             .collect();
-        c.inject(ReplicaId(0), ReplicaId(1), SignedMsg::Commit { id, payload, proof: sigs });
+        c.inject(
+            ReplicaId(0),
+            ReplicaId(1),
+            SignedMsg::Commit { body: Digested::new(id, payload), proof: sigs },
+        );
         c.run_to_quiescence();
         assert!(c.deliveries(1).is_empty());
     }
@@ -672,7 +720,11 @@ mod tests {
         // Three copies of the same signer must not count as a quorum.
         let proof =
             vec![(ReplicaId(0), sig.clone()), (ReplicaId(0), sig.clone()), (ReplicaId(0), sig)];
-        c.inject(ReplicaId(0), ReplicaId(1), SignedMsg::Commit { id, payload, proof });
+        c.inject(
+            ReplicaId(0),
+            ReplicaId(1),
+            SignedMsg::Commit { body: Digested::new(id, payload), proof },
+        );
         c.run_to_quiescence();
         assert!(c.deliveries(1).is_empty());
     }
@@ -692,7 +744,11 @@ mod tests {
             })
             .collect();
         // Signatures cover `real`, but the commit carries `forged`.
-        c.inject(ReplicaId(0), ReplicaId(1), SignedMsg::Commit { id, payload: forged, proof });
+        c.inject(
+            ReplicaId(0),
+            ReplicaId(1),
+            SignedMsg::Commit { body: Digested::new(id, forged), proof },
+        );
         c.run_to_quiescence();
         assert!(c.deliveries(1).is_empty());
     }
@@ -766,9 +822,9 @@ mod tests {
         let sig = auth.sign(&ack_context(id, &digest));
         type Msg = SignedMsg<u64, astro_types::auth::SimSig>;
         let msgs: Vec<Msg> = vec![
-            SignedMsg::Prepare { id, payload: 7u64 },
+            SignedMsg::Prepare(Digested::new(id, 7u64)),
             SignedMsg::Ack { id, digest, sig: sig.clone() },
-            SignedMsg::Commit { id, payload: 9u64, proof: vec![(ReplicaId(0), sig)] },
+            SignedMsg::Commit { body: Digested::new(id, 9u64), proof: vec![(ReplicaId(0), sig)] },
         ];
         for msg in msgs {
             let bytes = msg.to_wire_bytes();
@@ -836,7 +892,11 @@ mod tests {
                 (ReplicaId(i), a.sign(&ctx))
             })
             .collect();
-        c.inject(ReplicaId(0), ReplicaId(1), SignedMsg::Commit { id, payload, proof });
+        c.inject(
+            ReplicaId(0),
+            ReplicaId(1),
+            SignedMsg::Commit { body: Digested::new(id, payload), proof },
+        );
         c.run_to_quiescence();
         assert_eq!(c.deliveries(1).len(), 1, "replayed commit must not re-deliver");
         assert_eq!(c.node_mut(1).tracked_instances(), 0, "and must not re-open state");

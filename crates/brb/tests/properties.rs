@@ -2,7 +2,7 @@
 //! message schedule and every Byzantine equivocation pattern.
 
 use astro_brb::bracha::{BrachaBrb, BrachaMsg};
-use astro_brb::signed::{SignedBrb, SignedMsg};
+use astro_brb::signed::{Digested, SignedBrb, SignedMsg};
 use astro_brb::testkit::Cluster;
 use astro_brb::{BrbConfig, DeliveryOrder, InstanceId};
 use astro_types::{Group, MacAuthenticator, ReplicaId, SystemConfig};
@@ -183,7 +183,7 @@ proptest! {
         // Replica 0 is Byzantine: payload 1 or 2 per receiver.
         for r in 1..n {
             let payload = if assignment[r - 1] { 1 } else { 2 };
-            c.inject(ReplicaId(0), ReplicaId(r as u32), SignedMsg::Prepare { id, payload });
+            c.inject(ReplicaId(0), ReplicaId(r as u32), SignedMsg::Prepare(Digested::new(id, payload)));
         }
         c.run_to_quiescence_shuffled(seed);
         let mut delivered_payloads = HashSet::new();

@@ -1053,9 +1053,9 @@ impl<A: Authenticator> Replica for AstroTwoReplica<A> {
                     // An outbound COMMIT means this replica just assembled
                     // the 2f+1 ack quorum proof for its payload.
                     for env in &out.outbound {
-                        if let Astro2Msg::Brb(SignedMsg::Commit { payload, .. }) = &env.msg {
+                        if let Astro2Msg::Brb(SignedMsg::Commit { body, .. }) = &env.msg {
                             obs.stage_batch(
-                                payload.entries.iter().map(|e| &e.payment),
+                                body.payload().entries.iter().map(|e| &e.payment),
                                 astro_obs::Stage::AckQuorum,
                             );
                         }
@@ -1134,17 +1134,21 @@ impl<A: Authenticator> Replica for AstroTwoReplica<A> {
     ///   PREPARE is enumerated like any other, but it was signed with
     ///   [`Authenticator::sign_for_self`], so the pool finds its verdict
     ///   already cached and does no curve work for it.
-    /// - `Commit` — the `2f+1` quorum proof covers the ack context;
-    ///   attached dependency certificates are checked at settlement.
-    /// - `Prepare` — the attached dependency certificates again: they will
-    ///   be checked when the instance *commits*, so pre-verifying at
-    ///   PREPARE hides the certificate work behind the ACK round-trip.
+    /// - `Commit` — the `2f+1` quorum proof covers the ack context, built
+    ///   from the digest the message carries. The attached dependency
+    ///   certificates, checked at settlement, are enumerated only if this
+    ///   replica has not ACKed the same digest for the instance: an ACKed
+    ///   PREPARE carried the same certificates, and its checks went to the
+    ///   pool then. A COMMIT for a pruned instance is dropped unread, so
+    ///   it enumerates nothing.
+    /// - `Prepare` — the attached dependency certificates: they will be
+    ///   checked when the instance *commits*, so pre-verifying at PREPARE
+    ///   hides the certificate work behind the ACK round-trip.
     /// - `Credit` — one signature over the sub-batch digest. A
     ///   representative's self-addressed CREDIT never reaches the pool:
     ///   [`Replica::apply`] hands it to `on_credit` inline, signed with
     ///   `sign_for_self`, so its check is a cache hit there.
     fn preverify(&self, from: ReplicaId, msg: &Self::Msg) -> Vec<SigCheck> {
-        use astro_brb::payload_digest;
         use astro_brb::signed::ack_context;
 
         let mut out = Vec::new();
@@ -1157,14 +1161,19 @@ impl<A: Authenticator> Replica for AstroTwoReplica<A> {
             }
         };
         match msg {
-            Astro2Msg::Brb(SignedMsg::Prepare { payload, .. }) => certs(&mut out, payload),
+            Astro2Msg::Brb(SignedMsg::Prepare(body)) => certs(&mut out, body.payload()),
             Astro2Msg::Brb(SignedMsg::Ack { id, digest, sig }) => {
                 push_checks::<A>(&mut out, ack_context(*id, digest).into(), [(from, sig)]);
             }
-            Astro2Msg::Brb(SignedMsg::Commit { id, payload, proof }) => {
-                let context = ack_context(*id, &payload_digest(*id, payload)).into();
-                push_checks::<A>(&mut out, context, proof.iter().map(|(r, sig)| (*r, sig)));
-                certs(&mut out, payload);
+            Astro2Msg::Brb(SignedMsg::Commit { body, proof }) => {
+                let id = body.id();
+                if !self.brb.pruned(id) {
+                    let context = ack_context(id, body.digest()).into();
+                    push_checks::<A>(&mut out, context, proof.iter().map(|(r, sig)| (*r, sig)));
+                    if self.brb.acked(id) != Some(body.digest()) {
+                        certs(&mut out, body.payload());
+                    }
+                }
             }
             Astro2Msg::Credit(cb) => {
                 push_checks::<A>(&mut out, credit_context(&cb.bundle).into(), [(from, &cb.sig)]);
@@ -1551,6 +1560,7 @@ mod tests {
     use super::*;
     use crate::journal::Journal;
     use crate::testkit::PaymentCluster;
+    use astro_brb::signed::{ack_context, Digested};
     use astro_crypto::Signature;
     use astro_types::{Keychain, MacAuthenticator, SchnorrAuthenticator, VerdictCache};
 
@@ -1800,7 +1810,7 @@ mod tests {
             c.inject(
                 rep,
                 ReplicaId(i),
-                Astro2Msg::Brb(SignedMsg::Prepare { id, payload: batch.clone() }),
+                Astro2Msg::Brb(SignedMsg::Prepare(Digested::new(id, batch.clone()))),
             );
         }
         c.run_to_quiescence();
@@ -2018,6 +2028,73 @@ mod tests {
         let check =
             SigCheck { signer: rep1, context: credit_context(&held.bundle).into(), sig: *sig };
         assert_eq!(cache.get(&check.cache_key()), Some(true));
+    }
+
+    /// Replica 1 of four Schnorr replicas; a batch from replica 0 whose
+    /// payment (of `amount`) carries one certificate with two proofs; and
+    /// a COMMIT of that batch with its 2f+1 proof.
+    fn commit_fixture(
+        amount: u64,
+    ) -> (AstroTwoReplica<SchnorrAuthenticator>, Digested<DepBatch<Signature>>, Astro2Msg<Signature>)
+    {
+        let layout = ShardLayout::single(4).unwrap();
+        let chains = Keychain::deterministic_system(b"astro2-commit-preverify", 4);
+        let bundle = vec![Payment::new(2u64, 0u64, 0u64, 10u64)];
+        let context = credit_context(&bundle);
+        let cert = DependencyCertificate {
+            proofs: chains[1..3].iter().map(|kc| (kc.id(), kc.sign(&context))).collect(),
+            bundle,
+        };
+        let entries =
+            vec![DepPayment { payment: Payment::new(0u64, 0u64, 1u64, amount), deps: vec![cert] }];
+        let body = Digested::new(InstanceId { source: 0, tag: 0 }, DepBatch { entries });
+        let ack = ack_context(body.id(), body.digest());
+        let proof = chains[..3].iter().map(|kc| (kc.id(), kc.sign(&ack))).collect();
+        let commit = Astro2Msg::Brb(SignedMsg::Commit { body: body.clone(), proof });
+        let node = AstroTwoReplica::new(
+            SchnorrAuthenticator::new(chains[1].clone()),
+            layout,
+            cfg(CreditMode::Certificates),
+        );
+        (node, body, commit)
+    }
+
+    fn contexts(checks: &[SigCheck]) -> Vec<&[u8]> {
+        checks.iter().map(|c| &c.context[..]).collect()
+    }
+
+    #[test]
+    fn commit_after_the_acked_prepare_preverifies_only_its_proof() {
+        let (mut node, body, commit) = commit_fixture(30);
+        let step = node.handle(ReplicaId(0), Astro2Msg::Brb(SignedMsg::Prepare(body.clone())));
+        assert!(matches!(step.outbound[0].msg, Astro2Msg::Brb(SignedMsg::Ack { .. })));
+        let checks = node.preverify(ReplicaId(0), &commit);
+        let ack = ack_context(body.id(), body.digest());
+        assert_eq!(contexts(&checks), [&ack[..]; 3], "the 2f+1 proof, no certificate");
+    }
+
+    #[test]
+    fn commit_without_the_acked_prepare_preverifies_every_check() {
+        let (mut node, body, commit) = commit_fixture(30);
+        let ack = ack_context(body.id(), body.digest());
+        let credit = credit_context(&body.payload().entries[0].deps[0].bundle);
+        let every: [&[u8]; 5] = [&ack, &ack, &ack, &credit, &credit];
+        // No PREPARE seen.
+        assert_eq!(contexts(&node.preverify(ReplicaId(0), &commit)), every);
+        // A PREPARE with another payload for the instance was ACKed.
+        let (_, other, _) = commit_fixture(31);
+        assert_ne!(other.digest(), body.digest());
+        let step = node.handle(ReplicaId(0), Astro2Msg::Brb(SignedMsg::Prepare(other)));
+        assert!(matches!(step.outbound[0].msg, Astro2Msg::Brb(SignedMsg::Ack { .. })));
+        assert_eq!(contexts(&node.preverify(ReplicaId(0), &commit)), every);
+    }
+
+    #[test]
+    fn commit_for_a_pruned_instance_preverifies_nothing() {
+        let (mut node, _, commit) = commit_fixture(30);
+        node.handle(ReplicaId(0), commit.clone());
+        assert_eq!(node.prune_delivered(), 1, "the COMMIT delivered its instance");
+        assert!(node.preverify(ReplicaId(0), &commit).is_empty());
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //! burst amortize into a single Schnorr batch verification (one
 //! multi-scalar multiplication) on a worker thread, with
 //! [`astro_crypto::schnorr::find_invalid`] bisection locating forgeries on
-//! failure.
+//! failure. A certificate reaches the pool once per replica: with the
+//! PREPARE that carries it. A COMMIT of a payload the replica already
+//! ACKed enumerates only its quorum proof.
 //!
 //! Verdicts land in a shared [`VerdictCache`] keyed by the digest of
 //! `(signer, context, signature)`; the replica's
@@ -253,9 +255,10 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 /// Verifies one super-batch into the cache: resolve keys, skip verdicts
-/// already cached (a signature repeated across PREPARE and COMMIT, or
-/// re-sent by a peer, verifies once per process), batch-verify the rest
-/// as one multi-scalar multiplication, bisect on failure.
+/// already cached (a signature the replica made for itself, one checked
+/// for another replica of the process, or one re-sent by a peer, verifies
+/// once per process), batch-verify the rest as one multi-scalar
+/// multiplication, bisect on failure.
 fn verify_job(book: &KeyBook, cache: &VerdictCache, items: &[SigCheck]) {
     let mut keys = Vec::with_capacity(items.len());
     let mut batch = Vec::with_capacity(items.len());

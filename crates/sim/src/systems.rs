@@ -261,8 +261,9 @@ impl SimReplica for AstroTwoReplica<MacAuthenticator> {
             // Receiving a PREPARE: hash the batch and sign one ACK (the
             // paper's one-signature-per-batch amortization, §VI-A);
             // attached dependency certificates verify off-loop.
-            Astro2Msg::Brb(SignedMsg::Prepare { payload, .. }) => {
-                let dep_sigs: usize = payload
+            Astro2Msg::Brb(SignedMsg::Prepare(body)) => {
+                let dep_sigs: usize = body
+                    .payload()
                     .entries
                     .iter()
                     .flat_map(|e| e.deps.iter())
@@ -281,8 +282,9 @@ impl SimReplica for AstroTwoReplica<MacAuthenticator> {
             // any dependency-certificate signatures — as one Schnorr batch
             // verification (shared-doubling multi-scalar mult; see
             // `astro_crypto::schnorr::batch_verify`).
-            Astro2Msg::Brb(SignedMsg::Commit { payload, proof, .. }) => {
-                let dep_sigs: usize = payload
+            Astro2Msg::Brb(SignedMsg::Commit { body, proof }) => {
+                let dep_sigs: usize = body
+                    .payload()
                     .entries
                     .iter()
                     .flat_map(|e| e.deps.iter())
@@ -315,7 +317,7 @@ impl SimReplica for AstroTwoReplica<MacAuthenticator> {
 
     fn own_prepare(msg: &Self::Msg) -> Option<InstanceId> {
         match msg {
-            Astro2Msg::Brb(SignedMsg::Prepare { id, .. }) => Some(*id),
+            Astro2Msg::Brb(SignedMsg::Prepare(body)) => Some(body.id()),
             _ => None,
         }
     }

@@ -1,7 +1,7 @@
 //! Allocation counts on the encode and hash paths. Encoding a message
 //! allocates its one right-sized buffer and nothing else; the CREDIT
-//! digest allocates nothing; a BRB payload digest allocates nothing once
-//! the thread's scratch buffer has grown.
+//! digest and the ACK context allocate nothing; a BRB payload digest
+//! allocates nothing once the thread's scratch buffer has grown.
 //!
 //! A counting global allocator tallies, per thread, every `alloc`,
 //! `alloc_zeroed` and `realloc`: a buffer that doubles its way up shows
@@ -10,6 +10,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use astro_brb::signed::ack_context;
 use astro_brb::{payload_digest, InstanceId};
 use astro_core::batch::{credit_context, DepBatch, DepPayment, DependencyCertificate};
 use astro_crypto::Signature;
@@ -111,4 +112,13 @@ fn payload_digest_allocates_nothing_after_warm_up() {
     let small = DepBatch { entries: batch.entries[..3].to_vec() };
     let (count, _) = allocations(|| payload_digest(id, &small));
     assert_eq!(count, 0);
+}
+
+#[test]
+fn ack_context_allocates_nothing() {
+    let id = InstanceId { source: 2, tag: 7 };
+    let (count, context) = allocations(|| ack_context(id, &[0x5a; 32]));
+    assert_eq!(count, 0);
+    assert_eq!(context[..16], *b"astro-brb-ack-v1");
+    assert_eq!(context[32..], [0x5a; 32]);
 }

@@ -1,7 +1,7 @@
 //! Byzantine integration scenarios across the full replica stack, with
 //! real Schnorr signatures where the protocol calls for them.
 
-use astro_brb::signed::SignedMsg;
+use astro_brb::signed::{Digested, SignedMsg};
 use astro_brb::InstanceId;
 use astro_core::astro2::{Astro2Config, Astro2Msg, AstroTwoReplica, CreditMode, DepPolicy};
 use astro_core::batch::{credit_context, CreditBundle, DepBatch, DepPayment};
@@ -100,7 +100,7 @@ fn byzantine_representative_equivocation_cannot_split_the_shard() {
         cluster.inject(
             rep,
             ReplicaId(to),
-            Astro2Msg::Brb(SignedMsg::Prepare { id, payload: batch(b) }),
+            Astro2Msg::Brb(SignedMsg::Prepare(Digested::new(id, batch(b)))),
         );
     }
     cluster.run_to_quiescence();
@@ -226,7 +226,7 @@ fn off_curve_proof_costs_its_certificate_not_the_frame() {
         .outbound
         .iter()
         .map(|env| &env.msg)
-        .find(|m| matches!(m, Astro2Msg::Brb(SignedMsg::Prepare { .. })))
+        .find(|m| matches!(m, Astro2Msg::Brb(SignedMsg::Prepare(_))))
         .expect("the batch is broadcast")
         .clone();
     let decoded: Astro2Msg<astro_crypto::Signature> =

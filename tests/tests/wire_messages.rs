@@ -4,8 +4,8 @@
 //! encodings must round-trip bit-exactly.
 
 use astro_brb::bracha::BrachaMsg;
-use astro_brb::signed::SignedMsg;
-use astro_brb::InstanceId;
+use astro_brb::signed::{Digested, SignedMsg};
+use astro_brb::{payload_digest, InstanceId};
 use astro_consensus::pbft::PbftMsg;
 use astro_core::astro1::Astro1Msg;
 use astro_core::astro2::Astro2Msg;
@@ -21,6 +21,8 @@ use astro_types::wire::{
     decode_exact, peek_frame_len, put_frame, take_frame, Wire, WireError, MAX_FRAME_LEN,
 };
 use astro_types::{Authenticator, Keychain, MacAuthenticator, Payment, ReplicaId};
+use proptest::prelude::{any, Strategy};
+use std::sync::OnceLock;
 
 fn round_trip<T: Wire + PartialEq + core::fmt::Debug>(value: &T) {
     let bytes = value.to_wire_bytes();
@@ -116,22 +118,113 @@ proptest::proptest! {
 #[test]
 fn signed_messages_round_trip() {
     let id = InstanceId { source: 1, tag: 0 };
-    round_trip::<SignedMsg<DepBatch<SimSig>, SimSig>>(&SignedMsg::Prepare {
+    round_trip::<SignedMsg<DepBatch<SimSig>, SimSig>>(&SignedMsg::Prepare(Digested::new(
         id,
-        payload: dep_batch(),
-    });
+        dep_batch(),
+    )));
     round_trip(&SignedMsg::<DepBatch<SimSig>, SimSig>::Ack { id, digest: [7u8; 32], sig: sig(1) });
     round_trip(&SignedMsg::Commit {
-        id,
-        payload: dep_batch(),
+        body: Digested::new(id, dep_batch()),
         proof: vec![(ReplicaId(0), sig(0)), (ReplicaId(1), sig(1)), (ReplicaId(3), sig(3))],
     });
+}
+
+/// Eight real Schnorr signatures by four signers, made once. Certificates
+/// and proofs draw from them: decoding checks a signature's ranges, not
+/// its validity.
+fn signatures() -> &'static [(ReplicaId, Signature)] {
+    static SIGNATURES: OnceLock<Vec<(ReplicaId, Signature)>> = OnceLock::new();
+    SIGNATURES.get_or_init(|| {
+        let chains = Keychain::deterministic_system(b"wire-mutations", 4);
+        (0..8u8)
+            .map(|i| (chains[usize::from(i % 4)].id(), chains[usize::from(i % 4)].sign(&[i])))
+            .collect()
+    })
+}
+
+fn picked(picks: Vec<usize>) -> Vec<(ReplicaId, Signature)> {
+    picks.into_iter().map(|i| signatures()[i]).collect()
+}
+
+fn payment_strategy() -> impl Strategy<Value = Payment> {
+    (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()).prop_map(
+        |(spender, seq, beneficiary, amount)| Payment::new(spender, seq, beneficiary, amount),
+    )
+}
+
+/// A PREPARE or a COMMIT of up to three payments, each with up to two
+/// certificates of one to three payments and up to three proofs.
+fn signed_frame_strategy() -> impl Strategy<Value = SignedMsg<DepBatch<Signature>, Signature>> {
+    let certificate = (
+        proptest::collection::vec(payment_strategy(), 1..4),
+        proptest::collection::vec(0usize..8, 0..4),
+    )
+        .prop_map(|(bundle, picks)| DependencyCertificate { bundle, proofs: picked(picks) });
+    let entry = (payment_strategy(), proptest::collection::vec(certificate, 0..3))
+        .prop_map(|(payment, deps)| DepPayment { payment, deps });
+    (
+        any::<u64>(),
+        any::<u64>(),
+        proptest::collection::vec(entry, 0..4),
+        proptest::prop::bool::ANY,
+        proptest::collection::vec(0usize..8, 0..5),
+    )
+        .prop_map(|(source, tag, entries, commit, picks)| {
+            let body = Digested::new(InstanceId { source, tag }, DepBatch { entries });
+            if commit {
+                SignedMsg::Commit { body, proof: picked(picks) }
+            } else {
+                SignedMsg::Prepare(body)
+            }
+        })
+}
+
+/// Decodes `bytes` as a signed-BRB frame. If it decodes, asserts that it
+/// re-encodes to exactly `bytes` and that a PREPARE or COMMIT carries the
+/// digest of its payload; returns whether it decoded.
+fn decodes_canonically(bytes: &[u8]) -> bool {
+    let Ok(msg) = decode_exact::<SignedMsg<DepBatch<Signature>, Signature>>(bytes) else {
+        return false;
+    };
+    assert_eq!(msg.to_wire_bytes(), bytes, "a decoded frame re-encodes to its own bytes");
+    if let SignedMsg::Prepare(body) | SignedMsg::Commit { body, .. } = &msg {
+        assert_eq!(body.digest(), &payload_digest(body.id(), body.payload()));
+    }
+    true
+}
+
+proptest::proptest! {
+    #![proptest_config(proptest::ProptestConfig::with_cases(32))]
+
+    /// A receiver hashes the payload bytes of the frame it decodes instead
+    /// of re-encoding the payload. That gives the broadcaster's digest only
+    /// because the codec is canonical: a decoded frame re-encodes to the
+    /// same bytes, for honest frames and for every single-byte mutation of
+    /// one that still decodes.
+    #[test]
+    fn signed_frames_decode_canonically_with_their_payload_digest(
+        msg in signed_frame_strategy(),
+        mask in any::<u64>(),
+    ) {
+        let bytes = msg.to_wire_bytes();
+        proptest::prop_assert!(decodes_canonically(&bytes));
+        proptest::prop_assert_eq!(decode_exact::<SignedMsg<_, _>>(&bytes).unwrap(), msg);
+        let mut decoded = 0;
+        for at in 0..bytes.len() {
+            let mut mutated = bytes.clone();
+            mutated[at] ^= (mask.rotate_left(at as u32) as u8) | 1;
+            decoded += usize::from(decodes_canonically(&mutated));
+        }
+        // At least every byte of the instance id mutates into a frame that
+        // decodes.
+        proptest::prop_assert!(decoded >= 16, "{decoded} mutations decoded");
+    }
 }
 
 #[test]
 fn astro2_messages_round_trip() {
     let id = InstanceId { source: 2, tag: 5 };
-    round_trip(&Astro2Msg::Brb(SignedMsg::Prepare { id, payload: dep_batch() }));
+    round_trip(&Astro2Msg::Brb(SignedMsg::Prepare(Digested::new(id, dep_batch()))));
     round_trip(&Astro2Msg::<SimSig>::Credit(CreditBundle {
         bundle: vec![Payment::new(1u64, 0u64, 2u64, 3u64)],
         sig: sig(0),
@@ -174,9 +267,9 @@ fn schnorr_astro2_messages_round_trip() {
         chains[..3].iter().map(|kc| (kc.id(), kc.sign(&context))).collect();
     let bundle = schnorr_certificate(7).bundle;
     let messages: [Astro2Msg<Signature>; 6] = [
-        Astro2Msg::Brb(SignedMsg::Prepare { id, payload: payload.clone() }),
+        Astro2Msg::Brb(SignedMsg::Prepare(Digested::new(id, payload.clone()))),
         Astro2Msg::Brb(SignedMsg::Ack { id, digest, sig: acks[1].1 }),
-        Astro2Msg::Brb(SignedMsg::Commit { id, payload, proof: acks }),
+        Astro2Msg::Brb(SignedMsg::Commit { body: Digested::new(id, payload), proof: acks }),
         Astro2Msg::Credit(CreditBundle { sig: chains[2].sign(&credit_context(&bundle)), bundle }),
         Astro2Msg::CreditAck {
             digests: vec![digest],
