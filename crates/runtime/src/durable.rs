@@ -48,9 +48,10 @@ pub(crate) const ASTRO2_SIGNING_SEED: &[u8] = b"astro-runtime-astro2";
 /// [`StoreConfig::snapshot_every_settled`] settled payments the replica
 /// seals its dirty-account delta (a checkpoint segment) plus a small
 /// residual snapshot, and the store makes both durable **off the replica
-/// thread** ([`Storage::begin_install`]) — the settle path pays a
-/// group-commit fsync and a WAL rotation, never a full-state
-/// serialization. Results fold back in at later step boundaries: success
+/// thread** ([`Storage::begin_install`]) — the settle path pays a WAL
+/// writer swap, never a full-state serialization, and its group-commit
+/// fsyncs run on the store's worker too ([`Storage::flush_writes`]).
+/// Results fold back in at later step boundaries: success
 /// prunes delivered BRB instances, failure re-baselines the watermarks so
 /// the next seal re-exports from segment zero.
 pub(crate) struct Durability {
@@ -138,8 +139,9 @@ impl Durability {
     pub(crate) fn after_step<R: Replica>(&mut self, node: &mut R, settled: usize) {
         let (polled, installing) = self.storage.with(|s| {
             // Step boundary: the step's journal records reach the OS with
-            // one write(2), so a kill between steps loses nothing (fsync
-            // stays amortized by group commit).
+            // one write(2), so a kill between steps loses nothing; a due
+            // group commit is handed to the store's worker, never waited
+            // for here.
             s.flush_writes();
             // Fold in any install that completed off-thread since last
             // step.

@@ -25,11 +25,20 @@
 //! [`WalWriter::flush_writes`] hands the buffered run to the OS in one
 //! `write(2)`. Callers flush at their step boundary, so an in-process
 //! crash loses nothing a completed step appended; the buffer is also
-//! flushed inline once it passes 256 KiB. The expensive `fsync(2)` is
-//! amortized: once per [`GroupCommit::sync_every_records`] records or
-//! once per [`GroupCommit::sync_interval`], whichever comes first. The
-//! power-loss durability window is bounded by that policy, and the
-//! recovery scan handles whatever a lost tail leaves behind.
+//! flushed inline once it passes 256 KiB. An append only frames: it
+//! reads no clock and never fsyncs.
+//!
+//! The expensive `fsync(2)` is amortized by the [`GroupCommit`] policy
+//! (once per [`GroupCommit::sync_every_records`] records or once per
+//! [`GroupCommit::sync_interval`], whichever comes first) and runs off
+//! the appending thread: at each step boundary the [`crate::Storage`]
+//! asks whether a commit is due and, if so, hands the store's worker
+//! thread a duplicate of the log's fd to `fdatasync` through. At most
+//! one such commit is in flight, and its failure degrades the writer at
+//! the next step boundary. The power-loss window is therefore the policy
+//! plus one fsync; [`WalWriter::sync`] alone fsyncs inline, and always
+//! covers everything written before it. The recovery scan handles
+//! whatever a lost tail leaves behind.
 
 use crate::StoreObs;
 use std::fs::{File, OpenOptions};
@@ -111,10 +120,11 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 /// The amortized-fsync policy.
 #[derive(Debug, Clone)]
 pub struct GroupCommit {
-    /// Force an fsync after this many appended records.
+    /// Commit once this many records were appended since the last
+    /// commit started.
     pub sync_every_records: usize,
-    /// Force an fsync when this much time has passed since the last one
-    /// and a record arrives.
+    /// Commit once this much time has passed since the last commit
+    /// started and a record arrived.
     pub sync_interval: Duration,
 }
 
@@ -191,7 +201,8 @@ const FLUSH_THRESHOLD: usize = 256 << 10;
 /// at their step boundary, so a burst of records costs one syscall, not
 /// one per record, and an in-process crash (which can only interleave
 /// *between* steps) still finds every completed step's records in the
-/// OS. `fsync(2)` is amortized separately by the [`GroupCommit`] policy.
+/// OS. `fsync(2)` happens only in [`WalWriter::sync`], or off this
+/// thread in a group commit that the [`GroupCommit`] policy calls for.
 ///
 /// IO failures after open do not propagate into the append path (a
 /// replica must not crash because its disk hiccuped); instead the writer
@@ -202,11 +213,67 @@ pub struct WalWriter {
     file: File,
     len: u64,
     buffer: Vec<u8>,
-    records_since_sync: usize,
-    last_sync: Instant,
+    /// Records appended since the last commit (inline or handed off)
+    /// started: the policy's count and the commit's batch size.
+    records_since_commit: usize,
+    last_commit: Instant,
+    /// True once bytes reached the OS that no [`WalWriter::sync`] has
+    /// fsynced since. A handed-off commit leaves it set: `sync` cannot
+    /// know whether that commit has finished.
+    unsynced: bool,
     policy: GroupCommit,
     degraded: Option<std::io::Error>,
     obs: Option<StoreObs>,
+    /// Runs in [`Commit::run`] before its fsync: holds it, or fails it.
+    #[cfg(test)]
+    pub(crate) commit_hook: Option<CommitHook>,
+}
+
+/// A test's stand-in for the first half of a handed-off fsync.
+#[cfg(test)]
+#[derive(Clone)]
+pub(crate) struct CommitHook(
+    pub(crate) std::sync::Arc<dyn Fn() -> std::io::Result<()> + Send + Sync>,
+);
+
+#[cfg(test)]
+impl std::fmt::Debug for CommitHook {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("CommitHook")
+    }
+}
+
+/// A group commit handed off the appending thread
+/// ([`WalWriter::start_commit`]): a duplicate of the log's fd and the
+/// batch it covers. Its outcome goes back through
+/// [`WalWriter::finish_commit`].
+pub(crate) struct Commit {
+    file: File,
+    records: usize,
+    obs: Option<StoreObs>,
+    #[cfg(test)]
+    hook: Option<CommitHook>,
+}
+
+impl Commit {
+    /// Runs the `fdatasync(2)`, recording its latency and batch size.
+    pub(crate) fn run(self) -> std::io::Result<()> {
+        #[cfg(test)]
+        if let Some(hook) = &self.hook {
+            (hook.0)()?;
+        }
+        fdatasync(&self.file, self.records, self.obs.as_ref())
+    }
+}
+
+fn fdatasync(file: &File, records: usize, obs: Option<&StoreObs>) -> std::io::Result<()> {
+    let started = obs.map(|_| Instant::now());
+    file.sync_data()?;
+    if let (Some(obs), Some(started)) = (obs, started) {
+        obs.fsync_nanos.record(started.elapsed().as_nanos() as u64);
+        obs.commit_batch_records.record(records as u64);
+    }
+    Ok(())
 }
 
 impl WalWriter {
@@ -265,22 +332,25 @@ impl WalWriter {
             file,
             len,
             buffer: Vec::new(),
-            records_since_sync: 0,
-            last_sync: Instant::now(),
+            records_since_commit: 0,
+            last_commit: Instant::now(),
+            unsynced: false,
             policy,
             degraded: None,
             obs: None,
+            #[cfg(test)]
+            commit_hook: None,
         })
     }
 
-    /// Attaches metric handles; every subsequent append/flush/fsync
-    /// reports its latency and batch size through them.
+    /// Attaches metric handles; every subsequent flush and fsync reports
+    /// its latency and batch size through them.
     pub fn attach_obs(&mut self, obs: StoreObs) {
         self.obs = Some(obs);
     }
 
-    /// Appends one record to the frame buffer; the group-commit policy
-    /// may force an inline flush + fsync. See [`WalWriter::append_with`].
+    /// Appends one record to the frame buffer. See
+    /// [`WalWriter::append_with`].
     pub fn append(&mut self, payload: &[u8]) {
         self.append_with(|buf| buf.extend_from_slice(payload));
     }
@@ -288,7 +358,8 @@ impl WalWriter {
     /// Appends one record whose payload `encode` writes straight into the
     /// frame buffer: the 8-byte header is reserved first and filled in
     /// with the length and CRC afterwards, so the record is never staged
-    /// in a buffer of its own.
+    /// in a buffer of its own. The buffer is flushed inline once it
+    /// passes 256 KiB; nothing here fsyncs.
     ///
     /// A payload over [`MAX_RECORD_LEN`] is not written (recovery would
     /// cut the log there and lose every later record): the frames before
@@ -297,7 +368,6 @@ impl WalWriter {
         if self.degraded.is_some() {
             return;
         }
-        let started = self.obs.as_ref().map(|_| Instant::now());
         let start = self.buffer.len();
         self.buffer.extend_from_slice(&[0; 8]);
         encode(&mut self.buffer);
@@ -312,18 +382,9 @@ impl WalWriter {
         }
         header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
         header[4..].copy_from_slice(&crc32(payload).to_le_bytes());
-        self.records_since_sync += 1;
-        if self.records_since_sync >= self.policy.sync_every_records
-            || self.last_sync.elapsed() >= self.policy.sync_interval
-        {
-            self.sync();
-        } else if self.buffer.len() >= FLUSH_THRESHOLD {
+        self.records_since_commit += 1;
+        if self.buffer.len() >= FLUSH_THRESHOLD {
             self.flush_writes();
-        }
-        if let (Some(obs), Some(started)) = (&self.obs, started) {
-            // Includes any inline flush/fsync the policy forced — the
-            // latency the appending replica thread actually paid.
-            obs.append_nanos.record(started.elapsed().as_nanos() as u64);
         }
     }
 
@@ -339,6 +400,7 @@ impl WalWriter {
         match self.file.write_all(&self.buffer) {
             Ok(()) => {
                 self.len += self.buffer.len() as u64;
+                self.unsynced = true;
                 self.buffer.clear();
                 self.buffer.shrink_to(FLUSH_THRESHOLD);
                 if let Some(obs) = &self.obs {
@@ -349,24 +411,58 @@ impl WalWriter {
         }
     }
 
-    /// Forces the group commit: everything appended so far is written
-    /// out and fsynced.
+    /// Commits inline: everything appended so far is written out and
+    /// fsynced before this returns — even while a handed-off commit is
+    /// still in flight.
     pub fn sync(&mut self) {
         self.flush_writes();
-        if self.degraded.is_some() || self.records_since_sync == 0 {
+        if self.degraded.is_some() || !self.unsynced {
             return;
         }
-        let started = self.obs.as_ref().map(|_| Instant::now());
-        if let Err(e) = self.file.sync_data() {
-            self.degraded = Some(e);
-            return;
+        let records = std::mem::take(&mut self.records_since_commit);
+        match fdatasync(&self.file, records, self.obs.as_ref()) {
+            Ok(()) => {
+                self.unsynced = false;
+                self.last_commit = Instant::now();
+            }
+            Err(e) => self.degraded = Some(e),
         }
-        if let (Some(obs), Some(started)) = (&self.obs, started) {
-            obs.fsync_nanos.record(started.elapsed().as_nanos() as u64);
-            obs.commit_batch_records.record(self.records_since_sync as u64);
+    }
+
+    /// True when the [`GroupCommit`] policy calls for a commit of the
+    /// records flushed so far. Asked once per step boundary, after
+    /// [`WalWriter::flush_writes`].
+    pub(crate) fn commit_due(&self) -> bool {
+        self.degraded.is_none()
+            && self.records_since_commit > 0
+            && (self.records_since_commit >= self.policy.sync_every_records
+                || self.last_commit.elapsed() >= self.policy.sync_interval)
+    }
+
+    /// Starts a group commit of everything flushed so far, to be run off
+    /// this thread; the policy counts afresh from here.
+    ///
+    /// # Errors
+    ///
+    /// The fd could not be duplicated; nothing was started.
+    pub(crate) fn start_commit(&mut self) -> std::io::Result<Commit> {
+        let file = self.file.try_clone()?;
+        self.last_commit = Instant::now();
+        Ok(Commit {
+            file,
+            records: std::mem::take(&mut self.records_since_commit),
+            obs: self.obs.clone(),
+            #[cfg(test)]
+            hook: self.commit_hook.clone(),
+        })
+    }
+
+    /// Folds in a handed-off commit's outcome: a failed fsync degrades
+    /// the writer exactly as an inline one does.
+    pub(crate) fn finish_commit(&mut self, result: std::io::Result<()>) {
+        if let Err(e) = result {
+            self.degraded.get_or_insert(e);
         }
-        self.records_since_sync = 0;
-        self.last_sync = Instant::now();
     }
 
     /// Current log length in bytes (header included, buffered frames
@@ -521,8 +617,16 @@ mod tests {
         for _ in 0..3 {
             w.append(b"x");
         }
-        assert_eq!(w.records_since_sync, 3, "below threshold: no forced sync yet");
+        w.flush_writes();
+        assert!(!w.commit_due(), "below threshold: no commit due yet");
         w.append(b"x");
-        assert_eq!(w.records_since_sync, 0, "threshold crossed: synced");
+        assert_eq!(w.records_since_commit, 4, "appending never commits by itself");
+        w.flush_writes();
+        assert!(w.commit_due(), "threshold crossed: a commit is due");
+        let commit = w.start_commit().unwrap();
+        assert_eq!((commit.records, w.records_since_commit), (4, 0), "the commit takes the batch");
+        assert!(!w.commit_due());
+        w.finish_commit(commit.run());
+        assert!(w.health().is_ok());
     }
 }
