@@ -117,7 +117,9 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     !crc
 }
 
-/// The amortized-fsync policy.
+/// The amortized-fsync policy. [`crate::Storage`] applies it at each
+/// step boundary; a bare [`WalWriter`] fsyncs only when told to
+/// ([`WalWriter::sync`]).
 #[derive(Debug, Clone)]
 pub struct GroupCommit {
     /// Commit once this many records were appended since the last
