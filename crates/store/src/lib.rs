@@ -168,8 +168,8 @@ impl Default for StoreConfig {
         // The group commit runs on the store's worker thread, so its
         // fsync never stalls the replica thread: traced `a1_durable` runs
         // on a 2-core VM's ext4 disk read p50 0.3–0.5 ms and p99 5–8 ms
-        // there, where the replica thread used to pay p50 1.0–1.4 ms
-        // inline. The power-loss window is the interval plus one fsync;
+        // there, against p50 1.0–1.4 ms when the replica thread runs
+        // them inline. The power-loss window is the interval plus one fsync;
         // an in-process crash never loses acknowledged work regardless
         // (see `wal`).
         StoreConfig {
