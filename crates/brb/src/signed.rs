@@ -189,6 +189,9 @@ struct Outgoing<P, S> {
     /// (`Authenticator::verify_all`) instead of one curve operation per
     /// ACK on the critical path.
     unverified: Vec<(ReplicaId, S)>,
+    /// Peer ACKs handed to a verify pool ahead of [`SignedBrb::handle`]
+    /// ([`SignedBrb::claim_ack_check`]); no state transition reads it.
+    claimed: usize,
     committed: bool,
 }
 
@@ -234,6 +237,34 @@ impl<P: Payload, A: Authenticator> SignedBrb<P, A> {
         self.instances.get(&id)?.acked.as_ref()
     }
 
+    /// True if a verify pool should check `from`'s ACK of `digest` for
+    /// `id` before [`Self::handle`] sees it; the claim is counted. Only
+    /// the broadcaster of `id` claims, and only while the ACK can still
+    /// count towards its quorum: before the COMMIT, for the payload it
+    /// broadcast, and for at most `quorum − 1` peer ACKs (its own ACK is
+    /// signed with [`Authenticator::sign_for_self`], so its verdict is
+    /// already cached). An unclaimed ACK the quorum turns out to need —
+    /// a claimed one was forged, say — is verified inline by the
+    /// accumulated-ACK batch check, exactly as without a pool.
+    pub fn claim_ack_check(
+        &mut self,
+        from: ReplicaId,
+        id: InstanceId,
+        digest: &PayloadDigest,
+    ) -> bool {
+        let peers_needed = self.cfg.quorum() - 1;
+        if from == self.auth.me() || !self.cfg.contains(from) {
+            return false;
+        }
+        let Some(outgoing) = self.outgoing.get_mut(&id) else { return false };
+        if outgoing.committed || outgoing.body.digest != *digest || outgoing.claimed >= peers_needed
+        {
+            return false;
+        }
+        outgoing.claimed += 1;
+        true
+    }
+
     /// The local replica id.
     pub fn id(&self) -> ReplicaId {
         self.auth.me()
@@ -248,6 +279,7 @@ impl<P: Payload, A: Authenticator> SignedBrb<P, A> {
                 body: body.clone(),
                 acks: HashMap::new(),
                 unverified: Vec::new(),
+                claimed: 0,
                 committed: false,
             },
         );
@@ -488,7 +520,8 @@ mod tests {
     use super::*;
     use crate::testkit::Cluster;
     use crate::DeliveryOrder;
-    use astro_types::{Keychain, MacAuthenticator, SchnorrAuthenticator, VerdictCache};
+    use astro_crypto::Signature;
+    use astro_types::{Keychain, MacAuthenticator, SchnorrAuthenticator, SigCheck, VerdictCache};
     use std::collections::HashSet;
     use std::sync::Arc;
 
@@ -632,6 +665,99 @@ mod tests {
         let step =
             node0.handle(ReplicaId(2), SignedMsg::Ack { id, digest, sig: auths[2].sign(&ctx) });
         assert_eq!(step.outbound.len(), 1, "re-acked quorum must commit");
+    }
+
+    /// Verifies `checks` into `cache`, as a verify pool would.
+    fn pool_verify(
+        keychain: &Keychain,
+        cache: &VerdictCache,
+        checks: &[(ReplicaId, &[u8], &Signature)],
+    ) {
+        for (signer, context, sig) in checks {
+            let check = SigCheck { signer: *signer, context: (*context).into(), sig: **sig };
+            cache.insert(check.cache_key(), keychain.verify(*signer, context, sig));
+        }
+    }
+
+    #[test]
+    fn broadcaster_claims_at_most_quorum_minus_one_peer_ack_checks() {
+        let cfg = Group::of_size(4).unwrap();
+        let mut node0 = SignedBrb::<u64, _>::new(
+            MacAuthenticator::new(ReplicaId(0), b"cluster".to_vec()),
+            cfg,
+            BrbConfig::default(),
+        );
+        let id = iid(0, 0);
+        let _prepare = node0.broadcast(id, 42);
+        let digest = payload_digest(id, &42u64);
+        // Nothing for its own ACK, another payload, another instance or
+        // a non-member.
+        assert!(!node0.claim_ack_check(ReplicaId(0), id, &digest));
+        assert!(!node0.claim_ack_check(ReplicaId(1), id, &payload_digest(id, &43u64)));
+        assert!(!node0.claim_ack_check(ReplicaId(1), iid(0, 1), &digest));
+        assert!(!node0.claim_ack_check(ReplicaId(9), id, &digest));
+        let claimed: Vec<bool> =
+            (1..4).map(|r| node0.claim_ack_check(ReplicaId(r), id, &digest)).collect();
+        assert_eq!(claimed, [true, true, false], "quorum − 1 = 2 peer ACKs per instance");
+        // A second instance counts afresh; after its COMMIT it claims none.
+        let next = iid(0, 1);
+        let _prepare = node0.broadcast(next, 7);
+        let digest = payload_digest(next, &7u64);
+        let ctx = ack_context(next, &digest);
+        for r in 0..3u32 {
+            let sig = MacAuthenticator::new(ReplicaId(r), b"cluster".to_vec()).sign(&ctx);
+            node0.handle(ReplicaId(r), SignedMsg::Ack { id: next, digest, sig });
+        }
+        assert!(node0.outgoing[&next].committed);
+        assert!(!node0.claim_ack_check(ReplicaId(3), next, &digest));
+    }
+
+    #[test]
+    fn forged_claimed_ack_still_ends_in_a_valid_commit() {
+        // The pool checks the two claimed peer ACKs; one is forged. The
+        // third peer's ACK was not claimed, so the accumulated-ACK batch
+        // verifies it inline, and the COMMIT's proof leaves the forgery
+        // out.
+        let cfg = Group::of_size(4).unwrap();
+        let chains = Keychain::deterministic_system(b"claim-forged", 4);
+        let cache = Arc::new(VerdictCache::new(64));
+        let mut node0 = SignedBrb::<u64, _>::new(
+            SchnorrAuthenticator::with_cache(chains[0].clone(), cache.clone()),
+            cfg.clone(),
+            BrbConfig::default(),
+        );
+        let id = iid(0, 0);
+        let step = node0.broadcast(id, 42);
+        let SignedMsg::Prepare(body) = &step.outbound[0].msg else { panic!("expected a prepare") };
+        let own = node0.handle(ReplicaId(0), SignedMsg::Prepare(body.clone()));
+        let digest = payload_digest(id, &42u64);
+        let ctx = ack_context(id, &digest);
+        let forged = chains[1].sign(b"not the ack context");
+        let honest2 = chains[2].sign(&ctx);
+        let honest3 = chains[3].sign(&ctx);
+        assert!(node0.claim_ack_check(ReplicaId(1), id, &digest));
+        assert!(node0.claim_ack_check(ReplicaId(2), id, &digest));
+        assert!(!node0.claim_ack_check(ReplicaId(3), id, &digest));
+        pool_verify(
+            &chains[0],
+            &cache,
+            &[(ReplicaId(1), &ctx, &forged), (ReplicaId(2), &ctx, &honest2)],
+        );
+        for env in own.outbound {
+            assert!(node0.handle(ReplicaId(0), env.msg).is_empty());
+        }
+        assert!(node0.handle(ReplicaId(1), SignedMsg::Ack { id, digest, sig: forged }).is_empty());
+        assert!(node0.handle(ReplicaId(2), SignedMsg::Ack { id, digest, sig: honest2 }).is_empty());
+        let misses = cache.misses();
+        let step = node0.handle(ReplicaId(3), SignedMsg::Ack { id, digest, sig: honest3 });
+        assert_eq!(cache.misses(), misses + 1, "the unclaimed ACK is verified inline");
+        let SignedMsg::Commit { proof, .. } = &step.outbound[0].msg else {
+            panic!("expected a commit");
+        };
+        let signers: HashSet<ReplicaId> = proof.iter().map(|(r, _)| *r).collect();
+        assert_eq!(signers, [ReplicaId(0), ReplicaId(2), ReplicaId(3)].into_iter().collect());
+        let fresh = SchnorrAuthenticator::new(chains[1].clone());
+        assert_eq!(count_valid_signers(&fresh, &ctx, proof, |r| cfg.contains(r)), 3);
     }
 
     #[test]

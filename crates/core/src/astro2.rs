@@ -186,6 +186,15 @@ struct PartialBundle<S> {
     bundle: Vec<Payment>,
     proofs: HashMap<ReplicaId, S>,
     certified: bool,
+    /// Peer CREDITs handed to a verify pool ahead of `on_credit`
+    /// (`claim_credit_check`); no state transition reads it.
+    claimed: usize,
+}
+
+impl<S> PartialBundle<S> {
+    fn new(bundle: Vec<Payment>) -> Self {
+        PartialBundle { bundle, proofs: HashMap::new(), certified: false, claimed: 0 }
+    }
 }
 
 /// Flush ticks before the first retransmission of an unacked CREDIT.
@@ -597,9 +606,8 @@ impl<A: Authenticator> AstroTwoReplica<A> {
         bundle: Vec<Payment>,
         outbound: &mut Vec<Envelope<Astro2Msg<A::Sig>>>,
     ) {
-        let context = credit_context(&bundle);
-        let key: [u8; 32] = context.as_slice().try_into().expect("sha256 digest");
-        let sig = self.auth.sign(&context);
+        let key = credit_context(&bundle);
+        let sig = self.auth.sign(&key);
         if !self.outbox.contains_key(&key) {
             self.shell.journal.rec(&WalRecord::CreditOut { dest, bundle: bundle.clone() });
             self.outbox.insert(
@@ -772,6 +780,47 @@ impl<A: Authenticator> AstroTwoReplica<A> {
         )
     }
 
+    /// The shard whose replicas settled `bundle`, if `from`'s CREDIT over
+    /// it is one this representative examines at all: a non-empty bundle
+    /// settled by one shard, sent by a member of it, crediting at least
+    /// one client this replica represents.
+    fn settling_group(&self, from: ReplicaId, bundle: &[Payment]) -> Option<&Group> {
+        let settling_shard = self.layout.shard_of_client(bundle.first()?.spender);
+        if !bundle.iter().all(|p| self.layout.shard_of_client(p.spender) == settling_shard) {
+            return None;
+        }
+        let group = &self.groups[settling_shard.0 as usize];
+        let mine =
+            bundle.iter().any(|p| self.layout.is_representative(self.shell.me, p.beneficiary));
+        (group.contains(from) && mine).then_some(group)
+    }
+
+    /// The [`credit_context`] of `bundle` if a verify pool should check
+    /// `from`'s CREDIT over it before `on_credit` does; the claim is
+    /// counted in the sub-batch's [`PartialBundle`], created here if
+    /// needed. A certificate needs `f+1` proofs, and a representative in
+    /// the settling shard adds its own when it settles the same batch
+    /// (signed with [`Authenticator::sign_for_self`], so already cached):
+    /// at most `f` peer CREDITs are claimed per sub-batch there, `f+1`
+    /// elsewhere. None is claimed for a bundle already certified or
+    /// covered, or one `on_credit` drops unread. An unclaimed CREDIT the
+    /// certificate still needs is verified inline by `on_credit`.
+    fn claim_credit_check(&mut self, from: ReplicaId, bundle: &[Payment]) -> Option<[u8; 32]> {
+        let group = self.settling_group(from, bundle)?;
+        let peers_needed = group.small_quorum() - usize::from(group.contains(self.shell.me));
+        if bundle.iter().all(|p| self.covered(p)) {
+            return None;
+        }
+        let key = credit_context(bundle);
+        let partial =
+            self.partial.entry(key).or_insert_with(|| PartialBundle::new(bundle.to_vec()));
+        if partial.certified || partial.claimed >= peers_needed {
+            return None;
+        }
+        partial.claimed += 1;
+        Some(key)
+    }
+
     /// Handles an incoming CREDIT sub-batch at the beneficiary's
     /// representative (Listing 10).
     fn on_credit(
@@ -780,47 +829,25 @@ impl<A: Authenticator> AstroTwoReplica<A> {
         cb: CreditBundle<A::Sig>,
     ) -> ReplicaStep<Astro2Msg<A::Sig>> {
         let empty = ReplicaStep::empty();
-        let Some(first) = cb.bundle.first() else { return empty };
-        // All bundled payments must have been settled by one shard, and the
-        // sender must belong to it.
-        let settling_shard = self.layout.shard_of_client(first.spender);
-        if !cb.bundle.iter().all(|p| self.layout.shard_of_client(p.spender) == settling_shard) {
-            return empty;
-        }
-        let group = &self.groups[settling_shard.0 as usize];
-        if !group.contains(from) {
-            return empty;
-        }
-        // Ignore bundles for clients we do not represent.
-        if !cb.bundle.iter().any(|p| self.layout.is_representative(self.shell.me, p.beneficiary)) {
-            return empty;
-        }
-        let context = credit_context(&cb.bundle);
-        let key: [u8; 32] = context.as_slice().try_into().expect("sha256 digest");
-        // A bundle whose every credit is already covered — materialized
-        // (`usedDeps`) or vouched for by a held certificate — adds
-        // nothing; ack so the sender stops retransmitting. This also
-        // drains replayed singletons that can never reach a fresh quorum.
-        if cb.bundle.iter().all(|p| self.covered(p)) {
-            self.note_ack(from, key);
-            return empty;
-        }
-        if !self.auth.verify(from, &context, &cb.sig) {
-            return empty;
-        }
+        let Some(group) = self.settling_group(from, &cb.bundle) else { return empty };
         let small_quorum = group.small_quorum();
-        let partial = self.partial.entry(key).or_insert_with(|| PartialBundle {
-            bundle: cb.bundle,
-            proofs: HashMap::new(),
-            certified: false,
-        });
-        partial.proofs.insert(from, cb.sig);
-        if partial.certified {
-            // Already certified: re-ack, the sender missed (or lost) the
-            // first acknowledgment.
+        let key = credit_context(&cb.bundle);
+        // A bundle already certified here, or whose every credit is
+        // already covered — materialized (`usedDeps`) or vouched for by a
+        // held certificate — adds nothing: ack unexamined, so the sender
+        // stops retransmitting (it missed or lost the first ack). This
+        // also drains replayed singletons that can never reach a fresh
+        // quorum.
+        let certified = self.partial.get(&key).is_some_and(|partial| partial.certified);
+        if certified || cb.bundle.iter().all(|p| self.covered(p)) {
             self.note_ack(from, key);
             return empty;
         }
+        if !self.auth.verify(from, &key, &cb.sig) {
+            return empty;
+        }
+        let partial = self.partial.entry(key).or_insert_with(|| PartialBundle::new(cb.bundle));
+        partial.proofs.insert(from, cb.sig);
         if partial.proofs.len() < small_quorum {
             return empty;
         }
@@ -922,12 +949,11 @@ impl<A: Authenticator> AstroTwoReplica<A> {
     /// persisted). Due for immediate retransmission; idempotent over the
     /// snapshot/WAL overlap window.
     fn restore_outbox_entry(&mut self, dest: ReplicaId, bundle: Vec<Payment>) {
-        let context = credit_context(&bundle);
-        let key: [u8; 32] = context.as_slice().try_into().expect("sha256 digest");
+        let key = credit_context(&bundle);
         if self.outbox.contains_key(&key) {
             return;
         }
-        let sig = self.auth.sign(&context);
+        let sig = self.auth.sign(&key);
         self.outbox
             .insert(key, OutboxEntry { dest, bundle, sig, ticks: 0, backoff: OUTBOX_BASE_TICKS });
     }
@@ -1129,11 +1155,12 @@ impl<A: Authenticator> Replica for AstroTwoReplica<A> {
     /// calls, the verdicts are cache hits. Only Schnorr signatures are
     /// enumerated ([`Authenticator::schnorr`]).
     ///
-    /// - `Ack` — the accumulated-ACK batch check ([`SignedBrb`]'s quorum
-    ///   path) covers the ack context. The broadcaster's ACK of its own
-    ///   PREPARE is enumerated like any other, but it was signed with
-    ///   [`Authenticator::sign_for_self`], so the pool finds its verdict
-    ///   already cached and does no curve work for it.
+    /// - `Ack` — at the broadcaster, the peer ACKs its quorum still
+    ///   needs: at most `quorum − 1` per instance, none after the COMMIT
+    ///   ([`SignedBrb::claim_ack_check`]). Its own ACK is signed with
+    ///   [`Authenticator::sign_for_self`], so its verdict is cached
+    ///   already. The accumulated-ACK batch check verifies any other ACK
+    ///   the quorum ends up using inline.
     /// - `Commit` — the `2f+1` quorum proof covers the ack context, built
     ///   from the digest the message carries. The attached dependency
     ///   certificates, checked at settlement, are enumerated only if this
@@ -1144,11 +1171,15 @@ impl<A: Authenticator> Replica for AstroTwoReplica<A> {
     /// - `Prepare` — the attached dependency certificates: they will be
     ///   checked when the instance *commits*, so pre-verifying at PREPARE
     ///   hides the certificate work behind the ACK round-trip.
-    /// - `Credit` — one signature over the sub-batch digest. A
-    ///   representative's self-addressed CREDIT never reaches the pool:
+    /// - `Credit` — one signature over the sub-batch digest, while the
+    ///   certificate still needs it: at most `f` peer CREDITs per
+    ///   sub-batch at a representative in the settling shard (`f+1`
+    ///   elsewhere), none once the bundle is certified or covered. A
+    ///   representative's own CREDIT never reaches the pool:
     ///   [`Replica::apply`] hands it to `on_credit` inline, signed with
-    ///   `sign_for_self`, so its check is a cache hit there.
-    fn preverify(&self, from: ReplicaId, msg: &Self::Msg) -> Vec<SigCheck> {
+    ///   `sign_for_self`, so its check is a cache hit there. `on_credit`
+    ///   verifies any other CREDIT the certificate ends up using inline.
+    fn preverify(&mut self, from: ReplicaId, msg: &Self::Msg) -> Vec<SigCheck> {
         use astro_brb::signed::ack_context;
 
         let mut out = Vec::new();
@@ -1163,7 +1194,9 @@ impl<A: Authenticator> Replica for AstroTwoReplica<A> {
         match msg {
             Astro2Msg::Brb(SignedMsg::Prepare(body)) => certs(&mut out, body.payload()),
             Astro2Msg::Brb(SignedMsg::Ack { id, digest, sig }) => {
-                push_checks::<A>(&mut out, ack_context(*id, digest).into(), [(from, sig)]);
+                if self.brb.claim_ack_check(from, *id, digest) {
+                    push_checks::<A>(&mut out, ack_context(*id, digest).into(), [(from, sig)]);
+                }
             }
             Astro2Msg::Brb(SignedMsg::Commit { body, proof }) => {
                 let id = body.id();
@@ -1176,7 +1209,9 @@ impl<A: Authenticator> Replica for AstroTwoReplica<A> {
                 }
             }
             Astro2Msg::Credit(cb) => {
-                push_checks::<A>(&mut out, credit_context(&cb.bundle).into(), [(from, &cb.sig)]);
+                if let Some(key) = self.claim_credit_check(from, &cb.bundle) {
+                    push_checks::<A>(&mut out, key.into(), [(from, &cb.sig)]);
+                }
             }
             Astro2Msg::CreditAck { digests, sig } => {
                 push_checks::<A>(&mut out, credit_ack_context(digests).into(), [(from, sig)]);
@@ -2095,6 +2130,138 @@ mod tests {
         node.handle(ReplicaId(0), commit.clone());
         assert_eq!(node.prune_delivered(), 1, "the COMMIT delivered its instance");
         assert!(node.preverify(ReplicaId(0), &commit).is_empty());
+    }
+
+    type SchnorrNode = AstroTwoReplica<SchnorrAuthenticator>;
+
+    /// Client 1's representative among four Schnorr replicas, with a
+    /// verdict cache; the keychains; and a sub-batch crediting client 1.
+    fn credit_fixture() -> (SchnorrNode, Vec<Keychain>, Arc<VerdictCache>, Vec<Payment>) {
+        let layout = ShardLayout::single(4).unwrap();
+        let rep1 = layout.representative_of(ClientId(1));
+        let chains = Keychain::deterministic_system(b"astro2-credit-claims", 4);
+        let cache = Arc::new(VerdictCache::new(256));
+        let auth = SchnorrAuthenticator::with_cache(chains[rep1.0 as usize].clone(), cache.clone());
+        let node = AstroTwoReplica::new(auth, layout, cfg(CreditMode::Certificates));
+        (node, chains, cache, vec![Payment::new(0u64, 0u64, 1u64, 30u64)])
+    }
+
+    /// `kc`'s CREDIT for `bundle`.
+    fn schnorr_credit(kc: &Keychain, bundle: &[Payment]) -> Astro2Msg<Signature> {
+        let sig = kc.sign(&credit_context(bundle));
+        Astro2Msg::Credit(CreditBundle { bundle: bundle.to_vec(), sig })
+    }
+
+    /// The representative's own CREDIT, as settling hands it over.
+    fn own_credit(node: &mut SchnorrNode, bundle: &[Payment]) {
+        let sig = node.auth.sign_for_self(&credit_context(bundle));
+        node.on_credit(node.shell.me, CreditBundle { bundle: bundle.to_vec(), sig });
+    }
+
+    /// The shard members other than `node`.
+    fn peers(node: &SchnorrNode) -> Vec<ReplicaId> {
+        node.group().members().iter().copied().filter(|r| *r != node.shell.me).collect()
+    }
+
+    #[test]
+    fn at_most_f_peer_credit_checks_are_claimed_per_sub_batch() {
+        let (mut node, chains, _, bundle) = credit_fixture();
+        let other = vec![Payment::new(2u64, 0u64, 1u64, 5u64)];
+        for bundle in [&bundle, &other] {
+            let claimed: Vec<usize> = peers(&node)
+                .into_iter()
+                .map(|r| node.preverify(r, &schnorr_credit(&chains[r.0 as usize], bundle)).len())
+                .collect();
+            assert_eq!(claimed, [1, 0, 0], "f = 1: the representative's own proof is the other");
+        }
+        // CREDITs `on_credit` drops unread claim nothing and leave no state.
+        let before = node.partial.len();
+        let stranger = (0..100u64)
+            .map(ClientId)
+            .find(|c| node.layout.representative_of(*c) != node.shell.me)
+            .unwrap();
+        let elsewhere = [Payment::new(0u64, 1u64, stranger.0, 5u64)];
+        assert!(node.preverify(ReplicaId(0), &schnorr_credit(&chains[0], &elsewhere)).is_empty());
+        assert!(node.preverify(ReplicaId(9), &schnorr_credit(&chains[0], &bundle)).is_empty());
+        assert_eq!(node.partial.len(), before);
+
+        // Outside the settling shard no own proof comes: f+1 peer checks.
+        let layout = ShardLayout::uniform(2, 4).unwrap();
+        let find = |shard: u16| {
+            (0..100u64).map(ClientId).find(|c| layout.shard_of_client(*c) == ShardId(shard))
+        };
+        let (spender, beneficiary) = (find(0).unwrap(), find(1).unwrap());
+        let rep = layout.representative_of(beneficiary);
+        let chains = Keychain::deterministic_system(b"astro2-credit-claims", 8);
+        let auth = SchnorrAuthenticator::new(chains[rep.0 as usize].clone());
+        let mut node = AstroTwoReplica::new(auth, layout, cfg(CreditMode::Certificates));
+        let bundle = [Payment::new(spender.0, 0u64, beneficiary.0, 5u64)];
+        let settlers: Vec<ReplicaId> = node.groups[0].members().to_vec();
+        let claimed: Vec<usize> = settlers
+            .into_iter()
+            .map(|r| node.preverify(r, &schnorr_credit(&chains[r.0 as usize], &bundle)).len())
+            .collect();
+        assert_eq!(claimed, [1, 1, 0, 0]);
+    }
+
+    #[test]
+    fn a_certified_or_covered_credit_claims_no_check() {
+        // Covered: the credit was materialized.
+        let (mut node, chains, _, bundle) = credit_fixture();
+        let [a, b, _] = peers(&node)[..] else { panic!("three peers") };
+        node.replay(&WalRecord::DepUsed { dep: bundle[0] });
+        assert!(node.preverify(a, &schnorr_credit(&chains[a.0 as usize], &bundle)).is_empty());
+        assert!(node.partial.is_empty(), "no state for a CREDIT left out");
+
+        // Certified, and covered by the held certificate.
+        let (mut node, chains, cache, bundle) = credit_fixture();
+        own_credit(&mut node, &bundle);
+        node.handle(a, schnorr_credit(&chains[a.0 as usize], &bundle));
+        assert_eq!(node.held_certificates(ClientId(1)), 1);
+        assert!(node.preverify(b, &schnorr_credit(&chains[b.0 as usize], &bundle)).is_empty());
+        // Certified, no longer covered: a spend took the certificate.
+        node.submit(Payment::new(1u64, 0u64, 2u64, 120u64)).unwrap();
+        assert_eq!(node.held_certificates(ClientId(1)), 0);
+        assert!(!node.covered(&bundle[0]));
+        assert!(node.preverify(b, &schnorr_credit(&chains[b.0 as usize], &bundle)).is_empty());
+        // `on_credit` acks such a CREDIT before any signature check.
+        let misses = cache.misses();
+        let forged = chains[b.0 as usize].sign(b"not the credit context");
+        node.handle(b, Astro2Msg::Credit(CreditBundle { bundle: bundle.clone(), sig: forged }));
+        assert_eq!(cache.misses(), misses, "no signature was checked");
+        assert_eq!(node.pending_acks[&b], [credit_context(&bundle)]);
+    }
+
+    #[test]
+    fn a_forged_first_credit_leaves_the_certificate_to_an_inline_check() {
+        let (mut node, chains, cache, bundle) = credit_fixture();
+        let me = node.shell.me;
+        let [a, b, _] = peers(&node)[..] else { panic!("three peers") };
+        own_credit(&mut node, &bundle);
+        let forged = Astro2Msg::Credit(CreditBundle {
+            bundle: bundle.clone(),
+            sig: chains[a.0 as usize].sign(b"not the credit context"),
+        });
+        // The pool checks the forgery, the one claim f = 1 allows.
+        let checks = node.preverify(a, &forged);
+        assert_eq!(checks.len(), 1);
+        for check in &checks {
+            let ok = chains[me.0 as usize].verify(check.signer, &check.context, &check.sig);
+            cache.insert(check.cache_key(), ok);
+        }
+        node.handle(a, forged);
+        assert_eq!(node.held_certificates(ClientId(1)), 0, "a forgery is no proof");
+        let honest = schnorr_credit(&chains[b.0 as usize], &bundle);
+        assert!(node.preverify(b, &honest).is_empty());
+        let misses = cache.misses();
+        node.handle(b, honest);
+        assert_eq!(cache.misses(), misses + 1, "the unclaimed CREDIT is verified inline");
+        let cert = &node.held.certs(ClientId(1))[0];
+        let mut signers = vec![me, b];
+        signers.sort_unstable();
+        assert_eq!(cert.proofs.iter().map(|(r, _)| *r).collect::<Vec<_>>(), signers);
+        let fresh = SchnorrAuthenticator::new(chains[a.0 as usize].clone());
+        assert!(verify_certificate(cert, node.group(), &fresh));
     }
 
     #[test]

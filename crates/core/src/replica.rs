@@ -243,16 +243,19 @@ pub trait Replica: Sized {
         self.shell_mut().obs = Some(obs);
     }
 
-    /// Every Schnorr signature check handling `msg` can trigger, for a
+    /// The Schnorr signature checks handling `msg` still needs, for a
     /// verify pool to run ahead of the state machine. Enumerating is
     /// sound because verification is a pure function of `(signer,
     /// context, signature)`: a check the state machine never consults
-    /// wastes pool cycles but cannot change any transition. A signature
-    /// the replica made for itself
-    /// ([`astro_types::Authenticator::sign_for_self`]) is enumerated like
-    /// any other; its verdict is already cached, so the pool skips it.
-    /// Default: none (MAC-authenticated traffic).
-    fn preverify(&self, from: ReplicaId, msg: &Self::Msg) -> Vec<SigCheck> {
+    /// wastes pool cycles but cannot change any transition, and a check
+    /// left out is made inline where the state machine asks for it. So
+    /// an implementation may count what it has enumerated (hence `&mut
+    /// self`) and leave out signatures a quorum no longer needs — none
+    /// of its state transitions may read those counts. A signature the
+    /// replica made for itself
+    /// ([`astro_types::Authenticator::sign_for_self`]) is already cached,
+    /// so the pool skips it. Default: none (MAC-authenticated traffic).
+    fn preverify(&mut self, from: ReplicaId, msg: &Self::Msg) -> Vec<SigCheck> {
         let _ = (from, msg);
         Vec::new()
     }

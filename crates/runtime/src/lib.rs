@@ -1136,7 +1136,8 @@ fn replica_main<R: Replica, E: Endpoint>(
         if let Ok(Some(first)) = endpoint.recv_timeout(wait) {
             endpoint.cork();
             // Decode the burst and park it. With a pool, every signature
-            // the burst carries is submitted as ONE super-batch (all
+            // check the burst still needs (`preverify` counts what it has
+            // already handed over) is submitted as ONE super-batch (all
             // pending BRB instances amortize into a single multi-scalar
             // multiplication on a worker) and transport keeps draining
             // while the pool verifies; serially, verification runs

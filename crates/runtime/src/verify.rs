@@ -3,15 +3,19 @@
 //! A [`VerifyPool`] owns a fixed set of verifier threads shared by every
 //! replica thread of a [`crate::Cluster`]. The replica's event loop
 //! ([`astro_core::Replica::preverify`]) enumerates the signature checks an
-//! inbound burst of messages will trigger and submits them as **one
-//! super-batch job** — ACK signatures, commit quorum proofs, and
+//! inbound burst of messages still needs and submits them as **one
+//! super-batch job** — ACK signatures, commit quorum proofs, CREDITs and
 //! dependency-certificate proofs across *all* pending BRB instances of the
 //! burst amortize into a single Schnorr batch verification (one
 //! multi-scalar multiplication) on a worker thread, with
 //! [`astro_crypto::schnorr::find_invalid`] bisection locating forgeries on
-//! failure. A certificate reaches the pool once per replica: with the
-//! PREPARE that carries it. A COMMIT of a payload the replica already
-//! ACKed enumerates only its quorum proof.
+//! failure. Only what a quorum still lacks is enumerated: a broadcaster's
+//! first `quorum − 1` peer ACKs per instance, a representative's first
+//! `f` peer CREDITs per sub-batch. A certificate reaches the pool once
+//! per replica: with the PREPARE that carries it. A COMMIT of a payload
+//! the replica already ACKed enumerates only its quorum proof. A
+//! signature the state machine uses without having been enumerated is
+//! verified on the replica thread, as in serial mode.
 //!
 //! Verdicts land in a shared [`VerdictCache`] keyed by the digest of
 //! `(signer, context, signature)`; the replica's

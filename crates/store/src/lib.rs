@@ -92,12 +92,13 @@ pub struct StoreObs {
     pub snapshot_nanos: Histogram,
     /// Current WAL file length.
     pub wal_bytes: Gauge,
-    /// `health.r{replica}.store`: 1 while snapshot installs succeed, 0
-    /// once one failed — cleared again when a later install succeeds
-    /// (the re-heal path).
+    /// `health.r{replica}.store`: [`Storage::healthy`] as 1 or 0. It
+    /// turns 0 when a snapshot install fails — and 1 again when a later
+    /// one succeeds (the re-heal path) — or, from the next step boundary
+    /// on, for good, once the WAL writer went degraded.
     pub store_healthy: Gauge,
     /// Flight recorder: `store.snapshot.fail` / `store.snapshot.heal`
-    /// events mark the health transitions.
+    /// and `store.wal.fail` events mark the health transitions.
     pub flight: FlightRecorder,
 }
 
@@ -322,6 +323,8 @@ pub struct Storage {
     /// Set when a snapshot install failed; compaction has stopped (the
     /// WAL keeps growing) even though the WAL writer itself is fine.
     install_failed: bool,
+    /// Set once a step boundary reported the WAL writer degraded.
+    wal_failed: bool,
     obs: Option<StoreObs>,
 }
 
@@ -387,6 +390,7 @@ impl Storage {
             spare,
             rotation_wedged: false,
             install_failed: false,
+            wal_failed: false,
             obs: None,
         };
         Ok((storage, Recovered { snapshot, checkpoints, records }))
@@ -422,12 +426,14 @@ impl Storage {
     /// The replica's step boundary: hands buffered frames to the OS (one
     /// `write(2)`) — after this, an in-process crash loses nothing. Then
     /// folds in the outcome of a finished group commit (a failed fsync
-    /// degrades the WAL writer) and, when the [`GroupCommit`] policy is
-    /// due and no commit is in flight, queues the next one on the
-    /// worker. This thread never waits for an fsync here.
+    /// degrades the WAL writer), reports a degraded writer to the health
+    /// gauge and, when the [`GroupCommit`] policy is due and no commit is
+    /// in flight, queues the next one on the worker. This thread never
+    /// waits for an fsync here.
     pub fn flush_writes(&mut self) {
         self.wal.flush_writes();
         self.poll_commit();
+        self.note_wal_health();
         if self.committing || !self.wal.commit_due() {
             return;
         }
@@ -442,6 +448,21 @@ impl Storage {
             // No fd to hand off, or the worker died (the next install
             // re-spawns it): commit inline.
             self.wal.sync();
+        }
+    }
+
+    /// Reports a WAL writer that went degraded — a failed `write(2)` or
+    /// group-commit fsync, or an oversized record — once: the gauge turns
+    /// 0 and `store.wal.fail` is recorded. The writer drops every later
+    /// record and never recovers, so neither does the gauge.
+    fn note_wal_health(&mut self) {
+        if self.wal_failed || self.wal.health().is_ok() {
+            return;
+        }
+        self.wal_failed = true;
+        if let Some(obs) = &self.obs {
+            obs.store_healthy.set(0);
+            obs.flight.event("store.wal.fail", 0, 0);
         }
     }
 
@@ -641,10 +662,12 @@ impl Storage {
     /// Folds one install outcome into the health state, emitting the
     /// flight-recorder / `health.*` transition events: a failure degrades
     /// ([`Storage::healthy`] turns false, compaction has stopped), a
-    /// later success re-heals and says so.
+    /// later success re-heals and says so — the gauge only if the WAL
+    /// writer is healthy too.
     fn note_install_result(&mut self, failed: bool) {
         let was_failed = self.install_failed;
         self.install_failed = failed;
+        let healthy = self.healthy();
         let Some(obs) = &self.obs else { return };
         if failed {
             obs.store_healthy.set(0);
@@ -652,9 +675,8 @@ impl Storage {
                 obs.flight.event("store.snapshot.fail", 0, 0);
             }
         } else if was_failed {
-            // The re-heal path: compaction resumed, the store is healthy
-            // again.
-            obs.store_healthy.set(1);
+            // The re-heal path: compaction resumed.
+            obs.store_healthy.set(u64::from(healthy));
             obs.flight.event("store.snapshot.heal", 0, 0);
         }
     }
@@ -1116,12 +1138,15 @@ mod tests {
         let dir = tmp_dir("commit-fails");
         let cfg = StoreConfig { sync_every_records: 1, ..StoreConfig::default() };
         let (mut s, _) = Storage::open(&dir, cfg).unwrap();
+        let registry = Registry::new();
+        s.attach_obs(StoreObs::for_replica(&registry, 0));
         s.wal.commit_hook =
             Some(wal::CommitHook(Arc::new(|| Err(std::io::Error::other("injected fsync error")))));
         s.append(&settle(0));
         s.flush_writes();
         assert!(s.committing, "the step boundary queued a commit");
         assert!(s.healthy(), "its outcome folds in at a later step boundary");
+        assert_eq!(health_gauge(&registry), 1);
         let deadline = Instant::now() + Duration::from_secs(10);
         while s.committing {
             assert!(Instant::now() < deadline, "the group commit never reported");
@@ -1130,6 +1155,7 @@ mod tests {
         }
         assert_eq!(s.wal.health().unwrap_err().to_string(), "injected fsync error");
         assert!(!s.healthy());
+        assert_eq!(health_gauge(&registry), 0, "/metrics shows what healthy() says");
         // Degraded exactly as by an inline failure: later appends are
         // dropped, and an install fails before it starts.
         let len = s.wal.len();
@@ -1138,6 +1164,12 @@ mod tests {
         assert_eq!(s.wal.len(), len, "the append was dropped");
         assert!(s.begin_install(Some((0, vec![b"lost".to_vec()])), b"never".to_vec()));
         assert!(!s.installing(), "nothing was handed to the worker");
+        assert_eq!(health_gauge(&registry), 0);
+        assert_eq!(
+            flight_events(&registry),
+            ["store.wal.fail", "store.snapshot.fail"],
+            "the writer's failure is recorded once, at the step boundary that saw it"
+        );
         drop(s);
         let (_s, rec) = Storage::open(&dir, StoreConfig::default()).unwrap();
         assert!(rec.snapshot.is_none() && rec.checkpoints.is_empty());
@@ -1181,6 +1213,36 @@ mod tests {
         assert_eq!(rec.snapshot.unwrap(), b"first");
         assert_eq!(rec.checkpoints, vec![vec![b"ckpt-record".to_vec()]]);
         assert_eq!(rec.records, vec![settle(1), settle(2)]);
+    }
+
+    #[test]
+    fn a_later_install_success_does_not_reheal_a_degraded_wal() {
+        let dir = tmp_dir("no-reheal");
+        let (mut s, _) = Storage::open(&dir, StoreConfig::default()).unwrap();
+        let registry = Registry::new();
+        s.attach_obs(StoreObs::for_replica(&registry, 0));
+        // An earlier install failed; the next one is queued while the
+        // writer is healthy, and the writer degrades before it finishes.
+        s.note_install_result(true);
+        s.append(&settle(0));
+        assert!(s.begin_install(None, b"snapshot".to_vec()));
+        s.append(&WalRecord::Cert { bytes: vec![0; wal::MAX_RECORD_LEN] });
+        s.flush_writes();
+        wait_install(&mut s).unwrap();
+        assert!(!s.healthy());
+        assert_eq!(health_gauge(&registry), 0, "compaction resumed, the WAL did not");
+        assert_eq!(
+            flight_events(&registry),
+            ["store.snapshot.fail", "store.wal.fail", "store.snapshot.heal"]
+        );
+    }
+
+    fn health_gauge(registry: &Registry) -> u64 {
+        registry.snapshot().gauge("health.r0.store").expect("the store exports its health")
+    }
+
+    fn flight_events(registry: &Registry) -> Vec<&'static str> {
+        registry.flight(0).events().iter().map(|e| e.what).collect()
     }
 
     #[test]
