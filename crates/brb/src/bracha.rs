@@ -421,6 +421,15 @@ impl<P: Payload> BrachaBrb<P> {
 
 impl<P: Payload> Broadcast for BrachaBrb<P> {
     type Payload = P;
+    type Msg = BrachaMsg<P>;
+
+    fn broadcast(&mut self, id: InstanceId, payload: P) -> Step<P, BrachaMsg<P>> {
+        Self::broadcast(self, id, payload)
+    }
+
+    fn handle(&mut self, from: ReplicaId, msg: BrachaMsg<P>) -> Step<P, BrachaMsg<P>> {
+        Self::handle(self, from, msg)
+    }
 
     fn tracked_instances(&self) -> usize {
         self.instances.len()

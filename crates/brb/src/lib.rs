@@ -305,14 +305,27 @@ impl<P> FifoDelivery<P> {
     }
 }
 
-/// What the payment layer needs of a broadcast primitive beyond sending
-/// and receiving: instance bookkeeping, garbage collection and the
-/// delivery cursors durable state and catch-up carry. The paper's two
-/// protocols differ in how an instance completes, not in any of this, so
-/// state transfer and recovery are written once against this trait.
+/// What the payment layer needs of a broadcast primitive: sending and
+/// receiving, instance bookkeeping, garbage collection and the delivery
+/// cursors durable state and catch-up carry. The paper's two protocols
+/// differ in how an instance completes, not in any of this, so the
+/// payment replica is written once against this trait.
 pub trait Broadcast {
     /// The payload an instance delivers.
     type Payload;
+
+    /// The messages the primitive exchanges.
+    type Msg;
+
+    /// Starts broadcasting `payload` as this replica's instance `id`.
+    fn broadcast(
+        &mut self,
+        id: InstanceId,
+        payload: Self::Payload,
+    ) -> Step<Self::Payload, Self::Msg>;
+
+    /// Processes one message from the transport-authenticated `from`.
+    fn handle(&mut self, from: ReplicaId, msg: Self::Msg) -> Step<Self::Payload, Self::Msg>;
 
     /// Number of receiver-side instances currently tracked (memory
     /// accounting and size-triggered GC).

@@ -449,6 +449,19 @@ impl<P: Payload, A: Authenticator> SignedBrb<P, A> {
 
 impl<P: Payload, A: Authenticator> Broadcast for SignedBrb<P, A> {
     type Payload = P;
+    type Msg = SignedMsg<P, A::Sig>;
+
+    fn broadcast(&mut self, id: InstanceId, payload: P) -> Step<P, SignedMsg<P, A::Sig>> {
+        Self::broadcast(self, id, payload)
+    }
+
+    fn handle(
+        &mut self,
+        from: ReplicaId,
+        msg: SignedMsg<P, A::Sig>,
+    ) -> Step<P, SignedMsg<P, A::Sig>> {
+        Self::handle(self, from, msg)
+    }
 
     fn tracked_instances(&self) -> usize {
         self.instances.len()

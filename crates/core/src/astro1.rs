@@ -19,9 +19,9 @@ use crate::replica::{self, Replica, Shell, SYNC_FALLBACK_ROUNDS, SYNC_RETRY_TICK
 use crate::sync::SyncMsg;
 use crate::{ReplicaStep, SubmitError};
 use astro_brb::bracha::{BrachaBrb, BrachaMsg};
-use astro_brb::{BrbConfig, DeliveryOrder, Envelope, InstanceId};
+use astro_brb::{BrbConfig, DeliveryOrder};
 use astro_types::wire::{Wire, WireError};
-use astro_types::{Amount, ClientId, Group, Payment, ReplicaId, ShardLayout};
+use astro_types::{Amount, Payment, ReplicaId, ShardLayout};
 
 /// Configuration of an Astro I replica.
 #[derive(Debug, Clone)]
@@ -84,13 +84,8 @@ impl Wire for Astro1Msg {
 /// of Listings 2–4.
 #[derive(Debug)]
 pub struct AstroOneReplica {
-    shell: Shell<Astro1Msg>,
-    layout: ShardLayout,
-    group: Group,
+    shell: Shell<Astro1Msg, Batch>,
     brb: BrachaBrb<Batch>,
-    pending: PendingQueue<()>,
-    batch: Vec<Payment>,
-    batch_size: usize,
     /// Flush ticks since outstanding payload pulls were last requested.
     pull_ticks: u32,
 }
@@ -104,24 +99,13 @@ impl AstroOneReplica {
     ///
     /// Panics if `me` is not a member of the layout.
     pub fn new(me: ReplicaId, layout: ShardLayout, cfg: Astro1Config) -> Self {
-        assert!(layout.shard_of_replica(me).is_some(), "replica {me} not in layout");
-        let spec = layout.shard(layout.shard_of_replica(me).expect("checked"));
-        let group = Group::from_spec(spec).expect("layout shard too small");
+        let shell = Shell::new(me, layout, cfg.batch_size, cfg.initial_balance);
         let brb = BrachaBrb::new(
             me,
-            group.clone(),
+            shell.group.clone(),
             BrbConfig { order: DeliveryOrder::FifoPerSource, bind_source: true },
         );
-        AstroOneReplica {
-            shell: Shell::new(me, cfg.initial_balance),
-            layout,
-            group,
-            brb,
-            pending: PendingQueue::new(),
-            batch: Vec::new(),
-            batch_size: cfg.batch_size.max(1),
-            pull_ticks: 0,
-        }
+        AstroOneReplica { shell, brb, pull_ticks: 0 }
     }
 
     // `submit` / `handle` / `flush` stay callable without the trait in
@@ -145,16 +129,6 @@ impl AstroOneReplica {
     pub fn flush(&mut self) -> ReplicaStep<Astro1Msg> {
         Replica::flush(self)
     }
-
-    /// Number of payments waiting in the unflushed batch.
-    pub fn batched(&self) -> usize {
-        self.batch.len()
-    }
-
-    /// Number of payments queued awaiting approval.
-    pub fn pending_len(&self) -> usize {
-        self.pending.len()
-    }
 }
 
 impl Replica for AstroOneReplica {
@@ -163,11 +137,14 @@ impl Replica for AstroOneReplica {
     type Brb = BrachaBrb<Batch>;
     type Local = Astro1Local;
 
-    fn shell(&self) -> &Shell<Astro1Msg> {
+    /// Bracha delivery *is* the quorum event: 2f+1 READYs arrived.
+    const QUORUM_AT_DELIVERY: bool = true;
+
+    fn shell(&self) -> &Shell<Astro1Msg, Batch> {
         &self.shell
     }
 
-    fn shell_mut(&mut self) -> &mut Shell<Astro1Msg> {
+    fn shell_mut(&mut self) -> &mut Shell<Astro1Msg, Batch> {
         &mut self.shell
     }
 
@@ -183,46 +160,25 @@ impl Replica for AstroOneReplica {
         Astro1Msg::Sync(msg)
     }
 
-    fn group(&self) -> &Group {
-        &self.group
+    fn brb_msg(msg: BrachaMsg<Batch>) -> Astro1Msg {
+        Astro1Msg::Brb(msg)
     }
 
-    /// Rejects payments from clients this replica does not represent —
-    /// the mapping is public (paper §III), so honest clients never hit
-    /// this.
-    fn submit(&mut self, payment: Payment) -> Result<ReplicaStep<Astro1Msg>, SubmitError> {
-        if !self.layout.is_representative(self.shell.me, payment.spender) {
-            return Err(SubmitError::NotRepresentative {
-                client: payment.spender,
-                representative: self.layout.representative_of(payment.spender),
-            });
-        }
-        self.batch.push(payment);
-        // While catching up the batch only accumulates: auto-flush would
-        // burn the sync retry pacing (flush doubles as its timer), and
-        // broadcasting must wait for the certified tag floor anyway.
-        if !self.is_syncing() && self.batch.len() >= self.batch_size {
-            Ok(self.flush())
-        } else {
-            Ok(ReplicaStep::empty())
-        }
+    /// A payment carries nothing but itself.
+    fn attach(&mut self, _: &Payment) -> Result<(), SubmitError> {
+        Ok(())
+    }
+
+    /// Totality lets every replica credit the beneficiary at settlement;
+    /// an underfunded payment waits in the queue until funds arrive
+    /// (paper §IV).
+    fn settle(&mut self, payment: &Payment, (): &()) -> SettleOutcome {
+        self.shell.settle(payment, true)
     }
 
     fn handle(&mut self, from: ReplicaId, msg: Astro1Msg) -> ReplicaStep<Astro1Msg> {
         match msg {
-            Astro1Msg::Brb(m) => {
-                if self.is_syncing() {
-                    replica::park(self, from, Astro1Msg::Brb(m));
-                    return ReplicaStep::empty();
-                }
-                let step = self.brb.handle(from, m);
-                let mut out =
-                    ReplicaStep { outbound: wrap_brb(step.outbound), settled: Vec::new() };
-                for delivery in step.delivered {
-                    self.apply(delivery.id, delivery.payload, &mut out);
-                }
-                out
-            }
+            Astro1Msg::Brb(m) => replica::handle_brb(self, from, m),
             Astro1Msg::Sync(m) => replica::handle_sync(self, from, m),
         }
     }
@@ -241,7 +197,7 @@ impl Replica for AstroOneReplica {
         if self.pull_ticks == SYNC_RETRY_TICKS {
             self.pull_ticks = 0;
             let (requests, exhausted) = self.brb.retry_pulls();
-            out.outbound = wrap_brb(requests);
+            out.outbound = replica::wrap_brb::<Self>(requests);
             if exhausted {
                 // Everyone that vouched for a batch stayed silent for all
                 // its rounds: they delivered and pruned it, so its effects
@@ -251,125 +207,34 @@ impl Replica for AstroOneReplica {
                 return out;
             }
         }
-        if self.batch.is_empty() {
-            return out;
-        }
-        let payments = std::mem::take(&mut self.batch);
-        if let Some(obs) = &self.shell.obs {
-            obs.stage_batch(&payments, astro_obs::Stage::Prepare);
-            obs.pending_depth.set(self.pending.len() as u64);
-        }
-        let id = self.shell.next_instance();
-        let step = self.brb.broadcast(id, Batch { payments });
-        debug_assert!(step.delivered.is_empty());
-        out.outbound.extend(wrap_brb(step.outbound));
+        replica::flush_batch(self, &mut out);
         out
     }
 
     /// A batch awaits broadcast, or a payload pull or a catch-up is
     /// outstanding.
     fn needs_tick(&self) -> bool {
-        !self.batch.is_empty() || self.is_syncing() || self.brb.pulls_outstanding() > 0
-    }
-
-    /// Applies a BRB-delivered batch: approve (queue if blocked) and settle
-    /// each payment, then cascade the approval queue.
-    fn apply(&mut self, id: InstanceId, batch: Batch, out: &mut ReplicaStep<Astro1Msg>) {
-        let broadcaster = ReplicaId(id.source as u32);
-        let settled_before = out.settled.len();
-        let me = self.shell.me;
-        if let Some(obs) = &self.shell.obs {
-            // Bracha delivery *is* the quorum event: 2f+1 READYs arrived.
-            // Only the broadcaster stamps its own delivery: every correct
-            // replica delivers the batch at roughly the same instant, and
-            // one stamp per payment keeps the other replicas' settle loops
-            // off the tracer's shard locks entirely.
-            if broadcaster == me {
-                obs.stage_batch(&batch.payments, astro_obs::Stage::AckQuorum);
-            }
-        }
-        let mut touched: Vec<ClientId> = Vec::new();
-        for payment in &batch.payments {
-            // Only a client's designated representative may broker her
-            // payments (paper §II); the BRB layer bound `source` to the
-            // transport-authenticated broadcaster.
-            if self.layout.representative_of(payment.spender) != broadcaster {
-                continue;
-            }
-            match self.shell.ledger.settle(payment, true) {
-                SettleOutcome::Applied => {
-                    self.shell
-                        .journal
-                        .rec(&WalRecord::Settle { payment: *payment, credit_beneficiary: true });
-                    out.settled.push(*payment);
-                    touched.push(payment.spender);
-                    touched.push(payment.beneficiary);
-                }
-                SettleOutcome::FutureSeq | SettleOutcome::InsufficientFunds => {
-                    self.shell
-                        .journal
-                        .rec(&WalRecord::Queued { payment: *payment, deps: Vec::new() });
-                    self.pending.push(*payment, ());
-                    touched.push(payment.spender);
-                }
-                SettleOutcome::StaleSeq => {}
-            }
-        }
-        let settled = self
-            .pending
-            .drain_cascade(touched, &mut self.shell.ledger, |l, p, ()| l.settle(p, true));
-        for entry in &settled {
-            self.shell
-                .journal
-                .rec(&WalRecord::Settle { payment: entry.payment, credit_beneficiary: true });
-        }
-        // The delivery record *terminates* the batch's effects in the log:
-        // a torn tail that cuts before it replays a (harmless, idempotent)
-        // effect prefix with the cursor still behind — never a cursor that
-        // has advanced past effects that were lost.
-        self.shell.journal.rec(&WalRecord::Delivered { source: id.source, tag: id.tag });
-        out.settled.extend(settled.into_iter().map(|e| e.payment));
-        if let Some(obs) = &self.shell.obs {
-            let settled = &out.settled[settled_before..];
-            obs.settles.add(settled.len() as u64);
-            // One settle stamp per payment, by the spender's
-            // representative: the lifecycle timeline reads as one
-            // replica's view, and the other replicas never contend on the
-            // payment's tracer slot.
-            obs.stage_batch(
-                settled.iter().filter(|p| self.layout.representative_of(p.spender) == me),
-                astro_obs::Stage::Settle,
-            );
-        }
+        !self.shell.batch.is_empty() || self.is_syncing() || self.brb.pulls_outstanding() > 0
     }
 
     /// The approval queue.
     fn export_local(&self) -> Astro1Local {
-        Astro1Local { pending: self.pending.payments() }
+        Astro1Local { pending: self.shell.pending.payments() }
     }
 
     fn restore_local(&mut self, local: &Astro1Local) {
-        self.pending = PendingQueue::new();
+        self.shell.pending = PendingQueue::new();
         for payment in &local.pending {
-            self.pending.push(*payment, ());
+            self.shell.pending.push(*payment, ());
         }
     }
 
     fn replay_local(&mut self, record: &WalRecord) {
         // Astro II records do not occur in an Astro I log.
         if let WalRecord::Queued { payment, .. } = record {
-            self.pending.push(*payment, ());
+            self.shell.pending.push(*payment, ());
         }
     }
-
-    fn finish_recovery(&mut self) {
-        self.pending.prune_stale(&self.shell.ledger);
-    }
-}
-
-/// Wraps broadcast-layer envelopes into the top-level message type.
-fn wrap_brb(outbound: Vec<Envelope<BrachaMsg<Batch>>>) -> Vec<Envelope<Astro1Msg>> {
-    outbound.into_iter().map(|e| Envelope { to: e.to, msg: Astro1Msg::Brb(e.msg) }).collect()
 }
 
 #[cfg(test)]
@@ -377,6 +242,7 @@ mod tests {
     use super::*;
     use crate::journal::State;
     use crate::testkit::PaymentCluster;
+    use astro_types::ClientId;
 
     fn cluster(n: usize, batch_size: usize) -> PaymentCluster<AstroOneReplica> {
         let layout = ShardLayout::single(n).unwrap();
@@ -391,7 +257,7 @@ mod tests {
 
     /// Submits a payment at its representative and returns the step.
     fn pay(c: &mut PaymentCluster<AstroOneReplica>, p: Payment) {
-        let rep = c.node(0).layout.representative_of(p.spender);
+        let rep = c.node(0).shell.layout.representative_of(p.spender);
         let step = c.node_mut(rep.0 as usize).submit(p).expect("representative accepts");
         c.submit_step(rep, step);
     }
@@ -412,7 +278,7 @@ mod tests {
     fn batching_flushes_on_size() {
         let mut c = cluster(4, 3);
         // Client 0's representative in a single-shard 4-replica layout.
-        let rep = c.node(0).layout.representative_of(ClientId(0));
+        let rep = c.node(0).shell.layout.representative_of(ClientId(0));
         for seq in 0..2u64 {
             let step =
                 c.node_mut(rep.0 as usize).submit(Payment::new(0u64, seq, 1u64, 1u64)).unwrap();
@@ -432,7 +298,7 @@ mod tests {
     #[test]
     fn manual_flush_broadcasts_partial_batch() {
         let mut c = cluster(4, 100);
-        let rep = c.node(0).layout.representative_of(ClientId(0));
+        let rep = c.node(0).shell.layout.representative_of(ClientId(0));
         let step = c.node_mut(rep.0 as usize).submit(Payment::new(0u64, 0u64, 1u64, 5u64)).unwrap();
         c.submit_step(rep, step);
         let step = c.node_mut(rep.0 as usize).flush();
@@ -691,7 +557,7 @@ mod tests {
         // batch on its own stream containing the foreign payment).
         let forged = Payment::new(victim.0, 0u64, 1u64, 99u64);
         let node0 = c.node_mut(0);
-        node0.batch.push(forged); // bypass submit's representative check
+        node0.shell.batch.push(forged); // bypass submit's representative check
         let step = node0.flush();
         c.submit_step(ReplicaId(0), step);
         c.run_to_quiescence();

@@ -21,17 +21,17 @@
 //! never spent.
 
 use crate::batch::{
-    credit_ack_context, credit_context, verify_certificate, CreditBundle, DepBatch, DepPayment,
-    DependencyCertificate,
+    credit_ack_context, credit_context, verify_certificate, CreditBundle, DepBatch,
+    DependencyCertificate, PaymentBatch,
 };
-use crate::journal::{Astro2Local, JournalSlot, WalRecord};
-use crate::ledger::{Ledger, SettleOutcome};
+use crate::journal::{Astro2Local, WalRecord};
+use crate::ledger::SettleOutcome;
 use crate::pending::PendingQueue;
-use crate::replica::{self, Replica, Shell};
+use crate::replica::{self, Deps, Replica, Shell};
 use crate::sync::{SyncError, SyncMsg};
 use crate::{ReplicaStep, SubmitError};
 use astro_brb::signed::{SignedBrb, SignedMsg};
-use astro_brb::{BrbConfig, DeliveryOrder, Envelope, InstanceId};
+use astro_brb::{BrbConfig, DeliveryOrder, Envelope};
 use astro_types::wire::{decode_exact, with_encoding, Wire, WireError};
 use astro_types::{
     Amount, Authenticator, ClientId, Group, Payment, PaymentId, ReplicaId, SeqNo, ShardId,
@@ -438,15 +438,11 @@ impl<S> HeldCerts<S> {
 /// One Astro II replica.
 #[derive(Debug)]
 pub struct AstroTwoReplica<A: Authenticator> {
-    shell: Shell<Astro2Msg<A::Sig>>,
-    layout: ShardLayout,
-    my_shard: ShardId,
+    shell: Shell<Astro2Msg<A::Sig>, DepBatch<A::Sig>>,
     /// Group per shard id (certificate verification needs every shard).
     groups: Vec<Group>,
     auth: A,
     brb: SignedBrb<DepBatch<A::Sig>, A>,
-    /// Future-sequence payments with their attached certificates.
-    pending: PendingQueue<Vec<DependencyCertificate<A::Sig>>>,
     /// Credits already materialized (replay protection, Listing 9's
     /// `usedDeps` — payment ids are globally unique so one set suffices).
     used_deps: HashSet<PaymentId>,
@@ -470,8 +466,6 @@ pub struct AstroTwoReplica<A: Authenticator> {
     /// as one signed [`Astro2Msg::CreditAck`] on the next flush tick
     /// (a `BTreeMap` for deterministic emission order).
     pending_acks: BTreeMap<ReplicaId, Vec<[u8; 32]>>,
-    pub(crate) batch: Vec<DepPayment<A::Sig>>,
-    batch_size: usize,
     mode: CreditMode,
     dep_policy: DepPolicy,
     /// Representative state: funds already promised to in-flight payments
@@ -497,24 +491,19 @@ impl<A: Authenticator> AstroTwoReplica<A> {
     /// Panics if the replica is not a member of the layout, or a shard is
     /// smaller than 4 replicas.
     pub fn new(auth: A, layout: ShardLayout, cfg: Astro2Config) -> Self {
-        let me = auth.me();
-        let my_shard =
-            layout.shard_of_replica(me).unwrap_or_else(|| panic!("replica {me} not in layout"));
         let groups: Vec<Group> =
             layout.shards().iter().map(|s| Group::from_spec(s).expect("shard too small")).collect();
+        let shell = Shell::new(auth.me(), layout, cfg.batch_size, cfg.initial_balance);
         let brb = SignedBrb::new(
             auth.clone(),
-            groups[my_shard.0 as usize].clone(),
+            shell.group.clone(),
             BrbConfig { order: DeliveryOrder::Unordered, bind_source: true },
         );
         AstroTwoReplica {
-            shell: Shell::new(me, cfg.initial_balance),
-            layout,
-            my_shard,
+            shell,
             groups,
             auth,
             brb,
-            pending: PendingQueue::new(),
             used_deps: HashSet::new(),
             cert_cache: CertCache::new(CERT_CACHE_CAP),
             stuck: HashSet::new(),
@@ -522,8 +511,6 @@ impl<A: Authenticator> AstroTwoReplica<A> {
             partial: HashMap::new(),
             outbox: BTreeMap::new(),
             pending_acks: BTreeMap::new(),
-            batch: Vec::new(),
-            batch_size: cfg.batch_size.max(1),
             mode: cfg.credit_mode,
             dep_policy: cfg.dep_policy,
             reserved: HashMap::new(),
@@ -559,11 +546,6 @@ impl<A: Authenticator> AstroTwoReplica<A> {
     /// [`Replica::flush`].
     pub fn flush(&mut self) -> ReplicaStep<Astro2Msg<A::Sig>> {
         Replica::flush(self)
-    }
-
-    /// The shard this replica belongs to.
-    pub fn shard(&self) -> ShardId {
-        self.my_shard
     }
 
     /// One flush tick of the retry outbox: accumulated acks leave
@@ -627,11 +609,6 @@ impl<A: Authenticator> AstroTwoReplica<A> {
         });
     }
 
-    /// Number of payments waiting in the unflushed batch.
-    pub fn batched(&self) -> usize {
-        self.batch.len()
-    }
-
     /// Unacked CREDIT sub-batches in the retry outbox.
     pub fn outbox_depth(&self) -> usize {
         self.outbox.len()
@@ -646,18 +623,12 @@ impl<A: Authenticator> AstroTwoReplica<A> {
     /// Handles a CREDIT acknowledgment at the settling replica: each
     /// digest the valid ack covers discharges its outbox entry, provided
     /// the entry was addressed to the sender.
-    fn on_credit_ack(
-        &mut self,
-        from: ReplicaId,
-        digests: Vec<[u8; 32]>,
-        sig: A::Sig,
-    ) -> ReplicaStep<Astro2Msg<A::Sig>> {
-        let empty = ReplicaStep::empty();
+    fn on_credit_ack(&mut self, from: ReplicaId, digests: Vec<[u8; 32]>, sig: A::Sig) {
         // One signature covers the whole batch of digests; verify it
         // before touching any entry — a forged or replayed ack would
         // silently lose the beneficiary's certificate material.
         if !self.auth.verify(from, &credit_ack_context(&digests), &sig) {
-            return empty;
+            return;
         }
         let mut discharged = 0u64;
         for digest in digests {
@@ -678,7 +649,6 @@ impl<A: Authenticator> AstroTwoReplica<A> {
             }
             obs.outbox_depth.set(self.outbox.len() as u64);
         }
-        empty
     }
 
     /// Handles a CREDIT replay request at a settling replica (donor):
@@ -712,7 +682,7 @@ impl<A: Authenticator> AstroTwoReplica<A> {
         // behind the requester's watermark regenerates nothing (its
         // settled history is a stale prefix of what the requester
         // already has) — the outbox retransmissions above still count.
-        let same_shard = self.layout.shard_of_replica(from) == Some(self.my_shard);
+        let same_shard = self.shell.layout.shard_of_replica(from) == Some(self.shell.shard);
         if !(same_shard && (self.shell.ledger.total_settled() as u64) < since) {
             // Regenerate from settled history. Singleton bundles, so every
             // donor derives the identical digest independently and `f+1`
@@ -720,13 +690,11 @@ impl<A: Authenticator> AstroTwoReplica<A> {
             let mut regenerated: Vec<Vec<Payment>> = Vec::new();
             for xlog in self.shell.ledger.xlogs() {
                 for p in xlog.iter() {
-                    if self.layout.representative_of(p.beneficiary) != from {
+                    if self.shell.layout.representative_of(p.beneficiary) != from {
                         continue;
                     }
                     // Direct-credited payments carry no certificate debt.
-                    if self.mode == CreditMode::DirectIntraShard
-                        && self.layout.shard_of_client(p.beneficiary) == self.my_shard
-                    {
+                    if self.credits_directly(p.beneficiary) {
                         continue;
                     }
                     // Already materialized in this shard ⇒ the credit's
@@ -756,43 +724,23 @@ impl<A: Authenticator> AstroTwoReplica<A> {
         out
     }
 
-    /// One settle attempt for a payment with its dependencies.
-    fn attempt_settle(
-        &mut self,
-        p: &Payment,
-        deps: &[DependencyCertificate<A::Sig>],
-    ) -> SettleOutcome {
-        let Self {
-            shell: Shell { ledger, journal, .. },
-            auth,
-            layout,
-            groups,
-            used_deps,
-            cert_cache,
-            stuck,
-            mode,
-            my_shard,
-            ..
-        } = self;
-        attempt_settle_inner(
-            ledger, auth, layout, groups, used_deps, cert_cache, stuck, journal, *mode, *my_shard,
-            p, deps,
-        )
-    }
-
     /// The shard whose replicas settled `bundle`, if `from`'s CREDIT over
     /// it is one this representative examines at all: a non-empty bundle
     /// settled by one shard, sent by a member of it, crediting at least
     /// one client this replica represents.
     fn settling_group(&self, from: ReplicaId, bundle: &[Payment]) -> Option<&Group> {
-        let settling_shard = self.layout.shard_of_client(bundle.first()?.spender);
-        if !bundle.iter().all(|p| self.layout.shard_of_client(p.spender) == settling_shard) {
-            return None;
-        }
-        let group = &self.groups[settling_shard.0 as usize];
-        let mine =
-            bundle.iter().any(|p| self.layout.is_representative(self.shell.me, p.beneficiary));
+        let group = &self.groups[self.settling_shard(bundle)?.0 as usize];
+        let Shell { me, layout, .. } = &self.shell;
+        let mine = bundle.iter().any(|p| layout.is_representative(*me, p.beneficiary));
         (group.contains(from) && mine).then_some(group)
+    }
+
+    /// The one shard whose clients spent every payment of `bundle`, if
+    /// `bundle` is non-empty and there is one.
+    fn settling_shard(&self, bundle: &[Payment]) -> Option<ShardId> {
+        let layout = &self.shell.layout;
+        let shard = layout.shard_of_client(bundle.first()?.spender);
+        bundle.iter().all(|p| layout.shard_of_client(p.spender) == shard).then_some(shard)
     }
 
     /// The [`credit_context`] of `bundle` if a verify pool should check
@@ -823,13 +771,8 @@ impl<A: Authenticator> AstroTwoReplica<A> {
 
     /// Handles an incoming CREDIT sub-batch at the beneficiary's
     /// representative (Listing 10).
-    fn on_credit(
-        &mut self,
-        from: ReplicaId,
-        cb: CreditBundle<A::Sig>,
-    ) -> ReplicaStep<Astro2Msg<A::Sig>> {
-        let empty = ReplicaStep::empty();
-        let Some(group) = self.settling_group(from, &cb.bundle) else { return empty };
+    fn on_credit(&mut self, from: ReplicaId, cb: CreditBundle<A::Sig>) {
+        let Some(group) = self.settling_group(from, &cb.bundle) else { return };
         let small_quorum = group.small_quorum();
         let key = credit_context(&cb.bundle);
         // A bundle already certified here, or whose every credit is
@@ -841,15 +784,15 @@ impl<A: Authenticator> AstroTwoReplica<A> {
         let certified = self.partial.get(&key).is_some_and(|partial| partial.certified);
         if certified || cb.bundle.iter().all(|p| self.covered(p)) {
             self.note_ack(from, key);
-            return empty;
+            return;
         }
         if !self.auth.verify(from, &key, &cb.sig) {
-            return empty;
+            return;
         }
         let partial = self.partial.entry(key).or_insert_with(|| PartialBundle::new(cb.bundle));
         partial.proofs.insert(from, cb.sig);
         if partial.proofs.len() < small_quorum {
-            return empty;
+            return;
         }
         partial.certified = true;
         let mut proofs: Vec<(ReplicaId, A::Sig)> =
@@ -868,7 +811,6 @@ impl<A: Authenticator> AstroTwoReplica<A> {
         for sender in senders {
             self.note_ack(sender, key);
         }
-        empty
     }
 
     /// True if crediting `p` again would add nothing: it is materialized
@@ -876,6 +818,14 @@ impl<A: Authenticator> AstroTwoReplica<A> {
     /// it.
     fn covered(&self, p: &Payment) -> bool {
         self.used_deps.contains(&p.id()) || self.held.vouches_for(p)
+    }
+
+    /// True if a payment to `beneficiary` credits it at settlement
+    /// instead of through a CREDIT: direct mode, beneficiary in this
+    /// shard.
+    fn credits_directly(&self, beneficiary: ClientId) -> bool {
+        self.mode == CreditMode::DirectIntraShard
+            && self.shell.layout.shard_of_client(beneficiary) == self.shell.shard
     }
 
     /// Holds `cert` (bundle digest `key`) for every beneficiary of its
@@ -887,7 +837,7 @@ impl<A: Authenticator> AstroTwoReplica<A> {
             .bundle
             .iter()
             .map(|p| p.beneficiary)
-            .filter(|b| self.layout.is_representative(self.shell.me, *b))
+            .filter(|b| self.shell.layout.is_representative(self.shell.me, *b))
             .collect();
         self.held.insert(key, Arc::new(cert), mine);
     }
@@ -921,11 +871,6 @@ impl<A: Authenticator> AstroTwoReplica<A> {
                 msg: Astro2Msg::CreditAck { digests, sig },
             });
         }
-    }
-
-    /// Number of payments queued awaiting approval.
-    pub fn pending_len(&self) -> usize {
-        self.pending.len()
     }
 
     /// Clients whose xlog was permanently stuck by an under-funded payment
@@ -965,11 +910,11 @@ impl<A: Authenticator> Replica for AstroTwoReplica<A> {
     type Brb = SignedBrb<DepBatch<A::Sig>, A>;
     type Local = Astro2Local;
 
-    fn shell(&self) -> &Shell<Self::Msg> {
+    fn shell(&self) -> &Shell<Self::Msg, DepBatch<A::Sig>> {
         &self.shell
     }
 
-    fn shell_mut(&mut self) -> &mut Shell<Self::Msg> {
+    fn shell_mut(&mut self) -> &mut Shell<Self::Msg, DepBatch<A::Sig>> {
         &mut self.shell
     }
 
@@ -985,21 +930,13 @@ impl<A: Authenticator> Replica for AstroTwoReplica<A> {
         Astro2Msg::Sync(msg)
     }
 
-    /// This replica's shard.
-    fn group(&self) -> &Group {
-        &self.groups[self.my_shard.0 as usize]
+    fn brb_msg(msg: SignedMsg<DepBatch<A::Sig>, A::Sig>) -> Self::Msg {
+        Astro2Msg::Brb(msg)
     }
 
     /// Listing 7: the accumulated dependency certificates ride along with
-    /// the payment. Rejects clients this replica does not represent, and
-    /// sequence numbers other than the client's next.
-    fn submit(&mut self, payment: Payment) -> Result<ReplicaStep<Self::Msg>, SubmitError> {
-        if !self.layout.is_representative(self.shell.me, payment.spender) {
-            return Err(SubmitError::NotRepresentative {
-                client: payment.spender,
-                representative: self.layout.representative_of(payment.spender),
-            });
-        }
+    /// the payment. Rejects sequence numbers other than the client's next.
+    fn attach(&mut self, payment: &Payment) -> Result<Deps<Self>, SubmitError> {
         // At most one payment per xlog slot may ever leave this
         // representative (Listing 7 assigns sequence numbers here for the
         // same reason): the shard's broadcast delivery is unordered, so if
@@ -1027,71 +964,134 @@ impl<A: Authenticator> Replica for AstroTwoReplica<A> {
             DepPolicy::WhenNeeded => self.shell.ledger.balance(payment.spender).0 < need,
         };
         *reserved = need;
-        let deps = if attach {
-            let taken = self.held.take(payment.spender);
-            if !taken.is_empty() {
-                // Consumption is journaled at the *flush* that broadcasts
-                // the carrying payment, not here: a crash before the
-                // broadcast must restore the certificates (the batch is
-                // lost with them), and re-attachment after recovery is
-                // idempotent at verifiers via `usedDeps`.
-                self.pending_cert_takes
-                    .push((payment.spender, taken.iter().map(cert_digest).collect()));
+        if !attach {
+            return Ok(Vec::new());
+        }
+        let taken = self.held.take(payment.spender);
+        if !taken.is_empty() {
+            // Consumption is journaled at the *flush* that broadcasts the
+            // carrying payment, not here: a crash before the broadcast
+            // must restore the certificates (the batch is lost with them),
+            // and re-attachment after recovery is idempotent at verifiers
+            // via `usedDeps`.
+            self.pending_cert_takes
+                .push((payment.spender, taken.iter().map(cert_digest).collect()));
+        }
+        Ok(taken)
+    }
+
+    /// Listing 9: the attached certificates materialize into the
+    /// spender's balance — before the funds check, and kept even if the
+    /// payment is then rejected. An underfunded payment then sticks its
+    /// spender's xlog in certificate mode, and queues in direct mode.
+    fn settle(&mut self, p: &Payment, deps: &Deps<Self>) -> SettleOutcome {
+        let next = self.shell.ledger.next_seq(p.spender);
+        if p.seq > next {
+            return SettleOutcome::FutureSeq;
+        }
+        if p.seq < next {
+            return SettleOutcome::StaleSeq;
+        }
+        if self.stuck.contains(&p.spender) {
+            // The xlog is stuck (Listing 9's early return dropped a
+            // payment); successors can never settle.
+            return SettleOutcome::StaleSeq;
+        }
+        for cert in deps {
+            let Some(settling_shard) = self.settling_shard(&cert.bundle) else { continue };
+            // One signature-verification pass per certificate per replica:
+            // a cache hit (content digest over bundle *and* proofs) skips
+            // the f+1 signature checks; only fully verified certs are
+            // admitted.
+            let digest = cert_digest(cert);
+            if self.cert_cache.contains(&digest) {
+                self.cert_cache.hits += 1;
+            } else {
+                self.cert_cache.misses += 1;
+                let group = &self.groups[settling_shard.0 as usize];
+                if !verify_certificate(cert, group, &self.auth) {
+                    continue;
+                }
+                self.cert_cache.admit(digest);
             }
-            taken
-        } else {
-            Vec::new()
-        };
-        self.batch.push(DepPayment { payment, deps });
-        // While catching up the batch only accumulates: auto-flush would
-        // burn the sync retry pacing (flush doubles as its timer), and
-        // broadcasting must wait for the certified tag floor anyway.
-        if !self.is_syncing() && self.batch.len() >= self.batch_size {
-            Ok(self.flush())
-        } else {
-            Ok(ReplicaStep::empty())
+            for d in cert.credits_for(p.spender) {
+                if self.used_deps.insert(d.id()) {
+                    self.shell.journal.rec(&WalRecord::DepUsed { dep: *d });
+                    self.shell.ledger.credit(p.spender, d.amount);
+                }
+            }
+        }
+        match self.shell.settle(p, self.credits_directly(p.beneficiary)) {
+            SettleOutcome::InsufficientFunds if self.mode == CreditMode::Certificates => {
+                // Listing 9's `if bal[Alice] < x: return` — the payment is
+                // dropped at every correct replica identically, and the
+                // xlog can never advance past this gap.
+                self.shell.journal.rec(&WalRecord::Stuck { client: p.spender });
+                self.stuck.insert(p.spender);
+                SettleOutcome::StaleSeq
+            }
+            outcome => outcome,
+        }
+    }
+
+    /// Releases the payment's reservation.
+    fn settled_first_time(&mut self, p: &Payment) {
+        if let Some(r) = self.reserved.get_mut(&p.spender) {
+            *r = r.saturating_sub(p.amount.0);
+        }
+    }
+
+    /// Emits CREDIT sub-batches for the settled payments not credited
+    /// directly, grouped by beneficiary representative (paper §VI-A's
+    /// second batching level: one signature per group).
+    fn credit(&mut self, settled: &[Payment], outbound: &mut Vec<Envelope<Self::Msg>>) {
+        let mut by_rep: BTreeMap<ReplicaId, Vec<Payment>> = BTreeMap::new();
+        for p in settled.iter().filter(|p| !self.credits_directly(p.beneficiary)) {
+            by_rep.entry(self.shell.layout.representative_of(p.beneficiary)).or_default().push(*p);
+        }
+        let me = self.shell.me;
+        for (rep, bundle) in by_rep {
+            if rep == me {
+                // Self-addressed credits deliver inline: no transport to
+                // lose them, so they bypass the retry outbox too. Signed
+                // for self, so with a verdict cache the check in
+                // `on_credit` is a lookup, not curve work.
+                let sig = self.auth.sign_for_self(&credit_context(&bundle));
+                self.on_credit(me, CreditBundle { bundle, sig });
+            } else {
+                self.queue_credit(rep, bundle, outbound);
+            }
         }
     }
 
     fn handle(&mut self, from: ReplicaId, msg: Self::Msg) -> ReplicaStep<Self::Msg> {
         match msg {
+            // While catching up, settlement is paused until the
+            // transferred state is installed; CREDIT traffic keeps
+            // flowing — certificates accumulate independently of the
+            // ledger.
             Astro2Msg::Brb(m) => {
-                if self.is_syncing() {
-                    // Settlement is paused until the transferred state is
-                    // installed; CREDIT traffic keeps flowing —
-                    // certificates accumulate independently of the ledger.
-                    replica::park(self, from, Astro2Msg::Brb(m));
-                    return ReplicaStep::empty();
-                }
-                let step = self.brb.handle(from, m);
-                let mut out = ReplicaStep {
-                    outbound: step
-                        .outbound
-                        .into_iter()
-                        .map(|e| Envelope { to: e.to, msg: Astro2Msg::Brb(e.msg) })
-                        .collect(),
-                    settled: Vec::new(),
-                };
-                for delivery in step.delivered {
-                    self.apply(delivery.id, delivery.payload, &mut out);
-                }
+                let out = replica::handle_brb(self, from, m);
                 if let Some(obs) = &self.shell.obs {
                     // An outbound COMMIT means this replica just assembled
                     // the 2f+1 ack quorum proof for its payload.
                     for env in &out.outbound {
                         if let Astro2Msg::Brb(SignedMsg::Commit { body, .. }) = &env.msg {
-                            obs.stage_batch(
-                                body.payload().entries.iter().map(|e| &e.payment),
-                                astro_obs::Stage::AckQuorum,
-                            );
+                            obs.stage_batch(body.payload().payments(), astro_obs::Stage::AckQuorum);
                         }
                     }
                 }
                 out
             }
-            Astro2Msg::Credit(cb) => self.on_credit(from, cb),
+            Astro2Msg::Credit(cb) => {
+                self.on_credit(from, cb);
+                ReplicaStep::empty()
+            }
+            Astro2Msg::CreditAck { digests, sig } => {
+                self.on_credit_ack(from, digests, sig);
+                ReplicaStep::empty()
+            }
             Astro2Msg::Sync(m) => replica::handle_sync(self, from, m),
-            Astro2Msg::CreditAck { digests, sig } => self.on_credit_ack(from, digests, sig),
             Astro2Msg::CreditRequest { since } => self.on_credit_request(from, since),
         }
     }
@@ -1108,13 +1108,7 @@ impl<A: Authenticator> Replica for AstroTwoReplica<A> {
             out.settled.extend(step.settled);
             return out;
         }
-        if self.batch.is_empty() {
-            return out;
-        }
-        let entries = std::mem::take(&mut self.batch);
-        if let Some(obs) = &self.shell.obs {
-            obs.stage_batch(entries.iter().map(|e| &e.payment), astro_obs::Stage::Prepare);
-            obs.pending_depth.set(self.pending.len() as u64);
+        if let (false, Some(obs)) = (self.shell.batch.is_empty(), &self.shell.obs) {
             obs.cert_cache_hits.set(self.cert_cache.hits());
             obs.cert_cache_misses.set(self.cert_cache.misses());
         }
@@ -1123,18 +1117,15 @@ impl<A: Authenticator> Replica for AstroTwoReplica<A> {
         for (client, digests) in std::mem::take(&mut self.pending_cert_takes) {
             self.shell.journal.rec(&WalRecord::CertsTaken { client, digests });
         }
-        let id = self.shell.next_instance();
-        let step = self.brb.broadcast(id, DepBatch { entries });
-        out.outbound.extend(
-            step.outbound.into_iter().map(|e| Envelope { to: e.to, msg: Astro2Msg::Brb(e.msg) }),
-        );
+        replica::flush_batch(self, &mut out);
         out
     }
 
     /// A batch awaits broadcast, a CREDIT awaits its ack, an ack is owed,
     /// or a catch-up is outstanding.
     fn needs_tick(&self) -> bool {
-        let idle = self.batch.is_empty() && self.outbox.is_empty() && self.pending_acks.is_empty();
+        let idle =
+            self.shell.batch.is_empty() && self.outbox.is_empty() && self.pending_acks.is_empty();
         !idle || self.is_syncing()
     }
 
@@ -1225,115 +1216,6 @@ impl<A: Authenticator> Replica for AstroTwoReplica<A> {
         out
     }
 
-    /// Applies a BRB-delivered batch (Listings 8–9) and emits CREDIT
-    /// sub-batches for the settled payments.
-    fn apply(&mut self, id: InstanceId, batch: DepBatch<A::Sig>, out: &mut ReplicaStep<Self::Msg>) {
-        let broadcaster = ReplicaId(id.source as u32);
-        let mut touched: Vec<ClientId> = Vec::new();
-        let mut settled: Vec<Payment> = Vec::new();
-
-        for entry in batch.entries {
-            let p = entry.payment;
-            // Representative and locality checks.
-            if self.layout.representative_of(p.spender) != broadcaster
-                || self.layout.shard_of_client(p.spender) != self.my_shard
-            {
-                continue;
-            }
-            match self.attempt_settle(&p, &entry.deps) {
-                SettleOutcome::Applied => {
-                    if let Some(r) = self.reserved.get_mut(&p.spender) {
-                        *r = r.saturating_sub(p.amount.0);
-                    }
-                    settled.push(p);
-                    touched.push(p.spender);
-                    touched.push(p.beneficiary);
-                }
-                SettleOutcome::FutureSeq | SettleOutcome::InsufficientFunds => {
-                    // InsufficientFunds only surfaces in DirectIntraShard
-                    // mode (certificate mode converts it into a permanent
-                    // drop); queue until a credit arrives, as in Astro I.
-                    // The attached certificates ride into the record: a
-                    // future-sequence payment queues *before* the
-                    // dependency step, so its credits are not yet in the
-                    // ledger and must survive a restart with it.
-                    self.shell.journal.rec(&WalRecord::Queued {
-                        payment: p,
-                        deps: entry.deps.iter().map(Wire::to_wire_bytes).collect(),
-                    });
-                    self.pending.push(p, entry.deps);
-                    touched.push(p.spender);
-                }
-                SettleOutcome::StaleSeq => {}
-            }
-        }
-
-        // Cascade: settled payments may unblock queued successors.
-        let Self {
-            shell: Shell { ledger, journal, .. },
-            pending,
-            auth,
-            layout,
-            groups,
-            used_deps,
-            cert_cache,
-            stuck,
-            mode,
-            my_shard,
-            ..
-        } = self;
-        let cascaded = pending.drain_cascade(touched, ledger, |ledger, p, deps| {
-            attempt_settle_inner(
-                ledger, auth, layout, groups, used_deps, cert_cache, stuck, journal, *mode,
-                *my_shard, p, deps,
-            )
-        });
-        settled.extend(cascaded.into_iter().map(|e| e.payment));
-
-        // The delivery record *terminates* the batch's effects in the log:
-        // a torn tail that cuts before it replays a (harmless, idempotent)
-        // effect prefix with the cursor still behind — never a cursor that
-        // has advanced past effects that were lost.
-        self.shell.journal.rec(&WalRecord::Delivered { source: id.source, tag: id.tag });
-
-        // Emit CREDIT sub-batches grouped by beneficiary representative
-        // (paper §VI-A's second batching level: one signature per group).
-        let mut by_rep: BTreeMap<ReplicaId, Vec<Payment>> = BTreeMap::new();
-        for p in &settled {
-            let beneficiary_shard = self.layout.shard_of_client(p.beneficiary);
-            let direct =
-                self.mode == CreditMode::DirectIntraShard && beneficiary_shard == self.my_shard;
-            if !direct {
-                by_rep.entry(self.layout.representative_of(p.beneficiary)).or_default().push(*p);
-            }
-        }
-        let me = self.shell.me;
-        for (rep, bundle) in by_rep {
-            if rep == me {
-                // Self-addressed credits deliver inline: no transport to
-                // lose them, so they bypass the retry outbox too. Signed
-                // for self, so with a verdict cache the check in
-                // `on_credit` is a lookup, not curve work.
-                let sig = self.auth.sign_for_self(&credit_context(&bundle));
-                let step = self.on_credit(me, CreditBundle { bundle, sig });
-                out.outbound.extend(step.outbound);
-                out.settled.extend(step.settled);
-            } else {
-                self.queue_credit(rep, bundle, &mut out.outbound);
-            }
-        }
-        if let Some(obs) = &self.shell.obs {
-            obs.settles.add(settled.len() as u64);
-            // Representative-only, as in Astro I: one stamp per payment
-            // keeps the rest of the shard off the tracer.
-            obs.stage_batch(
-                settled.iter().filter(|p| self.layout.representative_of(p.spender) == me),
-                astro_obs::Stage::Settle,
-            );
-        }
-        out.settled.extend(settled);
-    }
-
     /// Approval queue, dependency replay-protection, stuck set, held
     /// certificates and the CREDIT outbox. The shared sections are
     /// canonical; the certificate section is representative-local by
@@ -1350,7 +1232,7 @@ impl<A: Authenticator> Replica for AstroTwoReplica<A> {
         // `CertsTaken` that post-dates this snapshot removes exactly them
         // on replay (consumption is by content digest).
         let mut certs_map: HashMap<ClientId, Vec<Vec<u8>>> = HashMap::new();
-        for entry in &self.batch {
+        for entry in &self.shell.batch {
             if !entry.deps.is_empty() {
                 certs_map
                     .entry(entry.payment.spender)
@@ -1370,6 +1252,7 @@ impl<A: Authenticator> Replica for AstroTwoReplica<A> {
         outbox.sort_by_key(|(dest, _)| *dest);
         Astro2Local {
             pending: self
+                .shell
                 .pending
                 .entries()
                 .into_iter()
@@ -1389,9 +1272,9 @@ impl<A: Authenticator> Replica for AstroTwoReplica<A> {
     /// proof sets below the certificate threshold and balance
     /// reservations are not durable: they restart empty.
     fn restore_local(&mut self, local: &Astro2Local) {
-        self.pending = PendingQueue::new();
+        self.shell.pending = PendingQueue::new();
         for (payment, deps) in &local.pending {
-            self.pending.push(*payment, decode_certs(deps));
+            self.shell.pending.push(*payment, decode_certs(deps));
         }
         self.used_deps = local.used_deps.iter().copied().collect();
         self.stuck = local.stuck.iter().copied().collect();
@@ -1438,7 +1321,9 @@ impl<A: Authenticator> Replica for AstroTwoReplica<A> {
                     self.shell.ledger.credit(dep.beneficiary, dep.amount);
                 }
             }
-            WalRecord::Queued { payment, deps } => self.pending.push(*payment, decode_certs(deps)),
+            WalRecord::Queued { payment, deps } => {
+                self.shell.pending.push(*payment, decode_certs(deps))
+            }
             WalRecord::Stuck { client } => {
                 self.stuck.insert(*client);
             }
@@ -1465,10 +1350,6 @@ impl<A: Authenticator> Replica for AstroTwoReplica<A> {
             // Replayed by `Replica::replay` itself.
             WalRecord::Delivered { .. } | WalRecord::Settle { .. } | WalRecord::OwnTag { .. } => {}
         }
-    }
-
-    fn finish_recovery(&mut self) {
-        self.pending.prune_stale(&self.shell.ledger);
     }
 
     /// Rebuilds the certificate store: asks every potential donor — all
@@ -1512,90 +1393,14 @@ fn push_checks<'a, A: Authenticator>(
     }
 }
 
-/// The settle attempt, free of `self` so the pending-queue cascade can call
-/// it while the queue itself is mutably borrowed.
-#[allow(clippy::too_many_arguments)]
-fn attempt_settle_inner<A: Authenticator>(
-    ledger: &mut Ledger,
-    auth: &A,
-    layout: &ShardLayout,
-    groups: &[Group],
-    used_deps: &mut HashSet<PaymentId>,
-    cert_cache: &mut CertCache,
-    stuck: &mut HashSet<ClientId>,
-    journal: &mut JournalSlot,
-    mode: CreditMode,
-    my_shard: ShardId,
-    p: &Payment,
-    deps: &[DependencyCertificate<A::Sig>],
-) -> SettleOutcome {
-    let next = ledger.next_seq(p.spender);
-    if p.seq > next {
-        return SettleOutcome::FutureSeq;
-    }
-    if p.seq < next {
-        return SettleOutcome::StaleSeq;
-    }
-    if stuck.contains(&p.spender) {
-        // The xlog is stuck (Listing 9's early return dropped a payment);
-        // successors can never settle.
-        return SettleOutcome::StaleSeq;
-    }
-    // Materialize dependencies (Listing 9: `newDeps`, `usedDeps`,
-    // `bal += balanceOf(newDeps)`) — before the funds check, and kept even
-    // if the payment is then rejected.
-    for cert in deps {
-        let Some(first) = cert.bundle.first() else { continue };
-        let settling_shard = layout.shard_of_client(first.spender);
-        if !cert.bundle.iter().all(|d| layout.shard_of_client(d.spender) == settling_shard) {
-            continue;
-        }
-        let group = &groups[settling_shard.0 as usize];
-        // One signature-verification pass per certificate per replica: a
-        // cache hit (content digest over bundle *and* proofs) skips the
-        // f+1 signature checks; only fully verified certs are admitted.
-        let digest = cert_digest(cert);
-        if cert_cache.contains(&digest) {
-            cert_cache.hits += 1;
-        } else {
-            cert_cache.misses += 1;
-            if !verify_certificate(cert, group, auth) {
-                continue;
-            }
-            cert_cache.admit(digest);
-        }
-        for d in cert.credits_for(p.spender) {
-            if used_deps.insert(d.id()) {
-                journal.rec(&WalRecord::DepUsed { dep: *d });
-                ledger.credit(p.spender, d.amount);
-            }
-        }
-    }
-    let direct_credit =
-        mode == CreditMode::DirectIntraShard && layout.shard_of_client(p.beneficiary) == my_shard;
-    match ledger.settle(p, direct_credit) {
-        SettleOutcome::InsufficientFunds if mode == CreditMode::Certificates => {
-            // Listing 9's `if bal[Alice] < x: return` — the payment is
-            // dropped at every correct replica identically, and the xlog
-            // can never advance past this gap.
-            journal.rec(&WalRecord::Stuck { client: p.spender });
-            stuck.insert(p.spender);
-            SettleOutcome::StaleSeq
-        }
-        SettleOutcome::Applied => {
-            journal.rec(&WalRecord::Settle { payment: *p, credit_beneficiary: direct_credit });
-            SettleOutcome::Applied
-        }
-        outcome => outcome,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::DepPayment;
     use crate::journal::Journal;
     use crate::testkit::PaymentCluster;
     use astro_brb::signed::{ack_context, Digested};
+    use astro_brb::InstanceId;
     use astro_crypto::Signature;
     use astro_types::{Keychain, MacAuthenticator, SchnorrAuthenticator, VerdictCache};
 
@@ -1748,7 +1553,7 @@ mod tests {
         let rep1 = layout.representative_of(ClientId(1));
         let cert = held_cert(&c, rep1, ClientId(1));
         let node = c.node_mut(rep1.0 as usize);
-        node.batch.push(DepPayment {
+        node.shell.batch.push(DepPayment {
             payment: Payment::new(1u64, 0u64, 2u64, 10u64),
             deps: vec![cert.clone()],
         });
@@ -1756,7 +1561,8 @@ mod tests {
         c.submit_step(rep1, step);
         c.run_to_quiescence();
         let node = c.node_mut(rep1.0 as usize);
-        node.batch
+        node.shell
+            .batch
             .push(DepPayment { payment: Payment::new(1u64, 1u64, 2u64, 10u64), deps: vec![cert] });
         let step = node.flush();
         c.submit_step(rep1, step);
@@ -1903,7 +1709,8 @@ mod tests {
         let mut cert = held_cert(&c, rep1, ClientId(1));
         cert.bundle[0].amount = Amount(1_000_000);
         let node = c.node_mut(rep1.0 as usize);
-        node.batch
+        node.shell
+            .batch
             .push(DepPayment { payment: Payment::new(1u64, 0u64, 2u64, 500u64), deps: vec![cert] });
         let step = node.flush();
         c.submit_step(rep1, step);
@@ -2178,7 +1985,7 @@ mod tests {
         let before = node.partial.len();
         let stranger = (0..100u64)
             .map(ClientId)
-            .find(|c| node.layout.representative_of(*c) != node.shell.me)
+            .find(|c| node.shell.layout.representative_of(*c) != node.shell.me)
             .unwrap();
         let elsewhere = [Payment::new(0u64, 1u64, stranger.0, 5u64)];
         assert!(node.preverify(ReplicaId(0), &schnorr_credit(&chains[0], &elsewhere)).is_empty());

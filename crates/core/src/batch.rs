@@ -168,6 +168,67 @@ impl<S: Wire> Wire for DepBatch<S> {
     }
 }
 
+/// A broadcast payload as the shared settle loop sees it: payments in
+/// batch order, each with the dependencies it settles with — none in
+/// Astro I's [`Batch`], the attached certificates in Astro II's
+/// [`DepBatch`].
+pub trait PaymentBatch {
+    /// One batched payment as the payload carries it.
+    type Entry;
+    /// What a payment settles with besides itself.
+    type Deps;
+    /// The entry carrying `payment` with `deps`.
+    fn entry(payment: Payment, deps: Self::Deps) -> Self::Entry;
+    /// The payload of a flushed batch.
+    fn from_entries(entries: Vec<Self::Entry>) -> Self;
+    /// The payments.
+    fn payments(&self) -> impl Iterator<Item = &Payment>;
+    /// The entries, split.
+    fn into_entries(self) -> impl Iterator<Item = (Payment, Self::Deps)>;
+    /// The dependencies as a journaled queue entry carries them.
+    fn journal_deps(deps: &Self::Deps) -> Vec<Vec<u8>>;
+}
+
+impl PaymentBatch for Batch {
+    type Entry = Payment;
+    type Deps = ();
+    fn entry(payment: Payment, (): ()) -> Payment {
+        payment
+    }
+    fn from_entries(payments: Vec<Payment>) -> Self {
+        Batch { payments }
+    }
+    fn payments(&self) -> impl Iterator<Item = &Payment> {
+        self.payments.iter()
+    }
+    fn into_entries(self) -> impl Iterator<Item = (Payment, ())> {
+        self.payments.into_iter().map(|p| (p, ()))
+    }
+    fn journal_deps((): &()) -> Vec<Vec<u8>> {
+        Vec::new()
+    }
+}
+
+impl<S: Wire> PaymentBatch for DepBatch<S> {
+    type Entry = DepPayment<S>;
+    type Deps = Vec<DependencyCertificate<S>>;
+    fn entry(payment: Payment, deps: Self::Deps) -> DepPayment<S> {
+        DepPayment { payment, deps }
+    }
+    fn from_entries(entries: Vec<DepPayment<S>>) -> Self {
+        DepBatch { entries }
+    }
+    fn payments(&self) -> impl Iterator<Item = &Payment> {
+        self.entries.iter().map(|e| &e.payment)
+    }
+    fn into_entries(self) -> impl Iterator<Item = (Payment, Self::Deps)> {
+        self.entries.into_iter().map(|e| (e.payment, e.deps))
+    }
+    fn journal_deps(deps: &Self::Deps) -> Vec<Vec<u8>> {
+        deps.iter().map(Wire::to_wire_bytes).collect()
+    }
+}
+
 /// A CREDIT message (Listing 9, line 57): one replica's signed attestation
 /// that it settled the bundled payments, unicast to the representative of
 /// the beneficiaries (sub-batched: all bundle payments share a beneficiary

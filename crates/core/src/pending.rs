@@ -103,19 +103,23 @@ impl<C> PendingQueue<C> {
         self.len -= dropped;
     }
 
-    /// Attempts to settle everything unblocked by a state change affecting
-    /// `seed` clients, cascading transitively. Calls `settle` for each
-    /// eligible head-of-queue payment; `settle` returns the outcome and the
-    /// clients whose queues may have been unblocked (typically the
-    /// payment's spender and beneficiary).
+    /// Settles everything unblocked by a state change affecting `seed`
+    /// clients, cascading transitively: each examined spender's lowest
+    /// queued payment goes to `settle` until one does not settle, and a
+    /// settled payment re-examines its beneficiary and spender. `settle`
+    /// gets `state` (a [`Ledger`], or the replica that owns one) and must
+    /// leave a payment that is behind or ahead of its spender's xlog
+    /// untouched and say so, as [`Ledger::settle`] does: `StaleSeq`
+    /// discards the entry, `FutureSeq` and `InsufficientFunds` leave it
+    /// waiting.
     ///
     /// Returns settled entries in settlement order. An empty queue
     /// returns at once: nothing is waiting, so nothing can be unblocked.
-    pub fn drain_cascade(
+    pub fn drain_cascade<S>(
         &mut self,
         seed: impl IntoIterator<Item = ClientId>,
-        ledger: &mut Ledger,
-        mut settle: impl FnMut(&mut Ledger, &Payment, &C) -> SettleOutcome,
+        state: &mut S,
+        mut settle: impl FnMut(&mut S, &Payment, &C) -> SettleOutcome,
     ) -> Vec<Queued<C>> {
         let mut settled = Vec::new();
         if self.len == 0 {
@@ -129,19 +133,8 @@ impl<C> PendingQueue<C> {
             let queue = slot.get_mut();
             // Examine heads (lowest sequence) of this spender's queue.
             while let Some(head) = queue.first_entry() {
-                let seq = *head.key();
-                let next = ledger.next_seq(client).0;
-                if seq < next {
-                    // Stale duplicate — discard.
-                    head.remove();
-                    self.len -= 1;
-                    continue;
-                }
-                if seq > next {
-                    break; // still gapped
-                }
                 let entry = head.get();
-                match settle(ledger, &entry.payment, &entry.context) {
+                match settle(state, &entry.payment, &entry.context) {
                     SettleOutcome::Applied => {
                         let entry = head.remove();
                         self.len -= 1;

@@ -1,35 +1,53 @@
 //! The one replica trait, and the machinery both Astro protocols share.
 //!
-//! Astro I and Astro II differ in the broadcast primitive and in what must
-//! hold before a payment settles (paper §IV); everything around that —
-//! the ledger, the journal and metric hooks, catch-up, checkpointing,
-//! recovery — is the same. [`Replica`] is the seam. Each protocol supplies
-//! its step functions, its broadcast layer (an [`astro_brb::Broadcast`]),
-//! how a delivered instance applies ([`Replica::apply`]) and its own
-//! section of the durable state ([`Replica::Local`] with the `*_local`
-//! hooks). The rest is written once, here: exporting, restoring and
-//! snapshotting a [`State`], serving and installing catch-up state,
-//! replaying the shared WAL records, broadcast GC.
+//! Astro I and Astro II differ in the broadcast primitive and in how a
+//! settled payment's beneficiary gets its funds (paper §IV). Everything
+//! else is written once, here: the payment path (submit, `handle`'s
+//! broadcast arm, the flush's batch and [`Replica::apply`]'s settle loop),
+//! the ledger, the journal and metric hooks, catch-up, checkpointing and
+//! recovery. [`Replica`] is the seam; a protocol supplies three things:
+//!
+//! - the broadcast glue: its primitive ([`Replica::Brb`]) and the wrapper
+//!   for its traffic ([`Replica::brb_msg`]);
+//! - its settle rule and credit policy ([`Replica::settle`],
+//!   [`Replica::credit`]): credit the beneficiary at settlement, or send
+//!   CREDITs for what settled;
+//! - what a payment carries ([`Replica::attach`]).
+//!
+//! Beside these it keeps its own section of the durable state
+//! ([`Replica::Local`] with the `*_local` hooks) and its own timer and
+//! message duties.
 //!
 //! Catch-up follows Appendix A's joiner argument: a restarted replica
 //! pauses broadcast delivery, requests the settled state from its group,
 //! and installs once `f+1` members served byte-identical copies — the head
 //! as a whole, each sealed history block on its own.
 
+use crate::batch::PaymentBatch;
 use crate::journal::{
     block_counts, merge_history_blocks, split_history_blocks, CheckpointRecord, Journal,
     JournalSlot, RecoverError, Residual, State, SyncBlock, SyncHead, WalRecord,
     SYNC_HEAD_MAX_BYTES,
 };
-use crate::ledger::Ledger;
+use crate::ledger::{Ledger, SettleOutcome};
 use crate::obs::CoreObs;
+use crate::pending::PendingQueue;
 use crate::sync::{CopyVotes, SyncError, SyncMsg, SyncServeError, SyncSession};
 use crate::xlog::XLogError;
 use crate::{ReplicaStep, SubmitError};
 use astro_brb::{Broadcast, Dest, Envelope, InstanceId};
 use astro_types::wire::{decode_exact, Wire};
-use astro_types::{Amount, ClientId, Group, Payment, ReplicaId, SigCheck};
+use astro_types::{Amount, ClientId, Group, Payment, ReplicaId, ShardId, ShardLayout, SigCheck};
 use std::collections::HashMap;
+
+/// The payload replica `R` broadcasts and delivers.
+pub type Payload<R> = <<R as Replica>::Brb as Broadcast>::Payload;
+
+/// What a payment settles with at replica `R` besides itself.
+pub type Deps<R> = <Payload<R> as PaymentBatch>::Deps;
+
+/// The broadcast-layer messages replica `R` exchanges.
+pub type BrbMsg<R> = <<R as Replica>::Brb as Broadcast>::Msg;
 
 /// Broadcast messages a catching-up replica may park before the
 /// transferred cursor is installed. Overflow drops the *oldest* message:
@@ -51,16 +69,29 @@ pub(crate) const SYNC_RETRY_TICKS: u32 = 16;
 /// timers this is a few seconds.
 pub const SYNC_FALLBACK_ROUNDS: u32 = 256;
 
-/// The state every replica carries whatever its protocol: identity,
-/// ledger, own broadcast tag counter, journal, metric handles, the
-/// catch-up session, and the snapshot / GC bookkeeping. Opaque outside this crate; protocols embed
-/// one and hand it out through [`Replica::shell`].
+/// The state every replica carries whatever its protocol: identity and
+/// layout, ledger, own broadcast tag counter, the client batch and the
+/// approval queue of payload `P`, journal, metric handles, the catch-up
+/// session, and the snapshot / GC bookkeeping. Opaque outside this crate;
+/// protocols embed one and hand it out through [`Replica::shell`].
 #[derive(Debug)]
-pub struct Shell<M> {
+pub struct Shell<M, P: PaymentBatch> {
     pub(crate) me: ReplicaId,
+    /// The public client → shard and client → representative mappings.
+    pub(crate) layout: ShardLayout,
+    /// This replica's shard, and its members as a broadcast group.
+    pub(crate) shard: ShardId,
+    pub(crate) group: Group,
     pub(crate) ledger: Ledger,
     /// The next tag on this replica's own broadcast stream.
     next_tag: u64,
+    /// Submitted payments awaiting the next flush, which a full batch
+    /// triggers.
+    pub(crate) batch: Vec<P::Entry>,
+    batch_size: usize,
+    /// Delivered payments that cannot settle yet (Listing 3's two `wait
+    /// until`s), with their dependencies.
+    pub(crate) pending: PendingQueue<P::Deps>,
     pub(crate) journal: JournalSlot,
     /// Metric handles, when a registry is attached (None = unobserved).
     pub(crate) obs: Option<CoreObs>,
@@ -76,12 +107,30 @@ pub struct Shell<M> {
     gc_rearm: usize,
 }
 
-impl<M> Shell<M> {
-    pub(crate) fn new(me: ReplicaId, initial_balance: Amount) -> Self {
+impl<M, P: PaymentBatch> Shell<M, P> {
+    /// # Panics
+    ///
+    /// Panics if `me` is not a member of the layout, or its shard is
+    /// smaller than 4 replicas.
+    pub(crate) fn new(
+        me: ReplicaId,
+        layout: ShardLayout,
+        batch_size: usize,
+        initial_balance: Amount,
+    ) -> Self {
+        let shard =
+            layout.shard_of_replica(me).unwrap_or_else(|| panic!("replica {me} not in layout"));
+        let group = Group::from_spec(layout.shard(shard)).expect("layout shard too small");
         Shell {
             me,
+            layout,
+            shard,
+            group,
             ledger: Ledger::new(initial_balance),
             next_tag: 0,
+            batch: Vec::new(),
+            batch_size: batch_size.max(1),
+            pending: PendingQueue::new(),
             journal: JournalSlot::none(),
             obs: None,
             syncing: None,
@@ -102,6 +151,16 @@ impl<M> Shell<M> {
         self.journal.rec(&WalRecord::OwnTag { tag: id.tag });
         id
     }
+
+    /// Settles `payment` in the ledger (Listing 4), crediting its
+    /// beneficiary too if `credit_beneficiary`, and journals it.
+    pub(crate) fn settle(&mut self, payment: &Payment, credit_beneficiary: bool) -> SettleOutcome {
+        let outcome = self.ledger.settle(payment, credit_beneficiary);
+        if outcome == SettleOutcome::Applied {
+            self.journal.rec(&WalRecord::Settle { payment: *payment, credit_beneficiary });
+        }
+        outcome
+    }
 }
 
 /// A payment replica: one Astro protocol's state machine behind the
@@ -110,22 +169,32 @@ impl<M> Shell<M> {
 ///
 /// Replicas are deterministic sans-I/O state machines: `submit` / `handle`
 /// / `flush` return a [`ReplicaStep`] of outbound envelopes plus the
-/// payments that transition settled.
+/// payments that transition settled. [`Self::submit`] and [`Self::apply`]
+/// are provided; a protocol's [`Self::handle`] and [`Self::flush`] call the
+/// shared broadcast arm and batch flush beside their own duties. The
+/// payment path's hooks are [`Self::brb_msg`], [`Self::attach`],
+/// [`Self::settle`] and [`Self::credit`].
 pub trait Replica: Sized {
     /// Replica-to-replica message type.
     type Msg: Wire + Clone + core::fmt::Debug;
     /// Construction-time configuration.
     type Config: Clone;
-    /// The broadcast primitive — the paper's variation point (§IV).
-    type Brb: Broadcast;
+    /// The broadcast primitive — the paper's variation point (§IV) — and
+    /// the batches it carries.
+    type Brb: Broadcast<Payload: PaymentBatch>;
     /// The protocol's own section of the durable state ([`State::local`]).
     type Local: Wire;
 
+    /// True if delivering an instance *is* its quorum event: the
+    /// broadcaster then stamps [`astro_obs::Stage::AckQuorum`] on its own
+    /// batches as they apply. Otherwise the protocol stamps it.
+    const QUORUM_AT_DELIVERY: bool = false;
+
     /// The shared state ([`Shell`]).
-    fn shell(&self) -> &Shell<Self::Msg>;
+    fn shell(&self) -> &Shell<Self::Msg, Payload<Self>>;
 
     /// The shared state, mutably.
-    fn shell_mut(&mut self) -> &mut Shell<Self::Msg>;
+    fn shell_mut(&mut self) -> &mut Shell<Self::Msg, Payload<Self>>;
 
     /// The broadcast layer.
     fn brb(&self) -> &Self::Brb;
@@ -136,14 +205,116 @@ pub trait Replica: Sized {
     /// Wraps catch-up traffic into the protocol's message type.
     fn sync_msg(msg: SyncMsg) -> Self::Msg;
 
-    /// Applies one delivered broadcast instance (settling, queueing and
-    /// journaling its payments), appending the effects to `out`.
-    fn apply(
-        &mut self,
-        id: InstanceId,
-        payload: <Self::Brb as Broadcast>::Payload,
-        out: &mut ReplicaStep<Self::Msg>,
-    );
+    /// Wraps broadcast-layer traffic into the protocol's message type.
+    fn brb_msg(msg: BrbMsg<Self>) -> Self::Msg;
+
+    // ---- what a protocol adds to the payment path ----
+
+    /// What `payment`, accepted by [`Self::submit`], carries into the
+    /// batch beside itself.
+    ///
+    /// # Errors
+    ///
+    /// Rejects a payment the protocol may not batch (see
+    /// [`SubmitError`]).
+    fn attach(&mut self, payment: &Payment) -> Result<Deps<Self>, SubmitError>;
+
+    /// The settle rule, which every delivered payment goes through on its
+    /// first attempt and on every cascade retry: settles `payment` with
+    /// its dependencies, journaling the settle, or says why not
+    /// — `FutureSeq` and `InsufficientFunds` queue it, `StaleSeq` drops
+    /// it. A payment behind or ahead of its spender's xlog must come back
+    /// `StaleSeq` or `FutureSeq` with no effect.
+    fn settle(&mut self, payment: &Payment, deps: &Deps<Self>) -> SettleOutcome;
+
+    /// Called for each payment that settles on its first attempt, not from
+    /// the cascade. Default: nothing.
+    fn settled_first_time(&mut self, payment: &Payment) {
+        let _ = payment;
+    }
+
+    /// Credits the beneficiaries [`Self::settle`] left uncredited among
+    /// one delivered batch's `settled` payments, after its delivery record
+    /// (Astro II's CREDITs). Default: nothing to credit.
+    fn credit(&mut self, settled: &[Payment], outbound: &mut Vec<Envelope<Self::Msg>>) {
+        let _ = (settled, outbound);
+    }
+
+    /// Applies one delivered broadcast instance: each payment its
+    /// spender's representative broadcast settles, queues or drops as
+    /// stale, and the cascade settles what that unblocked. Appends the
+    /// effects to `out`, settled payments in settle order: the batch's
+    /// first pass, then the cascade.
+    fn apply(&mut self, id: InstanceId, payload: Payload<Self>, out: &mut ReplicaStep<Self::Msg>) {
+        let broadcaster = ReplicaId(id.source as u32);
+        let before = out.settled.len();
+        let shell = self.shell();
+        if let (true, Some(obs)) = (Self::QUORUM_AT_DELIVERY && broadcaster == shell.me, &shell.obs)
+        {
+            // Only the broadcaster stamps its own delivery: every correct
+            // replica delivers the batch at roughly the same instant, and
+            // one stamp per payment keeps the other replicas' settle loops
+            // off the tracer's shard locks entirely.
+            obs.stage_batch(payload.payments(), astro_obs::Stage::AckQuorum);
+        }
+        let mut touched: Vec<ClientId> = Vec::new();
+        for (payment, deps) in payload.into_entries() {
+            // Only a client's designated representative may broker her
+            // payments (paper §II), and only in her own shard; the BRB
+            // layer bound `source` to the transport-authenticated
+            // broadcaster.
+            let Shell { layout, shard, .. } = self.shell();
+            if layout.representative_of(payment.spender) != broadcaster
+                || layout.shard_of_client(payment.spender) != *shard
+            {
+                continue;
+            }
+            match self.settle(&payment, &deps) {
+                SettleOutcome::Applied => {
+                    self.settled_first_time(&payment);
+                    out.settled.push(payment);
+                    touched.push(payment.spender);
+                    touched.push(payment.beneficiary);
+                }
+                SettleOutcome::FutureSeq | SettleOutcome::InsufficientFunds => {
+                    // The dependencies ride into the record: their credits
+                    // are not in the ledger yet and must survive a restart.
+                    let shell = self.shell_mut();
+                    let record_deps = Payload::<Self>::journal_deps(&deps);
+                    shell.journal.rec(&WalRecord::Queued { payment, deps: record_deps });
+                    shell.pending.push(payment, deps);
+                    touched.push(payment.spender);
+                }
+                SettleOutcome::StaleSeq => {}
+            }
+        }
+        // Cascade: settled payments may unblock queued successors. The
+        // queue leaves the shell meanwhile; the settle rule never reads it.
+        let mut pending = std::mem::take(&mut self.shell_mut().pending);
+        let cascaded = pending.drain_cascade(touched, self, |r, p, deps| r.settle(p, deps));
+        out.settled.extend(cascaded.into_iter().map(|e| e.payment));
+        let shell = self.shell_mut();
+        shell.pending = pending;
+        // The delivery record *terminates* the batch's effects in the log:
+        // a torn tail that cuts before it replays a (harmless, idempotent)
+        // effect prefix with the cursor still behind — never a cursor that
+        // has advanced past effects that were lost.
+        shell.journal.rec(&WalRecord::Delivered { source: id.source, tag: id.tag });
+        self.credit(&out.settled[before..], &mut out.outbound);
+        let Shell { me, layout, obs, .. } = self.shell();
+        if let Some(obs) = obs {
+            let settled = &out.settled[before..];
+            obs.settles.add(settled.len() as u64);
+            // One settle stamp per payment, by the spender's
+            // representative: the lifecycle timeline reads as one
+            // replica's view, and the other replicas never contend on the
+            // payment's tracer slot.
+            obs.stage_batch(
+                settled.iter().filter(|p| layout.representative_of(p.spender) == *me),
+                astro_obs::Stage::Settle,
+            );
+        }
+    }
 
     // ---- the protocol's own state section ----
 
@@ -188,16 +359,39 @@ pub trait Replica: Sized {
 
     /// The broadcast group this replica belongs to (its shard) — the
     /// expansion of [`Dest::All`] and the donors of a catch-up.
-    fn group(&self) -> &Group;
+    fn group(&self) -> &Group {
+        &self.shell().group
+    }
 
     /// A client submits a payment at its representative (Listing 1's
-    /// `Send` arrives here).
+    /// `Send` arrives here); a full batch flushes.
     ///
     /// # Errors
     ///
     /// Rejects payments this replica may not broker (see
-    /// [`SubmitError`]).
-    fn submit(&mut self, payment: Payment) -> Result<ReplicaStep<Self::Msg>, SubmitError>;
+    /// [`SubmitError`]): clients it does not represent — the mapping is
+    /// public (paper §III), so honest clients never hit this — and what
+    /// [`Self::attach`] rejects.
+    fn submit(&mut self, payment: Payment) -> Result<ReplicaStep<Self::Msg>, SubmitError> {
+        let Shell { me, layout, .. } = self.shell();
+        if !layout.is_representative(*me, payment.spender) {
+            return Err(SubmitError::NotRepresentative {
+                client: payment.spender,
+                representative: layout.representative_of(payment.spender),
+            });
+        }
+        let deps = self.attach(&payment)?;
+        let shell = self.shell_mut();
+        shell.batch.push(Payload::<Self>::entry(payment, deps));
+        // While catching up the batch only accumulates: auto-flush would
+        // burn the sync retry pacing (flush doubles as its timer), and
+        // broadcasting must wait for the certified tag floor anyway.
+        if shell.syncing.is_none() && shell.batch.len() >= shell.batch_size {
+            Ok(self.flush())
+        } else {
+            Ok(ReplicaStep::empty())
+        }
+    }
 
     /// Processes one replica-to-replica message.
     fn handle(&mut self, from: ReplicaId, msg: Self::Msg) -> ReplicaStep<Self::Msg>;
@@ -220,6 +414,16 @@ pub trait Replica: Sized {
     /// The settled balance of a client (Listing 2's `bal`).
     fn balance(&self, client: ClientId) -> Amount {
         self.ledger().balance(client)
+    }
+
+    /// Number of payments waiting in the unflushed batch.
+    fn batched(&self) -> usize {
+        self.shell().batch.len()
+    }
+
+    /// Number of payments queued awaiting approval.
+    fn pending_len(&self) -> usize {
+        self.shell().pending.len()
     }
 
     /// A client's spendable funds at this replica: the settled balance
@@ -358,7 +562,10 @@ pub trait Replica: Sized {
 
     /// Completes recovery: queue entries superseded by replayed settles
     /// are pruned.
-    fn finish_recovery(&mut self);
+    fn finish_recovery(&mut self) {
+        let shell = self.shell_mut();
+        shell.pending.prune_stale(&shell.ledger);
+    }
 
     /// Seals the settle delta since the last checkpoint: one encoded
     /// [`CheckpointRecord`] per dirty account, in canonical client order,
@@ -633,10 +840,53 @@ fn assemble<R: Replica>(
     Ok(state)
 }
 
+/// `handle`'s broadcast arm: while catching up the message parks for
+/// replay ([`park`]); otherwise the broadcast layer takes it, its
+/// outbound traffic is wrapped, and every instance it delivers applies.
+pub(crate) fn handle_brb<R: Replica>(
+    r: &mut R,
+    from: ReplicaId,
+    msg: BrbMsg<R>,
+) -> ReplicaStep<R::Msg> {
+    if r.is_syncing() {
+        park(r, from, R::brb_msg(msg));
+        return ReplicaStep::empty();
+    }
+    let step = r.brb_mut().handle(from, msg);
+    let mut out = ReplicaStep { outbound: wrap_brb::<R>(step.outbound), settled: Vec::new() };
+    for delivery in step.delivered {
+        r.apply(delivery.id, delivery.payload, &mut out);
+    }
+    out
+}
+
+/// The flush timer's batch half: broadcasts the accumulated batch, if
+/// any, as the next instance of this replica's stream.
+pub(crate) fn flush_batch<R: Replica>(r: &mut R, out: &mut ReplicaStep<R::Msg>) {
+    let shell = r.shell_mut();
+    if shell.batch.is_empty() {
+        return;
+    }
+    let payload = Payload::<R>::from_entries(std::mem::take(&mut shell.batch));
+    if let Some(obs) = &shell.obs {
+        obs.stage_batch(payload.payments(), astro_obs::Stage::Prepare);
+        obs.pending_depth.set(shell.pending.len() as u64);
+    }
+    let id = shell.next_instance();
+    let step = r.brb_mut().broadcast(id, payload);
+    debug_assert!(step.delivered.is_empty());
+    out.outbound.extend(wrap_brb::<R>(step.outbound));
+}
+
+/// Wraps broadcast-layer envelopes into the replica's message type.
+pub(crate) fn wrap_brb<R: Replica>(outbound: Vec<Envelope<BrbMsg<R>>>) -> Vec<Envelope<R::Msg>> {
+    outbound.into_iter().map(|e| Envelope { to: e.to, msg: R::brb_msg(e.msg) }).collect()
+}
+
 /// While catching up, parks broadcast message `msg` from a group member
 /// for replay after the install (FIFO delivery is paused until the
 /// transferred cursor is installed); traffic from outsiders is dropped.
-pub(crate) fn park<R: Replica>(r: &mut R, from: ReplicaId, msg: R::Msg) {
+fn park<R: Replica>(r: &mut R, from: ReplicaId, msg: R::Msg) {
     let member = r.group().contains(from);
     let shell = r.shell_mut();
     let (true, Some(sync)) = (member, &mut shell.syncing) else { return };

@@ -158,6 +158,6 @@ pub fn submit_with_deps<A: Authenticator>(
     payment: Payment,
     deps: Vec<DependencyCertificate<A::Sig>>,
 ) -> ReplicaStep<Astro2Msg<A::Sig>> {
-    node.batch.push(DepPayment { payment, deps });
+    node.shell_mut().batch.push(DepPayment { payment, deps });
     node.flush()
 }
