@@ -1022,6 +1022,14 @@ impl<A: Authenticator> Replica for AstroTwoReplica<A> {
             }
         }
         match self.shell.settle(p, self.credits_directly(p.beneficiary)) {
+            SettleOutcome::Applied => {
+                // Whether it settled on arrival or in the cascade, the
+                // payment no longer holds funds in flight.
+                if let Some(r) = self.reserved.get_mut(&p.spender) {
+                    *r = r.saturating_sub(p.amount.0);
+                }
+                SettleOutcome::Applied
+            }
             SettleOutcome::InsufficientFunds if self.mode == CreditMode::Certificates => {
                 // Listing 9's `if bal[Alice] < x: return` — the payment is
                 // dropped at every correct replica identically, and the
@@ -1031,13 +1039,6 @@ impl<A: Authenticator> Replica for AstroTwoReplica<A> {
                 SettleOutcome::StaleSeq
             }
             outcome => outcome,
-        }
-    }
-
-    /// Releases the payment's reservation.
-    fn settled_first_time(&mut self, p: &Payment) {
-        if let Some(r) = self.reserved.get_mut(&p.spender) {
-            *r = r.saturating_sub(p.amount.0);
         }
     }
 
@@ -1752,6 +1753,30 @@ mod tests {
             "held certificates survive restore"
         );
         assert_eq!(restored.available_balance(ClientId(2)), node.available_balance(ClientId(2)));
+    }
+
+    #[test]
+    fn cascade_settles_release_their_reservation() {
+        // Representative 0 submits two payments of client 0; their
+        // instances deliver in reverse order, so seq 1 queues and settles
+        // in the cascade behind seq 0.
+        let layout = ShardLayout::single(4).unwrap();
+        let auth = MacAuthenticator::new(ReplicaId(0), b"astro2".to_vec());
+        let mut node = AstroTwoReplica::new(auth, layout, cfg(CreditMode::Certificates));
+        let payments =
+            [Payment::new(0u64, 0u64, 1u64, 60u64), Payment::new(0u64, 1u64, 2u64, 30u64)];
+        for p in payments {
+            node.submit(p).expect("representative accepts");
+        }
+        assert_eq!(node.reserved[&ClientId(0)], 90);
+        let mut out = ReplicaStep::empty();
+        for (tag, payment) in [(1, payments[1]), (0, payments[0])] {
+            let batch = DepBatch { entries: vec![DepPayment { payment, deps: Vec::new() }] };
+            node.apply(InstanceId { source: 0, tag }, batch, &mut out);
+        }
+        assert_eq!(out.settled, payments, "seq 0, then seq 1 from the cascade");
+        assert_eq!(node.balance(ClientId(0)), Amount(10));
+        assert_eq!(node.reserved[&ClientId(0)], 0, "no funds are in flight any more");
     }
 
     #[test]

@@ -227,12 +227,6 @@ pub trait Replica: Sized {
     /// `StaleSeq` or `FutureSeq` with no effect.
     fn settle(&mut self, payment: &Payment, deps: &Deps<Self>) -> SettleOutcome;
 
-    /// Called for each payment that settles on its first attempt, not from
-    /// the cascade. Default: nothing.
-    fn settled_first_time(&mut self, payment: &Payment) {
-        let _ = payment;
-    }
-
     /// Credits the beneficiaries [`Self::settle`] left uncredited among
     /// one delivered batch's `settled` payments, after its delivery record
     /// (Astro II's CREDITs). Default: nothing to credit.
@@ -271,7 +265,6 @@ pub trait Replica: Sized {
             }
             match self.settle(&payment, &deps) {
                 SettleOutcome::Applied => {
-                    self.settled_first_time(&payment);
                     out.settled.push(payment);
                     touched.push(payment.spender);
                     touched.push(payment.beneficiary);
