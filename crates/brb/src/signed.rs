@@ -189,9 +189,10 @@ struct Outgoing<P, S> {
     /// (`Authenticator::verify_all`) instead of one curve operation per
     /// ACK on the critical path.
     unverified: Vec<(ReplicaId, S)>,
-    /// Peer ACKs handed to a verify pool ahead of [`SignedBrb::handle`]
-    /// ([`SignedBrb::claim_ack_check`]); no state transition reads it.
-    claimed: usize,
+    /// The peers whose ACKs went to a verify pool ahead of
+    /// [`SignedBrb::handle`] ([`SignedBrb::claim_ack_check`]), at most
+    /// `quorum − 1`; no state transition reads it.
+    claimed: Vec<ReplicaId>,
     committed: bool,
 }
 
@@ -238,12 +239,12 @@ impl<P: Payload, A: Authenticator> SignedBrb<P, A> {
     }
 
     /// True if a verify pool should check `from`'s ACK of `digest` for
-    /// `id` before [`Self::handle`] sees it; the claim is counted. Only
+    /// `id` before [`Self::handle`] sees it; the signer is noted. Only
     /// the broadcaster of `id` claims, and only while the ACK can still
     /// count towards its quorum: before the COMMIT, for the payload it
-    /// broadcast, and for at most `quorum − 1` peer ACKs (its own ACK is
-    /// signed with [`Authenticator::sign_for_self`], so its verdict is
-    /// already cached). An unclaimed ACK the quorum turns out to need —
+    /// broadcast, and once per peer for at most `quorum − 1` peers (its
+    /// own ACK is signed with [`Authenticator::sign_for_self`], so its
+    /// verdict is already cached). An unclaimed ACK the quorum turns out to need —
     /// a claimed one was forged, say — is verified inline by the
     /// accumulated-ACK batch check, exactly as without a pool.
     pub fn claim_ack_check(
@@ -257,11 +258,14 @@ impl<P: Payload, A: Authenticator> SignedBrb<P, A> {
             return false;
         }
         let Some(outgoing) = self.outgoing.get_mut(&id) else { return false };
-        if outgoing.committed || outgoing.body.digest != *digest || outgoing.claimed >= peers_needed
+        if outgoing.committed
+            || outgoing.body.digest != *digest
+            || outgoing.claimed.len() >= peers_needed
+            || outgoing.claimed.contains(&from)
         {
             return false;
         }
-        outgoing.claimed += 1;
+        outgoing.claimed.push(from);
         true
     }
 
@@ -279,7 +283,7 @@ impl<P: Payload, A: Authenticator> SignedBrb<P, A> {
                 body: body.clone(),
                 acks: HashMap::new(),
                 unverified: Vec::new(),
-                claimed: 0,
+                claimed: Vec::new(),
                 committed: false,
             },
         );
@@ -723,6 +727,23 @@ mod tests {
         }
         assert!(node0.outgoing[&next].committed);
         assert!(!node0.claim_ack_check(ReplicaId(3), next, &digest));
+    }
+
+    #[test]
+    fn a_repeated_ack_claims_no_second_check() {
+        // Peer 1's ACK arrives twice: its second copy claims nothing, so
+        // the check it would have taken goes to peer 2.
+        let mut node0 = SignedBrb::<u64, _>::new(
+            MacAuthenticator::new(ReplicaId(0), b"cluster".to_vec()),
+            Group::of_size(4).unwrap(),
+            BrbConfig::default(),
+        );
+        let id = iid(0, 0);
+        let _prepare = node0.broadcast(id, 42);
+        let digest = payload_digest(id, &42u64);
+        let claimed: Vec<bool> =
+            [1, 1, 2].map(|r| node0.claim_ack_check(ReplicaId(r), id, &digest)).to_vec();
+        assert_eq!(claimed, [true, false, true], "quorum − 1 = 2 distinct peer signers");
     }
 
     #[test]

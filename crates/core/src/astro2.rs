@@ -186,14 +186,15 @@ struct PartialBundle<S> {
     bundle: Vec<Payment>,
     proofs: HashMap<ReplicaId, S>,
     certified: bool,
-    /// Peer CREDITs handed to a verify pool ahead of `on_credit`
-    /// (`claim_credit_check`); no state transition reads it.
-    claimed: usize,
+    /// The peers whose CREDITs went to a verify pool ahead of `on_credit`
+    /// (`claim_credit_check`), at most `f+1`; no state transition reads
+    /// it.
+    claimed: Vec<ReplicaId>,
 }
 
 impl<S> PartialBundle<S> {
     fn new(bundle: Vec<Payment>) -> Self {
-        PartialBundle { bundle, proofs: HashMap::new(), certified: false, claimed: 0 }
+        PartialBundle { bundle, proofs: HashMap::new(), certified: false, claimed: Vec::new() }
     }
 }
 
@@ -744,13 +745,13 @@ impl<A: Authenticator> AstroTwoReplica<A> {
     }
 
     /// The [`credit_context`] of `bundle` if a verify pool should check
-    /// `from`'s CREDIT over it before `on_credit` does; the claim is
-    /// counted in the sub-batch's [`PartialBundle`], created here if
+    /// `from`'s CREDIT over it before `on_credit` does; the signer is
+    /// noted in the sub-batch's [`PartialBundle`], created here if
     /// needed. A certificate needs `f+1` proofs, and a representative in
     /// the settling shard adds its own when it settles the same batch
     /// (signed with [`Authenticator::sign_for_self`], so already cached):
-    /// at most `f` peer CREDITs are claimed per sub-batch there, `f+1`
-    /// elsewhere. None is claimed for a bundle already certified or
+    /// CREDITs from at most `f` peers are claimed per sub-batch there,
+    /// `f+1` elsewhere, once per peer. None is claimed for a bundle already certified or
     /// covered, or one `on_credit` drops unread. An unclaimed CREDIT the
     /// certificate still needs is verified inline by `on_credit`.
     fn claim_credit_check(&mut self, from: ReplicaId, bundle: &[Payment]) -> Option<[u8; 32]> {
@@ -762,10 +763,13 @@ impl<A: Authenticator> AstroTwoReplica<A> {
         let key = credit_context(bundle);
         let partial =
             self.partial.entry(key).or_insert_with(|| PartialBundle::new(bundle.to_vec()));
-        if partial.certified || partial.claimed >= peers_needed {
+        if partial.certified
+            || partial.claimed.len() >= peers_needed
+            || partial.claimed.contains(&from)
+        {
             return None;
         }
-        partial.claimed += 1;
+        partial.claimed.push(from);
         Some(key)
     }
 
@@ -1148,7 +1152,8 @@ impl<A: Authenticator> Replica for AstroTwoReplica<A> {
     /// enumerated ([`Authenticator::schnorr`]).
     ///
     /// - `Ack` — at the broadcaster, the peer ACKs its quorum still
-    ///   needs: at most `quorum − 1` per instance, none after the COMMIT
+    ///   needs: from at most `quorum − 1` distinct peers per instance,
+    ///   none after the COMMIT
     ///   ([`SignedBrb::claim_ack_check`]). Its own ACK is signed with
     ///   [`Authenticator::sign_for_self`], so its verdict is cached
     ///   already. The accumulated-ACK batch check verifies any other ACK
@@ -1164,11 +1169,11 @@ impl<A: Authenticator> Replica for AstroTwoReplica<A> {
     ///   checked when the instance *commits*, so pre-verifying at PREPARE
     ///   hides the certificate work behind the ACK round-trip.
     /// - `Credit` — one signature over the sub-batch digest, while the
-    ///   certificate still needs it: at most `f` peer CREDITs per
+    ///   certificate still needs it: from at most `f` distinct peers per
     ///   sub-batch at a representative in the settling shard (`f+1`
     ///   elsewhere), none once the bundle is certified or covered. A
     ///   representative's own CREDIT never reaches the pool:
-    ///   [`Replica::apply`] hands it to `on_credit` inline, signed with
+    ///   [`Replica::credit`] hands it to `on_credit` inline, signed with
     ///   `sign_for_self`, so its check is a cache hit there. `on_credit`
     ///   verifies any other CREDIT the certificate ends up using inline.
     fn preverify(&mut self, from: ReplicaId, msg: &Self::Msg) -> Vec<SigCheck> {
@@ -2034,6 +2039,25 @@ mod tests {
             .map(|r| node.preverify(r, &schnorr_credit(&chains[r.0 as usize], &bundle)).len())
             .collect();
         assert_eq!(claimed, [1, 1, 0, 0]);
+    }
+
+    #[test]
+    fn a_repeated_credit_claims_no_second_check() {
+        // A 7-replica shard, f = 2: besides its own proof the
+        // representative needs CREDITs from two peers. A peer whose CREDIT
+        // arrives twice (a retransmission, say) is claimed once, so the
+        // second claim goes to another peer.
+        let layout = ShardLayout::single(7).unwrap();
+        let rep1 = layout.representative_of(ClientId(1));
+        let chains = Keychain::deterministic_system(b"astro2-credit-claims", 7);
+        let auth = SchnorrAuthenticator::new(chains[rep1.0 as usize].clone());
+        let mut node = AstroTwoReplica::new(auth, layout, cfg(CreditMode::Certificates));
+        let bundle = [Payment::new(0u64, 0u64, 1u64, 30u64)];
+        let [a, b, ..] = peers(&node)[..] else { panic!("six peers") };
+        let claimed: Vec<usize> = [a, a, b, b]
+            .map(|r| node.preverify(r, &schnorr_credit(&chains[r.0 as usize], &bundle)).len())
+            .to_vec();
+        assert_eq!(claimed, [1, 0, 1, 0], "f = 2 distinct peer signers");
     }
 
     #[test]

@@ -446,9 +446,9 @@ pub trait Replica: Sized {
     /// context, signature)`: a check the state machine never consults
     /// wastes pool cycles but cannot change any transition, and a check
     /// left out is made inline where the state machine asks for it. So
-    /// an implementation may count what it has enumerated (hence `&mut
+    /// an implementation may note what it has enumerated (hence `&mut
     /// self`) and leave out signatures a quorum no longer needs — none
-    /// of its state transitions may read those counts. A signature the
+    /// of its state transitions may read those notes. A signature the
     /// replica made for itself
     /// ([`astro_types::Authenticator::sign_for_self`]) is already cached,
     /// so the pool skips it. Default: none (MAC-authenticated traffic).
