@@ -68,7 +68,9 @@ pub enum DepPolicy {
     #[default]
     WhenNeeded,
     /// Attach all accumulated certificates to every payment (the literal
-    /// Listing 7). Kept for the ablation benchmark.
+    /// Listing 7): what the `a2_certs` benchmark workload, the batching
+    /// ablation and the rejoin tests run to carry certificates on every
+    /// spend.
     Always,
 }
 
