@@ -801,6 +801,8 @@ impl<A: Authenticator> AstroTwoReplica<A> {
             return;
         }
         partial.certified = true;
+        // Nothing claims a check for a certified bundle: free the list.
+        partial.claimed = Vec::new();
         let mut proofs: Vec<(ReplicaId, A::Sig)> =
             partial.proofs.iter().map(|(r, s)| (*r, s.clone())).collect();
         // Canonical proof order, so the journaled bytes (and any re-export)
