@@ -13,7 +13,6 @@
 
 use crate::batch::Batch;
 use crate::journal::{Astro1Local, WalRecord};
-use crate::ledger::SettleOutcome;
 use crate::pending::PendingQueue;
 use crate::replica::{self, Replica, Shell, SYNC_FALLBACK_ROUNDS, SYNC_RETRY_TICKS};
 use crate::sync::SyncMsg;
@@ -162,18 +161,6 @@ impl Replica for AstroOneReplica {
 
     fn brb_msg(msg: BrachaMsg<Batch>) -> Astro1Msg {
         Astro1Msg::Brb(msg)
-    }
-
-    /// A payment carries nothing but itself.
-    fn attach(&mut self, _: &Payment) -> Result<(), SubmitError> {
-        Ok(())
-    }
-
-    /// Totality lets every replica credit the beneficiary at settlement;
-    /// an underfunded payment waits in the queue until funds arrive
-    /// (paper §IV).
-    fn settle(&mut self, payment: &Payment, (): &()) -> SettleOutcome {
-        self.shell.settle(payment, true)
     }
 
     fn handle(&mut self, from: ReplicaId, msg: Astro1Msg) -> ReplicaStep<Astro1Msg> {

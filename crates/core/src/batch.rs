@@ -175,8 +175,8 @@ impl<S: Wire> Wire for DepBatch<S> {
 pub trait PaymentBatch {
     /// One batched payment as the payload carries it.
     type Entry;
-    /// What a payment settles with besides itself.
-    type Deps;
+    /// What a payment settles with besides itself; the default is none.
+    type Deps: Default;
     /// The entry carrying `payment` with `deps`.
     fn entry(payment: Payment, deps: Self::Deps) -> Self::Entry;
     /// The payload of a flushed batch.

@@ -14,6 +14,10 @@
 //!   CREDITs for what settled;
 //! - what a payment carries ([`Replica::attach`]).
 //!
+//! The defaults of the last two are Astro I's: a payment carries nothing
+//! and credits its beneficiary at settlement. So Astro I supplies only
+//! the glue.
+//!
 //! Beside these it keeps its own section of the durable state
 //! ([`Replica::Local`] with the `*_local` hooks) and its own timer and
 //! message duties.
@@ -211,21 +215,30 @@ pub trait Replica: Sized {
     // ---- what a protocol adds to the payment path ----
 
     /// What `payment`, accepted by [`Self::submit`], carries into the
-    /// batch beside itself.
+    /// batch beside itself. Default: nothing.
     ///
     /// # Errors
     ///
     /// Rejects a payment the protocol may not batch (see
     /// [`SubmitError`]).
-    fn attach(&mut self, payment: &Payment) -> Result<Deps<Self>, SubmitError>;
+    fn attach(&mut self, payment: &Payment) -> Result<Deps<Self>, SubmitError> {
+        let _ = payment;
+        Ok(Deps::<Self>::default())
+    }
 
     /// The settle rule, which every delivered payment goes through on its
     /// first attempt and on every cascade retry: settles `payment` with
     /// its dependencies, journaling the settle, or says why not
     /// — `FutureSeq` and `InsufficientFunds` queue it, `StaleSeq` drops
     /// it. A payment behind or ahead of its spender's xlog must come back
-    /// `StaleSeq` or `FutureSeq` with no effect.
-    fn settle(&mut self, payment: &Payment, deps: &Deps<Self>) -> SettleOutcome;
+    /// `StaleSeq` or `FutureSeq` with no effect. Default: Astro I's rule,
+    /// which credits the beneficiary at settlement — broadcast totality
+    /// makes that safe (paper §IV) — and leaves an underfunded payment
+    /// queued until funds arrive.
+    fn settle(&mut self, payment: &Payment, deps: &Deps<Self>) -> SettleOutcome {
+        let _ = deps;
+        self.shell_mut().settle(payment, true)
+    }
 
     /// Credits the beneficiaries [`Self::settle`] left uncredited among
     /// one delivered batch's `settled` payments, after its delivery record
