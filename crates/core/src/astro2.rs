@@ -1117,14 +1117,16 @@ impl<A: Authenticator> Replica for AstroTwoReplica<A> {
             out.settled.extend(step.settled);
             return out;
         }
-        if let (false, Some(obs)) = (self.shell.batch.is_empty(), &self.shell.obs) {
-            obs.cert_cache_hits.set(self.cert_cache.hits());
-            obs.cert_cache_misses.set(self.cert_cache.misses());
-        }
-        // The batch becomes durable now: certificate consumption first,
-        // then the tag reservation.
-        for (client, digests) in std::mem::take(&mut self.pending_cert_takes) {
-            self.shell.journal.rec(&WalRecord::CertsTaken { client, digests });
+        if !self.shell.batch.is_empty() {
+            if let Some(obs) = &self.shell.obs {
+                obs.cert_cache_hits.set(self.cert_cache.hits());
+                obs.cert_cache_misses.set(self.cert_cache.misses());
+            }
+            // The batch becomes durable now: certificate consumption
+            // first, then the tag reservation.
+            for (client, digests) in std::mem::take(&mut self.pending_cert_takes) {
+                self.shell.journal.rec(&WalRecord::CertsTaken { client, digests });
+            }
         }
         replica::flush_batch(self, &mut out);
         out
