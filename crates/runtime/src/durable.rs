@@ -170,9 +170,9 @@ impl Durability {
                 // at a later step boundary.
                 self.pending_segments = Some(new_segments);
             } else {
-                // Failed before it started (WAL degraded, rotation wedged
-                // or failed): nothing was sealed, but the seal above
-                // advanced the node's watermarks.
+                // Failed before it started (WAL degraded, or the next WAL
+                // generation could not be created): nothing was sealed,
+                // but the seal above advanced the node's watermarks.
                 node.rebaseline();
             }
         }

@@ -27,7 +27,10 @@
 //! an orphan segment sealed just before a crash (its snapshot never
 //! installed) is ignored rather than double-applied.
 
-use crate::wal::{crc32, MAX_RECORD_LEN};
+// Recovery reads these files back: no byte on disk may reach a panic.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
+use crate::wal::{le_u32, put_frame, read_frames};
 use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -65,29 +68,26 @@ fn ckpt_dir(dir: &Path) -> PathBuf {
 /// # Errors
 ///
 /// Propagates IO errors, and refuses with `InvalidInput` a record over
-/// [`MAX_RECORD_LEN`] (recovery would drop the whole segment); on error
-/// no new segment is visible.
+/// [`MAX_RECORD_LEN`](crate::wal::MAX_RECORD_LEN) (recovery would drop
+/// the whole segment); on error no new segment is visible.
 pub fn seal_segment(dir: &Path, index: u32, records: &[Vec<u8>]) -> std::io::Result<()> {
-    if records.iter().any(|r| r.len() > MAX_RECORD_LEN) {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidInput,
-            "oversized checkpoint record",
-        ));
-    }
-    let ckpt = ckpt_dir(dir);
-    std::fs::create_dir_all(&ckpt)?;
-    let tmp = ckpt.join(CKPT_TMP_FILE);
-    let mut f = OpenOptions::new().write(true).create(true).truncate(true).open(&tmp)?;
     let mut buf =
         Vec::with_capacity(CKPT_HEADER_LEN + records.iter().map(|r| 8 + r.len()).sum::<usize>());
     buf.extend_from_slice(&CKPT_MAGIC);
     buf.extend_from_slice(&CKPT_VERSION.to_le_bytes());
     buf.extend_from_slice(&index.to_le_bytes());
     for record in records {
-        buf.extend_from_slice(&(record.len() as u32).to_le_bytes());
-        buf.extend_from_slice(&crc32(record).to_le_bytes());
-        buf.extend_from_slice(record);
+        if !put_frame(&mut buf, |b| b.extend_from_slice(record)) {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                "oversized checkpoint record",
+            ));
+        }
     }
+    let ckpt = ckpt_dir(dir);
+    std::fs::create_dir_all(&ckpt)?;
+    let tmp = ckpt.join(CKPT_TMP_FILE);
+    let mut f = OpenOptions::new().write(true).create(true).truncate(true).open(&tmp)?;
     f.write_all(&buf)?;
     f.sync_all()?;
     drop(f);
@@ -100,33 +100,12 @@ pub fn seal_segment(dir: &Path, index: u32, records: &[Vec<u8>]) -> std::io::Res
 /// CRC mismatch invalidates the whole segment (it was written atomically,
 /// so damage means external corruption, not a crash).
 fn parse_segment(bytes: &[u8], index: u32) -> Option<Vec<Vec<u8>>> {
-    if bytes.len() < CKPT_HEADER_LEN
-        || bytes[..8] != CKPT_MAGIC
-        || u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes")) != CKPT_VERSION
-        || u32::from_le_bytes(bytes[12..16].try_into().expect("4 bytes")) != index
-    {
-        return None;
-    }
-    let mut records = Vec::new();
-    let mut offset = CKPT_HEADER_LEN;
-    while offset < bytes.len() {
-        if bytes.len() - offset < 8 {
-            return None;
-        }
-        let len =
-            u32::from_le_bytes(bytes[offset..offset + 4].try_into().expect("4 bytes")) as usize;
-        let crc = u32::from_le_bytes(bytes[offset + 4..offset + 8].try_into().expect("4 bytes"));
-        if len > MAX_RECORD_LEN || bytes.len() - offset - 8 < len {
-            return None;
-        }
-        let payload = &bytes[offset + 8..offset + 8 + len];
-        if crc32(payload) != crc {
-            return None;
-        }
-        records.push(payload.to_vec());
-        offset += 8 + len;
-    }
-    Some(records)
+    let header = bytes.starts_with(&CKPT_MAGIC)
+        && le_u32(bytes, 8) == Some(CKPT_VERSION)
+        && le_u32(bytes, 12) == Some(index);
+    let body = bytes.get(CKPT_HEADER_LEN..).filter(|_| header)?;
+    let (records, len) = read_frames(body);
+    (len == body.len()).then_some(records)
 }
 
 /// Reads the longest valid segment prefix under `dir`: segments
@@ -155,8 +134,10 @@ pub fn read_segments(dir: &Path) -> std::io::Result<Vec<Vec<Vec<u8>>>> {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
+    use crate::wal::MAX_RECORD_LEN;
 
     fn tmp_dir(name: &str) -> PathBuf {
         let dir =

@@ -21,8 +21,29 @@
 //!   them by atomic rename.
 //! - [`Storage`]: the replica-facing facade — [`Storage::open`] recovers
 //!   `segments + snapshot + WAL`, [`Storage::append`] journals one record,
-//!   and [`Storage::begin_install`] compacts: it rotates the WAL and
-//!   seals a segment plus a snapshot off the calling thread.
+//!   and [`Storage::begin_install`] compacts: it switches the WAL to its
+//!   next generation and seals a segment plus a snapshot off the calling
+//!   thread.
+//!
+//! # Directory layout
+//!
+//! ```text
+//! wal-00000006.bin       a superseded generation, until its install deletes it
+//! wal-00000007.bin       the live WAL: appends go here
+//! wal-00000008.bin       the pre-created spare the next install swaps to
+//! ckpt/seg-00000000.bin  sealed checkpoint segments …
+//! snapshot.bin           the residual snapshot
+//! ```
+//!
+//! The WAL is a run of numbered generations, and no WAL file is ever
+//! renamed. An install swaps the writer from generation g to the spare
+//! g+1; its worker then fsyncs every superseded generation, seals the
+//! segment, installs the snapshot, deletes every generation ≤ g and
+//! pre-creates g+2. Recovery replays the generations in ascending order
+//! and opens the writer on the last one. One rule covers every crash
+//! window: the first generation with a torn tail or an undecodable record
+//! is cut there, and every later one is deleted, so replay never skips a
+//! hole.
 //!
 //! [`SharedStorage`] is the [`astro_core::journal::Journal`]
 //! implementation the runtime plugs into a replica.
@@ -67,7 +88,7 @@ use std::path::{Path, PathBuf};
 use std::sync::mpsc::{Receiver, Sender, TryRecvError};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
-use wal::{Commit, GroupCommit, RecoveredWal, WalWriter, WAL_HEADER_LEN};
+use wal::{Commit, GroupCommit, RecoveredWal, WalWriter, FRAME_HEADER_LEN, WAL_HEADER_LEN};
 
 /// Metric handles the store records into when a cluster runs with an
 /// [`astro_obs::Registry`] attached; resolved once per replica and pushed
@@ -86,9 +107,10 @@ pub struct StoreObs {
     pub flush_batch_bytes: Histogram,
     /// Records amortized into one group commit.
     pub commit_batch_records: Histogram,
-    /// Wall time of one snapshot install on the install worker: the WAL
-    /// rotation's fsync and renames, the segment seal and the snapshot
-    /// write, fsync and rename (serialization excluded).
+    /// Wall time of one snapshot install on the install worker: the
+    /// superseded WAL generations' fsync, the segment seal, the snapshot
+    /// write, fsync and rename, and the generations' deletion
+    /// (serialization excluded).
     pub snapshot_nanos: Histogram,
     /// Current WAL file length.
     pub wal_bytes: Gauge,
@@ -121,23 +143,33 @@ impl StoreObs {
     }
 }
 
-/// WAL file name within a replica's storage directory.
-pub const WAL_FILE: &str = "wal.bin";
+/// Path of WAL generation `generation` under `dir` (the replica storage
+/// directory). A fresh directory's first generation is 0, and each
+/// install moves the live log up by one.
+pub fn wal_path(dir: &Path, generation: u64) -> PathBuf {
+    dir.join(format!("wal-{generation:08}.bin"))
+}
 
-/// Rotated-out WAL awaiting deletion by an in-flight snapshot install.
-/// Present on disk only inside the install window (or after an install
-/// failure); recovery merges it back in front of [`WAL_FILE`].
-pub const WAL_PREV_FILE: &str = "wal.prev.bin";
+/// Generation numbers above this are not the store's (2⁶³ installs are out
+/// of reach); the headroom keeps the next spare's number from overflowing.
+const MAX_GENERATION: u64 = u64::MAX >> 1;
 
-/// Pre-created fresh WAL the next rotation swaps to. The install worker
-/// creates it ahead of time (header written, directory entry fsynced) so
-/// [`Storage::begin_install`] pays no filesystem metadata operation on
-/// the settle path — under a concurrent install's fsyncs, a `rename(2)`
-/// or `creat(2)` can stall behind the filesystem journal for
-/// milliseconds. The worker renames it over [`WAL_FILE`] during the
-/// install; if a crash lands before that, recovery merges its records in
-/// *behind* [`WAL_FILE`] (they are the newest generation).
-pub const WAL_NEXT_FILE: &str = "wal.next.bin";
+/// The WAL generations under `dir`, ascending. Only a canonical
+/// [`wal_path`] name counts: anything else (`wal-7.bin`, `wal-xyz.bin`) is
+/// not the store's, and is left alone.
+fn wal_generations(dir: &Path) -> std::io::Result<Vec<u64>> {
+    let mut generations = Vec::new();
+    for entry in std::fs::read_dir(dir)? {
+        let name = entry?.file_name();
+        let number = name.to_str().and_then(|n| n.strip_prefix("wal-")?.strip_suffix(".bin"));
+        let generation = number.and_then(|n| n.parse().ok());
+        generations.extend(
+            generation.filter(|&g| g <= MAX_GENERATION && wal_path(dir, g).ends_with(&name)),
+        );
+    }
+    generations.sort_unstable();
+    Ok(generations)
+}
 
 /// Durability tuning.
 #[derive(Debug, Clone)]
@@ -149,9 +181,9 @@ pub struct StoreConfig {
     /// commit started and a record arrived (checked at each step
     /// boundary).
     pub sync_interval: Duration,
-    /// Seal a checkpoint segment and install a snapshot (rotating the
-    /// WAL) after this many settled payments. Consumed by the runtime's
-    /// durable node driver.
+    /// Seal a checkpoint segment and install a snapshot (moving the WAL
+    /// to its next generation) after this many settled payments. Consumed
+    /// by the runtime's durable node driver.
     pub snapshot_every_settled: usize,
     /// Fsync the WAL on every own-broadcast tag reservation (`OwnTag`),
     /// *before* the PREPARE leaves. Off by default: it puts one fsync on
@@ -194,7 +226,8 @@ pub struct Recovered {
     /// *live* is recorded inside the snapshot by the layer that wrote it
     /// (an orphan segment sealed just before a crash is ignored there).
     pub checkpoints: Vec<Vec<Vec<u8>>>,
-    /// The WAL's longest valid record prefix, decoded, in log order.
+    /// The longest valid record prefix of the WAL generations, decoded, in
+    /// log order.
     pub records: Vec<WalRecord>,
 }
 
@@ -203,29 +236,27 @@ struct InstallJob {
     dir: PathBuf,
     segment: Option<(u32, Vec<Vec<u8>>)>,
     residual: Vec<u8>,
-    /// True on the fast path: the settle thread only swapped writers, so
-    /// the worker owns the rotation renames. False on the slow path,
-    /// where the caller already rotated inline.
-    rotate: bool,
-    /// The superseded writer on the fast path: the worker fsyncs through
-    /// its fd and drops it — even the `close(2)` stays off the settle
-    /// path.
-    old_log: Option<WalWriter>,
-    /// True when the caller consumed (or never had) the pre-created
-    /// spare: the worker creates a fresh one and hands it back.
-    need_spare: bool,
+    /// The superseded writer: the worker fsyncs through its fd and drops
+    /// it — even the `close(2)` stays off the settle path.
+    old_log: WalWriter,
+    /// The generation the settle thread now appends to; `old_log` was on
+    /// `live - 1`.
+    live: u64,
     policy: GroupCommit,
+    hook: StepHook,
 }
 
 impl InstallJob {
     fn run(self) -> InstallDone {
-        let InstallJob { dir, segment, residual, rotate, need_spare, policy, old_log } = self;
+        let InstallJob { dir, segment, residual, old_log, live, policy, hook } = self;
         let started = Instant::now();
-        let mut rotated = !rotate;
-        let result = run_install(&dir, segment.as_ref(), &residual, rotate, old_log, &mut rotated)
-            .map(|()| started.elapsed().as_nanos() as u64);
-        let spare = if need_spare && rotated { make_spare(&dir, policy).ok() } else { None };
-        InstallDone { result, rotated, spare }
+        match run_install(&dir, live, old_log, segment.as_ref(), &residual, &hook) {
+            Ok(()) => InstallDone {
+                result: Ok(started.elapsed().as_nanos() as u64),
+                spare: make_spare(&dir, live + 1, policy).ok(),
+            },
+            Err(e) => InstallDone { result: Err(e), spare: None },
+        }
     }
 }
 
@@ -233,18 +264,43 @@ impl InstallJob {
 struct InstallDone {
     /// The install's wall time in nanoseconds, or why it failed.
     result: std::io::Result<u64>,
-    /// False if a fast-path job failed *before* its renames completed:
-    /// the live log now sits at [`WAL_NEXT_FILE`] with the superseded
-    /// one still at [`WAL_FILE`], and any further rotation on top would
-    /// scramble replay order — the store wedges rotation instead.
-    rotated: bool,
-    /// A fresh pre-created spare WAL, when the job asked for one.
+    /// The next spare, pre-created after a successful install.
     spare: Option<WalWriter>,
+}
+
+/// A step of an install, in the order the worker completes them: the
+/// writer swap, each superseded generation's fsync, the seal, the
+/// snapshot's staging write and its rename, each generation's deletion.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[cfg_attr(not(test), allow(dead_code))]
+enum Step {
+    Swapped,
+    Synced(u64),
+    Sealed,
+    Staged,
+    Installed,
+    Deleted(u64),
+}
+
+/// Runs after each install [`Step`]. In tests a hook may fail one, which
+/// stops the job right there, as a crash would; otherwise it is empty.
+#[derive(Clone, Default)]
+struct StepHook(#[cfg(test)] Option<Arc<dyn Fn(Step) -> std::io::Result<()> + Send + Sync>>);
+
+impl StepHook {
+    fn reached(&self, step: Step) -> std::io::Result<()> {
+        #[cfg(test)]
+        if let Some(hook) = &self.0 {
+            return hook(step);
+        }
+        let _ = step;
+        Ok(())
+    }
 }
 
 /// What the worker thread runs, in queue order.
 enum Job {
-    Install(InstallJob),
+    Install(Box<InstallJob>),
     /// A group commit's fsync.
     Commit(Commit),
 }
@@ -265,8 +321,9 @@ struct InstallWorker {
 impl Drop for InstallWorker {
     /// Waits out the queued jobs, if any. A dropped `Storage` is how a
     /// crash is simulated, and the next thing that happens to the
-    /// directory is a reopen: its recovery merges and reads the very files
-    /// a still-running worker would be renaming or fsyncing under it.
+    /// directory is a reopen: its recovery reads, cuts and deletes the
+    /// very files a still-running worker would be fsyncing or deleting
+    /// under it.
     fn drop(&mut self) {
         let (closed, _) = std::sync::mpsc::channel();
         drop(std::mem::replace(&mut self.jobs, closed));
@@ -303,6 +360,8 @@ impl InstallWorker {
 pub struct Storage {
     dir: PathBuf,
     wal: WalWriter,
+    /// The live WAL's generation (see [`wal_path`]).
+    generation: u64,
     cfg: StoreConfig,
     /// Spawned at open (thread spawn is too slow to pay on the settle
     /// path); `None` only after the worker died, until the next install
@@ -312,20 +371,16 @@ pub struct Storage {
     pending: bool,
     /// True while a group-commit job is queued or running on the worker.
     committing: bool,
-    /// Pre-created fresh WAL at [`WAL_NEXT_FILE`]; the fast-path
-    /// rotation swaps to it without touching the filesystem.
+    /// Pre-created generation `generation + 1`; the next install swaps
+    /// to it without touching the filesystem.
     spare: Option<WalWriter>,
-    /// Set when a fast-path install failed before its renames: the
-    /// on-disk generations are out of their canonical places, so no
-    /// further rotation may run (appends continue, recovery is
-    /// order-correct via the next-WAL merge, compaction has stopped).
-    rotation_wedged: bool,
     /// Set when a snapshot install failed; compaction has stopped (the
     /// WAL keeps growing) even though the WAL writer itself is fine.
     install_failed: bool,
     /// Set once a step boundary reported the WAL writer degraded.
     wal_failed: bool,
     obs: Option<StoreObs>,
+    hook: StepHook,
 }
 
 impl std::fmt::Debug for Storage {
@@ -336,10 +391,12 @@ impl std::fmt::Debug for Storage {
 
 impl Storage {
     /// Opens (creating if necessary) the store under `dir` and recovers
-    /// its contents: the installed snapshot plus the longest valid WAL
-    /// prefix. The WAL's invalid tail, if any, is truncated; a record
-    /// that fails to *decode* (CRC-valid but semantically foreign —
-    /// version skew or software fault) cuts the log at that point too.
+    /// its contents: the installed snapshot, the sealed segment chain and
+    /// the longest valid record prefix of the WAL generations, replayed in
+    /// ascending order. The first generation with an invalid tail, or
+    /// with a record that fails to *decode* (CRC-valid but semantically
+    /// foreign — version skew or software fault), is cut there, and every
+    /// later generation is deleted.
     ///
     /// # Errors
     ///
@@ -352,46 +409,26 @@ impl Storage {
     ) -> std::io::Result<(Storage, Recovered)> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
-        // A crash inside the install window (or an install failure) left
-        // the rotated-out WAL behind: merge it back in front of the
-        // current one so replay order is preserved.
-        merge_prev_wal(&dir)?;
-        // A crash after a fast-path rotation swapped writers but before
-        // the worker's renames left the newest records in the pre-created
-        // spare: merge them in behind the current log.
-        merge_next_wal(&dir)?;
         let snapshot = snapshot::read_snapshot(&dir)?;
         let checkpoints = checkpoint::read_segments(&dir)?;
-        let wal_path = dir.join(WAL_FILE);
-        let RecoveredWal { payloads, offsets, valid_len } = wal::read_wal(&wal_path)?;
-        let mut records = Vec::with_capacity(payloads.len());
-        let mut decoded_len = wal::WAL_HEADER_LEN;
-        for (payload, offset) in payloads.iter().zip(&offsets) {
-            match decode_exact::<WalRecord>(payload) {
-                Ok(rec) => {
-                    records.push(rec);
-                    decoded_len = *offset;
-                }
-                Err(_) => break,
-            }
-        }
-        let wal = WalWriter::open_at(&wal_path, decoded_len.min(valid_len), group_commit_of(&cfg))?;
-        // Pre-create the first rotation's spare WAL and spawn the install
+        let (wal, generation, records) = recover_wal(&dir, group_commit_of(&cfg))?;
+        // Pre-create the first install's spare and spawn the install
         // worker now, off the settle path (thread spawn costs ~100 µs —
         // paid here, at recovery, instead of at the first install).
-        let spare = make_spare(&dir, group_commit_of(&cfg)).ok();
+        let spare = make_spare(&dir, generation + 1, group_commit_of(&cfg)).ok();
         let storage = Storage {
             dir,
             wal,
+            generation,
             cfg,
             worker: Some(InstallWorker::spawn()?),
             pending: false,
             committing: false,
             spare,
-            rotation_wedged: false,
             install_failed: false,
             wal_failed: false,
             obs: None,
+            hook: StepHook::default(),
         };
         Ok((storage, Recovered { snapshot, checkpoints, records }))
     }
@@ -497,22 +534,22 @@ impl Storage {
     /// `segment` (index, checkpoint-record payloads) and installs
     /// `residual` as the snapshot, off the calling thread.
     ///
-    /// On the fast path the settle thread pays one buffered `write(2)`
-    /// and a writer swap to the pre-created spare WAL — **no filesystem
-    /// metadata operation** (a `rename(2)` would stall behind the
-    /// filesystem journal while the worker's fsyncs are committing it).
-    /// The worker then makes the superseded log durable, performs the
-    /// rotation renames, seals, installs, and pre-creates the next
-    /// spare. Only recovery from an earlier *failed* install (a leftover
-    /// previous WAL) falls back to rotating inline.
+    /// The settle thread pays one buffered `write(2)` and a writer swap
+    /// to the pre-created spare, the next WAL generation — **no
+    /// filesystem metadata operation** (a `creat(2)` would stall behind
+    /// the filesystem journal while the worker's fsyncs are committing
+    /// it). The worker then fsyncs the superseded generations, seals,
+    /// installs, deletes them and pre-creates the next spare. Only after
+    /// a failed install, which leaves no spare, is the next generation
+    /// created here.
     ///
     /// Returns `false` (and does nothing) while a previous install is
     /// still in flight — the caller retries at its next snapshot
     /// threshold. Otherwise returns `true`: either the install is in
     /// flight ([`Storage::installing`]) or it failed before it started
-    /// (the WAL is degraded, rotation is wedged, or the rotation or a
-    /// worker re-spawn failed) and nothing was sealed —
-    /// [`Storage::healthy`] then reports `false`.
+    /// (the WAL is degraded, or creating the next generation or a worker
+    /// re-spawn failed) and nothing was sealed — [`Storage::healthy`]
+    /// then reports `false`.
     ///
     /// Completion is reported through [`Storage::poll_install`].
     pub fn begin_install(
@@ -530,70 +567,49 @@ impl Storage {
         true
     }
 
-    /// Rotates the WAL and hands the install to the worker; `None` if the
-    /// install failed before it started.
+    /// Swaps the WAL to its next generation and hands the install to the
+    /// worker; `None` if the install failed before it started.
     fn queue_install(
         &mut self,
         segment: Option<(u32, Vec<Vec<u8>>)>,
         residual: Vec<u8>,
     ) -> Option<()> {
-        if self.rotation_wedged {
-            // A fast-path install failed mid-rotation: the log
-            // generations are off their canonical paths and any further
-            // rotation would scramble replay order. Appends continue
-            // (records are safe; recovery reorders via the next-WAL
-            // merge), compaction stays stopped, health keeps reporting it.
-            return None;
-        }
         if self.worker.is_none() {
             // A group commit the dead worker took with it fails here.
             self.poll_commit();
             self.worker = Some(InstallWorker::spawn().ok()?);
         }
-        // Every journaled frame must reach the OS before the rotation:
-        // the rotated log is never written again. The *fsync* making it
-        // power-loss durable — and every rename — is the worker's job
-        // (see `run_install`).
+        // Every journaled frame must reach the OS before the swap: the
+        // superseded generation is never written again. The *fsync*
+        // making it power-loss durable is the worker's job (see
+        // `run_install`).
         self.wal.flush_writes();
         self.wal.health().ok()?;
         let policy = group_commit_of(&self.cfg);
-        let rotate = !self.dir.join(WAL_PREV_FILE).exists() && self.spare.is_some();
-        let mut fresh = if rotate {
-            // Fast path: swap to the pre-created spare; the old writer's
-            // file stays at `WAL_FILE` until the worker renames it out.
-            self.spare.take().expect("just checked")
-        } else {
-            // Slow path: a leftover prev WAL from a *failed* install
-            // still holds live records — fold it back before rotating
-            // again so its records cannot be orphaned by a second
-            // rotation — then rotate inline as the caller of record.
-            merge_prev_wal(&self.dir).ok()?;
-            std::fs::rename(self.dir.join(WAL_FILE), self.dir.join(WAL_PREV_FILE)).ok()?;
-            WalWriter::open_rotated(&self.dir.join(WAL_FILE), policy.clone()).ok()?
+        let mut fresh = match self.spare.take() {
+            Some(spare) => spare,
+            None => make_spare(&self.dir, self.generation + 1, policy.clone()).ok()?,
         };
         if let Some(obs) = &self.obs {
             fresh.attach_obs(obs.clone());
             obs.wal_bytes.set(fresh.len());
         }
         let old_log = std::mem::replace(&mut self.wal, fresh);
-        let job = Job::Install(InstallJob {
+        self.generation += 1;
+        let job = Job::Install(Box::new(InstallJob {
             dir: self.dir.clone(),
             segment,
             residual,
-            rotate,
-            // On the fast path the superseded writer ships to the worker
-            // (fsync and close both happen off-thread); on the slow path
-            // its file was renamed away and it closes here.
-            old_log: rotate.then_some(old_log),
-            need_spare: self.spare.is_none(),
+            old_log,
+            live: self.generation,
             policy,
-        });
-        let worker = self.worker.as_ref().expect("spawned above");
-        if worker.jobs.send(job).is_err() {
-            // The worker thread died (it never does barring a panic);
-            // the job's renames never ran, so wedge a fast-path rotation.
+            hook: self.hook.clone(),
+        }));
+        if self.worker.as_ref()?.jobs.send(job).is_err() {
+            // The worker thread died (it never does barring a panic). The
+            // superseded generation stays on disk until the next install
+            // fsyncs and deletes it.
             self.worker = None;
-            self.rotation_wedged = rotate;
             return None;
         }
         Some(())
@@ -608,10 +624,10 @@ impl Storage {
         if !self.pending {
             return None;
         }
-        let done = match self.worker.as_ref().expect("pending implies worker").results.try_recv() {
-            Ok(done) => Some(done),
-            Err(TryRecvError::Empty) => return None,
-            Err(TryRecvError::Disconnected) => None,
+        let done = match self.worker.as_ref().map(|w| w.results.try_recv()) {
+            Some(Ok(done)) => Some(done),
+            Some(Err(TryRecvError::Empty)) => return None,
+            Some(Err(TryRecvError::Disconnected)) | None => None,
         };
         Some(self.complete_install(done))
     }
@@ -631,26 +647,19 @@ impl Storage {
         if !self.pending {
             return None;
         }
-        let done = self.worker.as_ref().expect("pending implies worker").results.recv().ok();
+        let done = self.worker.as_ref().and_then(|w| w.results.recv().ok());
         Some(self.complete_install(done))
     }
 
     /// Folds in the in-flight install's report; `None` means the worker
-    /// died with the job, leaving its rotation state unknown: wedge.
+    /// died with the job.
     fn complete_install(&mut self, done: Option<InstallDone>) -> std::io::Result<()> {
         self.pending = false;
-        let InstallDone { result, rotated, spare } = done.unwrap_or_else(|| {
+        let InstallDone { result, spare } = done.unwrap_or_else(|| {
             self.worker = None;
-            InstallDone {
-                result: Err(std::io::Error::other("install worker died")),
-                rotated: false,
-                spare: None,
-            }
+            InstallDone { result: Err(std::io::Error::other("install worker died")), spare: None }
         });
-        if spare.is_some() {
-            self.spare = spare;
-        }
-        self.rotation_wedged |= !rotated;
+        self.spare = spare;
         if let (Some(obs), Ok(nanos)) = (&self.obs, &result) {
             obs.snapshot_nanos.record(*nanos);
             obs.wal_bytes.set(self.wal.len());
@@ -693,171 +702,111 @@ fn group_commit_of(cfg: &StoreConfig) -> GroupCommit {
     GroupCommit { sync_every_records: cfg.sync_every_records, sync_interval: cfg.sync_interval }
 }
 
-/// The worker half of an asynchronous install. Runs entirely without the
+/// [`Storage::open`]'s WAL half: replays the generations under `dir` in
+/// ascending order and opens the writer on the last one that survives (a
+/// fresh directory's generation 0). The first generation that is torn,
+/// headerless or holds an undecodable record is cut there, and every
+/// later one is deleted: records after a hole would replay a gapped
+/// history.
+fn recover_wal(
+    dir: &Path,
+    policy: GroupCommit,
+) -> std::io::Result<(WalWriter, u64, Vec<WalRecord>)> {
+    let mut records = Vec::new();
+    let mut generations = wal_generations(dir)?.into_iter();
+    let (mut live, mut cut) = (0, 0);
+    for generation in generations.by_ref() {
+        let path = wal_path(dir, generation);
+        let RecoveredWal { payloads, valid_len } = wal::read_wal(&path)?;
+        // A crash can leave a generation's tail (or a spare's header) in
+        // the page cache only. It must be durable before a later
+        // generation takes new records: a power loss that tore it would
+        // cut those records away with it.
+        let file = File::open(&path)?;
+        file.sync_all()?;
+        (live, cut) = (generation, valid_len.min(WAL_HEADER_LEN));
+        for payload in &payloads {
+            let Ok(record) = decode_exact::<WalRecord>(payload) else { break };
+            records.push(record);
+            cut += (FRAME_HEADER_LEN + payload.len()) as u64;
+        }
+        // A header is written before any record, so a generation without
+        // one lost its records to a crash as surely as a torn one did.
+        if valid_len == 0 || cut != file.metadata()?.len() {
+            break;
+        }
+    }
+    let later: Vec<u64> = generations.collect();
+    for &generation in &later {
+        std::fs::remove_file(wal_path(dir, generation))?;
+    }
+    if !later.is_empty() {
+        // Durable before the cut generation takes new records.
+        File::open(dir)?.sync_all()?;
+    }
+    Ok((WalWriter::open_at(&wal_path(dir, live), cut, policy)?, live, records))
+}
+
+/// The worker half of an asynchronous install, after the settle thread
+/// swapped its writer to generation `live`. Runs entirely without the
 /// storage lock: it touches only files the appending thread never writes
-/// (the checkpoint directory, the snapshot staging path, and the
-/// rotated-out previous WAL).
+/// (the superseded generations, the checkpoint directory and the snapshot
+/// staging path).
 ///
-/// Ordering is what makes the crash windows safe: the segment seals
-/// first (an orphan segment is ignored until a snapshot references it),
-/// the residual snapshot installs second (atomic rename), and only then
-/// is the superseded WAL deleted (until that point its records replay
-/// idempotently over the new snapshot).
+/// Ordering is what makes the crash windows safe: every superseded
+/// generation is made durable first (the records whose group commit had
+/// not fired yet), the segment seals second (an orphan segment is ignored
+/// until a snapshot references it), the residual snapshot installs third
+/// (atomic rename), and only then are the superseded generations deleted
+/// (until that point their records replay idempotently over the new
+/// snapshot). Whatever a crash leaves, recovery replays in order.
 ///
 /// An error therefore guarantees the previous snapshot chain is intact:
-/// a failed prev-WAL deletion — the one step *after* the chain advanced —
-/// is deliberately tolerated (the stale records merge back in and replay
-/// idempotently), so callers may treat `Err` as "nothing was installed".
-///
-/// On the fast path (`rotate`) the worker also owns the rotation itself:
-/// it fsyncs the superseded log (still at [`WAL_FILE`] — the settle
-/// thread only swapped its in-memory writer), renames it to
-/// [`WAL_PREV_FILE`], renames the pre-created [`WAL_NEXT_FILE`] (which
-/// the settle thread is already appending to through its open fd) over
-/// [`WAL_FILE`], and fsyncs the directory. `rotated` reports whether the
-/// renames completed — if not, the caller must wedge further rotations.
+/// a failed deletion — the one step *after* the chain advanced — is
+/// deliberately tolerated, so callers may treat `Err` as "nothing was
+/// installed".
 fn run_install(
     dir: &Path,
+    live: u64,
+    old_log: WalWriter,
     segment: Option<&(u32, Vec<Vec<u8>>)>,
     residual: &[u8],
-    rotate: bool,
-    old_log: Option<WalWriter>,
-    rotated: &mut bool,
+    hook: &StepHook,
 ) -> std::io::Result<()> {
-    if rotate {
-        // Make the superseded log power-loss durable first (acknowledged
-        // records whose group commit had not fired yet), then perform
-        // the renames the settle thread deferred. The renames are
-        // attempted even when the fsync fails so the on-disk layout
-        // still converges to the standard failed-install state
-        // (prev + current) that the slow path knows how to repair.
-        let synced = match old_log {
-            // The shipped writer's fd closes here too — off-thread.
-            Some(w) => w.into_file().sync_all(),
-            None => File::open(dir.join(WAL_FILE)).and_then(|f| f.sync_all()),
-        };
-        let renamed = std::fs::rename(dir.join(WAL_FILE), dir.join(WAL_PREV_FILE))
-            .and_then(|()| std::fs::rename(dir.join(WAL_NEXT_FILE), dir.join(WAL_FILE)))
-            .and_then(|()| File::open(dir)?.sync_all());
-        *rotated = renamed.is_ok();
-        synced?;
-        renamed?;
-    } else {
-        // Slow path: the caller rotated inline; make both generations
-        // (and the fresh log's header) power-loss durable before the
-        // snapshot that supersedes the former starts forming.
-        for name in [WAL_PREV_FILE, WAL_FILE] {
-            match File::open(dir.join(name)) {
-                Ok(f) => f.sync_all()?,
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-                Err(e) => return Err(e),
-            }
-        }
+    hook.reached(Step::Swapped)?;
+    // The shipped writer's fd closes here too — off-thread.
+    old_log.into_file().sync_all()?;
+    hook.reached(Step::Synced(live - 1))?;
+    // More than one generation is superseded only after a failed install.
+    let superseded: Vec<u64> = wal_generations(dir)?.into_iter().filter(|&g| g < live).collect();
+    for &generation in superseded.iter().filter(|&&g| g < live - 1) {
+        File::open(wal_path(dir, generation))?.sync_all()?;
+        hook.reached(Step::Synced(generation))?;
     }
     if let Some((index, records)) = segment {
         checkpoint::seal_segment(dir, *index, records)?;
     }
-    snapshot::write_snapshot(dir, residual)?;
-    let _ = std::fs::remove_file(dir.join(WAL_PREV_FILE));
+    hook.reached(Step::Sealed)?;
+    snapshot::write_snapshot_tmp(dir, residual)?;
+    hook.reached(Step::Staged)?;
+    snapshot::install_snapshot_tmp(dir)?;
+    hook.reached(Step::Installed)?;
+    for generation in superseded {
+        let _ = std::fs::remove_file(wal_path(dir, generation));
+        hook.reached(Step::Deleted(generation))?;
+    }
     Ok(())
 }
 
-/// Pre-creates the next rotation's spare WAL at [`WAL_NEXT_FILE`]:
+/// Pre-creates WAL generation `generation` as the next install's spare:
 /// header written, directory entry fsynced. The dirent fsync matters —
 /// group commit fsyncs file *data*, so without it a power loss could
-/// drop the whole file after records were acknowledged into it.
-fn make_spare(dir: &Path, policy: GroupCommit) -> std::io::Result<WalWriter> {
-    let spare = WalWriter::open_rotated(&dir.join(WAL_NEXT_FILE), policy)?;
+/// drop the whole file after records were acknowledged into it. (It also
+/// makes an install's deletions durable.)
+fn make_spare(dir: &Path, generation: u64, policy: GroupCommit) -> std::io::Result<WalWriter> {
+    let spare = WalWriter::open_rotated(&wal_path(dir, generation), policy)?;
     File::open(dir)?.sync_all()?;
     Ok(spare)
-}
-
-/// Folds a leftover [`WAL_PREV_FILE`] back in front of [`WAL_FILE`] (a
-/// crash landed inside an install window, or an install failed). Replay
-/// order is preserved: the previous log's records come first. If the
-/// previous log has an invalid tail the current log is dropped with it —
-/// keeping records *after* a hole would replay a gapped history.
-fn merge_prev_wal(dir: &Path) -> std::io::Result<()> {
-    let prev_path = dir.join(WAL_PREV_FILE);
-    let prev_bytes = match std::fs::read(&prev_path) {
-        Ok(b) => b,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(()),
-        Err(e) => return Err(e),
-    };
-    let wal_path = dir.join(WAL_FILE);
-    let prev = wal::read_wal(&prev_path)?;
-    let prev_torn = prev.valid_len < prev_bytes.len() as u64;
-    let mut merged = prev_bytes[..prev.valid_len as usize].to_vec();
-    if merged.len() < WAL_HEADER_LEN as usize {
-        // Headerless/empty previous log: start from a clean header so the
-        // current log's frames land behind a valid one.
-        merged.clear();
-        merged.extend_from_slice(&wal::WAL_MAGIC);
-        merged.extend_from_slice(&wal::WAL_VERSION.to_le_bytes());
-    }
-    if !prev_torn {
-        let current = wal::read_wal(&wal_path)?;
-        let current_bytes = match std::fs::read(&wal_path) {
-            Ok(b) => b,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
-            Err(e) => return Err(e),
-        };
-        if current.valid_len > WAL_HEADER_LEN && current_bytes.len() >= current.valid_len as usize {
-            merged.extend_from_slice(
-                &current_bytes[WAL_HEADER_LEN as usize..current.valid_len as usize],
-            );
-        }
-    }
-    let tmp = dir.join("wal.merge.tmp");
-    std::fs::write(&tmp, &merged)?;
-    std::fs::File::open(&tmp)?.sync_all()?;
-    std::fs::rename(&tmp, &wal_path)?;
-    std::fs::remove_file(&prev_path)?;
-    std::fs::File::open(dir)?.sync_all()
-}
-
-/// Folds a leftover [`WAL_NEXT_FILE`] in *behind* [`WAL_FILE`]. In steady
-/// state the next-WAL is the empty pre-created spare and this only
-/// deletes it; after a crash between a fast-path writer swap and the
-/// install worker's renames it holds the newest record generation, which
-/// must replay *after* the current log. As with the previous-log merge,
-/// records behind a torn current log are dropped — keeping records after
-/// a hole would replay a gapped history.
-fn merge_next_wal(dir: &Path) -> std::io::Result<()> {
-    let next_path = dir.join(WAL_NEXT_FILE);
-    let next = match std::fs::read(&next_path) {
-        Ok(bytes) => bytes,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(()),
-        Err(e) => return Err(e),
-    };
-    let next_valid = wal::read_wal(&next_path)?.valid_len;
-    if next_valid > WAL_HEADER_LEN {
-        let wal_path = dir.join(WAL_FILE);
-        let current = wal::read_wal(&wal_path)?;
-        let current_bytes = match std::fs::read(&wal_path) {
-            Ok(b) => b,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
-            Err(e) => return Err(e),
-        };
-        let current_torn = current.valid_len < current_bytes.len() as u64;
-        if !current_torn {
-            let mut merged = current_bytes
-                [..current.valid_len.min(current_bytes.len() as u64) as usize]
-                .to_vec();
-            if merged.len() < WAL_HEADER_LEN as usize {
-                merged.clear();
-                merged.extend_from_slice(&wal::WAL_MAGIC);
-                merged.extend_from_slice(&wal::WAL_VERSION.to_le_bytes());
-            }
-            merged.extend_from_slice(&next[WAL_HEADER_LEN as usize..next_valid as usize]);
-            let tmp = dir.join("wal.merge.tmp");
-            std::fs::write(&tmp, &merged)?;
-            std::fs::File::open(&tmp)?.sync_all()?;
-            std::fs::rename(&tmp, &wal_path)?;
-        }
-    }
-    std::fs::remove_file(&next_path)?;
-    std::fs::File::open(dir)?.sync_all()
 }
 
 /// A cloneable handle to a [`Storage`] shared between a replica's journal
@@ -931,9 +880,9 @@ mod tests {
         drop(s);
         // Append a CRC-valid frame whose payload is not a WalRecord.
         {
-            let recovered = wal::read_wal(&dir.join(WAL_FILE)).unwrap();
+            let recovered = wal::read_wal(&wal_path(&dir, 0)).unwrap();
             let mut w = wal::WalWriter::open_at(
-                &dir.join(WAL_FILE),
+                &wal_path(&dir, 0),
                 recovered.valid_len,
                 wal::GroupCommit::default(),
             )
@@ -983,60 +932,143 @@ mod tests {
         assert_eq!(rec.records, vec![settle(4)], "pre-install records compacted away");
     }
 
+    /// A hook that fails the install at `stop`, as a crash there would
+    /// end it.
+    fn stop_at(stop: Step) -> StepHook {
+        StepHook(Some(Arc::new(move |step| {
+            if step == stop {
+                Err(std::io::Error::other(format!("crash after {step:?}")))
+            } else {
+                Ok(())
+            }
+        })))
+    }
+
+    /// The install crash matrix. Every row runs the same history: records
+    /// 0–1 in generation 0; install A swaps to generation 1 and fails at
+    /// `a_stops`, leaving no spare; records 2–3; install B creates
+    /// generation 2 inline, swaps to it and crashes at `b_crashes` (`None`:
+    /// after its spare is created, i.e. complete); records 4–5; the store
+    /// is dropped. B's steps run: fsync 1 (the shipped writer), fsync 0,
+    /// seal, stage, rename, delete 0, delete 1. Recovery must find the
+    /// row's snapshot, segment chain and exact record suffix `first..6`,
+    /// an empty spare, and a layout the next install compacts to the live
+    /// generation and its spare.
     #[test]
-    fn crash_before_install_completes_replays_both_wal_generations() {
-        let dir = tmp_dir("install-crash-window");
-        let (mut s, _) = Storage::open(&dir, StoreConfig::default()).unwrap();
-        s.append(&settle(0));
-        s.sync();
-        // Simulate the crash window by hand: rotate exactly as
-        // begin_install does, but never run the worker.
-        drop(s);
-        std::fs::rename(dir.join(WAL_FILE), dir.join(WAL_PREV_FILE)).unwrap();
-        {
-            let mut w = WalWriter::open_at(&dir.join(WAL_FILE), 0, GroupCommit::default()).unwrap();
-            w.append(&settle(1).to_wire_bytes());
-            w.sync();
+    fn install_crash_matrix_recovers_snapshot_chain_and_records() {
+        type Row = (Step, Option<Step>, Option<&'static [u8]>, &'static [u8], u64);
+        let rows: [Row; 11] = [
+            (Step::Swapped, Some(Step::Swapped), None, b"", 0),
+            (Step::Swapped, Some(Step::Synced(1)), None, b"", 0),
+            (Step::Swapped, Some(Step::Synced(0)), None, b"", 0),
+            // An orphan segment is in the chain; the snapshot that would
+            // reference it is not.
+            (Step::Swapped, Some(Step::Sealed), None, b"b", 0),
+            (Step::Swapped, Some(Step::Staged), None, b"b", 0),
+            // Superseded records replay over the snapshot that covers them.
+            (Step::Swapped, Some(Step::Installed), Some(b"B"), b"b", 0),
+            (Step::Swapped, Some(Step::Deleted(0)), Some(b"B"), b"b", 2),
+            (Step::Swapped, Some(Step::Deleted(1)), Some(b"B"), b"b", 4),
+            (Step::Swapped, None, Some(b"B"), b"b", 4),
+            // A sealed its segment before failing: B reseals it.
+            (Step::Sealed, Some(Step::Swapped), None, b"a", 0),
+            (Step::Sealed, None, Some(b"B"), b"b", 4),
+        ];
+        for (i, (a_stops, b_crashes, snapshot, chain, first)) in rows.into_iter().enumerate() {
+            let row = format!("row {i}: A stops after {a_stops:?}, B crashes after {b_crashes:?}");
+            let dir = tmp_dir(&format!("crash-matrix-{i}"));
+            let (mut s, _) = Storage::open(&dir, StoreConfig::default()).unwrap();
+            let install =
+                |s: &mut Storage, stop: Option<Step>, seq, segment: &[u8], residual: &[u8]| {
+                    s.append(&settle(seq));
+                    s.append(&settle(seq + 1));
+                    s.sync();
+                    s.hook = stop.map_or_else(StepHook::default, stop_at);
+                    assert!(s.begin_install(Some((0, vec![segment.to_vec()])), residual.to_vec()));
+                    assert!(s.installing(), "{row}");
+                    s.drain_install().expect("in flight")
+                };
+            assert!(install(&mut s, Some(a_stops), 0, b"a", b"A").is_err(), "{row}");
+            let b = install(&mut s, b_crashes, 2, b"b", b"B");
+            assert_eq!(b.is_ok(), b_crashes.is_none(), "{row}");
+            s.append(&settle(4));
+            s.append(&settle(5));
+            s.sync();
+            drop(s);
+            let chain: Vec<Vec<Vec<u8>>> =
+                if chain.is_empty() { vec![] } else { vec![vec![chain.to_vec()]] };
+            let (mut s, rec) = Storage::open(&dir, StoreConfig::default()).unwrap();
+            assert_eq!(rec.snapshot.as_deref(), snapshot, "{row}");
+            assert_eq!(rec.checkpoints, chain, "{row}");
+            assert_eq!(rec.records, (first..6).map(settle).collect::<Vec<_>>(), "{row}");
+            assert!(s.spare.as_ref().is_some_and(WalWriter::is_empty), "{row}: a fresh spare");
+            // The recovered layout takes the next install like any other.
+            s.append(&settle(6));
+            assert!(s.begin_install(None, b"C".to_vec()));
+            s.append(&settle(7));
+            s.sync();
+            s.drain_install().expect("in flight").unwrap();
+            drop(s);
+            assert_eq!(
+                wal_generations(&dir).unwrap().len(),
+                2,
+                "{row}: the live one and its spare"
+            );
+            let (_s, rec) = Storage::open(&dir, StoreConfig::default()).unwrap();
+            assert_eq!(rec.snapshot.as_deref(), Some(&b"C"[..]), "{row}");
+            assert_eq!(rec.checkpoints, chain, "{row}");
+            assert_eq!(rec.records, vec![settle(7)], "{row}");
         }
-        let (_s, rec) = Storage::open(&dir, StoreConfig::default()).unwrap();
-        assert_eq!(
-            rec.records,
-            vec![settle(0), settle(1)],
-            "both generations replay, previous first"
-        );
-        assert!(!dir.join(WAL_PREV_FILE).exists(), "merge folds the previous WAL away");
     }
 
     #[test]
-    fn crash_between_writer_swap_and_worker_renames_replays_in_order() {
-        let dir = tmp_dir("swap-crash-window");
-        let (mut s, _) = Storage::open(&dir, StoreConfig::default()).unwrap();
-        s.append(&settle(0));
-        s.sync();
-        drop(s);
-        // Simulate the fast-path crash window by hand: the settle thread
-        // swapped to the pre-created spare (so the newest records sit in
-        // WAL_NEXT_FILE) but the worker's renames never ran.
-        {
-            let next = wal::read_wal(&dir.join(WAL_NEXT_FILE)).unwrap();
-            assert_eq!(next.payloads.len(), 0, "open pre-creates an empty spare");
-            let mut w = WalWriter::open_at(
-                &dir.join(WAL_NEXT_FILE),
-                next.valid_len,
-                GroupCommit::default(),
-            )
-            .unwrap();
-            w.append(&settle(1).to_wire_bytes());
-            w.sync();
+    fn hostile_directory_entries_are_ignored_or_cut() {
+        // A valid WAL holding a record the store under test never wrote:
+        // replayed from anywhere, it would show.
+        let stray = {
+            let dir = tmp_dir("hostile-stray");
+            let (mut s, _) = Storage::open(&dir, StoreConfig::default()).unwrap();
+            s.append(&settle(9));
+            s.sync();
+            drop(s);
+            std::fs::read(wal_path(&dir, 0)).unwrap()
+        };
+        let generation = |g: u64| wal_path(Path::new(""), g).display().to_string();
+        let check = |case: usize, files: &[(String, &[u8])], kept: u64| {
+            let dir = tmp_dir(&format!("hostile-{case}"));
+            let (mut s, _) = Storage::open(&dir, StoreConfig::default()).unwrap();
+            for seq in 0..3 {
+                s.append(&settle(seq));
+            }
+            s.sync();
+            drop(s);
+            for (name, bytes) in files {
+                std::fs::write(dir.join(name), bytes).unwrap();
+            }
+            for open in 0..2 {
+                let (_s, rec) = Storage::open(&dir, StoreConfig::default())
+                    .unwrap_or_else(|e| panic!("{files:?}, open {open}: {e}"));
+                let prefix: Vec<_> = (0..kept).map(settle).collect();
+                assert_eq!(rec.records, prefix, "{files:?}, open {open}");
+            }
+        };
+        let ignored = [
+            "wal-xyz.bin".to_owned(),
+            "wal-99999999999999999999.bin".to_owned(),
+            generation(u64::MAX),
+            "wal-7.bin".to_owned(),
+            "wal.merge.tmp".to_owned(),
+            "wal.bin".to_owned(),
+        ];
+        for (case, name) in ignored.into_iter().enumerate() {
+            check(case, &[(name, &stray)], 3);
         }
-        let (_s, rec) = Storage::open(&dir, StoreConfig::default()).unwrap();
-        assert_eq!(
-            rec.records,
-            vec![settle(0), settle(1)],
-            "the spare's records are the newest generation: they replay last"
-        );
-        let next = wal::read_wal(&dir.join(WAL_NEXT_FILE)).unwrap();
-        assert_eq!(next.payloads.len(), 0, "the merge leaves a fresh empty spare");
+        // An empty or headerless generation lost its records: replay stops
+        // there, and the later generation is deleted.
+        let cut: [(u64, &[u8], u64); 3] = [(1, b"", 3), (1, b"not a wal", 3), (0, b"ASTRO", 0)];
+        for (case, (g, bytes, kept)) in cut.into_iter().enumerate() {
+            check(10 + case, &[(generation(g), bytes), (generation(2), &stray)], kept);
+        }
     }
 
     #[test]

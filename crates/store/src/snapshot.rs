@@ -13,7 +13,10 @@
 //! A crash at any point leaves either the old or the new snapshot intact
 //! — never a mix; a stray `snapshot.tmp` is deleted on recovery.
 
-use crate::wal::crc32;
+// Recovery reads these files back: no byte on disk may reach a panic.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
+use crate::wal::{crc32, le_u32};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
@@ -95,23 +98,19 @@ pub fn read_snapshot(dir: &Path) -> std::io::Result<Option<Vec<u8>>> {
     f.read_to_end(&mut bytes)?;
     let invalid =
         || std::io::Error::new(std::io::ErrorKind::InvalidData, "snapshot failed integrity check");
-    if bytes.len() < 16 || bytes[..8] != SNAP_MAGIC {
+    if !bytes.starts_with(&SNAP_MAGIC) || le_u32(&bytes, 8) != Some(SNAP_VERSION) {
         return Err(invalid());
     }
-    let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
-    let len = u32::from_le_bytes(bytes[12..16].try_into().expect("4 bytes")) as usize;
-    if version != SNAP_VERSION || bytes.len() != 16 + len + 4 {
-        return Err(invalid());
-    }
-    let state = &bytes[16..16 + len];
-    let crc = u32::from_le_bytes(bytes[16 + len..].try_into().expect("4 bytes"));
-    if crc32(state) != crc {
+    let len = le_u32(&bytes, 12).ok_or_else(invalid)? as usize;
+    let state = bytes.get(16..).and_then(|rest| rest.get(..len)).ok_or_else(invalid)?;
+    if bytes.len() != 16 + len + 4 || le_u32(&bytes, 16 + len) != Some(crc32(state)) {
         return Err(invalid());
     }
     Ok(Some(state.to_vec()))
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
 

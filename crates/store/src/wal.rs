@@ -40,6 +40,9 @@
 //! covers everything written before it. The recovery scan handles
 //! whatever a lost tail leaves behind.
 
+// Recovery reads these files back: no byte on disk may reach a panic.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use crate::StoreObs;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -141,10 +144,9 @@ impl Default for GroupCommit {
 pub struct RecoveredWal {
     /// Record payloads of the longest valid prefix, in log order.
     pub payloads: Vec<Vec<u8>>,
-    /// File offset just past each corresponding record.
-    pub offsets: Vec<u64>,
-    /// Byte length of the valid prefix (`WAL_HEADER_LEN` for an empty or
-    /// headerless log).
+    /// Byte length of the valid prefix: the header plus every valid
+    /// frame, or 0 for a missing, empty or headerless file (a writer
+    /// opened there writes a fresh header).
     pub valid_len: u64,
 }
 
@@ -163,33 +165,68 @@ pub fn read_wal(path: &Path) -> std::io::Result<RecoveredWal> {
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
         Err(e) => return Err(e),
     };
-    let mut recovered =
-        RecoveredWal { payloads: Vec::new(), offsets: Vec::new(), valid_len: WAL_HEADER_LEN };
-    if bytes.len() < WAL_HEADER_LEN as usize
-        || bytes[..8] != WAL_MAGIC
-        || u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes")) != WAL_VERSION
-    {
-        // No (or foreign) header: the whole file is invalid prefix.
-        return Ok(recovered);
+    // No (or a foreign) header: the whole file is invalid prefix.
+    let Some(body) = bytes.get(WAL_HEADER_LEN as usize..).filter(|_| has_header(&bytes)) else {
+        return Ok(RecoveredWal { payloads: Vec::new(), valid_len: 0 });
+    };
+    let (payloads, len) = read_frames(body);
+    Ok(RecoveredWal { payloads, valid_len: WAL_HEADER_LEN + len as u64 })
+}
+
+fn has_header(bytes: &[u8]) -> bool {
+    bytes.starts_with(&WAL_MAGIC) && le_u32(bytes, 8) == Some(WAL_VERSION)
+}
+
+/// The little-endian `u32` at `bytes[at..at + 4]`, if the bytes are there.
+pub(crate) fn le_u32(bytes: &[u8], at: usize) -> Option<u32> {
+    Some(u32::from_le_bytes(*bytes.get(at..)?.first_chunk()?))
+}
+
+/// Length of a frame header: `len (u32 LE) ‖ crc32(payload) (u32 LE)`.
+pub(crate) const FRAME_HEADER_LEN: usize = 8;
+
+/// Appends one `len ‖ crc32(payload) ‖ payload` frame to `buf`, the
+/// payload written in place by `encode`: the header is reserved first
+/// and filled in afterwards, so the payload is never staged in a buffer
+/// of its own. Returns `false`, with `buf` as it was, for a payload over
+/// [`MAX_RECORD_LEN`] (recovery would cut there).
+pub(crate) fn put_frame(buf: &mut Vec<u8>, encode: impl FnOnce(&mut Vec<u8>)) -> bool {
+    let start = buf.len();
+    buf.extend_from_slice(&[0; FRAME_HEADER_LEN]);
+    encode(buf);
+    let (header, payload) = buf[start..].split_at_mut(FRAME_HEADER_LEN);
+    if payload.len() > MAX_RECORD_LEN {
+        buf.truncate(start);
+        return false;
     }
-    let mut offset = WAL_HEADER_LEN as usize;
-    while bytes.len() - offset >= 8 {
-        let len =
-            u32::from_le_bytes(bytes[offset..offset + 4].try_into().expect("4 bytes")) as usize;
-        let crc = u32::from_le_bytes(bytes[offset + 4..offset + 8].try_into().expect("4 bytes"));
-        if len > MAX_RECORD_LEN || bytes.len() - offset - 8 < len {
-            break;
-        }
-        let payload = &bytes[offset + 8..offset + 8 + len];
-        if crc32(payload) != crc {
-            break;
-        }
-        offset += 8 + len;
-        recovered.payloads.push(payload.to_vec());
-        recovered.offsets.push(offset as u64);
-        recovered.valid_len = offset as u64;
+    header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    header[4..].copy_from_slice(&crc32(payload).to_le_bytes());
+    true
+}
+
+/// Reads frames from the start of `bytes` up to the first incomplete,
+/// oversized or CRC-failing one: the payloads, and the byte length of
+/// the valid run. The WAL and the checkpoint segments are read through
+/// here.
+pub(crate) fn read_frames(bytes: &[u8]) -> (Vec<Vec<u8>>, usize) {
+    let mut payloads = Vec::new();
+    let mut at = 0;
+    while let Some(payload) = frame_at(bytes, at) {
+        at += FRAME_HEADER_LEN + payload.len();
+        payloads.push(payload.to_vec());
     }
-    Ok(recovered)
+    (payloads, at)
+}
+
+/// The payload of the valid frame at `bytes[at..]`, if there is one.
+fn frame_at(bytes: &[u8], at: usize) -> Option<&[u8]> {
+    let len = le_u32(bytes, at)? as usize;
+    let crc = le_u32(bytes, at + 4)?;
+    if len > MAX_RECORD_LEN {
+        return None;
+    }
+    let payload = bytes.get(at + FRAME_HEADER_LEN..)?.get(..len)?;
+    (crc32(payload) == crc).then_some(payload)
 }
 
 /// When the user-space frame buffer grows past this, it is flushed to
@@ -292,11 +329,11 @@ impl WalWriter {
         Self::open_inner(path, valid_len, policy, true)
     }
 
-    /// [`open_at`](Self::open_at) for the snapshot-install rotation: the
-    /// fresh log's header is written but **not** fsynced, keeping the
-    /// rotation cheap on the settle path. The install worker fsyncs the
-    /// file off-thread before the snapshot becomes authoritative; until
-    /// then a power loss recovers through the previous log.
+    /// [`open_at`](Self::open_at) for a fresh WAL generation that a
+    /// snapshot install will swap to: the header is written but **not**
+    /// fsynced, keeping the creation cheap. The first fsync of its records
+    /// makes the header durable with them; a generation whose header a
+    /// power loss dropped held no durable record, and recovery cuts it.
     pub fn open_rotated(path: &Path, policy: GroupCommit) -> std::io::Result<WalWriter> {
         Self::open_inner(path, 0, policy, false)
     }
@@ -315,9 +352,7 @@ impl WalWriter {
         file.set_len(valid_len)?;
         file.seek(SeekFrom::Start(0))?;
         let mut header = [0u8; WAL_HEADER_LEN as usize];
-        let have_header = file.read_exact(&mut header).is_ok()
-            && header[..8] == WAL_MAGIC
-            && u32::from_le_bytes(header[8..12].try_into().expect("4 bytes")) == WAL_VERSION;
+        let have_header = file.read_exact(&mut header).is_ok() && has_header(&header);
         if !have_header {
             file.set_len(0)?;
             file.seek(SeekFrom::Start(0))?;
@@ -358,10 +393,9 @@ impl WalWriter {
     }
 
     /// Appends one record whose payload `encode` writes straight into the
-    /// frame buffer: the 8-byte header is reserved first and filled in
-    /// with the length and CRC afterwards, so the record is never staged
-    /// in a buffer of its own. The buffer is flushed inline once it
-    /// passes 256 KiB; nothing here fsyncs.
+    /// frame buffer, behind a header filled in afterwards: the record is
+    /// never staged in a buffer of its own. The buffer is flushed inline
+    /// once it passes 256 KiB; nothing here fsyncs.
     ///
     /// A payload over [`MAX_RECORD_LEN`] is not written (recovery would
     /// cut the log there and lose every later record): the frames before
@@ -370,20 +404,13 @@ impl WalWriter {
         if self.degraded.is_some() {
             return;
         }
-        let start = self.buffer.len();
-        self.buffer.extend_from_slice(&[0; 8]);
-        encode(&mut self.buffer);
-        let (header, payload) = self.buffer[start..].split_at_mut(8);
-        if payload.len() > MAX_RECORD_LEN {
-            self.buffer.truncate(start);
+        if !put_frame(&mut self.buffer, encode) {
             self.flush_writes();
             self.degraded.get_or_insert_with(|| {
                 std::io::Error::new(std::io::ErrorKind::InvalidInput, "oversized WAL record")
             });
             return;
         }
-        header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-        header[4..].copy_from_slice(&crc32(payload).to_le_bytes());
         self.records_since_commit += 1;
         if self.buffer.len() >= FLUSH_THRESHOLD {
             self.flush_writes();
@@ -479,7 +506,7 @@ impl WalWriter {
     }
 
     /// Consumes the writer, returning its file handle. Used by the
-    /// install rotation: the superseded log's fsync and `close(2)` both
+    /// install: the superseded generation's fsync and `close(2)` both
     /// happen on the worker thread, through this fd.
     pub fn into_file(self) -> File {
         self.file
@@ -495,6 +522,7 @@ impl WalWriter {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
 

@@ -1,9 +1,9 @@
 //! Property tests for the checkpoint-segment half of the v2 durability
 //! engine: arbitrary torn tails and bit flips over a sealed segment
-//! chain always recover to a valid segment prefix, and the
-//! checkpoint + WAL-rotation crash window (truncate the post-install
-//! log anywhere) replays to exactly the residual snapshot, the sealed
-//! chain, and a record prefix.
+//! chain always recover to a valid segment prefix, and the crash window
+//! after an install (truncate the live WAL generation anywhere) replays
+//! to exactly the residual snapshot, the sealed chain, and a record
+//! prefix.
 
 use astro_core::journal::WalRecord;
 use astro_store::checkpoint::{read_segments, seal_segment, segment_path, CKPT_HEADER_LEN};
@@ -118,7 +118,8 @@ proptest! {
     /// then crash with the log torn anywhere. Recovery must yield the
     /// residual snapshot byte-exact, the sealed chain intact, and an
     /// exact prefix of the post-install records — never a pre-install
-    /// record (the rotated prev-WAL is gone) and never a phantom.
+    /// record (the install deleted the superseded WAL generation) and
+    /// never a phantom.
     #[test]
     fn crash_window_replay_across_checkpoint_and_wal_truncation(
         pre in 1usize..8,
@@ -151,7 +152,7 @@ proptest! {
             }
             storage.sync();
         }
-        let wal_path = dir.join(astro_store::WAL_FILE);
+        let wal_path = astro_store::wal_path(&dir, 1);
         let full = std::fs::read(&wal_path).unwrap();
         let header = astro_store::wal::WAL_HEADER_LEN as usize;
         let cut = header + (full.len() - header) * cut_fraction as usize / 1000;

@@ -11,7 +11,7 @@ use astro_core::ledger::Ledger;
 use astro_store::checkpoint::segment_path;
 use astro_store::snapshot::SNAP_FILE;
 use astro_store::wal::crc32;
-use astro_store::{Storage, StoreConfig, WAL_FILE};
+use astro_store::{wal_path, Storage, StoreConfig};
 use astro_types::wire::Wire;
 use astro_types::{Amount, ClientId, Payment, ReplicaId};
 use proptest::prelude::*;
@@ -116,7 +116,7 @@ fn wal_bytes_of_every_record_variant_are_pinned() {
     drop(storage);
     assert_eq!(recovered.records, records);
     assert_eq!(
-        file_digest(&dir.join(WAL_FILE)),
+        file_digest(&wal_path(&dir, 0)),
         "384ed3e1d1d4196b22d5b15000324408117f461b835ed7fb696b11961e9252c7",
         "WAL file bytes moved"
     );

@@ -173,7 +173,7 @@ proptest! {
             }
             storage.sync();
         }
-        let wal_path = dir.join(astro_store::WAL_FILE);
+        let wal_path = astro_store::wal_path(&dir, 0);
         let full = std::fs::read(&wal_path).unwrap();
         let cut = (WAL_HEADER_LEN as usize)
             + ((full.len() - WAL_HEADER_LEN as usize) * cut_fraction as usize) / 1000;
