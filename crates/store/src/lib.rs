@@ -932,6 +932,73 @@ mod tests {
         assert_eq!(rec.records, vec![settle(4)], "pre-install records compacted away");
     }
 
+    #[test]
+    fn crash_before_install_completes_replays_both_wal_generations() {
+        let dir = tmp_dir("install-crash-window");
+        let (mut s, _) = Storage::open(&dir, StoreConfig::default()).unwrap();
+        s.append(&settle(0));
+        s.sync();
+        // The install swaps the writer to generation 1, then stops before
+        // its worker makes any step past the swap.
+        s.hook = stop_at(Step::Swapped);
+        assert!(s.begin_install(None, b"never installed".to_vec()));
+        assert!(s.drain_install().expect("in flight").is_err());
+        s.append(&settle(1));
+        s.sync();
+        drop(s);
+        assert_eq!(wal_generations(&dir).unwrap(), vec![0, 1]);
+        let (mut s, rec) = Storage::open(&dir, StoreConfig::default()).unwrap();
+        assert!(rec.snapshot.is_none(), "the stopped install left no snapshot");
+        assert_eq!(
+            rec.records,
+            vec![settle(0), settle(1)],
+            "both generations replay, the older first"
+        );
+        // The next install folds the superseded generations away.
+        assert!(s.begin_install(None, b"installed".to_vec()));
+        s.drain_install().expect("in flight").unwrap();
+        drop(s);
+        assert_eq!(wal_generations(&dir).unwrap(), vec![2, 3], "the live one and its spare");
+        let (_s, rec) = Storage::open(&dir, StoreConfig::default()).unwrap();
+        assert_eq!(rec.snapshot.as_deref(), Some(&b"installed"[..]));
+        assert!(rec.records.is_empty());
+    }
+
+    #[test]
+    fn crash_between_writer_swap_and_worker_renames_replays_in_order() {
+        let dir = tmp_dir("swap-crash-window");
+        let (mut s, _) = Storage::open(&dir, StoreConfig::default()).unwrap();
+        s.append(&settle(0));
+        s.sync();
+        drop(s);
+        // Stage the crash window by hand: the settle thread swapped to the
+        // pre-created spare (so the newest records sit in generation 1),
+        // but the worker never ran.
+        {
+            let spare = wal::read_wal(&wal_path(&dir, 1)).unwrap();
+            assert_eq!(spare.payloads.len(), 0, "open pre-creates an empty spare");
+            let mut w =
+                WalWriter::open_at(&wal_path(&dir, 1), spare.valid_len, GroupCommit::default())
+                    .unwrap();
+            w.append(&settle(1).to_wire_bytes());
+            w.sync();
+        }
+        let (s, rec) = Storage::open(&dir, StoreConfig::default()).unwrap();
+        assert_eq!(
+            rec.records,
+            vec![settle(0), settle(1)],
+            "the spare's records are the newest generation: they replay last"
+        );
+        assert!(
+            s.spare.as_ref().is_some_and(WalWriter::is_empty),
+            "the reopen makes a fresh spare"
+        );
+        drop(s);
+        assert_eq!(wal_generations(&dir).unwrap(), vec![0, 1, 2]);
+        let spare = wal::read_wal(&wal_path(&dir, 2)).unwrap();
+        assert_eq!(spare.payloads.len(), 0, "the new spare is empty");
+    }
+
     /// A hook that fails the install at `stop`, as a crash there would
     /// end it.
     fn stop_at(stop: Step) -> StepHook {
