@@ -16,6 +16,9 @@
 //! 4-byte header announcing 16 MiB reserves nothing. Once the large frame
 //! is consumed the buffer shrinks back to the base capacity.
 
+// Reassembles bytes straight off the network: none may reach a panic.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use crate::session::{AuthError, RecvSession};
 use astro_types::wire::peek_frame_len;
 use std::io::{self, Read};
@@ -144,6 +147,7 @@ impl FrameReader {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use crate::session::{session_pair, SendSession, NONCE_LEN};

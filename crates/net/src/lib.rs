@@ -140,8 +140,9 @@ pub trait Endpoint: Send + 'static {
     ///
     /// # Errors
     ///
-    /// Fails if the destination is unknown or its link cannot be
-    /// (re-)established.
+    /// Fails if the destination is unknown or its link is down. A down
+    /// link fails at once: the send never dials or waits for a
+    /// reconnection.
     fn send(&mut self, to: ReplicaId, payload: &[u8]) -> Result<(), NetError>;
 
     /// Sends `payload` to every replica, the local one included — the

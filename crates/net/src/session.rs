@@ -26,6 +26,9 @@
 //! tampering, reordering, replay, and cross-link splicing all fail the
 //! [`RecvSession::open`] check.
 
+// Every decoder here reads bytes off the network: none may reach a panic.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use astro_crypto::hmac::{Tag, TAG_LEN};
 use astro_crypto::MacKey;
 use astro_types::{Keychain, ReplicaId};
@@ -88,7 +91,13 @@ pub fn fresh_nonce() -> [u8; NONCE_LEN] {
         &count.to_be_bytes(),
         &std::process::id().to_be_bytes(),
     ]);
-    digest[..NONCE_LEN].try_into().unwrap()
+    std::array::from_fn(|i| digest[i])
+}
+
+/// The `N` bytes of `payload` at `at`; [`AuthError::Truncated`] if they
+/// are not all there.
+fn bytes_at<const N: usize>(payload: &[u8], at: usize) -> Result<[u8; N], AuthError> {
+    payload.get(at..).and_then(<[u8]>::first_chunk).copied().ok_or(AuthError::Truncated)
 }
 
 fn hello_tag(link: &MacKey, from: ReplicaId, to: ReplicaId, nonce: &[u8; NONCE_LEN]) -> Tag {
@@ -160,16 +169,16 @@ pub fn verify_hello(
     if &payload[..8] != MAGIC || payload[8] != VERSION {
         return Err(AuthError::BadHeader);
     }
-    let from = ReplicaId(u32::from_be_bytes(payload[9..13].try_into().unwrap()));
-    let to = ReplicaId(u32::from_be_bytes(payload[13..17].try_into().unwrap()));
+    let from = ReplicaId(u32::from_be_bytes(bytes_at(payload, 9)?));
+    let to = ReplicaId(u32::from_be_bytes(bytes_at(payload, 13)?));
     if to != keychain.id() {
         return Err(AuthError::WrongRecipient);
     }
     if keychain.book().key_of(from).is_none() {
         return Err(AuthError::UnknownSender);
     }
-    let nonce: [u8; NONCE_LEN] = payload[17..17 + NONCE_LEN].try_into().unwrap();
-    let tag: Tag = payload[17 + NONCE_LEN..].try_into().unwrap();
+    let nonce: [u8; NONCE_LEN] = bytes_at(payload, 17)?;
+    let tag: Tag = bytes_at(payload, 17 + NONCE_LEN)?;
     let expected = hello_tag(&keychain.mac_with(from), from, to, &nonce);
     if !astro_crypto::hmac::ct_eq(&expected, &tag) {
         return Err(AuthError::BadTag);
@@ -206,8 +215,8 @@ pub fn verify_ack(
     if payload.len() != ACK_LEN {
         return Err(AuthError::Truncated);
     }
-    let nonce_a: [u8; NONCE_LEN] = payload[..NONCE_LEN].try_into().unwrap();
-    let tag: Tag = payload[NONCE_LEN..].try_into().unwrap();
+    let nonce_a: [u8; NONCE_LEN] = bytes_at(payload, 0)?;
+    let tag: Tag = bytes_at(payload, NONCE_LEN)?;
     let expected =
         ack_tag(&keychain.mac_with(acceptor), keychain.id(), acceptor, nonce_d, &nonce_a);
     if !astro_crypto::hmac::ct_eq(&expected, &tag) {
@@ -346,14 +355,15 @@ impl RecvSession {
     /// [`AuthError`] on any tampering, replay, reorder, or truncation; the
     /// caller must drop the connection.
     pub fn open_ref<'a>(&mut self, sealed: &'a [u8]) -> Result<&'a [u8], AuthError> {
-        if sealed.len() < 8 + TAG_LEN {
+        let Some((seq, body)) = sealed.split_first_chunk::<8>() else {
             return Err(AuthError::Truncated);
-        }
-        let seq = u64::from_be_bytes(sealed[..8].try_into().unwrap());
-        let payload = &sealed[8..sealed.len() - TAG_LEN];
-        let tag: Tag = sealed[sealed.len() - TAG_LEN..].try_into().unwrap();
+        };
+        let Some((payload, tag)) = body.split_last_chunk::<TAG_LEN>() else {
+            return Err(AuthError::Truncated);
+        };
+        let seq = u64::from_be_bytes(*seq);
         let expected = message_tag(&self.key, seq, payload);
-        if !astro_crypto::hmac::ct_eq(&expected, &tag) {
+        if !astro_crypto::hmac::ct_eq(&expected, tag) {
             return Err(AuthError::BadTag);
         }
         if seq != self.seq {
@@ -375,6 +385,7 @@ impl RecvSession {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
 

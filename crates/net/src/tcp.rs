@@ -25,22 +25,26 @@
 //!   flushing to each other with full socket buffers both make progress.
 //!   A link that accepts no byte for 2 s is torn down.
 //!
-//! Two background threads per endpoint only handshake and dial: the
-//! acceptor (one short-lived thread per inbound handshake) and the
-//! maintenance pass that re-dials dead links. Each hands an authenticated
-//! connection to the endpoint through an adoption queue and writes one
-//! byte to the wake socket, so a `recv_timeout` already blocked in `poll`
-//! adopts the new link within the same call.
+//! Two background threads per endpoint do all the dialing and
+//! handshaking: the acceptor (one short-lived thread per inbound
+//! handshake) and the maintenance pass that re-dials dead links. Each
+//! hands an authenticated connection to the endpoint through an adoption
+//! queue and writes one byte to the wake socket, so a `recv_timeout`
+//! already blocked in `poll` adopts the new link within the same call.
+//! The endpoint's caller never dials, connects or handshakes: a peer that
+//! is down, or answers a handshake slowly or never, costs a background
+//! thread its time, not the replica loop.
 //!
 //! Failure handling: a broken connection tears the link down when the
 //! endpoint is driven — its next `recv_timeout` reads the EOF, or its
-//! next `send` fails to write. The dialer side then re-dials (on that
-//! send, or from the maintenance pass), the acceptor side keeps its
-//! listener open and installs whatever authenticated replacement arrives.
-//! Messages in flight during the outage are lost — exactly the fair-loss
-//! link the BRB layer is designed to tolerate (quorums mask a
-//! disconnected minority; a reconnected replica rejoins the broadcast
-//! flow).
+//! next `send` fails to write. From then on `send` and `broadcast` report
+//! [`NetError::LinkDown`] for that peer at once. On the dialer side the
+//! maintenance pass re-dials it (at most once per peer per 250 ms); the
+//! acceptor side keeps its listener open and installs whatever
+//! authenticated replacement arrives. Messages in flight during the
+//! outage are lost — exactly the fair-loss link the BRB layer is designed
+//! to tolerate (quorums mask a disconnected minority; a reconnected
+//! replica rejoins the broadcast flow).
 
 use crate::frames::FrameReader;
 use crate::session::{
@@ -71,11 +75,8 @@ const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(2);
 /// its own link, never an indefinite stall of the endpoint's thread.
 const WRITE_TIMEOUT: Duration = Duration::from_secs(2);
 
-/// Minimum spacing between redial attempts to one peer. Sends to a down
-/// link inside this window fail fast with [`NetError::LinkDown`] rather
-/// than stalling the caller — a crashed peer must not slow traffic to the
-/// rest of the mesh (the BRB layer tolerates the loss; quorums mask a
-/// disconnected minority).
+/// Minimum spacing between the maintenance pass's redial attempts to one
+/// peer; see [`maintenance_main`].
 const REDIAL_COOLDOWN: Duration = Duration::from_millis(250);
 
 /// Pause between re-dial attempts during `establish` (process start skew).
@@ -199,7 +200,8 @@ struct NetMetrics {
     /// Bytes per link flush: a cork window's frames, or one uncorked
     /// frame.
     flush_bytes: Histogram,
-    /// Reconnection attempts after the initial mesh came up.
+    /// The maintenance pass's reconnection attempts (the initial mesh
+    /// comes up before a registry can be attached).
     redials: Counter,
     /// Dial or accept handshakes that failed authentication or framing.
     handshake_failures: Counter,
@@ -277,13 +279,12 @@ struct Handover {
 
 /// What the handshake threads and the endpoint share about one peer's
 /// link.
+#[derive(Default)]
 struct LinkSlot {
     /// Generation of the newest connection handed to the endpoint.
     handed: AtomicU64,
     /// Highest generation the endpoint has torn down.
     dead: AtomicU64,
-    /// Rate-limits dialer-side reconnection attempts.
-    next_dial_at: Mutex<Option<Instant>>,
 }
 
 impl LinkSlot {
@@ -291,11 +292,6 @@ impl LinkSlot {
     /// adopted.
     fn up(&self) -> bool {
         self.dead.load(Ordering::Acquire) < self.handed.load(Ordering::Acquire)
-    }
-
-    /// True inside the redial cooldown.
-    fn cooling_down(&self) -> bool {
-        lock(&self.next_dial_at).is_some_and(|at| Instant::now() < at)
     }
 }
 
@@ -368,12 +364,11 @@ fn read_exact_frame(stream: &mut TcpStream, expected_len: usize) -> Result<Vec<u
     let mut header = [0u8; 4];
     stream.read_exact(&mut header)?;
     let len = peek_frame_len(&header)
-        .map_err(|_| NetError::Handshake { peer: None, reason: "oversized frame" })?
-        .expect("4 bytes present");
-    if len != expected_len || len > MAX_FRAME_LEN {
+        .map_err(|_| NetError::Handshake { peer: None, reason: "oversized frame" })?;
+    if len != Some(expected_len) {
         return Err(NetError::Handshake { peer: None, reason: "unexpected frame size" });
     }
-    let mut payload = vec![0u8; len];
+    let mut payload = vec![0u8; expected_len];
     stream.read_exact(&mut payload)?;
     Ok(payload)
 }
@@ -434,52 +429,60 @@ fn accept_handshake(shared: &Shared, mut stream: TcpStream) -> Result<(ReplicaId
     Ok((from, Conn { stream, tx, rx }))
 }
 
+/// Dials `peer`, meters the attempt and hands an authenticated connection
+/// to the endpoint: the one dial path, shared by `establish`'s bring-up
+/// and the maintenance pass. Metrics are attached only once `establish`
+/// has returned, so `net.redials` counts maintenance attempts alone.
+fn dial_and_hand_over(shared: &Shared, peer: ReplicaId) -> Result<(), NetError> {
+    let attempt = dial(shared, peer);
+    if let Some(m) = shared.metrics.get() {
+        m.redials.inc();
+        match &attempt {
+            Ok(_) => m.flight.event("net.redial.ok", peer.0 as u64, 0),
+            Err(e) => {
+                if matches!(e, NetError::Handshake { .. }) {
+                    m.handshake_failures.inc();
+                }
+                m.flight.event("net.redial.err", peer.0 as u64, 0);
+            }
+        }
+    }
+    shared.hand_over(peer, attempt?);
+    Ok(())
+}
+
 /// How often the maintenance pass re-dials dead links this endpoint is
-/// the dialer for. Send-triggered redial only heals a link when traffic
-/// happens to flow toward the dead peer; the periodic pass also heals it
-/// while the mesh is quiet — which is what lets a *restarted* replica's
+/// the dialer for. It is the only thing that heals a link after bring-up,
+/// quiet mesh or not — which is what lets a *restarted* replica's
 /// catch-up requests reach peers that have nothing to say to it yet (the
 /// mesh convention is lower-id-dials, so the returning replica cannot
 /// initiate those connections itself).
 const MAINTENANCE_PERIOD: Duration = Duration::from_millis(50);
 
 /// Periodically re-establishes dead dialer-side links; see
-/// [`MAINTENANCE_PERIOD`]. Respects the same per-link dial cooldown as
-/// the send path, so a genuinely dead peer costs one paced connect
+/// [`MAINTENANCE_PERIOD`]. Each peer is dialed at most once per
+/// [`REDIAL_COOLDOWN`], so a genuinely dead peer costs one paced connect
 /// attempt per cooldown, not one per period.
 fn maintenance_main(shared: Arc<Shared>) {
+    let mut next_dial_at: Vec<Option<Instant>> = vec![None; shared.n];
     loop {
         std::thread::sleep(MAINTENANCE_PERIOD);
         if shared.shutdown.load(Ordering::Relaxed) {
             break;
         }
-        for i in 0..shared.n {
+        for (i, next_dial_at) in next_dial_at.iter_mut().enumerate() {
             let peer = ReplicaId(i as u32);
-            let slot = &shared.links[i];
             if !shared.is_dialer_for(peer)
                 || shared.peer_addrs[i].is_none()
-                || slot.up()
-                || slot.cooling_down()
+                || shared.links[i].up()
+                || next_dial_at.is_some_and(|at| Instant::now() < at)
             {
                 continue;
             }
-            let attempt = dial(&shared, peer);
-            *lock(&slot.next_dial_at) = Some(Instant::now() + REDIAL_COOLDOWN);
-            if let Some(m) = shared.metrics.get() {
-                m.redials.inc();
-                match &attempt {
-                    Ok(_) => m.flight.event("net.redial.ok", peer.0 as u64, 0),
-                    Err(e) => {
-                        if matches!(e, NetError::Handshake { .. }) {
-                            m.handshake_failures.inc();
-                        }
-                        m.flight.event("net.redial.err", peer.0 as u64, 0);
-                    }
-                }
-            }
-            if let Ok(conn) = attempt {
-                shared.hand_over(peer, conn);
-            }
+            let _ = dial_and_hand_over(&shared, peer);
+            // Space attempts from *completion*: a connect timeout against
+            // a blackholed peer must not make every pass redial it.
+            *next_dial_at = Some(Instant::now() + REDIAL_COOLDOWN);
             if shared.shutdown.load(Ordering::Relaxed) {
                 break;
             }
@@ -601,13 +604,7 @@ impl TcpEndpoint {
             keychain,
             n,
             peer_addrs,
-            links: (0..n)
-                .map(|_| LinkSlot {
-                    handed: AtomicU64::new(0),
-                    dead: AtomicU64::new(0),
-                    next_dial_at: Mutex::new(None),
-                })
-                .collect(),
+            links: (0..n).map(|_| LinkSlot::default()).collect(),
             handovers: Mutex::new(Vec::new()),
             handed_over: AtomicBool::new(false),
             wake: wake_tx,
@@ -632,21 +629,15 @@ impl TcpEndpoint {
             if shared.peer_addrs[i].is_none() {
                 continue;
             }
-            let mut last = None;
+            let mut last = Ok(());
             for _ in 0..40 {
-                match dial(&shared, peer) {
-                    Ok(conn) => {
-                        shared.hand_over(peer, conn);
-                        last = None;
-                        break;
-                    }
-                    Err(e) => {
-                        last = Some(e);
-                        std::thread::sleep(REDIAL_BACKOFF);
-                    }
+                last = dial_and_hand_over(&shared, peer);
+                if last.is_ok() {
+                    break;
                 }
+                std::thread::sleep(REDIAL_BACKOFF);
             }
-            if let Some(e @ NetError::Handshake { .. }) = last {
+            if let Err(e @ NetError::Handshake { .. }) = last {
                 shared.shut_down(listen_addr);
                 return Err(e);
             }
@@ -970,35 +961,14 @@ impl Endpoint for TcpEndpoint {
             return Ok(());
         }
         self.adopt();
+        // A down link fails at once: the maintenance pass heals it off
+        // this thread, so a crashed or stalling peer never slows traffic
+        // to the live quorum.
         if self.try_send(i, payload) {
-            return Ok(());
+            Ok(())
+        } else {
+            Err(NetError::LinkDown(to))
         }
-        // Link down. Never stall the caller waiting for it: a crashed peer
-        // must not slow traffic to the live quorum. The dialer side makes
-        // at most one cooldown-gated reconnection attempt; the acceptor
-        // side reports down and relies on the peer to re-dial.
-        let slot = &self.shared.links[i];
-        if self.shared.is_dialer_for(to) && !slot.cooling_down() {
-            let attempt = dial(&self.shared, to);
-            // Space attempts from *completion*: a connect timeout against a
-            // blackholed peer must not make every subsequent send redial.
-            *lock(&slot.next_dial_at) = Some(Instant::now() + REDIAL_COOLDOWN);
-            if let Some(m) = self.shared.metrics.get() {
-                m.redials.inc();
-                if matches!(&attempt, Err(NetError::Handshake { .. })) {
-                    m.handshake_failures.inc();
-                }
-                m.flight.event("net.send.redial", to.0 as u64, attempt.is_ok() as u64);
-            }
-            if let Ok(conn) = attempt {
-                self.shared.hand_over(to, conn);
-                self.adopt();
-                if self.try_send(i, payload) {
-                    return Ok(());
-                }
-            }
-        }
-        Err(NetError::LinkDown(to))
     }
 
     fn broadcast(&mut self, payload: &[u8]) -> Result<(), NetError> {

@@ -87,15 +87,26 @@ fn severed_links_reconnect_and_traffic_resumes() {
     let mut eps = mesh(b"tcp-reconnect", 4);
     // Drain the mesh, then cut every socket endpoint 0 holds.
     eps[0].debug_sever_links();
-    std::thread::sleep(Duration::from_millis(50));
-    // Dialer side: 0 re-dials 1..3 on demand.
+    // Driving the endpoints is all it takes: each notices its dead links
+    // in `recv_timeout`, and endpoint 0's maintenance pass re-dials 1..3
+    // (it is their dialer) — no send asks for it.
+    let deadline = std::time::Instant::now() + RECV;
+    loop {
+        for ep in &mut eps {
+            assert_eq!(ep.recv_timeout(Duration::from_millis(10)).unwrap(), None);
+        }
+        if eps.iter().all(|ep| ep.wait_connected(Duration::ZERO).is_ok()) {
+            break;
+        }
+        assert!(std::time::Instant::now() < deadline, "the mesh did not heal");
+    }
     eps[0].broadcast(b"after the storm").unwrap();
     for ep in &mut eps {
         let (from, bytes) = ep.recv_timeout(RECV).unwrap().expect("reconnect restores delivery");
         assert_eq!(from, ReplicaId(0));
         assert_eq!(&bytes[..], b"after the storm");
     }
-    // Acceptor side: peers re-dial 0 when *their* sends find the link down.
+    // The acceptor side uses the re-dialed link in the other direction.
     eps[2].send(ReplicaId(0), b"reverse direction").unwrap();
     let (from, bytes) = eps[0].recv_timeout(RECV).unwrap().expect("delivered");
     assert_eq!((from, &bytes[..]), (ReplicaId(2), &b"reverse direction"[..]));
@@ -164,6 +175,31 @@ fn quiet_mesh_heals_without_traffic_toward_the_dead_peer() {
     assert_eq!(&bytes[..], b"sync-state");
 }
 
+#[test]
+fn a_peer_that_never_answers_the_handshake_cannot_stall_sends() {
+    // Endpoint 0 comes up while its peer's port is closed, so the link
+    // stays down. Then a listener binds that port and never accepts: the
+    // kernel completes each TCP connect, but no HELLO is ever answered, so
+    // every dial to it waits out the whole handshake timeout. Only the
+    // maintenance pass may pay that; a send to the down link must fail at
+    // once, however often it is retried.
+    let chains = Keychain::deterministic_system(b"tcp-silent-peer", 2);
+    let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+    let port = TcpListener::bind(("127.0.0.1", 0)).unwrap().local_addr().unwrap();
+    let mut ep = TcpEndpoint::establish(chains[0].clone(), listener, vec![None, Some(port)])
+        .expect("an unreachable peer is left to the maintenance pass");
+    let _silent = TcpListener::bind(port).unwrap();
+    for attempt in 0..4 {
+        // Past the 250 ms redial cooldown, so a dial is always due.
+        std::thread::sleep(Duration::from_millis(300));
+        let started = std::time::Instant::now();
+        let sent = ep.send(ReplicaId(1), b"into the void");
+        let took = started.elapsed();
+        assert!(matches!(sent, Err(NetError::LinkDown(ReplicaId(1)))), "attempt {attempt}");
+        assert!(took < Duration::from_millis(100), "attempt {attempt}: send took {took:?}");
+    }
+}
+
 fn mesh_with(keychains: &[Keychain]) -> Vec<TcpEndpoint> {
     TcpTransport::loopback(keychains.to_vec()).expect("loopback mesh comes up").into_endpoints()
 }
@@ -176,8 +212,8 @@ fn crashed_peer_does_not_stall_broadcasts_to_the_live_quorum() {
     drop(dead);
     std::thread::sleep(Duration::from_millis(50));
     // Twenty broadcasts from replica 0: sends to the dead peer fail fast
-    // (cooldown-gated redials), so the batch must complete quickly — a
-    // crashed minority must not throttle the live quorum.
+    // (only the maintenance pass re-dials it), so the batch must complete
+    // quickly — a crashed minority must not throttle the live quorum.
     let t0 = std::time::Instant::now();
     for i in 0..20u64 {
         let _ = eps[0].broadcast(&i.to_be_bytes()); // LinkDown(3) is expected

@@ -857,9 +857,9 @@ impl<R: Replica + Send + 'static> Cluster<R> {
     /// Restarts a killed replica and rejoins it to the live quorum:
     /// recover `snapshot + longest valid WAL prefix` locally (durable
     /// clusters; others restart empty), rebind the replica's listen
-    /// address (surviving replicas redial on their next send), then run
-    /// the peer catch-up handshake — the returning replica requests the
-    /// settled delta from its peers, installs it once `f+1`
+    /// address (the surviving replicas' maintenance pass re-dials it),
+    /// then run the peer catch-up handshake — the returning replica
+    /// requests the settled delta from its peers, installs it once `f+1`
     /// byte-identical copies certify, and only then resumes broadcast
     /// delivery. Payments the quorum settled *during the downtime* are
     /// therefore recovered without any client resubmission.

@@ -374,6 +374,11 @@ pub struct Storage {
     /// Pre-created generation `generation + 1`; the next install swaps
     /// to it without touching the filesystem.
     spare: Option<WalWriter>,
+    /// Dups of the superseded generations' fds, from the swap until an
+    /// install reports them fsynced: an inline fsync of the live
+    /// generation fsyncs these first, or a power loss could tear an older
+    /// generation and recovery would cut the live one's records away.
+    superseded: Vec<File>,
     /// Set when a snapshot install failed; compaction has stopped (the
     /// WAL keeps growing) even though the WAL writer itself is fine.
     install_failed: bool,
@@ -425,6 +430,7 @@ impl Storage {
             pending: false,
             committing: false,
             spare,
+            superseded: Vec::new(),
             install_failed: false,
             wal_failed: false,
             obs: None,
@@ -456,7 +462,7 @@ impl Storage {
             obs.append_nanos.record(started.elapsed().as_nanos() as u64);
         }
         if self.cfg.sync_on_broadcast && matches!(record, WalRecord::OwnTag { .. }) {
-            self.wal.sync();
+            self.sync();
         }
     }
 
@@ -484,7 +490,7 @@ impl Storage {
         } else {
             // No fd to hand off, or the worker died (the next install
             // re-spawns it): commit inline.
-            self.wal.sync();
+            self.sync_inline();
         }
     }
 
@@ -527,6 +533,23 @@ impl Storage {
         // kernel reports a writeback error to whichever fsync runs first:
         // fold in a finished commit's error before fsyncing again.
         self.poll_commit();
+        self.sync_inline();
+    }
+
+    /// Fsyncs every superseded generation not yet known to be durable,
+    /// then the live one. A failed fsync degrades the WAL writer, as a
+    /// failed group commit does.
+    fn sync_inline(&mut self) {
+        for file in std::mem::take(&mut self.superseded) {
+            let started = Instant::now();
+            if let Err(e) = file.sync_data() {
+                self.wal.finish_commit(Err(e));
+                return;
+            }
+            if let Some(obs) = &self.obs {
+                obs.fsync_nanos.record(started.elapsed().as_nanos() as u64);
+            }
+        }
         self.wal.sync();
     }
 
@@ -585,6 +608,7 @@ impl Storage {
         // `run_install`).
         self.wal.flush_writes();
         self.wal.health().ok()?;
+        let superseded = self.wal.try_clone_file().ok()?;
         let policy = group_commit_of(&self.cfg);
         let mut fresh = match self.spare.take() {
             Some(spare) => spare,
@@ -595,6 +619,7 @@ impl Storage {
             obs.wal_bytes.set(fresh.len());
         }
         let old_log = std::mem::replace(&mut self.wal, fresh);
+        self.superseded.push(superseded);
         self.generation += 1;
         let job = Job::Install(Box::new(InstallJob {
             dir: self.dir.clone(),
@@ -660,6 +685,10 @@ impl Storage {
             InstallDone { result: Err(std::io::Error::other("install worker died")), spare: None }
         });
         self.spare = spare;
+        if result.is_ok() {
+            // The worker fsynced every generation below the live one.
+            self.superseded.clear();
+        }
         if let (Some(obs), Ok(nanos)) = (&self.obs, &result) {
             obs.snapshot_nanos.record(*nanos);
             obs.wal_bytes.set(self.wal.len());
@@ -1230,6 +1259,44 @@ mod tests {
         drop(s);
         let (_s, rec) = Storage::open(&dir, StoreConfig::default()).unwrap();
         assert_eq!(rec.records, (0..12).map(settle).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn an_inline_fsync_mid_install_covers_the_superseded_generation_first() {
+        // Both inline fsyncs run while the worker holds the install right
+        // after the swap, before its own fsync of generation 0: `sync()`,
+        // and the own-tag fsync under `sync_on_broadcast`.
+        for own_tag in [false, true] {
+            let dir = tmp_dir(&format!("superseded-sync-{own_tag}"));
+            let cfg = StoreConfig { sync_on_broadcast: true, ..StoreConfig::default() };
+            let (mut s, _) = Storage::open(&dir, cfg).unwrap();
+            let registry = Registry::new();
+            s.attach_obs(StoreObs::for_replica(&registry, 0));
+            let (release, gate) = std::sync::mpsc::channel::<()>();
+            let gate = Mutex::new(gate);
+            s.hook = StepHook(Some(Arc::new(move |step| {
+                if step == Step::Swapped {
+                    let _ = gate.lock().unwrap().recv_timeout(Duration::from_secs(10));
+                }
+                Ok(())
+            })));
+            s.append(&settle(0));
+            assert!(s.begin_install(None, b"snapshot".to_vec()));
+            if own_tag {
+                s.append(&WalRecord::OwnTag { tag: 7 });
+            } else {
+                s.append(&settle(1));
+                s.sync();
+            }
+            assert_eq!(fsyncs(&registry), 2, "own tag {own_tag}: generation 0, then 1");
+            // Generation 0 is durable now: a second inline fsync skips it.
+            s.append(&settle(2));
+            s.sync();
+            assert_eq!(fsyncs(&registry), 3, "own tag {own_tag}");
+            release.send(()).unwrap();
+            s.drain_install().expect("in flight").unwrap();
+            assert!(s.healthy());
+        }
     }
 
     #[test]

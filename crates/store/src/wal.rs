@@ -505,6 +505,16 @@ impl WalWriter {
         self.len() <= WAL_HEADER_LEN
     }
 
+    /// A duplicate of the log's fd, sharing its open file description:
+    /// an fsync through it covers everything written so far.
+    ///
+    /// # Errors
+    ///
+    /// The fd could not be duplicated.
+    pub(crate) fn try_clone_file(&self) -> std::io::Result<File> {
+        self.file.try_clone()
+    }
+
     /// Consumes the writer, returning its file handle. Used by the
     /// install: the superseded generation's fsync and `close(2)` both
     /// happen on the worker thread, through this fd.
