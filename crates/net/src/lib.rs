@@ -160,10 +160,11 @@ pub trait Endpoint: Send + 'static {
     /// [`Duration::MAX`], waits with no deadline.
     ///
     /// This is where a [`TcpEndpoint`] performs its I/O: it reads its
-    /// sockets, authenticates frames, adopts reconnected links and notices
-    /// dead ones only while its caller is inside this method (or flushing
-    /// in [`send`](Endpoint::send) / [`uncork`](Endpoint::uncork)). A
-    /// caller that stops calling it stops draining its peers' sockets.
+    /// sockets, authenticates frames, accepts and handshakes connections,
+    /// re-dials dead links and notices dead ones only while its caller is
+    /// inside this method (or flushing in [`send`](Endpoint::send) /
+    /// [`uncork`](Endpoint::uncork)). A caller that stops calling it stops
+    /// draining its peers' sockets and answering their handshakes.
     ///
     /// # Errors
     ///

@@ -9,65 +9,69 @@
 //!
 //! # Threads
 //!
-//! A [`TcpEndpoint`] does all link I/O on its caller's thread — in a
-//! cluster, the replica driver. Its sockets are non-blocking:
+//! A [`TcpEndpoint`] owns its listener, links and pending handshakes and
+//! does all their I/O on its caller's thread — in a cluster, the replica
+//! driver. Its sockets are non-blocking:
 //!
 //! - `send` / `broadcast` seal frames into a per-link buffer; `uncork`, an
 //!   uncorked `send`, or a corked buffer past 256 KiB writes it, one
 //!   `write(2)` per link when the socket has room.
 //! - `recv_timeout` returns a staged message if one is waiting; otherwise
-//!   it reads every socket without blocking, opens each complete frame in
+//!   it reads every link without blocking, opens each complete frame in
 //!   place (MAC and sequence checked before it is staged) and stages it.
 //!   Only when nothing is staged does it block, in **one** `poll(2)` over
-//!   every link plus a wake socket, until the timeout.
+//!   the links, the listener, the pending handshakes and a wake socket.
+//!   Staged messages never keep it from polling them all at least every
+//!   50 ms.
+//! - Each accepted or dialed socket first runs its side of HELLO → ACK →
+//!   CONFIRM as a non-blocking state machine, dropped after 2 s.
 //! - A flush the kernel cannot take in full waits in that same `poll` for
 //!   writability and keeps reading every link meanwhile, so two endpoints
 //!   flushing to each other with full socket buffers both make progress.
 //!   A link that accepts no byte for 2 s is torn down.
 //!
-//! Two background threads per endpoint do all the dialing and
-//! handshaking: the acceptor (one short-lived thread per inbound
-//! handshake) and the maintenance pass that re-dials dead links. Each
-//! hands an authenticated connection to the endpoint through an adoption
-//! queue and writes one byte to the wake socket, so a `recv_timeout`
-//! already blocked in `poll` adopts the new link within the same call.
-//! The endpoint's caller never dials, connects or handshakes: a peer that
-//! is down, or answers a handshake slowly or never, costs a background
-//! thread its time, not the replica loop.
+//! std has no non-blocking `connect`, so each dial runs its TCP connect
+//! on a short-lived thread (at most one per peer) that hands the socket
+//! back over a channel, wakes the `poll` and ends.
 //!
 //! Failure handling: a broken connection tears the link down when the
 //! endpoint is driven — its next `recv_timeout` reads the EOF, or its
 //! next `send` fails to write. From then on `send` and `broadcast` report
 //! [`NetError::LinkDown`] for that peer at once. On the dialer side the
-//! maintenance pass re-dials it (at most once per peer per 250 ms); the
-//! acceptor side keeps its listener open and installs whatever
-//! authenticated replacement arrives. Messages in flight during the
-//! outage are lost — exactly the fair-loss link the BRB layer is designed
-//! to tolerate (quorums mask a disconnected minority; a reconnected
-//! replica rejoins the broadcast flow).
+//! driven endpoint re-dials it (at most once per peer per 250 ms); the
+//! acceptor side installs whatever authenticated replacement arrives, and
+//! keeps at most 16 inbound handshakes waiting, evicting the oldest.
+//! Messages in flight during an outage are lost — exactly the fair-loss
+//! link the BRB layer is designed to tolerate (quorums mask a
+//! disconnected minority; a reconnected replica rejoins the broadcast
+//! flow).
+
+// Parses handshake bytes from unauthenticated sockets: none may reach a
+// panic.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use crate::frames::FrameReader;
 use crate::session::{
     make_ack, make_confirm, make_hello, session_pair, verify_ack, verify_confirm, verify_hello,
-    RecvSession, SendSession, ACK_LEN, CONFIRM_LEN, HELLO_LEN,
+    RecvSession, SendSession, ACK_LEN, CONFIRM_LEN, HELLO_LEN, NONCE_LEN,
 };
 use crate::{Endpoint, NetError, Payload, Transport};
 use astro_obs::{Counter, FlightRecorder, Histogram, Registry};
 use astro_types::wire::{peek_frame_len, put_frame, Wire, MAX_FRAME_LEN};
 use astro_types::{Keychain, ReplicaId};
 use std::collections::VecDeque;
-use std::io::{ErrorKind, Read, Write};
+use std::io::{self, ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::os::raw::{c_int, c_short};
 use std::os::unix::net::UnixStream;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 type Packet = (ReplicaId, Payload);
 
-/// How long a handshake leg may block before the connection is dropped.
+/// How long a TCP connect, and then a handshake, may take.
 const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// How long a flush waits on a link that accepts no byte before tearing
@@ -75,17 +79,17 @@ const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(2);
 /// its own link, never an indefinite stall of the endpoint's thread.
 const WRITE_TIMEOUT: Duration = Duration::from_secs(2);
 
-/// Minimum spacing between the maintenance pass's redial attempts to one
-/// peer; see [`maintenance_main`].
+/// Minimum spacing between dials to one peer, from the end of the last
+/// attempt: a dead peer costs one connect per cooldown.
 const REDIAL_COOLDOWN: Duration = Duration::from_millis(250);
 
-/// Pause between re-dial attempts during `establish` (process start skew).
-const REDIAL_BACKOFF: Duration = Duration::from_millis(25);
+/// The longest a driven endpoint leaves its listener, handshakes and due
+/// redials unserviced. Redials heal links even in a quiet mesh, so a
+/// restarted replica's catch-up requests can reach its lower-id peers.
+const MAINTENANCE_PERIOD: Duration = Duration::from_millis(50);
 
-/// Pause after a failed `accept()` before retrying. Persistent accept
-/// errors (e.g. fd exhaustion) must degrade into a slow retry loop, not a
-/// busy spin pinning a core.
-const ACCEPT_RETRY_DELAY: Duration = Duration::from_millis(50);
+/// Most inbound handshakes pending at once.
+const MAX_PENDING_ACCEPTS: usize = 16;
 
 /// When a per-link coalescing buffer grows past this while corked, it is
 /// flushed inline — bounds memory under pathological bursts.
@@ -192,7 +196,7 @@ struct LinkMetrics {
 
 /// Metric handles one TCP endpoint records into once a registry is
 /// attached. Resolved eagerly for every peer so the hot paths index an
-/// array; the handshake threads observe the attach through a `OnceLock`.
+/// array.
 struct NetMetrics {
     links: Vec<LinkMetrics>,
     /// Latency of one `write(2)` on the send path.
@@ -200,15 +204,14 @@ struct NetMetrics {
     /// Bytes per link flush: a cork window's frames, or one uncorked
     /// frame.
     flush_bytes: Histogram,
-    /// The maintenance pass's reconnection attempts (the initial mesh
-    /// comes up before a registry can be attached).
+    /// Dials after bring-up (a registry is attached only after it).
     redials: Counter,
-    /// Dial or accept handshakes that failed authentication or framing.
+    /// Failed inbound handshakes, and dials the peer answered wrongly.
     handshake_failures: Counter,
     flight: FlightRecorder,
     /// Write counter driving the 1-in-[`WRITE_SAMPLE`] `write_nanos`
     /// sampling.
-    writes: AtomicU64,
+    writes: u64,
 }
 
 /// Sampling interval for `write_nanos`: timing every write costs two
@@ -235,293 +238,164 @@ impl NetMetrics {
             redials: registry.counter(&format!("net.r{me}.redials")),
             handshake_failures: registry.counter(&format!("net.r{me}.handshake_failures")),
             flight: registry.flight(me),
-            writes: AtomicU64::new(0),
+            writes: 0,
         }
     }
 
     /// Times every [`WRITE_SAMPLE`]th `write` to peer `to` when metrics
     /// are attached; plain call otherwise. A sampled write feeds both
     /// the per-replica aggregate and the per-link histogram.
-    fn timed_write<R>(metrics: Option<&NetMetrics>, to: usize, write: impl FnOnce() -> R) -> R {
-        match metrics {
-            None => write(),
-            Some(m) => {
-                if m.writes.fetch_add(1, Ordering::Relaxed) % WRITE_SAMPLE != 0 {
-                    return write();
-                }
-                let started = Instant::now();
-                let result = write();
-                let nanos = started.elapsed().as_nanos() as u64;
-                m.write_nanos.record(nanos);
-                m.links[to].write_nanos.record(nanos);
-                result
+    fn timed_write<R>(metrics: Option<&mut NetMetrics>, to: usize, write: impl FnOnce() -> R) -> R {
+        let Some(m) = metrics else { return write() };
+        m.writes += 1;
+        if m.writes % WRITE_SAMPLE != 1 {
+            return write();
+        }
+        let started = Instant::now();
+        let result = write();
+        let nanos = started.elapsed().as_nanos() as u64;
+        m.write_nanos.record(nanos);
+        m.links[to].write_nanos.record(nanos);
+        result
+    }
+}
+
+/// Which handshake frame a connection waits for next.
+#[derive(Clone, Copy)]
+enum Step {
+    /// Acceptor: the dialer's HELLO.
+    Hello,
+    /// Dialer of `peer`, HELLO sent: its ACK.
+    Ack { peer: ReplicaId, nonce_d: [u8; NONCE_LEN] },
+    /// Acceptor, ACK sent to `peer`: its CONFIRM.
+    Confirm { peer: ReplicaId, nonce_d: [u8; NONCE_LEN], nonce_a: [u8; NONCE_LEN] },
+    /// Nothing: authenticated with `peer`.
+    Done { peer: ReplicaId, nonce_d: [u8; NONCE_LEN], nonce_a: [u8; NONCE_LEN] },
+}
+
+/// Writes one handshake frame whole. Each side writes at most two frames
+/// of at most `4 + HELLO_LEN` bytes into a fresh socket, so a write that
+/// would block means a broken connection.
+fn write_leg(dst: &mut impl Write, payload: &[u8]) -> Result<(), NetError> {
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    put_frame(&mut frame, payload);
+    Ok(dst.write_all(&frame)?)
+}
+
+/// One side of a handshake over any byte source and sink. It reads no
+/// byte past the frame its step waits for, so what follows CONFIRM stays
+/// in the socket for the link's frame reader.
+struct Handshake {
+    step: Step,
+    /// `frame[..got]` of the awaited frame (HELLO is the longest).
+    frame: [u8; 4 + HELLO_LEN],
+    got: usize,
+}
+
+impl Handshake {
+    /// Starts the side that dials `peer`, writing its HELLO to `dst`, or
+    /// with `None` the acceptor's side.
+    fn start(
+        keychain: &Keychain,
+        dial: Option<ReplicaId>,
+        dst: &mut impl Write,
+    ) -> Result<Handshake, NetError> {
+        let step = match dial {
+            Some(peer) => {
+                let (hello, nonce_d) = make_hello(keychain, peer);
+                write_leg(dst, &hello)?;
+                Step::Ack { peer, nonce_d }
             }
-        }
-    }
-}
-
-/// A freshly handshaken connection: the socket (already non-blocking)
-/// and both session halves.
-struct Conn {
-    stream: TcpStream,
-    tx: SendSession,
-    rx: RecvSession,
-}
-
-/// An authenticated connection on its way from a handshake thread to the
-/// endpoint. Generations number one peer's connections in hand-over
-/// order.
-struct Handover {
-    peer: usize,
-    generation: u64,
-    conn: Conn,
-}
-
-/// What the handshake threads and the endpoint share about one peer's
-/// link.
-#[derive(Default)]
-struct LinkSlot {
-    /// Generation of the newest connection handed to the endpoint.
-    handed: AtomicU64,
-    /// Highest generation the endpoint has torn down.
-    dead: AtomicU64,
-}
-
-impl LinkSlot {
-    /// True while an authenticated connection is live or waiting to be
-    /// adopted.
-    fn up(&self) -> bool {
-        self.dead.load(Ordering::Acquire) < self.handed.load(Ordering::Acquire)
-    }
-}
-
-struct Shared {
-    keychain: Keychain,
-    n: usize,
-    peer_addrs: Vec<Option<SocketAddr>>,
-    links: Vec<LinkSlot>,
-    /// Connections handshaken but not yet adopted, in hand-over order.
-    handovers: Mutex<Vec<Handover>>,
-    /// Set with every hand-over: the endpoint's lock-free "anything to
-    /// adopt?" check.
-    handed_over: AtomicBool,
-    /// Write end of the endpoint's wake socket (non-blocking: a full wake
-    /// buffer already guarantees a wake-up).
-    wake: UnixStream,
-    shutdown: AtomicBool,
-    /// Set once by `attach_registry`; the handshake threads observe it
-    /// lock-free mid-flight.
-    metrics: OnceLock<NetMetrics>,
-}
-
-impl Shared {
-    fn me(&self) -> ReplicaId {
-        self.keychain.id()
+            None => Step::Hello,
+        };
+        Ok(Handshake { step, frame: [0; 4 + HELLO_LEN], got: 0 })
     }
 
-    fn is_dialer_for(&self, peer: ReplicaId) -> bool {
-        self.me().0 < peer.0
-    }
-
-    /// Queues an authenticated connection for the endpoint to adopt and
-    /// wakes it. After shutdown the connection is closed instead.
-    fn hand_over(&self, peer: ReplicaId, conn: Conn) {
-        let mut queue = lock(&self.handovers);
-        if self.shutdown.load(Ordering::Relaxed) {
-            let _ = conn.stream.shutdown(Shutdown::Both);
-            return;
-        }
-        let peer = peer.0 as usize;
-        let generation = self.links[peer].handed.fetch_add(1, Ordering::AcqRel) + 1;
-        queue.push(Handover { peer, generation, conn });
-        self.handed_over.store(true, Ordering::Release);
-        drop(queue);
-        let _ = (&self.wake).write(&[1]);
-    }
-
-    /// Stops the endpoint's threads: raises the shutdown flag, pokes the
-    /// listener so the acceptor thread observes it (its `accept()` blocks
-    /// otherwise), and closes every connection not yet adopted. Called
-    /// from `Drop` and from the `establish` failure path — both must
-    /// release the listener thread and its port.
-    fn shut_down(&self, listen_addr: SocketAddr) {
-        self.shutdown.store(true, Ordering::Relaxed);
-        let _ = TcpStream::connect_timeout(&listen_addr, Duration::from_millis(200));
-        for h in lock(&self.handovers).drain(..) {
-            let _ = h.conn.stream.shutdown(Shutdown::Both);
-        }
-    }
-}
-
-/// Locks `mutex`, ignoring poison: none of the endpoint's critical
-/// sections leaves its data half-updated, so a holder that panicked must
-/// not turn every later lock into a second panic.
-fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-fn read_exact_frame(stream: &mut TcpStream, expected_len: usize) -> Result<Vec<u8>, NetError> {
-    let mut header = [0u8; 4];
-    stream.read_exact(&mut header)?;
-    let len = peek_frame_len(&header)
-        .map_err(|_| NetError::Handshake { peer: None, reason: "oversized frame" })?;
-    if len != Some(expected_len) {
-        return Err(NetError::Handshake { peer: None, reason: "unexpected frame size" });
-    }
-    let mut payload = vec![0u8; expected_len];
-    stream.read_exact(&mut payload)?;
-    Ok(payload)
-}
-
-fn write_frame(stream: &mut TcpStream, payload: &[u8]) -> std::io::Result<()> {
-    let mut buf = Vec::with_capacity(4 + payload.len());
-    put_frame(&mut buf, payload);
-    stream.write_all(&buf)
-}
-
-/// Bounds every handshake leg in both directions.
-fn handshake_timeouts(stream: &TcpStream) -> std::io::Result<()> {
-    stream.set_nodelay(true)?;
-    stream.set_read_timeout(Some(HANDSHAKE_TIMEOUT))?;
-    stream.set_write_timeout(Some(HANDSHAKE_TIMEOUT))
-}
-
-/// Dials `peer` and runs the dialer leg of the handshake
-/// (HELLO → ACK → CONFIRM).
-fn dial(shared: &Shared, peer: ReplicaId) -> Result<Conn, NetError> {
-    let addr = shared.peer_addrs[peer.0 as usize].ok_or(NetError::UnknownPeer(peer))?;
-    let mut stream = TcpStream::connect_timeout(&addr, HANDSHAKE_TIMEOUT)?;
-    handshake_timeouts(&stream)?;
-    let (hello, nonce_d) = make_hello(&shared.keychain, peer);
-    write_frame(&mut stream, &hello)?;
-    let ack = read_exact_frame(&mut stream, ACK_LEN)?;
-    let nonce_a = verify_ack(&shared.keychain, peer, &nonce_d, &ack)
-        .map_err(|_| NetError::Handshake { peer: Some(peer), reason: "ack rejected" })?;
-    let confirm = make_confirm(&shared.keychain, peer, &nonce_d, &nonce_a);
-    write_frame(&mut stream, &confirm)?;
-    stream.set_nonblocking(true)?;
-    let (tx, rx) = session_pair(&shared.keychain, peer, shared.me(), &nonce_d, &nonce_a);
-    Ok(Conn { stream, tx, rx })
-}
-
-/// Accept-side handshake on a fresh connection.
-fn accept_handshake(shared: &Shared, mut stream: TcpStream) -> Result<(ReplicaId, Conn), NetError> {
-    handshake_timeouts(&stream)?;
-    let hello = read_exact_frame(&mut stream, HELLO_LEN)?;
-    let (from, nonce_d) = verify_hello(&shared.keychain, &hello)
-        .map_err(|_| NetError::Handshake { peer: None, reason: "hello rejected" })?;
-    // Only the designated dialer may own this link: the mesh convention
-    // is lower id dials, so an inbound connection must come from a
-    // lower-id replica (and never from our own id).
-    if from.0 >= shared.me().0 {
-        return Err(NetError::Handshake { peer: Some(from), reason: "not my dialer" });
-    }
-    let (ack, nonce_a) = make_ack(&shared.keychain, from, &nonce_d);
-    write_frame(&mut stream, &ack)?;
-    // Key confirmation: a replayed HELLO passes the check above, but only
-    // the real key holder can answer our fresh nonce. Without this leg an
-    // attacker could evict a genuine link by replaying recorded HELLOs.
-    let confirm = read_exact_frame(&mut stream, CONFIRM_LEN)?;
-    verify_confirm(&shared.keychain, from, &nonce_d, &nonce_a, &confirm)
-        .map_err(|_| NetError::Handshake { peer: Some(from), reason: "confirm rejected" })?;
-    stream.set_nonblocking(true)?;
-    let (tx, rx) = session_pair(&shared.keychain, from, from, &nonce_d, &nonce_a);
-    Ok((from, Conn { stream, tx, rx }))
-}
-
-/// Dials `peer`, meters the attempt and hands an authenticated connection
-/// to the endpoint: the one dial path, shared by `establish`'s bring-up
-/// and the maintenance pass. Metrics are attached only once `establish`
-/// has returned, so `net.redials` counts maintenance attempts alone.
-fn dial_and_hand_over(shared: &Shared, peer: ReplicaId) -> Result<(), NetError> {
-    let attempt = dial(shared, peer);
-    if let Some(m) = shared.metrics.get() {
-        m.redials.inc();
-        match &attempt {
-            Ok(_) => m.flight.event("net.redial.ok", peer.0 as u64, 0),
-            Err(e) => {
-                if matches!(e, NetError::Handshake { .. }) {
-                    m.handshake_failures.inc();
+    /// Reads from `src` until it would block, answering each frame to
+    /// `dst`; once this side is done, returns the peer's index and session.
+    /// Any error (end of stream, a wrong frame size, a frame that fails
+    /// verification) means the connection must be closed.
+    fn read_from(
+        &mut self,
+        keychain: &Keychain,
+        src: &mut impl Read,
+        dst: &mut impl Write,
+    ) -> Result<Option<(usize, SendSession, RecvSession)>, NetError> {
+        let rejected = |peer, reason| NetError::Handshake { peer, reason };
+        loop {
+            let len = match self.step {
+                Step::Hello => HELLO_LEN,
+                Step::Ack { .. } => ACK_LEN,
+                Step::Confirm { .. } => CONFIRM_LEN,
+                Step::Done { peer, nonce_d, nonce_a } => {
+                    let dialer = keychain.id().min(peer);
+                    let (tx, rx) = session_pair(keychain, peer, dialer, &nonce_d, &nonce_a);
+                    return Ok(Some((peer.0 as usize, tx, rx)));
                 }
-                m.flight.event("net.redial.err", peer.0 as u64, 0);
+            };
+            let wrong_size = || rejected(None, "unexpected frame size");
+            match src.read(self.frame.get_mut(self.got..4 + len).ok_or_else(wrong_size)?) {
+                Ok(0) => return Err(io::Error::from(ErrorKind::UnexpectedEof).into()),
+                Ok(n) => self.got += n,
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(None),
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => return Err(e.into()),
             }
-        }
-    }
-    shared.hand_over(peer, attempt?);
-    Ok(())
-}
-
-/// How often the maintenance pass re-dials dead links this endpoint is
-/// the dialer for. It is the only thing that heals a link after bring-up,
-/// quiet mesh or not — which is what lets a *restarted* replica's
-/// catch-up requests reach peers that have nothing to say to it yet (the
-/// mesh convention is lower-id-dials, so the returning replica cannot
-/// initiate those connections itself).
-const MAINTENANCE_PERIOD: Duration = Duration::from_millis(50);
-
-/// Periodically re-establishes dead dialer-side links; see
-/// [`MAINTENANCE_PERIOD`]. Each peer is dialed at most once per
-/// [`REDIAL_COOLDOWN`], so a genuinely dead peer costs one paced connect
-/// attempt per cooldown, not one per period.
-fn maintenance_main(shared: Arc<Shared>) {
-    let mut next_dial_at: Vec<Option<Instant>> = vec![None; shared.n];
-    loop {
-        std::thread::sleep(MAINTENANCE_PERIOD);
-        if shared.shutdown.load(Ordering::Relaxed) {
-            break;
-        }
-        for (i, next_dial_at) in next_dial_at.iter_mut().enumerate() {
-            let peer = ReplicaId(i as u32);
-            if !shared.is_dialer_for(peer)
-                || shared.peer_addrs[i].is_none()
-                || shared.links[i].up()
-                || next_dial_at.is_some_and(|at| Instant::now() < at)
-            {
+            if self.got >= 4 && peek_frame_len(&self.frame[..4]).ok().flatten() != Some(len) {
+                return Err(wrong_size());
+            }
+            if self.got < 4 + len {
                 continue;
             }
-            let _ = dial_and_hand_over(&shared, peer);
-            // Space attempts from *completion*: a connect timeout against
-            // a blackholed peer must not make every pass redial it.
-            *next_dial_at = Some(Instant::now() + REDIAL_COOLDOWN);
-            if shared.shutdown.load(Ordering::Relaxed) {
-                break;
-            }
+            self.got = 0;
+            let payload = &self.frame[4..4 + len];
+            self.step = match self.step {
+                Step::Hello => {
+                    let (peer, nonce_d) = verify_hello(keychain, payload)
+                        .map_err(|_| rejected(None, "hello rejected"))?;
+                    // Only the designated dialer may own this link: the mesh
+                    // convention is lower id dials, so an inbound connection
+                    // must come from a lower-id replica (never our own id).
+                    if peer >= keychain.id() {
+                        return Err(rejected(Some(peer), "not my dialer"));
+                    }
+                    let (ack, nonce_a) = make_ack(keychain, peer, &nonce_d);
+                    write_leg(dst, &ack)?;
+                    Step::Confirm { peer, nonce_d, nonce_a }
+                }
+                Step::Ack { peer, nonce_d } => {
+                    let nonce_a = verify_ack(keychain, peer, &nonce_d, payload)
+                        .map_err(|_| rejected(Some(peer), "ack rejected"))?;
+                    write_leg(dst, &make_confirm(keychain, peer, &nonce_d, &nonce_a))?;
+                    Step::Done { peer, nonce_d, nonce_a }
+                }
+                // Key confirmation: a replayed HELLO passes the check above,
+                // but only the real key holder can answer our fresh nonce.
+                // Without this leg an attacker could evict a genuine link by
+                // replaying recorded HELLOs.
+                Step::Confirm { peer, nonce_d, nonce_a } => {
+                    verify_confirm(keychain, peer, &nonce_d, &nonce_a, payload)
+                        .map_err(|_| rejected(Some(peer), "confirm rejected"))?;
+                    Step::Done { peer, nonce_d, nonce_a }
+                }
+                done @ Step::Done { .. } => done,
+            };
         }
     }
 }
 
-fn acceptor_main(shared: Arc<Shared>, listener: TcpListener) {
-    loop {
-        let Ok((stream, _)) = listener.accept() else {
-            if shared.shutdown.load(Ordering::Relaxed) {
-                break;
-            }
-            std::thread::sleep(ACCEPT_RETRY_DELAY);
-            continue;
-        };
-        if shared.shutdown.load(Ordering::Relaxed) {
-            break;
-        }
-        // One short-lived thread per inbound connection: a connector that
-        // stalls mid-handshake burns its own thread until the read
-        // timeout fires, never the accept loop.
-        let shared = Arc::clone(&shared);
-        std::thread::spawn(move || match accept_handshake(&shared, stream) {
-            Ok((from, conn)) => shared.hand_over(from, conn),
-            Err(_) => {
-                if let Some(m) = shared.metrics.get() {
-                    m.handshake_failures.inc();
-                    m.flight.event("net.accept_handshake.err", 0, 0);
-                }
-            }
-        });
-    }
+/// A connection whose handshake is in progress.
+struct Pending {
+    stream: TcpStream,
+    deadline: Instant,
+    /// The peer this endpoint dialed; `None` for an accepted connection.
+    dialed: Option<usize>,
+    hs: Handshake,
 }
 
 /// One live link, owned by the endpoint.
 struct Link {
     stream: TcpStream,
-    generation: u64,
     tx: SendSession,
     rx: FrameReader,
     /// Sealed frames not yet written: `out[sent..]`. Frames sealed under
@@ -539,48 +413,65 @@ struct Link {
 /// clusters and tests). All link I/O happens on the thread that calls
 /// it; see the [module docs](self).
 pub struct TcpEndpoint {
-    shared: Arc<Shared>,
+    keychain: Keychain,
+    peer_addrs: Vec<Option<SocketAddr>>,
+    listener: TcpListener,
     listen_addr: SocketAddr,
     /// Live links by peer index (`None`: down, or the local slot).
     links: Vec<Option<Link>>,
+    /// Handshakes in progress, oldest first.
+    pending: VecDeque<Pending>,
+    /// By peer index: when the next dial is due if the link is down;
+    /// `None` while a dial is in progress.
+    next_dial: Vec<Option<Instant>>,
+    /// The last dial whose peer held other key material.
+    rejected: Option<NetError>,
+    /// Each connect thread sends its peer and socket on a clone of
+    /// `connects_tx`, then writes a byte to a clone of `wake_tx`.
+    connects: Receiver<(usize, io::Result<TcpStream>)>,
+    connects_tx: Sender<(usize, io::Result<TcpStream>)>,
+    wake: UnixStream,
+    wake_tx: UnixStream,
+    /// After a failed `accept` (fd exhaustion, say): unpolled until then.
+    accept_resume: Option<Instant>,
+    /// When `recv_timeout` must poll although messages are staged.
+    next_service: Instant,
     /// Authenticated inbound and self-addressed messages, in arrival
     /// order.
     staged: VecDeque<Packet>,
-    /// Read end of the wake socket the handshake threads write to.
-    wake: UnixStream,
     /// When set, sends leave their frames in the link's buffer and
     /// `uncork` writes each link's run of frames with one syscall;
     /// otherwise every send writes its frame at once.
     corked: bool,
-    /// Poll set scratch: the wake socket, then one entry per peer (fd -1
-    /// while the link is down).
+    /// Poll set scratch: one entry per peer (fd -1 while the link is
+    /// down), the wake socket, the listener, then the pending handshakes.
     fds: Vec<PollFd>,
+    metrics: Option<NetMetrics>,
 }
 
 impl std::fmt::Debug for TcpEndpoint {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TcpEndpoint")
-            .field("me", &self.shared.me())
-            .field("n", &self.shared.n)
+            .field("me", &self.keychain.id())
+            .field("n", &self.links.len())
             .field("listen", &self.listen_addr)
             .finish()
     }
 }
 
 impl TcpEndpoint {
-    /// Brings up this replica's side of the mesh: starts the acceptor on
-    /// `listener`, then dials every higher-id peer (the mesh convention:
-    /// lower id dials).
-    ///
+    /// Brings up this replica's side of the mesh on `listener`: dials
+    /// every higher-id peer (the mesh convention: lower id dials) and
+    /// drives the endpoint until each dial resolves — the link is up, the
+    /// connect failed, or its 2 s handshake deadline passed.
     /// `peer_addrs[i]` is replica `i`'s listen address (`None` for the
-    /// local slot). Connections from lower-id peers arrive through the
-    /// acceptor whenever those peers come up — [`wait_connected`] blocks
-    /// until the mesh is complete.
+    /// local slot). [`wait_connected`] drives the endpoint until the mesh
+    /// is complete.
     ///
     /// # Errors
     ///
     /// Fails if the address book does not match the keychain's key book,
-    /// or a dial/handshake to an already-listening peer fails.
+    /// or a reachable peer answers the handshake with other key material.
     ///
     /// [`wait_connected`]: TcpEndpoint::wait_connected
     pub fn establish(
@@ -595,64 +486,43 @@ impl TcpEndpoint {
                 reason: "address book size does not match key book",
             });
         }
-        let me = keychain.id();
-        let listen_addr = listener.local_addr()?;
+        listener.set_nonblocking(true)?;
         let (wake, wake_tx) = UnixStream::pair()?;
         wake.set_nonblocking(true)?;
         wake_tx.set_nonblocking(true)?;
-        let shared = Arc::new(Shared {
+        let (connects_tx, connects) = mpsc::channel();
+        let now = Instant::now();
+        let mut endpoint = TcpEndpoint {
             keychain,
-            n,
             peer_addrs,
-            links: (0..n).map(|_| LinkSlot::default()).collect(),
-            handovers: Mutex::new(Vec::new()),
-            handed_over: AtomicBool::new(false),
-            wake: wake_tx,
-            shutdown: AtomicBool::new(false),
-            metrics: OnceLock::new(),
-        });
-
-        let acceptor_shared = Arc::clone(&shared);
-        std::thread::spawn(move || acceptor_main(acceptor_shared, listener));
-        let maintenance_shared = Arc::clone(&shared);
-        std::thread::spawn(move || maintenance_main(maintenance_shared));
-
-        // Dial my share of the mesh: every higher-id peer with a known
-        // address. Tolerate a briefly absent listener (process start
-        // skew) — and a peer that stays *unreachable* (it may be down and
-        // restarting itself): its link is left for the maintenance pass
-        // to establish once it returns. Only an authentication failure is
-        // fatal — a reachable peer holding different key material will
-        // never accept this endpoint, so coming up would be a lie.
-        for i in (me.0 as usize + 1)..n {
-            let peer = ReplicaId(i as u32);
-            if shared.peer_addrs[i].is_none() {
-                continue;
-            }
-            let mut last = Ok(());
-            for _ in 0..40 {
-                last = dial_and_hand_over(&shared, peer);
-                if last.is_ok() {
-                    break;
-                }
-                std::thread::sleep(REDIAL_BACKOFF);
-            }
-            if let Err(e @ NetError::Handshake { .. }) = last {
-                shared.shut_down(listen_addr);
+            listen_addr: listener.local_addr()?,
+            listener,
+            links: (0..n).map(|_| None).collect(),
+            pending: VecDeque::new(),
+            next_dial: vec![Some(now); n],
+            rejected: None,
+            connects,
+            connects_tx,
+            wake,
+            wake_tx,
+            accept_resume: None,
+            next_service: now,
+            staged: VecDeque::new(),
+            corked: false,
+            fds: Vec::with_capacity(n + 2),
+            metrics: None,
+        };
+        // An unreachable peer is left to the redials. A peer holding other
+        // key material never accepts us, so coming up would be a lie.
+        endpoint.redial(now);
+        let mut open: Vec<usize> = (0..n).filter(|&i| endpoint.next_dial[i].is_none()).collect();
+        while !open.is_empty() {
+            endpoint.poll_once(MAINTENANCE_PERIOD);
+            if let Some(e) = endpoint.rejected.take() {
                 return Err(e);
             }
+            open.retain(|&i| endpoint.next_dial[i].is_none());
         }
-
-        let mut endpoint = TcpEndpoint {
-            shared,
-            listen_addr,
-            links: (0..n).map(|_| None).collect(),
-            staged: VecDeque::new(),
-            wake,
-            corked: false,
-            fds: Vec::with_capacity(n + 1),
-        };
-        endpoint.adopt();
         Ok(endpoint)
     }
 
@@ -661,26 +531,27 @@ impl TcpEndpoint {
         self.listen_addr
     }
 
-    /// Blocks until every link of the mesh is authenticated and up (live,
-    /// or handed over and adopted on the endpoint's next call).
+    /// Drives the endpoint until every link of the mesh is authenticated
+    /// and up; messages arriving meanwhile stay staged for
+    /// [`recv_timeout`](Endpoint::recv_timeout).
     ///
     /// # Errors
     ///
     /// [`NetError::Timeout`] if the mesh is still incomplete after
     /// `timeout` (a peer is down or holds different key material).
-    pub fn wait_connected(&self, timeout: Duration) -> Result<(), NetError> {
-        let deadline = Instant::now() + timeout;
+    pub fn wait_connected(&mut self, timeout: Duration) -> Result<(), NetError> {
+        let deadline = Instant::now().checked_add(timeout);
+        let me = self.keychain.id().0 as usize;
         loop {
-            let up = (0..self.shared.n)
-                .filter(|&i| i != self.shared.me().0 as usize)
-                .all(|i| self.shared.links[i].up());
-            if up {
+            if self.links.iter().enumerate().all(|(i, link)| i == me || link.is_some()) {
                 return Ok(());
             }
-            if Instant::now() >= deadline {
+            let left =
+                deadline.map_or(Duration::MAX, |d| d.saturating_duration_since(Instant::now()));
+            if left.is_zero() {
                 return Err(NetError::Timeout("mesh did not come up"));
             }
-            std::thread::sleep(Duration::from_millis(2));
+            self.poll_once(left);
         }
     }
 
@@ -693,36 +564,133 @@ impl TcpEndpoint {
         }
     }
 
-    /// Installs every connection the handshake threads handed over. A
-    /// replacement first drains what the old connection still holds, so
-    /// frames that arrived on it are not lost to the swap.
-    fn adopt(&mut self) {
-        if !self.shared.handed_over.load(Ordering::Acquire)
-            || !self.shared.handed_over.swap(false, Ordering::AcqRel)
-        {
-            return;
-        }
-        let handovers = std::mem::take(&mut *lock(&self.shared.handovers));
-        for Handover { peer, generation, conn } in handovers {
-            self.read_link(peer);
-            self.teardown(peer);
-            self.links[peer] = Some(Link {
-                stream: conn.stream,
-                generation,
-                tx: conn.tx,
-                rx: FrameReader::new(conn.rx),
-                out: Vec::new(),
-                sent: 0,
-                stalled_since: None,
+    /// Starts a dial to each down dialer-side link whose cooldown passed;
+    /// its thread hands the connected socket back and wakes the endpoint.
+    fn redial(&mut self, now: Instant) {
+        let me = self.keychain.id().0 as usize;
+        let due: Vec<_> = (me + 1..self.links.len())
+            .filter(|&i| self.links[i].is_none() && self.next_dial[i].is_some_and(|at| at <= now))
+            .filter_map(|i| Some((i, self.peer_addrs[i]?)))
+            .collect();
+        for (peer, addr) in due {
+            let connects = self.connects_tx.clone();
+            let spawned = self.wake_tx.try_clone().and_then(|wake| {
+                std::thread::Builder::new().name("astro-net-connect".into()).spawn(move || {
+                    let connected = TcpStream::connect_timeout(&addr, HANDSHAKE_TIMEOUT);
+                    if connects.send((peer, connected)).is_ok() {
+                        let _ = (&wake).write(&[1]);
+                    }
+                })
             });
+            self.next_dial[peer] = None;
+            if let Err(e) = spawned {
+                self.resolved(Some(peer), Err(e.into()), now);
+            }
         }
     }
 
-    /// Closes link `i` (if up) and tells the maintenance pass it is down.
+    /// Accepts every connection the listener holds, evicting the oldest
+    /// pending inbound handshake past [`MAX_PENDING_ACCEPTS`].
+    fn accept_all(&mut self, now: Instant) {
+        loop {
+            match self.listener.accept() {
+                Ok((stream, _)) => {
+                    let inbound = self.pending.iter().filter(|p| p.dialed.is_none()).count();
+                    let oldest = self.pending.iter().position(|p| p.dialed.is_none());
+                    if let Some(k) = oldest.filter(|_| inbound >= MAX_PENDING_ACCEPTS) {
+                        self.pending.remove(k);
+                        self.resolved(None, Err(NetError::Timeout("evicted")), now);
+                    }
+                    self.admit(Ok(stream), None, now);
+                }
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return,
+                Err(_) => return self.accept_resume = Some(now + MAINTENANCE_PERIOD),
+            }
+        }
+    }
+
+    /// Makes a connected socket a pending handshake, dialing `dialed` or
+    /// accepting, and advances it at once.
+    fn admit(&mut self, stream: io::Result<TcpStream>, dialed: Option<usize>, now: Instant) {
+        let peer = dialed.map(|i| ReplicaId(i as u32));
+        let started = stream.map_err(NetError::from).and_then(|s| {
+            s.set_nonblocking(true)?;
+            s.set_nodelay(true)?;
+            Ok((Handshake::start(&self.keychain, peer, &mut &s)?, s))
+        });
+        match started {
+            Ok((hs, stream)) => {
+                let deadline = now + HANDSHAKE_TIMEOUT;
+                self.pending.push_back(Pending { stream, deadline, dialed, hs });
+                self.advance(self.pending.len() - 1, now);
+            }
+            Err(e) => self.resolved(dialed, Err(e), now),
+        }
+    }
+
+    /// Advances pending handshake `k`, which leaves the set once it is
+    /// complete, fails or is past its deadline. True if it is still
+    /// pending.
+    fn advance(&mut self, k: usize, now: Instant) -> bool {
+        let Some(p) = self.pending.get_mut(k) else { return false };
+        let outcome = match p.hs.read_from(&self.keychain, &mut &p.stream, &mut &p.stream) {
+            Ok(None) if now < p.deadline => return true,
+            Ok(None) => Err(NetError::Timeout("handshake")),
+            Ok(Some(session)) => Ok(session),
+            Err(e) => Err(e),
+        };
+        let Some(p) = self.pending.remove(k) else { return false };
+        match outcome {
+            Ok((peer, tx, rx)) => {
+                self.resolved(p.dialed, Ok(()), now);
+                self.install(peer, p.stream, tx, rx);
+            }
+            Err(e) => self.resolved(p.dialed, Err(e), now),
+        }
+        false
+    }
+
+    /// Meters how a handshake ended. For a dial to `peer`, the next is due
+    /// a cooldown from now, and an answer with other key material is kept
+    /// for `establish`.
+    fn resolved(&mut self, dialed: Option<usize>, result: Result<(), NetError>, now: Instant) {
+        let Some(peer) = dialed else {
+            if let (Some(m), Err(_)) = (&self.metrics, result) {
+                m.handshake_failures.inc();
+                m.flight.event("net.accept_handshake.err", 0, 0);
+            }
+            return;
+        };
+        self.next_dial[peer] = Some(now + REDIAL_COOLDOWN);
+        let rejected = matches!(result, Err(NetError::Handshake { .. }));
+        if let Some(m) = &self.metrics {
+            m.redials.inc();
+            let event = if result.is_ok() { "net.redial.ok" } else { "net.redial.err" };
+            m.flight.event(event, peer as u64, 0);
+            if rejected {
+                m.handshake_failures.inc();
+            }
+        }
+        if let Err(e @ NetError::Handshake { .. }) = result {
+            self.rejected = Some(e);
+        }
+    }
+
+    /// Installs an authenticated connection as `peer`'s link. A
+    /// replacement first drains what the old connection still holds, so
+    /// frames that arrived on it are not lost to the swap.
+    fn install(&mut self, peer: usize, stream: TcpStream, tx: SendSession, rx: RecvSession) {
+        self.read_link(peer);
+        self.teardown(peer);
+        let rx = FrameReader::new(rx);
+        self.links[peer] = Some(Link { stream, tx, rx, out: vec![], sent: 0, stalled_since: None });
+    }
+
+    /// Closes link `i`, if up.
     fn teardown(&mut self, i: usize) {
         if let Some(link) = self.links[i].take() {
             let _ = link.stream.shutdown(Shutdown::Both);
-            self.shared.links[i].dead.fetch_max(link.generation, Ordering::AcqRel);
         }
     }
 
@@ -766,7 +734,7 @@ impl TcpEndpoint {
             }
         };
         if frames > 0 {
-            if let Some(m) = self.shared.metrics.get() {
+            if let Some(m) = &self.metrics {
                 m.links[i].rx_bytes.add(bytes);
                 m.links[i].rx_frames.add(frames);
             }
@@ -776,47 +744,73 @@ impl TcpEndpoint {
         }
     }
 
-    /// One `poll(2)` over the wake socket and every link, for up to
-    /// `timeout`: readable links are read into the staging queue and
-    /// handed-over connections adopted. Links a flush is waiting on are
-    /// polled for writability too; their events stay in `self.fds`.
-    fn poll_once(&mut self, timeout: Duration) {
+    /// One `poll(2)` over every link, the wake socket, the listener and the
+    /// pending handshakes, for at most `timeout` and [`MAINTENANCE_PERIOD`];
+    /// then readable links are read, ready or expired handshakes advance,
+    /// new sockets become handshakes and due redials start. Links a flush
+    /// waits on are polled for writability too (events stay in `fds`).
+    /// Returns the time the poll ended.
+    fn poll_once(&mut self, timeout: Duration) -> Instant {
+        let n = self.links.len();
+        let entry = |(fd, events): (c_int, c_short)| PollFd { fd, events, revents: 0 };
         self.fds.clear();
-        self.fds.push(PollFd { fd: self.wake.as_raw_fd(), events: POLLIN, revents: 0 });
         for link in &self.links {
-            self.fds.push(match link {
-                Some(l) => PollFd {
-                    fd: l.stream.as_raw_fd(),
-                    events: if l.stalled_since.is_some() { POLLIN | POLLOUT } else { POLLIN },
-                    revents: 0,
-                },
-                None => PollFd { fd: -1, events: 0, revents: 0 },
-            });
+            self.fds.push(entry(match link {
+                Some(l) if l.stalled_since.is_some() => (l.stream.as_raw_fd(), POLLIN | POLLOUT),
+                Some(l) => (l.stream.as_raw_fd(), POLLIN),
+                None => (-1, 0),
+            }));
         }
-        poll_fds(&mut self.fds, timeout);
-        if self.fds[0].revents != 0 {
-            let mut sink = [0u8; 64];
-            while matches!((&self.wake).read(&mut sink), Ok(n) if n > 0) {}
-        }
-        for i in 0..self.links.len() {
-            if self.fds[1 + i].revents & (POLLIN | POLLERR | POLLHUP) != 0 {
+        let listening = self.accept_resume.is_none_or(|at| Instant::now() >= at);
+        let listener = if listening { self.listener.as_raw_fd() } else { -1 };
+        self.fds.push(entry((self.wake.as_raw_fd(), POLLIN)));
+        self.fds.push(entry((listener, POLLIN)));
+        self.fds.extend(self.pending.iter().map(|p| entry((p.stream.as_raw_fd(), POLLIN))));
+        poll_fds(&mut self.fds, timeout.min(MAINTENANCE_PERIOD));
+
+        let now = Instant::now();
+        self.next_service = now + MAINTENANCE_PERIOD;
+        for i in 0..n {
+            if self.fds[i].revents & (POLLIN | POLLERR | POLLHUP) != 0 {
                 self.read_link(i);
             }
         }
-        self.adopt();
+        // The polled handshakes in order: `k` moves past those still
+        // pending, since a resolved one leaves the set.
+        let mut k = 0;
+        for slot in n + 2..self.fds.len() {
+            let expired = self.pending.get(k).is_some_and(|p| now >= p.deadline);
+            if (self.fds[slot].revents == 0 && !expired) || self.advance(k, now) {
+                k += 1;
+            }
+        }
+        if self.fds[n].revents != 0 {
+            let mut sink = [0u8; 64];
+            while matches!((&self.wake).read(&mut sink), Ok(n) if n > 0) {}
+            while let Ok((peer, connected)) = self.connects.try_recv() {
+                self.admit(connected, Some(peer), now);
+            }
+        }
+        if self.fds[n + 1].revents != 0 {
+            self.accept_resume = None;
+            self.accept_all(now);
+        }
+        self.redial(now);
+        now
     }
 
     /// Writes as much of link `i`'s buffered frames as the socket takes
     /// in one `write(2)`. A partial write leaves the link marked stalled
     /// for the flush to wait on; an error tears it down (`false`).
     fn write_link(&mut self, i: usize) -> bool {
-        let metrics = self.shared.metrics.get();
+        let mut metrics = self.metrics.as_mut();
         let Some(link) = self.links[i].as_mut() else {
             return true;
         };
         while link.sent < link.out.len() {
             let rest = &link.out[link.sent..];
-            match NetMetrics::timed_write(metrics, i, || (&link.stream).write(rest)) {
+            match NetMetrics::timed_write(metrics.as_deref_mut(), i, || (&link.stream).write(rest))
+            {
                 Ok(n) if n > 0 => {
                     link.sent += n;
                     if link.sent == link.out.len() {
@@ -860,7 +854,7 @@ impl TcpEndpoint {
             if link.sent == link.out.len() {
                 continue;
             }
-            if let Some(m) = self.shared.metrics.get() {
+            if let Some(m) = &self.metrics {
                 m.flush_bytes.record((link.out.len() - link.sent) as u64);
             }
             if !self.write_link(i) {
@@ -876,7 +870,7 @@ impl TcpEndpoint {
                 };
                 let give_up = since + WRITE_TIMEOUT;
                 if now >= give_up {
-                    if let Some(m) = self.shared.metrics.get() {
+                    if let Some(m) = &self.metrics {
                         m.flight.event("net.write_timeout", i as u64, 0);
                     }
                     self.teardown(i);
@@ -888,7 +882,7 @@ impl TcpEndpoint {
             let Some(wait_until) = wait_until else { break };
             self.poll_once(wait_until - now);
             for i in targets.clone() {
-                let writable = self.fds[1 + i].revents & (POLLOUT | POLLERR | POLLHUP) != 0;
+                let writable = self.fds[i].revents & (POLLOUT | POLLERR | POLLHUP) != 0;
                 let waiting = self.links[i].as_ref().is_some_and(|l| l.stalled_since.is_some());
                 if writable && waiting && !self.write_link(i) {
                     first_err.get_or_insert(NetError::LinkDown(ReplicaId(i as u32)));
@@ -911,7 +905,7 @@ impl TcpEndpoint {
         };
         let before = link.out.len();
         append_frame(&mut link.tx, payload, &mut link.out);
-        if let Some(m) = self.shared.metrics.get() {
+        if let Some(m) = &self.metrics {
             m.links[to].tx_bytes.add((link.out.len() - before) as u64);
             m.links[to].tx_frames.inc();
         }
@@ -943,27 +937,26 @@ fn append_frame(session: &mut SendSession, payload: &[u8], out: &mut Vec<u8>) {
 
 impl Endpoint for TcpEndpoint {
     fn local(&self) -> ReplicaId {
-        self.shared.me()
+        self.keychain.id()
     }
 
     fn n(&self) -> usize {
-        self.shared.n
+        self.links.len()
     }
 
     fn send(&mut self, to: ReplicaId, payload: &[u8]) -> Result<(), NetError> {
         let i = to.0 as usize;
-        if i >= self.shared.n {
+        if i >= self.links.len() {
             return Err(NetError::UnknownPeer(to));
         }
-        if to == self.shared.me() {
+        if to == self.keychain.id() {
             // Self-delivery short-circuits the socket layer.
             self.staged.push_back((to, Payload::from(payload)));
             return Ok(());
         }
-        self.adopt();
-        // A down link fails at once: the maintenance pass heals it off
-        // this thread, so a crashed or stalling peer never slows traffic
-        // to the live quorum.
+        // A down link fails at once: the endpoint re-dials it while it is
+        // driven, so a crashed or stalling peer never slows traffic to the
+        // live quorum.
         if self.try_send(i, payload) {
             Ok(())
         } else {
@@ -973,7 +966,7 @@ impl Endpoint for TcpEndpoint {
 
     fn broadcast(&mut self, payload: &[u8]) -> Result<(), NetError> {
         let mut first_err = None;
-        for i in 0..self.shared.n {
+        for i in 0..self.links.len() {
             if let Err(e) = self.send(ReplicaId(i as u32), payload) {
                 first_err.get_or_insert(e);
             }
@@ -985,25 +978,27 @@ impl Endpoint for TcpEndpoint {
     }
 
     fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Packet>, NetError> {
-        if let Some(packet) = self.staged.pop_front() {
-            return Ok(Some(packet));
+        let mut now = Instant::now();
+        // Staged traffic must not starve the listener, the pending
+        // handshakes and due redials.
+        if now >= self.next_service {
+            self.poll_once(Duration::ZERO);
+        } else if self.staged.is_empty() {
+            for i in 0..self.links.len() {
+                self.read_link(i);
+            }
         }
         // `None`: the timeout runs past the clock's range, so no deadline.
-        let deadline = Instant::now().checked_add(timeout);
-        self.adopt();
-        for i in 0..self.links.len() {
-            self.read_link(i);
-        }
+        let deadline = now.checked_add(timeout);
         loop {
             if let Some(packet) = self.staged.pop_front() {
                 return Ok(Some(packet));
             }
-            let left =
-                deadline.map_or(Duration::MAX, |d| d.saturating_duration_since(Instant::now()));
+            let left = deadline.map_or(Duration::MAX, |d| d.saturating_duration_since(now));
             if left.is_zero() {
                 return Ok(None);
             }
-            self.poll_once(left);
+            now = self.poll_once(left);
         }
     }
 
@@ -1014,19 +1009,14 @@ impl Endpoint for TcpEndpoint {
     fn attach_registry(&mut self, registry: &Arc<Registry>) {
         // First attach wins; a second registry for the same endpoint is
         // ignored rather than double-counted.
-        let _ =
-            self.shared.metrics.set(NetMetrics::new(registry, self.shared.me().0, self.shared.n));
+        if self.metrics.is_none() {
+            self.metrics = Some(NetMetrics::new(registry, self.keychain.id().0, self.links.len()));
+        }
     }
 
     fn uncork(&mut self) -> Result<(), NetError> {
         self.corked = false;
         self.flush(None)
-    }
-}
-
-impl Drop for TcpEndpoint {
-    fn drop(&mut self) {
-        self.shared.shut_down(self.listen_addr);
     }
 }
 
@@ -1057,7 +1047,8 @@ impl TcpTransport {
         let addrs: Vec<SocketAddr> =
             listeners.iter().map(TcpListener::local_addr).collect::<std::io::Result<_>>()?;
 
-        // Establish concurrently: every endpoint both dials and accepts.
+        // Bring up concurrently: every endpoint both dials and accepts, and
+        // each thread drives its own endpoint until its mesh is complete.
         let handles: Vec<_> = keychains
             .into_iter()
             .zip(listeners)
@@ -1065,16 +1056,18 @@ impl TcpTransport {
             .map(|(i, (keychain, listener))| {
                 let peer_addrs: Vec<Option<SocketAddr>> =
                     addrs.iter().enumerate().map(|(j, a)| (j != i).then_some(*a)).collect();
-                std::thread::spawn(move || TcpEndpoint::establish(keychain, listener, peer_addrs))
+                std::thread::spawn(move || -> Result<TcpEndpoint, NetError> {
+                    let mut endpoint = TcpEndpoint::establish(keychain, listener, peer_addrs)?;
+                    endpoint.wait_connected(Duration::from_secs(5))?;
+                    Ok(endpoint)
+                })
             })
             .collect();
 
         let mut endpoints = Vec::with_capacity(n);
         for handle in handles {
-            endpoints.push(handle.join().expect("establish thread panicked")?);
-        }
-        for ep in &endpoints {
-            ep.wait_connected(Duration::from_secs(5))?;
+            let panicked = |_| NetError::Io(io::Error::other("bring-up thread panicked"));
+            endpoints.push(handle.join().map_err(panicked)??);
         }
         Ok(TcpTransport { endpoints })
     }
@@ -1095,5 +1088,120 @@ impl Transport for TcpTransport {
 
     fn into_endpoints(self) -> Vec<TcpEndpoint> {
         self.endpoints
+    }
+}
+
+#[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    type Session = (usize, SendSession, RecvSession);
+
+    fn keychains() -> Vec<Keychain> {
+        Keychain::deterministic_system(b"tcp-handshake-tests", 2)
+    }
+
+    /// A socket whose receive buffer holds the slice and nothing more:
+    /// reads take from it, then would block.
+    struct Chunk<'a>(&'a [u8]);
+
+    impl Read for Chunk<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            if self.0.is_empty() {
+                return Err(ErrorKind::WouldBlock.into());
+            }
+            self.0.read(buf)
+        }
+    }
+
+    /// Feeds `bytes` to `hs` in two reads split at `at`. Returns what it
+    /// wrote back, its session once done, and the bytes it left unread.
+    fn feed(
+        hs: &mut Handshake,
+        keychain: &Keychain,
+        bytes: &[u8],
+        at: usize,
+    ) -> (Vec<u8>, Option<Session>, Vec<u8>) {
+        let (mut out, mut session, mut left) = (Vec::new(), None, Vec::new());
+        for part in [&bytes[..at], &bytes[at..]] {
+            let mut chunk = Chunk(part);
+            session = hs.read_from(keychain, &mut chunk, &mut out).unwrap();
+            left.extend_from_slice(chunk.0);
+        }
+        (out, session, left)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Arbitrary bytes in arbitrary chunks, to either side: no panic,
+        /// no byte read past the awaited frame, no session, and the
+        /// connection is closed once a whole frame has arrived.
+        #[test]
+        fn arbitrary_bytes_never_panic_nor_overread(
+            bytes in proptest::collection::vec(any::<u8>(), 0..200),
+            splits in proptest::collection::vec(1usize..80, 1..8),
+            dialer in 0usize..2,
+            framed in 0usize..2,
+        ) {
+            let ks = keychains();
+            let mut sent = Vec::new();
+            let (me, dial, leg) =
+                if dialer == 1 { (&ks[0], Some(ReplicaId(1)), ACK_LEN) } else { (&ks[1], None, HELLO_LEN) };
+            let mut hs = Handshake::start(me, dial, &mut sent).unwrap();
+            let hello_len = sent.len();
+            // Half the cases carry the right header, so the garbage
+            // reaches verification.
+            let mut input = Vec::new();
+            if framed == 1 {
+                (leg as u32).encode(&mut input);
+            }
+            input.extend_from_slice(&bytes);
+            let (mut rest, mut consumed, mut closed) = (&input[..], 0, false);
+            let mut sizes = splits.iter().cycle();
+            while !rest.is_empty() && !closed {
+                let take = sizes.next().map_or(rest.len(), |&s| s.min(rest.len()));
+                let mut chunk = Chunk(&rest[..take]);
+                rest = &rest[take..];
+                let result = hs.read_from(me, &mut chunk, &mut sent);
+                consumed += take - chunk.0.len();
+                prop_assert!(consumed <= 4 + leg, "read {} bytes for a {}-byte leg", consumed, leg);
+                match result {
+                    Ok(session) => prop_assert!(session.is_none() && chunk.0.is_empty()),
+                    Err(_) => closed = true,
+                }
+            }
+            prop_assert!(closed || input.len() < 4 + leg);
+            // Nothing is answered: the only bytes written are a dialer's HELLO.
+            prop_assert_eq!(sent.len(), hello_len);
+            prop_assert_eq!(hello_len, if dialer == 1 { 4 + HELLO_LEN } else { 0 });
+        }
+    }
+
+    #[test]
+    fn a_genuine_handshake_completes_at_every_split() {
+        let ks = keychains();
+        for at in 0..=4 + HELLO_LEN {
+            let mut hello = Vec::new();
+            let mut dialer = Handshake::start(&ks[0], Some(ReplicaId(1)), &mut hello).unwrap();
+            let mut acceptor = Handshake::start(&ks[1], None, &mut Vec::new()).unwrap();
+            let (ack, session, left) = feed(&mut acceptor, &ks[1], &hello, at.min(hello.len()));
+            assert!(session.is_none() && left.is_empty(), "split {at}");
+            let (confirm, session, left) = feed(&mut dialer, &ks[0], &ack, at.min(ack.len()));
+            let (peer, mut dialer_tx, mut dialer_rx) = session.expect("the dialer is done");
+            assert!(peer == 1 && left.is_empty(), "split {at}");
+            // The dialer's first frame follows CONFIRM at once: the acceptor
+            // must leave it in the stream for the link's frame reader.
+            let mut wire = confirm.clone();
+            append_frame(&mut dialer_tx, b"first", &mut wire);
+            let (reply, session, left) = feed(&mut acceptor, &ks[1], &wire, at.min(wire.len()));
+            let (peer, mut acceptor_tx, mut acceptor_rx) = session.expect("the acceptor is done");
+            assert!(peer == 0 && reply.is_empty(), "split {at}");
+            assert_eq!(left, wire[confirm.len()..], "split {at}");
+            assert_eq!(acceptor_rx.open(&left[4..]).unwrap(), b"first");
+            assert_eq!(dialer_rx.open(&acceptor_tx.seal(b"back")).unwrap(), b"back");
+        }
     }
 }

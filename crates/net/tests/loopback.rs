@@ -5,9 +5,14 @@ use astro_net::{Endpoint, NetError, TcpEndpoint, TcpTransport, Transport};
 use astro_types::{Keychain, ReplicaId};
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
-use std::time::Duration;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 const RECV: Duration = Duration::from_secs(5);
+
+/// The transport's handshake deadline.
+const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(2);
 
 fn mesh(seed: &[u8], n: usize) -> Vec<TcpEndpoint> {
     TcpTransport::loopback(Keychain::deterministic_system(seed, n))
@@ -95,7 +100,7 @@ fn severed_links_reconnect_and_traffic_resumes() {
         for ep in &mut eps {
             assert_eq!(ep.recv_timeout(Duration::from_millis(10)).unwrap(), None);
         }
-        if eps.iter().all(|ep| ep.wait_connected(Duration::ZERO).is_ok()) {
+        if eps.iter_mut().all(|ep| ep.wait_connected(Duration::ZERO).is_ok()) {
             break;
         }
         assert!(std::time::Instant::now() < deadline, "the mesh did not heal");
@@ -126,21 +131,9 @@ fn quiet_mesh_heals_without_traffic_toward_the_dead_peer() {
     // Kill replica 3's endpoint (drop severs links and frees its port).
     let dead = eps.pop().expect("four endpoints");
     drop(dead);
-    // A replacement rebinds the same address (retrying while the old
-    // acceptor releases the port) — exactly what the runtime's
-    // restart path does.
-    let listener = {
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        loop {
-            match TcpListener::bind(addrs[3]) {
-                Ok(l) => break l,
-                Err(_) if std::time::Instant::now() < deadline => {
-                    std::thread::sleep(Duration::from_millis(10));
-                }
-                Err(e) => panic!("rebind failed: {e}"),
-            }
-        }
-    };
+    // A replacement rebinds the same address — exactly what the runtime's
+    // restart path does. The dropped endpoint closed its listener.
+    let listener = TcpListener::bind(addrs[3]).expect("the dropped endpoint freed its port");
     let peer_addrs = addrs.iter().enumerate().map(|(j, a)| (j != 3).then_some(*a)).collect();
     let mut replacement = TcpEndpoint::establish(keychains[3].clone(), listener, peer_addrs)
         .expect("replacement comes up");
@@ -198,6 +191,99 @@ fn a_peer_that_never_answers_the_handshake_cannot_stall_sends() {
         assert!(matches!(sent, Err(NetError::LinkDown(ReplicaId(1)))), "attempt {attempt}");
         assert!(took < Duration::from_millis(100), "attempt {attempt}: send took {took:?}");
     }
+}
+
+#[test]
+fn establish_does_not_wait_out_a_silent_peer() {
+    // The peer's listener completes the TCP connect, but nothing ever
+    // answers the HELLO. `establish` gives that dial its handshake
+    // deadline, returns, and leaves the link to the redial schedule.
+    let chains = Keychain::deterministic_system(b"tcp-silent-establish", 2);
+    let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+    let silent = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+    let peer = silent.local_addr().unwrap();
+    let started = Instant::now();
+    let mut ep = TcpEndpoint::establish(chains[0].clone(), listener, vec![None, Some(peer)])
+        .expect("a silent peer is not fatal");
+    let took = started.elapsed();
+    assert!(took < HANDSHAKE_TIMEOUT + Duration::from_secs(1), "establish took {took:?}");
+    assert!(matches!(ep.send(ReplicaId(1), b"hello?"), Err(NetError::LinkDown(ReplicaId(1)))));
+    // Driven past the 250 ms cooldown, the endpoint dials again, and the
+    // second silent handshake does not block it either.
+    let driven = Instant::now();
+    while driven.elapsed() < Duration::from_millis(400) {
+        assert_eq!(ep.recv_timeout(Duration::from_millis(20)).unwrap(), None);
+    }
+    assert!(driven.elapsed() < Duration::from_millis(600));
+    silent.set_nonblocking(true).unwrap();
+    let dials = std::iter::from_fn(|| silent.accept().ok()).count();
+    assert!(dials >= 2, "{dials} dial(s) reached the silent peer");
+}
+
+#[test]
+fn a_busy_endpoint_still_completes_an_inbound_handshake() {
+    // Endpoint 3 receives a continuous stream from endpoint 1 and takes
+    // its messages slowly, so its inbox never runs dry, while endpoint 0,
+    // its dialer, loses every link. Endpoint 0 re-dials, and endpoint 3
+    // must answer the new handshake within 1 s all the same.
+    let mut eps = mesh(b"tcp-accept-under-load", 4);
+    let mut ep3 = eps.pop().unwrap();
+    let _ep2 = eps.pop().unwrap();
+    let mut ep1 = eps.pop().unwrap();
+    let mut ep0 = eps.pop().unwrap();
+    let stop = Arc::new(AtomicBool::new(false));
+    let flood = {
+        let stop = stop.clone();
+        std::thread::spawn(move || {
+            let mut seq = 0u64;
+            while !stop.load(Ordering::Relaxed) {
+                ep1.cork();
+                // Endpoint 3 must keep reading: a flush it leaves waiting
+                // for 2 s tears the link down.
+                for _ in 0..64 {
+                    ep1.send(ReplicaId(3), &seq.to_be_bytes()).expect("endpoint 3 reads");
+                    seq += 1;
+                }
+                ep1.uncork().expect("endpoint 3 reads");
+                let _ = ep1.recv_timeout(Duration::ZERO);
+            }
+            ep1
+        })
+    };
+    // Takes one message at endpoint 3: true if it is endpoint 0's.
+    let take = |ep3: &mut TcpEndpoint, next: &mut u64| {
+        let (from, bytes) = ep3.recv_timeout(RECV).unwrap().expect("traffic keeps arriving");
+        if from == ReplicaId(0) {
+            assert_eq!(&bytes[..], b"back");
+            return true;
+        }
+        assert_eq!(u64::from_be_bytes(bytes[..].try_into().unwrap()), *next);
+        *next += 1;
+        false
+    };
+    let mut next = 0u64;
+    while next < 10_000 {
+        take(&mut ep3, &mut next);
+    }
+    ep0.debug_sever_links();
+    let severed = Instant::now();
+    let healer = std::thread::spawn(move || loop {
+        let _ = ep0.recv_timeout(Duration::from_millis(5));
+        if ep0.send(ReplicaId(3), b"back").is_ok() {
+            return (severed.elapsed(), ep0);
+        }
+        assert!(severed.elapsed() < RECV, "endpoint 0 never reached endpoint 3 again");
+    });
+    while !healer.is_finished() {
+        assert!(!take(&mut ep3, &mut next));
+        std::thread::sleep(Duration::from_micros(200));
+    }
+    let (took, _ep0) = healer.join().unwrap();
+    stop.store(true, Ordering::Relaxed);
+    let _ep1 = flood.join().unwrap();
+    assert!(took < Duration::from_secs(1), "the inbound handshake took {took:?}");
+    // The healed link delivers, behind the backlog.
+    while !take(&mut ep3, &mut next) {}
 }
 
 fn mesh_with(keychains: &[Keychain]) -> Vec<TcpEndpoint> {

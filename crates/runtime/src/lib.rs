@@ -857,8 +857,10 @@ impl<R: Replica + Send + 'static> Cluster<R> {
     /// Restarts a killed replica and rejoins it to the live quorum:
     /// recover `snapshot + longest valid WAL prefix` locally (durable
     /// clusters; others restart empty), rebind the replica's listen
-    /// address (the surviving replicas' maintenance pass re-dials it),
-    /// then run the peer catch-up handshake — the returning replica
+    /// address (the killed endpoint closed it before `kill_replica`
+    /// returned), dial the higher-id peers and leave the lower-id ones to
+    /// re-dial it while their replica threads drive their endpoints, then
+    /// run the peer catch-up handshake — the returning replica
     /// requests the settled delta from its peers, installs it once `f+1`
     /// byte-identical copies certify, and only then resumes broadcast
     /// delivery. Payments the quorum settled *during the downtime* are
@@ -959,22 +961,14 @@ impl<R: Replica + Send + 'static> Cluster<R> {
 }
 
 /// Rebinds replica `i`'s listener at `addrs[i]` and re-establishes its
-/// mesh endpoint. The old endpoint's acceptor releases the port
-/// asynchronously after a kill, so binding retries briefly.
+/// mesh endpoint.
 fn establish_endpoint(
     keychain: &Keychain,
     addrs: &[SocketAddr],
     i: usize,
 ) -> Result<TcpEndpoint, ClusterError> {
-    let deadline = Instant::now() + Duration::from_secs(5);
-    let listener = loop {
-        match TcpListener::bind(addrs[i]) {
-            Ok(l) => break l,
-            // A bind failure is a network problem, not a storage one.
-            Err(e) if Instant::now() >= deadline => return Err(ClusterError::Net(NetError::Io(e))),
-            Err(_) => std::thread::sleep(Duration::from_millis(20)),
-        }
-    };
+    // A bind failure is a network problem, not a storage one.
+    let listener = TcpListener::bind(addrs[i]).map_err(|e| ClusterError::Net(NetError::Io(e)))?;
     let peer_addrs = addrs.iter().enumerate().map(|(j, a)| (j != i).then_some(*a)).collect();
     Ok(TcpEndpoint::establish(keychain.clone(), listener, peer_addrs)?)
 }

@@ -324,10 +324,11 @@ impl SimReplica for AstroTwoReplica<MacAuthenticator> {
 }
 
 /// An Astro deployment under simulation, either protocol. Each replica
-/// has one flush timer, armed while it [needs a
-/// tick](Replica::needs_tick) — the threaded runtime's discipline, so
-/// batches, CREDIT acks and retransmissions, payload pulls and catch-up
-/// retries all move on the clock they move on in a live cluster.
+/// has one flush timer, which paces batches, CREDIT acks and
+/// retransmissions, payload pulls and catch-up retries. The sim arms it
+/// only while the replica [needs a tick](Replica::needs_tick); the
+/// threaded runtime still re-arms it every `flush_every` and will arm it
+/// the same way once it waits on one event loop (ROADMAP item 3).
 #[derive(Debug)]
 pub struct AstroSystem<R> {
     replicas: Vec<R>,

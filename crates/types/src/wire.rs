@@ -23,6 +23,9 @@
 //! assert!(slice.is_empty());
 //! ```
 
+// Decodes bytes from the network and the disk: none may reach a panic.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 /// Errors produced while decoding wire data.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WireError {
@@ -113,10 +116,11 @@ pub fn decode_exact<T: Wire>(mut buf: &[u8]) -> Result<T, WireError> {
     }
 }
 
-fn take<'a>(buf: &mut &'a [u8], len: usize) -> Result<&'a [u8], WireError> {
-    let (head, tail) = buf.split_at_checked(len).ok_or(WireError::UnexpectedEof)?;
+/// Splits the next `N` bytes off the front of `buf`.
+fn take_array<const N: usize>(buf: &mut &[u8]) -> Result<[u8; N], WireError> {
+    let (head, tail) = buf.split_first_chunk::<N>().ok_or(WireError::UnexpectedEof)?;
     *buf = tail;
-    Ok(head)
+    Ok(*head)
 }
 
 macro_rules! impl_wire_int {
@@ -126,8 +130,7 @@ macro_rules! impl_wire_int {
                 buf.extend_from_slice(&self.to_le_bytes());
             }
             fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-                let bytes = take(buf, core::mem::size_of::<$ty>())?;
-                Ok(<$ty>::from_le_bytes(bytes.try_into().unwrap()))
+                Ok(<$ty>::from_le_bytes(take_array(buf)?))
             }
             fn encoded_len(&self) -> usize {
                 core::mem::size_of::<$ty>()
@@ -159,8 +162,7 @@ impl<const LEN: usize> Wire for [u8; LEN] {
         buf.extend_from_slice(self);
     }
     fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        let bytes = take(buf, LEN)?;
-        Ok(bytes.try_into().unwrap())
+        take_array(buf)
     }
     fn encoded_len(&self) -> usize {
         LEN
@@ -252,10 +254,10 @@ pub fn put_frame(buf: &mut Vec<u8>, payload: &[u8]) {
 /// advertised length exceeds [`MAX_FRAME_LEN`] (the peer is faulty or
 /// Byzantine and the stream should be dropped).
 pub fn peek_frame_len(buf: &[u8]) -> Result<Option<usize>, WireError> {
-    if buf.len() < 4 {
+    let Some(&header) = buf.first_chunk::<4>() else {
         return Ok(None);
-    }
-    let len = u32::from_le_bytes(buf[..4].try_into().unwrap()) as usize;
+    };
+    let len = u32::from_le_bytes(header) as usize;
     if len > MAX_FRAME_LEN {
         return Err(WireError::InvalidValue("frame too large"));
     }
@@ -313,6 +315,7 @@ impl Wire for astro_crypto::PublicKey {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
 

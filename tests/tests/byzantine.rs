@@ -316,28 +316,18 @@ fn tcp_byzantine_donor_cannot_forge_acks_or_corrupt_credit_replay() {
     // up a hand-driven endpoint on its listen address with its real key
     // material. Peers re-dial and authenticate it as replica 3.
     cluster.kill_replica(3).unwrap();
-    let listener = {
-        let deadline = Instant::now() + Duration::from_secs(10);
-        loop {
-            match TcpListener::bind(addrs[3]) {
-                Ok(l) => break l,
-                Err(_) if Instant::now() < deadline => {
-                    std::thread::sleep(Duration::from_millis(25))
-                }
-                Err(e) => panic!("replica 3's port never freed: {e}"),
-            }
-        }
-    };
+    let listener = TcpListener::bind(addrs[3]).expect("replica 3's port is free after the kill");
     let peer_addrs = (0..4).map(|i| if i == 3 { None } else { Some(addrs[i]) }).collect::<Vec<_>>();
     let mut byz = TcpEndpoint::establish(transport[3].clone(), listener, peer_addrs).unwrap();
     let byz_signer = SchnorrAuthenticator::new(signing[3].clone());
 
-    // Retries until the peer's maintenance pass re-dials seat 3.
+    // Retries until the peer re-dials seat 3. The endpoint accepts and
+    // handshakes only while it is driven, so the wait drives it.
     let send_to = |byz: &mut TcpEndpoint, to: u32, bytes: &[u8]| {
         let deadline = Instant::now() + Duration::from_secs(10);
         while byz.send(ReplicaId(to), bytes).is_err() {
             assert!(Instant::now() < deadline, "link to replica {to} never came up");
-            std::thread::sleep(Duration::from_millis(25));
+            let _ = byz.recv_timeout(Duration::from_millis(25));
         }
     };
 
@@ -396,8 +386,14 @@ fn tcp_byzantine_donor_cannot_forge_acks_or_corrupt_credit_replay() {
 
     // The honest representative returns (empty — non-durable restart) and
     // recovers through peer catch-up plus CREDIT replay, with the
-    // attacker still spamming its seat.
-    cluster.restart_replica(1).unwrap();
+    // attacker still spamming its seat. Its restart dials seat 3 and
+    // waits for the answer, so the attacker's endpoint is driven meanwhile
+    // (messages stay staged for the loop below).
+    std::thread::scope(|scope| {
+        scope
+            .spawn(|| byz.wait_connected(Duration::from_secs(10)).expect("replica 1 dials seat 3"));
+        cluster.restart_replica(1).unwrap();
+    });
     let attack = [
         // Duplicates of a *genuine* CREDIT (replica 3 really settled the
         // wave): idempotent, must not double-materialize.
